@@ -12,12 +12,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .ligand import (
+    DATA_DIR,
     FragmentLibrary,
     LibraryError,
     canonical_key,
@@ -47,7 +48,6 @@ from .training import (
     train,
 )
 
-DATA_DIR = Path(__file__).parent / "data"
 BUNDLED_POCKETS = {"compact": "pocket_compact.jsonl", "wide": "pocket_wide.jsonl"}
 BUNDLED_LIBRARIES = {"toy": "toy_library.json", "desk": "desk_library.json"}
 
@@ -96,21 +96,24 @@ class RunConfig:
         expect(isinstance(self.library_file, str), "library_file", "must be a path")
         expect(isinstance(self.checkpoint, str), "checkpoint", "must be a path")
         expect(self.metrics is None or isinstance(self.metrics, str), "metrics", "must be a path")
-        expect(isinstance(self.steps, int) and self.steps >= 0, "steps", f"must be a nonnegative integer, got {self.steps!r}")
-        expect(isinstance(self.batch_size, int) and self.batch_size >= 1, "batch_size", f"must be a positive integer, got {self.batch_size!r}")
+        for name in ("steps", "batch_size", "max_nodes", "seed", "n_molecules", "top_k", "retry_cap"):
+            value = getattr(self, name)
+            # bool is a subclass of int, so True would pass as 1
+            expect(isinstance(value, int) and not isinstance(value, bool), name, f"must be an integer, got {value!r}")
+        expect(self.steps >= 0, "steps", f"must be a nonnegative integer, got {self.steps!r}")
+        expect(self.batch_size >= 1, "batch_size", f"must be a positive integer, got {self.batch_size!r}")
         expect(isinstance(self.learning_rate, (int, float)) and self.learning_rate > 0, "learning_rate", f"must be positive, got {self.learning_rate!r}")
         expect(isinstance(self.beta, (int, float)) and self.beta > 0, "beta", f"must be positive, got {self.beta!r}")
-        expect(isinstance(self.max_nodes, int) and self.max_nodes >= 1, "max_nodes", f"must be a positive integer, got {self.max_nodes!r}")
-        expect(isinstance(self.seed, int), "seed", f"must be an integer, got {self.seed!r}")
+        expect(self.max_nodes >= 1, "max_nodes", f"must be a positive integer, got {self.max_nodes!r}")
         expect(self.mode in (BASELINE, TRIOFORMER), "mode", f"must be one of {BASELINE!r}, {TRIOFORMER!r}, got {self.mode!r}")
         expect(isinstance(self.weights, list) and len(self.weights) == 3, "weights", f"must be three numbers, got {self.weights!r}")
         try:
             RewardWeights(*[float(w) for w in self.weights])
         except (MetricError, TypeError, ValueError) as e:
             raise ConfigError(f"config field 'weights': {e}") from None
-        expect(isinstance(self.n_molecules, int) and self.n_molecules >= 1, "n_molecules", f"must be a positive integer, got {self.n_molecules!r}")
-        expect(isinstance(self.top_k, int) and self.top_k >= 1, "top_k", f"must be a positive integer, got {self.top_k!r}")
-        expect(isinstance(self.retry_cap, int) and self.retry_cap >= 1, "retry_cap", f"must be a positive integer, got {self.retry_cap!r}")
+        expect(self.n_molecules >= 1, "n_molecules", f"must be a positive integer, got {self.n_molecules!r}")
+        expect(self.top_k >= 1, "top_k", f"must be a positive integer, got {self.top_k!r}")
+        expect(self.retry_cap >= 1, "retry_cap", f"must be a positive integer, got {self.retry_cap!r}")
         expect(isinstance(self.policy, dict), "policy", "must be an object of policy overrides")
         allowed = {f.name for f in fields(PolicyConfig)} - {"mode"}
         for key in self.policy:
@@ -205,7 +208,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         trainer_cfg, library, pockets,
         reward_fn=default_reward_fn(library, weights),
         metrics_path=metrics_path, checkpoint_path=out_path,
-        extra_meta={"policy": asdict(trainer_cfg.policy), "weights": list(cfg.weights)},
+        extra_meta={"weights": list(cfg.weights)},
     )
     last = result.metrics[-1]["loss"] if result.metrics else None
     print(f"trained {result.steps_run} steps; checkpoint {out_path}; metrics {metrics_path}"
@@ -216,6 +219,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _rebuild_policy(checkpoint_path: str, library: FragmentLibrary, mode_flag: str | None,
                     pockets: dict[str, PocketGraph]):
     state, meta = load_checkpoint(checkpoint_path)
+    for key in ("max_nodes", "library_ids", "policy"):
+        if key not in meta:
+            raise CheckpointError(f"checkpoint {checkpoint_path} meta is missing field {key!r}")
     if mode_flag is not None and mode_flag != meta.get("mode"):
         raise ConfigError(f"--mode {mode_flag!r} disagrees with checkpoint mode {meta.get('mode')!r}")
     if list(library.ids) != meta.get("library_ids"):

@@ -10,9 +10,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+DATA_DIR = Path(__file__).parent / "data"
 MAX_NODES_DEFAULT = 8
 ENUM_MAX_FRAGMENTS = 4
 ENUM_MAX_NODES = 4
@@ -95,23 +97,11 @@ def save_library(path: str, library: FragmentLibrary) -> None:
 
 def toy_library() -> FragmentLibrary:
     # the smallest enumeration-friendly library: 2 fragments, 1 AP each
-    return FragmentLibrary(
-        [
-            Fragment(id=0, name="alpha", aps=1, size=6, polarity=0.2),
-            Fragment(id=1, name="beta", aps=1, size=3, polarity=0.7),
-        ]
-    )
+    return load_library(str(DATA_DIR / "toy_library.json"))
 
 
 def desk_library() -> FragmentLibrary:
-    return FragmentLibrary(
-        [
-            Fragment(id=0, name="benzene", aps=3, size=6, polarity=0.05),
-            Fragment(id=1, name="hydroxyl", aps=1, size=1, polarity=0.95),
-            Fragment(id=2, name="amide", aps=2, size=3, polarity=0.75),
-            Fragment(id=3, name="cyclohexane", aps=2, size=6, polarity=0.1),
-        ]
-    )
+    return load_library(str(DATA_DIR / "desk_library.json"))
 
 
 # ---------------------------------------------------------------------------

@@ -95,12 +95,6 @@ class ParamStore:
 # ---------------------------------------------------------------------------
 
 
-def linear(store: ParamStore, name: str, x: DiffTensor, in_dim: int, out_dim: int) -> DiffTensor:
-    w = store.param(f"{name}.w", (in_dim, out_dim), fan_in=in_dim)
-    b = store.param(f"{name}.b", (out_dim,), fan_in=in_dim)
-    return add(matmul(x, w), b)
-
-
 def mlp_params(store: ParamStore, name: str, dims: list[int]) -> list[tuple[DiffTensor, DiffTensor]]:
     """Create the (weight, bias) list for an MLP with the given layer widths."""
     layers = []
@@ -197,6 +191,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise CheckpointError(f"checkpoint {path} is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path} must be a JSON object, got {type(doc).__name__}")
     version = doc.pop("__format_version__", None)
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"checkpoint format version {version!r} is not supported (expected {CHECKPOINT_FORMAT_VERSION})")

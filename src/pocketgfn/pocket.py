@@ -309,10 +309,6 @@ def synthetic_pocket(n: int, spread: float, seed: int, polar_fraction: float = 0
     return [Residue(index=i, residue_type=int(types[i]), ca=coords[i]) for i in range(n)]
 
 
-def rigid_transform(coords: np.ndarray, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
-    return coords @ rotation.T + translation
-
-
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform random rotation via QR of a Gaussian matrix, det forced to +1."""
     m = rng.normal(size=(3, 3))

@@ -190,33 +190,3 @@ def mean_and_se(values: list[float]) -> tuple[float, float]:
         return float(arr[0] if arr.min() == arr.max() else arr.mean()), 0.0
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
-
-def evaluation_report(
-    per_pocket: dict[str, tuple[PocketGraph, list[LigandState]]], library, top_k: int = 10
-) -> dict:
-    """Aggregate metrics per pocket, then average across pockets.
-
-    Diversity is intra-pocket (pairs never straddle two pockets); the global
-    row is the across-pocket mean of each per-pocket value.
-    """
-    if not per_pocket:
-        raise MetricError("evaluation needs at least one pocket")
-    breakdown = {}
-    for pid, (pocket, states) in per_pocket.items():
-        if not states:
-            raise MetricError(f"pocket {pid!r} has no sampled states")
-        ds = [docking_score(pocket, s, library) for s in states]
-        breakdown[pid] = {
-            "n_samples": len(states),
-            "diversity": diversity(states) if len(states) >= 2 else 0.0,
-            "ds_mean": float(np.mean(ds)),
-            "ds_top10_mean": top_k_mean(ds, top_k),
-            "qed_mean": float(np.mean([qed_proxy(s) for s in states])),
-            "sa_mean": float(np.mean([sa_proxy(s) for s in states])),
-        }
-    report = {
-        key: float(np.mean([row[key] for row in breakdown.values()]))
-        for key in ("diversity", "ds_mean", "ds_top10_mean", "qed_mean", "sa_mean")
-    }
-    report["per_pocket"] = breakdown
-    return report

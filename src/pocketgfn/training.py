@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,12 +65,9 @@ class TrainingError(RuntimeError):
 class Trajectory:
     states: list[LigandState]
     actions: list[LigandAction]
-    log_pf: list[float]
-    reward: float  # shaped terminal reward actually used by the loss
+    log_pf: list[DiffTensor]  # (1, 1) log-probability of each action taken
     pocket_id: str
-    action_indices: list[int] = field(default_factory=list)
-    log_reward: float = 0.0
-    quality: float = 0.0
+    log_reward: float = 0.0  # shaped terminal log-reward used by the loss
 
 
 @dataclass
@@ -125,24 +122,22 @@ def sample_trajectory(
     library: FragmentLibrary,
 ) -> Trajectory:
     """Roll the forward policy from the empty state until Stop (the node cap
-    leaves Stop as the only legal action, so termination is guaranteed)."""
+    leaves Stop as the only legal action, so termination is guaranteed).
+
+    Under an active tape the action log-probabilities are recorded, so the
+    training loss is built from this one pass."""
     s = initial_state()
     states = [s]
     actions: list[LigandAction] = []
-    log_pf: list[float] = []
-    idxs: list[int] = []
+    log_pf: list[DiffTensor] = []
     while not s.terminal:
         dist = policy.action_distribution(s, ctx, max_nodes)
         action, idx = sample_action(dist, rng)
-        log_pf.append(float(dist.log_probs.data[0, idx]))
+        log_pf.append(log_prob_at(dist, idx))
         s = apply_action(s, action, library, max_nodes)
         states.append(s)
         actions.append(action)
-        idxs.append(idx)
-    return Trajectory(
-        states=states, actions=actions, log_pf=log_pf, reward=0.0,
-        pocket_id=pocket_id, action_indices=idxs,
-    )
+    return Trajectory(states=states, actions=actions, log_pf=log_pf, pocket_id=pocket_id)
 
 
 def trajectory_backward_log_prob(states: list[LigandState], library: FragmentLibrary) -> float:
@@ -172,16 +167,8 @@ def shaped_log_reward(quality: float, terminal: LigandState, beta: float, aut_ca
     return beta * math.log(quality) + math.log(aut)
 
 
-def trajectory_balance_loss(traj: Trajectory, log_z: float, log_pb_sum: float) -> float:
-    """Squared balance gap (log Z + sum log_pf - log R - sum log_pb)^2."""
-    if not traj.reward > 0:
-        raise TrainingError(f"reward must be positive, got {traj.reward}")
-    delta = log_z + sum(traj.log_pf) - math.log(traj.reward) - log_pb_sum
-    return delta * delta
-
-
 def tb_loss_tensor(log_z: DiffTensor, log_pf_sum: DiffTensor, log_reward: float, log_pb_sum: float) -> DiffTensor:
-    """Differentiable (1,1) version of the balance gap squared."""
+    """Squared balance gap (log Z + sum log_pf - log R - sum log_pb)^2, shape (1, 1)."""
     shift = tensor(np.array([[-(log_reward + log_pb_sum)]]))
     return ad.square(ad.add(ad.add(log_z, log_pf_sum), shift))
 
@@ -210,11 +197,13 @@ def train(
 ) -> TrainResult:
     """Adam on the trajectory-balance objective.
 
-    Per step: roll a batch (pockets round-robin, one RNG stream per (seed,
-    step, trajectory index)), then recompute the batch under a tape and take
-    one update. Metrics rows go to ``metrics_path`` as JSON lines. A
-    non-finite loss aborts. ``stop_fn(row)`` returning True ends training
-    early (used by callers that watch a convergence signal).
+    Per step: roll a batch under a tape (pockets round-robin, one RNG stream
+    per (seed, step, trajectory index)), build the loss from the recorded
+    action log-probabilities and take one update. Metrics rows go to
+    ``metrics_path`` as JSON lines. A non-finite loss aborts. ``stop_fn(row)``
+    returning True ends training early (used by callers that watch a
+    convergence signal). The checkpoint meta records the policy config, so
+    the checkpoint can be rebuilt for sampling.
     """
     if not pockets:
         raise TrainingError("need at least one pocket")
@@ -233,30 +222,22 @@ def train(
     sink = open(metrics_path, "w") if metrics_path else None
     try:
         for step in range(config.steps):
-            ctxs = {pid: policy.pocket_context(pockets[pid]) for pid in pocket_ids}
-            batch: list[Trajectory] = []
-            for idx in range(config.batch_size):
-                pid = pocket_ids[idx % len(pocket_ids)]
-                rng = np.random.default_rng([config.seed, step, idx])
-                traj = sample_trajectory(policy, ctxs[pid], pid, rng, config.max_nodes, library)
-                terminal = traj.states[-1]
-                traj.quality = reward_fn(pockets[pid], terminal)
-                traj.log_reward = shaped_log_reward(traj.quality, terminal, config.beta, aut_cache)
-                traj.reward = math.exp(traj.log_reward)
-                batch.append(traj)
-
             with Tape():
-                tape_ctxs = {pid: policy.pocket_context(pockets[pid]) for pid in set(t.pocket_id for t in batch)}
-                tape_logz = {pid: policy.log_z(c) for pid, c in tape_ctxs.items()}
+                ctxs = {pid: policy.pocket_context(pockets[pid]) for pid in pocket_ids[:config.batch_size]}
+                log_z = {pid: policy.log_z(c) for pid, c in ctxs.items()}
+                batch: list[Trajectory] = []
                 losses = []
-                for traj in batch:
-                    parts = []
-                    for s, a_idx in zip(traj.states[:-1], traj.action_indices):
-                        dist = policy.action_distribution(s, tape_ctxs[traj.pocket_id], config.max_nodes)
-                        parts.append(log_prob_at(dist, a_idx))
-                    log_pf_sum = ad.reshape(ad.sum_all(ad.concat(parts, axis=0)), (1, 1))
+                for idx in range(config.batch_size):
+                    pid = pocket_ids[idx % len(pocket_ids)]
+                    rng = np.random.default_rng([config.seed, step, idx])
+                    traj = sample_trajectory(policy, ctxs[pid], pid, rng, config.max_nodes, library)
+                    terminal = traj.states[-1]
+                    quality = reward_fn(pockets[pid], terminal)
+                    traj.log_reward = shaped_log_reward(quality, terminal, config.beta, aut_cache)
+                    log_pf_sum = ad.reshape(ad.sum_all(ad.concat(traj.log_pf, axis=0)), (1, 1))
                     log_pb = trajectory_backward_log_prob(traj.states, library)
-                    losses.append(tb_loss_tensor(tape_logz[traj.pocket_id], log_pf_sum, traj.log_reward, log_pb))
+                    losses.append(tb_loss_tensor(log_z[pid], log_pf_sum, traj.log_reward, log_pb))
+                    batch.append(traj)
                 total = ad.scale(ad.sum_all(ad.concat(losses, axis=0)), 1.0 / len(losses))
                 loss_value = total.data.item()
                 if not math.isfinite(loss_value):
@@ -268,8 +249,8 @@ def train(
             row = {
                 "step": step,
                 "loss": loss_value,
-                "mean_reward": float(np.mean([t.reward for t in batch])),
-                "log_Z_mean": float(np.mean([v.data[0, 0] for v in tape_logz.values()])),
+                "mean_reward": float(np.mean([math.exp(t.log_reward) for t in batch])),
+                "log_Z_mean": float(np.mean([v.data[0, 0] for v in log_z.values()])),
             }
             metrics.append(row)
             steps_run = step + 1
@@ -289,6 +270,7 @@ def train(
             "max_nodes": config.max_nodes,
             "steps_trained": steps_run,
             "library_ids": list(library.ids),
+            "policy": asdict(config.policy),
         }
         if extra_meta:
             meta.update(extra_meta)

@@ -10,9 +10,11 @@ from pocketgfn.cli import (
     load_run_config,
     main,
 )
-from pocketgfn.ligand import desk_library, state_from_record
+from pocketgfn.ligand import desk_library, state_from_record, toy_library
 from pocketgfn.pocket import build_knn_graph, load_pocket_jsonl, save_pocket_jsonl, synthetic_pocket
+from pocketgfn.policy import PolicyConfig
 from pocketgfn.rewards import diversity, docking_score, qed_proxy, sa_proxy, top_k_mean
+from pocketgfn.training import TrainerConfig, train
 
 SMALL_POLICY = {
     "width": 16, "n_layers": 1, "n_heads": 2, "frag_emb_dim": 4,
@@ -70,6 +72,16 @@ class TestRunConfig:
         path.write_text(json.dumps({"steps": "many"}))
         with pytest.raises(ConfigError, match="'steps'"):
             load_run_config(str(path)).validate()
+
+    @pytest.mark.parametrize(
+        "name", ["steps", "batch_size", "max_nodes", "seed", "n_molecules", "top_k", "retry_cap"]
+    )
+    def test_boolean_integer_field_exit_2(self, tmp_path, capsys, name):
+        # bool is a subclass of int; true must not pass as 1
+        cfg = write_cfg(tmp_path, "c.json", **{name: True})
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(name) in err
 
     def test_bad_weights_named(self, tmp_path):
         path = tmp_path / "c.json"
@@ -220,6 +232,33 @@ class TestSampleCommand:
         assert main(["sample", "--config", str(cfg_path)]) == 2
         assert "integrity" in capsys.readouterr().err
 
+    def test_non_object_checkpoint_exit_2(self, workdir, capsys):
+        tmp_path, cfg_path, _ = workdir
+        (tmp_path / "ckpt.json").write_text("[1, 2]")
+        assert main(["sample", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "JSON object" in err
+
+    def test_checkpoint_missing_meta_field_exit_2(self, workdir, capsys):
+        tmp_path, cfg_path, _ = workdir
+        self.run_train(tmp_path, cfg_path)
+        doc = json.loads((tmp_path / "ckpt.json").read_text())
+        del doc["__meta__"]["policy"]  # meta is outside the parameter checksum
+        (tmp_path / "ckpt.json").write_text(json.dumps(doc))
+        assert main(["sample", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'policy'" in err
+
+    def test_library_trained_checkpoint_samples(self, workdir):
+        tmp_path, cfg_path, cfg = workdir
+        pocket = build_knn_graph(load_pocket_jsonl(RunConfig(pocket_file="bundled:compact").pocket_paths()[0]))
+        trainer_cfg = TrainerConfig(steps=1, batch_size=2, max_nodes=cfg["max_nodes"], seed=cfg["seed"],
+                                    policy=PolicyConfig(**SMALL_POLICY))
+        train(trainer_cfg, toy_library(), {"pocket_compact": pocket}, checkpoint_path=cfg["checkpoint"])
+        out = tmp_path / "mols.jsonl"
+        assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == cfg["n_molecules"]
+
 
 class TestEvaluateCommand:
     def make_molecules(self, tmp_path, cfg_path):
@@ -236,7 +275,6 @@ class TestEvaluateCommand:
             "evaluate", str(mols), "--config", str(cfg_path), "--out", str(report_path),
         ]) == 0
         report = json.loads(report_path.read_text())
-        from pocketgfn.ligand import toy_library
         library = toy_library()
         graph = build_knn_graph(load_pocket_jsonl(RunConfig(pocket_file="bundled:compact").pocket_paths()[0]))
         states = [state_from_record(json.loads(l)) for l in mols.read_text().splitlines()]

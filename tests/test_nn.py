@@ -11,7 +11,6 @@ from pocketgfn.nn import (
     CheckpointError,
     ParamStore,
     layer_norm_affine,
-    linear,
     load_checkpoint,
     mlp_apply,
     mlp_params,
@@ -56,13 +55,6 @@ class TestParamStore:
 
 
 class TestLayers:
-    def test_linear_shape(self):
-        store = make_store()
-        x = tensor(np.ones((5, 3)))
-        with Tape():
-            y = linear(store, "lin", x, 3, 7)
-        assert y.shape == (5, 7)
-
     def test_mlp_hidden_relu_no_final_activation(self):
         store = make_store()
         layers = mlp_params(store, "mlp", [1, 1, 1])

@@ -23,7 +23,6 @@ from pocketgfn.rewards import (
     diversity,
     docking_proxy,
     docking_score,
-    evaluation_report,
     fingerprint,
     ligand_polarity,
     ligand_size,
@@ -305,25 +304,3 @@ class TestMeanSe:
         assert m == 2.0
         assert math.isclose(se, 1.0)  # std ddof=1 is sqrt(2), /sqrt(2) -> 1
 
-
-class TestEvaluationReport:
-    def test_structure_and_aggregation(self):
-        pocket_a = square_pocket(2.0)
-        pocket_b = square_pocket(4.0, types=(5, 5, 5, 5))
-        states_b = enumerate_terminal_states(DESK, 2)[:4]
-        report = evaluation_report({"a": (pocket_a, states_b), "b": (pocket_b, states_b)}, DESK, top_k=2)
-        for key in ("diversity", "ds_mean", "ds_top10_mean", "qed_mean", "sa_mean", "per_pocket"):
-            assert key in report
-        assert set(report["per_pocket"]) == {"a", "b"}
-        expected_div = np.mean([report["per_pocket"]["a"]["diversity"], report["per_pocket"]["b"]["diversity"]])
-        assert math.isclose(report["diversity"], expected_div)
-        ds_a = [docking_score(pocket_a, s, DESK) for s in states_b]
-        assert math.isclose(report["per_pocket"]["a"]["ds_top10_mean"], top_k_mean(ds_a, 2))
-
-    def test_empty_pocket_set_rejected(self):
-        with pytest.raises(MetricError, match="at least one pocket"):
-            evaluation_report({}, DESK)
-
-    def test_pocket_without_samples_rejected(self):
-        with pytest.raises(MetricError, match="no sampled"):
-            evaluation_report({"a": (square_pocket(), [])}, DESK)

@@ -22,10 +22,10 @@ from pocketgfn.ligand import (
 from pocketgfn.nn import ParamStore, load_checkpoint
 from pocketgfn.pocket import build_knn_graph, synthetic_pocket
 from pocketgfn.policy import PolicyConfig, PolicyNetwork
+import pocketgfn.training as training
 from pocketgfn.training import (
     TrainerConfig,
     TrainingError,
-    Trajectory,
     empirical_terminal_distribution,
     exact_terminal_distribution,
     proportional_sampling_check,
@@ -36,7 +36,6 @@ from pocketgfn.training import (
     total_variation,
     train,
     trajectory_backward_log_prob,
-    trajectory_balance_loss,
 )
 
 TOY = toy_library()
@@ -105,7 +104,7 @@ class TestSampleTrajectory:
                 assert s == expected
             assert s.terminal
             assert len(traj.log_pf) == len(traj.actions) == len(traj.states) - 1
-            assert all(lp <= 0.0 for lp in traj.log_pf)
+            assert all(lp.shape == (1, 1) and lp.data.item() <= 0.0 for lp in traj.log_pf)
 
     def test_fixed_seed_reproduces(self):
         policy = make_policy()
@@ -113,7 +112,7 @@ class TestSampleTrajectory:
         t1 = sample_trajectory(policy, ctx, "p0", np.random.default_rng(42), 3, TOY)
         t2 = sample_trajectory(policy, ctx, "p0", np.random.default_rng(42), 3, TOY)
         assert t1.actions == t2.actions
-        assert t1.log_pf == t2.log_pf
+        assert [lp.data.item() for lp in t1.log_pf] == [lp.data.item() for lp in t2.log_pf]
 
 
 class TestBackwardLogProb:
@@ -139,43 +138,32 @@ class TestBackwardLogProb:
 
 
 class TestTrajectoryBalanceLoss:
-    def make_one_step_traj(self, frag_id, log_pf_root, reward):
-        s0 = initial_state()
-        s1 = apply_action(s0, AddFragment(None, None, frag_id, 0), TOY, 1)
-        s2 = apply_action(s1, STOP, TOY, 1)
-        return Trajectory(
-            states=[s0, s1, s2],
-            actions=[AddFragment(None, None, frag_id, 0), STOP],
-            log_pf=[log_pf_root, 0.0],
-            reward=reward,
-            pocket_id="p0",
-        )
+    @staticmethod
+    def loss(log_z, log_pf_sum, log_reward, log_pb_sum):
+        log_z_t, log_pf_t = tensor(np.array([[log_z]])), tensor(np.array([[log_pf_sum]]))
+        return tb_loss_tensor(log_z_t, log_pf_t, log_reward, log_pb_sum).data.item()
 
     def test_one_step_optimum_is_exactly_zero(self):
-        # two terminals, rewards 1 and 3: optimum pi = [0.25, 0.75], Z = 4
+        # two terminals, rewards 1 and 3: optimum pi = [0.25, 0.75], Z = 4;
+        # the cap leaves Stop as the only action, so it adds log 1 = 0
         log_z = math.log(4.0)
-        t1 = self.make_one_step_traj(0, math.log(0.25), 1.0)
-        t2 = self.make_one_step_traj(1, math.log(0.75), 3.0)
-        for t in (t1, t2):
-            log_pb = trajectory_backward_log_prob(t.states, TOY)
+        for frag_id, p, reward in ((0, 0.25, 1.0), (1, 0.75, 3.0)):
+            s0 = initial_state()
+            s1 = apply_action(s0, AddFragment(None, None, frag_id, 0), TOY, 1)
+            s2 = apply_action(s1, STOP, TOY, 1)
+            log_pb = trajectory_backward_log_prob([s0, s1, s2], TOY)
             assert log_pb == 0.0  # single leaf, single attachment point
             # zero up to squared rounding of the log terms
-            assert trajectory_balance_loss(t, log_z, log_pb) < 1e-24
+            assert self.loss(log_z, math.log(p), math.log(reward), log_pb) < 1e-24
 
     def test_off_optimum_positive(self):
-        t = self.make_one_step_traj(0, math.log(0.5), 1.0)
-        assert trajectory_balance_loss(t, math.log(4.0), 0.0) > 0.0
+        assert self.loss(math.log(4.0), math.log(0.5), math.log(1.0), 0.0) > 0.0
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            t = self.make_one_step_traj(0, -rng.exponential(), float(rng.exponential() + 0.1))
-            assert trajectory_balance_loss(t, rng.normal(), -rng.exponential()) >= 0.0
-
-    def test_nonpositive_reward_rejected(self):
-        t = self.make_one_step_traj(0, math.log(0.5), 0.0)
-        with pytest.raises(TrainingError, match="positive"):
-            trajectory_balance_loss(t, 0.0, 0.0)
+            log_reward = math.log(float(rng.exponential() + 0.1))
+            assert self.loss(rng.normal(), -rng.exponential(), log_reward, -rng.exponential()) >= 0.0
 
     def test_log_z_gradient_matches_finite_differences(self):
         log_pf_sum = tensor(np.array([[math.log(0.3)]]))
@@ -270,6 +258,39 @@ class TestTrain:
 
         with pytest.raises(TrainingError, match="diverged"):
             train(small_config(2, max_nodes=2), TOY, one_pocket(), reward_fn=bad_reward)
+
+    def test_one_policy_pass_per_action(self, monkeypatch):
+        # the loss is built from the rollout's own taped log-probabilities,
+        # so each sampled action costs exactly one policy call
+        calls = []
+        rolled = []
+        real_dist = PolicyNetwork.action_distribution
+        real_rollout = training.sample_trajectory
+        real_materialize = training._materialize_params
+
+        def counting_dist(self, *args, **kwargs):
+            calls.append(1)
+            return real_dist(self, *args, **kwargs)
+
+        def recording_rollout(*args, **kwargs):
+            traj = real_rollout(*args, **kwargs)
+            rolled.append((traj, ad.active_tape()))
+            return traj
+
+        def materialize(*args):
+            real_materialize(*args)
+            calls.clear()  # setup passes, not part of the step
+
+        monkeypatch.setattr(training, "_materialize_params", materialize)
+        monkeypatch.setattr(PolicyNetwork, "action_distribution", counting_dist)
+        monkeypatch.setattr(training, "sample_trajectory", recording_rollout)
+        cfg = small_config(1, seed=3, max_nodes=3)
+        train(cfg, DESK, one_pocket())
+        assert len(rolled) == cfg.batch_size
+        assert len(calls) == sum(len(traj.actions) for traj, _ in rolled)
+        for traj, tape in rolled:
+            assert tape is not None
+            assert all(tape.nodes[lp.node_id].output is lp for lp in traj.log_pf)
 
     def test_stop_fn_ends_early(self):
         calls = []
