@@ -44,14 +44,13 @@ with Tape():
 print("refined ligand track:", refined.shape)
 print("parameters created by the stack:", len(store.names()))
 
-# ablation: zero the distance-bias and triangle projections of one block and
+# ablation: zero the distance-bias projection of one block and
 # compare against a plain attention reference implemented in raw numpy
 pair = tensor(rng.normal(size=(n_pocket, n_ligand, 8)))
 feats = rbf_basis(pocket_dist)
 ab = ParamStore(np.random.default_rng(2))
 with Tape():
     triangle_update(pair, feats, "pocket", ab, "blk", n_heads=2, head_dim=4)
-ab["blk.b.w"].data[:] = 0.0
 ab["blk.t.w"].data[:] = 0.0
 with Tape():
     out = triangle_update(pair, feats, "pocket", ab, "blk", n_heads=2, head_dim=4)

@@ -25,6 +25,7 @@ from .ligand import (
     load_library,
     state_from_record,
     state_to_record,
+    validate_state,
 )
 from .nn import CheckpointError, ParamStore, load_checkpoint
 from .pocket import PocketError, PocketGraph, build_knn_graph, load_pocket_jsonl
@@ -102,8 +103,10 @@ class RunConfig:
             expect(isinstance(value, int) and not isinstance(value, bool), name, f"must be an integer, got {value!r}")
         expect(self.steps >= 0, "steps", f"must be a nonnegative integer, got {self.steps!r}")
         expect(self.batch_size >= 1, "batch_size", f"must be a positive integer, got {self.batch_size!r}")
-        expect(isinstance(self.learning_rate, (int, float)) and self.learning_rate > 0, "learning_rate", f"must be positive, got {self.learning_rate!r}")
-        expect(isinstance(self.beta, (int, float)) and self.beta > 0, "beta", f"must be positive, got {self.beta!r}")
+        for name in ("learning_rate", "beta"):
+            value = getattr(self, name)
+            expect(isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0,
+                   name, f"must be a positive number, got {value!r}")
         expect(self.max_nodes >= 1, "max_nodes", f"must be a positive integer, got {self.max_nodes!r}")
         expect(self.mode in (BASELINE, TRIOFORMER), "mode", f"must be one of {BASELINE!r}, {TRIOFORMER!r}, got {self.mode!r}")
         expect(isinstance(self.weights, list) and len(self.weights) == 3, "weights", f"must be three numbers, got {self.weights!r}")
@@ -118,6 +121,10 @@ class RunConfig:
         allowed = {f.name for f in fields(PolicyConfig)} - {"mode"}
         for key in self.policy:
             expect(key in allowed, "policy", f"unknown policy override {key!r}; choices: {sorted(allowed)}")
+        try:
+            _policy_config(self)
+        except ValueError as e:
+            raise ConfigError(f"config field 'policy': {e}") from None
         if check_files:
             for path in self.pocket_paths():
                 if not os.path.exists(path):
@@ -304,18 +311,11 @@ def _parse_molecule_file(path: str, library: FragmentLibrary):
                 raise ConfigError(f"{path}:{line_no}: record needs 'nodes' and 'edges'")
             try:
                 s = state_from_record(rec)
+                validate_state(s, library)
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"{path}:{line_no}: bad record: {e}") from None
             if s.n == 0:
                 raise ConfigError(f"{path}:{line_no}: empty molecule")
-            for fid in s.nodes:
-                try:
-                    library.get(fid)
-                except LibraryError:
-                    raise ConfigError(f"{path}:{line_no}: unknown fragment id {fid}") from None
-            for i, ap_i, j, ap_j in s.edges:
-                if not (0 <= i < s.n and 0 <= j < s.n):
-                    raise ConfigError(f"{path}:{line_no}: edge endpoint out of range")
             states.append((line_no, rec, s))
     if not states:
         raise ConfigError(f"{path}: no molecule records")

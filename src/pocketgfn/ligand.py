@@ -213,6 +213,36 @@ def apply_action(
     return LigandState(nodes=s.nodes + (a.fragment_id,), edges=s.edges + (edge,))
 
 
+def validate_state(s: LigandState, library: FragmentLibrary) -> None:
+    """Raise ValueError unless ``s`` is a tree of known fragments whose bonds
+    (i, ap_i, j, ap_j) have i < j and use in-range attachment points at most
+    once each."""
+    aps = [library.get(fid).aps for fid in s.nodes]
+    root = list(range(s.n))  # union-find over the bonds seen so far
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    used = set()
+    for edge in s.edges:
+        i, ap_i, j, ap_j = edge
+        if not 0 <= i < j < s.n:
+            raise ValueError(f"bond {list(edge)} needs node indices 0 <= i < j < {s.n}")
+        for v, ap in ((i, ap_i), (j, ap_j)):
+            if not 0 <= ap < aps[v]:
+                raise ValueError(f"bond {list(edge)}: node {v} has no attachment point {ap}")
+            if (v, ap) in used:
+                raise ValueError(f"bond {list(edge)}: attachment point {ap} of node {v} is used twice")
+            used.add((v, ap))
+        if find(i) == find(j):
+            raise ValueError(f"bond {list(edge)} closes a cycle")
+        root[find(i)] = find(j)
+    if len(s.edges) != max(s.n - 1, 0):
+        raise ValueError(f"molecule is not connected: {s.n} fragments need {s.n - 1} bonds, got {len(s.edges)}")
+
+
 def adjacency_matrix(s: LigandState) -> np.ndarray:
     m = np.zeros((s.n, s.n))
     for i, _, j, _ in s.edges:
@@ -394,13 +424,18 @@ def _frag_preserving_perms(nodes: tuple[int, ...]):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_terminal_states(library: FragmentLibrary, max_nodes: int) -> list[LigandState]:
-    """All distinct terminal graphs up to isomorphism, guarded against blow-up."""
+def check_enumeration_guard(library: FragmentLibrary, max_nodes: int) -> None:
+    """Refuse molecule spaces too large to enumerate exhaustively."""
     if len(library) > ENUM_MAX_FRAGMENTS or max_nodes > ENUM_MAX_NODES:
-        raise ValueError(
+        raise LibraryError(
             f"enumeration guard: need <= {ENUM_MAX_FRAGMENTS} fragments and max_nodes <= {ENUM_MAX_NODES}, "
             f"got {len(library)} fragments, max_nodes {max_nodes}"
         )
+
+
+def enumerate_terminal_states(library: FragmentLibrary, max_nodes: int) -> list[LigandState]:
+    """All distinct terminal graphs up to isomorphism, guarded against blow-up."""
+    check_enumeration_guard(library, max_nodes)
     seen_raw = set()
     frontier = [initial_state()]
     canon: dict[str, LigandState] = {}

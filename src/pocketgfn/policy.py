@@ -12,7 +12,7 @@ are masked to exactly zero probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +52,16 @@ class PolicyConfig:
     def __post_init__(self):
         if self.mode not in (BASELINE, TRIOFORMER):
             raise ValueError(f"mode must be {BASELINE!r} or {TRIOFORMER!r}, got {self.mode!r}")
+        for f in fields(self):
+            if f.name == "mode":
+                continue
+            value = getattr(self, f.name)
+            # bool is a subclass of int, so True would pass as 1
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            low = 0 if f.name.endswith("layers") else 1
+            if value < low:
+                raise ValueError(f"{f.name} must be >= {low}, got {value}")
         if self.width % self.n_heads != 0:
             raise ValueError(f"width {self.width} not divisible by heads {self.n_heads}")
 

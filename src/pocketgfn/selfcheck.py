@@ -1,10 +1,15 @@
-"""Release-gate verification suites, runnable from the CLI.
+"""Release criteria: one measurement per criterion, and the selfcheck suites.
 
-Each suite returns (ok, detail). They cover the load-bearing guarantees:
-gradient correctness, geometric invariance, the bias-ablation references,
-exact enumeration consistency, reward-proportional sampling on the toy
-library, checkpoint integrity (including a deliberate-corruption negative
-control), and end-to-end determinism.
+The public measurement functions return what they measure and assert
+nothing; the suites below and the release gate in ``tests/test_acceptance.py``
+both call them and compare the value against their own pinned tolerance and
+sample size. They cover the load-bearing guarantees: gradient correctness,
+geometric invariance, the bias-ablation references and reward-proportional
+sampling on the toy library. Enumeration-oracle consistency, checkpoint
+integrity (including a deliberate-corruption negative control) and in-process
+determinism are selfcheck-only suites.
+
+Each suite returns (ok, detail).
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import math
 import os
 import tempfile
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +39,7 @@ from .ligand import (
 )
 from .nn import CheckpointError, ParamStore, load_checkpoint, save_checkpoint
 from .pocket import build_knn_graph, encode_pocket, random_rotation, synthetic_pocket, transform_residues
-from .policy import PolicyConfig, PolicyNetwork
+from .policy import BASELINE, PolicyConfig, PolicyNetwork
 from .rewards import docking_proxy
 from .trioformer import (
     biased_cross_attention,
@@ -46,8 +52,8 @@ from .trioformer import (
 )
 from .training import (
     TrainerConfig,
-    empirical_terminal_distribution,
     exact_terminal_distribution,
+    proportional_sampling_check,
     target_distribution,
     tb_loss_tensor,
     total_variation,
@@ -55,7 +61,7 @@ from .training import (
 )
 
 
-def _small_policy(mode="baseline"):
+def small_policy(mode: str = BASELINE) -> PolicyConfig:
     return PolicyConfig(
         mode=mode, width=16, n_layers=1, n_heads=2, frag_emb_dim=4,
         pocket_width=8, pocket_layers=1, trio_layers=1, trio_heads=2,
@@ -63,7 +69,11 @@ def _small_policy(mode="baseline"):
     )
 
 
-def check_gradient_primitives() -> tuple[bool, str]:
+# -- shared measurements -------------------------------------------------------
+
+
+def primitive_gradient_errors() -> dict[str, float]:
+    """Max relative finite-difference error of each tape primitive, by name."""
     rng = np.random.default_rng(0)
     x23 = lambda: tensor(rng.normal(size=(2, 3)))
     # operands must be fixed ahead of time: finite differencing requires f deterministic
@@ -86,70 +96,73 @@ def check_gradient_primitives() -> tuple[bool, str]:
         ("gather", lambda x: ad.gather_rows(x, np.array([1, 0, 1])), x23()),
         ("mean_rows", ad.mean_rows, x23()),
     ]
-    worst = ("", 0.0)
-    for name, f, x in checks:
-        report = finite_diff_check(f, x, tol=1e-4)
-        if report.max_rel_err > worst[1]:
-            worst = (name, report.max_rel_err)
-        if not report.passed:
-            return False, f"{name}: {report}"
-    return True, f"{len(checks)} primitives pass at 1e-4 (worst {worst[0]}: {worst[1]:.2e})"
+    return {name: finite_diff_check(f, x).max_rel_err for name, f, x in checks}
 
 
-def check_gradient_trioformer() -> tuple[bool, str]:
+def conditioning_gradient_errors() -> dict[str, float]:
+    """Max relative finite-difference error of one trioformer layer on a
+    2-residue pocket and a 2-node ligand, with respect to each node track."""
     rng = np.random.default_rng(1)
     store = ParamStore(np.random.default_rng(2))
     h_p = tensor(rng.normal(size=(2, 6)))
+    h_l = tensor(rng.normal(size=(2, 6)))
     d_p = np.abs(rng.normal(size=(2, 2))) + np.abs(rng.normal(size=(2, 2))).T
     np.fill_diagonal(d_p, 0.0)
     adj = np.array([[0.0, 1.0], [1.0, 0.0]])
 
-    def f(h_l):
-        return trioformer_stack(h_p, h_l, d_p, adj, store, prefix="sc", n_layers=1, n_heads=2, head_dim=4, c_pair=8)
+    def layer(pocket, ligand):
+        return trioformer_stack(pocket, ligand, d_p, adj, store, prefix="sc", n_layers=1, n_heads=2, head_dim=4, c_pair=8)
 
-    report = finite_diff_check(f, tensor(rng.normal(size=(2, 6))), tol=1e-3)
-    if not report.passed:
-        return False, str(report)
-    return True, str(report)
+    return {
+        "ligand": finite_diff_check(lambda x: layer(h_p, x), tensor(rng.normal(size=(2, 6)))).max_rel_err,
+        "pocket": finite_diff_check(lambda x: layer(x, h_l), tensor(rng.normal(size=(2, 6)))).max_rel_err,
+    }
 
 
-def check_gradient_tb_loss() -> tuple[bool, str]:
+def tb_loss_gradient_error() -> float:
+    """Max relative finite-difference error of the balance loss with respect to log Z."""
     log_pf = tensor(np.array([[math.log(0.3)]]))
 
     def f(log_z):
         return tb_loss_tensor(log_z, log_pf, math.log(2.5), -math.log(2.0))
 
-    report = finite_diff_check(f, tensor(np.array([[0.4]])), tol=1e-6)
-    return report.passed, str(report)
+    return finite_diff_check(f, tensor(np.array([[0.4]]))).max_rel_err
 
 
-def check_pocket_invariance() -> tuple[bool, str]:
+def rigid_motion_drift(n_motions: int) -> float:
+    """Worst relative drift, over random rotations and translations of a
+    10-residue pocket, of its node embeddings, distance matrix, docking proxy
+    and the trioformer output conditioned on it."""
     rng = np.random.default_rng(3)
     residues = synthetic_pocket(10, 3.0, seed=5)
     store = ParamStore(np.random.default_rng(6))
-    base_graph = build_knn_graph(residues)
-    with Tape():
-        base = encode_pocket(base_graph, store, L_layers=1, c_pocket=8)
     lib = desk_library()
-    s = apply_action(initial_state(), AddFragment(None, None, 2, 0), lib, 4)
-    term = apply_action(s, STOP, lib, 4)
-    base_q = docking_proxy(base_graph, term, lib)
-    worst = 0.0
-    for k in range(5):
-        moved = transform_residues(residues, random_rotation(rng), rng.normal(size=3) * 8.0)
-        g = build_knn_graph(moved)
+    term = apply_action(apply_action(initial_state(), AddFragment(None, None, 2, 0), lib, 4), STOP, lib, 4)
+    h_l = tensor(rng.normal(size=(3, 8)))
+    adj = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+
+    def measure(graph):
         with Tape():
-            emb = encode_pocket(g, store, L_layers=1, c_pocket=8)
-        rel = np.max(np.abs(emb.node_embeddings.data - base.node_embeddings.data)) / (np.max(np.abs(base.node_embeddings.data)) + 1e-12)
-        rel_d = np.max(np.abs(g.dist_matrix - base_graph.dist_matrix)) / (np.max(base_graph.dist_matrix) + 1e-12)
-        rel_q = abs(docking_proxy(g, term, lib) - base_q) / (abs(base_q) + 1e-12)
-        worst = max(worst, rel, rel_d, rel_q)
-    if worst > 1e-6:
-        return False, f"max relative drift {worst:.2e} > 1e-6 under rigid motion"
-    return True, f"embeddings, distances, docking proxy stable under 5 rigid motions (max rel {worst:.2e})"
+            emb = encode_pocket(graph, store, L_layers=1, c_pocket=8).node_embeddings.data
+            out = trioformer_stack(
+                tensor(emb), h_l, graph.dist_matrix, adj,
+                store, prefix="inv", n_layers=1, n_heads=2, head_dim=4, c_pair=8,
+            ).data
+        return emb, graph.dist_matrix, docking_proxy(graph, term, lib), out
+
+    base = measure(build_knn_graph(residues))
+    worst = 0.0
+    for _ in range(n_motions):
+        moved = transform_residues(residues, random_rotation(rng), rng.normal(size=3) * 10.0)
+        for a, b in zip(measure(build_knn_graph(moved)), base):
+            worst = max(worst, float(np.max(np.abs(np.subtract(a, b))) / (np.max(np.abs(b)) + 1e-12)))
+    return worst
 
 
-def check_bias_ablation() -> tuple[bool, str]:
+def bias_ablation_deviation() -> float:
+    """Max absolute deviation of the triangle updates (both axes) and the
+    cross attention from their plain-attention references once the learned
+    bias projections are zeroed."""
     rng = np.random.default_rng(7)
     worst = 0.0
     for axis, n_p, n_l in (("pocket", 3, 4), ("ligand", 3, 4)):
@@ -163,7 +176,6 @@ def check_bias_ablation() -> tuple[bool, str]:
             feats = adjacency_onehot((np.ones((n_axis, n_axis)) - np.eye(n_axis)))
         with Tape():
             triangle_update(pair, feats, axis, store, "tp", n_heads=2, head_dim=4)
-        store["tp.b.w"].data[:] = 0.0
         store["tp.t.w"].data[:] = 0.0
         with Tape():
             out = triangle_update(pair, feats, axis, store, "tp", n_heads=2, head_dim=4)
@@ -189,10 +201,81 @@ def check_bias_ablation() -> tuple[bool, str]:
         h_p.data, h_l.data, store["x.poc.q.w"].data, store["x.poc.k.w"].data,
         store["x.poc.v.w"].data, store["x.poc.o.w"].data, 2, 4,
     )
-    worst = max(worst, float(np.max(np.abs(new_l.data - ref_l))), float(np.max(np.abs(new_p.data - ref_p))))
-    if worst > 1e-10:
-        return False, f"zero-bias outputs deviate from reference by {worst:.2e} > 1e-10"
-    return True, f"triangle + cross attention match unbiased references (max abs {worst:.2e})"
+    return max(worst, float(np.max(np.abs(new_l.data - ref_l))), float(np.max(np.abs(new_p.data - ref_p))))
+
+
+class SamplingRun(NamedTuple):
+    tv: float  # empirical TV to the reward-proportional target
+    steps: int
+    exact_tv: float  # exact-model TV at the last probe
+
+
+def proportional_sampling_tv(steps: int, stop_tv: float, n_samples: int) -> SamplingRun:
+    """Train the small baseline policy on the toy library (cap 2, beta 1) for
+    at most ``steps`` steps, stopping once the exact TV to the target drops
+    below ``stop_tv`` (probed every 25 steps), then measure the empirical TV
+    of ``n_samples`` draws."""
+    lib = toy_library()
+    pocket = build_knn_graph(synthetic_pocket(6, 2.0, seed=3), K=4)
+
+    def reward_fn(p, s):
+        return docking_proxy(p, s, lib)
+
+    target = target_distribution(pocket, lib, 2, reward_fn, beta=1.0)
+    cfg = TrainerConfig(
+        steps=steps, batch_size=8, learning_rate=3e-3, beta=1.0,
+        max_nodes=2, seed=12, mode=BASELINE, policy=small_policy(),
+    )
+    # share the parameter store so the probe policy tracks training live
+    store = ParamStore(np.random.default_rng([cfg.seed, 7]))
+    probe = PolicyNetwork(store, lib, cfg.policy)
+    exact_tvs = [math.nan]
+
+    def stop_fn(row):
+        if row["step"] % 25 != 24:
+            return False
+        # training moves the pocket encoder too, so the context is rebuilt each probe
+        exact = exact_terminal_distribution(probe, probe.pocket_context(pocket), lib, 2)
+        exact_tvs.append(total_variation(exact, target))
+        return exact_tvs[-1] < stop_tv
+
+    result = train(cfg, lib, {"p": pocket}, reward_fn=reward_fn, store=store, stop_fn=stop_fn)
+    tv = proportional_sampling_check(result.policy, lib, pocket, reward_fn, n_samples, max_nodes=2, beta=1.0)
+    return SamplingRun(tv=tv, steps=result.steps_run, exact_tv=exact_tvs[-1])
+
+
+# -- suites --------------------------------------------------------------------
+
+
+def check_gradient_primitives() -> tuple[bool, str]:
+    errors = primitive_gradient_errors()
+    name, worst = max(errors.items(), key=lambda kv: kv[1])
+    return worst < 1e-4, f"{len(errors)} primitives vs 1e-4 (worst {name}: {worst:.2e})"
+
+
+def check_gradient_trioformer() -> tuple[bool, str]:
+    errors = conditioning_gradient_errors()
+    return max(errors.values()) < 1e-3, (
+        f"one layer vs 1e-3: wrt ligand {errors['ligand']:.2e}, wrt pocket {errors['pocket']:.2e}"
+    )
+
+
+def check_gradient_tb_loss() -> tuple[bool, str]:
+    err = tb_loss_gradient_error()
+    return err < 1e-6, f"wrt log Z: max rel err {err:.2e} vs 1e-6"
+
+
+def check_pocket_invariance() -> tuple[bool, str]:
+    worst = rigid_motion_drift(5)
+    return worst < 1e-6, (
+        f"embeddings, distances, docking proxy, conditioning output under 5 rigid motions: "
+        f"max rel drift {worst:.2e} vs 1e-6"
+    )
+
+
+def check_bias_ablation() -> tuple[bool, str]:
+    worst = bias_ablation_deviation()
+    return worst < 1e-10, f"zero-bias triangle + cross attention vs unbiased references: max abs {worst:.2e} vs 1e-10"
 
 
 def check_enumeration_oracle() -> tuple[bool, str]:
@@ -225,37 +308,13 @@ def check_enumeration_oracle() -> tuple[bool, str]:
 
 
 def check_proportional_sampling(fast: bool = False) -> tuple[bool, str]:
-    lib = toy_library()
-    pocket = build_knn_graph(synthetic_pocket(6, 2.0, seed=3), K=4)
-
-    def reward_fn(p, s):
-        return docking_proxy(p, s, lib)
-
-    target = target_distribution(pocket, lib, 2, reward_fn, beta=1.0)
-    cfg = TrainerConfig(
-        steps=150 if fast else 600, batch_size=8, learning_rate=3e-3, beta=1.0,
-        max_nodes=2, seed=12, mode="baseline", policy=_small_policy(),
-    )
-    # share the parameter store so the probe policy tracks training live
-    store = ParamStore(np.random.default_rng([cfg.seed, 7]))
-    probe = PolicyNetwork(store, lib, cfg.policy)
-
-    def stop_fn(row):
-        if row["step"] % 25 != 24:
-            return False
-        exact = exact_terminal_distribution(probe, probe.pocket_context(pocket), lib, 2)
-        return total_variation(exact, target) < 0.04
-
-    result = train(cfg, lib, {"p": pocket}, reward_fn=reward_fn, store=store, stop_fn=stop_fn)
-    exact = exact_terminal_distribution(result.policy, result.policy.pocket_context(pocket), lib, 2)
-    exact_tv = total_variation(exact, target)
     n_samples = 5000 if fast else 20000
-    emp = empirical_terminal_distribution(result.policy, result.policy.pocket_context(pocket), lib, 2, n_samples, seed=0)
-    tv = total_variation(emp, target)
+    run = proportional_sampling_tv(150 if fast else 600, 0.04, n_samples)
     limit = 0.12 if fast else 0.08
-    if tv >= limit:
-        return False, f"TV {tv:.4f} >= {limit} after {result.steps_run} steps (exact-model TV {exact_tv:.4f})"
-    return True, f"TV {tv:.4f} < {limit} with {n_samples} samples after {result.steps_run} steps (exact-model TV {exact_tv:.4f})"
+    return run.tv < limit, (
+        f"TV {run.tv:.4f} vs {limit} with {n_samples} samples after {run.steps} steps "
+        f"(exact-model TV {run.exact_tv:.4f})"
+    )
 
 
 def check_checkpoint_integrity() -> tuple[bool, str]:
@@ -284,7 +343,7 @@ def check_checkpoint_integrity() -> tuple[bool, str]:
 def check_determinism() -> tuple[bool, str]:
     lib = toy_library()
     pocket = {"p": build_knn_graph(synthetic_pocket(6, 2.0, seed=3), K=4)}
-    cfg = lambda: TrainerConfig(steps=3, batch_size=4, max_nodes=2, seed=21, policy=_small_policy())
+    cfg = lambda: TrainerConfig(steps=3, batch_size=4, max_nodes=2, seed=21, policy=small_policy())
     r1 = train(cfg(), lib, pocket)
     r2 = train(cfg(), lib, pocket)
     if r1.metrics != r2.metrics:

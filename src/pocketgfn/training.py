@@ -31,15 +31,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DiffTensor, Tape, tensor
 from .ligand import (
-    ENUM_MAX_FRAGMENTS,
-    ENUM_MAX_NODES,
     FragmentLibrary,
-    LibraryError,
     LigandAction,
     LigandState,
     apply_action,
     automorphism_count,
     canonical_key,
+    check_enumeration_guard,
     enumerate_terminal_states,
     initial_state,
     step_backward_log_prob,
@@ -281,14 +279,6 @@ def train(
 # -- oracles -----------------------------------------------------------------
 
 
-def _check_oracle_guard(library: FragmentLibrary, max_nodes: int) -> None:
-    if len(library) > ENUM_MAX_FRAGMENTS or max_nodes > ENUM_MAX_NODES:
-        raise LibraryError(
-            f"oracle guard: enumeration allows at most {ENUM_MAX_FRAGMENTS} fragments "
-            f"and {ENUM_MAX_NODES} nodes, got {len(library)} fragments, {max_nodes} nodes"
-        )
-
-
 def exact_terminal_distribution(
     policy: PolicyNetwork, ctx: PocketContext, library: FragmentLibrary, max_nodes: int
 ) -> dict[str, float]:
@@ -298,7 +288,7 @@ def exact_terminal_distribution(
     first walk multiplying action probabilities visits each raw trajectory
     once; terminal mass is pooled by canonical form.
     """
-    _check_oracle_guard(library, max_nodes)
+    check_enumeration_guard(library, max_nodes)
     out: dict[str, float] = defaultdict(float)
     stack: list[tuple[LigandState, float]] = [(initial_state(), 1.0)]
     while stack:
@@ -383,7 +373,7 @@ def proportional_sampling_check(
 ) -> float:
     """Total-variation distance between empirical molecule frequencies and
     the reward-proportional target."""
-    _check_oracle_guard(library, max_nodes)
+    check_enumeration_guard(library, max_nodes)
     ctx = policy.pocket_context(pocket)
     target = target_distribution(pocket, library, max_nodes, reward_fn, beta)
     empirical = empirical_terminal_distribution(policy, ctx, library, max_nodes, n_samples, seed)

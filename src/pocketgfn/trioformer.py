@@ -69,7 +69,9 @@ def triangle_update(
 ) -> DiffTensor:
     """One fold of the pair update: each pair row attends along `axis`.
 
-    Per-head logits: (query . key + row-scalar bias + distance bias) / sqrt(c).
+    Per-head logits: (query . key + distance bias) / sqrt(c). A per-row scalar
+    bias would be constant over the attended axis and cancel in the softmax,
+    so there is none.
     axis="pocket": row (i, j) attends over pocket nodes k, keys from pair[k, j],
     distance bias from dist_features[i, k]. axis="ligand": row (i, j) attends
     over ligand nodes k, keys from pair[i, k], bias from dist_features[j, k].
@@ -90,9 +92,6 @@ def triangle_update(
     q = _heads_proj(store, f"{prefix}.q", flat, c_pair, n_heads, head_dim, (n_p, n_l))
     k = _heads_proj(store, f"{prefix}.k", flat, c_pair, n_heads, head_dim, (n_p, n_l))
     v = _heads_proj(store, f"{prefix}.v", flat, c_pair, n_heads, head_dim, (n_p, n_l))
-    # per-head scalar from the row's own embedding; constant over the attended
-    # axis, so softmax cancels it, but it is part of the stated logit form
-    b_row = ad.reshape(ad.matmul(flat, store.param(f"{prefix}.b.w", (c_pair, n_heads))), (n_p, n_l, n_heads, 1))
     t = tensor(feats.reshape(n_axis * n_axis, feats.shape[2]))
     t = ad.reshape(ad.matmul(t, store.param(f"{prefix}.t.w", (feats.shape[2], n_heads))), (n_axis, n_axis, n_heads))
 
@@ -102,7 +101,7 @@ def triangle_update(
     else:
         logits = ad.einsum2("ijhc,ikhc->ijhk", q, k)
         bias = ad.reshape(ad.permute(t, (0, 2, 1)), (1, n_l, n_heads, n_l))
-    logits = ad.scale(ad.add(ad.add(logits, b_row), bias), 1.0 / np.sqrt(head_dim))
+    logits = ad.scale(ad.add(logits, bias), 1.0 / np.sqrt(head_dim))
     att = ad.reshape(ad.softmax_rows(ad.reshape(logits, (n_p * n_l * n_heads, n_axis))), (n_p, n_l, n_heads, n_axis))
     if axis == "pocket":
         gathered = ad.einsum2("ijhk,kjhc->ijhc", att, v)

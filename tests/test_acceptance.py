@@ -7,19 +7,15 @@ a unit regressed; the per-module suites are the place to localize breakage.
 """
 
 import json
-import math
-import sys
 import time
 
 import numpy as np
 import pytest
 
-from pocketgfn import autodiff as ad
-from pocketgfn.autodiff import Tape, finite_diff_check, tensor
+from pocketgfn.autodiff import Tape, tensor
 from pocketgfn.cli import DATA_DIR, main
 from pocketgfn.ligand import (
     AddFragment,
-    STOP,
     apply_action,
     desk_library,
     enumerate_terminal_states,
@@ -27,16 +23,8 @@ from pocketgfn.ligand import (
     toy_library,
 )
 from pocketgfn.nn import ParamStore
-from pocketgfn.pocket import (
-    build_knn_graph,
-    encode_pocket,
-    load_pocket_jsonl,
-    radius_of_gyration,
-    random_rotation,
-    synthetic_pocket,
-    transform_residues,
-)
-from pocketgfn.policy import PolicyConfig, PolicyNetwork
+from pocketgfn.pocket import build_knn_graph, load_pocket_jsonl, radius_of_gyration, synthetic_pocket
+from pocketgfn.policy import PolicyNetwork
 from pocketgfn.rewards import (
     RewardWeights,
     combined_quality,
@@ -46,26 +34,17 @@ from pocketgfn.rewards import (
     tanimoto_distance,
     top_k_mean,
 )
-from pocketgfn.trioformer import (
-    adjacency_onehot,
-    biased_cross_attention,
-    edge_embedding,
-    pool_graph_embedding,
-    rbf_basis,
-    reference_cross_attention,
-    reference_pair_attention,
-    triangle_update,
-    trioformer_stack,
+from pocketgfn.selfcheck import (
+    bias_ablation_deviation,
+    conditioning_gradient_errors,
+    primitive_gradient_errors,
+    proportional_sampling_tv,
+    rigid_motion_drift,
+    small_policy,
+    tb_loss_gradient_error,
 )
-from pocketgfn.training import (
-    TrainerConfig,
-    empirical_terminal_distribution,
-    exact_terminal_distribution,
-    target_distribution,
-    tb_loss_tensor,
-    total_variation,
-    train,
-)
+from pocketgfn.trioformer import edge_embedding, pool_graph_embedding
+from pocketgfn.training import TrainerConfig, exact_terminal_distribution, total_variation, train
 
 
 RESULTS: list[str] = []
@@ -78,57 +57,24 @@ def _report(name: str, ok: bool, detail: str) -> None:
     print(line)
 
 
-def _small_policy(mode: str) -> PolicyConfig:
-    return PolicyConfig(
-        mode=mode, width=16, n_layers=1, n_heads=2, frag_emb_dim=4,
-        pocket_width=8, pocket_layers=1, trio_layers=1, trio_heads=2,
-        trio_head_dim=4, trio_c_pair=8,
-    )
-
-
 # ---------------------------------------------------------------------------
 # 1. trained sampler draws molecules proportionally to reward
 # ---------------------------------------------------------------------------
 
 def test_trained_sampler_matches_reward_proportional_target():
     t0 = time.time()
-    lib = toy_library()
-    pocket = build_knn_graph(synthetic_pocket(6, 2.0, seed=3), K=4)
-
-    def reward_fn(p, s):
-        return docking_proxy(p, s, lib)
-
-    target = target_distribution(pocket, lib, 2, reward_fn, beta=1.0)
-    budget = 20_000
-    cfg = TrainerConfig(
-        steps=2_000, batch_size=8, learning_rate=3e-3, beta=1.0,
-        max_nodes=2, seed=12, mode="baseline", policy=_small_policy("baseline"),
-    )
-    # probe shares the parameter store so it sees the live weights
-    store = ParamStore(np.random.default_rng([cfg.seed, 7]))
-    probe = PolicyNetwork(store, lib, cfg.policy)
-    ctx = probe.pocket_context(pocket)
-
-    def stop_fn(row):
-        if row["step"] % 25 != 24:
-            return False
-        return total_variation(exact_terminal_distribution(probe, ctx, lib, 2), target) < 0.03
-
-    result = train(cfg, lib, {"p": pocket}, reward_fn=reward_fn, store=store, stop_fn=stop_fn)
-    empirical = empirical_terminal_distribution(result.policy, ctx, lib, 2, 100_000, seed=0)
-    tv = total_variation(empirical, target)
+    budget = 2_000
+    run = proportional_sampling_tv(budget, 0.03, 100_000)
     elapsed = time.time() - t0
 
-    ok = tv < 0.05 and result.steps_run <= budget and elapsed < 900.0
+    ok = run.tv < 0.05 and run.steps <= budget and elapsed < 900.0
     _report(
         "reward-proportional sampling",
         ok,
-        f"TV {tv:.4f} vs limit 0.05 (100000 samples, {result.steps_run} steps of "
+        f"TV {run.tv:.4f} vs limit 0.05 (100000 samples, {run.steps} steps of "
         f"{budget} budget, {elapsed:.0f}s of 900s)",
     )
-    assert tv < 0.05
-    assert result.steps_run <= budget
-    assert elapsed < 900.0
+    assert ok
 
 
 # ---------------------------------------------------------------------------
@@ -136,73 +82,21 @@ def test_trained_sampler_matches_reward_proportional_target():
 # ---------------------------------------------------------------------------
 
 def test_gradients_match_finite_differences():
-    rng = np.random.default_rng(0)
-    x23 = lambda: tensor(rng.normal(size=(2, 3)))
-    # operands fixed ahead of time: finite differencing requires f deterministic
-    c23 = tensor(rng.normal(size=(2, 3)))
-    c34 = tensor(rng.normal(size=(3, 4)))
-    c32 = tensor(rng.normal(size=(3, 2)))
-    checks = [
-        ("add", lambda x: ad.add(x, c23), x23()),
-        ("mul", lambda x: ad.mul(x, c23), x23()),
-        ("matmul", lambda x: ad.matmul(x, c34), x23()),
-        ("einsum2", lambda x: ad.einsum2("ij,jk->ik", x, c32), x23()),
-        ("softmax", ad.softmax_rows, x23()),
-        ("log_softmax", ad.log_softmax_rows, x23()),
-        ("layer_norm", ad.layer_norm_rows, x23()),
-        ("exp", ad.exp, x23()),
-        ("tanh", ad.tanh, x23()),
-        ("log", lambda x: ad.log(ad.add(ad.mul(x, x), tensor(np.full((2, 3), 1.5)))), x23()),
-        ("sqrt", lambda x: ad.sqrt(ad.add(ad.mul(x, x), tensor(np.full((2, 3), 1.5)))), x23()),
-        ("concat", lambda x: ad.concat([x, ad.mul(x, x)], axis=1), x23()),
-        ("gather", lambda x: ad.gather_rows(x, np.array([1, 0, 1])), x23()),
-        ("mean_rows", ad.mean_rows, x23()),
-    ]
-    worst_prim = 0.0
-    for name, f, x in checks:
-        report = finite_diff_check(f, x, tol=1e-4)
-        worst_prim = max(worst_prim, report.max_rel_err)
-        assert report.passed, f"{name}: {report}"
+    prim = primitive_gradient_errors()
+    layer = conditioning_gradient_errors()
+    tb = tb_loss_gradient_error()
+    worst_prim = max(prim.values())
+    worst_layer = max(layer.values())
 
-    # one full conditioning layer on a 2-residue pocket and 2-node ligand
-    store = ParamStore(np.random.default_rng(2))
-    h_p = tensor(rng.normal(size=(2, 6)))
-    d_p = np.abs(rng.normal(size=(2, 2))) + np.abs(rng.normal(size=(2, 2))).T
-    np.fill_diagonal(d_p, 0.0)
-    adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-    def layer_wrt_ligand(h_l):
-        return trioformer_stack(h_p, h_l, d_p, adj, store, prefix="g2l",
-                                n_layers=1, n_heads=2, head_dim=4, c_pair=8)
-
-    lig_report = finite_diff_check(layer_wrt_ligand, tensor(rng.normal(size=(2, 6))), tol=1e-3)
-    assert lig_report.passed, str(lig_report)
-
-    h_l_fixed = tensor(rng.normal(size=(2, 6)))
-
-    def layer_wrt_pocket(h):
-        return trioformer_stack(h, h_l_fixed, d_p, adj, store, prefix="g2p",
-                                n_layers=1, n_heads=2, head_dim=4, c_pair=8)
-
-    poc_report = finite_diff_check(layer_wrt_pocket, tensor(rng.normal(size=(2, 6))), tol=1e-3)
-    assert poc_report.passed, str(poc_report)
-
-    log_pf = tensor(np.array([[math.log(0.3)]]))
-
-    def loss_wrt_log_z(log_z):
-        return tb_loss_tensor(log_z, log_pf, math.log(2.5), -math.log(2.0))
-
-    tb_report = finite_diff_check(loss_wrt_log_z, tensor(np.array([[0.4]])), tol=1e-3)
-    assert tb_report.passed, str(tb_report)
-
-    worst_layer = max(lig_report.max_rel_err, poc_report.max_rel_err)
+    ok = worst_prim < 1e-4 and worst_layer < 1e-3 and tb < 1e-3
     _report(
         "gradient integrity",
-        True,
-        f"{len(checks)} primitives at 1e-4 (worst {worst_prim:.2e}); conditioning layer "
-        f"at 1e-3 (worst {worst_layer:.2e}); balance loss wrt log_Z at 1e-3 "
-        f"({tb_report.max_rel_err:.2e})",
+        ok,
+        f"{len(prim)} primitives vs 1e-4 (worst {worst_prim:.2e}); conditioning layer "
+        f"wrt ligand and pocket tracks vs 1e-3 (worst {worst_layer:.2e}); balance loss "
+        f"wrt log_Z vs 1e-3 ({tb:.2e})",
     )
+    assert ok, (prim, layer, tb)
 
 
 # ---------------------------------------------------------------------------
@@ -210,45 +104,7 @@ def test_gradients_match_finite_differences():
 # ---------------------------------------------------------------------------
 
 def test_pocket_encoding_invariant_under_rigid_motion():
-    rng = np.random.default_rng(3)
-    residues = synthetic_pocket(10, 3.0, seed=5)
-    store = ParamStore(np.random.default_rng(6))
-    base_graph = build_knn_graph(residues)
-    with Tape():
-        base_emb = encode_pocket(base_graph, store, L_layers=1, c_pocket=8)
-
-    lib = desk_library()
-    s = apply_action(initial_state(), AddFragment(None, None, 2, 0), lib, 4)
-    term = apply_action(s, STOP, lib, 4)
-    base_q = docking_proxy(base_graph, term, lib)
-
-    h_l = tensor(rng.normal(size=(3, 8)))
-    adj = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    with Tape():
-        base_out = trioformer_stack(
-            tensor(base_emb.node_embeddings.data), h_l, base_graph.dist_matrix, adj,
-            store, prefix="inv", n_layers=1, n_heads=2, head_dim=4, c_pair=8,
-        )
-
-    worst = 0.0
-    for _ in range(20):
-        moved = transform_residues(residues, random_rotation(rng), rng.normal(size=3) * 10.0)
-        g = build_knn_graph(moved)
-        with Tape():
-            emb = encode_pocket(g, store, L_layers=1, c_pocket=8)
-        rel_e = np.max(np.abs(emb.node_embeddings.data - base_emb.node_embeddings.data)) / (
-            np.max(np.abs(base_emb.node_embeddings.data)) + 1e-12)
-        rel_d = np.max(np.abs(g.dist_matrix - base_graph.dist_matrix)) / (
-            np.max(base_graph.dist_matrix) + 1e-12)
-        rel_q = abs(docking_proxy(g, term, lib) - base_q) / (abs(base_q) + 1e-12)
-        with Tape():
-            out = trioformer_stack(
-                tensor(emb.node_embeddings.data), h_l, g.dist_matrix, adj,
-                store, prefix="inv", n_layers=1, n_heads=2, head_dim=4, c_pair=8,
-            )
-        rel_t = np.max(np.abs(out.data - base_out.data)) / (np.max(np.abs(base_out.data)) + 1e-12)
-        worst = max(worst, rel_e, rel_d, rel_q, rel_t)
-
+    worst = rigid_motion_drift(20)
     ok = worst < 1e-6
     _report(
         "rigid-motion invariance",
@@ -265,49 +121,7 @@ def test_pocket_encoding_invariant_under_rigid_motion():
 # ---------------------------------------------------------------------------
 
 def test_zeroed_bias_reduces_to_plain_attention():
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for axis, n_p, n_l in (("pocket", 3, 4), ("ligand", 3, 4)):
-        store = ParamStore(np.random.default_rng(8))
-        pair = tensor(rng.normal(size=(n_p, n_l, 8)))
-        n_axis = n_p if axis == "pocket" else n_l
-        if axis == "pocket":
-            d = np.abs(rng.normal(size=(n_axis, n_axis)))
-            feats = rbf_basis((d + d.T) / 2)
-        else:
-            feats = adjacency_onehot(np.ones((n_axis, n_axis)) - np.eye(n_axis))
-        with Tape():
-            triangle_update(pair, feats, axis, store, "ab", n_heads=2, head_dim=4)
-        store["ab.b.w"].data[:] = 0.0
-        store["ab.t.w"].data[:] = 0.0
-        with Tape():
-            out = triangle_update(pair, feats, axis, store, "ab", n_heads=2, head_dim=4)
-        ref = reference_pair_attention(
-            pair.data, axis, store["ab.q.w"].data, store["ab.k.w"].data,
-            store["ab.v.w"].data, store["ab.o.w"].data, 2, 4,
-        )
-        worst = max(worst, float(np.max(np.abs(out.data - ref))))
-
-    store = ParamStore(np.random.default_rng(9))
-    h_p = tensor(rng.normal(size=(3, 8)))
-    h_l = tensor(rng.normal(size=(2, 8)))
-    pair = tensor(rng.normal(size=(3, 2, 8)))
-    with Tape():
-        biased_cross_attention(h_p, h_l, pair, store, "ax", n_heads=2, head_dim=4)
-    store["ax.bias.w"].data[:] = 0.0
-    with Tape():
-        new_p, new_l = biased_cross_attention(h_p, h_l, pair, store, "ax", n_heads=2, head_dim=4)
-    ref_l = reference_cross_attention(
-        h_l.data, h_p.data, store["ax.lig.q.w"].data, store["ax.lig.k.w"].data,
-        store["ax.lig.v.w"].data, store["ax.lig.o.w"].data, 2, 4,
-    )
-    ref_p = reference_cross_attention(
-        h_p.data, h_l.data, store["ax.poc.q.w"].data, store["ax.poc.k.w"].data,
-        store["ax.poc.v.w"].data, store["ax.poc.o.w"].data, 2, 4,
-    )
-    worst = max(worst, float(np.max(np.abs(new_l.data - ref_l))),
-                float(np.max(np.abs(new_p.data - ref_p))))
-
+    worst = bias_ablation_deviation()
     ok = worst < 1e-10
     _report(
         "bias ablation",
@@ -337,14 +151,15 @@ def test_pocket_conditioning_changes_sampling_distribution(tmp_path, capsys):
 
     cfg = TrainerConfig(
         steps=2_000, batch_size=8, learning_rate=3e-3, beta=1.0,
-        max_nodes=2, seed=12, mode="trioformer", policy=_small_policy("trioformer"),
+        max_nodes=2, seed=12, mode="trioformer", policy=small_policy("trioformer"),
     )
     store = ParamStore(np.random.default_rng([cfg.seed, 7]))
     probe = PolicyNetwork(store, lib, cfg.policy)
-    ctxs = {pid: probe.pocket_context(g) for pid, g in graphs.items()}
 
     def separation() -> float:
-        exact = {pid: exact_terminal_distribution(probe, ctxs[pid], lib, 2) for pid in ctxs}
+        # contexts come from the live store: training moves the pocket encoder too
+        exact = {pid: exact_terminal_distribution(probe, probe.pocket_context(g), lib, 2)
+                 for pid, g in graphs.items()}
         return total_variation(exact["compact"], exact["wide"])
 
     def stop_fn(row):
@@ -531,7 +346,7 @@ def test_embedding_contracts():
     pocket = build_knn_graph(synthetic_pocket(6, 2.0, seed=3), K=4)
     width = 16
     store = ParamStore(np.random.default_rng(1))
-    policy = PolicyNetwork(store, lib, _small_policy("baseline"))
+    policy = PolicyNetwork(store, lib, small_policy("baseline"))
     ctx = policy.pocket_context(pocket)
     s = apply_action(initial_state(), AddFragment(None, None, 0, 0), lib, 2)
     with Tape():

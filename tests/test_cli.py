@@ -74,11 +74,18 @@ class TestRunConfig:
             load_run_config(str(path)).validate()
 
     @pytest.mark.parametrize(
-        "name", ["steps", "batch_size", "max_nodes", "seed", "n_molecules", "top_k", "retry_cap"]
+        "name, value",
+        [pytest.param(name, True, id=name) for name in (
+            "steps", "batch_size", "max_nodes", "seed", "n_molecules", "top_k", "retry_cap",
+            "learning_rate", "beta",
+        )]
+        + [pytest.param("policy", {key: bad}, id=f"policy-{key}-{bad!r}")
+           for key, bad in (("width", 0), ("width", "64"), ("n_heads", 0), ("width", 10), ("n_layers", True))],
     )
-    def test_boolean_integer_field_exit_2(self, tmp_path, capsys, name):
-        # bool is a subclass of int; true must not pass as 1
-        cfg = write_cfg(tmp_path, "c.json", **{name: True})
+    def test_boolean_integer_field_exit_2(self, tmp_path, capsys, name, value):
+        # bool is a subclass of int; true must not pass as 1, nor may a
+        # malformed policy override reach training
+        cfg = write_cfg(tmp_path, "c.json", **{name: value})
         assert main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(name) in err
@@ -325,6 +332,20 @@ class TestEvaluateCommand:
         assert main(["evaluate", str(mols), "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert ":1:" in err and "99" in err
+
+    @pytest.mark.parametrize("rec, problem", [
+        # a hydroxyl has one attachment point; this ring reuses it and closes a cycle
+        ({"nodes": [1, 1, 1], "edges": [[0, 0, 1, 0], [1, 0, 2, 0], [0, 0, 2, 0]]}, "used twice"),
+        ({"nodes": [0, 0, 0, 1], "edges": [[0, 0, 1, 0], [1, 1, 2, 0], [0, 1, 2, 1]]}, "cycle"),
+        ({"nodes": [1, 0, 0], "edges": [[0, 0, 1, 0], [0, 0, 2, 0]]}, "used twice"),
+    ], ids=["ring", "cycle", "reused-ap"])
+    def test_non_tree_record_names_line(self, tmp_path, capsys, rec, problem):
+        cfg_path = write_cfg(tmp_path, "c.json", library_file="bundled:desk")
+        mols = tmp_path / "bad.jsonl"
+        mols.write_text('{"nodes": [0], "edges": []}\n' + json.dumps(rec) + "\n")
+        assert main(["evaluate", str(mols), "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert ":2:" in err and problem in err
 
     def test_tampered_scores_detected(self, workdir, capsys):
         tmp_path, cfg_path, _ = workdir

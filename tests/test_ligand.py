@@ -12,6 +12,7 @@ from pocketgfn.ligand import (
     FragmentLibrary,
     IllegalActionError,
     LibraryError,
+    LigandState,
     Stop,
     adjacency_matrix,
     apply_action,
@@ -31,6 +32,7 @@ from pocketgfn.ligand import (
     state_from_record,
     state_to_record,
     toy_library,
+    validate_state,
 )
 
 TOY = toy_library()
@@ -373,6 +375,7 @@ class TestStateInvariantsFuzz:
             s = apply_action(s, a, DESK, max_nodes=6)
             if s.terminal:
                 break
+            validate_state(s, DESK)
             # tree shape: connected means exactly n-1 edges for n >= 1
             assert len(s.edges) == max(s.n - 1, 0)
             # no AP used twice
@@ -405,6 +408,21 @@ class TestStateInvariantsFuzz:
             s = apply_action(s, a, DESK, max_nodes=4)
             if s.terminal:
                 break
+
+
+class TestValidateState:
+    @pytest.mark.parametrize("nodes, edges, problem", [
+        ((0, 9), ((0, 0, 1, 0),), "unknown fragment id 9"),
+        ((0, 2), ((1, 0, 0, 0),), "0 <= i < j"),
+        ((0, 2), ((0, 0, 2, 0),), "0 <= i < j"),
+        ((0, 1), ((0, 0, 1, 1),), "no attachment point 1"),
+        ((1, 0, 0), ((0, 0, 1, 0), (0, 0, 2, 0)), "used twice"),
+        ((0, 0, 0, 1), ((0, 0, 1, 0), (1, 1, 2, 0), (0, 1, 2, 1)), "cycle"),
+        ((0, 0, 1), ((0, 0, 1, 0),), "not connected"),
+    ])
+    def test_rejects(self, nodes, edges, problem):
+        with pytest.raises(ValueError, match=problem):
+            validate_state(LigandState(nodes, edges, terminal=True), DESK)
 
 
 class TestSerialization:

@@ -22,6 +22,7 @@ from pocketgfn.ligand import (
 from pocketgfn.nn import ParamStore, load_checkpoint
 from pocketgfn.pocket import build_knn_graph, synthetic_pocket
 from pocketgfn.policy import PolicyConfig, PolicyNetwork
+from pocketgfn.selfcheck import small_policy
 import pocketgfn.training as training
 from pocketgfn.training import (
     TrainerConfig,
@@ -42,17 +43,9 @@ TOY = toy_library()
 DESK = desk_library()
 
 
-def small_policy_config(mode="baseline"):
-    return PolicyConfig(
-        mode=mode, width=16, n_layers=1, n_heads=2, frag_emb_dim=4,
-        pocket_width=8, pocket_layers=1, trio_layers=1, trio_heads=2,
-        trio_head_dim=4, trio_c_pair=8,
-    )
-
-
 def small_config(steps, **kw):
     kw.setdefault("batch_size", 4)
-    kw.setdefault("policy", small_policy_config(kw.get("mode", "baseline")))
+    kw.setdefault("policy", small_policy(kw.get("mode", "baseline")))
     return TrainerConfig(steps=steps, **kw)
 
 
@@ -62,7 +55,7 @@ def one_pocket(seed=3, n=6, spread=2.0):
 
 def make_policy(library=TOY, seed=0):
     store = ParamStore(np.random.default_rng(seed))
-    return PolicyNetwork(store, library, small_policy_config())
+    return PolicyNetwork(store, library, small_policy())
 
 
 class TestTrainerConfig:
@@ -94,7 +87,7 @@ class TestSampleTrajectory:
 
     def test_states_form_valid_chain(self):
         policy = make_policy(DESK)
-        policy = PolicyNetwork(policy.store, DESK, small_policy_config())
+        policy = PolicyNetwork(policy.store, DESK, small_policy())
         ctx = policy.pocket_context(one_pocket()["p0"])
         for seed in range(8):
             traj = sample_trajectory(policy, ctx, "p0", np.random.default_rng(seed), 4, DESK)
@@ -218,7 +211,7 @@ class TestTrain:
         assert r1.metrics == []
         state, meta = load_checkpoint(str(tmp_path / "a.json"))
         fresh = ParamStore(np.random.default_rng([9, 7]))
-        policy = PolicyNetwork(fresh, TOY, small_policy_config())
+        policy = PolicyNetwork(fresh, TOY, small_policy())
         ctx = policy.pocket_context(one_pocket()["p0"])
         from pocketgfn.training import _materialize_params
         _materialize_params(policy, ctx, TOY, 2)

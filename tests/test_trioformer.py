@@ -130,7 +130,6 @@ class TestTriangleUpdate:
             feats = self.feats(n_axis, kind=axis)
             with Tape():
                 triangle_update(pair, feats, axis, store, "tp", n_heads=H, head_dim=C)
-            store["tp.b.w"].data[:] = 0.0
             store["tp.t.w"].data[:] = 0.0
             with Tape():
                 out = triangle_update(pair, feats, axis, store, "tp", n_heads=H, head_dim=C)
