@@ -44,11 +44,12 @@ cfg = TrainerConfig(steps=600, batch_size=8, learning_rate=3e-3, beta=1.0,
 # a probe network on the same parameter store watches convergence live
 store = ParamStore(np.random.default_rng([cfg.seed, 7]))
 probe = PolicyNetwork(store, lib, policy_cfg)
-ctx = probe.pocket_context(pocket)
 
 def stop_fn(row):
     if row["step"] % 25 != 24:
         return False
+    # training moves the pocket encoder too, so the context is rebuilt each probe
+    ctx = probe.pocket_context(pocket)
     tv = total_variation(exact_terminal_distribution(probe, ctx, lib, 2), target)
     print(f"  step {row['step']:4d}  loss {row['loss']:8.4f}  exact TV {tv:.4f}")
     return tv < 0.03
@@ -57,6 +58,7 @@ print("\ntraining (stops once the exact model distribution is within 0.03):")
 result = train(cfg, lib, {"pocket": pocket}, reward_fn=reward_fn, store=store, stop_fn=stop_fn)
 print(f"stopped after {result.steps_run} steps")
 
+ctx = result.policy.pocket_context(pocket)
 empirical = empirical_terminal_distribution(result.policy, ctx, lib, 2, n_samples=20000, seed=0)
 print(f"\nempirical vs target over 20000 draws (TV {total_variation(empirical, target):.4f}):")
 for key in sorted(target, key=target.get, reverse=True):

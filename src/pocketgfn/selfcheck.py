@@ -151,12 +151,12 @@ def rigid_motion_drift(n_motions: int) -> float:
         return emb, graph.dist_matrix, docking_proxy(graph, term, lib), out
 
     base = measure(build_knn_graph(residues))
-    worst = 0.0
+    drifts = []
     for _ in range(n_motions):
         moved = transform_residues(residues, random_rotation(rng), rng.normal(size=3) * 10.0)
         for a, b in zip(measure(build_knn_graph(moved)), base):
-            worst = max(worst, float(np.max(np.abs(np.subtract(a, b))) / (np.max(np.abs(b)) + 1e-12)))
-    return worst
+            drifts.append(np.max(np.abs(np.subtract(a, b))) / (np.max(np.abs(b)) + 1e-12))
+    return float(np.max(drifts))  # np.max, unlike max(), keeps a NaN
 
 
 def bias_ablation_deviation() -> float:
@@ -164,7 +164,7 @@ def bias_ablation_deviation() -> float:
     cross attention from their plain-attention references once the learned
     bias projections are zeroed."""
     rng = np.random.default_rng(7)
-    worst = 0.0
+    deviations = []
     for axis, n_p, n_l in (("pocket", 3, 4), ("ligand", 3, 4)):
         store = ParamStore(np.random.default_rng(8))
         pair = tensor(rng.normal(size=(n_p, n_l, 8)))
@@ -183,7 +183,7 @@ def bias_ablation_deviation() -> float:
             pair.data, axis, store["tp.q.w"].data, store["tp.k.w"].data,
             store["tp.v.w"].data, store["tp.o.w"].data, 2, 4,
         )
-        worst = max(worst, float(np.max(np.abs(out.data - ref))))
+        deviations.append(np.max(np.abs(out.data - ref)))
     store = ParamStore(np.random.default_rng(9))
     h_p = tensor(rng.normal(size=(3, 8)))
     h_l = tensor(rng.normal(size=(2, 8)))
@@ -201,7 +201,8 @@ def bias_ablation_deviation() -> float:
         h_p.data, h_l.data, store["x.poc.q.w"].data, store["x.poc.k.w"].data,
         store["x.poc.v.w"].data, store["x.poc.o.w"].data, 2, 4,
     )
-    return max(worst, float(np.max(np.abs(new_l.data - ref_l))), float(np.max(np.abs(new_p.data - ref_p))))
+    deviations += [np.max(np.abs(new_l.data - ref_l)), np.max(np.abs(new_p.data - ref_p))]
+    return float(np.max(deviations))
 
 
 class SamplingRun(NamedTuple):
@@ -244,18 +245,23 @@ def proportional_sampling_tv(steps: int, stop_tv: float, n_samples: int) -> Samp
     return SamplingRun(tv=tv, steps=result.steps_run, exact_tv=exact_tvs[-1])
 
 
+def worst_error(errors: dict[str, float]) -> tuple[str, float]:
+    """The name and value of the largest error, for reports; a NaN ranks first."""
+    return max(errors.items(), key=lambda kv: math.inf if math.isnan(kv[1]) else kv[1])
+
+
 # -- suites --------------------------------------------------------------------
 
 
 def check_gradient_primitives() -> tuple[bool, str]:
     errors = primitive_gradient_errors()
-    name, worst = max(errors.items(), key=lambda kv: kv[1])
-    return worst < 1e-4, f"{len(errors)} primitives vs 1e-4 (worst {name}: {worst:.2e})"
+    name, worst = worst_error(errors)
+    return all(e < 1e-4 for e in errors.values()), f"{len(errors)} primitives vs 1e-4 (worst {name}: {worst:.2e})"
 
 
 def check_gradient_trioformer() -> tuple[bool, str]:
     errors = conditioning_gradient_errors()
-    return max(errors.values()) < 1e-3, (
+    return all(e < 1e-3 for e in errors.values()), (
         f"one layer vs 1e-3: wrt ligand {errors['ligand']:.2e}, wrt pocket {errors['pocket']:.2e}"
     )
 

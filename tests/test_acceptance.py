@@ -42,6 +42,7 @@ from pocketgfn.selfcheck import (
     rigid_motion_drift,
     small_policy,
     tb_loss_gradient_error,
+    worst_error,
 )
 from pocketgfn.trioformer import edge_embedding, pool_graph_embedding
 from pocketgfn.training import TrainerConfig, exact_terminal_distribution, total_variation, train
@@ -85,10 +86,10 @@ def test_gradients_match_finite_differences():
     prim = primitive_gradient_errors()
     layer = conditioning_gradient_errors()
     tb = tb_loss_gradient_error()
-    worst_prim = max(prim.values())
-    worst_layer = max(layer.values())
+    _, worst_prim = worst_error(prim)
+    _, worst_layer = worst_error(layer)
 
-    ok = worst_prim < 1e-4 and worst_layer < 1e-3 and tb < 1e-3
+    ok = all(e < 1e-4 for e in prim.values()) and all(e < 1e-3 for e in layer.values()) and tb < 1e-3
     _report(
         "gradient integrity",
         ok,

@@ -13,6 +13,7 @@ SRC = str(Path(__file__).parent.parent / "src")
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
+    # the demo runs in an empty directory, so a source checkout's relative PYTHONPATH would not reach it
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
