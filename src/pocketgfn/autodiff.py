@@ -155,6 +155,9 @@ def backward(loss: DiffTensor) -> None:
 
     ``loss`` must be a scalar (a single element).  Re-running backward on a
     tape that was already consumed is an error; rebuild the forward pass.
+    The consumed tape drops its nodes, so the intermediates they hold are
+    freed by reference counting rather than left to the cycle collector
+    (tensors, nodes and the tape refer to each other).
     """
     if loss.data.size != 1:
         raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -177,6 +180,8 @@ def backward(loss: DiffTensor) -> None:
             if inp.grad is None:
                 inp.grad = np.zeros_like(inp.data)
             inp.grad += gi
+    # rebind rather than clear: a caller may still hold the recorded list
+    tape.nodes = []
 
 
 def zero_grads(tensors: Sequence[DiffTensor]) -> None:

@@ -45,7 +45,7 @@ from .training import (
     TrainingError,
     _materialize_params,
     default_reward_fn,
-    sample_trajectory,
+    sample_trajectories,
     train,
 )
 
@@ -265,21 +265,24 @@ def cmd_sample(args: argparse.Namespace) -> int:
     attempts = 0
     budget = n * cfg.retry_cap
     while len(unique) < n and attempts < budget:
-        rng = np.random.default_rng([cfg.seed, attempts])
-        traj = sample_trajectory(policy, ctx, pid, rng, max_nodes, library)
-        terminal = traj.states[-1]
-        key = canonical_key(terminal)
-        if key not in unique:
-            rec = state_to_record(terminal)
-            canon = state_from_record(rec)
-            unique[key] = {
-                "nodes": rec["nodes"],
-                "edges": rec["edges"],
-                "ds": docking_score(graph, canon, library),
-                "qed": qed_proxy(canon),
-                "sa": sa_proxy(canon),
-            }
-        attempts += 1
+        # each draw adds at most one molecule, so rolling only the missing
+        # count together stops at the same attempt as drawing one at a time
+        k = min(n - len(unique), budget - attempts)
+        rngs = [np.random.default_rng([cfg.seed, attempts + j]) for j in range(k)]
+        for traj in sample_trajectories(policy, {pid: ctx}, [pid] * k, rngs, max_nodes, library):
+            terminal = traj.states[-1]
+            key = canonical_key(terminal)
+            if key not in unique:
+                rec = state_to_record(terminal)
+                canon = state_from_record(rec)
+                unique[key] = {
+                    "nodes": rec["nodes"],
+                    "edges": rec["edges"],
+                    "ds": docking_score(graph, canon, library),
+                    "qed": qed_proxy(canon),
+                    "sa": sa_proxy(canon),
+                }
+            attempts += 1
     with open(out_path, "w") as fh:
         for rec in unique.values():
             fh.write(json.dumps(rec) + "\n")

@@ -175,6 +175,14 @@ def legal_actions(s: LigandState, library: FragmentLibrary, max_nodes: int = MAX
     return actions
 
 
+def stop_is_forced(s: LigandState, library: FragmentLibrary, max_nodes: int = MAX_NODES_DEFAULT) -> bool:
+    """True when Stop is the only legal action: the node cap is reached or no
+    attachment point is free (a tree of n - 1 bonds uses two points per bond)."""
+    if s.terminal or s.n == 0:
+        return False
+    return s.n >= max_nodes or 2 * len(s.edges) == sum(library.get(fid).aps for fid in s.nodes)
+
+
 def apply_action(
     s: LigandState, a: LigandAction, library: FragmentLibrary, max_nodes: int = MAX_NODES_DEFAULT
 ) -> LigandState:

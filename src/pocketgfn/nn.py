@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from typing import Iterable
 
 import numpy as np
@@ -173,6 +174,8 @@ def save_checkpoint(path: str, store: ParamStore, meta: dict | None = None) -> N
     """Write a flat JSON checkpoint: {name -> {shape, data}} plus tagged keys.
 
     Reserved keys: ``__format_version__``, ``__meta__``, ``__checksum__``.
+    The file is written next to ``path`` under a temporary name and then
+    renamed over it, so a failed write leaves the previous checkpoint intact.
     """
     payload: dict[str, dict] = {}
     for name, p in store.items():
@@ -180,8 +183,14 @@ def save_checkpoint(path: str, store: ParamStore, meta: dict | None = None) -> N
     doc: dict = {"__format_version__": CHECKPOINT_FORMAT_VERSION, "__meta__": meta or {}}
     doc["__checksum__"] = _params_checksum(payload)
     doc.update(payload)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:

@@ -5,14 +5,17 @@ graph transformer. Pair mode (the geometry-aware path) runs the triangle
 attention stack between pocket node embeddings and ligand node embeddings and
 reads the policy heads off the refined ligand track.
 
-Action scoring is over a fixed lattice per state: Stop first, then every
-(target node, target ap, fragment, fragment ap) combination; illegal entries
-are masked to exactly zero probability.
+One network pass scores a batch of states with the same node count against
+one pocket. Each state's rows are its legal actions in lattice order (Stop
+first, then (target node, target ap, fragment, fragment ap)), so every scored
+row is legal; the batch is normalized by one masked log-softmax over a
+(B, m) tensor, padded per state to the longest row count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -20,16 +23,14 @@ from . import autodiff as ad
 from .autodiff import DiffTensor, tensor
 from .nn import ParamStore, layer_norm_affine, mlp_apply, mlp_params
 from .ligand import (
-    AddFragment,
     FragmentLibrary,
     LigandAction,
     LigandState,
-    STOP,
     adjacency_matrix,
     legal_actions,
 )
 from .pocket import PocketGraph, encode_pocket
-from .trioformer import pool_graph_embedding, trioformer_stack
+from .trioformer import batch_copies, pool_graph_embedding, trioformer_stack
 
 BASELINE = "baseline"
 TRIOFORMER = "trioformer"
@@ -77,10 +78,25 @@ class PocketContext:
 
 @dataclass
 class ActionDistribution:
-    actions: list[LigandAction]
-    mask: np.ndarray  # legality per lattice entry
-    log_probs: DiffTensor  # (1, m); -inf where masked
-    probs: np.ndarray  # (m,), exact zeros where masked
+    """The legal actions of B states and their probabilities, from one pass.
+
+    Rows are flat over the batch: state b owns rows ``offsets[b]:offsets[b + 1]``,
+    its legal actions in lattice order. With one state the offsets are
+    ``[0, m]`` and the rows are simply that state's legal actions.
+    """
+
+    actions: list[LigandAction]  # (R,)
+    log_probs: DiffTensor  # (1, R)
+    probs: np.ndarray  # (R,)
+    offsets: np.ndarray  # (B + 1,)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """Legality per scored row; every scored row is legal."""
+        return np.ones(len(self.actions), dtype=bool)
+
+    def rows(self, b: int) -> slice:
+        return slice(int(self.offsets[b]), int(self.offsets[b + 1]))
 
 
 def featurize(s: LigandState, library: FragmentLibrary) -> tuple[np.ndarray, np.ndarray]:
@@ -105,37 +121,11 @@ def featurize(s: LigandState, library: FragmentLibrary) -> tuple[np.ndarray, np.
     return nodes, edges
 
 
-def action_lattice(s: LigandState, library: FragmentLibrary, max_nodes: int) -> tuple[list[LigandAction], np.ndarray]:
-    """Fixed-order action lattice plus legality mask.
-
-    Order matches legal_actions: Stop, then (node, ap, fragment, ap). The
-    lattice covers the full cartesian product so the head shapes depend only
-    on the node count.
-    """
-    a_max = library.max_aps
-    if s.n == 0:
-        lattice: list[LigandAction] = [STOP]
-        for f in library:
-            for f_ap in range(a_max):
-                lattice.append(AddFragment(None, None, f.id, f_ap))
-    else:
-        lattice = [STOP]
-        for node in range(s.n):
-            for ap in range(a_max):
-                for f in library:
-                    for f_ap in range(a_max):
-                        lattice.append(AddFragment(node, ap, f.id, f_ap))
-    legal = set(legal_actions(s, library, max_nodes))
-    mask = np.array([a in legal for a in lattice])
-    return lattice, mask
-
-
 class PolicyNetwork:
     def __init__(self, store: ParamStore, library: FragmentLibrary, config: PolicyConfig):
         self.store = store
         self.library = library
         self.config = config
-        self._frag_index = {fid: k for k, fid in enumerate(library.ids)}
 
     # -- pocket side ------------------------------------------------------
 
@@ -152,70 +142,72 @@ class PolicyNetwork:
 
     # -- ligand side ------------------------------------------------------
 
-    def _embed_nodes(self, s: LigandState) -> tuple[DiffTensor, np.ndarray, np.ndarray]:
+    def _embed_nodes(self, states: Sequence[LigandState]) -> tuple[DiffTensor, np.ndarray, np.ndarray]:
+        """Node embeddings (B * n, w), edge features (B, n, n, f) and adjacency (B, n, n)."""
         cfg = self.config
-        if s.n == 0:
+        b, n = len(states), states[0].n
+        if n == 0:
             start = self.store.param("start_token", (1, cfg.width), fan_in=cfg.width)
-            return start, np.zeros((1, 1, 2 * self.library.max_aps)), np.zeros((1, 1))
-        nodes_np, edges_np = featurize(s, self.library)
+            x = ad.reshape(batch_copies(start, b), (b, cfg.width))
+            return x, np.zeros((b, 1, 1, 2 * self.library.max_aps)), np.zeros((b, 1, 1))
+        feats = [featurize(s, self.library) for s in states]
+        nodes_np = np.concatenate([f[0] for f in feats])
         w = self.store.param("embed.w", (len(self.library), cfg.width), fan_in=len(self.library))
-        b = self.store.param("embed.b", (cfg.width,), fan_in=len(self.library))
-        x = ad.add(ad.matmul(tensor(nodes_np), w), b)
-        return x, edges_np, adjacency_matrix(s)
+        bias = self.store.param("embed.b", (cfg.width,), fan_in=len(self.library))
+        x = ad.add(ad.matmul(tensor(nodes_np), w), bias)
+        return x, np.stack([f[1] for f in feats]), np.stack([adjacency_matrix(s) for s in states])
 
     def _self_attention_layers(self, x: DiffTensor, edges_np: np.ndarray, att_mask: np.ndarray, prefix: str) -> DiffTensor:
+        """Graph transformer over B graphs of n nodes each; x is (B * n, w)."""
         cfg = self.config
-        n = x.shape[0]
+        b, n = att_mask.shape[:2]
         heads = cfg.n_heads
         hd = cfg.width // heads
-        edge_flat = tensor(edges_np.reshape(n * n, -1))
+        edge_flat = tensor(edges_np.reshape(b * n * n, -1))
+        mask_rows = np.repeat(att_mask[:, :, None, :], heads, axis=2).reshape(b * n * heads, n)
         for layer in range(cfg.n_layers):
             name = f"{prefix}.gt{layer}"
             normed = layer_norm_affine(self.store, f"{name}.ln1", x, cfg.width)
-            q = ad.reshape(ad.matmul(normed, self.store.param(f"{name}.q.w", (cfg.width, cfg.width))), (n, heads, hd))
-            k = ad.reshape(ad.matmul(normed, self.store.param(f"{name}.k.w", (cfg.width, cfg.width))), (n, heads, hd))
-            v = ad.reshape(ad.matmul(normed, self.store.param(f"{name}.v.w", (cfg.width, cfg.width))), (n, heads, hd))
-            logits = ad.einsum2("qhc,khc->qhk", q, k)
-            bias = ad.reshape(ad.matmul(edge_flat, self.store.param(f"{name}.e.w", (edges_np.shape[2], heads))), (n, n, heads))
-            logits = ad.scale(ad.add(logits, ad.permute(bias, (0, 2, 1))), 1.0 / np.sqrt(hd))
-            mask_rows = np.repeat(att_mask[:, None, :], heads, axis=1).reshape(n * heads, n)
-            att = ad.softmax_rows(ad.reshape(logits, (n * heads, n)), mask=mask_rows)
-            gathered = ad.einsum2("qhk,khc->qhc", ad.reshape(att, (n, heads, n)), v)
-            out = ad.matmul(ad.reshape(gathered, (n, cfg.width)), self.store.param(f"{name}.o.w", (cfg.width, cfg.width)))
+            q = ad.reshape(ad.matmul(normed, self.store.param(f"{name}.q.w", (cfg.width, cfg.width))), (b, n, heads, hd))
+            k = ad.reshape(ad.matmul(normed, self.store.param(f"{name}.k.w", (cfg.width, cfg.width))), (b, n, heads, hd))
+            v = ad.reshape(ad.matmul(normed, self.store.param(f"{name}.v.w", (cfg.width, cfg.width))), (b, n, heads, hd))
+            logits = ad.einsum2("bqhc,bkhc->bqhk", q, k)
+            bias = ad.reshape(ad.matmul(edge_flat, self.store.param(f"{name}.e.w", (edges_np.shape[-1], heads))), (b, n, n, heads))
+            logits = ad.scale(ad.add(logits, ad.permute(bias, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
+            att = ad.softmax_rows(ad.reshape(logits, (b * n * heads, n)), mask=mask_rows)
+            gathered = ad.einsum2("bqhk,bkhc->bqhc", ad.reshape(att, (b, n, heads, n)), v)
+            out = ad.matmul(ad.reshape(gathered, (b * n, cfg.width)), self.store.param(f"{name}.o.w", (cfg.width, cfg.width)))
             x = ad.add(x, out)
             normed2 = layer_norm_affine(self.store, f"{name}.ln2", x, cfg.width)
             x = ad.add(x, mlp_apply(normed2, mlp_params(self.store, f"{name}.mlp", [cfg.width, 2 * cfg.width, cfg.width])))
         return x
 
-    def _ligand_track(self, s: LigandState, ctx: PocketContext) -> tuple[DiffTensor, DiffTensor]:
-        """Returns (per-node embeddings for action heads, graph embedding)."""
+    def _ligand_track(self, states: Sequence[LigandState], ctx: PocketContext) -> tuple[DiffTensor, DiffTensor]:
+        """Per-node embeddings (B * n, w) for the action heads, in state order,
+        and graph embeddings (B, 2w) in baseline mode or (B, w) in pair mode."""
         cfg = self.config
-        x, edges_np, adj = self._embed_nodes(s)
-        n = x.shape[0]
+        x, edges_np, adj = self._embed_nodes(states)
+        b, n = adj.shape[:2]
+        self_loops = np.eye(n, dtype=bool)
         if cfg.mode == BASELINE:
             virt = ad.matmul(ctx.pooled, self.store.param("virt.w", (cfg.pocket_width, cfg.width)))
             virt = ad.add(virt, self.store.param("virt.b", (cfg.width,), fan_in=cfg.pocket_width))
-            x = ad.concat([x, virt], axis=0)
-            n_aug = n + 1
-            att_mask = np.zeros((n_aug, n_aug), dtype=bool)
-            att_mask[:n, :n] = adj.astype(bool)
-            np.fill_diagonal(att_mask, True)
-            att_mask[n, :] = True
-            att_mask[:, n] = True
-            edges_aug = np.zeros((n_aug, n_aug, edges_np.shape[2]))
-            edges_aug[:n, :n] = edges_np
-            h = self._self_attention_layers(x, edges_aug, att_mask, "lig")
-            real = ad.gather_rows(h, np.arange(n))
-            pooled = ad.mean_rows(real)
-            virtual_row = ad.gather_rows(h, np.array([n]))
-            graph_emb = ad.concat([pooled, virtual_row], axis=1)  # width 2w
-            return real, graph_emb
-        att_mask = adj.astype(bool).copy()
-        np.fill_diagonal(att_mask, True)
-        h = self._self_attention_layers(x, edges_np, att_mask, "lig")
+            # the virtual node is row n of each graph
+            x = ad.concat([ad.reshape(x, (b, n, cfg.width)), batch_copies(virt, b)], axis=1)
+            att_mask = np.ones((b, n + 1, n + 1), dtype=bool)
+            att_mask[:, :n, :n] = adj.astype(bool) | self_loops
+            edges_aug = np.zeros((b, n + 1, n + 1, edges_np.shape[-1]))
+            edges_aug[:, :n, :n] = edges_np
+            h = self._self_attention_layers(ad.reshape(x, (b * (n + 1), cfg.width)), edges_aug, att_mask, "lig")
+            rows = np.arange(b * (n + 1)).reshape(b, n + 1)
+            real = ad.gather_rows(h, rows[:, :n].reshape(-1))
+            pooled = pool_graph_embedding(ad.reshape(real, (b, n, cfg.width)))
+            virtual_row = ad.gather_rows(h, rows[:, n])
+            return real, ad.concat([pooled, virtual_row], axis=1)
+        h = self._self_attention_layers(x, edges_np, adj.astype(bool) | self_loops, "lig")
         h = trioformer_stack(
             ctx.node_embeddings,
-            h,
+            ad.reshape(h, (b, n, cfg.width)),
             ctx.dist_matrix,
             adj,
             self.store,
@@ -225,57 +217,107 @@ class PolicyNetwork:
             head_dim=cfg.trio_head_dim,
             c_pair=cfg.trio_c_pair,
         )
-        graph_emb = pool_graph_embedding(h)
-        return h, graph_emb
+        return ad.reshape(h, (b * n, cfg.width)), pool_graph_embedding(h)
 
     # -- heads -------------------------------------------------------------
 
-    def action_distribution(self, s: LigandState, ctx: PocketContext, max_nodes: int) -> ActionDistribution:
+    def _add_logits(self, node_h: DiffTensor, legal: list[list[LigandAction]], n: int) -> DiffTensor | None:
+        """Logits (rows, 1) of the add rows of every state, state by state;
+        None when no state has one.
+
+        Every free (node, attachment point) slot pairs with every (fragment, fragment ap) in library order,
+        and legal_actions lists a state's add rows slot by slot in that order.
+        The add head's first layer is linear in [target node, target ap,
+        fragment, fragment ap], so it is applied once per slot and once per
+        pair, and each row adds one of each; no (rows, features) input is built.
+        """
         cfg = self.config
-        lattice, mask = action_lattice(s, self.library, max_nodes)
-        if not mask.any():
-            raise ValueError("no legal actions (terminal state)")
-        node_h, graph_emb = self._ligand_track(s, ctx)
         a_max = self.library.max_aps
-        graph_width = 2 * cfg.width if cfg.mode == BASELINE else cfg.width
-        stop_logit = mlp_apply(graph_emb, mlp_params(self.store, "stop_head", [graph_width, cfg.width, 1]))
-
+        pairs = [(k, f_ap) for k, f in enumerate(self.library) for f_ap in range(f.aps)]
+        slot_node, slot_ap = [], []
+        for i, acts in enumerate(legal):
+            adds = acts[1:] if n else acts  # Stop leads the rows of a non-empty state
+            for a in adds[:: len(pairs)]:
+                # the empty state's one "node" is its start token
+                slot_node.append(i * max(n, 1) + (a.target_node or 0))
+                slot_ap.append(-1 if a.target_ap is None else a.target_ap)
+        if not slot_node:
+            return None
         frag_table = self.store.param("frag_emb", (len(self.library), cfg.frag_emb_dim), fan_in=len(self.library))
-        adds = [a for a in lattice if isinstance(a, AddFragment)]
-        targets = np.array([a.target_node if a.target_node is not None else 0 for a in adds])
-        tgt_emb = ad.gather_rows(node_h, targets)
-        ap_onehot = np.zeros((len(adds), a_max))
-        fap_onehot = np.zeros((len(adds), a_max))
-        frag_rows = np.zeros(len(adds), dtype=np.intp)
-        for r, a in enumerate(adds):
-            if a.target_ap is not None:
-                ap_onehot[r, a.target_ap] = 1.0
-            fap_onehot[r, a.fragment_ap] = 1.0
-            frag_rows[r] = self._frag_index[a.fragment_id]
-        frag_emb = ad.gather_rows(frag_table, frag_rows)
-        head_in = ad.concat([tgt_emb, tensor(ap_onehot), frag_emb, tensor(fap_onehot)], axis=1)
         in_dim = cfg.width + a_max + cfg.frag_emb_dim + a_max
-        add_logits = mlp_apply(head_in, mlp_params(self.store, "add_head", [in_dim, cfg.width, 1]))
+        (w1, b1), (w2, b2) = mlp_params(self.store, "add_head", [in_dim, cfg.width, 1])
+        bounds = np.cumsum([0, cfg.width, a_max, cfg.frag_emb_dim, a_max])
+        w_node, w_ap, w_frag, w_fap = (ad.gather_rows(w1, np.arange(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
+        slot_in = ad.add(
+            ad.gather_rows(ad.matmul(node_h, w_node), slot_node),
+            ad.add(ad.matmul(tensor(np.array(slot_ap)[:, None] == np.arange(a_max)), w_ap), b1),
+        )
+        pair_in = ad.add(
+            ad.matmul(ad.gather_rows(frag_table, [k for k, _ in pairs]), w_frag),
+            ad.matmul(tensor(np.array([f_ap for _, f_ap in pairs])[:, None] == np.arange(a_max)), w_fap),
+        )
+        pre = ad.add(ad.reshape(slot_in, (len(slot_node), 1, cfg.width)), ad.reshape(pair_in, (1, len(pairs), cfg.width)))
+        hidden = ad.relu(ad.reshape(pre, (len(slot_node) * len(pairs), cfg.width)))
+        return ad.add(ad.matmul(hidden, w2), b2)
 
-        logits = ad.reshape(ad.concat([stop_logit, add_logits], axis=0), (1, len(lattice)))
-        log_probs = ad.log_softmax_rows(logits, mask=mask[None, :])
-        probs = np.zeros(len(lattice))
-        probs[mask] = np.exp(log_probs.data[0][mask])
-        return ActionDistribution(actions=lattice, mask=mask, log_probs=log_probs, probs=probs)
+    def action_distribution(
+        self, states: LigandState | Sequence[LigandState], ctx: PocketContext, max_nodes: int
+    ) -> ActionDistribution:
+        """Score the legal actions of every state in one pass.
+
+        All states must have the same node count. A single state is the batch
+        of one.
+        """
+        if isinstance(states, LigandState):
+            states = [states]
+        if not states:
+            raise ValueError("action_distribution needs at least one state")
+        n = states[0].n
+        if any(s.n != n for s in states):
+            raise ValueError(f"states in one pass must have the same node count, got {sorted({s.n for s in states})}")
+        legal = [legal_actions(s, self.library, max_nodes) for s in states]
+        if not all(legal):
+            raise ValueError("no legal actions (terminal state)")
+        cfg = self.config
+        b = len(states)
+        node_h, graph_emb = self._ligand_track(states, ctx)
+        graph_width = 2 * cfg.width if cfg.mode == BASELINE else cfg.width
+        stop_logits = mlp_apply(graph_emb, mlp_params(self.store, "stop_head", [graph_width, cfg.width, 1]))
+        add_logits = self._add_logits(node_h, legal, n)
+
+        # Row r of the logit column is Stop of state r for r < b, then the add
+        # rows; state i's (B, m) row gathers its Stop (if n > 0) and add rows.
+        # Padding entries point at row 0; the mask gives them -inf and no gradient.
+        width = np.array([len(acts) for acts in legal])
+        first = b + np.concatenate([[0], np.cumsum(width - (n > 0))])
+        cols = np.zeros((b, width.max()), dtype=np.intp)
+        for i in range(b):
+            adds = np.arange(first[i], first[i + 1])
+            cols[i, : width[i]] = np.concatenate([[i], adds]) if n else adds
+        mask = np.arange(cols.shape[1]) < width[:, None]
+        column = stop_logits if add_logits is None else ad.concat([stop_logits, add_logits], axis=0)
+        padded = ad.log_softmax_rows(ad.reshape(ad.gather_rows(column, cols.reshape(-1)), cols.shape), mask=mask)
+        flat = np.flatnonzero(mask.reshape(-1))
+        log_probs = ad.reshape(ad.gather_rows(ad.reshape(padded, (mask.size, 1)), flat), (1, flat.size))
+        return ActionDistribution(
+            actions=[a for acts in legal for a in acts],
+            log_probs=log_probs,
+            probs=np.exp(log_probs.data[0]),
+            offsets=np.concatenate([[0], np.cumsum(width)]),
+        )
 
 
-def sample_action(dist: ActionDistribution, rng: np.random.Generator) -> tuple[LigandAction, int]:
-    """Inverse-CDF draw; returns the action and its lattice index."""
-    legal = np.flatnonzero(dist.mask)
-    cum = np.cumsum(dist.probs[legal])
+def sample_action(dist: ActionDistribution, rng: np.random.Generator, b: int = 0) -> tuple[LigandAction, int]:
+    """Inverse-CDF draw among state b's rows; returns the action and its row index."""
+    rows = dist.rows(b)
+    cum = np.cumsum(dist.probs[rows])
     u = rng.random() * cum[-1]
-    pos = min(int(np.searchsorted(cum, u, side="right")), len(legal) - 1)
-    idx = int(legal[pos])
+    pos = min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+    idx = rows.start + pos
     return dist.actions[idx], idx
 
 
 def log_prob_at(dist: ActionDistribution, idx: int) -> DiffTensor:
-    """Differentiable (1,1) log-probability of the lattice entry idx."""
-    m = len(dist.actions)
-    col = ad.reshape(dist.log_probs, (m, 1))
+    """Differentiable (1,1) log-probability of row idx."""
+    col = ad.reshape(dist.log_probs, (len(dist.actions), 1))
     return ad.gather_rows(col, np.array([idx]))

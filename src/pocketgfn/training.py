@@ -25,12 +25,14 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffTensor, Tape, tensor
 from .ligand import (
+    STOP,
     FragmentLibrary,
     LigandAction,
     LigandState,
@@ -41,6 +43,7 @@ from .ligand import (
     enumerate_terminal_states,
     initial_state,
     step_backward_log_prob,
+    stop_is_forced,
 )
 from .nn import Adam, ParamStore, save_checkpoint
 from .pocket import PocketGraph
@@ -63,7 +66,7 @@ class TrainingError(RuntimeError):
 class Trajectory:
     states: list[LigandState]
     actions: list[LigandAction]
-    log_pf: list[DiffTensor]  # (1, 1) log-probability of each action taken
+    log_pf: list[DiffTensor]  # (1, 1) log-probability of each action taken; a forced Stop's is the constant 0
     pocket_id: str
     log_reward: float = 0.0  # shaped terminal log-reward used by the loss
 
@@ -111,6 +114,51 @@ def default_reward_fn(library: FragmentLibrary, weights: RewardWeights | None = 
     return fn
 
 
+def sample_trajectories(
+    policy: PolicyNetwork,
+    ctxs: dict[str, PocketContext],
+    pocket_ids: Sequence[str],
+    rngs: Sequence[np.random.Generator],
+    max_nodes: int,
+    library: FragmentLibrary,
+) -> list[Trajectory]:
+    """Roll one trajectory per (pocket id, rng) pair, all in lockstep, from
+    the empty state until Stop (the node cap leaves Stop as the only legal
+    action, so termination is guaranteed).
+
+    Each round advances every live trajectory by one action. Every live state
+    then has as many nodes as the round's index, so the live states of one
+    pocket are scored in one policy pass. A state whose only legal action is
+    Stop gets no pass: its log-probability is exactly 0, kept as a constant
+    (1, 1) entry. Each trajectory draws only from its own rng, so it does not
+    depend on the rest of the batch. Under an active tape the action
+    log-probabilities are recorded, so the training loss is built from this
+    one pass."""
+    trajs = [Trajectory(states=[initial_state()], actions=[], log_pf=[], pocket_id=pid) for pid in pocket_ids]
+
+    def advance(traj: Trajectory, action: LigandAction, log_pf: DiffTensor) -> None:
+        traj.states.append(apply_action(traj.states[-1], action, library, max_nodes))
+        traj.actions.append(action)
+        traj.log_pf.append(log_pf)
+
+    live = list(range(len(trajs)))
+    while live:
+        by_pocket: dict[str, list[int]] = defaultdict(list)
+        for i in live:
+            if stop_is_forced(trajs[i].states[-1], library, max_nodes):
+                advance(trajs[i], STOP, tensor(np.zeros((1, 1))))
+            else:
+                by_pocket[trajs[i].pocket_id].append(i)
+        for pid in sorted(by_pocket):
+            members = by_pocket[pid]
+            dist = policy.action_distribution([trajs[i].states[-1] for i in members], ctxs[pid], max_nodes)
+            for b, i in enumerate(members):
+                action, row = sample_action(dist, rngs[i], b)
+                advance(trajs[i], action, log_prob_at(dist, row))
+        live = [i for i in live if not trajs[i].states[-1].terminal]
+    return trajs
+
+
 def sample_trajectory(
     policy: PolicyNetwork,
     ctx: PocketContext,
@@ -119,23 +167,8 @@ def sample_trajectory(
     max_nodes: int,
     library: FragmentLibrary,
 ) -> Trajectory:
-    """Roll the forward policy from the empty state until Stop (the node cap
-    leaves Stop as the only legal action, so termination is guaranteed).
-
-    Under an active tape the action log-probabilities are recorded, so the
-    training loss is built from this one pass."""
-    s = initial_state()
-    states = [s]
-    actions: list[LigandAction] = []
-    log_pf: list[DiffTensor] = []
-    while not s.terminal:
-        dist = policy.action_distribution(s, ctx, max_nodes)
-        action, idx = sample_action(dist, rng)
-        log_pf.append(log_prob_at(dist, idx))
-        s = apply_action(s, action, library, max_nodes)
-        states.append(s)
-        actions.append(action)
-    return Trajectory(states=states, actions=actions, log_pf=log_pf, pocket_id=pocket_id)
+    """One trajectory: the batch of one of :func:`sample_trajectories`."""
+    return sample_trajectories(policy, {pocket_id: ctx}, [pocket_id], [rng], max_nodes, library)[0]
 
 
 def trajectory_backward_log_prob(states: list[LigandState], library: FragmentLibrary) -> float:
@@ -176,8 +209,7 @@ def _materialize_params(policy: PolicyNetwork, ctx: PocketContext, library: Frag
     # one pass on the empty state plus one on a 1-node state touches every head
     s0 = initial_state()
     dist = policy.action_distribution(s0, ctx, max_nodes)
-    first = next(a for a, m in zip(dist.actions, dist.mask) if m)
-    s1 = apply_action(s0, first, library, max_nodes)
+    s1 = apply_action(s0, dist.actions[0], library, max_nodes)
     policy.action_distribution(s1, ctx, max_nodes)
     policy.log_z(ctx)
 
@@ -195,10 +227,13 @@ def train(
 ) -> TrainResult:
     """Adam on the trajectory-balance objective.
 
-    Per step: roll a batch under a tape (pockets round-robin, one RNG stream
-    per (seed, step, trajectory index)), build the loss from the recorded
-    action log-probabilities and take one update. Metrics rows go to
-    ``metrics_path`` as JSON lines. A non-finite loss aborts. ``stop_fn(row)``
+    Per step: roll the batch in lockstep under a tape (pockets round-robin,
+    one RNG stream per (seed, step, trajectory index)), so each depth costs
+    one policy pass per pocket; build the loss from the recorded action
+    log-probabilities and take one update. The tape is freed by
+    ``backward``. Metrics rows go to ``metrics_path`` as JSON lines. A
+    non-finite loss, or a non-finite gradient of any parameter, aborts with
+    a ``TrainingError`` naming the step (and the parameter). ``stop_fn(row)``
     returning True ends training early (used by callers that watch a
     convergence signal). The checkpoint meta records the policy config, so
     the checkpoint can be rebuilt for sampling.
@@ -223,24 +258,28 @@ def train(
             with Tape():
                 ctxs = {pid: policy.pocket_context(pockets[pid]) for pid in pocket_ids[:config.batch_size]}
                 log_z = {pid: policy.log_z(c) for pid, c in ctxs.items()}
-                batch: list[Trajectory] = []
+                batch = sample_trajectories(
+                    policy, ctxs,
+                    [pocket_ids[idx % len(pocket_ids)] for idx in range(config.batch_size)],
+                    [np.random.default_rng([config.seed, step, idx]) for idx in range(config.batch_size)],
+                    config.max_nodes, library,
+                )
                 losses = []
-                for idx in range(config.batch_size):
-                    pid = pocket_ids[idx % len(pocket_ids)]
-                    rng = np.random.default_rng([config.seed, step, idx])
-                    traj = sample_trajectory(policy, ctxs[pid], pid, rng, config.max_nodes, library)
+                for traj in batch:
                     terminal = traj.states[-1]
-                    quality = reward_fn(pockets[pid], terminal)
+                    quality = reward_fn(pockets[traj.pocket_id], terminal)
                     traj.log_reward = shaped_log_reward(quality, terminal, config.beta, aut_cache)
                     log_pf_sum = ad.reshape(ad.sum_all(ad.concat(traj.log_pf, axis=0)), (1, 1))
                     log_pb = trajectory_backward_log_prob(traj.states, library)
-                    losses.append(tb_loss_tensor(log_z[pid], log_pf_sum, traj.log_reward, log_pb))
-                    batch.append(traj)
+                    losses.append(tb_loss_tensor(log_z[traj.pocket_id], log_pf_sum, traj.log_reward, log_pb))
                 total = ad.scale(ad.sum_all(ad.concat(losses, axis=0)), 1.0 / len(losses))
                 loss_value = total.data.item()
                 if not math.isfinite(loss_value):
                     raise TrainingError(f"training diverged: loss {loss_value} at step {step}")
                 ad.backward(total)
+            for name, p in store.items():
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise TrainingError(f"training diverged: non-finite gradient of {name} at step {step}")
             optimizer.step()
             store.zero_grads()
 
@@ -284,25 +323,28 @@ def exact_terminal_distribution(
 ) -> dict[str, float]:
     """Exact model distribution over molecules (canonical keys).
 
-    Every raw state is reachable by exactly one action sequence, so a depth
-    first walk multiplying action probabilities visits each raw trajectory
-    once; terminal mass is pooled by canonical form.
+    Every raw state is reachable by exactly one action sequence, so a walk
+    multiplying action probabilities visits each raw trajectory once;
+    terminal mass is pooled by canonical form. The walk goes depth by depth,
+    and the states of one depth share a node count, so each depth costs one
+    policy pass. A state whose only legal action is Stop passes its mass to
+    its molecule at once: it gets no pass and is never queued.
     """
     check_enumeration_guard(library, max_nodes)
     out: dict[str, float] = defaultdict(float)
-    stack: list[tuple[LigandState, float]] = [(initial_state(), 1.0)]
-    while stack:
-        s, p = stack.pop()
-        dist = policy.action_distribution(s, ctx, max_nodes)
-        for action, prob in zip(dist.actions, dist.probs):
-            if prob <= 0.0:
-                continue
-            child = apply_action(s, action, library, max_nodes)
-            mass = p * prob
-            if child.terminal:
-                out[canonical_key(child)] += mass
-            else:
-                stack.append((child, mass))
+    frontier: list[tuple[LigandState, float]] = [(initial_state(), 1.0)]
+    while frontier:
+        dist = policy.action_distribution([s for s, _ in frontier], ctx, max_nodes)
+        children = []
+        for b, (s, p) in enumerate(frontier):
+            rows = dist.rows(b)
+            for action, prob in zip(dist.actions[rows], dist.probs[rows]):
+                child = apply_action(s, action, library, max_nodes)
+                if child.terminal or stop_is_forced(child, library, max_nodes):
+                    out[canonical_key(child)] += p * prob
+                else:
+                    children.append((child, p * prob))
+        frontier = children
     return dict(out)
 
 
@@ -349,10 +391,8 @@ def empirical_terminal_distribution(
             entry = cache.get(key)
             if entry is None:
                 dist = policy.action_distribution(s, ctx, max_nodes)
-                legal = np.flatnonzero(dist.mask)
-                cum = np.cumsum(dist.probs[legal])
-                children = [apply_action(s, dist.actions[i], library, max_nodes) for i in legal]
-                entry = (cum, children)
+                children = [apply_action(s, a, library, max_nodes) for a in dist.actions]
+                entry = (np.cumsum(dist.probs), children)
                 cache[key] = entry
             cum, children = entry
             pos = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(children) - 1)

@@ -1,11 +1,12 @@
 """Pocket-ligand pair embeddings with distance-biased triangle attention.
 
-The pair tensor is stored (n_pocket, n_ligand, c_pair). One fold of the update
-attends along the pocket axis with real-distance biases, the other along the
-ligand axis with adjacency biases; a position-wise transition and biased
-cross-attention back into the node tracks complete a layer. All blocks are
-pre-norm residuals built on the tape engine, so the whole stack is
-differentiable and checkpointable.
+The pair tensor is stored (B, n_pocket, n_ligand, c_pair): one pass
+conditions a batch of B ligands with the same node count on one pocket. One
+fold of the update attends along the pocket axis with real-distance biases,
+the other along the ligand axis with adjacency biases; a position-wise
+transition and biased cross-attention back into the node tracks complete a
+layer. All blocks are pre-norm residuals built on the tape engine, so the
+whole stack is differentiable and checkpointable.
 """
 
 from __future__ import annotations
@@ -39,18 +40,40 @@ def adjacency_onehot(adj: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - adj, adj], axis=-1)
 
 
+def _with_batch(x: DiffTensor, ndim: int) -> DiffTensor:
+    """Add a leading batch axis of one to an unbatched input."""
+    return x if x.data.ndim == ndim else ad.reshape(x, (1, *x.shape))
+
+
+def _without_batch(x: DiffTensor) -> DiffTensor:
+    return ad.reshape(x, x.shape[1:])
+
+
+def batch_copies(x: DiffTensor, b: int) -> DiffTensor:
+    """(n, c) -> (b, n, c): one copy of an unbatched track per batch entry."""
+    n, c = x.shape
+    return ad.reshape(ad.gather_rows(ad.reshape(x, (1, n * c)), np.zeros(b, dtype=np.intp)), (b, n, c))
+
+
 def init_pair_embeddings(
     h_pocket: DiffTensor, h_ligand: DiffTensor, store: ParamStore, prefix: str, c_pair: int = DEFAULT_C_PAIR
 ) -> DiffTensor:
-    """Outer sum of per-track linear projections -> (n_P, n_L, c_pair)."""
-    n_p, c_p = h_pocket.shape
-    n_l, c_l = h_ligand.shape
+    """Outer sum of per-track linear projections -> ([B,] n_P, n_L, c_pair).
+
+    Either track may carry a leading batch axis; an unbatched track is shared
+    by the whole batch.
+    """
+    n_p, c_p = h_pocket.shape[-2:]
+    n_l, c_l = h_ligand.shape[-2:]
     if n_p == 0 or n_l == 0:
         raise DimensionError("pair embeddings need at least one node on each side")
-    proj_p = ad.matmul(h_pocket, store.param(f"{prefix}.pair_p.w", (c_p, c_pair)))
+    proj_p = ad.matmul(ad.reshape(h_pocket, (-1, c_p)), store.param(f"{prefix}.pair_p.w", (c_p, c_pair)))
     proj_p = ad.add(proj_p, store.param(f"{prefix}.pair_p.b", (c_pair,), fan_in=c_p))
-    proj_l = ad.matmul(h_ligand, store.param(f"{prefix}.pair_l.w", (c_l, c_pair)))
-    return ad.add(ad.reshape(proj_p, (n_p, 1, c_pair)), ad.reshape(proj_l, (1, n_l, c_pair)))
+    proj_l = ad.matmul(ad.reshape(h_ligand, (-1, c_l)), store.param(f"{prefix}.pair_l.w", (c_l, c_pair)))
+    return ad.add(
+        ad.reshape(proj_p, (*h_pocket.shape[:-2], n_p, 1, c_pair)),
+        ad.reshape(proj_l, (*h_ligand.shape[:-2], 1, n_l, c_pair)),
+    )
 
 
 def _heads_proj(store, prefix, x_flat: DiffTensor, c_in: int, n_heads: int, head_dim: int, shape):
@@ -75,8 +98,12 @@ def triangle_update(
     axis="pocket": row (i, j) attends over pocket nodes k, keys from pair[k, j],
     distance bias from dist_features[i, k]. axis="ligand": row (i, j) attends
     over ligand nodes k, keys from pair[i, k], bias from dist_features[j, k].
+    ``pair`` is (B, n_P, n_L, c) or one unbatched (n_P, n_L, c);
+    ``dist_features`` is (n, n, f), shared by the batch, or (B, n, n, f).
     """
-    n_p, n_l, c_pair = pair.shape
+    unbatched = pair.data.ndim == 3
+    pair = _with_batch(pair, 4)
+    b, n_p, n_l, c_pair = pair.shape
     if axis == "pocket":
         n_axis = n_p
     elif axis == "ligand":
@@ -84,40 +111,44 @@ def triangle_update(
     else:
         raise ValueError(f"axis must be 'pocket' or 'ligand', got {axis!r}")
     feats = np.asarray(dist_features, dtype=np.float64)
-    if feats.ndim != 3 or feats.shape[0] != n_axis or feats.shape[1] != n_axis:
-        raise DimensionError(f"{axis} distance features must be ({n_axis}, {n_axis}, f), got {feats.shape}")
+    if feats.ndim == 3:
+        feats = feats[None]
+    if feats.ndim != 4 or feats.shape[0] not in (1, b) or feats.shape[1:3] != (n_axis, n_axis):
+        raise DimensionError(f"{axis} distance features must be ([B,] {n_axis}, {n_axis}, f), got {np.shape(dist_features)}")
+    b_f = feats.shape[0]
 
-    normed = ad.reshape(layer_norm_affine(store, f"{prefix}.ln", ad.reshape(pair, (n_p * n_l, c_pair)), c_pair), (n_p, n_l, c_pair))
-    flat = ad.reshape(normed, (n_p * n_l, c_pair))
-    q = _heads_proj(store, f"{prefix}.q", flat, c_pair, n_heads, head_dim, (n_p, n_l))
-    k = _heads_proj(store, f"{prefix}.k", flat, c_pair, n_heads, head_dim, (n_p, n_l))
-    v = _heads_proj(store, f"{prefix}.v", flat, c_pair, n_heads, head_dim, (n_p, n_l))
-    t = tensor(feats.reshape(n_axis * n_axis, feats.shape[2]))
-    t = ad.reshape(ad.matmul(t, store.param(f"{prefix}.t.w", (feats.shape[2], n_heads))), (n_axis, n_axis, n_heads))
+    normed = layer_norm_affine(store, f"{prefix}.ln", ad.reshape(pair, (b * n_p * n_l, c_pair)), c_pair)
+    q = _heads_proj(store, f"{prefix}.q", normed, c_pair, n_heads, head_dim, (b, n_p, n_l))
+    k = _heads_proj(store, f"{prefix}.k", normed, c_pair, n_heads, head_dim, (b, n_p, n_l))
+    v = _heads_proj(store, f"{prefix}.v", normed, c_pair, n_heads, head_dim, (b, n_p, n_l))
+    t = tensor(feats.reshape(b_f * n_axis * n_axis, feats.shape[3]))
+    t = ad.reshape(ad.matmul(t, store.param(f"{prefix}.t.w", (feats.shape[3], n_heads))), (b_f, n_axis, n_axis, n_heads))
+    t = ad.permute(t, (0, 1, 3, 2))
 
     if axis == "pocket":
-        logits = ad.einsum2("ijhc,kjhc->ijhk", q, k)
-        bias = ad.reshape(ad.permute(t, (0, 2, 1)), (n_p, 1, n_heads, n_p))
+        logits = ad.einsum2("bijhc,bkjhc->bijhk", q, k)
+        bias = ad.reshape(t, (b_f, n_p, 1, n_heads, n_p))
     else:
-        logits = ad.einsum2("ijhc,ikhc->ijhk", q, k)
-        bias = ad.reshape(ad.permute(t, (0, 2, 1)), (1, n_l, n_heads, n_l))
+        logits = ad.einsum2("bijhc,bikhc->bijhk", q, k)
+        bias = ad.reshape(t, (b_f, 1, n_l, n_heads, n_l))
     logits = ad.scale(ad.add(logits, bias), 1.0 / np.sqrt(head_dim))
-    att = ad.reshape(ad.softmax_rows(ad.reshape(logits, (n_p * n_l * n_heads, n_axis))), (n_p, n_l, n_heads, n_axis))
+    att = ad.reshape(ad.softmax_rows(ad.reshape(logits, (b * n_p * n_l * n_heads, n_axis))), (b, n_p, n_l, n_heads, n_axis))
     if axis == "pocket":
-        gathered = ad.einsum2("ijhk,kjhc->ijhc", att, v)
+        gathered = ad.einsum2("bijhk,bkjhc->bijhc", att, v)
     else:
-        gathered = ad.einsum2("ijhk,ikhc->ijhc", att, v)
-    out_flat = ad.reshape(gathered, (n_p * n_l, n_heads * head_dim))
+        gathered = ad.einsum2("bijhk,bikhc->bijhc", att, v)
+    out_flat = ad.reshape(gathered, (b * n_p * n_l, n_heads * head_dim))
     out = ad.matmul(out_flat, store.param(f"{prefix}.o.w", (n_heads * head_dim, c_pair)))
-    return ad.add(pair, ad.reshape(out, (n_p, n_l, c_pair)))
+    out = ad.add(pair, ad.reshape(out, (b, n_p, n_l, c_pair)))
+    return _without_batch(out) if unbatched else out
 
 
 def pair_transition(pair: DiffTensor, store: ParamStore, prefix: str) -> DiffTensor:
-    n_p, n_l, c_pair = pair.shape
-    flat = ad.reshape(pair, (n_p * n_l, c_pair))
+    c_pair = pair.shape[-1]
+    flat = ad.reshape(pair, (-1, c_pair))
     normed = layer_norm_affine(store, f"{prefix}.ln", flat, c_pair)
     hidden = mlp_apply(normed, mlp_params(store, f"{prefix}.mlp", [c_pair, 2 * c_pair, c_pair]))
-    return ad.add(pair, ad.reshape(hidden, (n_p, n_l, c_pair)))
+    return ad.add(pair, ad.reshape(hidden, pair.shape))
 
 
 def biased_cross_attention(
@@ -130,31 +161,37 @@ def biased_cross_attention(
     head_dim: int = DEFAULT_HEAD_DIM,
 ) -> tuple[DiffTensor, DiffTensor]:
     """Each track attends over the other, logits biased by a scalar head
-    projection of the pair embedding; residual on both tracks."""
-    n_p, c_p = h_pocket.shape
-    n_l, c_l = h_ligand.shape
-    pair_flat = ad.reshape(pair, (n_p * n_l, pair.shape[2]))
-    bias = ad.reshape(ad.matmul(pair_flat, store.param(f"{prefix}.bias.w", (pair.shape[2], n_heads))), (n_p, n_l, n_heads))
+    projection of the pair embedding; residual on both tracks.
+
+    Tracks are (B, n, c) with pair (B, n_P, n_L, c_pair), or all unbatched."""
+    unbatched = h_ligand.data.ndim == 2
+    h_pocket, h_ligand, pair = _with_batch(h_pocket, 3), _with_batch(h_ligand, 3), _with_batch(pair, 4)
+    b, n_p, c_p = h_pocket.shape
+    n_l, c_l = h_ligand.shape[1:]
+    pair_flat = ad.reshape(pair, (b * n_p * n_l, pair.shape[3]))
+    bias = ad.reshape(ad.matmul(pair_flat, store.param(f"{prefix}.bias.w", (pair.shape[3], n_heads))), (b, n_p, n_l, n_heads))
 
     def one_track(h_q, h_kv, bias_qk, tag, c_q, c_kv):
-        n_q = h_q.shape[0]
-        n_kv = h_kv.shape[0]
-        nq = layer_norm_affine(store, f"{prefix}.{tag}.ln_q", h_q, c_q)
-        nkv = layer_norm_affine(store, f"{prefix}.{tag}.ln_kv", h_kv, c_kv)
-        q = ad.reshape(ad.matmul(nq, store.param(f"{prefix}.{tag}.q.w", (c_q, n_heads * head_dim))), (n_q, n_heads, head_dim))
-        k = ad.reshape(ad.matmul(nkv, store.param(f"{prefix}.{tag}.k.w", (c_kv, n_heads * head_dim))), (n_kv, n_heads, head_dim))
-        v = ad.reshape(ad.matmul(nkv, store.param(f"{prefix}.{tag}.v.w", (c_kv, n_heads * head_dim))), (n_kv, n_heads, head_dim))
-        logits = ad.scale(ad.add(ad.einsum2("qhc,khc->qhk", q, k), bias_qk), 1.0 / np.sqrt(head_dim))
-        att = ad.reshape(ad.softmax_rows(ad.reshape(logits, (n_q * n_heads, n_kv))), (n_q, n_heads, n_kv))
-        gathered = ad.reshape(ad.einsum2("qhk,khc->qhc", att, v), (n_q, n_heads * head_dim))
+        n_q = h_q.shape[1]
+        n_kv = h_kv.shape[1]
+        nq = layer_norm_affine(store, f"{prefix}.{tag}.ln_q", ad.reshape(h_q, (b * n_q, c_q)), c_q)
+        nkv = layer_norm_affine(store, f"{prefix}.{tag}.ln_kv", ad.reshape(h_kv, (b * n_kv, c_kv)), c_kv)
+        q = ad.reshape(ad.matmul(nq, store.param(f"{prefix}.{tag}.q.w", (c_q, n_heads * head_dim))), (b, n_q, n_heads, head_dim))
+        k = ad.reshape(ad.matmul(nkv, store.param(f"{prefix}.{tag}.k.w", (c_kv, n_heads * head_dim))), (b, n_kv, n_heads, head_dim))
+        v = ad.reshape(ad.matmul(nkv, store.param(f"{prefix}.{tag}.v.w", (c_kv, n_heads * head_dim))), (b, n_kv, n_heads, head_dim))
+        logits = ad.scale(ad.add(ad.einsum2("bqhc,bkhc->bqhk", q, k), bias_qk), 1.0 / np.sqrt(head_dim))
+        att = ad.reshape(ad.softmax_rows(ad.reshape(logits, (b * n_q * n_heads, n_kv))), (b, n_q, n_heads, n_kv))
+        gathered = ad.reshape(ad.einsum2("bqhk,bkhc->bqhc", att, v), (b * n_q, n_heads * head_dim))
         out = ad.matmul(gathered, store.param(f"{prefix}.{tag}.o.w", (n_heads * head_dim, c_q)))
-        return ad.add(h_q, out)
+        return ad.add(h_q, ad.reshape(out, (b, n_q, c_q)))
 
     # ligand queries see pocket keys with bias[pocket k, ligand q, head]
-    bias_l = ad.permute(bias, (1, 2, 0))  # (n_l, heads, n_p)
+    bias_l = ad.permute(bias, (0, 2, 3, 1))  # (B, n_l, heads, n_p)
     new_ligand = one_track(h_ligand, h_pocket, bias_l, "lig", c_l, c_p)
-    bias_p = ad.permute(bias, (0, 2, 1))  # (n_p, heads, n_l)
+    bias_p = ad.permute(bias, (0, 1, 3, 2))  # (B, n_p, heads, n_l)
     new_pocket = one_track(h_pocket, h_ligand, bias_p, "poc", c_p, c_l)
+    if unbatched:
+        return _without_batch(new_pocket), _without_batch(new_ligand)
     return new_pocket, new_ligand
 
 
@@ -176,9 +213,19 @@ def trioformer_stack(
     pair transition, biased cross-attention into both node tracks. Layers
     after the first fold the refreshed tracks back into the pair tensor by an
     additive re-projection.
+
+    A batch of B ligands against one pocket passes ``h_ligand`` as
+    (B, n_L, c) and ``ligand_adjacency`` as (B, n_L, n_L); the pocket track
+    (n_P, c_P) and ``pocket_dist`` are shared, and the pair tensor is
+    (B, n_P, n_L, c_pair). Unbatched inputs give an unbatched output.
     """
     if n_layers == 0:
         return h_ligand
+    unbatched = h_ligand.data.ndim == 2
+    h_ligand = _with_batch(h_ligand, 3)
+    b = h_ligand.shape[0]
+    if h_pocket.data.ndim == 2:
+        h_pocket = batch_copies(h_pocket, b)
     d_feats = rbf_basis(pocket_dist)
     adj_feats = adjacency_onehot(ligand_adjacency)
     pair = init_pair_embeddings(h_pocket, h_ligand, store, f"{prefix}.init0", c_pair)
@@ -190,14 +237,16 @@ def trioformer_stack(
         pair = triangle_update(pair, adj_feats, "ligand", store, f"{name}.tri_l", n_heads, head_dim)
         pair = pair_transition(pair, store, f"{name}.trans")
         h_pocket, h_ligand = biased_cross_attention(h_pocket, h_ligand, pair, store, f"{name}.cross", n_heads, head_dim)
-    return h_ligand
+    return _without_batch(h_ligand) if unbatched else h_ligand
 
 
 def pool_graph_embedding(h_ligand: DiffTensor) -> DiffTensor:
-    """Arithmetic mean over ligand nodes, shape (1, c)."""
-    if h_ligand.shape[0] == 0:
+    """Arithmetic mean over ligand nodes: (n, c) -> (1, c), (B, n, c) -> (B, c)."""
+    if h_ligand.shape[-2] == 0:
         raise DimensionError("cannot pool an empty node set")
-    return ad.mean_rows(h_ligand)
+    x = _with_batch(h_ligand, 3)
+    n = x.shape[1]
+    return ad.einsum2("bnc,n->bc", x, tensor(np.full(n, 1.0 / n)))
 
 
 def edge_embedding(h_i: DiffTensor, h_j: DiffTensor) -> DiffTensor:

@@ -351,7 +351,7 @@ def test_embedding_contracts():
     ctx = policy.pocket_context(pocket)
     s = apply_action(initial_state(), AddFragment(None, None, 0, 0), lib, 2)
     with Tape():
-        _, graph_emb = policy._ligand_track(s, ctx)
+        _, graph_emb = policy._ligand_track([s], ctx)
     assert graph_emb.shape == (1, 2 * width), graph_emb.shape
 
     rng = np.random.default_rng(11)

@@ -1,20 +1,24 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from pocketgfn.cli import (
+    BUNDLED_POCKETS,
     ConfigError,
     RunConfig,
+    _rebuild_policy,
     load_run_config,
     main,
+    resolve_bundled,
 )
-from pocketgfn.ligand import desk_library, state_from_record, toy_library
+from pocketgfn.ligand import canonical_key, desk_library, state_from_record, toy_library
 from pocketgfn.pocket import build_knn_graph, load_pocket_jsonl, save_pocket_jsonl, synthetic_pocket
 from pocketgfn.policy import PolicyConfig
 from pocketgfn.rewards import diversity, docking_score, qed_proxy, sa_proxy, top_k_mean
-from pocketgfn.training import TrainerConfig, train
+from pocketgfn.training import TrainerConfig, sample_trajectory, train
 
 SMALL_POLICY = {
     "width": 16, "n_layers": 1, "n_heads": 2, "frag_emb_dim": 4,
@@ -217,6 +221,28 @@ class TestSampleCommand:
         assert "warning" in err and "partial" in err
         recs = [json.loads(l) for l in out.read_text().splitlines()]
         assert 1 <= len(recs) <= 5
+
+    def test_lockstep_draws_match_one_at_a_time(self, tmp_path, capsys):
+        # toy library at cap 2 has 5 molecules, so 4 unique ones take repeat draws
+        cfg = write_cfg(tmp_path, "c.json", n_molecules=4, retry_cap=30)
+        assert main(["train", "--config", str(cfg)]) == 0
+        out = tmp_path / "mols.jsonl"
+        capsys.readouterr()
+        assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 0
+        draws = int(re.search(r", (\d+) draws\)", capsys.readouterr().out).group(1))
+        library = toy_library()
+        graph = build_knn_graph(load_pocket_jsonl(resolve_bundled("bundled:compact", BUNDLED_POCKETS, "pocket")))
+        policy, _ = _rebuild_policy(str(tmp_path / "ckpt.json"), library, None, {"p": graph})
+        ctx = policy.pocket_context(graph)
+        keys, attempts = [], 0
+        while len(keys) < 4:
+            traj = sample_trajectory(policy, ctx, "p", np.random.default_rng([1, attempts]), 2, library)
+            attempts += 1
+            if canonical_key(traj.states[-1]) not in keys:
+                keys.append(canonical_key(traj.states[-1]))
+        assert attempts > 4  # more than one lockstep round
+        assert draws == attempts
+        assert [canonical_key(state_from_record(json.loads(line))) for line in out.read_text().splitlines()] == keys
 
     def test_mode_mismatch_exit_2(self, workdir, capsys):
         tmp_path, cfg_path, _ = workdir

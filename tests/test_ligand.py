@@ -31,6 +31,7 @@ from pocketgfn.ligand import (
     save_library,
     state_from_record,
     state_to_record,
+    stop_is_forced,
     toy_library,
     validate_state,
 )
@@ -107,6 +108,16 @@ class TestInitialAndLegal:
         keys = [(a.target_node, a.target_ap, a.fragment_id, a.fragment_ap) for a in adds]
         assert keys == sorted(keys)
         assert acts[0] == STOP
+
+    @pytest.mark.parametrize("library,max_nodes", [(TOY, 1), (TOY, 3), (DESK, 1), (DESK, 3)])
+    def test_stop_is_forced_iff_stop_is_the_only_legal_action(self, library, max_nodes):
+        frontier, seen = [initial_state()], 0
+        while frontier:
+            s = frontier.pop()
+            seen += 1
+            assert stop_is_forced(s, library, max_nodes) == (legal_actions(s, library, max_nodes) == [STOP])
+            frontier += [apply_action(s, a, library, max_nodes) for a in legal_actions(s, library, max_nodes)]
+        assert seen > 4
 
 
 class TestApplyAction:

@@ -1,10 +1,12 @@
 """Parameter store, MLP shapes, Adam behavior, checkpoint round-trips."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+import pocketgfn.nn as nn
 from pocketgfn.autodiff import Tape, backward, sum_all, square, tensor
 from pocketgfn.nn import (
     Adam,
@@ -167,6 +169,24 @@ class TestCheckpoints:
         store2.param("extra", (1,))
         with pytest.raises(CheckpointError):
             store2.load_state_arrays(state)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        store = make_store(1)
+        store.param("a.w", (3, 2))
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(path, store, meta={"step": 1})
+        before = open(path, "rb").read()
+        store["a.w"].data = store["a.w"].data + 1.0
+
+        def dump_then_fail(doc, fh, **kwargs):
+            fh.write('{"__checksum__": "')  # part of a document, then the disk fills
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(nn.json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, store, meta={"step": 2})
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["ck.json"]
 
     def test_garbage_file_rejected(self, tmp_path):
         path = str(tmp_path / "ck.json")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pocketgfn.autodiff as ad
 from pocketgfn.autodiff import Tape, tensor
@@ -10,6 +12,7 @@ from pocketgfn.ligand import (
     desk_library,
     initial_state,
     legal_actions,
+    stop_is_forced,
     toy_library,
 )
 from pocketgfn.nn import ParamStore
@@ -18,7 +21,6 @@ from pocketgfn.policy import (
     ActionDistribution,
     PolicyConfig,
     PolicyNetwork,
-    action_lattice,
     featurize,
     log_prob_at,
     sample_action,
@@ -112,38 +114,54 @@ class TestFeaturize:
         assert len(seen) > 3
 
 
+def states_by_size(library, max_nodes):
+    """Every reachable non-terminal state, the empty one included, keyed by node count."""
+    by_n = {0: [initial_state()]}
+    for s in all_reachable_graphs(library, max_nodes):
+        by_n.setdefault(s.n, []).append(s)
+    return by_n
+
+
 class TestActionLattice:
+    """Each state's rows are its legal actions, in lattice order."""
+
     def test_root_lattice(self):
-        lattice, mask = action_lattice(initial_state(), DESK, 8)
-        assert lattice[0] is STOP and not mask[0]
-        assert len(lattice) == 1 + len(DESK) * DESK.max_aps
-        legal = [a for a, m in zip(lattice, mask) if m]
-        assert legal == legal_actions(initial_state(), DESK, 8)
+        policy = make_policy()
+        dist = policy.action_distribution(initial_state(), pocket_ctx(policy), max_nodes=8)
+        assert dist.actions == legal_actions(initial_state(), DESK, 8)
+        assert STOP not in dist.actions
+        assert len(dist.actions) == sum(f.aps for f in DESK)
 
     @pytest.mark.parametrize("library,max_nodes", [(TOY, 3), (DESK, 2)])
     def test_legal_subsequence_matches_everywhere(self, library, max_nodes):
-        for s in all_reachable_graphs(library, max_nodes):
-            lattice, mask = action_lattice(s, library, max_nodes)
-            legal = [a for a, m in zip(lattice, mask) if m]
-            assert legal == legal_actions(s, library, max_nodes)
+        policy = PolicyNetwork(make_policy().store, library, small_config())
+        ctx = pocket_ctx(policy)
+        for states in states_by_size(library, max_nodes).values():
+            batch = policy.action_distribution(states, ctx, max_nodes=max_nodes)
+            for b, s in enumerate(states):
+                assert policy.action_distribution(s, ctx, max_nodes=max_nodes).actions == legal_actions(s, library, max_nodes)
+                assert batch.actions[batch.rows(b)] == legal_actions(s, library, max_nodes)
 
     def test_nonempty_lattice_shape(self):
+        policy = make_policy()
         s = grow([AddFragment(None, None, 0, 0)], DESK)
-        lattice, mask = action_lattice(s, DESK, 8)
-        a = DESK.max_aps
-        assert len(lattice) == 1 + s.n * a * len(DESK) * a
-        assert lattice[0] is STOP and mask[0]
+        dist = policy.action_distribution(s, pocket_ctx(policy), max_nodes=8)
+        m = 1 + DESK.get(0).aps * sum(f.aps for f in DESK)  # every attachment point is free
+        assert len(dist.actions) == m and dist.actions[0] is STOP
+        assert dist.log_probs.shape == (1, m) and dist.probs.shape == (m,)
+        assert dist.mask.all() and len(dist.mask) == m
+        assert dist.offsets.tolist() == [0, m]
 
 
 class TestActionDistribution:
-    def test_probs_sum_to_one_and_masked_zero(self):
+    def test_probs_sum_to_one_and_positive(self):
         policy = make_policy()
         ctx = pocket_ctx(policy)
         s = grow([AddFragment(None, None, 0, 0)], DESK)
         dist = policy.action_distribution(s, ctx, max_nodes=8)
         assert np.isclose(dist.probs.sum(), 1.0, atol=1e-12)
-        assert np.all(dist.probs[~dist.mask] == 0.0)
-        assert np.all(dist.probs[dist.mask] > 0.0)
+        assert np.all(dist.probs > 0.0)
+        np.testing.assert_array_equal(dist.probs, np.exp(dist.log_probs.data[0]))
 
     def test_nonzero_support_equals_legal_actions(self):
         policy = make_policy()
@@ -158,9 +176,15 @@ class TestActionDistribution:
         policy = PolicyNetwork(make_policy().store, TOY, small_config())
         ctx = pocket_ctx(policy)
         s = grow([AddFragment(None, None, 0, 0), AddFragment(0, 0, 0, 0)], TOY)
-        dist = policy.action_distribution(s, ctx, max_nodes=2)
-        assert dist.mask.sum() == 1
-        assert np.isclose(dist.probs[0], 1.0)
+        assert stop_is_forced(s, TOY, 8)
+        with Tape():
+            dist = policy.action_distribution(s, ctx, max_nodes=8)
+            ad.backward(ad.sum_all(dist.log_probs))
+        assert dist.actions == [STOP]
+        assert dist.probs[0] == 1.0 and dist.log_probs.data[0, 0] == 0.0
+        # the masked log-softmax gives the lone row exactly zero gradient
+        for name, p in policy.store.items():
+            assert p.grad is None or not p.grad.any(), name
 
     def test_terminal_state_raises(self):
         policy = make_policy()
@@ -170,12 +194,18 @@ class TestActionDistribution:
         with pytest.raises(ValueError, match="legal"):
             policy.action_distribution(s_stop, ctx, max_nodes=8)
 
+    def test_mixed_node_counts_rejected(self):
+        policy = make_policy()
+        s1 = grow([AddFragment(None, None, 0, 0)], DESK)
+        with pytest.raises(ValueError, match="node count"):
+            policy.action_distribution([initial_state(), s1], pocket_ctx(policy), max_nodes=8)
+
     def test_empty_state_distribution(self):
         for mode in ("baseline", "trioformer"):
             policy = make_policy(mode)
             ctx = pocket_ctx(policy)
             dist = policy.action_distribution(initial_state(), ctx, max_nodes=8)
-            assert dist.probs[0] == 0.0  # Stop illegal on the empty state
+            assert STOP not in dist.actions  # Stop is illegal on the empty state
             assert np.isclose(dist.probs.sum(), 1.0)
 
     def test_deterministic_given_store(self):
@@ -192,29 +222,126 @@ class TestActionDistribution:
         with Tape():
             ctx = pocket_ctx(policy)
             dist = policy.action_distribution(s, ctx, max_nodes=8)
-            picked = log_prob_at(dist, int(np.flatnonzero(dist.mask)[0]))
-            ad.backward(picked)
+            ad.backward(log_prob_at(dist, 0))
         emb_grad = policy.store.param("embed.w", (len(DESK), 16)).grad
         assert emb_grad is not None and np.any(emb_grad != 0.0)
 
-    def test_masked_actions_isolated_from_gradient(self):
-        # nudging network output toward a masked action must leave legal probs' grads unaffected by the mask row
-        policy = make_policy()
-        s = grow([AddFragment(None, None, 0, 0)], DESK)
-        with Tape():
-            ctx = pocket_ctx(policy)
-            dist = policy.action_distribution(s, ctx, max_nodes=8)
-            assert np.all(np.isfinite(dist.log_probs.data[0][dist.mask]))
-            total_legal = ad.sum_all(
-                ad.gather_rows(
-                    ad.reshape(dist.log_probs, (len(dist.actions), 1)),
-                    np.flatnonzero(dist.mask),
-                )
-            )
-            ad.backward(total_legal)
-        for name, p in policy.store.items():
-            if p.grad is not None:
-                assert np.all(np.isfinite(p.grad)), name
+    @pytest.mark.parametrize("mode", ["baseline", "trioformer"])
+    def test_batch_padding_isolated_from_gradient(self, mode):
+        # states with different row counts are padded to one width; the
+        # padding must add nothing to the gradient of the legal rows
+        policy = make_policy(mode)
+        graph = build_knn_graph(synthetic_pocket(6, 2.0, 3), K=4)
+        states = [
+            grow([AddFragment(None, None, 0, 0), AddFragment(0, 1, 1, 0)], DESK),
+            grow([AddFragment(None, None, 1, 0), AddFragment(0, 0, 1, 0)], DESK),  # Stop only
+            grow([AddFragment(None, None, 2, 1), AddFragment(0, 0, 0, 2)], DESK),
+        ]
+
+        def grads(batches):
+            policy.store.zero_grads()
+            with Tape():
+                ctx = policy.pocket_context(graph)
+                total = [ad.sum_all(policy.action_distribution(b, ctx, max_nodes=8).log_probs) for b in batches]
+                ad.backward(ad.sum_all(ad.concat(total, axis=0)))
+            return {name: p.grad for name, p in policy.store.items()}
+
+        batched = grads([states])
+        single = grads([[s] for s in states])
+        for name, g in single.items():
+            if g is None:
+                assert batched[name] is None or not batched[name].any(), name
+            else:
+                assert np.all(np.isfinite(batched[name])), name
+                np.testing.assert_allclose(batched[name], g, rtol=0, atol=1e-12, err_msg=name)
+
+
+class TestHeadReference:
+    """The heads score each row from its own features, as written out per row."""
+
+    @pytest.mark.parametrize("mode", ["baseline", "trioformer"])
+    def test_rows_match_per_action_reference(self, mode):
+        policy = make_policy(mode)
+        ctx = pocket_ctx(policy)
+        store, a_max = policy.store, DESK.max_aps
+        for states in states_by_size(DESK, 2).values():
+            dist = policy.action_distribution(states, ctx, max_nodes=2)
+            node_h, graph_emb = (t.data for t in policy._ligand_track(states, ctx))
+            n = max(states[0].n, 1)
+
+            def mlp(x, name):
+                hidden = np.maximum(x @ store[f"{name}.0.w"].data + store[f"{name}.0.b"].data, 0.0)
+                return (hidden @ store[f"{name}.1.w"].data + store[f"{name}.1.b"].data).item()
+
+            for b, s in enumerate(states):
+                logits = []
+                for a in legal_actions(s, DESK, 2):
+                    if a is STOP:
+                        logits.append(mlp(graph_emb[b], "stop_head"))
+                        continue
+                    ap, f_ap = np.zeros(a_max), np.zeros(a_max)
+                    if a.target_ap is not None:
+                        ap[a.target_ap] = 1.0
+                    f_ap[a.fragment_ap] = 1.0
+                    frag = store["frag_emb"].data[DESK.ids.index(a.fragment_id)]
+                    logits.append(mlp(np.concatenate([node_h[b * n + (a.target_node or 0)], ap, frag, f_ap]), "add_head"))
+                logits = np.array(logits)
+                expected = logits - logits.max() - np.log(np.exp(logits - logits.max()).sum())
+                np.testing.assert_allclose(dist.log_probs.data[0, dist.rows(b)], expected, rtol=0, atol=1e-12)
+
+
+# one policy per (mode, library), each with two pockets of different size
+BATCH_POLICIES = {
+    (mode, lib_name): PolicyNetwork(ParamStore(np.random.default_rng(21)), library, small_config(mode))
+    for mode in ("baseline", "trioformer")
+    for lib_name, library in (("toy", TOY), ("desk", DESK))
+}
+POCKET_CTXS = {
+    key: [pocket_ctx(policy, n=5, spread=2.0, seed=3), pocket_ctx(policy, n=8, spread=5.0, seed=4)]
+    for key, policy in BATCH_POLICIES.items()
+}
+
+
+@st.composite
+def same_size_states(draw):
+    """A library, a cap, and 1-5 reachable non-terminal states with one node
+    count; states whose only legal action is Stop are included."""
+    lib_name = draw(st.sampled_from(["toy", "desk"]))
+    library = TOY if lib_name == "toy" else DESK
+    max_nodes = draw(st.integers(1, 4))
+    n = draw(st.integers(0, max_nodes))
+    states = []
+    for _ in range(draw(st.integers(1, 5))):
+        s = initial_state()
+        while s.n < n:
+            adds = [a for a in legal_actions(s, library, max_nodes) if a is not STOP]
+            if not adds:
+                break
+            s = apply_action(s, adds[draw(st.integers(0, len(adds) - 1))], library, max_nodes)
+        if s.n == n:
+            states.append(s)
+    if not states:
+        states = [initial_state()] if n == 0 else [grow([AddFragment(None, None, 0, 0)], library)]
+    return lib_name, max_nodes, states
+
+
+class TestBatchedPass:
+    @settings(max_examples=40, deadline=None)
+    @given(case=same_size_states(), mode=st.sampled_from(["baseline", "trioformer"]), pocket=st.integers(0, 1))
+    def test_batch_equals_single_state_passes(self, case, mode, pocket):
+        lib_name, max_nodes, states = case
+        policy = BATCH_POLICIES[mode, lib_name]
+        library = policy.library
+        ctx = POCKET_CTXS[mode, lib_name][pocket]
+        batch = policy.action_distribution(states, ctx, max_nodes)
+        assert batch.offsets[-1] == len(batch.actions) == batch.probs.size == batch.log_probs.shape[1]
+        for b, s in enumerate(states):
+            single = policy.action_distribution(s, ctx, max_nodes)
+            rows = batch.rows(b)
+            assert batch.actions[rows] == single.actions == legal_actions(s, library, max_nodes)
+            np.testing.assert_allclose(batch.log_probs.data[0, rows], single.log_probs.data[0], rtol=0, atol=1e-12)
+            if stop_is_forced(s, library, max_nodes):
+                assert batch.log_probs.data[0, rows].tolist() == [0.0]
 
 
 class TestGraphEmbedding:
@@ -222,7 +349,7 @@ class TestGraphEmbedding:
         policy = make_policy("baseline")
         ctx = pocket_ctx(policy)
         s = grow([AddFragment(None, None, 0, 0), AddFragment(0, 0, 1, 0)], DESK)
-        node_h, graph_emb = policy._ligand_track(s, ctx)
+        node_h, graph_emb = policy._ligand_track([s], ctx)
         assert node_h.shape == (2, 16)
         assert graph_emb.shape == (1, 32)
 
@@ -230,7 +357,7 @@ class TestGraphEmbedding:
         policy = make_policy("trioformer")
         ctx = pocket_ctx(policy)
         s = grow([AddFragment(None, None, 0, 0), AddFragment(0, 0, 1, 0)], DESK)
-        node_h, graph_emb = policy._ligand_track(s, ctx)
+        node_h, graph_emb = policy._ligand_track([s], ctx)
         assert node_h.shape == (2, 16)
         assert graph_emb.shape == (1, 16)
         np.testing.assert_allclose(graph_emb.data, node_h.data.mean(axis=0, keepdims=True), atol=1e-12)
@@ -261,27 +388,30 @@ class TestSampleAction:
         probs = np.array([0.25, 0.75])
         dist = ActionDistribution(
             actions=[STOP, AddFragment(None, None, 0, 0)],
-            mask=np.array([True, True]),
             log_probs=tensor(np.log(probs)[None, :]),
             probs=probs,
+            offsets=np.array([0, 2]),
         )
         rng = np.random.default_rng(0)
         n = 100_000
         hits = sum(sample_action(dist, rng)[1] == 0 for _ in range(n))
         assert abs(hits / n - 0.25) < 0.01
 
-    def test_never_samples_masked(self):
-        probs = np.array([0.5, 0.0, 0.5])
+    def test_draws_only_from_its_state_rows(self):
+        # two states: rows 0-1 belong to state 0, row 2 to state 1
+        probs = np.array([0.5, 0.5, 1.0])
+        actions = [STOP, AddFragment(0, 0, 0, 0), STOP]
         dist = ActionDistribution(
-            actions=[STOP, AddFragment(None, None, 0, 0), AddFragment(None, None, 0, 1)],
-            mask=np.array([True, False, True]),
-            log_probs=tensor(np.array([[np.log(0.5), -np.inf, np.log(0.5)]])),
-            probs=probs,
+            actions=actions, log_probs=tensor(np.log(probs)[None, :]), probs=probs, offsets=np.array([0, 2, 3]),
         )
         rng = np.random.default_rng(1)
+        seen = set()
         for _ in range(500):
-            _, idx = sample_action(dist, rng)
-            assert idx != 1
+            action, idx = sample_action(dist, rng, 0)
+            assert idx in (0, 1) and action is actions[idx]
+            seen.add(idx)
+            assert sample_action(dist, rng, 1)[1] == 2
+        assert seen == {0, 1}
 
     def test_sampling_matches_model_distribution(self):
         policy = make_policy()
@@ -309,6 +439,6 @@ class TestConfig:
         policy = make_policy()
         ctx = pocket_ctx(policy)
         dist = policy.action_distribution(initial_state(), ctx, max_nodes=8)
-        idx = int(np.flatnonzero(dist.mask)[2])
+        idx = 2
         lp = log_prob_at(dist, idx)
         assert np.isclose(np.exp(lp.data[0, 0]), dist.probs[idx])

@@ -1,11 +1,13 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import pocketgfn.autodiff as ad
-from pocketgfn.autodiff import Tape, finite_diff_check, tensor
+from pocketgfn.autodiff import Tape, TapeError, finite_diff_check, tensor
 from pocketgfn.ligand import (
     AddFragment,
     LibraryError,
@@ -17,8 +19,10 @@ from pocketgfn.ligand import (
     desk_library,
     enumerate_terminal_states,
     initial_state,
+    stop_is_forced,
     toy_library,
 )
+import pocketgfn.nn as nn
 from pocketgfn.nn import ParamStore, load_checkpoint
 from pocketgfn.pocket import build_knn_graph, synthetic_pocket
 from pocketgfn.policy import PolicyConfig, PolicyNetwork
@@ -253,37 +257,94 @@ class TestTrain:
             train(small_config(2, max_nodes=2), TOY, one_pocket(), reward_fn=bad_reward)
 
     def test_one_policy_pass_per_action(self, monkeypatch):
-        # the loss is built from the rollout's own taped log-probabilities,
-        # so each sampled action costs exactly one policy call
-        calls = []
+        # the batch advances in lockstep: one policy pass per (depth, pocket),
+        # none for a state whose only legal action is Stop, and the loss is
+        # built from the passes' own taped log-probabilities
+        passes = []
         rolled = []
         real_dist = PolicyNetwork.action_distribution
-        real_rollout = training.sample_trajectory
+        real_rollout = training.sample_trajectories
         real_materialize = training._materialize_params
 
-        def counting_dist(self, *args, **kwargs):
-            calls.append(1)
-            return real_dist(self, *args, **kwargs)
+        def counting_dist(self, states, ctx, max_nodes):
+            passes.append((states, ctx.dist_matrix.shape[0]))
+            return real_dist(self, states, ctx, max_nodes)
 
         def recording_rollout(*args, **kwargs):
-            traj = real_rollout(*args, **kwargs)
-            rolled.append((traj, ad.active_tape()))
-            return traj
+            trajs = real_rollout(*args, **kwargs)
+            rolled.append((trajs, ad.active_tape()))
+            return trajs
 
         def materialize(*args):
             real_materialize(*args)
-            calls.clear()  # setup passes, not part of the step
+            passes.clear()  # setup passes, not part of the step
 
         monkeypatch.setattr(training, "_materialize_params", materialize)
         monkeypatch.setattr(PolicyNetwork, "action_distribution", counting_dist)
-        monkeypatch.setattr(training, "sample_trajectory", recording_rollout)
-        cfg = small_config(1, seed=3, max_nodes=3)
-        train(cfg, DESK, one_pocket())
-        assert len(rolled) == cfg.batch_size
-        assert len(calls) == sum(len(traj.actions) for traj, _ in rolled)
-        for traj, tape in rolled:
-            assert tape is not None
-            assert all(tape.nodes[lp.node_id].output is lp for lp in traj.log_pf)
+        monkeypatch.setattr(training, "sample_trajectories", recording_rollout)
+        pockets = {**one_pocket(), "p1": build_knn_graph(synthetic_pocket(9, 4.0, 5), K=4)}
+        cfg = small_config(1, seed=3, max_nodes=3, batch_size=8)
+        train(cfg, DESK, pockets)
+        (trajs, tape), = rolled
+        assert len(trajs) == cfg.batch_size and tape is not None
+        sizes = {pid: g.n for pid, g in pockets.items()}
+        expected = {}
+        for traj in trajs:
+            for s in traj.states[:-1]:
+                if not stop_is_forced(s, DESK, cfg.max_nodes):
+                    expected.setdefault((s.n, sizes[traj.pocket_id]), []).append(s)
+        assert sorted((states[0].n, n_p) for states, n_p in passes) == sorted(expected)
+        for states, n_p in passes:
+            assert sorted(states, key=repr) == sorted(expected[states[0].n, n_p], key=repr)
+        forced = 0
+        for traj in trajs:
+            assert len(traj.log_pf) == len(traj.actions)
+            for s, action, lp in zip(traj.states, traj.actions, traj.log_pf):
+                if stop_is_forced(s, DESK, cfg.max_nodes):
+                    forced += 1
+                    assert action is STOP and lp._tape is None and lp.data.tolist() == [[0.0]]
+                else:
+                    assert lp._tape is tape
+        assert forced > 0
+
+    def test_step_frees_its_tape(self, monkeypatch):
+        # backward drops the tape's nodes, so a step's intermediates are freed
+        # by reference counting alone, without the cycle collector
+        refs, losses = [], []
+        real_backward = ad.backward
+
+        def backward(loss):
+            refs.append(weakref.ref(loss._tape.nodes[len(loss._tape.nodes) // 2].output.data))
+            losses.append(loss)
+            real_backward(loss)
+
+        monkeypatch.setattr(ad, "backward", backward)
+        gc.disable()
+        try:
+            train(small_config(1, seed=3, max_nodes=3), DESK, one_pocket())
+            assert len(refs) == 1 and refs[0]() is None
+        finally:
+            gc.enable()
+        with pytest.raises(TapeError, match="already ran"):
+            real_backward(losses[0])
+
+    def test_non_finite_gradient_names_parameter(self, monkeypatch):
+        # a NaN injected through one primitive's gradient leaves the loss finite
+        real_relu = nn.relu
+
+        def nan_grad_relu(a):
+            out = real_relu(a)
+            tape = ad.active_tape()
+            if tape is not None:
+                tape.nodes[-1].vjp = lambda g: (np.full(a.shape, np.nan),)
+            return out
+
+        monkeypatch.setattr(nn, "relu", nan_grad_relu)
+        store = ParamStore(np.random.default_rng([0, 7]))
+        with pytest.raises(TrainingError, match="non-finite gradient of ([^ ]+) at step 0") as err:
+            train(small_config(2, max_nodes=2), TOY, one_pocket(), store=store)
+        bad = [name for name, p in store.items() if p.grad is not None and not np.isfinite(p.grad).all()]
+        assert err.match(f"gradient of {bad[0]} at step 0")
 
     def test_stop_fn_ends_early(self):
         calls = []
@@ -304,6 +365,16 @@ class TestOracles:
         dist = exact_terminal_distribution(policy, ctx, TOY, 2)
         assert math.isclose(sum(dist.values()), 1.0, abs_tol=1e-12)
         assert set(dist) == {canonical_key(s) for s in enumerate_terminal_states(TOY, 2)}
+
+    @pytest.mark.parametrize("mode", ["baseline", "trioformer"])
+    def test_exact_distribution_sums_to_one_over_target_keys(self, mode):
+        # desk at cap 3: most states are forced stops and get no policy pass
+        policy = PolicyNetwork(ParamStore(np.random.default_rng(4)), DESK, small_policy(mode))
+        ctx = policy.pocket_context(one_pocket()["p0"])
+        dist = exact_terminal_distribution(policy, ctx, DESK, 3)
+        assert abs(math.fsum(dist.values()) - 1.0) <= 1e-9
+        assert set(dist) == {canonical_key(s) for s in enumerate_terminal_states(DESK, 3)}
+        assert all(p > 0.0 for p in dist.values())
 
     def test_exact_matches_empirical_on_untrained_policy(self):
         policy = make_policy()
