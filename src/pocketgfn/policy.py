@@ -225,11 +225,12 @@ class PolicyNetwork:
         """Logits (rows, 1) of the add rows of every state, state by state;
         None when no state has one.
 
-        Every free (node, attachment point) slot pairs with every (fragment, fragment ap) in library order,
-        and legal_actions lists a state's add rows slot by slot in that order.
-        The add head's first layer is linear in [target node, target ap,
-        fragment, fragment ap], so it is applied once per slot and once per
-        pair, and each row adds one of each; no (rows, features) input is built.
+        Every free (node, attachment point) slot pairs with every (fragment,
+        fragment ap) in library order, and legal_actions lists a state's add
+        rows slot by slot in that order. The add head's first layer is linear
+        in [target node, target ap, fragment, fragment ap], so it is applied
+        once per slot and once per pair, and each row adds one of each; no
+        (rows, features) input is built.
         """
         cfg = self.config
         a_max = self.library.max_aps

@@ -58,11 +58,8 @@ def batch_copies(x: DiffTensor, b: int) -> DiffTensor:
 def init_pair_embeddings(
     h_pocket: DiffTensor, h_ligand: DiffTensor, store: ParamStore, prefix: str, c_pair: int = DEFAULT_C_PAIR
 ) -> DiffTensor:
-    """Outer sum of per-track linear projections -> ([B,] n_P, n_L, c_pair).
-
-    Either track may carry a leading batch axis; an unbatched track is shared
-    by the whole batch.
-    """
+    """Outer sum of per-track linear projections: tracks ([B,] n, c) ->
+    pair ([B,] n_P, n_L, c_pair)."""
     n_p, c_p = h_pocket.shape[-2:]
     n_l, c_l = h_ligand.shape[-2:]
     if n_p == 0 or n_l == 0:
