@@ -7,9 +7,11 @@ refines it with attention along each axis: pocket-axis attention is biased
 by residue-residue distances, ligand-axis attention by molecular bonds, and
 a final cross-attention writes the pair context back into both node tracks.
 
-Zeroing the learned bias projections must collapse each block onto plain
-multi-head attention; that reduction is the ablation the library is tested
-against, and it is reproduced here.
+Every block runs one layout, batched: a batch of ligands with the same node
+count is conditioned on one shared pocket in a single pass. Zeroing the
+learned bias projections must collapse each block onto plain multi-head
+attention, entry by entry; that reduction is the ablation the library is
+tested against, and it is reproduced here.
 """
 
 import numpy as np
@@ -25,15 +27,16 @@ from pocketgfn.trioformer import (
 )
 
 rng = np.random.default_rng(0)
-n_pocket, n_ligand, c = 5, 3, 8
+n_batch, n_pocket, n_ligand, c = 2, 5, 3, 8
 
-# node tracks and the geometry they attend over
+# one pocket track and the geometry it attends over, shared by the batch;
+# two 3-fragment ligands, one bonded 0-1-2 and one bonded 1-0-2
 h_pocket = tensor(rng.normal(size=(n_pocket, c)))
-h_ligand = tensor(rng.normal(size=(n_ligand, c)))
+h_ligand = tensor(rng.normal(size=(n_batch, n_ligand, c)))
 d = np.abs(rng.normal(size=(n_pocket, n_pocket)))
 pocket_dist = (d + d.T) / 2
 np.fill_diagonal(pocket_dist, 0.0)
-ligand_adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
+ligand_adj = np.array([[[0, 1, 0], [1, 0, 1], [0, 1, 0]], [[0, 1, 1], [1, 0, 0], [1, 0, 0]]], dtype=float)
 
 store = ParamStore(np.random.default_rng(1))
 with Tape():
@@ -41,26 +44,25 @@ with Tape():
         h_pocket, h_ligand, pocket_dist, ligand_adj, store,
         prefix="demo", n_layers=2, n_heads=2, head_dim=4, c_pair=8,
     )
-print("refined ligand track:", refined.shape)
+print("refined ligand tracks (batch, nodes, width):", refined.shape)
 print("parameters created by the stack:", len(store.names()))
 
 # ablation: zero the distance-bias projection of one block and
 # compare against a plain attention reference implemented in raw numpy
-pair = tensor(rng.normal(size=(n_pocket, n_ligand, 8)))
-feats = rbf_basis(pocket_dist)
+pair = tensor(rng.normal(size=(n_batch, n_pocket, n_ligand, 8)))
+feats = rbf_basis(pocket_dist)[None]  # one distance map for the whole batch
 ab = ParamStore(np.random.default_rng(2))
 with Tape():
     triangle_update(pair, feats, "pocket", ab, "blk", n_heads=2, head_dim=4)
 ab["blk.t.w"].data[:] = 0.0
 with Tape():
     out = triangle_update(pair, feats, "pocket", ab, "blk", n_heads=2, head_dim=4)
-ref = reference_pair_attention(
-    pair.data, "pocket", ab["blk.q.w"].data, ab["blk.k.w"].data,
-    ab["blk.v.w"].data, ab["blk.o.w"].data, n_heads=2, head_dim=4,
-)
-print("max deviation from plain attention after zeroing biases:",
-      f"{np.max(np.abs(out.data - ref)):.2e}")
+weights = [ab[f"blk.{k}.w"].data for k in "qkvo"]
+for b in range(n_batch):
+    ref = reference_pair_attention(pair.data[b], "pocket", *weights, n_heads=2, head_dim=4)
+    print(f"entry {b}: max deviation from plain attention after zeroing biases:",
+          f"{np.max(np.abs(out.data[b] - ref)):.2e}")
 
-# the bond one-hot used for the ligand axis
-print("ligand-axis bias features (bond / no bond):")
-print(adjacency_onehot(ligand_adj)[:, :, 0])
+# the bond one-hot used for the ligand axis, one graph per entry
+print("ligand-axis bias features (bond / no bond) of entry 1:")
+print(adjacency_onehot(ligand_adj)[1, :, :, 0])

@@ -65,36 +65,8 @@ class DiffTensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"DiffTensor(shape={self.shape}, on_tape={self._tape is not None})"
-
-    # Operator sugar; scalars and arrays are lifted to constant leaves.
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
 
 
 @dataclass
@@ -132,12 +104,6 @@ def tensor(data, copy: bool = True) -> DiffTensor:
     """Create a leaf tensor (not recorded on any tape)."""
     arr = np.array(data, dtype=np.float64, copy=copy)
     return DiffTensor(arr)
-
-
-def as_tensor(x) -> DiffTensor:
-    if isinstance(x, DiffTensor):
-        return x
-    return tensor(x)
 
 
 def _record(out_data: np.ndarray, inputs: tuple[DiffTensor, ...], vjp) -> DiffTensor:
@@ -182,11 +148,6 @@ def backward(loss: DiffTensor) -> None:
             inp.grad += gi
     # rebind rather than clear: a caller may still hold the recorded list
     tape.nodes = []
-
-
-def zero_grads(tensors: Sequence[DiffTensor]) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -229,17 +229,25 @@ def _rebuild_policy(checkpoint_path: str, library: FragmentLibrary, mode_flag: s
     for key in ("max_nodes", "library_ids", "policy"):
         if key not in meta:
             raise CheckpointError(f"checkpoint {checkpoint_path} meta is missing field {key!r}")
+    max_nodes, policy_meta = meta["max_nodes"], meta["policy"]
+    if not isinstance(max_nodes, int) or isinstance(max_nodes, bool) or max_nodes < 1:
+        raise CheckpointError(f"checkpoint {checkpoint_path} meta field 'max_nodes' must be a positive integer, got {max_nodes!r}")
+    if not isinstance(policy_meta, dict):
+        raise CheckpointError(f"checkpoint {checkpoint_path} meta field 'policy' must be an object, got {policy_meta!r}")
+    try:
+        policy_cfg = PolicyConfig(**policy_meta)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"checkpoint {checkpoint_path} meta field 'policy': {e}") from None
     if mode_flag is not None and mode_flag != meta.get("mode"):
         raise ConfigError(f"--mode {mode_flag!r} disagrees with checkpoint mode {meta.get('mode')!r}")
     if list(library.ids) != meta.get("library_ids"):
         raise ConfigError(
             f"fragment library ids {list(library.ids)} do not match checkpoint ids {meta.get('library_ids')}"
         )
-    policy_cfg = PolicyConfig(**meta["policy"])
     store = ParamStore(np.random.default_rng(0))
     policy = PolicyNetwork(store, library, policy_cfg)
     first = next(iter(pockets.values()))
-    _materialize_params(policy, policy.pocket_context(first), library, int(meta["max_nodes"]))
+    _materialize_params(policy, policy.pocket_context(first), library, max_nodes)
     store.load_state_arrays(state)
     return policy, meta
 
@@ -255,7 +263,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     library = load_library(cfg.library_path())
     pockets = _load_pockets(cfg)
     policy, meta = _rebuild_policy(checkpoint_path, library, args.mode, pockets)
-    max_nodes = int(meta["max_nodes"])
+    max_nodes = meta["max_nodes"]
     pid, graph = next(iter(pockets.items()))
     ctx = policy.pocket_context(graph)
 

@@ -45,6 +45,8 @@ class Fragment:
 
 class FragmentLibrary:
     def __init__(self, fragments: list[Fragment]):
+        if not fragments:
+            raise LibraryError("a fragment library needs at least one fragment")
         ids = [f.id for f in fragments]
         if len(set(ids)) != len(ids):
             raise LibraryError(f"duplicate fragment ids: {sorted(ids)}")
@@ -74,15 +76,18 @@ class FragmentLibrary:
 
 def load_library(path: str) -> FragmentLibrary:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise LibraryError(f"{path}: not valid JSON: {e}") from None
     try:
         frags = [
             Fragment(id=int(r["id"]), name=str(r["name"]), aps=int(r["aps"]), size=int(r["size"]), polarity=float(r["polarity"]))
             for r in doc["fragments"]
         ]
-    except (KeyError, TypeError) as e:
-        raise LibraryError(f"{path}: bad fragment record: {e}") from None
-    return FragmentLibrary(frags)
+        return FragmentLibrary(frags)
+    except (KeyError, TypeError, ValueError) as e:
+        raise LibraryError(f"{path}: bad fragment library: {e}") from None
 
 
 def save_library(path: str, library: FragmentLibrary) -> None:
@@ -340,12 +345,7 @@ def step_backward_log_prob(child: LigandState, library: FragmentLibrary, is_root
 
 
 def _normalize_edges(edges) -> tuple:
-    out = []
-    for i, ap_i, j, ap_j in edges:
-        if i > j:
-            i, ap_i, j, ap_j = j, ap_j, i, ap_i
-        out.append((i, ap_i, j, ap_j))
-    return tuple(sorted(out))
+    return tuple(sorted([(i, ap_i, j, ap_j) if i <= j else (j, ap_j, i, ap_i) for i, ap_i, j, ap_j in edges]))
 
 
 def permute_state(s: LigandState, perm: list[int]) -> LigandState:
@@ -363,36 +363,34 @@ def permute_state(s: LigandState, perm: list[int]) -> LigandState:
 def _group_permutations(nodes: tuple[int, ...]):
     """All node permutations (old->new) that keep the sorted fragment-id sequence."""
     order = sorted(range(len(nodes)), key=lambda v: nodes[v])
-    groups: list[list[int]] = []
+    rank = [0] * len(nodes)
     for pos, v in enumerate(order):
-        if pos > 0 and nodes[v] == nodes[order[pos - 1]]:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    slots = []
-    start = 0
-    for g in groups:
-        slots.append(list(range(start, start + len(g))))
-        start += len(g)
-    for assignment in itertools.product(*(itertools.permutations(sl) for sl in slots)):
-        perm = [0] * len(nodes)
-        for g, slot_perm in zip(groups, assignment):
-            for v, slot in zip(g, slot_perm):
-                perm[v] = slot
-        yield perm
+        rank[v] = pos
+    # slots holding one fragment id are contiguous in the sorted sequence
+    blocks = [tuple(g) for _, g in itertools.groupby(range(len(nodes)), key=lambda pos: nodes[order[pos]])]
+    for assignment in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        flat = [slot for block in assignment for slot in block]
+        yield [flat[r] for r in rank]
+
+
+def _canonical_edges(s: LigandState) -> tuple[tuple, int]:
+    """The lexicographically minimal edge list over the relabelings that keep
+    the sorted fragment-id sequence, and how many of them reach it."""
+    best, count = None, 0
+    for perm in _group_permutations(s.nodes):
+        edges = _normalize_edges([(perm[i], ap_i, perm[j], ap_j) for i, ap_i, j, ap_j in s.edges])
+        if best is None or edges < best:
+            best, count = edges, 1
+        elif edges == best:
+            count += 1
+    return best, count
 
 
 def canonical_form(s: LigandState) -> tuple[tuple[int, ...], tuple]:
     """Lexicographically minimal (fragment-id sequence, edge list) over relabelings."""
     if s.n == 0:
         return (), ()
-    best = None
-    nodes_sorted = tuple(sorted(s.nodes))
-    for perm in _group_permutations(s.nodes):
-        edges = _normalize_edges((perm[i], ap_i, perm[j], ap_j) for i, ap_i, j, ap_j in s.edges)
-        if best is None or edges < best:
-            best = edges
-    return nodes_sorted, best
+    return tuple(sorted(s.nodes)), _canonical_edges(s)[0]
 
 
 def canonical_key(s: LigandState) -> str:
@@ -401,30 +399,12 @@ def canonical_key(s: LigandState) -> str:
 
 
 def automorphism_count(s: LigandState) -> int:
-    """Number of node relabelings fixing both fragment ids and the AP-labeled edge set."""
+    """Number of node relabelings fixing both fragment ids and the AP-labeled
+    edge set. The relabelings that reach any one image form a coset of that
+    group, so this counts those that reach the canonical edge list."""
     if s.n <= 1:
         return 1
-    base = _normalize_edges(s.edges)
-    count = 0
-    for perm in _frag_preserving_perms(s.nodes):
-        edges = _normalize_edges((perm[i], ap_i, perm[j], ap_j) for i, ap_i, j, ap_j in s.edges)
-        if edges == base:
-            count += 1
-    return count
-
-
-def _frag_preserving_perms(nodes: tuple[int, ...]):
-    """Permutations (old->new) mapping each node to a node of the same fragment id."""
-    positions: dict[int, list[int]] = {}
-    for v, fid in enumerate(nodes):
-        positions.setdefault(fid, []).append(v)
-    fids = list(positions)
-    for images in itertools.product(*(itertools.permutations(positions[f]) for f in fids)):
-        perm = [0] * len(nodes)
-        for f, img in zip(fids, images):
-            for v, target in zip(positions[f], img):
-                perm[v] = target
-        yield perm
+    return _canonical_edges(s)[1]
 
 
 # ---------------------------------------------------------------------------

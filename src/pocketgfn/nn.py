@@ -206,11 +206,15 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"checkpoint format version {version!r} is not supported (expected {CHECKPOINT_FORMAT_VERSION})")
     meta = doc.pop("__meta__", {})
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"checkpoint {path} meta must be a JSON object, got {type(meta).__name__}")
     checksum = doc.pop("__checksum__", None)
     if checksum != _params_checksum(doc):
         raise CheckpointError(f"checkpoint {path} failed its integrity check")
     state: dict[str, np.ndarray] = {}
     for name, entry in doc.items():
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        state[name] = arr
+        try:
+            state[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(f"checkpoint {path} parameter {name!r} needs {{shape, data}} with data of that shape: {e}") from None
     return state, meta

@@ -265,10 +265,14 @@ def load_pocket_jsonl(path: str) -> list[Residue]:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise PocketError(f"{path}:{line_no}: invalid JSON: {e}") from None
+            if not isinstance(rec, dict):
+                raise PocketError(f"{path}:{line_no}: a residue record must be a JSON object")
             try:
                 residues.append(Residue(index=int(rec["index"]), residue_type=int(rec["res"]), ca=np.asarray(rec["ca"], dtype=np.float64)))
             except KeyError as e:
                 raise PocketError(f"{path}:{line_no}: missing field {e}") from None
+            except (TypeError, ValueError) as e:
+                raise PocketError(f"{path}:{line_no}: bad residue record: {e}") from None
     if not residues:
         raise PocketError(f"{path}: no residues")
     residues.sort(key=lambda r: r.index)

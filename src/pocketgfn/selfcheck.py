@@ -71,6 +71,12 @@ def small_policy(mode: str = BASELINE) -> PolicyConfig:
 
 # -- shared measurements -------------------------------------------------------
 
+# The trioformer measurements run the layout the policy runs: a batch of two
+# 3-fragment ligands with different bond graphs, bonds 0-1, 1-2 and 0-1, 0-2.
+TWO_LIGAND_ADJACENCY = np.array(
+    [[[0, 1, 0], [1, 0, 1], [0, 1, 0]], [[0, 1, 1], [1, 0, 0], [1, 0, 0]]], dtype=np.float64
+)
+
 
 def primitive_gradient_errors() -> dict[str, float]:
     """Max relative finite-difference error of each tape primitive, by name."""
@@ -101,20 +107,22 @@ def primitive_gradient_errors() -> dict[str, float]:
 
 def conditioning_gradient_errors() -> dict[str, float]:
     """Max relative finite-difference error of one trioformer layer on a
-    2-residue pocket and a 2-node ligand, with respect to each node track."""
+    2-residue pocket and the two-ligand batch, with respect to each node track
+    (the shared pocket track and the (2, 3, c) ligand tracks)."""
     rng = np.random.default_rng(1)
     store = ParamStore(np.random.default_rng(2))
     h_p = tensor(rng.normal(size=(2, 6)))
-    h_l = tensor(rng.normal(size=(2, 6)))
+    h_l = tensor(rng.normal(size=(2, 3, 6)))
     d_p = np.abs(rng.normal(size=(2, 2))) + np.abs(rng.normal(size=(2, 2))).T
     np.fill_diagonal(d_p, 0.0)
-    adj = np.array([[0.0, 1.0], [1.0, 0.0]])
 
     def layer(pocket, ligand):
-        return trioformer_stack(pocket, ligand, d_p, adj, store, prefix="sc", n_layers=1, n_heads=2, head_dim=4, c_pair=8)
+        return trioformer_stack(
+            pocket, ligand, d_p, TWO_LIGAND_ADJACENCY, store, prefix="sc", n_layers=1, n_heads=2, head_dim=4, c_pair=8
+        )
 
     return {
-        "ligand": finite_diff_check(lambda x: layer(h_p, x), tensor(rng.normal(size=(2, 6)))).max_rel_err,
+        "ligand": finite_diff_check(lambda x: layer(h_p, x), tensor(rng.normal(size=(2, 3, 6)))).max_rel_err,
         "pocket": finite_diff_check(lambda x: layer(x, h_l), tensor(rng.normal(size=(2, 6)))).max_rel_err,
     }
 
@@ -132,20 +140,19 @@ def tb_loss_gradient_error() -> float:
 def rigid_motion_drift(n_motions: int) -> float:
     """Worst relative drift, over random rotations and translations of a
     10-residue pocket, of its node embeddings, distance matrix, docking proxy
-    and the trioformer output conditioned on it."""
+    and the trioformer output of the two-ligand batch conditioned on it."""
     rng = np.random.default_rng(3)
     residues = synthetic_pocket(10, 3.0, seed=5)
     store = ParamStore(np.random.default_rng(6))
     lib = desk_library()
     term = apply_action(apply_action(initial_state(), AddFragment(None, None, 2, 0), lib, 4), STOP, lib, 4)
-    h_l = tensor(rng.normal(size=(3, 8)))
-    adj = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    h_l = tensor(rng.normal(size=(2, 3, 8)))
 
     def measure(graph):
         with Tape():
             emb = encode_pocket(graph, store, L_layers=1, c_pocket=8).node_embeddings.data
             out = trioformer_stack(
-                tensor(emb), h_l, graph.dist_matrix, adj,
+                tensor(emb), h_l, graph.dist_matrix, TWO_LIGAND_ADJACENCY,
                 store, prefix="inv", n_layers=1, n_heads=2, head_dim=4, c_pair=8,
             ).data
         return emb, graph.dist_matrix, docking_proxy(graph, term, lib), out
@@ -161,47 +168,36 @@ def rigid_motion_drift(n_motions: int) -> float:
 
 def bias_ablation_deviation() -> float:
     """Max absolute deviation of the triangle updates (both axes) and the
-    cross attention from their plain-attention references once the learned
-    bias projections are zeroed."""
+    cross attention on the two-ligand batch from their plain-attention
+    references, entry by entry, once the learned bias projections are zeroed."""
     rng = np.random.default_rng(7)
+    d = np.abs(rng.normal(size=(4, 4)))  # a 4-residue pocket, so the two pair axes differ in length
+    feats = {"pocket": rbf_basis((d + d.T) / 2)[None], "ligand": adjacency_onehot(TWO_LIGAND_ADJACENCY)}
     deviations = []
-    for axis, n_p, n_l in (("pocket", 3, 4), ("ligand", 3, 4)):
+    for axis in ("pocket", "ligand"):
         store = ParamStore(np.random.default_rng(8))
-        pair = tensor(rng.normal(size=(n_p, n_l, 8)))
-        n_axis = n_p if axis == "pocket" else n_l
-        if axis == "pocket":
-            d = np.abs(rng.normal(size=(n_axis, n_axis)))
-            feats = rbf_basis((d + d.T) / 2)
-        else:
-            feats = adjacency_onehot((np.ones((n_axis, n_axis)) - np.eye(n_axis)))
+        pair = tensor(rng.normal(size=(2, 4, 3, 8)))
         with Tape():
-            triangle_update(pair, feats, axis, store, "tp", n_heads=2, head_dim=4)
+            triangle_update(pair, feats[axis], axis, store, "tp", n_heads=2, head_dim=4)
         store["tp.t.w"].data[:] = 0.0
         with Tape():
-            out = triangle_update(pair, feats, axis, store, "tp", n_heads=2, head_dim=4)
-        ref = reference_pair_attention(
-            pair.data, axis, store["tp.q.w"].data, store["tp.k.w"].data,
-            store["tp.v.w"].data, store["tp.o.w"].data, 2, 4,
-        )
-        deviations.append(np.max(np.abs(out.data - ref)))
+            out = triangle_update(pair, feats[axis], axis, store, "tp", n_heads=2, head_dim=4)
+        w = [store[f"tp.{k}.w"].data for k in "qkvo"]
+        deviations += [np.max(np.abs(out.data[b] - reference_pair_attention(pair.data[b], axis, *w, 2, 4))) for b in range(2)]
     store = ParamStore(np.random.default_rng(9))
-    h_p = tensor(rng.normal(size=(3, 8)))
-    h_l = tensor(rng.normal(size=(2, 8)))
-    pair = tensor(rng.normal(size=(3, 2, 8)))
+    h_p = tensor(rng.normal(size=(2, 4, 8)))
+    h_l = tensor(rng.normal(size=(2, 3, 8)))
+    pair = tensor(rng.normal(size=(2, 4, 3, 8)))
     with Tape():
         biased_cross_attention(h_p, h_l, pair, store, "x", n_heads=2, head_dim=4)
     store["x.bias.w"].data[:] = 0.0
     with Tape():
         new_p, new_l = biased_cross_attention(h_p, h_l, pair, store, "x", n_heads=2, head_dim=4)
-    ref_l = reference_cross_attention(
-        h_l.data, h_p.data, store["x.lig.q.w"].data, store["x.lig.k.w"].data,
-        store["x.lig.v.w"].data, store["x.lig.o.w"].data, 2, 4,
-    )
-    ref_p = reference_cross_attention(
-        h_p.data, h_l.data, store["x.poc.q.w"].data, store["x.poc.k.w"].data,
-        store["x.poc.v.w"].data, store["x.poc.o.w"].data, 2, 4,
-    )
-    deviations += [np.max(np.abs(new_l.data - ref_l)), np.max(np.abs(new_p.data - ref_p))]
+    w_l = [store[f"x.lig.{k}.w"].data for k in "qkvo"]
+    w_p = [store[f"x.poc.{k}.w"].data for k in "qkvo"]
+    for b in range(2):
+        deviations.append(np.max(np.abs(new_l.data[b] - reference_cross_attention(h_l.data[b], h_p.data[b], *w_l, 2, 4))))
+        deviations.append(np.max(np.abs(new_p.data[b] - reference_cross_attention(h_p.data[b], h_l.data[b], *w_p, 2, 4))))
     return float(np.max(deviations))
 
 

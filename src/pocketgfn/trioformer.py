@@ -1,12 +1,14 @@
 """Pocket-ligand pair embeddings with distance-biased triangle attention.
 
-The pair tensor is stored (B, n_pocket, n_ligand, c_pair): one pass
-conditions a batch of B ligands with the same node count on one pocket. One
-fold of the update attends along the pocket axis with real-distance biases,
-the other along the ligand axis with adjacency biases; a position-wise
-transition and biased cross-attention back into the node tracks complete a
-layer. All blocks are pre-norm residuals built on the tape engine, so the
-whole stack is differentiable and checkpointable.
+Every block takes one layout, batched: the pair tensor is
+(B, n_pocket, n_ligand, c_pair), the node tracks are (B, n, c) and distance
+features are (1 or B, n, n, f), so one pass conditions a batch of B ligands
+with the same node count on one pocket (a single ligand is the batch of one).
+One fold of the update attends along the pocket axis with real-distance
+biases, the other along the ligand axis with adjacency biases; a
+position-wise transition and biased cross-attention back into the node
+tracks complete a layer. All blocks are pre-norm residuals built on the
+tape engine, so the whole stack is differentiable and checkpointable.
 """
 
 from __future__ import annotations
@@ -40,17 +42,8 @@ def adjacency_onehot(adj: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - adj, adj], axis=-1)
 
 
-def _with_batch(x: DiffTensor, ndim: int) -> DiffTensor:
-    """Add a leading batch axis of one to an unbatched input."""
-    return x if x.data.ndim == ndim else ad.reshape(x, (1, *x.shape))
-
-
-def _without_batch(x: DiffTensor) -> DiffTensor:
-    return ad.reshape(x, x.shape[1:])
-
-
 def batch_copies(x: DiffTensor, b: int) -> DiffTensor:
-    """(n, c) -> (b, n, c): one copy of an unbatched track per batch entry."""
+    """(n, c) -> (b, n, c): one copy of a shared track per batch entry."""
     n, c = x.shape
     return ad.reshape(ad.gather_rows(ad.reshape(x, (1, n * c)), np.zeros(b, dtype=np.intp)), (b, n, c))
 
@@ -58,19 +51,16 @@ def batch_copies(x: DiffTensor, b: int) -> DiffTensor:
 def init_pair_embeddings(
     h_pocket: DiffTensor, h_ligand: DiffTensor, store: ParamStore, prefix: str, c_pair: int = DEFAULT_C_PAIR
 ) -> DiffTensor:
-    """Outer sum of per-track linear projections: tracks ([B,] n, c) ->
-    pair ([B,] n_P, n_L, c_pair)."""
-    n_p, c_p = h_pocket.shape[-2:]
-    n_l, c_l = h_ligand.shape[-2:]
+    """Outer sum of per-track linear projections: tracks (B, n_P, c_P) and
+    (B, n_L, c_L) -> pair (B, n_P, n_L, c_pair)."""
+    b, n_p, c_p = h_pocket.shape
+    n_l, c_l = h_ligand.shape[1:]
     if n_p == 0 or n_l == 0:
         raise DimensionError("pair embeddings need at least one node on each side")
-    proj_p = ad.matmul(ad.reshape(h_pocket, (-1, c_p)), store.param(f"{prefix}.pair_p.w", (c_p, c_pair)))
+    proj_p = ad.matmul(ad.reshape(h_pocket, (b * n_p, c_p)), store.param(f"{prefix}.pair_p.w", (c_p, c_pair)))
     proj_p = ad.add(proj_p, store.param(f"{prefix}.pair_p.b", (c_pair,), fan_in=c_p))
-    proj_l = ad.matmul(ad.reshape(h_ligand, (-1, c_l)), store.param(f"{prefix}.pair_l.w", (c_l, c_pair)))
-    return ad.add(
-        ad.reshape(proj_p, (*h_pocket.shape[:-2], n_p, 1, c_pair)),
-        ad.reshape(proj_l, (*h_ligand.shape[:-2], 1, n_l, c_pair)),
-    )
+    proj_l = ad.matmul(ad.reshape(h_ligand, (b * n_l, c_l)), store.param(f"{prefix}.pair_l.w", (c_l, c_pair)))
+    return ad.add(ad.reshape(proj_p, (b, n_p, 1, c_pair)), ad.reshape(proj_l, (b, 1, n_l, c_pair)))
 
 
 def _heads_proj(store, prefix, x_flat: DiffTensor, c_in: int, n_heads: int, head_dim: int, shape):
@@ -94,12 +84,10 @@ def triangle_update(
     so there is none.
     axis="pocket": row (i, j) attends over pocket nodes k, keys from pair[k, j],
     distance bias from dist_features[i, k]. axis="ligand": row (i, j) attends
-    over ligand nodes k, keys from pair[i, k], bias from dist_features[j, k].
-    ``pair`` is (B, n_P, n_L, c) or one unbatched (n_P, n_L, c);
-    ``dist_features`` is (n, n, f), shared by the batch, or (B, n, n, f).
+    over ligand nodes k, keys from pair[i, k], bias from dist_features[j, k]
+    (indices within one batch entry). ``pair`` is (B, n_P, n_L, c);
+    ``dist_features`` is (1, n, n, f), shared by the batch, or (B, n, n, f).
     """
-    unbatched = pair.data.ndim == 3
-    pair = _with_batch(pair, 4)
     b, n_p, n_l, c_pair = pair.shape
     if axis == "pocket":
         n_axis = n_p
@@ -108,10 +96,8 @@ def triangle_update(
     else:
         raise ValueError(f"axis must be 'pocket' or 'ligand', got {axis!r}")
     feats = np.asarray(dist_features, dtype=np.float64)
-    if feats.ndim == 3:
-        feats = feats[None]
     if feats.ndim != 4 or feats.shape[0] not in (1, b) or feats.shape[1:3] != (n_axis, n_axis):
-        raise DimensionError(f"{axis} distance features must be ([B,] {n_axis}, {n_axis}, f), got {np.shape(dist_features)}")
+        raise DimensionError(f"{axis} distance features must be (1 or {b}, {n_axis}, {n_axis}, f), got {feats.shape}")
     b_f = feats.shape[0]
 
     normed = layer_norm_affine(store, f"{prefix}.ln", ad.reshape(pair, (b * n_p * n_l, c_pair)), c_pair)
@@ -136,11 +122,11 @@ def triangle_update(
         gathered = ad.einsum2("bijhk,bikhc->bijhc", att, v)
     out_flat = ad.reshape(gathered, (b * n_p * n_l, n_heads * head_dim))
     out = ad.matmul(out_flat, store.param(f"{prefix}.o.w", (n_heads * head_dim, c_pair)))
-    out = ad.add(pair, ad.reshape(out, (b, n_p, n_l, c_pair)))
-    return _without_batch(out) if unbatched else out
+    return ad.add(pair, ad.reshape(out, (b, n_p, n_l, c_pair)))
 
 
 def pair_transition(pair: DiffTensor, store: ParamStore, prefix: str) -> DiffTensor:
+    """Position-wise pre-norm MLP with a residual; pair (B, n_P, n_L, c) in and out."""
     c_pair = pair.shape[-1]
     flat = ad.reshape(pair, (-1, c_pair))
     normed = layer_norm_affine(store, f"{prefix}.ln", flat, c_pair)
@@ -160,9 +146,8 @@ def biased_cross_attention(
     """Each track attends over the other, logits biased by a scalar head
     projection of the pair embedding; residual on both tracks.
 
-    Tracks are (B, n, c) with pair (B, n_P, n_L, c_pair), or all unbatched."""
-    unbatched = h_ligand.data.ndim == 2
-    h_pocket, h_ligand, pair = _with_batch(h_pocket, 3), _with_batch(h_ligand, 3), _with_batch(pair, 4)
+    Tracks are (B, n_P, c_P) and (B, n_L, c_L) with pair (B, n_P, n_L, c_pair);
+    returns the new (pocket, ligand) tracks."""
     b, n_p, c_p = h_pocket.shape
     n_l, c_l = h_ligand.shape[1:]
     pair_flat = ad.reshape(pair, (b * n_p * n_l, pair.shape[3]))
@@ -187,8 +172,6 @@ def biased_cross_attention(
     new_ligand = one_track(h_ligand, h_pocket, bias_l, "lig", c_l, c_p)
     bias_p = ad.permute(bias, (0, 1, 3, 2))  # (B, n_p, heads, n_l)
     new_pocket = one_track(h_pocket, h_ligand, bias_p, "poc", c_p, c_l)
-    if unbatched:
-        return _without_batch(new_pocket), _without_batch(new_ligand)
     return new_pocket, new_ligand
 
 
@@ -211,19 +194,16 @@ def trioformer_stack(
     after the first fold the refreshed tracks back into the pair tensor by an
     additive re-projection.
 
-    A batch of B ligands against one pocket passes ``h_ligand`` as
-    (B, n_L, c) and ``ligand_adjacency`` as (B, n_L, n_L); the pocket track
-    (n_P, c_P) and ``pocket_dist`` are shared, and the pair tensor is
-    (B, n_P, n_L, c_pair). Unbatched inputs give an unbatched output.
+    A batch of B ligands against one pocket: ``h_ligand`` is (B, n_L, c)
+    and ``ligand_adjacency`` (B, n_L, n_L); the pocket track (n_P, c_P) and
+    ``pocket_dist`` (n_P, n_P) are shared, the pocket track is copied once
+    per batch entry, and the pair tensor is (B, n_P, n_L, c_pair). Returns
+    the (B, n_L, c) ligand track.
     """
     if n_layers == 0:
         return h_ligand
-    unbatched = h_ligand.data.ndim == 2
-    h_ligand = _with_batch(h_ligand, 3)
-    b = h_ligand.shape[0]
-    if h_pocket.data.ndim == 2:
-        h_pocket = batch_copies(h_pocket, b)
-    d_feats = rbf_basis(pocket_dist)
+    h_pocket = batch_copies(h_pocket, h_ligand.shape[0])
+    d_feats = rbf_basis(pocket_dist)[None]
     adj_feats = adjacency_onehot(ligand_adjacency)
     pair = init_pair_embeddings(h_pocket, h_ligand, store, f"{prefix}.init0", c_pair)
     for layer in range(n_layers):
@@ -234,16 +214,15 @@ def trioformer_stack(
         pair = triangle_update(pair, adj_feats, "ligand", store, f"{name}.tri_l", n_heads, head_dim)
         pair = pair_transition(pair, store, f"{name}.trans")
         h_pocket, h_ligand = biased_cross_attention(h_pocket, h_ligand, pair, store, f"{name}.cross", n_heads, head_dim)
-    return _without_batch(h_ligand) if unbatched else h_ligand
+    return h_ligand
 
 
 def pool_graph_embedding(h_ligand: DiffTensor) -> DiffTensor:
-    """Arithmetic mean over ligand nodes: (n, c) -> (1, c), (B, n, c) -> (B, c)."""
-    if h_ligand.shape[-2] == 0:
+    """Arithmetic mean over the nodes of each graph: (B, n, c) -> (B, c)."""
+    n = h_ligand.shape[1]
+    if n == 0:
         raise DimensionError("cannot pool an empty node set")
-    x = _with_batch(h_ligand, 3)
-    n = x.shape[1]
-    return ad.einsum2("bnc,n->bc", x, tensor(np.full(n, 1.0 / n)))
+    return ad.einsum2("bnc,n->bc", h_ligand, tensor(np.full(n, 1.0 / n)))
 
 
 def edge_embedding(h_i: DiffTensor, h_j: DiffTensor) -> DiffTensor:
@@ -259,7 +238,8 @@ def edge_embedding(h_i: DiffTensor, h_j: DiffTensor) -> DiffTensor:
 
 
 def reference_pair_attention(pair: np.ndarray, axis: str, wq, wk, wv, wo, n_heads: int, head_dim: int) -> np.ndarray:
-    """Unbiased multi-head attention along one pair axis, straight numpy.
+    """Unbiased multi-head attention along one pair axis of one batch entry
+    (n_P, n_L, c), straight numpy.
 
     Used to verify that zeroing the bias projections reduces triangle_update
     to ordinary attention.
@@ -288,7 +268,8 @@ def reference_pair_attention(pair: np.ndarray, axis: str, wq, wk, wv, wo, n_head
 
 
 def reference_cross_attention(h_q: np.ndarray, h_kv: np.ndarray, wq, wk, wv, wo, n_heads: int, head_dim: int) -> np.ndarray:
-    """Plain unbiased cross-attention for one track, straight numpy."""
+    """Plain unbiased cross-attention for one track of one batch entry,
+    (n_q, c) attending over (n_kv, c), straight numpy."""
 
     def ln(x):
         mean = x.mean(axis=1, keepdims=True)

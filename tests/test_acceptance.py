@@ -364,10 +364,10 @@ def test_embedding_contracts():
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 9))
-        h = rng.normal(size=(n, 8))
+        h = rng.normal(size=(2, n, 8))  # a batch of two graphs, as the policy pools them
         with Tape():
             base = pool_graph_embedding(tensor(h)).data
-            permuted = pool_graph_embedding(tensor(h[rng.permutation(n)])).data
+            permuted = pool_graph_embedding(tensor(h[:, rng.permutation(n)])).data
         worst = max(worst, float(np.max(np.abs(base - permuted))))
     assert worst <= 1e-12
 
@@ -376,5 +376,5 @@ def test_embedding_contracts():
         True,
         f"pooled graph embedding is twice the node width ({2 * width}); edge embedding "
         f"symmetric on 1000 random pairs; node pooling permutation-invariant on 100 "
-        f"random graphs (max drift {worst:.2e})",
+        f"random batches of two graphs (max drift {worst:.2e})",
     )

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from pocketgfn import nn
 from pocketgfn.cli import (
     BUNDLED_POCKETS,
     ConfigError,
@@ -383,6 +384,63 @@ class TestEvaluateCommand:
         mols.write_text("\n".join(lines) + "\n")
         assert main(["evaluate", str(mols), "--config", str(cfg_path)]) == 2
         assert "disagrees" in capsys.readouterr().err
+
+
+def _fragment_library(**fragment):
+    return json.dumps({"fragments": [{"id": 0, "name": "a", "aps": 1, "size": 3, "polarity": 0.5, **fragment}]})
+
+
+_RESIDUE = json.dumps({"index": 0, "res": 0, "ca": [0.0, 0.0, 0.0]}) + "\n"
+
+# (kind, payload): a library or pocket file's text, which `train` loads, or an
+# edit of the trained checkpoint's meta or of one parameter entry, which
+# `sample` loads; parameter edits are re-signed, so the checksum matches
+MALFORMED_INPUTS = {
+    "library-invalid-json": ("library", "{not json"),
+    "library-aps-not-integer": ("library", _fragment_library(aps="x")),
+    "library-no-fragments": ("library", json.dumps({"fragments": []})),
+    "pocket-array-line": ("pocket", _RESIDUE + "[1, 2, 3]\n"),
+    "pocket-index-not-integer": ("pocket", _RESIDUE + json.dumps({"index": "x", "res": 0, "ca": [1.0, 0.0, 0.0]}) + "\n"),
+    "pocket-ca-not-numbers": ("pocket", _RESIDUE + json.dumps({"index": 1, "res": 0, "ca": "abc"}) + "\n"),
+    "meta-not-object": ("meta", lambda doc: doc.update(__meta__=5)),
+    "meta-policy-not-object": ("meta", lambda doc: doc["__meta__"].update(policy=5)),
+    "meta-policy-unknown-key": ("meta", lambda doc: doc["__meta__"]["policy"].update(bogus=1)),
+    "meta-policy-bad-value": ("meta", lambda doc: doc["__meta__"]["policy"].update(width=0)),
+    "meta-max-nodes-not-integer": ("meta", lambda doc: doc["__meta__"].update(max_nodes="abc")),
+    "meta-max-nodes-zero": ("meta", lambda doc: doc["__meta__"].update(max_nodes=0)),
+    "param-not-shape-data": ("param", lambda entry: [1.0, 2.0]),
+    "param-data-misfits-shape": ("param", lambda entry: {"shape": entry["shape"], "data": entry["data"][:-1]}),
+}
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("trained")
+    assert main(["train", "--config", str(write_cfg(tmp_path, "c.json"))]) == 0
+    return json.loads((tmp_path / "ckpt.json").read_text())
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+    def test_exit_2_with_error_line(self, tmp_path, capsys, trained_checkpoint, case):
+        kind, payload = MALFORMED_INPUTS[case]
+        if kind in ("library", "pocket"):
+            bad = tmp_path / f"bad_{kind}.json"
+            bad.write_text(payload)
+            argv = ["train", "--config", str(write_cfg(tmp_path, "c.json", **{f"{kind}_file": str(bad)}))]
+        else:
+            doc = json.loads(json.dumps(trained_checkpoint))
+            if kind == "meta":
+                payload(doc)  # meta is outside the checksum
+            else:
+                name = next(k for k in doc if not k.startswith("__"))
+                doc[name] = payload(doc[name])
+                doc["__checksum__"] = nn._params_checksum({k: v for k, v in doc.items() if not k.startswith("__")})
+            (tmp_path / "ckpt.json").write_text(json.dumps(doc))
+            argv = ["sample", "--config", str(write_cfg(tmp_path, "c.json")), "--out", str(tmp_path / "mols.jsonl")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, err
 
 
 class TestSelfcheckCommand:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pocketgfn.nn as nn
-from pocketgfn.autodiff import Tape, backward, sum_all, square, tensor
+from pocketgfn.autodiff import Tape, backward, square, sub, sum_all, tensor
 from pocketgfn.nn import (
     Adam,
     CheckpointError,
@@ -92,7 +92,7 @@ class TestLayers:
             x = tensor(xs)
             with Tape():
                 pred = mlp_apply(x, layers)
-                err = square(pred - tensor(ys))
+                err = square(sub(pred, tensor(ys)))
                 loss = sum_all(err)
             backward(loss)
             opt.step()
