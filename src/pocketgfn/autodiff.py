@@ -123,7 +123,8 @@ def backward(loss: DiffTensor) -> None:
     tape that was already consumed is an error; rebuild the forward pass.
     The consumed tape drops its nodes, so the intermediates they hold are
     freed by reference counting rather than left to the cycle collector
-    (tensors, nodes and the tape refer to each other).
+    (tensors, nodes and the tape refer to each other). A gradient whose
+    shape differs from its tensor's raises ``TapeError``.
     """
     if loss.data.size != 1:
         raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -139,13 +140,15 @@ def backward(loss: DiffTensor) -> None:
         g = node.output.grad
         if g is None:
             continue
-        grads = node.vjp(g)
-        for inp, gi in zip(node.inputs, grads):
+        for inp, gi in zip(node.inputs, node.vjp(g)):
             if gi is None:
                 continue
-            if inp.grad is None:
-                inp.grad = np.zeros_like(inp.data)
-            inp.grad += gi
+            if gi.shape != inp.data.shape:
+                raise TapeError(f"a gradient of shape {gi.shape} reached a tensor of shape {inp.shape}")
+            # The first gradient is stored as is. It may be a view of another
+            # tensor's gradient (reshape, permute, add), so later ones are
+            # added out of place.
+            inp.grad = gi if inp.grad is None else inp.grad + gi
     # rebind rather than clear: a caller may still hold the recorded list
     tape.nodes = []
 
@@ -361,6 +364,54 @@ def log_softmax_rows(x: DiffTensor, mask: np.ndarray | None = None) -> DiffTenso
         return (dx,)
 
     return _record(out, (x,), vjp)
+
+
+def attention(
+    q: DiffTensor, k: DiffTensor, v: DiffTensor, bias: DiffTensor, scale: float, mask: np.ndarray | None = None
+) -> DiffTensor:
+    """``softmax(scale * (q @ kᵀ + bias)) @ v`` over the last two axes, one node.
+
+    ``q`` is (..., n_q, d), ``k`` (..., n_k, d) and ``v`` (..., n_k, d_v);
+    ``bias`` and the boolean ``mask`` (True marks entries that participate)
+    broadcast against the (..., n_q, n_k) logits. Masked entries get weight
+    exactly 0 and gradient exactly 0; a fully masked row raises ``ValueError``.
+    The products run through ``np.matmul`` (batched BLAS) in both directions.
+    """
+    f = float(scale)
+    try:
+        logits = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) + bias.data
+    except ValueError:
+        raise DimensionError(f"attention rejects q {q.shape}, k {k.shape} and bias {bias.shape}") from None
+    logits *= f
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim > logits.ndim or any(m not in (1, n) for m, n in zip(mask.shape[::-1], logits.shape[::-1])):
+            raise DimensionError(f"attention mask {mask.shape} does not broadcast to the logits {logits.shape}")
+        if not mask.any(axis=-1).all():
+            raise ValueError("attention row is fully masked")
+        logits = np.where(mask, logits, -np.inf)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    try:
+        out = np.matmul(w, v.data)
+    except ValueError:
+        raise DimensionError(f"attention weights {w.shape} cannot gather v {v.shape}") from None
+
+    def vjp(g):
+        gw = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+        gl *= f
+        gq = np.matmul(gl, k.data)
+        gk = np.matmul(np.swapaxes(gl, -1, -2), q.data)
+        gv = np.matmul(np.swapaxes(w, -1, -2), g)
+        return (
+            _unbroadcast(gq, q.shape),
+            _unbroadcast(gk, k.shape),
+            _unbroadcast(gv, v.shape),
+            _unbroadcast(gl, bias.shape),
+        )
+
+    return _record(out, (q, k, v, bias), vjp)
 
 
 def layer_norm_rows(x: DiffTensor, eps: float = 1e-5) -> DiffTensor:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,6 +75,14 @@ class FragmentLibrary:
         return [f.id for f in self.fragments]
 
 
+def json_int(value, field: str) -> int:
+    """An integer read from an input file. Floats and booleans are rejected,
+    not truncated (``int(1.9)`` and ``int(True)`` are both 1)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_library(path: str) -> FragmentLibrary:
     with open(path) as fh:
         try:
@@ -82,7 +91,13 @@ def load_library(path: str) -> FragmentLibrary:
             raise LibraryError(f"{path}: not valid JSON: {e}") from None
     try:
         frags = [
-            Fragment(id=int(r["id"]), name=str(r["name"]), aps=int(r["aps"]), size=int(r["size"]), polarity=float(r["polarity"]))
+            Fragment(
+                id=json_int(r["id"], "fragment 'id'"),
+                name=str(r["name"]),
+                aps=json_int(r["aps"], "fragment 'aps'"),
+                size=json_int(r["size"], "fragment 'size'"),
+                polarity=float(r["polarity"]),
+            )
             for r in doc["fragments"]
         ]
         return FragmentLibrary(frags)
@@ -456,7 +471,7 @@ def state_to_record(s: LigandState) -> dict:
 
 def state_from_record(rec: dict) -> LigandState:
     return LigandState(
-        nodes=tuple(int(x) for x in rec["nodes"]),
-        edges=tuple(tuple(int(v) for v in e) for e in rec["edges"]),
+        nodes=tuple(json_int(x, "'nodes' entry") for x in rec["nodes"]),
+        edges=tuple(tuple(json_int(v, "'edges' entry") for v in e) for e in rec["edges"]),
         terminal=True,
     )

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffTensor, tensor
+from .ligand import json_int
 from .nn import ParamStore, layer_norm_affine, mlp_apply, mlp_params
 
 N_RESIDUE_TYPES = 20
@@ -268,7 +269,8 @@ def load_pocket_jsonl(path: str) -> list[Residue]:
             if not isinstance(rec, dict):
                 raise PocketError(f"{path}:{line_no}: a residue record must be a JSON object")
             try:
-                residues.append(Residue(index=int(rec["index"]), residue_type=int(rec["res"]), ca=np.asarray(rec["ca"], dtype=np.float64)))
+                index, res = json_int(rec["index"], "'index'"), json_int(rec["res"], "'res'")
+                residues.append(Residue(index=index, residue_type=res, ca=np.asarray(rec["ca"], dtype=np.float64)))
             except KeyError as e:
                 raise PocketError(f"{path}:{line_no}: missing field {e}") from None
             except (TypeError, ValueError) as e:

@@ -30,7 +30,7 @@ from .ligand import (
     legal_actions,
 )
 from .pocket import PocketGraph, encode_pocket
-from .trioformer import batch_copies, pool_graph_embedding, trioformer_stack
+from .trioformer import batch_copies, pool_graph_embedding, project_heads, trioformer_stack
 
 BASELINE = "baseline"
 TRIOFORMER = "trioformer"
@@ -158,25 +158,28 @@ class PolicyNetwork:
         return x, np.stack([f[1] for f in feats]), np.stack([adjacency_matrix(s) for s in states])
 
     def _self_attention_layers(self, x: DiffTensor, edges_np: np.ndarray, att_mask: np.ndarray, prefix: str) -> DiffTensor:
-        """Graph transformer over B graphs of n nodes each; x is (B * n, w)."""
+        """Graph transformer over B graphs of n nodes each; x is (B * n, w).
+
+        Each layer attends with heads before nodes: q, k and v are
+        (B, heads, n, w / heads), the edge bias is (B, heads, n, n), and
+        ``att_mask`` (B, n, n) broadcasts over the heads.
+        """
         cfg = self.config
         b, n = att_mask.shape[:2]
         heads = cfg.n_heads
         hd = cfg.width // heads
         edge_flat = tensor(edges_np.reshape(b * n * n, -1))
-        mask_rows = np.repeat(att_mask[:, :, None, :], heads, axis=2).reshape(b * n * heads, n)
         for layer in range(cfg.n_layers):
             name = f"{prefix}.gt{layer}"
             normed = layer_norm_affine(self.store, f"{name}.ln1", x, cfg.width)
-            q = ad.reshape(ad.matmul(normed, self.store.param(f"{name}.q.w", (cfg.width, cfg.width))), (b, n, heads, hd))
-            k = ad.reshape(ad.matmul(normed, self.store.param(f"{name}.k.w", (cfg.width, cfg.width))), (b, n, heads, hd))
-            v = ad.reshape(ad.matmul(normed, self.store.param(f"{name}.v.w", (cfg.width, cfg.width))), (b, n, heads, hd))
-            logits = ad.einsum2("bqhc,bkhc->bqhk", q, k)
+            q, k, v = (
+                ad.permute(project_heads(self.store, f"{name}.{t}", normed, cfg.width, heads, hd, (b, n)), (0, 2, 1, 3))
+                for t in "qkv"
+            )
             bias = ad.reshape(ad.matmul(edge_flat, self.store.param(f"{name}.e.w", (edges_np.shape[-1], heads))), (b, n, n, heads))
-            logits = ad.scale(ad.add(logits, ad.permute(bias, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-            att = ad.softmax_rows(ad.reshape(logits, (b * n * heads, n)), mask=mask_rows)
-            gathered = ad.einsum2("bqhk,bkhc->bqhc", ad.reshape(att, (b, n, heads, n)), v)
-            out = ad.matmul(ad.reshape(gathered, (b * n, cfg.width)), self.store.param(f"{name}.o.w", (cfg.width, cfg.width)))
+            att = ad.attention(q, k, v, ad.permute(bias, (0, 3, 1, 2)), 1.0 / np.sqrt(hd), mask=att_mask[:, None])
+            gathered = ad.reshape(ad.permute(att, (0, 2, 1, 3)), (b * n, cfg.width))
+            out = ad.matmul(gathered, self.store.param(f"{name}.o.w", (cfg.width, cfg.width)))
             x = ad.add(x, out)
             normed2 = layer_norm_affine(self.store, f"{name}.ln2", x, cfg.width)
             x = ad.add(x, mlp_apply(normed2, mlp_params(self.store, f"{name}.mlp", [cfg.width, 2 * cfg.width, cfg.width])))

@@ -86,6 +86,11 @@ def primitive_gradient_errors() -> dict[str, float]:
     c23 = tensor(rng.normal(size=(2, 3)))
     c34 = tensor(rng.normal(size=(3, 4)))
     c32 = tensor(rng.normal(size=(3, 2)))
+    # one tensor as q, k, v and, through its first batch entry, a bias that
+    # broadcasts over the batch; the mask drops one key of two rows
+    x233 = lambda: tensor(rng.normal(size=(2, 3, 3)))
+    attend = lambda mask: lambda x: ad.attention(x, x, x, ad.gather_rows(x, [0]), 0.5, mask=mask)
+    key_mask = np.array([[True, False, True], [True, True, True], [False, True, True]])
     checks = [
         ("add", lambda x: ad.add(x, c23), x23()),
         ("mul", lambda x: ad.mul(x, c23), x23()),
@@ -101,6 +106,8 @@ def primitive_gradient_errors() -> dict[str, float]:
         ("concat", lambda x: ad.concat([x, ad.mul(x, x)], axis=1), x23()),
         ("gather", lambda x: ad.gather_rows(x, np.array([1, 0, 1])), x23()),
         ("mean_rows", ad.mean_rows, x23()),
+        ("attention", attend(None), x233()),
+        ("attention_masked", attend(key_mask), x233()),
     ]
     return {name: finite_diff_check(f, x).max_rel_err for name, f, x in checks}
 

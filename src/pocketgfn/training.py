@@ -232,10 +232,10 @@ def train(
     one policy pass per pocket; build the loss from the recorded action
     log-probabilities and take one update. The tape is freed by
     ``backward``. Metrics rows go to ``metrics_path`` as JSON lines. A
-    non-finite loss, or a non-finite gradient of any parameter, aborts with
-    a ``TrainingError`` naming the step (and the parameter). ``stop_fn(row)``
-    returning True ends training early (used by callers that watch a
-    convergence signal). The checkpoint meta records the policy config, so
+    non-finite loss, a non-finite gradient of any parameter, or a parameter
+    left non-finite by the update aborts with a ``TrainingError`` naming the
+    step (and the parameter). ``stop_fn(row)`` returning True ends training
+    early (used by callers that watch a convergence signal). The checkpoint meta records the policy config, so
     the checkpoint can be rebuilt for sampling.
     """
     if not pockets:
@@ -281,6 +281,9 @@ def train(
                 if p.grad is not None and not np.isfinite(p.grad).all():
                     raise TrainingError(f"training diverged: non-finite gradient of {name} at step {step}")
             optimizer.step()
+            for name, p in store.items():
+                if not np.isfinite(p.data).all():
+                    raise TrainingError(f"training diverged: non-finite parameter {name} after the update at step {step}")
             store.zero_grads()
 
             row = {

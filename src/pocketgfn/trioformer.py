@@ -7,8 +7,10 @@ with the same node count on one pocket (a single ligand is the batch of one).
 One fold of the update attends along the pocket axis with real-distance
 biases, the other along the ligand axis with adjacency biases; a
 position-wise transition and biased cross-attention back into the node
-tracks complete a layer. All blocks are pre-norm residuals built on the
-tape engine, so the whole stack is differentiable and checkpointable.
+tracks complete a layer. Every attention is one ``autodiff.attention`` node
+over the last two axes, so each block permutes the attended axis last. All
+blocks are pre-norm residuals built on the tape engine, so the whole stack
+is differentiable and checkpointable.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ def init_pair_embeddings(
     return ad.add(ad.reshape(proj_p, (b, n_p, 1, c_pair)), ad.reshape(proj_l, (b, 1, n_l, c_pair)))
 
 
-def _heads_proj(store, prefix, x_flat: DiffTensor, c_in: int, n_heads: int, head_dim: int, shape):
+def project_heads(store, prefix, x_flat: DiffTensor, c_in: int, n_heads: int, head_dim: int, shape):
+    """``x_flat @ {prefix}.w`` split into heads: (prod(shape), c_in) -> (*shape, heads, head_dim)."""
     w = store.param(f"{prefix}.w", (c_in, n_heads * head_dim))
     return ad.reshape(ad.matmul(x_flat, w), (*shape, n_heads, head_dim))
 
@@ -87,6 +90,11 @@ def triangle_update(
     over ligand nodes k, keys from pair[i, k], bias from dist_features[j, k]
     (indices within one batch entry). ``pair`` is (B, n_P, n_L, c);
     ``dist_features`` is (1, n, n, f), shared by the batch, or (B, n, n, f).
+
+    The attention is one fused node with the attended axis last: q, k and v
+    are permuted to (B, n_L, heads, n_P, c) for the pocket fold and
+    (B, n_P, heads, n_L, c) for the ligand fold, and the distance bias
+    (1 or B, 1, heads, n, n) broadcasts over the other node axis.
     """
     b, n_p, n_l, c_pair = pair.shape
     if axis == "pocket":
@@ -101,26 +109,16 @@ def triangle_update(
     b_f = feats.shape[0]
 
     normed = layer_norm_affine(store, f"{prefix}.ln", ad.reshape(pair, (b * n_p * n_l, c_pair)), c_pair)
-    q = _heads_proj(store, f"{prefix}.q", normed, c_pair, n_heads, head_dim, (b, n_p, n_l))
-    k = _heads_proj(store, f"{prefix}.k", normed, c_pair, n_heads, head_dim, (b, n_p, n_l))
-    v = _heads_proj(store, f"{prefix}.v", normed, c_pair, n_heads, head_dim, (b, n_p, n_l))
+    q = project_heads(store, f"{prefix}.q", normed, c_pair, n_heads, head_dim, (b, n_p, n_l))
+    k = project_heads(store, f"{prefix}.k", normed, c_pair, n_heads, head_dim, (b, n_p, n_l))
+    v = project_heads(store, f"{prefix}.v", normed, c_pair, n_heads, head_dim, (b, n_p, n_l))
     t = tensor(feats.reshape(b_f * n_axis * n_axis, feats.shape[3]))
     t = ad.reshape(ad.matmul(t, store.param(f"{prefix}.t.w", (feats.shape[3], n_heads))), (b_f, n_axis, n_axis, n_heads))
-    t = ad.permute(t, (0, 1, 3, 2))
+    bias = ad.reshape(ad.permute(t, (0, 3, 1, 2)), (b_f, 1, n_heads, n_axis, n_axis))
 
-    if axis == "pocket":
-        logits = ad.einsum2("bijhc,bkjhc->bijhk", q, k)
-        bias = ad.reshape(t, (b_f, n_p, 1, n_heads, n_p))
-    else:
-        logits = ad.einsum2("bijhc,bikhc->bijhk", q, k)
-        bias = ad.reshape(t, (b_f, 1, n_l, n_heads, n_l))
-    logits = ad.scale(ad.add(logits, bias), 1.0 / np.sqrt(head_dim))
-    att = ad.reshape(ad.softmax_rows(ad.reshape(logits, (b * n_p * n_l * n_heads, n_axis))), (b, n_p, n_l, n_heads, n_axis))
-    if axis == "pocket":
-        gathered = ad.einsum2("bijhk,bkjhc->bijhc", att, v)
-    else:
-        gathered = ad.einsum2("bijhk,bikhc->bijhc", att, v)
-    out_flat = ad.reshape(gathered, (b * n_p * n_l, n_heads * head_dim))
+    fold, unfold = ((0, 2, 3, 1, 4), (0, 3, 1, 2, 4)) if axis == "pocket" else ((0, 1, 3, 2, 4),) * 2
+    att = ad.attention(*(ad.permute(x, fold) for x in (q, k, v)), bias, 1.0 / np.sqrt(head_dim))
+    out_flat = ad.reshape(ad.permute(att, unfold), (b * n_p * n_l, n_heads * head_dim))
     out = ad.matmul(out_flat, store.param(f"{prefix}.o.w", (n_heads * head_dim, c_pair)))
     return ad.add(pair, ad.reshape(out, (b, n_p, n_l, c_pair)))
 
@@ -147,7 +145,9 @@ def biased_cross_attention(
     projection of the pair embedding; residual on both tracks.
 
     Tracks are (B, n_P, c_P) and (B, n_L, c_L) with pair (B, n_P, n_L, c_pair);
-    returns the new (pocket, ligand) tracks."""
+    returns the new (pocket, ligand) tracks. Each track's attention is one
+    fused node over heads-first q, k and v, (B, heads, n, c), with the pair
+    bias permuted to (B, heads, n_q, n_kv)."""
     b, n_p, c_p = h_pocket.shape
     n_l, c_l = h_ligand.shape[1:]
     pair_flat = ad.reshape(pair, (b * n_p * n_l, pair.shape[3]))
@@ -158,19 +158,18 @@ def biased_cross_attention(
         n_kv = h_kv.shape[1]
         nq = layer_norm_affine(store, f"{prefix}.{tag}.ln_q", ad.reshape(h_q, (b * n_q, c_q)), c_q)
         nkv = layer_norm_affine(store, f"{prefix}.{tag}.ln_kv", ad.reshape(h_kv, (b * n_kv, c_kv)), c_kv)
-        q = ad.reshape(ad.matmul(nq, store.param(f"{prefix}.{tag}.q.w", (c_q, n_heads * head_dim))), (b, n_q, n_heads, head_dim))
-        k = ad.reshape(ad.matmul(nkv, store.param(f"{prefix}.{tag}.k.w", (c_kv, n_heads * head_dim))), (b, n_kv, n_heads, head_dim))
-        v = ad.reshape(ad.matmul(nkv, store.param(f"{prefix}.{tag}.v.w", (c_kv, n_heads * head_dim))), (b, n_kv, n_heads, head_dim))
-        logits = ad.scale(ad.add(ad.einsum2("bqhc,bkhc->bqhk", q, k), bias_qk), 1.0 / np.sqrt(head_dim))
-        att = ad.reshape(ad.softmax_rows(ad.reshape(logits, (b * n_q * n_heads, n_kv))), (b, n_q, n_heads, n_kv))
-        gathered = ad.reshape(ad.einsum2("bqhk,bkhc->bqhc", att, v), (b * n_q, n_heads * head_dim))
+        q = project_heads(store, f"{prefix}.{tag}.q", nq, c_q, n_heads, head_dim, (b, n_q))
+        k = project_heads(store, f"{prefix}.{tag}.k", nkv, c_kv, n_heads, head_dim, (b, n_kv))
+        v = project_heads(store, f"{prefix}.{tag}.v", nkv, c_kv, n_heads, head_dim, (b, n_kv))
+        att = ad.attention(*(ad.permute(x, (0, 2, 1, 3)) for x in (q, k, v)), bias_qk, 1.0 / np.sqrt(head_dim))
+        gathered = ad.reshape(ad.permute(att, (0, 2, 1, 3)), (b * n_q, n_heads * head_dim))
         out = ad.matmul(gathered, store.param(f"{prefix}.{tag}.o.w", (n_heads * head_dim, c_q)))
         return ad.add(h_q, ad.reshape(out, (b, n_q, c_q)))
 
     # ligand queries see pocket keys with bias[pocket k, ligand q, head]
-    bias_l = ad.permute(bias, (0, 2, 3, 1))  # (B, n_l, heads, n_p)
+    bias_l = ad.permute(bias, (0, 3, 2, 1))  # (B, heads, n_l, n_p)
     new_ligand = one_track(h_ligand, h_pocket, bias_l, "lig", c_l, c_p)
-    bias_p = ad.permute(bias, (0, 1, 3, 2))  # (B, n_p, heads, n_l)
+    bias_p = ad.permute(bias, (0, 3, 1, 2))  # (B, heads, n_p, n_l)
     new_pocket = one_track(h_pocket, h_ligand, bias_p, "poc", c_p, c_l)
     return new_pocket, new_ligand
 

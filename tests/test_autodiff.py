@@ -159,6 +159,32 @@ class TestTapeSemantics:
             backward(sum_all(a))
         np.testing.assert_allclose(x.grad, inner_grad)
 
+    def test_gradient_of_wrong_shape_rejected(self):
+        # a vjp that forgets to broadcast back: (3,) for a (2, 3) input
+        x = rand(2, 3)
+        with Tape():
+            loss = sum_all(ad._record(x.data.sum(axis=0), (x,), lambda g: (g,)))
+        with pytest.raises(TapeError, match=r"\(3,\).*\(2, 3\)"):
+            backward(loss)
+
+    def test_view_gradients_summed_without_aliasing(self):
+        # add, reshape and permute hand back their output gradient or a view
+        # of it; x must receive the sum and leave those gradients untouched
+        x = tensor(np.arange(6.0).reshape(2, 3))
+        c1 = tensor(np.linspace(1.0, 2.0, 6).reshape(2, 3))
+        c2 = tensor(np.linspace(-1.0, 1.0, 6).reshape(3, 2))
+        c3 = tensor(np.linspace(3.0, 4.0, 6).reshape(3, 2))
+        with Tape():
+            y1 = ad.add(x, tensor(np.zeros((2, 3))))
+            y2 = ad.reshape(x, (3, 2))
+            y3 = ad.permute(x, (1, 0))
+            loss = ad.add(ad.add(sum_all(ad.mul(y1, c1)), sum_all(ad.mul(y2, c2))), sum_all(ad.mul(y3, c3)))
+        backward(loss)
+        np.testing.assert_array_equal(y1.grad, c1.data)
+        np.testing.assert_array_equal(y2.grad, c2.data)
+        np.testing.assert_array_equal(y3.grad, c3.data)
+        np.testing.assert_array_equal(x.grad, c1.data + c2.data.reshape(2, 3) + c3.data.T)
+
 
 def _check(f, x, tol=PRIMITIVE_TOL):
     report = finite_diff_check(f, x, tol=tol)
@@ -273,6 +299,144 @@ class TestPrimitiveGradients:
 
     def test_square(self):
         _check(ad.square, rand(3, 4))
+
+
+ATT_SCALE = 0.25
+
+
+def _composed_attention(logits_spec, out_spec, q, k, v, bias, mask=None):
+    """The chain every attention site recorded before the fused node."""
+    logits = ad.scale(ad.add(einsum2(logits_spec, q, k), bias), ATT_SCALE)
+    att = softmax_rows(ad.reshape(logits, (-1, logits.shape[-1])), mask=mask)
+    return einsum2(out_spec, ad.reshape(att, logits.shape), v)
+
+
+def _fused_attention(fold, unfold, q, k, v, bias, mask=None):
+    q, k, v = (ad.permute(x, fold) for x in (q, k, v))
+    return ad.permute(ad.attention(q, k, v, bias, ATT_SCALE, mask=mask), unfold)
+
+
+GRAPH_MASK = np.array(
+    [[[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]], [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 1]]],
+    dtype=bool,
+)
+
+# layout -> (q, k, v and bias shapes, composed chain, fused node). Each site
+# projects q, k and v in its own layout; the fused node folds the attended
+# axis last. b = 2, n_P = 3, n_L = 4, heads = 2, c = 5.
+ATTENTION_LAYOUTS = {
+    "triangle-pocket": (
+        [(2, 3, 4, 2, 5)] * 3 + [(1, 3, 3, 2)],
+        lambda q, k, v, t: _composed_attention(
+            "bijhc,bkjhc->bijhk", "bijhk,bkjhc->bijhc", q, k, v, ad.reshape(ad.permute(t, (0, 1, 3, 2)), (1, 3, 1, 2, 3))
+        ),
+        lambda q, k, v, t: _fused_attention(
+            (0, 2, 3, 1, 4), (0, 3, 1, 2, 4), q, k, v, ad.reshape(ad.permute(t, (0, 3, 1, 2)), (1, 1, 2, 3, 3))
+        ),
+    ),
+    "triangle-ligand": (
+        [(2, 3, 4, 2, 5)] * 3 + [(2, 4, 4, 2)],
+        lambda q, k, v, t: _composed_attention(
+            "bijhc,bikhc->bijhk", "bijhk,bikhc->bijhc", q, k, v, ad.reshape(ad.permute(t, (0, 1, 3, 2)), (2, 1, 4, 2, 4))
+        ),
+        lambda q, k, v, t: _fused_attention(
+            (0, 1, 3, 2, 4), (0, 1, 3, 2, 4), q, k, v, ad.reshape(ad.permute(t, (0, 3, 1, 2)), (2, 1, 2, 4, 4))
+        ),
+    ),
+    # ligand queries over pocket keys; the pair bias is (b, n_P, n_L, heads)
+    "cross": (
+        [(2, 4, 2, 5), (2, 3, 2, 5), (2, 3, 2, 5), (2, 3, 4, 2)],
+        lambda q, k, v, bias: _composed_attention(
+            "bqhc,bkhc->bqhk", "bqhk,bkhc->bqhc", q, k, v, ad.permute(bias, (0, 2, 3, 1))
+        ),
+        lambda q, k, v, bias: _fused_attention((0, 2, 1, 3), (0, 2, 1, 3), q, k, v, ad.permute(bias, (0, 3, 2, 1))),
+    ),
+    # the ligand graph transformer: edge bias (b, n, n, heads) and an adjacency mask
+    "graph": (
+        [(2, 4, 2, 5)] * 3 + [(2, 4, 4, 2)],
+        lambda q, k, v, bias: _composed_attention(
+            "bqhc,bkhc->bqhk", "bqhk,bkhc->bqhc", q, k, v, ad.permute(bias, (0, 1, 3, 2)),
+            mask=np.repeat(GRAPH_MASK[:, :, None, :], 2, axis=2).reshape(-1, 4),
+        ),
+        lambda q, k, v, bias: _fused_attention(
+            (0, 2, 1, 3), (0, 2, 1, 3), q, k, v, ad.permute(bias, (0, 3, 1, 2)), mask=GRAPH_MASK[:, None]
+        ),
+    ),
+}
+
+
+def _attention_operands(rng, shapes=((2, 3, 4), (2, 5, 4), (2, 5, 3), (1, 3, 5))):
+    """q, k, v and a bias that broadcasts over the batch."""
+    return [tensor(rng.uniform(-1.0, 1.0, size=s)) for s in shapes]
+
+
+class TestAttention:
+    @pytest.mark.parametrize("operand", ["q", "k", "v", "bias"])
+    def test_gradient(self, operand):
+        args = _attention_operands(np.random.default_rng(5))
+        i = ["q", "k", "v", "bias"].index(operand)
+        x = args[i]
+
+        def f(t):
+            return ad.attention(*args[:i], t, *args[i + 1 :], 0.5)
+
+        _check(f, x)
+
+    def test_masked_gradient(self):
+        q, k, v, bias = _attention_operands(np.random.default_rng(6))
+        mask = np.array([[True, False, True, True, False], [False, True, True, True, True], [True] * 5])
+        _check(lambda t: ad.attention(q, k, v, t, 0.5, mask=mask), bias)
+
+    def test_mask_gives_exact_zero_weight_and_gradient(self):
+        q, k, _, bias = _attention_operands(np.random.default_rng(7))
+        v = tensor(np.broadcast_to(np.eye(5), (2, 5, 5)))  # the output is the weights
+        mask = np.array([[True, False, True, True, False], [False, True, True, True, False], [True, True, True, True, False]])
+        with Tape():
+            w = ad.attention(q, k, v, bias, 0.5, mask=mask)
+            loss = sum_all(ad.mul(w, rand(2, 3, 5)))
+        backward(loss)
+        assert np.all(w.data[:, ~mask] == 0.0)
+        np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-12)
+        assert np.all(bias.grad[:, ~mask] == 0.0)
+        # key 4 is masked for every query
+        assert np.all(k.grad[:, 4] == 0.0) and np.all(v.grad[:, 4] == 0.0)
+        # what a masked entry's logit would be does not matter
+        bias.data[:, ~mask] = 1e6
+        np.testing.assert_array_equal(ad.attention(q, k, v, bias, 0.5, mask=mask).data, w.data)
+
+    def test_fully_masked_row_rejected(self):
+        q, k, v, bias = _attention_operands(np.random.default_rng(8))
+        mask = np.ones((3, 5), dtype=bool)
+        mask[1] = False
+        with pytest.raises(ValueError, match="fully masked"):
+            ad.attention(q, k, v, bias, 0.5, mask=mask)
+
+    def test_shape_errors(self):
+        q, k, v, bias = _attention_operands(np.random.default_rng(9))
+        with pytest.raises(DimensionError):
+            ad.attention(q, rand(2, 5, 3), v, bias, 0.5)
+        with pytest.raises(DimensionError):
+            ad.attention(q, k, v, bias, 0.5, mask=np.ones((3, 4), dtype=bool))
+
+    @pytest.mark.parametrize("layout", list(ATTENTION_LAYOUTS))
+    def test_fused_node_matches_composed_chain(self, layout):
+        shapes, composed, fused = ATTENTION_LAYOUTS[layout]
+        rng = np.random.default_rng(10)
+        operands = [rng.normal(size=s) for s in shapes]
+        results = []
+        for build in (composed, fused):
+            leaves = [tensor(x) for x in operands]
+            with Tape() as tape:
+                out = build(*leaves)
+                loss = sum_all(ad.mul(out, tensor(np.linspace(-1.0, 1.0, out.size).reshape(out.shape))))
+            n_nodes = len(tape.nodes)
+            backward(loss)
+            results.append((out.data, [x.grad for x in leaves], n_nodes))
+        (out_c, grads_c, nodes_c), (out_f, grads_f, nodes_f) = results
+        np.testing.assert_allclose(out_f, out_c, rtol=0, atol=1e-12)
+        for g_f, g_c in zip(grads_f, grads_c):
+            np.testing.assert_allclose(g_f, g_c, rtol=0, atol=1e-12)
+        assert nodes_f < nodes_c
 
 
 class TestCompositeGradients:

@@ -413,6 +413,39 @@ MALFORMED_INPUTS = {
 }
 
 
+_COMPACT_POCKET = resolve_bundled("bundled:compact", BUNDLED_POCKETS, "pocket")
+
+
+def _pocket_with_last(**fields):
+    """The bundled compact pocket with fields of its last residue replaced."""
+    with open(_COMPACT_POCKET) as fh:
+        lines = fh.read().splitlines()
+    last = json.loads(lines[-1])
+    last.update(fields)
+    return "\n".join([*lines[:-1], json.dumps(last)]) + "\n"
+
+
+def _molecule(nodes, edges):
+    return json.dumps({"nodes": nodes, "edges": edges}) + "\n"
+
+
+# (kind, payload, the field the error line names): values where a file needs
+# an integer, each of which int() would truncate to a valid one. Molecule
+# files are loaded by `evaluate`; the toy library has fragments 0 and 1, one
+# attachment point each.
+NOT_INTEGER_INPUTS = {
+    "library-aps-float": ("library", _fragment_library(aps=1.9), "'aps'"),
+    "library-aps-bool": ("library", _fragment_library(aps=True), "'aps'"),
+    "library-id-float": ("library", _fragment_library(id=0.7), "'id'"),
+    "library-size-float": ("library", _fragment_library(size=2.5), "'size'"),
+    "pocket-index-float": ("pocket", _pocket_with_last(index=len(load_pocket_jsonl(_COMPACT_POCKET)) - 0.4), "'index'"),
+    "pocket-res-bool": ("pocket", _pocket_with_last(res=True), "'res'"),
+    "molecule-node-float": ("molecule", _molecule([0.9, 1], [[0, 0, 1, 0]]), "'nodes'"),
+    "molecule-node-bool": ("molecule", _molecule([0, True], [[0, 0, 1, 0]]), "'nodes'"),
+    "molecule-edge-float": ("molecule", _molecule([0, 1], [[0, 0.2, 1.8, 0]]), "'edges'"),
+}
+
+
 @pytest.fixture(scope="module")
 def trained_checkpoint(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("trained")
@@ -441,6 +474,20 @@ class TestMalformedInputs:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("case", list(NOT_INTEGER_INPUTS))
+    def test_non_integer_rejected_naming_the_field(self, tmp_path, capsys, case):
+        kind, payload, field = NOT_INTEGER_INPUTS[case]
+        bad = tmp_path / f"bad_{kind}.json"
+        bad.write_text(payload)
+        if kind == "molecule":
+            argv = ["evaluate", str(bad), "--config", str(write_cfg(tmp_path, "c.json"))]
+        else:
+            argv = ["train", "--config", str(write_cfg(tmp_path, "c.json", **{f"{kind}_file": str(bad)}))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, err
+        assert field in err and "must be an integer" in err, err
 
 
 class TestSelfcheckCommand:

@@ -227,6 +227,25 @@ class TestActionDistribution:
         assert emb_grad is not None and np.any(emb_grad != 0.0)
 
     @pytest.mark.parametrize("mode", ["baseline", "trioformer"])
+    def test_one_fused_node_per_attention_site(self, mode, monkeypatch):
+        # sites: one per graph-transformer layer, and per trioformer layer the
+        # two triangle folds and the two cross-attention tracks
+        fused = ad.attention
+        calls = []
+        monkeypatch.setattr(ad, "attention", lambda *args, **kw: calls.append(1) or fused(*args, **kw))
+
+        def no_softmax_chain(*args, **kw):
+            raise AssertionError("an attention site recorded a softmax chain")
+
+        monkeypatch.setattr(ad, "softmax_rows", no_softmax_chain)
+        policy = make_policy(mode)
+        s = grow([AddFragment(None, None, 0, 0), AddFragment(0, 1, 1, 0)], DESK)
+        with Tape():
+            policy.action_distribution([s, s], pocket_ctx(policy), max_nodes=8)
+        cfg = policy.config
+        assert len(calls) == cfg.n_layers + (4 * cfg.trio_layers if mode == "trioformer" else 0)
+
+    @pytest.mark.parametrize("mode", ["baseline", "trioformer"])
     def test_batch_padding_isolated_from_gradient(self, mode):
         # states with different row counts are padded to one width; the
         # padding must add nothing to the gradient of the legal rows

@@ -346,6 +346,14 @@ class TestTrain:
         bad = [name for name, p in store.items() if p.grad is not None and not np.isfinite(p.grad).all()]
         assert str(err.value) == f"training diverged: non-finite gradient of {bad[0]} at step 0"
 
+    def test_non_finite_parameter_after_update_names_it(self):
+        # the gradients are finite; an infinite step leaves the parameters not
+        store = ParamStore(np.random.default_rng([0, 7]))
+        with pytest.raises(TrainingError) as err, np.errstate(invalid="ignore"):
+            train(small_config(2, max_nodes=2, learning_rate=math.inf), TOY, one_pocket(), store=store)
+        bad = [name for name, p in store.items() if not np.isfinite(p.data).all()]
+        assert str(err.value) == f"training diverged: non-finite parameter {bad[0]} after the update at step 0"
+
     def test_stop_fn_ends_early(self):
         calls = []
 
