@@ -46,7 +46,8 @@ for parent, action, log_p in backward_transitions(s, lib):
 total = sum(math.exp(lp) for _, _, lp in backward_transitions(s, lib))
 print("tear-down probabilities sum to", total)
 
-# a symmetric dimer has two relabelings that preserve structure
+# both nodes of a symmetric dimer see the same tree from where they stand
+# (the same rooted serialization), so two relabelings preserve its structure
 dimer = apply_action(initial_state(), AddFragment(None, None, 0, 0), lib, 2)
 dimer = apply_action(dimer, AddFragment(0, 0, 0, 0), lib, 2)
 print("\nsymmetric dimer automorphisms:", automorphism_count(dimer))

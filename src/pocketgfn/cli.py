@@ -105,8 +105,8 @@ class RunConfig:
         expect(self.batch_size >= 1, "batch_size", f"must be a positive integer, got {self.batch_size!r}")
         for name in ("learning_rate", "beta"):
             value = getattr(self, name)
-            expect(isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0,
-                   name, f"must be a positive number, got {value!r}")
+            expect(isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < np.inf,
+                   name, f"must be a positive finite number, got {value!r}")
         expect(self.max_nodes >= 1, "max_nodes", f"must be a positive integer, got {self.max_nodes!r}")
         expect(self.mode in (BASELINE, TRIOFORMER), "mode", f"must be one of {BASELINE!r}, {TRIOFORMER!r}, got {self.mode!r}")
         expect(isinstance(self.weights, list) and len(self.weights) == 3, "weights", f"must be three numbers, got {self.weights!r}")

@@ -1,13 +1,12 @@
 """Fragment-graph ligand states: actions, transitions, canonical forms, enumeration.
 
 States are always trees (every added fragment attaches by exactly one bond),
-immutable, and cheap to hash. Node order records insertion order; attachment
+immutable, and cheap to hash. Nodes are listed in a growth order; attachment
 points are labeled and an AP can be used at most once.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import numbers
 from dataclasses import dataclass
@@ -131,7 +130,11 @@ def desk_library() -> FragmentLibrary:
 
 @dataclass(frozen=True)
 class LigandState:
-    nodes: tuple[int, ...]  # fragment ids, insertion order
+    """A fragment tree in growth order: bond k attaches node k + 1 to an earlier
+    node, so every bond has i < j and every prefix of ``nodes`` is connected.
+    ``validate_state`` requires only a tree whose bonds have i < j."""
+
+    nodes: tuple[int, ...]  # fragment ids
     edges: tuple[tuple[int, int, int, int], ...]  # (i, ap_i, j, ap_j), i < j
     terminal: bool = False
 
@@ -359,53 +362,47 @@ def step_backward_log_prob(child: LigandState, library: FragmentLibrary, is_root
 # ---------------------------------------------------------------------------
 
 
-def _normalize_edges(edges) -> tuple:
-    return tuple(sorted([(i, ap_i, j, ap_j) if i <= j else (j, ap_j, i, ap_i) for i, ap_i, j, ap_j in edges]))
+def _bonds_by_node(s: LigandState) -> list[list[tuple[int, int, int]]]:
+    """Per node, its bonds as (own_ap, neighbour_ap, neighbour), in own-AP order."""
+    bonds = [[] for _ in range(s.n)]
+    for i, ap_i, j, ap_j in s.edges:
+        bonds[i].append((ap_i, ap_j, j))
+        bonds[j].append((ap_j, ap_i, i))
+    return [sorted(row) for row in bonds]
 
 
-def permute_state(s: LigandState, perm: list[int]) -> LigandState:
-    """Relabel nodes by old->new map. Test helper: the result may not respect
-    insertion order, so it is for isomorphism checks, not for growing."""
-    if sorted(perm) != list(range(s.n)):
-        raise ValueError(f"perm must be a permutation of 0..{s.n - 1}")
-    new_nodes = [0] * s.n
-    for old, new in enumerate(perm):
-        new_nodes[new] = s.nodes[old]
-    new_edges = _normalize_edges((perm[i], ap_i, perm[j], ap_j) for i, ap_i, j, ap_j in s.edges)
-    return LigandState(nodes=tuple(new_nodes), edges=new_edges, terminal=s.terminal)
+def _serial(s: LigandState, bonds, v: int, parent: int) -> tuple:
+    """(fragment id, ((own_ap, child_ap, child serial), ...)) of the subtree
+    hanging from ``v`` away from ``parent``, children in own-AP order."""
+    return s.nodes[v], tuple([(own, other, _serial(s, bonds, u, v)) for own, other, u in bonds[v] if u != parent])
 
 
-def _group_permutations(nodes: tuple[int, ...]):
-    """All node permutations (old->new) that keep the sorted fragment-id sequence."""
-    order = sorted(range(len(nodes)), key=lambda v: nodes[v])
-    rank = [0] * len(nodes)
-    for pos, v in enumerate(order):
-        rank[v] = pos
-    # slots holding one fragment id are contiguous in the sorted sequence
-    blocks = [tuple(g) for _, g in itertools.groupby(range(len(nodes)), key=lambda pos: nodes[order[pos]])]
-    for assignment in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        flat = [slot for block in assignment for slot in block]
-        yield [flat[r] for r in rank]
-
-
-def _canonical_edges(s: LigandState) -> tuple[tuple, int]:
-    """The lexicographically minimal edge list over the relabelings that keep
-    the sorted fragment-id sequence, and how many of them reach it."""
-    best, count = None, 0
-    for perm in _group_permutations(s.nodes):
-        edges = _normalize_edges([(perm[i], ap_i, perm[j], ap_j) for i, ap_i, j, ap_j in s.edges])
-        if best is None or edges < best:
-            best, count = edges, 1
-        elif edges == best:
-            count += 1
-    return best, count
+def _minimal_serial(s: LigandState) -> tuple[tuple, int]:
+    """The smallest rooted serialization of ``s`` and how many nodes it is rooted at."""
+    bonds = _bonds_by_node(s)
+    low = min(s.nodes)  # a serialization starts with its root's fragment id
+    serials = [_serial(s, bonds, v, -1) for v, fid in enumerate(s.nodes) if fid == low]
+    best = min(serials)
+    return best, serials.count(best)
 
 
 def canonical_form(s: LigandState) -> tuple[tuple[int, ...], tuple]:
-    """Lexicographically minimal (fragment-id sequence, edge list) over relabelings."""
+    """(fragment ids, bonds) relabeled in preorder of the smallest rooted
+    serialization, children in attachment-point order. A serialization is a
+    complete invariant of its rooted tree, and the result is a growth order."""
     if s.n == 0:
         return (), ()
-    return tuple(sorted(s.nodes)), _canonical_edges(s)[0]
+    nodes, edges = [], []
+
+    def visit(serial: tuple) -> None:
+        label = len(nodes)
+        nodes.append(serial[0])
+        for own, other, child in serial[1]:
+            edges.append((label, own, len(nodes), other))
+            visit(child)
+
+    visit(_minimal_serial(s)[0])
+    return tuple(nodes), tuple(edges)
 
 
 def canonical_key(s: LigandState) -> str:
@@ -415,11 +412,13 @@ def canonical_key(s: LigandState) -> str:
 
 def automorphism_count(s: LigandState) -> int:
     """Number of node relabelings fixing both fragment ids and the AP-labeled
-    edge set. The relabelings that reach any one image form a coset of that
-    group, so this counts those that reach the canonical edge list."""
+    bond set. Each attachment point carries at most one bond, so a relabeling
+    that fixes one node fixes its neighbours and hence every node: the group
+    acts freely, and its size is the number of nodes whose rooted
+    serialization equals the minimal one."""
     if s.n <= 1:
         return 1
-    return _canonical_edges(s)[1]
+    return _minimal_serial(s)[1]
 
 
 # ---------------------------------------------------------------------------

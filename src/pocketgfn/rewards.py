@@ -88,8 +88,8 @@ class RewardWeights:
 
     def __post_init__(self):
         for name, w in (("w_ds", self.w_ds), ("w_qed", self.w_qed), ("w_sa", self.w_sa)):
-            if w < 0:
-                raise MetricError(f"{name} must be nonnegative, got {w}")
+            if not 0 <= w < math.inf:
+                raise MetricError(f"{name} must be nonnegative and finite, got {w}")
         total = self.w_ds + self.w_qed + self.w_sa
         if abs(total - 1.0) > 1e-9:
             raise MetricError(f"weights must sum to 1, got {total}")

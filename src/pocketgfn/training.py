@@ -185,17 +185,10 @@ def trajectory_backward_log_prob(states: list[LigandState], library: FragmentLib
     return total
 
 
-def shaped_log_reward(quality: float, terminal: LigandState, beta: float, aut_cache: dict | None = None) -> float:
+def shaped_log_reward(quality: float, terminal: LigandState, beta: float) -> float:
     if not quality > 0:
         raise TrainingError(f"reward must be positive, got quality {quality}")
-    aut = None
-    if aut_cache is not None:
-        aut = aut_cache.get((terminal.nodes, terminal.edges))
-    if aut is None:
-        aut = automorphism_count(terminal)
-        if aut_cache is not None:
-            aut_cache[(terminal.nodes, terminal.edges)] = aut
-    return beta * math.log(quality) + math.log(aut)
+    return beta * math.log(quality) + math.log(automorphism_count(terminal))
 
 
 def tb_loss_tensor(log_z: DiffTensor, log_pf_sum: DiffTensor, log_reward: float, log_pb_sum: float) -> DiffTensor:
@@ -249,7 +242,6 @@ def train(
     _materialize_params(policy, policy.pocket_context(pockets[pocket_ids[0]]), library, config.max_nodes)
 
     optimizer = Adam(store, lr=config.learning_rate)
-    aut_cache: dict = {}
     metrics: list[dict] = []
     steps_run = 0
     sink = open(metrics_path, "w") if metrics_path else None
@@ -268,7 +260,7 @@ def train(
                 for traj in batch:
                     terminal = traj.states[-1]
                     quality = reward_fn(pockets[traj.pocket_id], terminal)
-                    traj.log_reward = shaped_log_reward(quality, terminal, config.beta, aut_cache)
+                    traj.log_reward = shaped_log_reward(quality, terminal, config.beta)
                     log_pf_sum = ad.reshape(ad.sum_all(ad.concat(traj.log_pf, axis=0)), (1, 1))
                     log_pb = trajectory_backward_log_prob(traj.states, library)
                     losses.append(tb_loss_tensor(log_z[traj.pocket_id], log_pf_sum, traj.log_reward, log_pb))

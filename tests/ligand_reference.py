@@ -1,0 +1,61 @@
+"""Reference canonicalization by brute force, for checking ``pocketgfn.ligand``.
+
+Tries every relabeling that keeps the sorted fragment-id sequence, so its
+cost is factorial in the largest block of one fragment type: usable up to
+about 8 nodes.
+"""
+
+import itertools
+import json
+
+from pocketgfn.ligand import LigandState
+
+
+def normalize_edges(edges) -> tuple:
+    return tuple(sorted([(i, ap_i, j, ap_j) if i <= j else (j, ap_j, i, ap_i) for i, ap_i, j, ap_j in edges]))
+
+
+def permute_state(s: LigandState, perm: list[int]) -> LigandState:
+    """Relabel nodes by old->new map. The result may not be in growth order,
+    so it is for isomorphism checks, not for growing."""
+    if sorted(perm) != list(range(s.n)):
+        raise ValueError(f"perm must be a permutation of 0..{s.n - 1}")
+    new_nodes = [0] * s.n
+    for old, new in enumerate(perm):
+        new_nodes[new] = s.nodes[old]
+    new_edges = normalize_edges((perm[i], ap_i, perm[j], ap_j) for i, ap_i, j, ap_j in s.edges)
+    return LigandState(nodes=tuple(new_nodes), edges=new_edges, terminal=s.terminal)
+
+
+def group_permutations(nodes: tuple[int, ...]):
+    """All node permutations (old->new) that keep the sorted fragment-id sequence."""
+    order = sorted(range(len(nodes)), key=lambda v: nodes[v])
+    rank = [0] * len(nodes)
+    for pos, v in enumerate(order):
+        rank[v] = pos
+    # slots holding one fragment id are contiguous in the sorted sequence
+    blocks = [tuple(g) for _, g in itertools.groupby(range(len(nodes)), key=lambda pos: nodes[order[pos]])]
+    for assignment in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        flat = [slot for block in assignment for slot in block]
+        yield [flat[r] for r in rank]
+
+
+def canonical_edges(s: LigandState) -> tuple[tuple, int]:
+    """The lexicographically minimal edge list over the relabelings that keep
+    the sorted fragment-id sequence, and how many of them reach it (the
+    automorphism count: those relabelings form a coset of the group)."""
+    best, count = None, 0
+    for perm in group_permutations(s.nodes):
+        edges = normalize_edges([(perm[i], ap_i, perm[j], ap_j) for i, ap_i, j, ap_j in s.edges])
+        if best is None or edges < best:
+            best, count = edges, 1
+        elif edges == best:
+            count += 1
+    return best, count
+
+
+def reference_canonical(s: LigandState) -> tuple[str, int]:
+    """(key, automorphism count): the key is the sorted fragment ids and the
+    minimal edge list as one string."""
+    edges, count = canonical_edges(s)
+    return json.dumps([sorted(s.nodes), [list(e) for e in edges]], separators=(",", ":")), count

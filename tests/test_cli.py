@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pocketgfn import nn
 from pocketgfn.cli import (
@@ -15,7 +19,16 @@ from pocketgfn.cli import (
     main,
     resolve_bundled,
 )
-from pocketgfn.ligand import canonical_key, desk_library, state_from_record, toy_library
+from pocketgfn.ligand import (
+    AddFragment,
+    apply_action,
+    canonical_key,
+    desk_library,
+    initial_state,
+    legal_actions,
+    state_from_record,
+    toy_library,
+)
 from pocketgfn.pocket import build_knn_graph, load_pocket_jsonl, save_pocket_jsonl, synthetic_pocket
 from pocketgfn.policy import PolicyConfig
 from pocketgfn.rewards import diversity, docking_score, qed_proxy, sa_proxy, top_k_mean
@@ -85,11 +98,14 @@ class TestRunConfig:
             "learning_rate", "beta",
         )]
         + [pytest.param("policy", {key: bad}, id=f"policy-{key}-{bad!r}")
-           for key, bad in (("width", 0), ("width", "64"), ("n_heads", 0), ("width", 10), ("n_layers", True))],
+           for key, bad in (("width", 0), ("width", "64"), ("n_heads", 0), ("width", 10), ("n_layers", True))]
+        + [pytest.param("learning_rate", math.inf, id="learning_rate-inf"),
+           pytest.param("beta", math.inf, id="beta-inf"),
+           pytest.param("weights", [math.nan, 0.0, 0.0], id="weights-nan")],
     )
     def test_boolean_integer_field_exit_2(self, tmp_path, capsys, name, value):
         # bool is a subclass of int; true must not pass as 1, nor may a
-        # malformed policy override reach training
+        # malformed policy override or a non-finite number reach training
         cfg = write_cfg(tmp_path, "c.json", **{name: value})
         assert main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
@@ -446,6 +462,58 @@ NOT_INTEGER_INPUTS = {
 }
 
 
+DESK = desk_library()
+DESK_APS = [f.aps for f in DESK]
+
+
+@st.composite
+def malformed_molecules(draw):
+    """A desk-library molecule record broken in one way: a ring, a reused or
+    out-of-range attachment point, an unknown fragment, a float or boolean
+    where an integer belongs, or a bond with i >= j."""
+    kind = draw(st.sampled_from(["ring", "reused-ap", "ap-out-of-range", "unknown-fragment", "not-integer", "i-not-below-j"]))
+    if kind == "ring":
+        # amides (two attachment points) bonded ap1 to ap0 around a closed loop
+        k = draw(st.integers(2, 6))
+        return {"nodes": [2] * k, "edges": [[m, 1, m + 1, 0] for m in range(k - 1)] + [[0, 0, k - 1, 1]]}
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    s, cap = initial_state(), draw(st.integers(2, 6))
+    while s.n < cap:
+        adds = [a for a in legal_actions(s, DESK, cap) if isinstance(a, AddFragment)]
+        if not adds:
+            break
+        s = apply_action(s, adds[rng.integers(len(adds))], DESK, cap)
+    nodes, edges = list(s.nodes), [list(e) for e in s.edges]
+    e = draw(st.integers(0, len(edges) - 1))
+    side = draw(st.sampled_from([0, 2]))
+    if kind == "reused-ap":
+        v, ap = edges[e][side], edges[e][side + 1]
+        edges.append([v, ap, len(nodes), 0])
+        nodes.append(draw(st.integers(0, len(DESK_APS) - 1)))
+    elif kind == "ap-out-of-range":
+        aps = DESK_APS[nodes[edges[e][side]]]
+        edges[e][side + 1] = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=aps)))
+    elif kind == "unknown-fragment":
+        nodes[draw(st.integers(0, len(nodes) - 1))] = draw(
+            st.one_of(st.integers(max_value=-1), st.integers(min_value=len(DESK_APS))))
+    elif kind == "not-integer":
+        target = draw(st.sampled_from(["nodes", "edges"]))
+        row = nodes if target == "nodes" else edges[e]
+        pos = draw(st.integers(0, len(row) - 1))
+        row[pos] = draw(st.one_of(st.booleans(), st.floats(allow_nan=False, allow_infinity=False), st.just(float(row[pos]))))
+    else:
+        i, ap_i, j, ap_j = edges[e]
+        edges[e] = draw(st.sampled_from([[j, ap_j, i, ap_i], [i, ap_i, i, ap_j], [j, ap_j, j, ap_i]]))
+    return {"nodes": nodes, "edges": edges}
+
+
+@pytest.fixture(scope="module")
+def desk_evaluate(tmp_path_factory):
+    """(config path, molecule file path) for running `evaluate` on the desk library."""
+    tmp_path = tmp_path_factory.mktemp("evaluate")
+    return write_cfg(tmp_path, "c.json", library_file="bundled:desk"), tmp_path / "mols.jsonl"
+
+
 @pytest.fixture(scope="module")
 def trained_checkpoint(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("trained")
@@ -488,6 +556,17 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, err
         assert field in err and "must be an integer" in err, err
+
+    @given(malformed_molecules())
+    @settings(max_examples=100, deadline=None)
+    def test_malformed_molecule_exit_2(self, desk_evaluate, record):
+        # a valid molecule on line 1, so the error must name line 2
+        cfg_path, mols = desk_evaluate
+        mols.write_text(_molecule([0], []) + json.dumps(record) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["evaluate", str(mols), "--config", str(cfg_path)]) == 2, record
+        assert err.getvalue().startswith("error:") and ":2:" in err.getvalue(), (record, err.getvalue())
 
 
 class TestSelfcheckCommand:

@@ -25,7 +25,6 @@ from pocketgfn.ligand import (
     initial_state,
     legal_actions,
     load_library,
-    permute_state,
     removable_leaves,
     remove_leaf,
     save_library,
@@ -36,6 +35,8 @@ from pocketgfn.ligand import (
     validate_state,
 )
 
+from ligand_reference import permute_state, reference_canonical
+
 TOY = toy_library()
 DESK = desk_library()
 
@@ -45,6 +46,13 @@ def grow(actions, library=TOY, max_nodes=8):
     for a in actions:
         s = apply_action(s, a, library, max_nodes)
     return s
+
+
+@st.composite
+def random_walks(draw):
+    seed = draw(st.integers(0, 2**31 - 1))
+    n_steps = draw(st.integers(1, 10))
+    return seed, n_steps
 
 
 class TestLibrary:
@@ -255,8 +263,17 @@ class TestCanonical:
     def test_idempotent(self):
         s = grow([AddFragment(None, None, 0, 0), AddFragment(0, 0, 1, 0)])
         nodes, edges = canonical_form(s)
-        again = canonical_form(LigandStateLike(nodes, edges))
-        assert (nodes, edges) == again
+        assert canonical_form(LigandState(nodes, edges)) == (nodes, edges)
+
+    def test_preorder_from_the_minimal_root(self):
+        # hydroxyl - amide(ap1 | ap0) - benzene(ap0 | ap1) - hydroxyl, grown from a hydroxyl;
+        # the only benzene is the minimal root, and the amide branch (ap0) comes
+        # first and is labeled depth first
+        s = grow(
+            [AddFragment(None, None, 1, 0), AddFragment(0, 0, 2, 1), AddFragment(1, 0, 0, 0), AddFragment(2, 1, 1, 0)],
+            library=DESK,
+        )
+        assert canonical_form(s) == ((0, 2, 1, 1), ((0, 0, 1, 0), (1, 1, 2, 0), (0, 1, 3, 0)))
 
     def test_isomorphic_orderings_collapse(self):
         a_then_b = grow([AddFragment(None, None, 0, 0), AddFragment(0, 0, 1, 0)])
@@ -279,19 +296,6 @@ class TestCanonical:
         s1 = grow([AddFragment(None, None, 0, 0), AddFragment(0, 0, 1, 0)], library=DESK)
         s2 = grow([AddFragment(None, None, 0, 0), AddFragment(0, 1, 1, 0)], library=DESK)
         assert canonical_key(s1) != canonical_key(s2)
-
-
-class LigandStateLike:
-    """Tiny shim so canonical_form can be re-applied to its own output."""
-
-    def __init__(self, nodes, edges):
-        self.nodes = nodes
-        self.edges = edges
-        self.terminal = False
-
-    @property
-    def n(self):
-        return len(self.nodes)
 
 
 class TestAutomorphisms:
@@ -328,6 +332,88 @@ class TestAutomorphisms:
         assert automorphism_count(s) == 2
 
 
+def chain(n, mirrored=False):
+    """``n`` amides (two attachment points each), each bond joining ap1 of one
+    to ap0 of the next; ``mirrored`` grows two such halves outward from an
+    ap0-ap0 bond between nodes 0 and 1."""
+    if not mirrored:
+        return grow([AddFragment(None, None, 2, 0)] + [AddFragment(k, 1, 2, 0) for k in range(n - 1)], DESK, n)
+    return grow([AddFragment(None, None, 2, 0), AddFragment(0, 0, 2, 0)] + [AddFragment(k, 1, 2, 0) for k in range(n - 2)], DESK, n)
+
+
+class TestLargeCaps:
+    @pytest.mark.parametrize("mirrored, count", [(False, 1), (True, 2)], ids=["chain", "mirrored"])
+    def test_twelve_node_chain(self, mirrored, count):
+        # one fragment type: 12! relabelings keep the fragment ids
+        s = chain(12, mirrored)
+        assert automorphism_count(s) == count
+        base = canonical_key(s)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            assert canonical_key(permute_state(s, list(rng.permutation(s.n)))) == base
+
+
+def assert_record_is_canonical_growth_order(s):
+    t = state_from_record(state_to_record(s))
+    validate_state(t, DESK)
+    # bond k attaches node k + 1 to an earlier node, so every prefix is connected
+    assert [j for _, _, j, _ in t.edges] == list(range(1, t.n))
+    assert canonical_form(t) == (t.nodes, t.edges)
+
+
+def random_molecule(seed, n_nodes):
+    """A desk molecule of exactly ``n_nodes`` fragments grown by uniform legal additions."""
+    rng = np.random.default_rng(seed)
+    while True:
+        s = initial_state()
+        while s.n < n_nodes:
+            adds = [a for a in legal_actions(s, DESK, n_nodes) if isinstance(a, AddFragment)]
+            if not adds:
+                break  # every attachment point is used; start over
+            s = apply_action(s, adds[rng.integers(len(adds))], DESK, n_nodes)
+        if s.n == n_nodes:
+            return s
+
+
+class TestAgreesWithReference:
+    """Rooted serializations against the brute-force relabeling search."""
+
+    def test_every_raw_desk_state_at_cap_4(self):
+        states, frontier = {}, [initial_state()]
+        while frontier:
+            s = frontier.pop()
+            for a in legal_actions(s, DESK, 4):
+                if isinstance(a, AddFragment):
+                    child = apply_action(s, a, DESK, 4)
+                    if (child.nodes, child.edges) not in states:
+                        states[child.nodes, child.edges] = child
+                        frontier.append(child)
+        assert len(states) == 33092
+        pairs = set()
+        for s in states.values():
+            ref_key, ref_count = reference_canonical(s)
+            assert automorphism_count(s) == ref_count
+            pairs.add((canonical_key(s), ref_key))
+            assert_record_is_canonical_growth_order(s)
+        # the two keys group the raw states into the same molecules
+        assert len(pairs) == len({k for k, _ in pairs}) == len({r for _, r in pairs}) == 4112
+
+    @given(random_walks())
+    @settings(max_examples=300, deadline=None)
+    def test_random_seven_fragment_molecules(self, walk):
+        seed, n_steps = walk
+        s = random_molecule(seed, 7)
+        ref_key, ref_count = reference_canonical(s)
+        assert automorphism_count(s) == ref_count
+        assert_record_is_canonical_growth_order(s)
+        # a relabeled copy is the same molecule under both keys, and another
+        # random molecule is the same one under both or under neither
+        t = permute_state(s, list(np.random.default_rng([seed, n_steps]).permutation(7)))
+        assert canonical_key(t) == canonical_key(s) and reference_canonical(t)[0] == ref_key
+        u = random_molecule([seed, n_steps], 7)
+        assert (canonical_key(u) == canonical_key(s)) == (reference_canonical(u)[0] == ref_key)
+
+
 class TestEnumeration:
     def test_toy_library_five_states(self):
         states = enumerate_terminal_states(TOY, max_nodes=2)
@@ -362,13 +448,6 @@ class TestEnumeration:
         for lib, cap in ((TOY, 2), (TOY, 3), (DESK, 2)):
             enum_keys = {canonical_key(s) for s in enumerate_terminal_states(lib, cap)}
             assert enum_keys == dfs(lib, cap)
-
-
-@st.composite
-def random_walks(draw):
-    seed = draw(st.integers(0, 2**31 - 1))
-    n_steps = draw(st.integers(1, 10))
-    return seed, n_steps
 
 
 class TestStateInvariantsFuzz:

@@ -11,7 +11,6 @@ from pocketgfn.ligand import (
     desk_library,
     enumerate_terminal_states,
     initial_state,
-    permute_state,
     toy_library,
 )
 from pocketgfn.pocket import Residue, build_knn_graph, random_rotation, synthetic_pocket, transform_residues
@@ -33,6 +32,8 @@ from pocketgfn.rewards import (
     tanimoto_distance,
     top_k_mean,
 )
+
+from ligand_reference import permute_state
 
 DESK = desk_library()
 TOY = toy_library()
