@@ -13,7 +13,7 @@ import numpy as np
 from pocketgfn.ligand import AddFragment, STOP, apply_action, desk_library, initial_state
 from pocketgfn.pocket import build_knn_graph, synthetic_pocket
 from pocketgfn.rewards import (
-    RewardWeights,
+    DEFAULT_WEIGHTS,
     combined_quality,
     diversity,
     docking_score,
@@ -46,7 +46,7 @@ molecules = {
 }
 
 print(f"\n{'molecule':18s} {'dock':>8s} {'qed':>7s} {'sa':>7s} {'combined':>9s}")
-weights = RewardWeights(0.5, 0.25, 0.25)
+weights = DEFAULT_WEIGHTS  # the blend training uses unless a run config sets another
 scores = []
 for name, s in molecules.items():
     ds = docking_score(pocket, s, lib)

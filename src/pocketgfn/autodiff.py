@@ -10,7 +10,6 @@ nothing, so inference-only code pays no bookkeeping cost.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -25,20 +24,18 @@ class TapeError(RuntimeError):
     """Misuse of the differentiation tape."""
 
 
-_LOCAL = threading.local()
+# Entered tapes, innermost last.
+_TAPES: list["Tape"] = []
 
+# Variance floor of every layer normalization.
+LN_EPS = 1e-5
 
-def _tape_stack() -> list["Tape"]:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = []
-        _LOCAL.stack = stack
-    return stack
+# Central-difference step of finite_diff_check.
+FD_STEP = 1e-5
 
 
 def active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 class DiffTensor:
@@ -49,12 +46,11 @@ class DiffTensor:
     so deliberately, between tapes).
     """
 
-    __slots__ = ("data", "grad", "node_id", "_tape")
+    __slots__ = ("data", "grad", "_tape")
 
     def __init__(self, data: np.ndarray):
         self.data = data
         self.grad: np.ndarray | None = None
-        self.node_id: int = -1
         self._tape: Tape | None = None
 
     @property
@@ -90,27 +86,24 @@ class Tape:
     consumed: bool = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
+        if not _TAPES or _TAPES[-1] is not self:
             raise TapeError("tape stack corrupted: exiting a tape that is not innermost")
-        stack.pop()
+        _TAPES.pop()
 
 
-def tensor(data, copy: bool = True) -> DiffTensor:
-    """Create a leaf tensor (not recorded on any tape)."""
-    arr = np.array(data, dtype=np.float64, copy=copy)
-    return DiffTensor(arr)
+def tensor(data) -> DiffTensor:
+    """Create a leaf tensor (not recorded on any tape) holding a float64 copy of ``data``."""
+    return DiffTensor(np.array(data, dtype=np.float64))
 
 
 def _record(out_data: np.ndarray, inputs: tuple[DiffTensor, ...], vjp) -> DiffTensor:
     out = DiffTensor(out_data)
-    tape = active_tape()
-    if tape is not None:
-        out.node_id = len(tape.nodes)
+    if _TAPES:
+        tape = _TAPES[-1]
         out._tape = tape
         tape.nodes.append(TapeNode(inputs, out, vjp))
     return out
@@ -414,12 +407,12 @@ def attention(
     return _record(out, (q, k, v, bias), vjp)
 
 
-def layer_norm_rows(x: DiffTensor, eps: float = 1e-5) -> DiffTensor:
+def layer_norm_rows(x: DiffTensor) -> DiffTensor:
     """Zero-mean unit-variance normalization over the last axis (no affine)."""
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     out = centered * inv
 
     def vjp(g):
@@ -522,7 +515,6 @@ def finite_diff_check(
     f: Callable[[DiffTensor], DiffTensor],
     x: DiffTensor,
     tol: float = 1e-4,
-    step: float = 1e-5,
     seed: int = 0,
 ) -> FiniteDiffReport:
     """Compare the analytic gradient of ``f`` at ``x`` with central differences.
@@ -553,12 +545,12 @@ def finite_diff_check(
     nflat = numeric.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + FD_STEP
         f_plus = scalarize_value(f(x))
-        flat[i] = orig - step
+        flat[i] = orig - FD_STEP
         f_minus = scalarize_value(f(x))
         flat[i] = orig
-        nflat[i] = (f_plus - f_minus) / (2.0 * step)
+        nflat[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
     max_rel = float(np.max(np.abs(analytic - numeric) / denom)) if flat.size else 0.0

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from .ligand import (
     FragmentLibrary,
     LibraryError,
     canonical_key,
+    json_float,
     load_library,
     state_from_record,
     state_to_record,
@@ -31,6 +32,7 @@ from .nn import CheckpointError, ParamStore, load_checkpoint
 from .pocket import PocketError, PocketGraph, build_knn_graph, load_pocket_jsonl
 from .policy import BASELINE, TRIOFORMER, PolicyConfig, PolicyNetwork
 from .rewards import (
+    DEFAULT_WEIGHTS,
     MetricError,
     RewardWeights,
     diversity,
@@ -68,24 +70,34 @@ def resolve_bundled(spec: str, table: dict[str, str], kind: str) -> str:
 
 @dataclass
 class RunConfig:
+    """A run config file. The training fields default to, and are checked
+    by, ``TrainerConfig``; the rest are read only by the command line."""
+
     pocket_file: object = "bundled:compact"  # str or list of str
     library_file: str = "bundled:desk"
     checkpoint: str = "checkpoint.json"
     metrics: str | None = None
     steps: int = 200
-    batch_size: int = 16
-    learning_rate: float = 1e-3
-    beta: float = 4.0
-    max_nodes: int = 8
-    seed: int = 0
-    mode: str = BASELINE
-    weights: list = field(default_factory=lambda: [0.5, 0.25, 0.25])
+    batch_size: int = TrainerConfig.batch_size
+    learning_rate: float = TrainerConfig.learning_rate
+    beta: float = TrainerConfig.beta
+    max_nodes: int = TrainerConfig.max_nodes
+    seed: int = TrainerConfig.seed
+    mode: str = TrainerConfig.mode
+    weights: list = field(default_factory=lambda: list(astuple(DEFAULT_WEIGHTS)))
     n_molecules: int = 16
     top_k: int = 10
     retry_cap: int = 20
     policy: dict = field(default_factory=dict)
 
-    def validate(self, check_files: bool = True) -> None:
+    def trainer_config(self) -> TrainerConfig:
+        """The training fields as a ``TrainerConfig``, with the policy overrides applied."""
+        # the overrides go on after TrainerConfig has checked the mode they are built for
+        trainer = TrainerConfig(**{f.name: getattr(self, f.name) for f in fields(TrainerConfig) if f.name != "policy"})
+        trainer.policy = replace(trainer.policy, **self.policy)
+        return trainer
+
+    def validate(self) -> None:
         def expect(cond, name, msg):
             if not cond:
                 raise ConfigError(f"config field {name!r}: {msg}")
@@ -97,41 +109,29 @@ class RunConfig:
         expect(isinstance(self.library_file, str), "library_file", "must be a path")
         expect(isinstance(self.checkpoint, str), "checkpoint", "must be a path")
         expect(self.metrics is None or isinstance(self.metrics, str), "metrics", "must be a path")
-        for name in ("steps", "batch_size", "max_nodes", "seed", "n_molecules", "top_k", "retry_cap"):
+        for name in ("n_molecules", "top_k", "retry_cap"):
             value = getattr(self, name)
-            # bool is a subclass of int, so True would pass as 1
-            expect(isinstance(value, int) and not isinstance(value, bool), name, f"must be an integer, got {value!r}")
-        expect(self.steps >= 0, "steps", f"must be a nonnegative integer, got {self.steps!r}")
-        expect(self.batch_size >= 1, "batch_size", f"must be a positive integer, got {self.batch_size!r}")
-        for name in ("learning_rate", "beta"):
-            value = getattr(self, name)
-            expect(isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < np.inf,
-                   name, f"must be a positive finite number, got {value!r}")
-        expect(self.max_nodes >= 1, "max_nodes", f"must be a positive integer, got {self.max_nodes!r}")
-        expect(self.mode in (BASELINE, TRIOFORMER), "mode", f"must be one of {BASELINE!r}, {TRIOFORMER!r}, got {self.mode!r}")
+            expect(type(value) is int and value >= 1, name, f"must be a positive integer, got {value!r}")
         expect(isinstance(self.weights, list) and len(self.weights) == 3, "weights", f"must be three numbers, got {self.weights!r}")
         try:
-            RewardWeights(*[float(w) for w in self.weights])
-        except (MetricError, TypeError, ValueError) as e:
+            RewardWeights(*[json_float(w, "each entry") for w in self.weights])
+        except (MetricError, ValueError) as e:
             raise ConfigError(f"config field 'weights': {e}") from None
-        expect(self.n_molecules >= 1, "n_molecules", f"must be a positive integer, got {self.n_molecules!r}")
-        expect(self.top_k >= 1, "top_k", f"must be a positive integer, got {self.top_k!r}")
-        expect(self.retry_cap >= 1, "retry_cap", f"must be a positive integer, got {self.retry_cap!r}")
         expect(isinstance(self.policy, dict), "policy", "must be an object of policy overrides")
         allowed = {f.name for f in fields(PolicyConfig)} - {"mode"}
         for key in self.policy:
             expect(key in allowed, "policy", f"unknown policy override {key!r}; choices: {sorted(allowed)}")
         try:
-            _policy_config(self)
+            self.trainer_config()
+        except TrainingError as e:
+            raise ConfigError(str(e)) from None
         except ValueError as e:
             raise ConfigError(f"config field 'policy': {e}") from None
-        if check_files:
-            for path in self.pocket_paths():
-                if not os.path.exists(path):
-                    raise ConfigError(f"config field 'pocket_file': file not found: {path}")
-            lib = resolve_bundled(self.library_file, BUNDLED_LIBRARIES, "library")
-            if not os.path.exists(lib):
-                raise ConfigError(f"config field 'library_file': file not found: {lib}")
+        for path in self.pocket_paths():
+            if not os.path.exists(path):
+                raise ConfigError(f"config field 'pocket_file': file not found: {path}")
+        if not os.path.exists(self.library_path()):
+            raise ConfigError(f"config field 'library_file': file not found: {self.library_path()}")
 
     def pocket_paths(self) -> list[str]:
         specs = self.pocket_file if isinstance(self.pocket_file, list) else [self.pocket_file]
@@ -191,10 +191,6 @@ def _load_pockets(cfg: RunConfig) -> dict[str, PocketGraph]:
     return pockets
 
 
-def _policy_config(cfg: RunConfig) -> PolicyConfig:
-    return PolicyConfig(mode=cfg.mode, **cfg.policy)
-
-
 # -- subcommands --------------------------------------------------------------
 
 
@@ -206,13 +202,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     library = load_library(cfg.library_path())
     pockets = _load_pockets(cfg)
     weights = RewardWeights(*[float(w) for w in cfg.weights])
-    trainer_cfg = TrainerConfig(
-        steps=cfg.steps, batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
-        beta=cfg.beta, max_nodes=cfg.max_nodes, seed=cfg.seed, mode=cfg.mode,
-        policy=_policy_config(cfg),
-    )
     result = train(
-        trainer_cfg, library, pockets,
+        cfg.trainer_config(), library, pockets,
         reward_fn=default_reward_fn(library, weights),
         metrics_path=metrics_path, checkpoint_path=out_path,
         extra_meta={"weights": list(cfg.weights)},
@@ -230,7 +221,7 @@ def _rebuild_policy(checkpoint_path: str, library: FragmentLibrary, mode_flag: s
         if key not in meta:
             raise CheckpointError(f"checkpoint {checkpoint_path} meta is missing field {key!r}")
     max_nodes, policy_meta = meta["max_nodes"], meta["policy"]
-    if not isinstance(max_nodes, int) or isinstance(max_nodes, bool) or max_nodes < 1:
+    if type(max_nodes) is not int or max_nodes < 1:
         raise CheckpointError(f"checkpoint {checkpoint_path} meta field 'max_nodes' must be a positive integer, got {max_nodes!r}")
     if not isinstance(policy_meta, dict):
         raise CheckpointError(f"checkpoint {checkpoint_path} meta field 'policy' must be an object, got {policy_meta!r}")

@@ -8,14 +8,12 @@ points are labeled and an AP can be used at most once.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 DATA_DIR = Path(__file__).parent / "data"
-MAX_NODES_DEFAULT = 8
 ENUM_MAX_FRAGMENTS = 4
 ENUM_MAX_NODES = 4
 
@@ -77,9 +75,17 @@ class FragmentLibrary:
 def json_int(value, field: str) -> int:
     """An integer read from an input file. Floats and booleans are rejected,
     not truncated (``int(1.9)`` and ``int(True)`` are both 1)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if type(value) is not int:
         raise ValueError(f"{field} must be an integer, got {value!r}")
-    return int(value)
+    return value
+
+
+def json_float(value, field: str) -> float:
+    """A number read from an input file. Booleans and strings are rejected,
+    not converted (``float(True)`` is 1.0 and ``float("0.5")`` is 0.5)."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return float(value)
 
 
 def load_library(path: str) -> FragmentLibrary:
@@ -95,7 +101,7 @@ def load_library(path: str) -> FragmentLibrary:
                 name=str(r["name"]),
                 aps=json_int(r["aps"], "fragment 'aps'"),
                 size=json_int(r["size"], "fragment 'size'"),
-                polarity=float(r["polarity"]),
+                polarity=json_float(r["polarity"], "fragment 'polarity'"),
             )
             for r in doc["fragments"]
         ]
@@ -182,7 +188,7 @@ def free_aps(s: LigandState, node: int, library: FragmentLibrary) -> list[int]:
     return [ap for ap in range(library.get(s.nodes[node]).aps) if ap not in used]
 
 
-def legal_actions(s: LigandState, library: FragmentLibrary, max_nodes: int = MAX_NODES_DEFAULT) -> list[LigandAction]:
+def legal_actions(s: LigandState, library: FragmentLibrary, max_nodes: int) -> list[LigandAction]:
     """Stop first (iff nonempty), then AddFragment in (node, ap, fragment, ap) order."""
     if s.terminal:
         return []
@@ -198,7 +204,7 @@ def legal_actions(s: LigandState, library: FragmentLibrary, max_nodes: int = MAX
     return actions
 
 
-def stop_is_forced(s: LigandState, library: FragmentLibrary, max_nodes: int = MAX_NODES_DEFAULT) -> bool:
+def stop_is_forced(s: LigandState, library: FragmentLibrary, max_nodes: int) -> bool:
     """True when Stop is the only legal action: the node cap is reached or no
     attachment point is free (a tree of n - 1 bonds uses two points per bond)."""
     if s.terminal or s.n == 0:
@@ -206,9 +212,7 @@ def stop_is_forced(s: LigandState, library: FragmentLibrary, max_nodes: int = MA
     return s.n >= max_nodes or 2 * len(s.edges) == sum(library.get(fid).aps for fid in s.nodes)
 
 
-def apply_action(
-    s: LigandState, a: LigandAction, library: FragmentLibrary, max_nodes: int = MAX_NODES_DEFAULT
-) -> LigandState:
+def apply_action(s: LigandState, a: LigandAction, library: FragmentLibrary, max_nodes: int) -> LigandState:
     if s.terminal:
         raise IllegalActionError("state is terminal; no actions allowed")
     if isinstance(a, Stop):

@@ -13,6 +13,11 @@ from .autodiff import DiffTensor, DimensionError, add, layer_norm_rows, matmul, 
 
 CHECKPOINT_FORMAT_VERSION = 1
 
+# Adam's moment decay rates and denominator floor.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class CheckpointError(ValueError):
     """A checkpoint file is malformed, stale, or corrupted."""
@@ -115,12 +120,12 @@ def mlp_apply(x: DiffTensor, layers: list[tuple[DiffTensor, DiffTensor]]) -> Dif
     return x
 
 
-def layer_norm_affine(store: ParamStore, name: str, x: DiffTensor, dim: int, eps: float = 1e-5) -> DiffTensor:
+def layer_norm_affine(store: ParamStore, name: str, x: DiffTensor, dim: int) -> DiffTensor:
     # Gain starts at 1 and bias at 0 so a fresh network begins as a plain
     # normalization; uniform init here would randomly rescale activations.
     gain = store.constant_param(f"{name}.gain", np.ones(dim))
     bias = store.constant_param(f"{name}.bias", np.zeros(dim))
-    return add(mul(layer_norm_rows(x, eps=eps), gain), bias)
+    return add(mul(layer_norm_rows(x), gain), bias)
 
 
 # ---------------------------------------------------------------------------
@@ -129,19 +134,16 @@ def layer_norm_affine(store: ParamStore, name: str, x: DiffTensor, dim: int, eps
 
 
 class Adam:
-    def __init__(self, store: ParamStore, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, store: ParamStore, lr: float):
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for name, p in self.store.items():
@@ -157,7 +159,7 @@ class Adam:
             m += (1.0 - b1) * p.grad
             v *= b2
             v += (1.0 - b2) * p.grad**2
-            p.data = p.data - self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            p.data = p.data - self.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

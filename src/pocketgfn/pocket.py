@@ -15,14 +15,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffTensor, tensor
-from .ligand import json_int
+from .ligand import json_float, json_int
 from .nn import ParamStore, layer_norm_affine, mlp_apply, mlp_params
 
 N_RESIDUE_TYPES = 20
 MAX_BACKBONE_SEP = 32
 DEFAULT_K = 8
-DEFAULT_C_POCKET = 64
-DEFAULT_LAYERS = 3
 
 N_SCALAR_FEATURES = N_RESIDUE_TYPES + 2  # one-hot + sin/cos pseudo-dihedral
 N_VECTOR_CHANNELS = 2  # forward / backward chain unit vectors
@@ -70,9 +68,12 @@ class PocketGraph:
 
 
 @dataclass
-class PocketEmbedding:
+class PocketContext:
+    """Everything the policy needs about one pocket, computed once per pass."""
+
     node_embeddings: DiffTensor  # (n, c)
     pooled: DiffTensor  # (1, c), arithmetic mean of node rows
+    dist_matrix: np.ndarray  # (n, n)
 
 
 def pairwise_distance_matrix(coords: np.ndarray) -> np.ndarray:
@@ -186,13 +187,7 @@ def _vector_norms(v: DiffTensor) -> DiffTensor:
     return ad.sqrt(ad.add(sq, tensor(np.full(sq.shape, 1e-8))))
 
 
-def encode_pocket(
-    graph: PocketGraph,
-    params: ParamStore,
-    L_layers: int = DEFAULT_LAYERS,
-    c_pocket: int = DEFAULT_C_POCKET,
-    prefix: str = "pocket",
-) -> PocketEmbedding:
+def encode_pocket(graph: PocketGraph, params: ParamStore, L_layers: int, c_pocket: int) -> PocketContext:
     """Two-track (scalar/vector) message passing over the KNN graph.
 
     The vector track carries chain directions and stays equivariant; it feeds
@@ -203,8 +198,8 @@ def encode_pocket(
     k = graph.neighbor_idx.shape[1]
     scalars_np, vectors_np = node_features(graph.residues, graph)
 
-    s = ad.matmul(tensor(scalars_np), params.param(f"{prefix}.embed.w", (N_SCALAR_FEATURES, c_pocket)))
-    s = ad.add(s, params.param(f"{prefix}.embed.b", (c_pocket,), fan_in=N_SCALAR_FEATURES))
+    s = ad.matmul(tensor(scalars_np), params.param("pocket.embed.w", (N_SCALAR_FEATURES, c_pocket)))
+    s = ad.add(s, params.param("pocket.embed.b", (c_pocket,), fan_in=N_SCALAR_FEATURES))
     v = tensor(vectors_np)
 
     rows = np.repeat(np.arange(n), k)
@@ -219,7 +214,7 @@ def encode_pocket(
     msg_in_dim = 2 * c_pocket + 2 + 2 * nV + 2 * nV
 
     for layer in range(L_layers):
-        name = f"{prefix}.layer{layer}"
+        name = f"pocket.layer{layer}"
         s_i = ad.gather_rows(s, rows)
         s_j = ad.gather_rows(s, cols)
         v_i = ad.gather_rows(v, rows)
@@ -242,8 +237,7 @@ def encode_pocket(
         v_agg = ad.einsum2("nkvc,k->nvc", ad.reshape(v_msg, (n, k, nV, 3)), mean_k)
         v = ad.add(v, v_agg)
 
-    pooled = ad.mean_rows(s)
-    return PocketEmbedding(node_embeddings=s, pooled=pooled)
+    return PocketContext(node_embeddings=s, pooled=ad.mean_rows(s), dist_matrix=graph.dist_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +264,8 @@ def load_pocket_jsonl(path: str) -> list[Residue]:
                 raise PocketError(f"{path}:{line_no}: a residue record must be a JSON object")
             try:
                 index, res = json_int(rec["index"], "'index'"), json_int(rec["res"], "'res'")
-                residues.append(Residue(index=index, residue_type=res, ca=np.asarray(rec["ca"], dtype=np.float64)))
+                ca = [json_float(x, "'ca' entry") for x in rec["ca"]]
+                residues.append(Residue(index=index, residue_type=res, ca=np.asarray(ca)))
             except KeyError as e:
                 raise PocketError(f"{path}:{line_no}: missing field {e}") from None
             except (TypeError, ValueError) as e:

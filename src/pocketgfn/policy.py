@@ -29,7 +29,7 @@ from .ligand import (
     adjacency_matrix,
     legal_actions,
 )
-from .pocket import PocketGraph, encode_pocket
+from .pocket import PocketContext, PocketGraph, encode_pocket
 from .trioformer import batch_copies, pool_graph_embedding, project_heads, trioformer_stack
 
 BASELINE = "baseline"
@@ -57,23 +57,14 @@ class PolicyConfig:
             if f.name == "mode":
                 continue
             value = getattr(self, f.name)
-            # bool is a subclass of int, so True would pass as 1
-            if not isinstance(value, int) or isinstance(value, bool):
+            # type(), not isinstance: True is an int and would pass as 1
+            if type(value) is not int:
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
             low = 0 if f.name.endswith("layers") else 1
             if value < low:
                 raise ValueError(f"{f.name} must be >= {low}, got {value}")
         if self.width % self.n_heads != 0:
             raise ValueError(f"width {self.width} not divisible by heads {self.n_heads}")
-
-
-@dataclass
-class PocketContext:
-    """Everything the policy needs about one pocket, computed once per pass."""
-
-    node_embeddings: DiffTensor  # (n_P, c_P)
-    pooled: DiffTensor  # (1, c_P)
-    dist_matrix: np.ndarray  # (n_P, n_P)
 
 
 @dataclass
@@ -130,10 +121,7 @@ class PolicyNetwork:
     # -- pocket side ------------------------------------------------------
 
     def pocket_context(self, graph: PocketGraph) -> PocketContext:
-        emb = encode_pocket(
-            graph, self.store, L_layers=self.config.pocket_layers, c_pocket=self.config.pocket_width
-        )
-        return PocketContext(node_embeddings=emb.node_embeddings, pooled=emb.pooled, dist_matrix=graph.dist_matrix)
+        return encode_pocket(graph, self.store, self.config.pocket_layers, self.config.pocket_width)
 
     def log_z(self, ctx: PocketContext) -> DiffTensor:
         """Learned per-pocket partition estimate, shape (1, 1)."""
@@ -157,7 +145,7 @@ class PolicyNetwork:
         x = ad.add(ad.matmul(tensor(nodes_np), w), bias)
         return x, np.stack([f[1] for f in feats]), np.stack([adjacency_matrix(s) for s in states])
 
-    def _self_attention_layers(self, x: DiffTensor, edges_np: np.ndarray, att_mask: np.ndarray, prefix: str) -> DiffTensor:
+    def _self_attention_layers(self, x: DiffTensor, edges_np: np.ndarray, att_mask: np.ndarray) -> DiffTensor:
         """Graph transformer over B graphs of n nodes each; x is (B * n, w).
 
         Each layer attends with heads before nodes: q, k and v are
@@ -170,7 +158,7 @@ class PolicyNetwork:
         hd = cfg.width // heads
         edge_flat = tensor(edges_np.reshape(b * n * n, -1))
         for layer in range(cfg.n_layers):
-            name = f"{prefix}.gt{layer}"
+            name = f"lig.gt{layer}"
             normed = layer_norm_affine(self.store, f"{name}.ln1", x, cfg.width)
             q, k, v = (
                 ad.permute(project_heads(self.store, f"{name}.{t}", normed, cfg.width, heads, hd, (b, n)), (0, 2, 1, 3))
@@ -201,13 +189,13 @@ class PolicyNetwork:
             att_mask[:, :n, :n] = adj.astype(bool) | self_loops
             edges_aug = np.zeros((b, n + 1, n + 1, edges_np.shape[-1]))
             edges_aug[:, :n, :n] = edges_np
-            h = self._self_attention_layers(ad.reshape(x, (b * (n + 1), cfg.width)), edges_aug, att_mask, "lig")
+            h = self._self_attention_layers(ad.reshape(x, (b * (n + 1), cfg.width)), edges_aug, att_mask)
             rows = np.arange(b * (n + 1)).reshape(b, n + 1)
             real = ad.gather_rows(h, rows[:, :n].reshape(-1))
             pooled = pool_graph_embedding(ad.reshape(real, (b, n, cfg.width)))
             virtual_row = ad.gather_rows(h, rows[:, n])
             return real, ad.concat([pooled, virtual_row], axis=1)
-        h = self._self_attention_layers(x, edges_np, adj.astype(bool) | self_loops, "lig")
+        h = self._self_attention_layers(x, edges_np, adj.astype(bool) | self_loops)
         h = trioformer_stack(
             ctx.node_embeddings,
             ad.reshape(h, (b, n, cfg.width)),

@@ -43,8 +43,8 @@ def _require_terminal(s: LigandState, op: str) -> None:
         raise MetricError(f"{op} needs a nonempty state")
 
 
-def pocket_polarity(pocket: PocketGraph, table: np.ndarray = POLARITY_TABLE) -> float:
-    return float(np.mean([table[r.residue_type] for r in pocket.residues]))
+def pocket_polarity(pocket: PocketGraph) -> float:
+    return float(np.mean([POLARITY_TABLE[r.residue_type] for r in pocket.residues]))
 
 
 def ligand_size(s: LigandState, library) -> int:
@@ -55,12 +55,12 @@ def ligand_polarity(s: LigandState, library) -> float:
     return float(np.mean([library.get(fid).polarity for fid in s.nodes]))
 
 
-def docking_proxy(pocket: PocketGraph, s: LigandState, library, table: np.ndarray = POLARITY_TABLE) -> float:
+def docking_proxy(pocket: PocketGraph, s: LigandState, library) -> float:
     """Quality in [0, 1]; peaks when size and polarity both hit the pocket's targets."""
     _require_terminal(s, "docking_proxy")
     target_size = RHO * radius_of_gyration(pocket.coords)
     size_term = math.exp(-((ligand_size(s, library) - target_size) ** 2) / (2 * SIGMA_SIZE**2))
-    pol_term = math.exp(-((ligand_polarity(s, library) - pocket_polarity(pocket, table)) ** 2) / (2 * SIGMA_POLARITY**2))
+    pol_term = math.exp(-((ligand_polarity(s, library) - pocket_polarity(pocket)) ** 2) / (2 * SIGMA_POLARITY**2))
     return size_term * pol_term
 
 
@@ -82,9 +82,9 @@ def sa_proxy(s: LigandState) -> float:
 
 @dataclass(frozen=True)
 class RewardWeights:
-    w_ds: float = 1.0
-    w_qed: float = 0.0
-    w_sa: float = 0.0
+    w_ds: float
+    w_qed: float
+    w_sa: float
 
     def __post_init__(self):
         for name, w in (("w_ds", self.w_ds), ("w_qed", self.w_qed), ("w_sa", self.w_sa)):
@@ -93,6 +93,10 @@ class RewardWeights:
         total = self.w_ds + self.w_qed + self.w_sa
         if abs(total - 1.0) > 1e-9:
             raise MetricError(f"weights must sum to 1, got {total}")
+
+
+# The reward blend of training and sampling unless a run config sets another.
+DEFAULT_WEIGHTS = RewardWeights(0.5, 0.25, 0.25)
 
 
 def combined_quality(q_ds: float, q_qed: float, q_sa: float, weights: RewardWeights) -> float:
@@ -111,8 +115,8 @@ def state_quality(pocket: PocketGraph, s: LigandState, library, weights: RewardW
 # -- fingerprints and diversity ---------------------------------------------
 
 
-def _wl_labels(s: LigandState, radius: int) -> list[list[str]]:
-    """Refinement labels per node for radii 0..radius.
+def _wl_labels(s: LigandState) -> list[list[str]]:
+    """Refinement labels per node for radii 0..FINGERPRINT_RADIUS.
 
     A node's neighborhood descriptor lists (own ap, neighbor ap, neighbor
     label) sorted, so labels depend only on graph structure, never on node
@@ -124,7 +128,7 @@ def _wl_labels(s: LigandState, radius: int) -> list[list[str]]:
         neigh[j].append((ap_j, ap_i, i))
     labels = [str(fid) for fid in s.nodes]
     rounds = [list(labels)]
-    for _ in range(radius):
+    for _ in range(FINGERPRINT_RADIUS):
         labels = [
             labels[v] + "|" + ",".join(
                 f"{a}:{b}:{labels[u]}" for a, b, u in sorted(neigh[v], key=lambda t: (t[0], t[1], labels[t[2]]))
@@ -135,14 +139,14 @@ def _wl_labels(s: LigandState, radius: int) -> list[list[str]]:
     return rounds
 
 
-def fingerprint(s: LigandState, n_bits: int = FINGERPRINT_BITS, radius: int = FINGERPRINT_RADIUS) -> np.ndarray:
-    """Binary vector hashed from rooted subgraph labels up to the given radius."""
+def fingerprint(s: LigandState) -> np.ndarray:
+    """Binary vector hashed from rooted subgraph labels up to FINGERPRINT_RADIUS."""
     _require_terminal(s, "fingerprint")
-    bits = np.zeros(n_bits, dtype=np.uint8)
-    for r, labels in enumerate(_wl_labels(s, radius)):
+    bits = np.zeros(FINGERPRINT_BITS, dtype=np.uint8)
+    for r, labels in enumerate(_wl_labels(s)):
         for label in labels:
             digest = sha256(f"{r}|{label}".encode()).digest()
-            bits[int.from_bytes(digest[:8], "big") % n_bits] = 1
+            bits[int.from_bytes(digest[:8], "big") % FINGERPRINT_BITS] = 1
     return bits
 
 

@@ -46,16 +46,16 @@ from .ligand import (
     stop_is_forced,
 )
 from .nn import Adam, ParamStore, save_checkpoint
-from .pocket import PocketGraph
+from .pocket import PocketContext, PocketGraph
 from .policy import (
     BASELINE,
-    PocketContext,
+    TRIOFORMER,
     PolicyConfig,
     PolicyNetwork,
     log_prob_at,
     sample_action,
 )
-from .rewards import RewardWeights, state_quality
+from .rewards import DEFAULT_WEIGHTS, RewardWeights, state_quality
 
 
 class TrainingError(RuntimeError):
@@ -73,6 +73,9 @@ class Trajectory:
 
 @dataclass
 class TrainerConfig:
+    """The training settings, each checked here and nowhere else; a bad one
+    raises a ``TrainingError`` naming its field."""
+
     steps: int
     batch_size: int = 16
     learning_rate: float = 1e-3
@@ -83,14 +86,19 @@ class TrainerConfig:
     policy: PolicyConfig | None = None
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise TrainingError(f"steps must be >= 0, got {self.steps}")
-        if self.batch_size < 1:
-            raise TrainingError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.beta <= 0:
-            raise TrainingError(f"beta must be > 0, got {self.beta}")
-        if self.max_nodes < 1:
-            raise TrainingError(f"max_nodes must be >= 1, got {self.max_nodes}")
+        def expect(ok, name, msg):
+            if not ok:
+                raise TrainingError(f"config field {name!r}: {msg}, got {getattr(self, name)!r}")
+
+        for name, low in (("steps", 0), ("batch_size", 1), ("max_nodes", 1), ("seed", 0)):
+            # type(), not isinstance: True is an int and would pass as 1
+            value = getattr(self, name)
+            expect(type(value) is int and value >= low, name, f"must be an integer >= {low}")
+        for name in ("learning_rate", "beta"):
+            value = getattr(self, name)
+            is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            expect(is_number and 0 < value < math.inf, name, "must be a positive finite number")
+        expect(self.mode in (BASELINE, TRIOFORMER), "mode", f"must be {BASELINE!r} or {TRIOFORMER!r}")
         if self.policy is None:
             self.policy = PolicyConfig(mode=self.mode)
         elif self.policy.mode != self.mode:
@@ -105,11 +113,9 @@ class TrainResult:
     steps_run: int
 
 
-def default_reward_fn(library: FragmentLibrary, weights: RewardWeights | None = None):
-    w = weights if weights is not None else RewardWeights(0.5, 0.25, 0.25)
-
+def default_reward_fn(library: FragmentLibrary, weights: RewardWeights = DEFAULT_WEIGHTS):
     def fn(pocket: PocketGraph, s: LigandState) -> float:
-        return state_quality(pocket, s, library, w)
+        return state_quality(pocket, s, library, weights)
 
     return fn
 
@@ -404,12 +410,11 @@ def proportional_sampling_check(
     n_samples: int,
     max_nodes: int,
     beta: float,
-    seed: int = 0,
 ) -> float:
     """Total-variation distance between empirical molecule frequencies and
     the reward-proportional target."""
     check_enumeration_guard(library, max_nodes)
     ctx = policy.pocket_context(pocket)
     target = target_distribution(pocket, library, max_nodes, reward_fn, beta)
-    empirical = empirical_terminal_distribution(policy, ctx, library, max_nodes, n_samples, seed)
+    empirical = empirical_terminal_distribution(policy, ctx, library, max_nodes, n_samples)
     return total_variation(empirical, target)

@@ -25,11 +25,6 @@ N_RBF = 16
 RBF_MAX_DIST = 20.0
 RBF_WIDTH = 1.25
 
-DEFAULT_LAYERS = 2
-DEFAULT_HEADS = 4
-DEFAULT_HEAD_DIM = 16
-DEFAULT_C_PAIR = 32
-
 
 def rbf_basis(d: np.ndarray) -> np.ndarray:
     """Gaussian radial basis activations over distances, (..., 16)."""
@@ -50,9 +45,7 @@ def batch_copies(x: DiffTensor, b: int) -> DiffTensor:
     return ad.reshape(ad.gather_rows(ad.reshape(x, (1, n * c)), np.zeros(b, dtype=np.intp)), (b, n, c))
 
 
-def init_pair_embeddings(
-    h_pocket: DiffTensor, h_ligand: DiffTensor, store: ParamStore, prefix: str, c_pair: int = DEFAULT_C_PAIR
-) -> DiffTensor:
+def init_pair_embeddings(h_pocket: DiffTensor, h_ligand: DiffTensor, store: ParamStore, prefix: str, c_pair: int) -> DiffTensor:
     """Outer sum of per-track linear projections: tracks (B, n_P, c_P) and
     (B, n_L, c_L) -> pair (B, n_P, n_L, c_pair)."""
     b, n_p, c_p = h_pocket.shape
@@ -77,8 +70,8 @@ def triangle_update(
     axis: str,
     store: ParamStore,
     prefix: str,
-    n_heads: int = DEFAULT_HEADS,
-    head_dim: int = DEFAULT_HEAD_DIM,
+    n_heads: int,
+    head_dim: int,
 ) -> DiffTensor:
     """One fold of the pair update: each pair row attends along `axis`.
 
@@ -138,8 +131,8 @@ def biased_cross_attention(
     pair: DiffTensor,
     store: ParamStore,
     prefix: str,
-    n_heads: int = DEFAULT_HEADS,
-    head_dim: int = DEFAULT_HEAD_DIM,
+    n_heads: int,
+    head_dim: int,
 ) -> tuple[DiffTensor, DiffTensor]:
     """Each track attends over the other, logits biased by a scalar head
     projection of the pair embedding; residual on both tracks.
@@ -180,11 +173,11 @@ def trioformer_stack(
     pocket_dist: np.ndarray,
     ligand_adjacency: np.ndarray,
     store: ParamStore,
-    prefix: str = "trio",
-    n_layers: int = DEFAULT_LAYERS,
-    n_heads: int = DEFAULT_HEADS,
-    head_dim: int = DEFAULT_HEAD_DIM,
-    c_pair: int = DEFAULT_C_PAIR,
+    prefix: str,
+    n_layers: int,
+    n_heads: int,
+    head_dim: int,
+    c_pair: int,
 ) -> DiffTensor:
     """Full conditioning stack; returns the refined ligand node track.
 
@@ -247,7 +240,7 @@ def reference_pair_attention(pair: np.ndarray, axis: str, wq, wk, wv, wo, n_head
     flat = pair.reshape(-1, c_pair)
     mean = flat.mean(axis=1, keepdims=True)
     var = flat.var(axis=1, keepdims=True)
-    normed = ((flat - mean) / np.sqrt(var + 1e-5)).reshape(n_p, n_l, c_pair)
+    normed = ((flat - mean) / np.sqrt(var + ad.LN_EPS)).reshape(n_p, n_l, c_pair)
     q = (normed.reshape(-1, c_pair) @ wq).reshape(n_p, n_l, n_heads, head_dim)
     k = (normed.reshape(-1, c_pair) @ wk).reshape(n_p, n_l, n_heads, head_dim)
     v = (normed.reshape(-1, c_pair) @ wv).reshape(n_p, n_l, n_heads, head_dim)
@@ -273,7 +266,7 @@ def reference_cross_attention(h_q: np.ndarray, h_kv: np.ndarray, wq, wk, wv, wo,
     def ln(x):
         mean = x.mean(axis=1, keepdims=True)
         var = x.var(axis=1, keepdims=True)
-        return (x - mean) / np.sqrt(var + 1e-5)
+        return (x - mean) / np.sqrt(var + ad.LN_EPS)
 
     n_q = h_q.shape[0]
     n_kv = h_kv.shape[0]

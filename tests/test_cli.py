@@ -101,7 +101,9 @@ class TestRunConfig:
            for key, bad in (("width", 0), ("width", "64"), ("n_heads", 0), ("width", 10), ("n_layers", True))]
         + [pytest.param("learning_rate", math.inf, id="learning_rate-inf"),
            pytest.param("beta", math.inf, id="beta-inf"),
-           pytest.param("weights", [math.nan, 0.0, 0.0], id="weights-nan")],
+           pytest.param("weights", [math.nan, 0.0, 0.0], id="weights-nan"),
+           pytest.param("seed", -1, id="seed-negative"),
+           pytest.param("mode", "geometric", id="mode-geometric")],
     )
     def test_boolean_integer_field_exit_2(self, tmp_path, capsys, name, value):
         # bool is a subclass of int; true must not pass as 1, nor may a
@@ -110,6 +112,13 @@ class TestRunConfig:
         assert main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(name) in err
+
+    @pytest.mark.parametrize("command", ["train", "sample"])
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, "c.json")
+        assert main([command, "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'seed'" in err and "Traceback" not in err, err
 
     def test_bad_weights_named(self, tmp_path):
         path = tmp_path / "c.json"
@@ -462,6 +471,19 @@ NOT_INTEGER_INPUTS = {
 }
 
 
+# (kind, payload, the field the error line names): booleans and strings where
+# a file needs a number, each of which float() would convert to a valid one.
+# Config payloads are run config fields.
+NOT_NUMBER_INPUTS = {
+    "weights-bool": ("config", {"weights": [True, False, False]}, "'weights'"),
+    "weights-string": ("config", {"weights": ["0.5", "0.25", "0.25"]}, "'weights'"),
+    "library-polarity-string": ("library", _fragment_library(polarity="0.5"), "'polarity'"),
+    "library-polarity-bool": ("library", _fragment_library(polarity=True), "'polarity'"),
+    "pocket-ca-strings-and-bool": ("pocket", _pocket_with_last(ca=["1.5", True, "2"]), "'ca'"),
+    "pocket-ca-bool": ("pocket", _pocket_with_last(ca=[1.5, True, 2.0]), "'ca'"),
+}
+
+
 DESK = desk_library()
 DESK_APS = [f.aps for f in DESK]
 
@@ -556,6 +578,20 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, err
         assert field in err and "must be an integer" in err, err
+
+    @pytest.mark.parametrize("case", list(NOT_NUMBER_INPUTS))
+    def test_non_number_rejected_naming_the_field(self, tmp_path, capsys, case):
+        kind, payload, field = NOT_NUMBER_INPUTS[case]
+        if kind == "config":
+            cfg = write_cfg(tmp_path, "c.json", **payload)
+        else:
+            bad = tmp_path / f"bad_{kind}.json"
+            bad.write_text(payload)
+            cfg = write_cfg(tmp_path, "c.json", **{f"{kind}_file": str(bad)})
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, err
+        assert field in err and "must be a number" in err, err
 
     @given(malformed_molecules())
     @settings(max_examples=100, deadline=None)

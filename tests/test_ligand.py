@@ -87,14 +87,14 @@ class TestInitialAndLegal:
         assert s.n == 0 and s.edges == () and not s.terminal
 
     def test_empty_state_actions_per_fragment_ap(self):
-        acts = legal_actions(initial_state(), TOY)
+        acts = legal_actions(initial_state(), TOY, 8)
         assert acts == [AddFragment(None, None, 0, 0), AddFragment(None, None, 1, 0)]
 
     def test_empty_state_no_stop(self):
-        assert STOP not in legal_actions(initial_state(), DESK)
+        assert STOP not in legal_actions(initial_state(), DESK, 8)
 
     def test_empty_state_action_count_is_total_aps(self):
-        acts = legal_actions(initial_state(), DESK)
+        acts = legal_actions(initial_state(), DESK, 8)
         assert len(acts) == sum(f.aps for f in DESK)
 
     def test_saturated_node_offers_stop_only(self):
@@ -131,16 +131,16 @@ class TestInitialAndLegal:
 class TestApplyAction:
     def test_stop_sets_terminal_only(self):
         s = grow([AddFragment(None, None, 1, 0)])
-        t = apply_action(s, STOP, TOY)
+        t = apply_action(s, STOP, TOY, 8)
         assert t.terminal and t.nodes == s.nodes and t.edges == s.edges
 
     def test_stop_on_empty_rejected(self):
         with pytest.raises(IllegalActionError, match="empty"):
-            apply_action(initial_state(), STOP, TOY)
+            apply_action(initial_state(), STOP, TOY, 8)
 
     def test_add_increments_counts(self):
         s = grow([AddFragment(None, None, 0, 0)], library=DESK)
-        t = apply_action(s, AddFragment(0, 0, 2, 1), DESK)
+        t = apply_action(s, AddFragment(0, 0, 2, 1), DESK, 8)
         assert t.n == s.n + 1
         assert len(t.edges) == len(s.edges) + 1
         assert t.edges[-1] == (0, 0, 1, 1)
@@ -148,22 +148,22 @@ class TestApplyAction:
     def test_used_ap_rejected(self):
         s = grow([AddFragment(None, None, 0, 0), AddFragment(0, 0, 1, 0)])
         with pytest.raises(IllegalActionError, match="already used"):
-            apply_action(s, AddFragment(0, 0, 1, 0), TOY)
+            apply_action(s, AddFragment(0, 0, 1, 0), TOY, 8)
 
     def test_terminal_state_frozen(self):
-        s = apply_action(grow([AddFragment(None, None, 0, 0)]), STOP, TOY)
+        s = apply_action(grow([AddFragment(None, None, 0, 0)]), STOP, TOY, 8)
         with pytest.raises(IllegalActionError, match="terminal"):
-            apply_action(s, STOP, TOY)
+            apply_action(s, STOP, TOY, 8)
 
     def test_missing_target_rejected(self):
         s = grow([AddFragment(None, None, 0, 0)])
         with pytest.raises(IllegalActionError, match="does not exist"):
-            apply_action(s, AddFragment(5, 0, 1, 0), TOY)
+            apply_action(s, AddFragment(5, 0, 1, 0), TOY, 8)
 
     def test_bad_fragment_ap_rejected(self):
         s = grow([AddFragment(None, None, 0, 0)], library=DESK)
         with pytest.raises(IllegalActionError, match="attachment point"):
-            apply_action(s, AddFragment(0, 0, 1, 3), DESK)
+            apply_action(s, AddFragment(0, 0, 1, 3), DESK, 8)
 
     def test_cap_enforced(self):
         s = grow([AddFragment(None, None, 0, 0)], library=DESK)
@@ -173,7 +173,7 @@ class TestApplyAction:
     def test_root_action_on_nonempty_rejected(self):
         s = grow([AddFragment(None, None, 0, 0)])
         with pytest.raises(IllegalActionError, match="target"):
-            apply_action(s, AddFragment(None, None, 1, 0), TOY)
+            apply_action(s, AddFragment(None, None, 1, 0), TOY, 8)
 
 
 class TestAdjacency:
@@ -221,7 +221,7 @@ class TestBackward:
         )
         for leaf in removable_leaves(s):
             parent, action = remove_leaf(s, leaf)
-            rebuilt = apply_action(parent, action, DESK)
+            rebuilt = apply_action(parent, action, DESK, 8)
             assert canonical_form(rebuilt) == canonical_form(s)
 
     def test_remove_inner_node_rejected(self):
@@ -255,7 +255,7 @@ class TestBackward:
     def test_backward_transitions_reach_real_parents(self):
         s = grow([AddFragment(None, None, 0, 0), AddFragment(0, 0, 0, 0)])
         for parent, action, _ in backward_transitions(s, TOY):
-            rebuilt = apply_action(parent, action, TOY)
+            rebuilt = apply_action(parent, action, TOY, 8)
             assert canonical_form(rebuilt) == canonical_form(s)
 
 

@@ -106,7 +106,7 @@ class TestAdam:
         store = make_store()
         p = store.param("w", (2, 2))
         before = p.data.copy()
-        Adam(store).step()
+        Adam(store, lr=1e-3).step()
         np.testing.assert_array_equal(p.data, before)
 
     def test_single_step_matches_reference(self):

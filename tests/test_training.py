@@ -78,6 +78,18 @@ class TestTrainerConfig:
     def test_zero_steps_allowed(self):
         assert TrainerConfig(steps=0).steps == 0
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [pytest.param(name, bad, id=f"{name}-{bad!r}")
+         for name in ("steps", "batch_size", "max_nodes", "seed") for bad in (True, "3", 3.0)]
+        + [pytest.param(name, bad, id=f"{name}-{bad!r}")
+           for name in ("learning_rate", "beta") for bad in (0, -1, math.inf, math.nan)]
+        + [pytest.param("seed", -1, id="seed--1")],
+    )
+    def test_rejects_what_the_cli_rejects(self, name, value):
+        with pytest.raises(TrainingError, match=repr(name)):
+            TrainerConfig(**{"steps": 1, name: value})
+
 
 class TestSampleTrajectory:
     def test_node_cap_one_forces_add_then_stop(self):
@@ -347,10 +359,13 @@ class TestTrain:
         assert str(err.value) == f"training diverged: non-finite gradient of {bad[0]} at step 0"
 
     def test_non_finite_parameter_after_update_names_it(self):
-        # the gradients are finite; an infinite step leaves the parameters not
+        # the gradients are finite; an infinite step leaves the parameters not.
+        # TrainerConfig rejects an infinite learning rate, so it is set after the check
         store = ParamStore(np.random.default_rng([0, 7]))
+        cfg = small_config(2, max_nodes=2)
+        cfg.learning_rate = math.inf
         with pytest.raises(TrainingError) as err, np.errstate(invalid="ignore"):
-            train(small_config(2, max_nodes=2, learning_rate=math.inf), TOY, one_pocket(), store=store)
+            train(cfg, TOY, one_pocket(), store=store)
         bad = [name for name, p in store.items() if not np.isfinite(p.data).all()]
         assert str(err.value) == f"training diverged: non-finite parameter {bad[0]} after the update at step 0"
 

@@ -94,7 +94,7 @@ class TestPairInit:
     def test_empty_side_rejected(self):
         store = store_with_seed()
         with pytest.raises(DimensionError):
-            init_pair_embeddings(tensor(np.zeros((B, 0, 4))), tensor(np.zeros((B, 2, 4))), store, "t")
+            init_pair_embeddings(tensor(np.zeros((B, 0, 4))), tensor(np.zeros((B, 2, 4))), store, "t", c_pair=C_PAIR)
 
 
 class TestTriangleUpdate:
@@ -253,14 +253,14 @@ class TestStack:
         return h_p, h_l, d_p, adj
 
     def stack(self, h_p, h_l, d_p, adj, store, n_layers=2):
-        return trioformer_stack(tensor(h_p), tensor(h_l), d_p, adj, store, n_layers=n_layers, n_heads=H, head_dim=C, c_pair=C_PAIR)
+        return trioformer_stack(tensor(h_p), tensor(h_l), d_p, adj, store, "trio", n_layers=n_layers, n_heads=H, head_dim=C, c_pair=C_PAIR)
 
     def test_zero_layers_returns_input(self):
         store = store_with_seed()
         h_p, h_l, d_p, adj = self.inputs()
         x = tensor(h_l)
         with Tape():
-            out = trioformer_stack(tensor(h_p), x, d_p, adj, store, n_layers=0)
+            out = trioformer_stack(tensor(h_p), x, d_p, adj, store, "trio", n_layers=0, n_heads=H, head_dim=C, c_pair=C_PAIR)
         assert out is x
 
     def test_output_shape_and_determinism(self):
@@ -289,7 +289,7 @@ class TestStack:
         h_p, h_l, d_p, adj = self.inputs(n_p=2, n_l=3)
 
         def f(x):
-            return trioformer_stack(tensor(h_p), x, d_p, adj, store, n_layers=1, n_heads=H, head_dim=C, c_pair=C_PAIR)
+            return trioformer_stack(tensor(h_p), x, d_p, adj, store, "trio", n_layers=1, n_heads=H, head_dim=C, c_pair=C_PAIR)
 
         report = finite_diff_check(f, tensor(h_l), tol=1e-3)
         assert report.passed, str(report)
