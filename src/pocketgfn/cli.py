@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .files import InputFileError, read_text
 from .ligand import (
     DATA_DIR,
     FragmentLibrary,
@@ -147,8 +148,7 @@ def load_run_config(path: str | None, overrides: argparse.Namespace | None = Non
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
+            doc = json.loads(read_text(path))
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: not valid JSON: {e}") from None
         if not isinstance(doc, dict):
@@ -300,25 +300,24 @@ def _parse_molecule_file(path: str, library: FragmentLibrary):
     if not os.path.exists(path):
         raise ConfigError(f"molecule file not found: {path}")
     states = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path}:{line_no}: not valid JSON: {e.msg}") from None
-            if not isinstance(rec, dict) or "nodes" not in rec or "edges" not in rec:
-                raise ConfigError(f"{path}:{line_no}: record needs 'nodes' and 'edges'")
-            try:
-                s = state_from_record(rec)
-                validate_state(s, library)
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"{path}:{line_no}: bad record: {e}") from None
-            if s.n == 0:
-                raise ConfigError(f"{path}:{line_no}: empty molecule")
-            states.append((line_no, rec, s))
+    for line_no, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}:{line_no}: not valid JSON: {e.msg}") from None
+        if not isinstance(rec, dict) or "nodes" not in rec or "edges" not in rec:
+            raise ConfigError(f"{path}:{line_no}: record needs 'nodes' and 'edges'")
+        try:
+            s = state_from_record(rec)
+            validate_state(s, library)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{path}:{line_no}: bad record: {e}") from None
+        if s.n == 0:
+            raise ConfigError(f"{path}:{line_no}: empty molecule")
+        states.append((line_no, rec, s))
     if not states:
         raise ConfigError(f"{path}: no molecule records")
     return states
@@ -431,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, CheckpointError, LibraryError, PocketError, FileNotFoundError) as e:
+    except (ConfigError, CheckpointError, LibraryError, PocketError, InputFileError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (TrainingError, MetricError) as e:

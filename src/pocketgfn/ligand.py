@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .files import read_text
+
 DATA_DIR = Path(__file__).parent / "data"
 ENUM_MAX_FRAGMENTS = 4
 ENUM_MAX_NODES = 4
@@ -89,11 +91,10 @@ def json_float(value, field: str) -> float:
 
 
 def load_library(path: str) -> FragmentLibrary:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise LibraryError(f"{path}: not valid JSON: {e}") from None
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as e:
+        raise LibraryError(f"{path}: not valid JSON: {e}") from None
     try:
         frags = [
             Fragment(

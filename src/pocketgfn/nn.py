@@ -10,6 +10,7 @@ from typing import Iterable
 import numpy as np
 
 from .autodiff import DiffTensor, DimensionError, add, layer_norm_rows, matmul, mul, relu, tensor
+from .files import read_text
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -168,8 +169,16 @@ class Adam:
 
 
 def _params_checksum(payload: dict[str, dict]) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """sha256 of ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``,
+    fed one parameter at a time so the whole text is never built."""
+    digest = hashlib.sha256(b"{")
+    for k, name in enumerate(sorted(payload)):
+        if k:
+            digest.update(b",")
+        entry = json.dumps(payload[name], sort_keys=True, separators=(",", ":"))
+        digest.update(f"{json.dumps(name)}:{entry}".encode())
+    digest.update(b"}")
+    return digest.hexdigest()
 
 
 def save_checkpoint(path: str, store: ParamStore, meta: dict | None = None) -> None:
@@ -197,11 +206,10 @@ def save_checkpoint(path: str, store: ParamStore, meta: dict | None = None) -> N
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint, verifying format version and checksum."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise CheckpointError(f"checkpoint {path} is not valid JSON: {e}") from None
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"checkpoint {path} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} must be a JSON object, got {type(doc).__name__}")
     version = doc.pop("__format_version__", None)

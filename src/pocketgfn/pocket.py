@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffTensor, tensor
+from .files import read_text
 from .ligand import json_float, json_int
 from .nn import ParamStore, layer_norm_affine, mlp_apply, mlp_params
 
@@ -251,25 +252,24 @@ def load_pocket_jsonl(path: str) -> list[Residue]:
     Indices must form a contiguous run (sorted order is not required on disk).
     """
     residues = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise PocketError(f"{path}:{line_no}: invalid JSON: {e}") from None
-            if not isinstance(rec, dict):
-                raise PocketError(f"{path}:{line_no}: a residue record must be a JSON object")
-            try:
-                index, res = json_int(rec["index"], "'index'"), json_int(rec["res"], "'res'")
-                ca = [json_float(x, "'ca' entry") for x in rec["ca"]]
-                residues.append(Residue(index=index, residue_type=res, ca=np.asarray(ca)))
-            except KeyError as e:
-                raise PocketError(f"{path}:{line_no}: missing field {e}") from None
-            except (TypeError, ValueError) as e:
-                raise PocketError(f"{path}:{line_no}: bad residue record: {e}") from None
+    for line_no, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise PocketError(f"{path}:{line_no}: invalid JSON: {e}") from None
+        if not isinstance(rec, dict):
+            raise PocketError(f"{path}:{line_no}: a residue record must be a JSON object")
+        try:
+            index, res = json_int(rec["index"], "'index'"), json_int(rec["res"], "'res'")
+            ca = [json_float(x, "'ca' entry") for x in rec["ca"]]
+            residues.append(Residue(index=index, residue_type=res, ca=np.asarray(ca)))
+        except KeyError as e:
+            raise PocketError(f"{path}:{line_no}: missing field {e}") from None
+        except (TypeError, ValueError) as e:
+            raise PocketError(f"{path}:{line_no}: bad residue record: {e}") from None
     if not residues:
         raise PocketError(f"{path}: no residues")
     residues.sort(key=lambda r: r.index)

@@ -150,29 +150,43 @@ def fingerprint(s: LigandState) -> np.ndarray:
     return bits
 
 
+def _bit_rows(prints) -> np.ndarray:
+    """Fingerprints as the float rows of one matrix, nonzero entries set to 1."""
+    return np.asarray(prints, dtype=bool).reshape(len(prints), -1).astype(np.float64)
+
+
+def _tanimoto(shared, c_i, c_j):
+    """1 - shared / union from shared and per-print bit counts; two empty prints are 0 apart."""
+    union = c_i + c_j - shared
+    return 1.0 - np.divide(shared, union, out=np.ones_like(union), where=union > 0)
+
+
 def tanimoto_distance(f1: np.ndarray, f2: np.ndarray) -> float:
     if f1.shape != f2.shape:
         raise MetricError(f"fingerprint length mismatch: {f1.shape} vs {f2.shape}")
-    a = f1.astype(bool)
-    b = f2.astype(bool)
-    union = np.logical_or(a, b).sum()
-    if union == 0:
-        return 0.0
-    return 1.0 - np.logical_and(a, b).sum() / union
+    a, b = _bit_rows([f1, f2])
+    return float(_tanimoto(a @ b, a.sum(), b.sum()))
 
 
 def diversity(states: list[LigandState]) -> float:
-    """Mean pairwise Tanimoto distance between state fingerprints."""
+    """Mean pairwise Tanimoto distance between state fingerprints.
+
+    Row i of the fingerprint matrix meets rows i+1.. in one matrix-vector
+    product, so memory stays O(n) rows. Each row's distances are added to
+    the running total in pair order (cumsum is sequential), which gives the
+    same float as adding the pairs one at a time.
+    """
     if len(states) < 2:
         raise MetricError(f"diversity needs at least 2 states, got {len(states)}")
-    prints = [fingerprint(s) for s in states]
+    rows = _bit_rows([fingerprint(s) for s in states])
+    counts = rows.sum(axis=1)
+    n = len(rows)
     total = 0.0
-    count = 0
-    for i in range(len(prints)):
-        for j in range(i + 1, len(prints)):
-            total += tanimoto_distance(prints[i], prints[j])
-            count += 1
-    return total / count
+    for i in range(n - 1):
+        d = _tanimoto(rows[i + 1:] @ rows[i], counts[i], counts[i + 1:])
+        d[0] += total
+        total = np.cumsum(d)[-1]
+    return float(total / (n * (n - 1) // 2))
 
 
 def top_k_mean(scores: list[float], k: int) -> float:

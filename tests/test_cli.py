@@ -565,6 +565,28 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, err
 
+    @pytest.mark.parametrize("fault", ["not-utf8", "directory"])
+    @pytest.mark.parametrize("kind", ["config", "library", "pocket", "checkpoint", "molecule"])
+    def test_unreadable_file_exit_2_naming_it(self, tmp_path, capsys, kind, fault):
+        bad = tmp_path / f"bad_{kind}"
+        if fault == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b'{"fragments": "\xff\xfe"}\n')
+        if kind == "config":
+            argv = ["train", "--config", str(bad)]
+        elif kind in ("library", "pocket"):
+            argv = ["train", "--config", str(write_cfg(tmp_path, "c.json", **{f"{kind}_file": str(bad)}))]
+        elif kind == "checkpoint":
+            argv = ["sample", "--config", str(write_cfg(tmp_path, "c.json", checkpoint=str(bad))),
+                    "--out", str(tmp_path / "mols.jsonl")]
+        else:
+            argv = ["evaluate", str(bad), "--config", str(write_cfg(tmp_path, "c.json"))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, err
+        assert str(bad) in err, err
+
     @pytest.mark.parametrize("case", list(NOT_INTEGER_INPUTS))
     def test_non_integer_rejected_naming_the_field(self, tmp_path, capsys, case):
         kind, payload, field = NOT_INTEGER_INPUTS[case]

@@ -1,5 +1,6 @@
 """Parameter store, MLP shapes, Adam behavior, checkpoint round-trips."""
 
+import hashlib
 import json
 import os
 
@@ -187,6 +188,18 @@ class TestCheckpoints:
             save_checkpoint(path, store, meta={"step": 2})
         assert open(path, "rb").read() == before
         assert os.listdir(tmp_path) == ["ck.json"]
+
+    def test_streamed_checksum_equals_digest_of_whole_text(self):
+        store = make_store(3)
+        for name, shape in (("z.w", (4, 3)), ("a.b", (3,)), ('q"uote\u00e9', (2, 2)), ("scalar", ())):
+            store.param(name, shape)
+        for p in store.values():
+            p.grad = np.full(p.shape, 0.5)
+        Adam(store, lr=0.01).step()
+        payload = {name: {"shape": list(p.shape), "data": p.data.reshape(-1).tolist()} for name, p in store.items()}
+        for doc in (payload, {}):
+            whole = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            assert nn._params_checksum(doc) == hashlib.sha256(whole.encode()).hexdigest()
 
     def test_garbage_file_rejected(self, tmp_path):
         path = str(tmp_path / "ck.json")

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pocketgfn import rewards
 from pocketgfn.ligand import (
     AddFragment,
     STOP,
@@ -11,6 +15,7 @@ from pocketgfn.ligand import (
     desk_library,
     enumerate_terminal_states,
     initial_state,
+    legal_actions,
     toy_library,
 )
 from pocketgfn.pocket import Residue, build_knn_graph, random_rotation, synthetic_pocket, transform_residues
@@ -33,6 +38,7 @@ from pocketgfn.rewards import (
     top_k_mean,
 )
 
+import rewards_reference
 from ligand_reference import permute_state
 
 DESK = desk_library()
@@ -46,6 +52,20 @@ def grow(actions, library=DESK, max_nodes=8, stop=True):
     if stop:
         s = apply_action(s, STOP, library, max_nodes)
     return s
+
+
+def random_desk_set(seed, n, n_distinct=None, cap=8):
+    """n terminal desk molecules grown by uniform legal actions; with
+    ``n_distinct`` they are drawn with replacement from that many growths."""
+    rng = np.random.default_rng(seed)
+    pool = []
+    for _ in range(n if n_distinct is None else n_distinct):
+        s = initial_state()
+        while not s.terminal:
+            acts = legal_actions(s, DESK, cap)
+            s = apply_action(s, acts[rng.integers(len(acts))], DESK, cap)
+        pool.append(s)
+    return pool if n_distinct is None else [pool[i] for i in rng.integers(n_distinct, size=n)]
 
 
 def square_pocket(side=2.0, types=(0, 19, 0, 19)):
@@ -251,6 +271,16 @@ class TestTanimoto:
         with pytest.raises(MetricError, match="mismatch"):
             tanimoto_distance(np.zeros(8), np.zeros(16))
 
+    def test_matches_reference_on_random_bits(self):
+        rng = np.random.default_rng(3)
+        zero = np.zeros(16, dtype=np.uint8)
+        for density in (0.0, 0.05, 0.5, 0.95):
+            for _ in range(50):
+                f1 = (rng.random(16) < density).astype(np.uint8)
+                f2 = (rng.random(16) < density).astype(np.uint8)
+                for a, b in ((f1, f2), (f1, zero), (zero, f2)):
+                    assert tanimoto_distance(a, b) == rewards_reference.tanimoto_distance(a, b)
+
 
 class TestDiversity:
     def test_all_identical_is_zero(self):
@@ -271,6 +301,44 @@ class TestDiversity:
         s = grow([AddFragment(None, None, 0, 0)])
         with pytest.raises(MetricError, match="at least 2"):
             diversity([s])
+
+
+class TestDiversityAgreesWithReference:
+    """The fingerprint-matrix diversity against one call per pair, exactly."""
+
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 40), st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_random_desk_sets_with_duplicates(self, seed, n, n_distinct):
+        states = random_desk_set(seed, n, min(n, n_distinct))
+        assert diversity(states) == rewards_reference.diversity(states)
+
+    def test_fixed_set_of_300(self):
+        states = random_desk_set(0, 300)
+        assert diversity(states) == rewards_reference.diversity(states)
+
+    def test_fingerprints_each_state_once(self, monkeypatch):
+        calls = []
+
+        def counting(s):
+            calls.append(s)
+            return fingerprint(s)
+
+        monkeypatch.setattr(rewards, "fingerprint", counting)
+        states = random_desk_set(1, 25)
+        diversity(states)
+        assert calls == states
+
+    def test_memory_far_below_an_n_by_n_array(self, monkeypatch):
+        n = 2000
+        rng = np.random.default_rng(0)
+        monkeypatch.setattr(rewards, "fingerprint", lambda s: rng.integers(0, 2, rewards.FINGERPRINT_BITS, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            diversity([None] * n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestTopK:
