@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .files import InputFileError, read_text
+from .files import InputFileError, OutputFileError, output_file, read_text
 from .ligand import (
     DATA_DIR,
     FragmentLibrary,
@@ -282,7 +282,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
                     "sa": sa_proxy(canon),
                 }
             attempts += 1
-    with open(out_path, "w") as fh:
+    with output_file(out_path) as fh:
         for rec in unique.values():
             fh.write(json.dumps(rec) + "\n")
     if len(unique) < n:
@@ -365,7 +365,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         summary[name] = {"mean": mean, "se": se}
         print(f"{name:<16} {mean:>10.4f} {se:>10.4f}")
     if args.out:
-        with open(args.out, "w") as fh:
+        with output_file(args.out) as fh:
             json.dump({"n_sets": len(per_set), "metrics": summary, "per_set": per_set}, fh, indent=1)
         print(f"report written to {args.out}")
     return 0
@@ -430,7 +430,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, CheckpointError, LibraryError, PocketError, InputFileError, FileNotFoundError) as e:
+    except (ConfigError, CheckpointError, LibraryError, PocketError, InputFileError, OutputFileError,
+            FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (TrainingError, MetricError) as e:

@@ -1,6 +1,9 @@
-"""Reading the text files the command line takes as input."""
+"""Reading the text files the command line takes as input, and naming the
+path of an output that cannot be written."""
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class InputFileError(ValueError):
@@ -17,3 +20,26 @@ def read_text(path: str) -> str:
         raise InputFileError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     except OSError as e:
         raise InputFileError(f"{path}: cannot read: {e.strerror}") from None
+
+
+class OutputFileError(OSError):
+    """An output path that cannot be written. It stays an ``OSError``, so
+    callers that handle failed writes keep handling it."""
+
+
+@contextmanager
+def writing(path: str):
+    """Run a block that writes ``path``; an ``OSError`` raised in it becomes
+    an ``OutputFileError`` that names the path."""
+    try:
+        yield
+    except OSError as e:
+        raise OutputFileError(f"{path}: cannot write: {e.strerror or e}") from None
+
+
+@contextmanager
+def output_file(path: str):
+    """``path`` opened for writing text; a failure to open, write or close
+    it, or any other ``OSError`` in the block, names the path."""
+    with writing(path), open(path, "w") as fh:
+        yield fh

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import math
 import os
 from typing import Iterable
 
 import numpy as np
 
 from .autodiff import DiffTensor, DimensionError, add, layer_norm_rows, matmul, mul, relu, tensor
-from .files import read_text
+from .files import read_text, writing
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
+# Parameter data is stored as the base64 text of these bytes, in C order.
+CHECKPOINT_DTYPE = "<f8"
 
 # Adam's moment decay rates and denominator floor.
 ADAM_BETA1 = 0.9
@@ -181,31 +185,61 @@ def _params_checksum(payload: dict[str, dict]) -> str:
     return digest.hexdigest()
 
 
+def encode_param(values: np.ndarray) -> dict:
+    """The checkpoint entry of an array: its shape, and the base64 text of
+    its little-endian float64 bytes in C order."""
+    data = np.asarray(values, dtype=CHECKPOINT_DTYPE).tobytes()
+    return {"shape": list(np.shape(values)), "data": base64.b64encode(data).decode("ascii")}
+
+
+def decode_param(entry, where: str) -> np.ndarray:
+    """The array of one checkpoint entry, read-only. A malformed entry raises
+    a ``CheckpointError`` that begins with ``where``."""
+    if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
+        raise CheckpointError(f"{where} must be an object with keys 'shape' and 'data'")
+    shape, data = entry["shape"], entry["data"]
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise CheckpointError(f"{where} shape must be a list of non-negative integers, got {shape!r}")
+    if not isinstance(data, str):
+        raise CheckpointError(f"{where} data must be base64 text of {CHECKPOINT_DTYPE} bytes, got a JSON {type(data).__name__}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as e:
+        raise CheckpointError(f"{where} data is not base64: {e}") from None
+    expected = np.dtype(CHECKPOINT_DTYPE).itemsize * math.prod(shape)
+    if len(raw) != expected:
+        raise CheckpointError(f"{where} data holds {len(raw)} bytes; shape {shape} needs {expected}")
+    return np.frombuffer(raw, dtype=CHECKPOINT_DTYPE).reshape(shape)
+
+
 def save_checkpoint(path: str, store: ParamStore, meta: dict | None = None) -> None:
-    """Write a flat JSON checkpoint: {name -> {shape, data}} plus tagged keys.
+    """Write a flat JSON checkpoint: {name -> ``encode_param`` entry} plus
+    tagged keys. A load gives back every bit of every parameter, and saving
+    it again gives back every byte of the file.
 
     Reserved keys: ``__format_version__``, ``__meta__``, ``__checksum__``.
     The file is written next to ``path`` under a temporary name and then
-    renamed over it, so a failed write leaves the previous checkpoint intact.
+    renamed over it, so a failed write leaves the previous checkpoint intact;
+    the failure names ``path``.
     """
-    payload: dict[str, dict] = {}
-    for name, p in store.items():
-        payload[name] = {"shape": list(p.shape), "data": p.data.reshape(-1).tolist()}
+    payload = {name: encode_param(p.data) for name, p in store.items()}
     doc: dict = {"__format_version__": CHECKPOINT_FORMAT_VERSION, "__meta__": meta or {}}
     doc["__checksum__"] = _params_checksum(payload)
     doc.update(payload)
     tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with writing(path):
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(doc, fh, sort_keys=True)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint, verifying format version and checksum."""
+    """Read a checkpoint, verifying format version, checksum and each
+    parameter's shape against its byte count."""
     try:
         doc = json.loads(read_text(path))
     except json.JSONDecodeError as e:
@@ -221,10 +255,4 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     checksum = doc.pop("__checksum__", None)
     if checksum != _params_checksum(doc):
         raise CheckpointError(f"checkpoint {path} failed its integrity check")
-    state: dict[str, np.ndarray] = {}
-    for name, entry in doc.items():
-        try:
-            state[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise CheckpointError(f"checkpoint {path} parameter {name!r} needs {{shape, data}} with data of that shape: {e}") from None
-    return state, meta
+    return {name: decode_param(entry, f"checkpoint {path} parameter {name!r}") for name, entry in doc.items()}, meta

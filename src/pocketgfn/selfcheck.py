@@ -37,7 +37,7 @@ from .ligand import (
     legal_actions,
     toy_library,
 )
-from .nn import CheckpointError, ParamStore, load_checkpoint, save_checkpoint
+from .nn import CheckpointError, ParamStore, decode_param, encode_param, load_checkpoint, save_checkpoint
 from .pocket import build_knn_graph, encode_pocket, random_rotation, synthetic_pocket, transform_residues
 from .policy import BASELINE, PolicyConfig, PolicyNetwork
 from .rewards import docking_proxy
@@ -335,11 +335,13 @@ def check_checkpoint_integrity() -> tuple[bool, str]:
         save_checkpoint(path, store, {"mode": "baseline"})
         state, meta = load_checkpoint(path)
         for name, arr in store.state_arrays().items():
-            if not np.array_equal(state[name], arr):
+            if state[name].tobytes() != arr.tobytes():
                 return False, f"round trip changed parameter {name}"
         with open(path) as fh:
             doc = json.load(fh)
-        doc["a.w"]["data"][0] += 1.0  # corrupt one entry, keep valid JSON
+        values = decode_param(doc["a.w"], "a.w").copy()
+        values[0] += 1.0  # corrupt one float, keep a well-formed entry
+        doc["a.w"] = encode_param(values)
         with open(path, "w") as fh:
             json.dump(doc, fh)
         try:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -31,6 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffTensor, Tape, tensor
+from .files import output_file
 from .ligand import (
     STOP,
     FragmentLibrary,
@@ -230,7 +232,8 @@ def train(
     one RNG stream per (seed, step, trajectory index)), so each depth costs
     one policy pass per pocket; build the loss from the recorded action
     log-probabilities and take one update. The tape is freed by
-    ``backward``. Metrics rows go to ``metrics_path`` as JSON lines. A
+    ``backward``. Metrics rows go to ``metrics_path`` as JSON lines (a failed
+    write raises ``OutputFileError`` naming it). A
     non-finite loss, a non-finite gradient of any parameter, or a parameter
     left non-finite by the update aborts with a ``TrainingError`` naming the
     step (and the parameter). ``stop_fn(row)`` returning True ends training
@@ -250,8 +253,7 @@ def train(
     optimizer = Adam(store, lr=config.learning_rate)
     metrics: list[dict] = []
     steps_run = 0
-    sink = open(metrics_path, "w") if metrics_path else None
-    try:
+    with output_file(metrics_path) if metrics_path else nullcontext() as sink:
         for step in range(config.steps):
             with Tape():
                 ctxs = {pid: policy.pocket_context(pockets[pid]) for pid in pocket_ids[:config.batch_size]}
@@ -296,9 +298,6 @@ def train(
                 sink.write(json.dumps(row) + "\n")
             if stop_fn is not None and stop_fn(row):
                 break
-    finally:
-        if sink:
-            sink.close()
 
     if checkpoint_path:
         meta = {

@@ -1,7 +1,9 @@
+import base64
 import contextlib
 import io
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -39,6 +41,15 @@ SMALL_POLICY = {
     "pocket_width": 8, "pocket_layers": 1, "trio_layers": 1,
     "trio_heads": 2, "trio_head_dim": 4, "trio_c_pair": 8,
 }
+
+
+def _floats(entry):
+    """The floats of a checkpoint parameter entry (read-only)."""
+    return np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
+
+
+def _base64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
 
 
 @pytest.fixture
@@ -286,7 +297,9 @@ class TestSampleCommand:
         self.run_train(tmp_path, cfg_path)
         doc = json.loads((tmp_path / "ckpt.json").read_text())
         name = next(k for k in doc if not k.startswith("__"))
-        doc[name]["data"][0] += 0.5
+        values = _floats(doc[name]).copy()
+        values[0] += 0.5  # one float changed, the checksum left as it was
+        doc[name]["data"] = _base64(values.tobytes())
         (tmp_path / "ckpt.json").write_text(json.dumps(doc))
         assert main(["sample", "--config", str(cfg_path)]) == 2
         assert "integrity" in capsys.readouterr().err
@@ -417,9 +430,18 @@ def _fragment_library(**fragment):
 
 _RESIDUE = json.dumps({"index": 0, "res": 0, "ca": [0.0, 0.0, 0.0]}) + "\n"
 
-# (kind, payload): a library or pocket file's text, which `train` loads, or an
-# edit of the trained checkpoint's meta or of one parameter entry, which
-# `sample` loads; parameter edits are re-signed, so the checksum matches
+def _as_version_1(doc):
+    """The checkpoint laid out as format 1 wrote it: data as a list of floats."""
+    doc["__format_version__"] = 1
+    for name, entry in doc.items():
+        if not name.startswith("__"):
+            entry["data"] = _floats(entry).tolist()
+
+
+# (kind, payload, *texts the error line names): a library or pocket file's
+# text, which `train` loads, or an edit of the trained checkpoint's meta, of
+# one parameter entry or of the whole document, which `sample` loads;
+# parameter and document edits are re-signed, so the checksum matches
 MALFORMED_INPUTS = {
     "library-invalid-json": ("library", "{not json"),
     "library-aps-not-integer": ("library", _fragment_library(aps="x")),
@@ -434,7 +456,13 @@ MALFORMED_INPUTS = {
     "meta-max-nodes-not-integer": ("meta", lambda doc: doc["__meta__"].update(max_nodes="abc")),
     "meta-max-nodes-zero": ("meta", lambda doc: doc["__meta__"].update(max_nodes=0)),
     "param-not-shape-data": ("param", lambda entry: [1.0, 2.0]),
-    "param-data-misfits-shape": ("param", lambda entry: {"shape": entry["shape"], "data": entry["data"][:-1]}),
+    "param-data-misfits-shape": (
+        "param", lambda entry: {"shape": entry["shape"], "data": _base64(_floats(entry)[:-1].tobytes())}, "bytes"),
+    "param-data-json-list": ("param", lambda entry: {**entry, "data": _floats(entry).tolist()}, "base64 text"),
+    "param-data-not-base64": ("param", lambda entry: {**entry, "data": entry["data"][:-4] + "*!*="}, "not base64"),
+    "param-data-bytes-not-whole-floats": (
+        "param", lambda entry: {**entry, "data": _base64(base64.b64decode(entry["data"])[:-3])}, "bytes"),
+    "format-version-1": ("document", _as_version_1, "version 1", "expected 2"),
 }
 
 
@@ -537,33 +565,85 @@ def desk_evaluate(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def trained_checkpoint(tmp_path_factory):
+def trained_checkpoint_text(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("trained")
     assert main(["train", "--config", str(write_cfg(tmp_path, "c.json"))]) == 0
-    return json.loads((tmp_path / "ckpt.json").read_text())
+    return (tmp_path / "ckpt.json").read_text()
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(trained_checkpoint_text):
+    return json.loads(trained_checkpoint_text)
+
+
+@pytest.fixture(scope="module")
+def sample_config(tmp_path_factory):
+    """(config path, checkpoint path, molecule output path) for running `sample`."""
+    tmp_path = tmp_path_factory.mktemp("sample")
+    return write_cfg(tmp_path, "c.json"), tmp_path / "ckpt.json", tmp_path / "mols.jsonl"
+
+
+JSON_WHITESPACE = b" \t\n\r"
+
+
+@st.composite
+def checkpoint_mutations(draw, text):
+    """The checkpoint text cut short at some offset, with one byte replaced,
+    or with one reserved key dropped. A replaced byte lies outside the
+    ``__meta__`` value, which the checksum does not cover, so changing a digit
+    there can give another valid checkpoint; the meta checks have their own
+    cases in MALFORMED_INPUTS. Whitespace between tokens is not replaced by
+    whitespace, which leaves the same document."""
+    raw = text.encode()
+    kind = draw(st.sampled_from(["truncate", "replace-byte", "drop-key"]))
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "drop-key":
+        doc = json.loads(text)
+        del doc[draw(st.sampled_from(["__format_version__", "__meta__", "__checksum__"]))]
+        return json.dumps(doc, sort_keys=True).encode()
+    meta = json.dumps(json.loads(text)["__meta__"], sort_keys=True).encode()
+    start = raw.index(b'"__meta__": ' + meta) + len(b'"__meta__": ')
+    pos = draw(st.integers(0, len(raw) - 1).filter(lambda i: not start <= i < start + len(meta)))
+    old = raw[pos]
+    new = draw(st.integers(0, 255).filter(lambda b: b != old and not (b in JSON_WHITESPACE and old in JSON_WHITESPACE)))
+    return raw[:pos] + bytes([new]) + raw[pos + 1:]
 
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
     def test_exit_2_with_error_line(self, tmp_path, capsys, trained_checkpoint, case):
-        kind, payload = MALFORMED_INPUTS[case]
+        kind, payload, *named = MALFORMED_INPUTS[case]
         if kind in ("library", "pocket"):
             bad = tmp_path / f"bad_{kind}.json"
             bad.write_text(payload)
             argv = ["train", "--config", str(write_cfg(tmp_path, "c.json", **{f"{kind}_file": str(bad)}))]
         else:
             doc = json.loads(json.dumps(trained_checkpoint))
-            if kind == "meta":
-                payload(doc)  # meta is outside the checksum
-            else:
+            if kind == "param":
                 name = next(k for k in doc if not k.startswith("__"))
                 doc[name] = payload(doc[name])
+            else:
+                payload(doc)
+            if kind != "meta":  # meta is outside the checksum
                 doc["__checksum__"] = nn._params_checksum({k: v for k, v in doc.items() if not k.startswith("__")})
             (tmp_path / "ckpt.json").write_text(json.dumps(doc))
             argv = ["sample", "--config", str(write_cfg(tmp_path, "c.json")), "--out", str(tmp_path / "mols.jsonl")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, err
+        for text in named:
+            assert text in err, err
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mutated_checkpoint_exit_2(self, trained_checkpoint_text, sample_config, data):
+        cfg_path, ckpt_path, out = sample_config
+        ckpt_path.write_bytes(data.draw(checkpoint_mutations(trained_checkpoint_text)))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == 2, err.getvalue()
+        assert err.getvalue().startswith("error:") and "Traceback" not in err.getvalue(), err.getvalue()
 
     @pytest.mark.parametrize("fault", ["not-utf8", "directory"])
     @pytest.mark.parametrize("kind", ["config", "library", "pocket", "checkpoint", "molecule"])
@@ -625,6 +705,30 @@ class TestMalformedInputs:
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             assert main(["evaluate", str(mols), "--config", str(cfg_path)]) == 2, record
         assert err.getvalue().startswith("error:") and ":2:" in err.getvalue(), (record, err.getvalue())
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("output", ["train-out", "metrics", "sample-out", "evaluate-out"])
+    def test_unwritable_output_exit_2_naming_it(self, tmp_path, capsys, trained_checkpoint_text, output):
+        blocked = tmp_path / "blocked"
+        blocked.mkdir()  # an existing directory cannot be opened as a file
+        cfg = str(write_cfg(tmp_path, "c.json"))
+        if output == "train-out":
+            argv = ["train", "--config", cfg, "--out", str(blocked)]
+        elif output == "metrics":
+            argv = ["train", "--config", str(write_cfg(tmp_path, "c.json", metrics=str(blocked)))]
+        elif output == "sample-out":
+            (tmp_path / "ckpt.json").write_text(trained_checkpoint_text)
+            argv = ["sample", "--config", cfg, "--out", str(blocked)]
+        else:
+            mols = tmp_path / "mols.jsonl"
+            mols.write_text(_molecule([0], []))
+            argv = ["evaluate", str(mols), "--config", cfg, "--out", str(blocked)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, err
+        assert str(blocked) in err, err
+        assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
 
 
 class TestSelfcheckCommand:

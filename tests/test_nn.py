@@ -1,5 +1,6 @@
 """Parameter store, MLP shapes, Adam behavior, checkpoint round-trips."""
 
+import base64
 import hashlib
 import json
 import os
@@ -23,6 +24,15 @@ from pocketgfn.nn import (
 
 def make_store(seed=0):
     return ParamStore(np.random.default_rng(seed))
+
+
+def decode_data(entry):
+    """A checkpoint entry's floats, as a writable array."""
+    return np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+
+
+def encode_data(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 class TestParamStore:
@@ -137,15 +147,48 @@ class TestCheckpoints:
         store2.load_state_arrays(state)
         np.testing.assert_array_equal(store2["a.w"].data, store["a.w"].data)
 
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        values = {
+            "edges": np.array([[-0.0, 0.0], [tiny, -tiny], [1.7e308, -1.7e308]]),
+            "scalar": np.array(-0.0),
+            "empty": np.zeros((0, 3)),
+            "mixed": np.array([np.pi, -1e-310, 2.0**-1074, np.finfo(np.float64).max]),
+        }
+        store = make_store(4)
+        for name, arr in values.items():
+            store.constant_param(name, arr)
+        path = tmp_path / "ck.json"
+        save_checkpoint(str(path), store, meta={"mode": "demo"})
+        doc = json.loads(path.read_text())
+        assert doc["__format_version__"] == 2
+        for name, arr in values.items():
+            assert doc[name]["shape"] == list(arr.shape)
+            assert decode_data(doc[name]).tobytes() == arr.tobytes(), name
+        state, meta = load_checkpoint(str(path))
+        assert list(state) == sorted(values)
+        for name, arr in values.items():
+            assert state[name].shape == arr.shape
+            assert state[name].tobytes() == arr.tobytes(), name
+        reloaded = make_store(5)
+        for name, arr in values.items():
+            reloaded.constant_param(name, np.full(arr.shape, 7.0))
+        reloaded.load_state_arrays(state)
+        again = tmp_path / "again.json"
+        save_checkpoint(str(again), reloaded, meta=meta)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_corrupted_data_fails_integrity(self, tmp_path):
         store = make_store(1)
         store.param("a.w", (3, 2))
         path = str(tmp_path / "ck.json")
         save_checkpoint(path, store)
         doc = json.load(open(path))
-        doc["a.w"]["data"][0] += 1.0  # flip a value without updating checksum
+        values = decode_data(doc["a.w"])
+        values[0] += 1.0  # change one float without updating the checksum
+        doc["a.w"]["data"] = encode_data(values)
         json.dump(doc, open(path, "w"))
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match="integrity"):
             load_checkpoint(path)
 
     def test_wrong_format_version_rejected(self, tmp_path):
