@@ -18,7 +18,6 @@ from pocketgfn.rewards import (
     diversity,
     docking_score,
     fingerprint,
-    pocket_polarity,
     qed_proxy,
     sa_proxy,
     tanimoto_distance,
@@ -27,7 +26,7 @@ from pocketgfn.rewards import (
 
 lib = desk_library()
 pocket = build_knn_graph(synthetic_pocket(10, 2.5, seed=11, polar_fraction=0.3))
-print(f"pocket polarity {pocket_polarity(pocket):.3f}")
+print(f"pocket polarity {pocket.polarity:.3f}")
 
 # hand-build a few molecules of different sizes and compositions
 def grow(moves):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .files import InputFileError, OutputFileError, output_file, read_text
+from .files import InputFileError, OutputFileError, check_writable, output_file, read_text
 from .ligand import (
     DATA_DIR,
     FragmentLibrary,
@@ -199,6 +199,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg.validate()
     out_path = args.out or cfg.checkpoint
     metrics_path = cfg.metrics or (os.path.splitext(out_path)[0] + ".metrics.jsonl")
+    check_writable(out_path)
+    check_writable(metrics_path)
     library = load_library(cfg.library_path())
     pockets = _load_pockets(cfg)
     weights = RewardWeights(*[float(w) for w in cfg.weights])
@@ -251,6 +253,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     checkpoint_path = cfg.checkpoint
     if not os.path.exists(checkpoint_path):
         raise ConfigError(f"checkpoint not found: {checkpoint_path}")
+    out_path = args.out or "molecules.jsonl"
+    check_writable(out_path)
     library = load_library(cfg.library_path())
     pockets = _load_pockets(cfg)
     policy, meta = _rebuild_policy(checkpoint_path, library, args.mode, pockets)
@@ -258,7 +262,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
     pid, graph = next(iter(pockets.items()))
     ctx = policy.pocket_context(graph)
 
-    out_path = args.out or "molecules.jsonl"
     n = cfg.n_molecules
     unique: dict[str, dict] = {}
     attempts = 0
@@ -331,6 +334,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg.validate()
     if isinstance(cfg.pocket_file, list):
         raise ConfigError("config field 'pocket_file': evaluation targets one pocket; pass a single path")
+    if args.out:
+        check_writable(args.out)
     library = load_library(cfg.library_path())
     pockets = _load_pockets(cfg)
     _, graph = next(iter(pockets.items()))

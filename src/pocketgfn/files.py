@@ -3,6 +3,7 @@ path of an output that cannot be written."""
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 
 
@@ -43,3 +44,20 @@ def output_file(path: str):
     it, or any other ``OSError`` in the block, names the path."""
     with writing(path), open(path, "w") as fh:
         yield fh
+
+
+def check_writable(path: str) -> None:
+    """Raise an ``OutputFileError`` naming ``path`` unless a file can be
+    written there: its directory exists and is writable, and ``path`` is not
+    a directory or a read-only file. Nothing is created, so a command can
+    check its outputs before it starts its work."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "Is a directory"
+    elif not os.path.isdir(folder):
+        reason = "No such file or directory"
+    elif not os.access(folder, os.W_OK | os.X_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        reason = "Permission denied"
+    else:
+        return
+    raise OutputFileError(f"{path}: cannot write: {reason}")

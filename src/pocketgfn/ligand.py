@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -440,27 +441,94 @@ def check_enumeration_guard(library: FragmentLibrary, max_nodes: int) -> None:
         )
 
 
-def enumerate_terminal_states(library: FragmentLibrary, max_nodes: int) -> list[LigandState]:
-    """All distinct terminal graphs up to isomorphism, guarded against blow-up."""
+@dataclass(frozen=True, eq=False)
+class EnumeratedSpace:
+    """Every raw state of a molecule space, from one walk of its raw state tree.
+
+    ``depths[d]`` holds the raw states with d fragments that are not forced
+    stops, so the oracles give them a policy pass, in the order of a
+    depth-by-depth walk. Their scored rows are their legal actions in
+    lattice order, and ``row_mol[d]`` gives each row's molecule index, or -1
+    when the row's child needs a pass of its own: those children, in row
+    order, are ``depths[d + 1]``. A Stop row ends in its state's molecule,
+    and so does a row whose child is a forced stop (``forced`` lists those
+    children once each, in walk order). The walk follows action sequences,
+    so a 1-fragment state, which does not record its entry attachment point,
+    appears once per entry point together with everything grown from it.
+    Molecules are numbered in sorted canonical-key order; ``first_seen``
+    lists them in the order the walk first reaches them. Every array is
+    read-only.
+    """
+
+    depths: tuple[tuple[LigandState, ...], ...]
+    row_mol: tuple[np.ndarray, ...]  # per depth, (rows,) molecule index or -1
+    forced: tuple[LigandState, ...]
+    keys: tuple[str, ...]  # canonical keys, sorted
+    molecules: tuple[LigandState, ...]  # per key, the terminal state in canonical form
+    first_seen: np.ndarray  # (molecules,) molecule indices in walk order
+
+
+def enumerated_space(library: FragmentLibrary, max_nodes: int) -> EnumeratedSpace:
+    """The space of ``library`` up to ``max_nodes`` fragments, guarded
+    against blow-up. Legal actions read only fragment ids and attachment
+    counts, so the space is cached on those and the cap: libraries that
+    differ only in fragment sizes, names or polarities share one space."""
     check_enumeration_guard(library, max_nodes)
-    seen_raw = set()
+    return _walk_space(tuple((f.id, f.aps) for f in library), max_nodes)
+
+
+@lru_cache(maxsize=4)
+def _walk_space(fragments: tuple[tuple[int, int], ...], max_nodes: int) -> EnumeratedSpace:
+    # the walk reads only ids and attachment counts, so a stand-in library will do
+    library = FragmentLibrary([Fragment(fid, f"#{fid}", aps, 1, 0.0) for fid, aps in fragments])
+    depths, row_mol, forced = [], [], []
+    index: dict[str, int] = {}  # canonical key -> molecule number in walk order
+    of_raw: dict[tuple, int] = {}  # (nodes, edges) -> molecule number; copied subtrees repeat raw forms
+    molecules = []
     frontier = [initial_state()]
-    canon: dict[str, LigandState] = {}
     while frontier:
-        s = frontier.pop()
-        for a in legal_actions(s, library, max_nodes):
-            if isinstance(a, Stop):
-                continue
-            child = apply_action(s, a, library, max_nodes)
-            key = (child.nodes, child.edges)
-            if key in seen_raw:
-                continue
-            seen_raw.add(key)
-            frontier.append(child)
-            ckey = canonical_key(child)
-            if ckey not in canon:
-                canon[ckey] = LigandState(nodes=child.nodes, edges=child.edges, terminal=True)
-    return [canon[k] for k in sorted(canon)]
+        depths.append(tuple(frontier))
+        children, mols = [], []
+        for s in frontier:
+            for a in legal_actions(s, library, max_nodes):
+                child = apply_action(s, a, library, max_nodes)
+                if not (child.terminal or stop_is_forced(child, library, max_nodes)):
+                    children.append(child)
+                    mols.append(-1)
+                    continue
+                raw = (child.nodes, child.edges)
+                if raw not in of_raw:
+                    if not child.terminal:
+                        forced.append(child)
+                    key = canonical_key(child)
+                    if key not in index:
+                        index[key] = len(molecules)
+                        molecules.append(LigandState(*canonical_form(child), terminal=True))
+                    of_raw[raw] = index[key]
+                mols.append(of_raw[raw])
+        row_mol.append(np.array(mols, dtype=np.intp))
+        frontier = children
+    keys = list(index)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    renumber = np.append(rank, -1)  # a -1 row stays -1
+    row_mol = [renumber[m] for m in row_mol]
+    for arr in (*row_mol, rank):
+        arr.flags.writeable = False
+    return EnumeratedSpace(
+        depths=tuple(depths),
+        row_mol=tuple(row_mol),
+        forced=tuple(forced),
+        keys=tuple(keys[m] for m in order),
+        molecules=tuple(molecules[m] for m in order),
+        first_seen=rank,
+    )
+
+
+def enumerate_terminal_states(library: FragmentLibrary, max_nodes: int) -> list[LigandState]:
+    """All distinct molecules in canonical form, in sorted key order, guarded against blow-up."""
+    return list(enumerated_space(library, max_nodes).molecules)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,9 @@ DEFAULT_K = 8
 N_SCALAR_FEATURES = N_RESIDUE_TYPES + 2  # one-hot + sin/cos pseudo-dihedral
 N_VECTOR_CHANNELS = 2  # forward / backward chain unit vectors
 
+# Per-residue-type polarity, increasing with the type id.
+POLARITY_TABLE = np.arange(N_RESIDUE_TYPES) / (N_RESIDUE_TYPES - 1)
+
 
 class PocketError(ValueError):
     """Malformed pocket input."""
@@ -58,6 +61,8 @@ class PocketGraph:
     edge_sep: np.ndarray  # (n, K) |index_i - index_j| clipped
     edge_dir: np.ndarray  # (n, K, 3) unit direction i -> j, zero when coincident
     dist_matrix: np.ndarray  # (n, n)
+    gyration_radius: float  # radius of gyration of the Calpha coordinates
+    polarity: float  # mean residue-type polarity
 
     @property
     def n(self) -> int:
@@ -94,7 +99,8 @@ def radius_of_gyration(coords: np.ndarray) -> float:
 
 
 def build_knn_graph(residues: list[Residue], K: int = DEFAULT_K) -> PocketGraph:
-    """Directed KNN edges by Calpha distance; ties go to the lower residue index."""
+    """Directed KNN edges by Calpha distance; ties go to the lower residue index.
+    The pocket-level terms of the docking proxy are computed here, once per pocket."""
     n = len(residues)
     if n < 2:
         raise PocketError(f"need at least 2 residues, got {n}")
@@ -126,6 +132,8 @@ def build_knn_graph(residues: list[Residue], K: int = DEFAULT_K) -> PocketGraph:
         edge_sep=edge_sep,
         edge_dir=edge_dir,
         dist_matrix=dist,
+        gyration_radius=radius_of_gyration(coords),
+        polarity=float(np.mean([POLARITY_TABLE[r.residue_type] for r in residues])),
     )
 
 

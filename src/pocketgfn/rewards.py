@@ -16,7 +16,7 @@ from hashlib import sha256
 import numpy as np
 
 from .ligand import LigandState
-from .pocket import N_RESIDUE_TYPES, PocketGraph, radius_of_gyration
+from .pocket import PocketGraph
 
 # Surrogate constants: target ligand size is RHO heavy atoms per angstrom of
 # pocket radius of gyration; sigmas set how forgiving each Gaussian term is.
@@ -24,9 +24,6 @@ RHO = 1.5
 SIGMA_SIZE = 4.0
 SIGMA_POLARITY = 0.2
 DS_SCALE = -12.0
-
-# Per-residue-type polarity, increasing with the type id.
-POLARITY_TABLE = np.arange(N_RESIDUE_TYPES) / (N_RESIDUE_TYPES - 1)
 
 FINGERPRINT_BITS = 256
 FINGERPRINT_RADIUS = 2
@@ -43,10 +40,6 @@ def _require_terminal(s: LigandState, op: str) -> None:
         raise MetricError(f"{op} needs a nonempty state")
 
 
-def pocket_polarity(pocket: PocketGraph) -> float:
-    return float(np.mean([POLARITY_TABLE[r.residue_type] for r in pocket.residues]))
-
-
 def ligand_size(s: LigandState, library) -> int:
     return sum(library.get(fid).size for fid in s.nodes)
 
@@ -58,9 +51,9 @@ def ligand_polarity(s: LigandState, library) -> float:
 def docking_proxy(pocket: PocketGraph, s: LigandState, library) -> float:
     """Quality in [0, 1]; peaks when size and polarity both hit the pocket's targets."""
     _require_terminal(s, "docking_proxy")
-    target_size = RHO * radius_of_gyration(pocket.coords)
+    target_size = RHO * pocket.gyration_radius
     size_term = math.exp(-((ligand_size(s, library) - target_size) ** 2) / (2 * SIGMA_SIZE**2))
-    pol_term = math.exp(-((ligand_polarity(s, library) - pocket_polarity(pocket)) ** 2) / (2 * SIGMA_POLARITY**2))
+    pol_term = math.exp(-((ligand_polarity(s, library) - pocket.polarity) ** 2) / (2 * SIGMA_POLARITY**2))
     return size_term * pol_term
 
 

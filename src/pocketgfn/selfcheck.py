@@ -32,9 +32,8 @@ from .ligand import (
     automorphism_count,
     backward_transitions,
     desk_library,
-    enumerate_terminal_states,
+    enumerated_space,
     initial_state,
-    legal_actions,
     toy_library,
 )
 from .nn import CheckpointError, ParamStore, decode_param, encode_param, load_checkpoint, save_checkpoint
@@ -289,31 +288,22 @@ def check_bias_ablation() -> tuple[bool, str]:
 
 def check_enumeration_oracle() -> tuple[bool, str]:
     lib = toy_library()
-    states = enumerate_terminal_states(lib, 2)
-    if len(states) != 5:
-        return False, f"toy library should enumerate 5 molecules at cap 2, got {len(states)}"
-    # uniform backward policy must be a distribution at every reachable state
-    frontier = [initial_state()]
-    seen = set()
-    while frontier:
-        s = frontier.pop()
-        for a in legal_actions(s, lib, 2):
-            child = apply_action(s, a, lib, 2)
-            key = (child.nodes, child.edges, child.terminal)
-            if key in seen:
-                continue
-            seen.add(key)
-            if child.n >= 1 and not child.terminal:
-                total = sum(math.exp(lp) for _, _, lp in backward_transitions(child, lib))
-                if abs(total - 1.0) > 1e-12:
-                    return False, f"backward probs sum to {total} at {child}"
-            frontier.append(child)
+    space = enumerated_space(lib, 2)
+    if len(space.molecules) != 5:
+        return False, f"toy library should enumerate 5 molecules at cap 2, got {len(space.molecules)}"
+    # uniform backward policy must be a distribution at every nonempty partial
+    # state (a 1-fragment state and its subtree recur once per entry point)
+    partial = list(dict.fromkeys([s for states in space.depths[1:] for s in states] + list(space.forced)))
+    for s in partial:
+        total = sum(math.exp(lp) for _, _, lp in backward_transitions(s, lib))
+        if abs(total - 1.0) > 1e-12:
+            return False, f"backward probs sum to {total} at {s}"
     # symmetric dimer has two automorphisms
     s = apply_action(initial_state(), AddFragment(None, None, 0, 0), lib, 2)
     s = apply_action(s, AddFragment(0, 0, 0, 0), lib, 2)
     if automorphism_count(s) != 2:
         return False, f"symmetric dimer automorphism count {automorphism_count(s)} != 2"
-    return True, f"5 molecules, backward sums to 1 over {len(seen)} states, symmetry counts agree"
+    return True, f"5 molecules, backward sums to 1 over {len(partial)} partial states, symmetry counts agree"
 
 
 def check_proportional_sampling(fast: bool = False) -> tuple[bool, str]:

@@ -2,10 +2,16 @@
 
 The sampler is trained so that terminal molecules appear with probability
 proportional to reward. Two oracles verify that claim: a dynamic program that
-walks every raw trajectory of the policy (exact model distribution), and an
-exhaustive reward enumeration (target distribution). Both are feasible only
-on deliberately small libraries, which is the point: correctness is checked
-where it can be checked exactly.
+pushes probability mass along every raw trajectory of the policy (exact model
+distribution), and an exhaustive reward enumeration (target distribution).
+Both are feasible only on deliberately small libraries, which is the point:
+correctness is checked where it can be checked exactly.
+
+Both oracles read one ``ligand.EnumeratedSpace``: the raw states, their
+scored rows and the molecules, walked once and cached per (fragment ids and
+attachment-point counts, node cap). Legal actions and transitions read
+nothing else of a library, so that key is enough; a repeated oracle call
+makes its policy passes and reward calls and no transitions.
 
 Backward policy and symmetry. The fixed backward policy is uniform over
 removable leaf fragments, plus a uniform choice of entry attachment point at
@@ -41,8 +47,7 @@ from .ligand import (
     apply_action,
     automorphism_count,
     canonical_key,
-    check_enumeration_guard,
-    enumerate_terminal_states,
+    enumerated_space,
     initial_state,
     step_backward_log_prob,
     stop_is_forced,
@@ -323,42 +328,39 @@ def exact_terminal_distribution(
 ) -> dict[str, float]:
     """Exact model distribution over molecules (canonical keys).
 
-    Every raw state is reachable by exactly one action sequence, so a walk
-    multiplying action probabilities visits each raw trajectory once;
-    terminal mass is pooled by canonical form. The walk goes depth by depth,
-    and the states of one depth share a node count, so each depth costs one
-    policy pass. A state whose only legal action is Stop passes its mass to
-    its molecule at once: it gets no pass and is never queued.
+    Pushing each state's mass through its action probabilities, depth by
+    depth, follows every action sequence once; terminal mass is pooled by
+    molecule. The states come from the cached space, so a call makes one
+    policy pass per depth and no transitions. Each row's mass is the product
+    of its state's mass and its probability, and a molecule's total adds its
+    rows in walk order.
     """
-    check_enumeration_guard(library, max_nodes)
-    out: dict[str, float] = defaultdict(float)
-    frontier: list[tuple[LigandState, float]] = [(initial_state(), 1.0)]
-    while frontier:
-        dist = policy.action_distribution([s for s, _ in frontier], ctx, max_nodes)
-        children = []
-        for b, (s, p) in enumerate(frontier):
-            rows = dist.rows(b)
-            for action, prob in zip(dist.actions[rows], dist.probs[rows]):
-                child = apply_action(s, action, library, max_nodes)
-                if child.terminal or stop_is_forced(child, library, max_nodes):
-                    out[canonical_key(child)] += p * prob
-                else:
-                    children.append((child, p * prob))
-        frontier = children
-    return dict(out)
+    space = enumerated_space(library, max_nodes)
+    mass = np.ones(1)
+    row_mass = []
+    for states, mol in zip(space.depths, space.row_mol):
+        dist = policy.action_distribution(list(states), ctx, max_nodes)
+        rows = np.repeat(mass, np.diff(dist.offsets)) * dist.probs
+        row_mass.append(rows)
+        mass = rows[mol < 0]  # the next depth's states, in row order
+    mol = np.concatenate(space.row_mol)
+    ends = mol >= 0
+    total = np.bincount(mol[ends], weights=np.concatenate(row_mass)[ends], minlength=len(space.keys))
+    return {space.keys[m]: total[m] for m in space.first_seen}
 
 
 def target_distribution(
     pocket: PocketGraph, library: FragmentLibrary, max_nodes: int, reward_fn, beta: float
 ) -> dict[str, float]:
-    """Reward-proportional distribution q^beta / Z over all molecules."""
-    states = enumerate_terminal_states(library, max_nodes)
+    """Reward-proportional distribution q^beta / Z over all molecules, each
+    scored once in its canonical form, in sorted key order."""
+    space = enumerated_space(library, max_nodes)
     raw = {}
-    for s in states:
+    for key, s in zip(space.keys, space.molecules):
         q = reward_fn(pocket, s)
         if not q > 0:
             raise TrainingError(f"reward must be positive, got {q}")
-        raw[canonical_key(s)] = q**beta
+        raw[key] = q**beta
     z = sum(raw.values())
     return {k: v / z for k, v in raw.items()}
 
@@ -412,8 +414,7 @@ def proportional_sampling_check(
 ) -> float:
     """Total-variation distance between empirical molecule frequencies and
     the reward-proportional target."""
-    check_enumeration_guard(library, max_nodes)
-    ctx = policy.pocket_context(pocket)
     target = target_distribution(pocket, library, max_nodes, reward_fn, beta)
+    ctx = policy.pocket_context(pocket)
     empirical = empirical_terminal_distribution(policy, ctx, library, max_nodes, n_samples)
     return total_variation(empirical, target)

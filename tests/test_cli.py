@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pocketgfn import nn
+from pocketgfn import cli, nn
 from pocketgfn.cli import (
     BUNDLED_POCKETS,
     ConfigError,
@@ -708,27 +708,49 @@ class TestMalformedInputs:
 
 
 class TestOutputPaths:
-    @pytest.mark.parametrize("output", ["train-out", "metrics", "sample-out", "evaluate-out"])
-    def test_unwritable_output_exit_2_naming_it(self, tmp_path, capsys, trained_checkpoint_text, output):
-        blocked = tmp_path / "blocked"
-        blocked.mkdir()  # an existing directory cannot be opened as a file
+    @staticmethod
+    def run_blocked(tmp_path, monkeypatch, checkpoint_text, output, blocked) -> int:
+        """Run the command that writes ``output`` to the unwritable ``blocked``
+        path; no training step, draw or scoring may start."""
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+
+        for name in ("train", "sample_trajectories", "docking_score"):
+            monkeypatch.setattr(cli, name, no_work)
         cfg = str(write_cfg(tmp_path, "c.json"))
         if output == "train-out":
             argv = ["train", "--config", cfg, "--out", str(blocked)]
         elif output == "metrics":
             argv = ["train", "--config", str(write_cfg(tmp_path, "c.json", metrics=str(blocked)))]
         elif output == "sample-out":
-            (tmp_path / "ckpt.json").write_text(trained_checkpoint_text)
+            (tmp_path / "ckpt.json").write_text(checkpoint_text)
             argv = ["sample", "--config", cfg, "--out", str(blocked)]
         else:
             mols = tmp_path / "mols.jsonl"
             mols.write_text(_molecule([0], []))
             argv = ["evaluate", str(mols), "--config", cfg, "--out", str(blocked)]
-        assert main(argv) == 2
+        return main(argv)
+
+    @pytest.mark.parametrize("output", ["train-out", "metrics", "sample-out", "evaluate-out"])
+    def test_unwritable_output_exit_2_naming_it(self, tmp_path, capsys, monkeypatch, trained_checkpoint_text, output):
+        blocked = tmp_path / "blocked"
+        blocked.mkdir()  # an existing directory cannot be opened as a file
+        assert self.run_blocked(tmp_path, monkeypatch, trained_checkpoint_text, output, blocked) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, err
-        assert str(blocked) in err, err
+        assert str(blocked) in err and "Is a directory" in err, err
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+    @pytest.mark.parametrize("output", ["train-out", "metrics", "sample-out", "evaluate-out"])
+    def test_output_in_missing_folder_exit_2_naming_it(self, tmp_path, capsys, monkeypatch, trained_checkpoint_text,
+                                                       output):
+        blocked = tmp_path / "missing" / "out.json"
+        assert self.run_blocked(tmp_path, monkeypatch, trained_checkpoint_text, output, blocked) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, err
+        assert str(blocked) in err and "No such file or directory" in err, err
+        assert not (tmp_path / "missing").exists()
 
 
 class TestSelfcheckCommand:

@@ -1,5 +1,7 @@
 """Fragment-graph environment: legality, transitions, canonical forms, enumeration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from pocketgfn.ligand import (
     canonical_key,
     desk_library,
     enumerate_terminal_states,
+    enumerated_space,
     initial_state,
     legal_actions,
     load_library,
@@ -35,6 +38,7 @@ from pocketgfn.ligand import (
     validate_state,
 )
 
+import oracle_reference
 from ligand_reference import permute_state, reference_canonical
 
 TOY = toy_library()
@@ -448,6 +452,68 @@ class TestEnumeration:
         for lib, cap in ((TOY, 2), (TOY, 3), (DESK, 2)):
             enum_keys = {canonical_key(s) for s in enumerate_terminal_states(lib, cap)}
             assert enum_keys == dfs(lib, cap)
+
+
+class TestEnumeratedSpace:
+    @staticmethod
+    def raw_partial_states(lib, cap) -> set:
+        """Every nonempty, non-terminal raw state, by a depth-first walk."""
+        found = set()
+
+        def walk(s):
+            for a in legal_actions(s, lib, cap):
+                if not isinstance(a, Stop):
+                    child = apply_action(s, a, lib, cap)
+                    found.add(child)
+                    walk(child)
+
+        walk(initial_state())
+        return found
+
+    @pytest.mark.parametrize("lib,cap", [(TOY, 2), (TOY, 3), (DESK, 2), (DESK, 3)])
+    def test_molecules_are_the_reference_molecules_in_canonical_form(self, lib, cap):
+        reference = oracle_reference.enumerate_terminal_states(lib, cap)
+        assert enumerate_terminal_states(lib, cap) == [LigandState(*canonical_form(s), terminal=True) for s in reference]
+        assert list(enumerated_space(lib, cap).keys) == [canonical_key(s) for s in reference]
+
+    @pytest.mark.parametrize("lib,cap", [(TOY, 2), (DESK, 3)])
+    def test_lists_every_partial_state(self, lib, cap):
+        space = enumerated_space(lib, cap)
+        passed = [s for states in space.depths for s in states]
+        # a 1-fragment state is reached once per entry attachment point, and
+        # so is everything grown from it; the raw walk counts each state once
+        assert set(passed[1:] + list(space.forced)) == self.raw_partial_states(lib, cap)
+        assert len(set(space.forced)) == len(space.forced)
+        assert all(stop_is_forced(s, lib, cap) for s in space.forced)
+        assert not any(stop_is_forced(s, lib, cap) for s in passed)
+        assert [states[0].n for states in space.depths] == list(range(len(space.depths)))
+        # each depth's rows are its states' legal actions, and the rows that
+        # continue are the next depth's states in order
+        for d, (states, mol) in enumerate(zip(space.depths, space.row_mol)):
+            children = [apply_action(s, a, lib, cap) for s in states for a in legal_actions(s, lib, cap)]
+            assert len(children) == len(mol)
+            grown = [c for c, m in zip(children, mol) if m < 0]
+            assert tuple(grown) == (space.depths[d + 1] if d + 1 < len(space.depths) else ())
+            assert all(canonical_key(c) == space.keys[m] for c, m in zip(children, mol) if m >= 0)
+
+    def test_arrays_are_read_only(self):
+        space = enumerated_space(DESK, 3)
+        for arr in (*space.row_mol, space.first_seen):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            space.keys = ()
+
+    def test_cached_on_fragment_ids_and_attachment_counts(self):
+        renamed = FragmentLibrary([Fragment(f.id, f.name + "2", f.aps, f.size + 1, 1.0 - f.polarity) for f in DESK])
+        assert enumerated_space(renamed, 2) is enumerated_space(DESK, 2)
+        first = DESK.ids[0]
+        more_aps = FragmentLibrary([Fragment(f.id, f.name, f.aps + (f.id == first), f.size, f.polarity) for f in DESK])
+        space = enumerated_space(more_aps, 2)
+        assert space is not enumerated_space(DESK, 2)
+        assert list(space.keys) == [canonical_key(s) for s in oracle_reference.enumerate_terminal_states(more_aps, 2)]
+        assert len(space.keys) > len(enumerated_space(DESK, 2).keys)
 
 
 class TestStateInvariantsFuzz:

@@ -18,7 +18,15 @@ from pocketgfn.ligand import (
     legal_actions,
     toy_library,
 )
-from pocketgfn.pocket import Residue, build_knn_graph, random_rotation, synthetic_pocket, transform_residues
+from pocketgfn.pocket import (
+    POLARITY_TABLE,
+    Residue,
+    build_knn_graph,
+    radius_of_gyration,
+    random_rotation,
+    synthetic_pocket,
+    transform_residues,
+)
 from pocketgfn.rewards import (
     DS_SCALE,
     MetricError,
@@ -31,7 +39,6 @@ from pocketgfn.rewards import (
     ligand_polarity,
     ligand_size,
     mean_and_se,
-    pocket_polarity,
     qed_proxy,
     sa_proxy,
     tanimoto_distance,
@@ -79,6 +86,17 @@ def square_pocket(side=2.0, types=(0, 19, 0, 19)):
 
 
 class TestDockingProxy:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pocket_terms_are_the_per_call_values(self, seed):
+        # the graph holds the radius of gyration and polarity that each call used to recompute
+        pocket = build_knn_graph(synthetic_pocket(10, 2.5, seed=seed, polar_fraction=0.3))
+        assert pocket.gyration_radius == radius_of_gyration(np.stack([r.ca for r in pocket.residues]))
+        assert pocket.polarity == float(np.mean([POLARITY_TABLE[r.residue_type] for r in pocket.residues]))
+        s = grow([AddFragment(None, None, 2, 0)])
+        size_term = math.exp(-((3 - 1.5 * pocket.gyration_radius) ** 2) / (2 * 4.0**2))
+        pol_term = math.exp(-((0.75 - pocket.polarity) ** 2) / (2 * 0.2**2))
+        assert docking_proxy(pocket, s, DESK) == size_term * pol_term
+
     def test_peak_when_both_targets_hit(self):
         # Rg = 2 -> target size 3; amide has size 3, polarity 0.75
         pocket = square_pocket(2.0, types=(13, 15, 14, 15))  # mean polarity (13+15+14+15)/4/19
@@ -86,7 +104,7 @@ class TestDockingProxy:
         s = grow([AddFragment(None, None, 2, 0)])
         assert ligand_size(s, DESK) == 3
         assert math.isclose(ligand_polarity(s, DESK), 0.75)
-        assert math.isclose(pocket_polarity(pocket), target_pol)
+        assert math.isclose(pocket.polarity, target_pol)
         # not exactly 0.75, so not exactly 1; build an exact hit instead
         pocket_exact = square_pocket(2.0, types=(19, 19, 19, 0))  # polarity 0.75 exactly
         q = docking_proxy(pocket_exact, s, DESK)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pocketgfn.autodiff as ad
+import pocketgfn.ligand as ligand
 from pocketgfn.autodiff import Tape, TapeError, finite_diff_check, tensor
 from pocketgfn.ligand import (
     AddFragment,
@@ -31,6 +32,7 @@ import pocketgfn.training as training
 from pocketgfn.training import (
     TrainerConfig,
     TrainingError,
+    default_reward_fn,
     empirical_terminal_distribution,
     exact_terminal_distribution,
     proportional_sampling_check,
@@ -42,6 +44,8 @@ from pocketgfn.training import (
     train,
     trajectory_backward_log_prob,
 )
+
+import oracle_reference
 
 TOY = toy_library()
 DESK = desk_library()
@@ -413,6 +417,60 @@ class TestOracles:
         # depths 0-2; every 3-node state is a forced stop and gets no pass
         assert [states[0].n for states in passes] == [0, 1, 2]
         assert not any(stop_is_forced(s, DESK, 3) for states in passes for s in states)
+
+    # caps 2-3 on both libraries, and the desk library at the guard's cap 4
+    REFERENCE_SPACES = [("toy", 2), ("toy", 3), ("desk", 2), ("desk", 3), ("desk", 4)]
+
+    @pytest.mark.parametrize("mode", ["baseline", "trioformer"])
+    @pytest.mark.parametrize("lib_name,cap", REFERENCE_SPACES)
+    def test_exact_equals_reference_walk(self, lib_name, cap, mode):
+        lib = {"toy": TOY, "desk": DESK}[lib_name]
+        policy = PolicyNetwork(ParamStore(np.random.default_rng(4)), lib, small_policy(mode))
+        ctx = policy.pocket_context(one_pocket()["p0"])
+        exact = exact_terminal_distribution(policy, ctx, lib, cap)
+        reference = oracle_reference.exact_terminal_distribution(policy, ctx, lib, cap)
+        assert exact == reference
+        # the same key order too, so a sum over the keys adds in the same order
+        assert list(exact) == list(reference)
+
+    @pytest.mark.parametrize("lib_name,cap", REFERENCE_SPACES[:-1])
+    def test_target_matches_reference_walk(self, lib_name, cap):
+        lib = {"toy": TOY, "desk": DESK}[lib_name]
+        pocket, reward_fn = one_pocket()["p0"], default_reward_fn(lib)
+        target = target_distribution(pocket, lib, cap, reward_fn, 4.0)
+        reference = oracle_reference.target_distribution(pocket, lib, cap, reward_fn, 4.0)
+        assert list(target) == list(reference)
+        # a molecule is scored in canonical form, and the reference scores the
+        # first raw form it meets; the ligand's polarity mean adds in node
+        # order, so from three fragments on the two may differ in the last bit
+        # (the reference's cap-4 walk costs seconds and adds no other case)
+        if cap == 2:
+            assert target == reference
+        assert all(abs(target[k] - p) <= 1e-15 * p for k, p in reference.items())
+
+    def test_repeated_oracles_make_no_transitions(self, monkeypatch):
+        policy = PolicyNetwork(ParamStore(np.random.default_rng(4)), DESK, small_policy())
+        pocket = one_pocket()["p0"]
+        ctx = policy.pocket_context(pocket)
+        reward_fn = default_reward_fn(DESK)
+        first = exact_terminal_distribution(policy, ctx, DESK, 3), target_distribution(pocket, DESK, 3, reward_fn, 4.0)
+        calls = []
+
+        def counted(name, real):
+            def fn(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return fn
+
+        for module in (ligand, training):
+            for name in ("apply_action", "canonical_key"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        again = exact_terminal_distribution(policy, ctx, DESK, 3), target_distribution(pocket, DESK, 3, reward_fn, 4.0)
+        assert again == first
+        assert calls == []
+        # the counters do see a walk: building the space afresh makes both calls
+        ligand._walk_space.__wrapped__(tuple((f.id, f.aps) for f in DESK), 3)
+        assert {"apply_action", "canonical_key"} <= set(calls)
 
     def test_exact_matches_empirical_on_untrained_policy(self):
         policy = make_policy()
