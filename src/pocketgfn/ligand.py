@@ -88,7 +88,10 @@ def json_float(value, field: str) -> float:
     not converted (``float(True)`` is 1.0 and ``float("0.5")`` is 0.5)."""
     if type(value) not in (int, float):
         raise ValueError(f"{field} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the largest float
+        raise ValueError(f"{field} must be a number within the float range") from None
 
 
 def load_library(path: str) -> FragmentLibrary:

@@ -14,7 +14,7 @@ import numpy as np
 from .autodiff import DiffTensor, DimensionError, add, layer_norm_rows, matmul, mul, relu, tensor
 from .files import read_text, writing
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 # Parameter data is stored as the base64 text of these bytes, in C order.
 CHECKPOINT_DTYPE = "<f8"
 
@@ -172,14 +172,14 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 
-def _params_checksum(payload: dict[str, dict]) -> str:
-    """sha256 of ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``,
-    fed one parameter at a time so the whole text is never built."""
+def _checksum(doc: dict) -> str:
+    """sha256 of ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``,
+    fed one key at a time so the whole text is never built."""
     digest = hashlib.sha256(b"{")
-    for k, name in enumerate(sorted(payload)):
+    for k, name in enumerate(sorted(doc)):
         if k:
             digest.update(b",")
-        entry = json.dumps(payload[name], sort_keys=True, separators=(",", ":"))
+        entry = json.dumps(doc[name], sort_keys=True, separators=(",", ":"))
         digest.update(f"{json.dumps(name)}:{entry}".encode())
     digest.update(b"}")
     return digest.hexdigest()
@@ -218,14 +218,15 @@ def save_checkpoint(path: str, store: ParamStore, meta: dict | None = None) -> N
     it again gives back every byte of the file.
 
     Reserved keys: ``__format_version__``, ``__meta__``, ``__checksum__``.
+    The checksum covers every other key, the meta included, so an edited
+    meta fails the integrity check like an edited parameter.
     The file is written next to ``path`` under a temporary name and then
     renamed over it, so a failed write leaves the previous checkpoint intact;
     the failure names ``path``.
     """
-    payload = {name: encode_param(p.data) for name, p in store.items()}
-    doc: dict = {"__format_version__": CHECKPOINT_FORMAT_VERSION, "__meta__": meta or {}}
-    doc["__checksum__"] = _params_checksum(payload)
-    doc.update(payload)
+    doc = {name: encode_param(p.data) for name, p in store.items()}
+    doc.update(__format_version__=CHECKPOINT_FORMAT_VERSION, __meta__=meta or {})
+    doc["__checksum__"] = _checksum(doc)
     tmp = f"{path}.{os.getpid()}.tmp"
     with writing(path):
         try:
@@ -238,21 +239,22 @@ def save_checkpoint(path: str, store: ParamStore, meta: dict | None = None) -> N
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint, verifying format version, checksum and each
-    parameter's shape against its byte count."""
+    """Read a checkpoint, verifying format version, checksum (over the meta
+    and the parameters) and each parameter's shape against its byte count."""
     try:
         doc = json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} must be a JSON object, got {type(doc).__name__}")
-    version = doc.pop("__format_version__", None)
+    version = doc.get("__format_version__")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"checkpoint format version {version!r} is not supported (expected {CHECKPOINT_FORMAT_VERSION})")
+    checksum = doc.pop("__checksum__", None)
+    if checksum != _checksum(doc):
+        raise CheckpointError(f"checkpoint {path} failed its integrity check")
+    del doc["__format_version__"]
     meta = doc.pop("__meta__", {})
     if not isinstance(meta, dict):
         raise CheckpointError(f"checkpoint {path} meta must be a JSON object, got {type(meta).__name__}")
-    checksum = doc.pop("__checksum__", None)
-    if checksum != _params_checksum(doc):
-        raise CheckpointError(f"checkpoint {path} failed its integrity check")
     return {name: decode_param(entry, f"checkpoint {path} parameter {name!r}") for name, entry in doc.items()}, meta

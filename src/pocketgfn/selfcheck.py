@@ -337,8 +337,20 @@ def check_checkpoint_integrity() -> tuple[bool, str]:
         try:
             load_checkpoint(path)
         except CheckpointError:
-            return True, "round trip exact; corruption detected by checksum"
-        return False, "corrupted checkpoint loaded without error (checksum not enforced)"
+            pass
+        else:
+            return False, "corrupted checkpoint loaded without error (checksum not enforced)"
+        save_checkpoint(path, store, {"mode": "baseline"})
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["__meta__"]["mode"] = "trioformer"  # a well-formed meta, not the one saved
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            return True, "round trip exact; parameter and meta corruption detected by checksum"
+        return False, "checkpoint with an edited meta loaded without error (meta not under the checksum)"
 
 
 def check_determinism() -> tuple[bool, str]:

@@ -29,12 +29,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 from collections import defaultdict
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
+
+import pocketgfn
 
 from . import autodiff as ad
 from .autodiff import DiffTensor, Tape, tensor
@@ -67,6 +71,21 @@ from .rewards import DEFAULT_WEIGHTS, RewardWeights, state_quality
 
 class TrainingError(RuntimeError):
     pass
+
+
+# the variables that set a BLAS's thread count when it cannot be set in-process
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_setting() -> dict:
+    """numpy's BLAS library and the thread-count variables that are set:
+    what checkpoint bytes depend on where the BLAS could not be pinned to one
+    thread at import."""
+    try:
+        library = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("name")
+    except (KeyError, TypeError, AttributeError):
+        library = None
+    return {"library": library, "thread_env": {k: os.environ[k] for k in BLAS_THREAD_ENV if k in os.environ}}
 
 
 @dataclass
@@ -104,7 +123,8 @@ class TrainerConfig:
         for name in ("learning_rate", "beta"):
             value = getattr(self, name)
             is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            expect(is_number and 0 < value < math.inf, name, "must be a positive finite number")
+            # an integer beyond the largest float compares above it, so it is refused too
+            expect(is_number and 0 < value <= sys.float_info.max, name, "must be a positive finite number")
         expect(self.mode in (BASELINE, TRIOFORMER), "mode", f"must be {BASELINE!r} or {TRIOFORMER!r}")
         if self.policy is None:
             self.policy = PolicyConfig(mode=self.mode)
@@ -243,7 +263,9 @@ def train(
     left non-finite by the update aborts with a ``TrainingError`` naming the
     step (and the parameter). ``stop_fn(row)`` returning True ends training
     early (used by callers that watch a convergence signal). The checkpoint meta records the policy config, so
-    the checkpoint can be rebuilt for sampling.
+    the checkpoint can be rebuilt for sampling; where importing the package
+    could not pin the BLAS to one thread, it also records ``blas_setting()``,
+    the only setting under which the checkpoint bytes are reproducible.
     """
     if not pockets:
         raise TrainingError("need at least one pocket")
@@ -314,6 +336,8 @@ def train(
             "library_ids": list(library.ids),
             "policy": asdict(config.policy),
         }
+        if not pocketgfn.BLAS_PINNED:
+            meta["blas"] = blas_setting()
         if extra_meta:
             meta.update(extra_meta)
         save_checkpoint(checkpoint_path, store, meta)

@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pocketgfn import cli, nn
@@ -50,6 +51,11 @@ def _floats(entry):
 
 def _base64(raw: bytes) -> str:
     return base64.b64encode(raw).decode("ascii")
+
+
+def _resign(doc):
+    """Set a checkpoint document's checksum to match its other keys."""
+    doc["__checksum__"] = nn._checksum({k: v for k, v in doc.items() if k != "__checksum__"})
 
 
 @pytest.fixture
@@ -112,6 +118,7 @@ class TestRunConfig:
            for key, bad in (("width", 0), ("width", "64"), ("n_heads", 0), ("width", 10), ("n_layers", True))]
         + [pytest.param("learning_rate", math.inf, id="learning_rate-inf"),
            pytest.param("beta", math.inf, id="beta-inf"),
+           pytest.param("learning_rate", 2**1024, id="learning_rate-beyond-float"),
            pytest.param("weights", [math.nan, 0.0, 0.0], id="weights-nan"),
            pytest.param("seed", -1, id="seed-negative"),
            pytest.param("mode", "geometric", id="mode-geometric")],
@@ -311,11 +318,23 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "JSON object" in err
 
+    def test_edited_meta_fails_integrity_exit_2(self, workdir, capsys):
+        # trained at cap 2: sampling at cap 5 would give another sampler
+        tmp_path, cfg_path, _ = workdir
+        self.run_train(tmp_path, cfg_path)
+        text = (tmp_path / "ckpt.json").read_text()
+        assert text.count('"max_nodes": 2') == 1
+        (tmp_path / "ckpt.json").write_text(text.replace('"max_nodes": 2', '"max_nodes": 5'))
+        assert main(["sample", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "failed its integrity check" in err, err
+
     def test_checkpoint_missing_meta_field_exit_2(self, workdir, capsys):
         tmp_path, cfg_path, _ = workdir
         self.run_train(tmp_path, cfg_path)
         doc = json.loads((tmp_path / "ckpt.json").read_text())
-        del doc["__meta__"]["policy"]  # meta is outside the parameter checksum
+        del doc["__meta__"]["policy"]
+        _resign(doc)  # the meta is under the checksum; the field check must still name it
         (tmp_path / "ckpt.json").write_text(json.dumps(doc))
         assert main(["sample", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
@@ -438,10 +457,16 @@ def _as_version_1(doc):
             entry["data"] = _floats(entry).tolist()
 
 
+def _as_version_2(doc):
+    """The checkpoint as format 2 wrote it: the checksum over the parameters only."""
+    doc["__format_version__"] = 2
+    doc["__checksum__"] = nn._checksum({k: v for k, v in doc.items() if not k.startswith("__")})
+
+
 # (kind, payload, *texts the error line names): a library or pocket file's
 # text, which `train` loads, or an edit of the trained checkpoint's meta, of
 # one parameter entry or of the whole document, which `sample` loads;
-# parameter and document edits are re-signed, so the checksum matches
+# meta and parameter edits are re-signed, so the checksum matches
 MALFORMED_INPUTS = {
     "library-invalid-json": ("library", "{not json"),
     "library-aps-not-integer": ("library", _fragment_library(aps="x")),
@@ -462,7 +487,8 @@ MALFORMED_INPUTS = {
     "param-data-not-base64": ("param", lambda entry: {**entry, "data": entry["data"][:-4] + "*!*="}, "not base64"),
     "param-data-bytes-not-whole-floats": (
         "param", lambda entry: {**entry, "data": _base64(base64.b64decode(entry["data"])[:-3])}, "bytes"),
-    "format-version-1": ("document", _as_version_1, "version 1", "expected 2"),
+    "format-version-1": ("document", _as_version_1, "version 1", "expected 3"),
+    "format-version-2": ("document", _as_version_2, "checkpoint format version 2 is not supported (expected 3)"),
 }
 
 
@@ -500,11 +526,14 @@ NOT_INTEGER_INPUTS = {
 
 
 # (kind, payload, the field the error line names): booleans and strings where
-# a file needs a number, each of which float() would convert to a valid one.
+# a file needs a number, each of which float() would convert to a valid one,
+# and integers no float can hold.
 # Config payloads are run config fields.
 NOT_NUMBER_INPUTS = {
     "weights-bool": ("config", {"weights": [True, False, False]}, "'weights'"),
     "weights-string": ("config", {"weights": ["0.5", "0.25", "0.25"]}, "'weights'"),
+    "weights-beyond-float": ("config", {"weights": [2**1024, 0, 0]}, "'weights'"),
+    "library-polarity-beyond-float": ("library", _fragment_library(polarity=2**1024), "'polarity'"),
     "library-polarity-string": ("library", _fragment_library(polarity="0.5"), "'polarity'"),
     "library-polarity-bool": ("library", _fragment_library(polarity=True), "'polarity'"),
     "pocket-ca-strings-and-bool": ("pocket", _pocket_with_last(ca=["1.5", True, "2"]), "'ca'"),
@@ -583,17 +612,20 @@ def sample_config(tmp_path_factory):
     return write_cfg(tmp_path, "c.json"), tmp_path / "ckpt.json", tmp_path / "mols.jsonl"
 
 
-JSON_WHITESPACE = b" \t\n\r"
+def _same_document(raw: bytes, doc) -> bool:
+    try:
+        return json.loads(raw) == doc
+    except ValueError:
+        return False
 
 
 @st.composite
 def checkpoint_mutations(draw, text):
     """The checkpoint text cut short at some offset, with one byte replaced,
-    or with one reserved key dropped. A replaced byte lies outside the
-    ``__meta__`` value, which the checksum does not cover, so changing a digit
-    there can give another valid checkpoint; the meta checks have their own
-    cases in MALFORMED_INPUTS. Whitespace between tokens is not replaced by
-    whitespace, which leaves the same document."""
+    or with one reserved key dropped. The checksum covers the ``__meta__``
+    value too, so a replaced byte may fall anywhere. A replacement that
+    leaves the same JSON value is not drawn: whitespace for whitespace
+    between tokens, or ``4e0`` for the meta's ``4.0``."""
     raw = text.encode()
     kind = draw(st.sampled_from(["truncate", "replace-byte", "drop-key"]))
     if kind == "truncate":
@@ -602,12 +634,57 @@ def checkpoint_mutations(draw, text):
         doc = json.loads(text)
         del doc[draw(st.sampled_from(["__format_version__", "__meta__", "__checksum__"]))]
         return json.dumps(doc, sort_keys=True).encode()
-    meta = json.dumps(json.loads(text)["__meta__"], sort_keys=True).encode()
-    start = raw.index(b'"__meta__": ' + meta) + len(b'"__meta__": ')
-    pos = draw(st.integers(0, len(raw) - 1).filter(lambda i: not start <= i < start + len(meta)))
-    old = raw[pos]
-    new = draw(st.integers(0, 255).filter(lambda b: b != old and not (b in JSON_WHITESPACE and old in JSON_WHITESPACE)))
-    return raw[:pos] + bytes([new]) + raw[pos + 1:]
+    pos = draw(st.integers(0, len(raw) - 1))
+    new = draw(st.integers(0, 255).filter(lambda b: b != raw[pos]))
+    mutated = raw[:pos] + bytes([new]) + raw[pos + 1:]
+    assume(not _same_document(mutated, json.loads(text)))
+    return mutated
+
+
+# Values of the wrong JSON type, non-finite or out-of-range numbers, booleans
+# and nested objects or lists; each field below draws only from what it must
+# refuse, so no drawn config is valid and none starts training.
+_TEXT = st.text(max_size=6)
+_NESTED = st.one_of(st.lists(st.integers(0, 3), max_size=3), st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2))
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+_BEYOND_FLOAT = st.integers(min_value=2**1024, max_value=2**1100)  # no float holds it
+_NUMBERS = st.one_of(st.integers(-5, 5), st.floats(allow_nan=False, allow_infinity=False), _NON_FINITE)
+_NOT_NUMBER = st.one_of(_TEXT, st.booleans(), st.none(), _NESTED)
+_NOT_TEXT = st.one_of(_NUMBERS, st.booleans(), st.none(), _NESTED)
+
+
+def _not_integer_from(low):
+    """Anything but a JSON integer >= low."""
+    return st.one_of(_NOT_NUMBER, st.floats(), st.integers(max_value=low - 1))
+
+
+_NOT_POSITIVE_FINITE = st.one_of(_NOT_NUMBER, _NON_FINITE, st.floats(max_value=0.0), st.integers(max_value=0), _BEYOND_FLOAT)
+_BAD_WEIGHT = st.one_of(_NOT_NUMBER, _NON_FINITE, st.floats(max_value=-1e-9), st.integers(max_value=-1), _BEYOND_FLOAT)
+_POLICY_FIELDS = [f.name for f in dataclasses.fields(PolicyConfig) if f.name != "mode"]
+
+INVALID_CONFIG_VALUES = {
+    **{name: _not_integer_from(low) for name, low in (
+        ("steps", 0), ("batch_size", 1), ("max_nodes", 1), ("seed", 0),
+        ("n_molecules", 1), ("top_k", 1), ("retry_cap", 1))},
+    "learning_rate": _NOT_POSITIVE_FINITE,
+    "beta": _NOT_POSITIVE_FINITE,
+    "mode": st.one_of(_NOT_TEXT, _TEXT.filter(lambda m: m not in ("baseline", "trioformer"))),
+    "weights": st.one_of(
+        _NOT_TEXT.filter(lambda w: not isinstance(w, list)), _TEXT,
+        st.lists(st.just(0.25), max_size=5).filter(lambda w: len(w) != 3),
+        st.tuples(_BAD_WEIGHT, st.sampled_from([[0.5, 0.5], [0.0, 1.0]])).map(lambda t: [t[0], *t[1]])),
+    "pocket_file": st.one_of(
+        _NOT_TEXT.filter(lambda p: not isinstance(p, list)), st.just([]),
+        st.lists(_NOT_TEXT, min_size=1, max_size=3)),
+    "library_file": _NOT_TEXT,
+    "checkpoint": _NOT_TEXT,
+    "metrics": _NOT_TEXT.filter(lambda m: m is not None),
+    "policy": st.one_of(
+        _NOT_TEXT.filter(lambda p: not isinstance(p, dict)), _TEXT,
+        st.dictionaries(_TEXT.filter(lambda k: k not in _POLICY_FIELDS), st.integers(1, 4), min_size=1, max_size=1),
+        st.sampled_from(_POLICY_FIELDS).flatmap(
+            lambda k: _not_integer_from(0 if k.endswith("layers") else 1).map(lambda v: {k: v}))),
+}
 
 
 class TestMalformedInputs:
@@ -625,8 +702,8 @@ class TestMalformedInputs:
                 doc[name] = payload(doc[name])
             else:
                 payload(doc)
-            if kind != "meta":  # meta is outside the checksum
-                doc["__checksum__"] = nn._params_checksum({k: v for k, v in doc.items() if not k.startswith("__")})
+            if kind != "document":
+                _resign(doc)
             (tmp_path / "ckpt.json").write_text(json.dumps(doc))
             argv = ["sample", "--config", str(write_cfg(tmp_path, "c.json")), "--out", str(tmp_path / "mols.jsonl")]
         assert main(argv) == 2
@@ -644,6 +721,20 @@ class TestMalformedInputs:
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == 2, err.getvalue()
         assert err.getvalue().startswith("error:") and "Traceback" not in err.getvalue(), err.getvalue()
+
+    @given(field=st.sampled_from(sorted(INVALID_CONFIG_VALUES)), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzed_config_exit_2_naming_the_field(self, sample_config, field, data):
+        cfg_path, _, out = sample_config
+        value = data.draw(INVALID_CONFIG_VALUES[field], label=field)
+        bad = cfg_path.with_name("fuzzed.json")
+        bad.write_text(json.dumps({**json.loads(cfg_path.read_text()), field: value}))
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            mp.setattr(cli, "train", lambda *a, **k: pytest.fail(f"config with {field}={value!r} started training"))
+            assert main(["train", "--config", str(bad), "--out", str(out)]) == 2, err.getvalue()
+        line = err.getvalue()
+        assert line.startswith("error:") and "Traceback" not in line and repr(field) in line, line
 
     @pytest.mark.parametrize("fault", ["not-utf8", "directory"])
     @pytest.mark.parametrize("kind", ["config", "library", "pocket", "checkpoint", "molecule"])

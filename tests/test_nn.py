@@ -161,7 +161,7 @@ class TestCheckpoints:
         path = tmp_path / "ck.json"
         save_checkpoint(str(path), store, meta={"mode": "demo"})
         doc = json.loads(path.read_text())
-        assert doc["__format_version__"] == 2
+        assert doc["__format_version__"] == 3
         for name, arr in values.items():
             assert doc[name]["shape"] == list(arr.shape)
             assert decode_data(doc[name]).tobytes() == arr.tobytes(), name
@@ -242,7 +242,7 @@ class TestCheckpoints:
         payload = {name: {"shape": list(p.shape), "data": p.data.reshape(-1).tolist()} for name, p in store.items()}
         for doc in (payload, {}):
             whole = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-            assert nn._params_checksum(doc) == hashlib.sha256(whole.encode()).hexdigest()
+            assert nn._checksum(doc) == hashlib.sha256(whole.encode()).hexdigest()
 
     def test_garbage_file_rejected(self, tmp_path):
         path = str(tmp_path / "ck.json")
