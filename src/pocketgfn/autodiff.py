@@ -4,8 +4,11 @@ Define-by-run: while a :class:`Tape` is active, every primitive records a
 node holding its inputs and a local vector-Jacobian rule.  ``backward`` walks
 the recorded nodes in reverse creation order, which is a valid reverse
 topological order because an operation can only consume tensors that already
-exist.  Without an active tape, primitives run as plain numpy and record
-nothing, so inference-only code pays no bookkeeping cost.
+exist.  It releases each node as the walk passes it, so only leaves (tensors
+not recorded on the tape: parameters and ``tensor()`` inputs) keep a
+``grad``, and a step's peak memory is about that of its forward tape.
+Without an active tape, primitives run as plain numpy and record nothing, so
+inference-only code pays no bookkeeping cost.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ class TapeNode:
     """One recorded primitive: inputs, output, and the local gradient rule.
 
     ``vjp`` maps the output gradient to one gradient per input (``None`` for
-    inputs the rule does not differentiate).
+    inputs the rule does not differentiate). ``backward`` sets all three
+    fields to ``None`` once its walk has passed the node.
     """
 
     inputs: tuple[DiffTensor, ...]
@@ -110,14 +114,19 @@ def _record(out_data: np.ndarray, inputs: tuple[DiffTensor, ...], vjp) -> DiffTe
 
 
 def backward(loss: DiffTensor) -> None:
-    """Populate ``grad`` on every ancestor of ``loss``.
+    """Accumulate into ``grad`` the gradient of ``loss`` for every leaf it depends on.
 
-    ``loss`` must be a scalar (a single element).  Re-running backward on a
-    tape that was already consumed is an error; rebuild the forward pass.
-    The consumed tape drops its nodes, so the intermediates they hold are
-    freed by reference counting rather than left to the cycle collector
-    (tensors, nodes and the tape refer to each other). A gradient whose
-    shape differs from its tensor's raises ``TapeError``.
+    ``loss`` must be a scalar (a single element).  Leaves are the tensors not
+    recorded on this tape (parameters, ``tensor()`` inputs, outputs of another
+    tape); only they keep a gradient.  Each node is released as the walk
+    passes it, once its rule has run or been skipped because its output got
+    no gradient: its output's gradient is cleared and its inputs, output and
+    rule are dropped, so an intermediate and the arrays its rule saved are
+    freed as soon as nothing later in the walk needs them.  Nodes are hollowed
+    in place, so a list of them that a caller captured keeps its length.
+    Re-running backward on a tape that was already consumed is an error;
+    rebuild the forward pass.  A gradient whose shape differs from its
+    tensor's raises ``TapeError``.
     """
     if loss.data.size != 1:
         raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -130,18 +139,19 @@ def backward(loss: DiffTensor) -> None:
 
     loss.grad = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
-        g = node.output.grad
-        if g is None:
-            continue
-        for inp, gi in zip(node.inputs, node.vjp(g)):
-            if gi is None:
-                continue
-            if gi.shape != inp.data.shape:
-                raise TapeError(f"a gradient of shape {gi.shape} reached a tensor of shape {inp.shape}")
-            # The first gradient is stored as is. It may be a view of another
-            # tensor's gradient (reshape, permute, add), so later ones are
-            # added out of place.
-            inp.grad = gi if inp.grad is None else inp.grad + gi
+        g, node.output.grad = node.output.grad, None
+        if g is not None:
+            for inp, gi in zip(node.inputs, node.vjp(g)):
+                if gi is None:
+                    continue
+                if gi.shape != inp.data.shape:
+                    raise TapeError(f"a gradient of shape {gi.shape} reached a tensor of shape {inp.shape}")
+                # The first gradient is stored as is. It may be a view of another
+                # tensor's gradient (reshape, permute, add), so later ones are
+                # added out of place.
+                inp.grad = gi if inp.grad is None else inp.grad + gi
+        # release the node, so what only it kept alive is freed now
+        node.inputs = node.output = node.vjp = None
     # rebind rather than clear: a caller may still hold the recorded list
     tape.nodes = []
 

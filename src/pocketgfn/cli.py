@@ -149,7 +149,7 @@ def load_run_config(path: str | None, overrides: argparse.Namespace | None = Non
             raise ConfigError(f"config file not found: {path}")
         try:
             doc = json.loads(read_text(path))
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
             raise ConfigError(f"{path}: not valid JSON: {e}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
@@ -309,8 +309,8 @@ def _parse_molecule_file(path: str, library: FragmentLibrary):
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}:{line_no}: not valid JSON: {e.msg}") from None
+        except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
+            raise ConfigError(f"{path}:{line_no}: not valid JSON: {e}") from None
         if not isinstance(rec, dict) or "nodes" not in rec or "edges" not in rec:
             raise ConfigError(f"{path}:{line_no}: record needs 'nodes' and 'edges'")
         try:

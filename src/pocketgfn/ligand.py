@@ -97,7 +97,7 @@ def json_float(value, field: str) -> float:
 def load_library(path: str) -> FragmentLibrary:
     try:
         doc = json.loads(read_text(path))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
         raise LibraryError(f"{path}: not valid JSON: {e}") from None
     try:
         frags = [

@@ -243,7 +243,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     and the parameters) and each parameter's shape against its byte count."""
     try:
         doc = json.loads(read_text(path))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} must be a JSON object, got {type(doc).__name__}")

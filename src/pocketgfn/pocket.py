@@ -266,7 +266,7 @@ def load_pocket_jsonl(path: str) -> list[Residue]:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
             raise PocketError(f"{path}:{line_no}: invalid JSON: {e}") from None
         if not isinstance(rec, dict):
             raise PocketError(f"{path}:{line_no}: a residue record must be a JSON object")

@@ -1,5 +1,8 @@
 """Gradient integrity and tape semantics for the reverse-mode engine."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -169,21 +172,90 @@ class TestTapeSemantics:
 
     def test_view_gradients_summed_without_aliasing(self):
         # add, reshape and permute hand back their output gradient or a view
-        # of it; x must receive the sum and leave those gradients untouched
+        # of it. The add is recorded last, so the walk gives x and the leaf z
+        # the same array first; x's later sums must leave z's gradient alone.
+        # Only the leaves keep a gradient, so the views' own are None.
         x = tensor(np.arange(6.0).reshape(2, 3))
-        c1 = tensor(np.linspace(1.0, 2.0, 6).reshape(2, 3))
+        z = tensor(np.zeros((2, 3)))
+        c1 = tensor(np.linspace(3.0, 4.0, 6).reshape(3, 2))
         c2 = tensor(np.linspace(-1.0, 1.0, 6).reshape(3, 2))
-        c3 = tensor(np.linspace(3.0, 4.0, 6).reshape(3, 2))
+        c3 = tensor(np.linspace(1.0, 2.0, 6).reshape(2, 3))
         with Tape():
-            y1 = ad.add(x, tensor(np.zeros((2, 3))))
+            y1 = ad.permute(x, (1, 0))
             y2 = ad.reshape(x, (3, 2))
-            y3 = ad.permute(x, (1, 0))
+            y3 = ad.add(x, z)
             loss = ad.add(ad.add(sum_all(ad.mul(y1, c1)), sum_all(ad.mul(y2, c2))), sum_all(ad.mul(y3, c3)))
         backward(loss)
-        np.testing.assert_array_equal(y1.grad, c1.data)
-        np.testing.assert_array_equal(y2.grad, c2.data)
-        np.testing.assert_array_equal(y3.grad, c3.data)
-        np.testing.assert_array_equal(x.grad, c1.data + c2.data.reshape(2, 3) + c3.data.T)
+        assert y1.grad is None and y2.grad is None and y3.grad is None
+        np.testing.assert_array_equal(z.grad, c3.data)
+        # summed in walk order: add, then reshape, then permute
+        np.testing.assert_array_equal(x.grad, c3.data + c2.data.reshape(2, 3) + c1.data.T)
+
+
+def _composite(x, w, b):
+    """A graph with shared uses, views, a fused attention and a branch the
+    loss never reads. Returns (loss, intermediates, unused branch)."""
+    h = ad.tanh(ad.add(matmul(x, w), b))
+    a = ad.attention(h, h, h, matmul(h, ad.permute(h, (1, 0))), 0.5)
+    n = layer_norm_rows(ad.add(a, h))
+    unused = ad.exp(x)
+    loss = sum_all(ad.mul(log_softmax_rows(n), ad.reshape(n, (3, 4))))
+    return loss, (h, a, n), unused
+
+
+def _retaining_backward(loss):
+    # the same walk, releasing nothing: every recorded tensor keeps its gradient
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(loss._tape.nodes):
+        if node.output.grad is not None:
+            for inp, gi in zip(node.inputs, node.vjp(node.output.grad)):
+                if gi is not None:
+                    inp.grad = gi if inp.grad is None else inp.grad + gi
+
+
+class TestBackwardReleasesTape:
+    def leaves(self):
+        rng = np.random.default_rng(5)
+        return [tensor(rng.normal(size=shape)) for shape in ((3, 4), (4, 4), (4,))]
+
+    def test_captured_node_list_keeps_its_length(self):
+        with Tape() as tape:
+            loss, _, _ = _composite(*self.leaves())
+        nodes = tape.nodes
+        n = len(nodes)
+        backward(loss)
+        # hollowed in place, never popped: the caller's list is whole
+        assert len(nodes) == n > 0
+        assert all(node.inputs is None and node.output is None and node.vjp is None for node in nodes)
+        assert tape.nodes == []
+
+    def test_intermediate_array_freed_once_caller_drops_it(self):
+        with Tape() as tape:
+            loss, (h, a, n), unused = _composite(*self.leaves())
+        nodes = tape.nodes  # held throughout, as a tracer holds it
+        refs = [weakref.ref(t.data) for t in (h, a, n, unused)]
+        del h, a, n, unused
+        gc.disable()
+        try:
+            backward(loss)
+            # by reference counting alone, the skipped branch included
+            assert [r() for r in refs] == [None] * 4
+        finally:
+            gc.enable()
+
+    def test_only_leaves_keep_gradients_and_they_are_unchanged(self):
+        released, retained = self.leaves(), self.leaves()
+        with Tape():
+            loss, inner, unused = _composite(*released)
+        with Tape():
+            ref_loss, ref_inner, _ = _composite(*retained)
+        backward(loss)
+        _retaining_backward(ref_loss)
+        assert all(t.grad is not None for t in ref_inner)
+        assert loss.grad is None and unused.grad is None
+        assert all(t.grad is None for t in inner)
+        for mine, ref in zip(released, retained):
+            np.testing.assert_array_equal(mine.grad, ref.grad)
 
 
 def _check(f, x, tol=PRIMITIVE_TOL):

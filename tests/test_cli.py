@@ -736,14 +736,18 @@ class TestMalformedInputs:
         line = err.getvalue()
         assert line.startswith("error:") and "Traceback" not in line and repr(field) in line, line
 
-    @pytest.mark.parametrize("fault", ["not-utf8", "directory"])
+    @pytest.mark.parametrize("fault", ["not-utf8", "directory", "integer-past-digit-limit"])
     @pytest.mark.parametrize("kind", ["config", "library", "pocket", "checkpoint", "molecule"])
     def test_unreadable_file_exit_2_naming_it(self, tmp_path, capsys, kind, fault):
         bad = tmp_path / f"bad_{kind}"
         if fault == "directory":
             bad.mkdir()
-        else:
+        elif fault == "not-utf8":
             bad.write_bytes(b'{"fragments": "\xff\xfe"}\n')
+        else:
+            # json.loads raises a plain ValueError for an integer of more than
+            # 4,300 digits; json.dumps refuses to write one, so the text is built here
+            bad.write_text('{"steps": ' + "1" * 5000 + "}\n")
         if kind == "config":
             argv = ["train", "--config", str(bad)]
         elif kind in ("library", "pocket"):
