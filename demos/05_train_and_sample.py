@@ -59,7 +59,7 @@ result = train(cfg, lib, {"pocket": pocket}, reward_fn=reward_fn, store=store, s
 print(f"stopped after {result.steps_run} steps")
 
 ctx = result.policy.pocket_context(pocket)
-empirical = empirical_terminal_distribution(result.policy, ctx, lib, 2, n_samples=20000, seed=0)
+empirical = empirical_terminal_distribution(result.policy, ctx, lib, 2, n_samples=20000)
 print(f"\nempirical vs target over 20000 draws (TV {total_variation(empirical, target):.4f}):")
 for key in sorted(target, key=target.get, reverse=True):
     print(f"  target {target[key]:.4f}  sampled {empirical.get(key, 0.0):.4f}  {key}")

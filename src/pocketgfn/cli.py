@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import astuple, dataclass, field, fields, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -216,10 +217,31 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_attachment_counts(library: FragmentLibrary, trained, checkpoint_path: str) -> None:
+    """Refuse a library whose (fragment id, attachment points) pairs differ
+    from the ones the checkpoint was trained on, naming the first that differs."""
+    if not (isinstance(trained, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p) for p in trained)):
+        raise CheckpointError(f"checkpoint {checkpoint_path} meta field 'attachment_counts' must be a list of "
+                              f"[fragment id, attachment points] pairs, got {trained!r}")
+    for k, (have, want) in enumerate(zip_longest([list(p) for p in library.attachment_counts], trained)):
+        if have == want:
+            continue
+        f = library.fragments[k] if have is not None else None
+        if f is None or (want is not None and want[0] < f.id):
+            problem = f"it has no fragment {want[0]}, which the checkpoint was trained with"
+        elif want is not None and want[0] == f.id:
+            problem = (f"fragment {f.id} ({f.name!r}) has {f.aps} attachment points, "
+                       f"and the checkpoint was trained with {want[1]}")
+        else:
+            problem = f"fragment {f.id} ({f.name!r}) is not in the checkpoint's library"
+        raise ConfigError(f"fragment library does not match the checkpoint: {problem}")
+
+
 def _rebuild_policy(checkpoint_path: str, library: FragmentLibrary, mode_flag: str | None,
                     pockets: dict[str, PocketGraph]):
     state, meta = load_checkpoint(checkpoint_path)
-    for key in ("max_nodes", "library_ids", "policy"):
+    for key in ("max_nodes", "attachment_counts", "policy"):
         if key not in meta:
             raise CheckpointError(f"checkpoint {checkpoint_path} meta is missing field {key!r}")
     max_nodes, policy_meta = meta["max_nodes"], meta["policy"]
@@ -233,10 +255,7 @@ def _rebuild_policy(checkpoint_path: str, library: FragmentLibrary, mode_flag: s
         raise CheckpointError(f"checkpoint {checkpoint_path} meta field 'policy': {e}") from None
     if mode_flag is not None and mode_flag != meta.get("mode"):
         raise ConfigError(f"--mode {mode_flag!r} disagrees with checkpoint mode {meta.get('mode')!r}")
-    if list(library.ids) != meta.get("library_ids"):
-        raise ConfigError(
-            f"fragment library ids {list(library.ids)} do not match checkpoint ids {meta.get('library_ids')}"
-        )
+    _check_attachment_counts(library, meta["attachment_counts"], checkpoint_path)
     store = ParamStore(np.random.default_rng(0))
     policy = PolicyNetwork(store, library, policy_cfg)
     first = next(iter(pockets.values()))

@@ -74,6 +74,12 @@ class FragmentLibrary:
     def ids(self) -> list[int]:
         return [f.id for f in self.fragments]
 
+    @property
+    def attachment_counts(self) -> tuple[tuple[int, int], ...]:
+        """(fragment id, attachment points) per fragment, in id order: all
+        that legal actions and transitions read of a library."""
+        return tuple((f.id, f.aps) for f in self.fragments)
+
 
 def json_int(value, field: str) -> int:
     """An integer read from an input file. Floats and booleans are rejected,
@@ -473,11 +479,11 @@ class EnumeratedSpace:
 
 def enumerated_space(library: FragmentLibrary, max_nodes: int) -> EnumeratedSpace:
     """The space of ``library`` up to ``max_nodes`` fragments, guarded
-    against blow-up. Legal actions read only fragment ids and attachment
-    counts, so the space is cached on those and the cap: libraries that
-    differ only in fragment sizes, names or polarities share one space."""
+    against blow-up. It is cached on the library's attachment counts and the
+    cap: libraries that differ only in fragment sizes, names or polarities
+    share one space."""
     check_enumeration_guard(library, max_nodes)
-    return _walk_space(tuple((f.id, f.aps) for f in library), max_nodes)
+    return _walk_space(library.attachment_counts, max_nodes)
 
 
 @lru_cache(maxsize=4)

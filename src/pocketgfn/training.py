@@ -7,11 +7,11 @@ distribution), and an exhaustive reward enumeration (target distribution).
 Both are feasible only on deliberately small libraries, which is the point:
 correctness is checked where it can be checked exactly.
 
-Both oracles read one ``ligand.EnumeratedSpace``: the raw states, their
-scored rows and the molecules, walked once and cached per (fragment ids and
-attachment-point counts, node cap). Legal actions and transitions read
-nothing else of a library, so that key is enough; a repeated oracle call
-makes its policy passes and reward calls and no transitions.
+Both oracles and the Monte-Carlo estimate read one ``ligand.EnumeratedSpace``
+(raw states, scored rows, molecules), walked once and cached per (fragment
+ids and attachment-point counts, node cap), all that legal actions and
+transitions read of a library. A repeated call makes its policy passes and
+reward calls and no transitions; the estimate draws with ``sample_action``.
 
 Backward policy and symmetry. The fixed backward policy is uniform over
 removable leaf fragments, plus a uniform choice of entry attachment point at
@@ -45,12 +45,12 @@ from .autodiff import DiffTensor, Tape, tensor
 from .files import output_file
 from .ligand import (
     STOP,
+    EnumeratedSpace,
     FragmentLibrary,
     LigandAction,
     LigandState,
     apply_action,
     automorphism_count,
-    canonical_key,
     enumerated_space,
     initial_state,
     step_backward_log_prob,
@@ -61,6 +61,7 @@ from .pocket import PocketContext, PocketGraph
 from .policy import (
     BASELINE,
     TRIOFORMER,
+    ActionDistribution,
     PolicyConfig,
     PolicyNetwork,
     log_prob_at,
@@ -333,7 +334,7 @@ def train(
             "beta": config.beta,
             "max_nodes": config.max_nodes,
             "steps_trained": steps_run,
-            "library_ids": list(library.ids),
+            "attachment_counts": [list(pair) for pair in library.attachment_counts],
             "policy": asdict(config.policy),
         }
         if not pocketgfn.BLAS_PINNED:
@@ -345,6 +346,14 @@ def train(
 
 
 # -- oracles -----------------------------------------------------------------
+
+
+def _space_passes(
+    policy: PolicyNetwork, ctx: PocketContext, library: FragmentLibrary, max_nodes: int
+) -> tuple[EnumeratedSpace, list[ActionDistribution]]:
+    """The cached space and one policy pass per depth, scoring all its states."""
+    space = enumerated_space(library, max_nodes)
+    return space, [policy.action_distribution(list(states), ctx, max_nodes) for states in space.depths]
 
 
 def exact_terminal_distribution(
@@ -359,11 +368,10 @@ def exact_terminal_distribution(
     of its state's mass and its probability, and a molecule's total adds its
     rows in walk order.
     """
-    space = enumerated_space(library, max_nodes)
+    space, dists = _space_passes(policy, ctx, library, max_nodes)
     mass = np.ones(1)
     row_mass = []
-    for states, mol in zip(space.depths, space.row_mol):
-        dist = policy.action_distribution(list(states), ctx, max_nodes)
+    for dist, mol in zip(dists, space.row_mol):
         rows = np.repeat(mass, np.diff(dist.offsets)) * dist.probs
         row_mass.append(rows)
         mass = rows[mol < 0]  # the next depth's states, in row order
@@ -390,41 +398,31 @@ def target_distribution(
 
 
 def total_variation(p: dict[str, float], q: dict[str, float]) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+    # fsum is correctly rounded, so the set's hash order cannot change the sum
+    return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in set(p) | set(q))
 
 
 def empirical_terminal_distribution(
-    policy: PolicyNetwork,
-    ctx: PocketContext,
-    library: FragmentLibrary,
-    max_nodes: int,
-    n_samples: int,
-    seed: int = 0,
+    policy: PolicyNetwork, ctx: PocketContext, library: FragmentLibrary, max_nodes: int, n_samples: int
 ) -> dict[str, float]:
-    """Monte Carlo estimate of the terminal distribution.
-
-    Action distributions are cached per raw state (the policy is fixed), so
-    the walk itself is a few array lookups per step.
-    """
-    cache: dict[tuple, tuple[np.ndarray, list]] = {}
-    rng = np.random.default_rng([seed, 104729])
-    counts: dict[str, int] = defaultdict(int)
+    """Monte Carlo estimate of the terminal distribution over the molecules
+    drawn: the exact oracle's passes, each step drawn with ``sample_action``.
+    A row ends in its molecule or leads to its child at the next depth, so a
+    forced Stop takes no draw."""
+    space, dists = _space_passes(policy, ctx, library, max_nodes)
+    child = [np.cumsum(mol < 0) - 1 for mol in space.row_mol]  # row -> next-depth state
+    rng = np.random.default_rng([0, 104729])
+    counts = np.zeros(len(space.keys), dtype=np.intp)
     for _ in range(n_samples):
-        s = initial_state()
-        while not s.terminal:
-            key = (s.nodes, s.edges)
-            entry = cache.get(key)
-            if entry is None:
-                dist = policy.action_distribution(s, ctx, max_nodes)
-                children = [apply_action(s, a, library, max_nodes) for a in dist.actions]
-                entry = (np.cumsum(dist.probs), children)
-                cache[key] = entry
-            cum, children = entry
-            pos = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(children) - 1)
-            s = children[pos]
-        counts[canonical_key(s)] += 1
-    return {k: c / n_samples for k, c in counts.items()}
+        d, b = 0, 0
+        while True:
+            _, row = sample_action(dists[d], rng, b)
+            m = space.row_mol[d][row]
+            if m >= 0:
+                break
+            d, b = d + 1, child[d][row]
+        counts[m] += 1
+    return {space.keys[m]: counts[m] / n_samples for m in space.first_seen if counts[m]}
 
 
 def proportional_sampling_check(

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,6 +341,26 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'policy'" in err
 
+    @pytest.mark.parametrize("name, edit, named", [
+        # ids 0-3 become 0, 1, 2, 5: same count, so every parameter shape still fits
+        pytest.param("cyclohexane", {"id": 5}, "it has no fragment 3", id="fragment-id"),
+        # max_aps stays 3, so every parameter shape still fits too
+        pytest.param("hydroxyl", {"aps": 2}, "fragment 1 ('hydroxyl') has 2 attachment points, "
+                     "and the checkpoint was trained with 1", id="attachment-count"),
+    ])
+    def test_edited_library_exit_2_naming_the_fragment(self, tmp_path, capsys, name, edit, named):
+        assert main(["train", "--config", str(write_cfg(tmp_path, "train.json", library_file="bundled:desk",
+                                                           max_nodes=4))]) == 0
+        doc = json.loads((Path(cli.DATA_DIR) / "desk_library.json").read_text())
+        (fragment,) = [f for f in doc["fragments"] if f["name"] == name]
+        fragment.update(edit)
+        (tmp_path / "lib.json").write_text(json.dumps(doc))
+        cfg = write_cfg(tmp_path, "sample.json", library_file=str(tmp_path / "lib.json"), max_nodes=4)
+        assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "mols.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err, err
+        assert not (tmp_path / "mols.jsonl").exists()
+
     def test_library_trained_checkpoint_samples(self, workdir):
         tmp_path, cfg_path, cfg = workdir
         pocket = build_knn_graph(load_pocket_jsonl(RunConfig(pocket_file="bundled:compact").pocket_paths()[0]))
@@ -480,6 +501,8 @@ MALFORMED_INPUTS = {
     "meta-policy-bad-value": ("meta", lambda doc: doc["__meta__"]["policy"].update(width=0)),
     "meta-max-nodes-not-integer": ("meta", lambda doc: doc["__meta__"].update(max_nodes="abc")),
     "meta-max-nodes-zero": ("meta", lambda doc: doc["__meta__"].update(max_nodes=0)),
+    "meta-attachment-counts-not-pairs": (
+        "meta", lambda doc: doc["__meta__"].update(attachment_counts=[[0, 1, 1]]), "'attachment_counts'"),
     "param-not-shape-data": ("param", lambda entry: [1.0, 2.0]),
     "param-data-misfits-shape": (
         "param", lambda entry: {"shape": entry["shape"], "data": _base64(_floats(entry)[:-1].tobytes())}, "bytes"),

@@ -1,6 +1,9 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -417,6 +420,30 @@ class TestTrain:
         assert calls == [0, 1]
 
 
+@pytest.fixture
+def count_transitions(monkeypatch):
+    """A function that starts counting ``apply_action`` and ``canonical_key``
+    calls made through ``ligand`` or ``training`` and returns the list their
+    names go to, in call order."""
+
+    def start():
+        calls = []
+
+        def counted(name, real):
+            def fn(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return fn
+
+        for module in (ligand, training):
+            for name in ("apply_action", "canonical_key"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        return calls
+
+    return start
+
+
 class TestOracles:
     def test_exact_distribution_sums_to_one(self):
         policy = make_policy()
@@ -480,35 +507,73 @@ class TestOracles:
             assert target == reference
         assert all(abs(target[k] - p) <= 1e-15 * p for k, p in reference.items())
 
-    def test_repeated_oracles_make_no_transitions(self, monkeypatch):
+    def test_repeated_oracles_make_no_transitions(self, count_transitions):
         policy = PolicyNetwork(ParamStore(np.random.default_rng(4)), DESK, small_policy())
         pocket = one_pocket()["p0"]
         ctx = policy.pocket_context(pocket)
         reward_fn = default_reward_fn(DESK)
         first = exact_terminal_distribution(policy, ctx, DESK, 3), target_distribution(pocket, DESK, 3, reward_fn, 4.0)
-        calls = []
-
-        def counted(name, real):
-            def fn(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-            return fn
-
-        for module in (ligand, training):
-            for name in ("apply_action", "canonical_key"):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        calls = count_transitions()
         again = exact_terminal_distribution(policy, ctx, DESK, 3), target_distribution(pocket, DESK, 3, reward_fn, 4.0)
         assert again == first
         assert calls == []
         # the counters do see a walk: building the space afresh makes both calls
-        ligand._walk_space.__wrapped__(tuple((f.id, f.aps) for f in DESK), 3)
+        ligand._walk_space.__wrapped__(DESK.attachment_counts, 3)
         assert {"apply_action", "canonical_key"} <= set(calls)
+
+    def test_repeated_estimate_makes_no_transitions(self, count_transitions):
+        policy = PolicyNetwork(ParamStore(np.random.default_rng(4)), DESK, small_policy())
+        ctx = policy.pocket_context(one_pocket()["p0"])
+        first = empirical_terminal_distribution(policy, ctx, DESK, 3, n_samples=500)
+        calls = count_transitions()
+        assert empirical_terminal_distribution(policy, ctx, DESK, 3, n_samples=500) == first
+        assert calls == []
+
+    def test_every_draw_goes_through_sample_action(self, monkeypatch):
+        drawn = []
+        real_sample = training.sample_action
+
+        def recording(dist, rng, b=0):
+            action, row = real_sample(dist, rng, b)
+            drawn.append(action)
+            return action, row
+
+        monkeypatch.setattr(training, "sample_action", recording)
+        policy = PolicyNetwork(ParamStore(np.random.default_rng(4)), DESK, small_policy())
+        n = 300
+        estimate = empirical_terminal_distribution(policy, policy.pocket_context(one_pocket()["p0"]), DESK, 3, n)
+        # replaying the drawn actions from the empty state rebuilds every draw:
+        # one call per step that is not a forced stop, and the same counts
+        counts, forced_ends, s = {}, 0, initial_state()
+        for action in drawn:
+            assert not stop_is_forced(s, DESK, 3)
+            s = apply_action(s, action, DESK, 3)
+            if s.terminal or stop_is_forced(s, DESK, 3):
+                forced_ends += not s.terminal
+                counts[canonical_key(s)] = counts.get(canonical_key(s), 0) + 1
+                s = initial_state()
+        assert s == initial_state() and sum(counts.values()) == n
+        assert estimate == {k: c / n for k, c in counts.items()}
+        assert 0 < forced_ends < n  # draws end both ways
+
+    def test_estimate_agrees_with_exact_within_multinomial_bound(self):
+        policy = PolicyNetwork(ParamStore(np.random.default_rng(4)), DESK, small_policy("trioformer"))
+        ctx = policy.pocket_context(one_pocket()["p0"])
+        exact = exact_terminal_distribution(policy, ctx, DESK, 3)
+        n = 10_000
+        tv = total_variation(exact, empirical_terminal_distribution(policy, ctx, DESK, 3, n))
+        # E|X/n - p| is about sqrt(2 p (1 - p) / (pi n)) per molecule, so the
+        # expected TV is at most 0.5 sqrt(2 K / (pi n)) over K molecules; the
+        # TV's spread is at most 0.5 sqrt((1 - 2 / pi) / n), and the bound
+        # allows five of it
+        expected = 0.5 * math.sqrt(2 * len(exact) / (math.pi * n))
+        assert tv < expected + 5 * 0.5 * math.sqrt((1 - 2 / math.pi) / n)
 
     def test_exact_matches_empirical_on_untrained_policy(self):
         policy = make_policy()
         ctx = policy.pocket_context(one_pocket()["p0"])
         exact = exact_terminal_distribution(policy, ctx, TOY, 2)
-        emp = empirical_terminal_distribution(policy, ctx, TOY, 2, n_samples=20000, seed=0)
+        emp = empirical_terminal_distribution(policy, ctx, TOY, 2, n_samples=20000)
         assert total_variation(exact, emp) < 0.02
 
     def test_guard_rejects_large_spaces(self):
@@ -530,6 +595,38 @@ class TestOracles:
             policy, TOY, one_pocket()["p0"], lambda p, s: 1.0 + 0.5 * s.n, 2000, max_nodes=2, beta=2.0,
         )
         assert 0.0 <= tv <= 1.0
+
+    def test_total_variation_does_not_depend_on_hash_seed(self):
+        # the keys are summed over a set, which string hashing orders; with
+        # a plain sum, hash seeds 0 and 2 differed in the last bit here
+        code = (
+            "import numpy as np\n"
+            "from pocketgfn.ligand import desk_library\n"
+            "from pocketgfn.nn import ParamStore\n"
+            "from pocketgfn.pocket import build_knn_graph, synthetic_pocket\n"
+            "from pocketgfn.policy import PolicyConfig, PolicyNetwork\n"
+            "from pocketgfn.training import default_reward_fn, exact_terminal_distribution, target_distribution, total_variation\n"
+            "lib = desk_library()\n"
+            "pocket = build_knn_graph(synthetic_pocket(10, 3.0, seed=5))\n"
+            "policy = PolicyNetwork(ParamStore(np.random.default_rng(0)), lib, PolicyConfig())\n"
+            "exact = exact_terminal_distribution(policy, policy.pocket_context(pocket), lib, 3)\n"
+            "print(repr(total_variation(exact, target_distribution(pocket, lib, 3, default_reward_fn(lib), 4.0))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(training.__file__)))
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])},
+            )
+            for seed in ("0", "2")
+        ]
+        outs = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_total_variation_basics(self):
         assert total_variation({"a": 1.0}, {"a": 1.0}) == 0.0
