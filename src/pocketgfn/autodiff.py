@@ -1,14 +1,21 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Define-by-run: while a :class:`Tape` is active, every primitive records a
-node holding its inputs and a local vector-Jacobian rule.  ``backward`` walks
-the recorded nodes in reverse creation order, which is a valid reverse
-topological order because an operation can only consume tensors that already
-exist.  It releases each node as the walk passes it, so only leaves (tensors
-not recorded on the tape: parameters and ``tensor()`` inputs) keep a
-``grad``, and a step's peak memory is about that of its forward tape.
-Without an active tape, primitives run as plain numpy and record nothing, so
-inference-only code pays no bookkeeping cost.
+node, and its output gets that node's index on the tape as its gradient
+slot.  A node keeps where its inputs' gradients go (a slot for an input
+recorded on the same tape, the tensor itself for a leaf: a parameter, a
+``tensor()`` input or an output of another tape), its output's shape and a
+local vector-Jacobian rule.  The rule captures only the arrays and shapes it
+reads, never a tensor, so an intermediate that no rule reads (a residual
+sum, a relu's input) is freed as soon as the forward drops it.  Rules read
+operand values as they were at record time.
+
+``backward`` walks the recorded nodes in reverse creation order, which is a
+valid reverse topological order because an operation can only consume
+tensors that already exist.  It releases each node as the walk passes it, so
+only leaves keep a ``grad``, and a step's peak memory is about that of its
+forward tape.  Without an active tape, primitives run as plain numpy and
+record nothing, so inference-only code pays no bookkeeping cost.
 """
 
 from __future__ import annotations
@@ -49,12 +56,14 @@ class DiffTensor:
     so deliberately, between tapes).
     """
 
-    __slots__ = ("data", "grad", "_tape")
+    __slots__ = ("data", "grad", "_tape", "_slot")
 
     def __init__(self, data: np.ndarray):
         self.data = data
         self.grad: np.ndarray | None = None
         self._tape: Tape | None = None
+        # index of the node that recorded this tensor on ``_tape``
+        self._slot = -1
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -68,17 +77,21 @@ class DiffTensor:
         return f"DiffTensor(shape={self.shape}, on_tape={self._tape is not None})"
 
 
-@dataclass
+@dataclass(slots=True)
 class TapeNode:
-    """One recorded primitive: inputs, output, and the local gradient rule.
+    """One recorded primitive: where its input gradients go, its output's
+    shape, and the local gradient rule.
 
-    ``vjp`` maps the output gradient to one gradient per input (``None`` for
-    inputs the rule does not differentiate). ``backward`` sets all three
-    fields to ``None`` once its walk has passed the node.
+    Each entry of ``inputs`` is the slot of an input recorded on the same
+    tape, or the input tensor itself if it is a leaf. ``vjp`` maps the
+    output gradient to one gradient per input (``None`` for inputs the rule
+    does not differentiate); it holds the arrays it reads, not tensors.
+    ``backward`` sets all three fields to ``None`` once its walk has passed
+    the node.
     """
 
-    inputs: tuple[DiffTensor, ...]
-    output: DiffTensor
+    inputs: list[int | DiffTensor]
+    shape: tuple[int, ...]
     vjp: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
 
 
@@ -108,8 +121,13 @@ def _record(out_data: np.ndarray, inputs: tuple[DiffTensor, ...], vjp) -> DiffTe
     out = DiffTensor(out_data)
     if _TAPES:
         tape = _TAPES[-1]
+        nodes = tape.nodes
+        targets = []
+        for t in inputs:
+            targets.append(t._slot if t._tape is tape else t)
         out._tape = tape
-        tape.nodes.append(TapeNode(inputs, out, vjp))
+        out._slot = len(nodes)
+        nodes.append(TapeNode(targets, out_data.shape, vjp))
     return out
 
 
@@ -118,12 +136,14 @@ def backward(loss: DiffTensor) -> None:
 
     ``loss`` must be a scalar (a single element).  Leaves are the tensors not
     recorded on this tape (parameters, ``tensor()`` inputs, outputs of another
-    tape); only they keep a gradient.  Each node is released as the walk
-    passes it, once its rule has run or been skipped because its output got
-    no gradient: its output's gradient is cleared and its inputs, output and
-    rule are dropped, so an intermediate and the arrays its rule saved are
-    freed as soon as nothing later in the walk needs them.  Nodes are hollowed
-    in place, so a list of them that a caller captured keeps its length.
+    tape); only they keep a gradient.  Gradients of recorded tensors are
+    summed in one list indexed by slot, local to the walk, so no recorded
+    tensor's ``grad`` is ever set.  Each node is released as the walk passes
+    it, once its rule has run or been skipped because its output got no
+    gradient: its slot is cleared and its inputs, shape and rule are dropped,
+    so the arrays its rule saved are freed as soon as nothing later in the
+    walk needs them.  Nodes are hollowed in place, so a list of them that a
+    caller captured keeps its length.
     Re-running backward on a tape that was already consumed is an error;
     rebuild the forward pass.  A gradient whose shape differs from its
     tensor's raises ``TapeError``.
@@ -137,21 +157,30 @@ def backward(loss: DiffTensor) -> None:
         raise TapeError("backward already ran on this tape; rebuild the forward pass")
     tape.consumed = True
 
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
-        g, node.output.grad = node.output.grad, None
+    nodes = tape.nodes
+    grads: list[np.ndarray | None] = [None] * len(nodes)
+    grads[loss._slot] = np.ones_like(loss.data)
+    for slot in range(len(nodes) - 1, -1, -1):
+        node = nodes[slot]
+        g, grads[slot] = grads[slot], None
         if g is not None:
             for inp, gi in zip(node.inputs, node.vjp(g)):
                 if gi is None:
                     continue
-                if gi.shape != inp.data.shape:
-                    raise TapeError(f"a gradient of shape {gi.shape} reached a tensor of shape {inp.shape}")
+                recorded = type(inp) is int
+                shape = nodes[inp].shape if recorded else inp.data.shape
+                if gi.shape != shape:
+                    raise TapeError(f"a gradient of shape {gi.shape} reached a tensor of shape {shape}")
                 # The first gradient is stored as is. It may be a view of another
-                # tensor's gradient (reshape, permute, add), so later ones are
-                # added out of place.
-                inp.grad = gi if inp.grad is None else inp.grad + gi
+                # gradient (reshape, permute, add), so later ones are added out
+                # of place.
+                if recorded:
+                    prev = grads[inp]
+                    grads[inp] = gi if prev is None else prev + gi
+                else:
+                    inp.grad = gi if inp.grad is None else inp.grad + gi
         # release the node, so what only it kept alive is freed now
-        node.inputs = node.output = node.vjp = None
+        node.inputs = node.shape = node.vjp = None
     # rebind rather than clear: a caller may still hold the recorded list
     tape.nodes = []
 
@@ -176,9 +205,10 @@ def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
         out = a.data + b.data
     except ValueError:
         raise DimensionError(f"add cannot broadcast {a.shape} with {b.shape}") from None
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _record(out, (a, b), vjp)
 
@@ -196,9 +226,10 @@ def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
         out = a.data * b.data
     except ValueError:
         raise DimensionError(f"mul cannot broadcast {a.shape} with {b.shape}") from None
+    a_data, b_data = a.data, b.data
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * b_data, a_data.shape), _unbroadcast(g * a_data, b_data.shape)
 
     return _record(out, (a, b), vjp)
 
@@ -217,10 +248,11 @@ def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
         raise DimensionError(f"matmul takes 2-D operands, got {a.shape} x {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out = a.data @ b.data
+    a_data, b_data = a.data, b.data
+    out = a_data @ b_data
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ b_data.T, a_data.T @ g
 
     return _record(out, (a, b), vjp)
 
@@ -259,10 +291,11 @@ def einsum2(spec: str, a: DiffTensor, b: DiffTensor) -> DiffTensor:
         out = np.einsum(spec, a.data, b.data)
     except ValueError:
         raise DimensionError(f"einsum2 {spec!r} rejects shapes {a.shape} and {b.shape}") from None
+    a_data, b_data = a.data, b.data
 
     def vjp(g):
-        ga = np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, b.data)
-        gb = np.einsum(f"{out_sub},{a_sub}->{b_sub}", g, a.data)
+        ga = np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, b_data)
+        gb = np.einsum(f"{out_sub},{a_sub}->{b_sub}", g, a_data)
         return ga, gb
 
     return _record(out, (a, b), vjp)
@@ -272,7 +305,9 @@ def relu(a: DiffTensor) -> DiffTensor:
     out = np.maximum(a.data, 0.0)
 
     def vjp(g):
-        return (g * (a.data > 0.0),)
+        # out > 0 exactly where the input is; reading out leaves the input
+        # free, and the next layer's matmul holds out anyway
+        return (g * (out > 0.0),)
 
     return _record(out, (a,), vjp)
 
@@ -296,10 +331,11 @@ def exp(a: DiffTensor) -> DiffTensor:
 
 
 def log(a: DiffTensor) -> DiffTensor:
-    out = np.log(a.data)
+    a_data = a.data
+    out = np.log(a_data)
 
     def vjp(g):
-        return (g / a.data,)
+        return (g / a_data,)
 
     return _record(out, (a,), vjp)
 
@@ -399,19 +435,20 @@ def attention(
         out = np.matmul(w, v.data)
     except ValueError:
         raise DimensionError(f"attention weights {w.shape} cannot gather v {v.shape}") from None
+    q_data, k_data, v_data, bias_shape = q.data, k.data, v.data, bias.shape
 
     def vjp(g):
-        gw = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gw = np.matmul(g, np.swapaxes(v_data, -1, -2))
         gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
         gl *= f
-        gq = np.matmul(gl, k.data)
-        gk = np.matmul(np.swapaxes(gl, -1, -2), q.data)
+        gq = np.matmul(gl, k_data)
+        gk = np.matmul(np.swapaxes(gl, -1, -2), q_data)
         gv = np.matmul(np.swapaxes(w, -1, -2), g)
         return (
-            _unbroadcast(gq, q.shape),
-            _unbroadcast(gk, k.shape),
-            _unbroadcast(gv, v.shape),
-            _unbroadcast(gl, bias.shape),
+            _unbroadcast(gq, q_data.shape),
+            _unbroadcast(gk, k_data.shape),
+            _unbroadcast(gv, v_data.shape),
+            _unbroadcast(gl, bias_shape),
         )
 
     return _record(out, (q, k, v, bias), vjp)
@@ -453,9 +490,10 @@ def gather_rows(x: DiffTensor, indices) -> DiffTensor:
     """Select rows along axis 0; duplicate indices accumulate gradient."""
     idx = np.asarray(indices, dtype=np.intp)
     out = x.data[idx]
+    x_shape = x.shape
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(x_shape)
         np.add.at(gx, idx, g)
         return (gx,)
 
@@ -468,9 +506,10 @@ def reshape(x: DiffTensor, shape: Sequence[int]) -> DiffTensor:
         out = x.data.reshape(shape)
     except ValueError:
         raise DimensionError(f"cannot reshape {x.shape} into {shape}") from None
+    x_shape = x.shape
 
     def vjp(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(x_shape),)
 
     return _record(out, (x,), vjp)
 
@@ -488,9 +527,10 @@ def permute(x: DiffTensor, axes: Sequence[int]) -> DiffTensor:
 
 def sum_all(x: DiffTensor) -> DiffTensor:
     out = np.array([x.data.sum()])
+    x_shape = x.shape
 
     def vjp(g):
-        return (np.full(x.shape, g[0]),)
+        return (np.full(x_shape, g[0]),)
 
     return _record(out, (x,), vjp)
 

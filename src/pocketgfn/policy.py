@@ -14,7 +14,7 @@ row is legal; the batch is normalized by one masked log-softmax over a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -80,6 +80,9 @@ class ActionDistribution:
     log_probs: DiffTensor  # (1, R)
     probs: np.ndarray  # (R,)
     offsets: np.ndarray  # (B + 1,)
+    # state b -> (first row, cumulative sums of its rows' probabilities),
+    # filled by sample_action on b's first draw
+    _cum: dict[int, tuple[int, np.ndarray]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def mask(self) -> np.ndarray:
@@ -300,12 +303,19 @@ class PolicyNetwork:
 
 
 def sample_action(dist: ActionDistribution, rng: np.random.Generator, b: int = 0) -> tuple[LigandAction, int]:
-    """Inverse-CDF draw among state b's rows; returns the action and its row index."""
-    rows = dist.rows(b)
-    cum = np.cumsum(dist.probs[rows])
+    """Inverse-CDF draw among state b's rows; returns the action and its row index.
+
+    The state's cumulative sums are computed on its first draw and kept in
+    ``dist``, so repeated draws from one distribution cost one search each.
+    """
+    cached = dist._cum.get(b)
+    if cached is None:
+        rows = dist.rows(b)
+        cached = dist._cum[b] = rows.start, np.cumsum(dist.probs[rows])
+    start, cum = cached
     u = rng.random() * cum[-1]
     pos = min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
-    idx = rows.start + pos
+    idx = start + pos
     return dist.actions[idx], idx
 
 

@@ -204,13 +204,21 @@ def _composite(x, w, b):
 
 
 def _retaining_backward(loss):
-    # the same walk, releasing nothing: every recorded tensor keeps its gradient
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(loss._tape.nodes):
-        if node.output.grad is not None:
-            for inp, gi in zip(node.inputs, node.vjp(node.output.grad)):
-                if gi is not None:
+    # the same walk, releasing nothing: every slot keeps its gradient, and
+    # the list of them is returned
+    nodes = loss._tape.nodes
+    grads = [None] * len(nodes)
+    grads[loss._slot] = np.ones_like(loss.data)
+    for slot in reversed(range(len(nodes))):
+        if grads[slot] is not None:
+            for inp, gi in zip(nodes[slot].inputs, nodes[slot].vjp(grads[slot])):
+                if gi is None:
+                    continue
+                if type(inp) is int:
+                    grads[inp] = gi if grads[inp] is None else grads[inp] + gi
+                else:
                     inp.grad = gi if inp.grad is None else inp.grad + gi
+    return grads
 
 
 class TestBackwardReleasesTape:
@@ -226,7 +234,7 @@ class TestBackwardReleasesTape:
         backward(loss)
         # hollowed in place, never popped: the caller's list is whole
         assert len(nodes) == n > 0
-        assert all(node.inputs is None and node.output is None and node.vjp is None for node in nodes)
+        assert all(node.inputs is None and node.shape is None and node.vjp is None for node in nodes)
         assert tape.nodes == []
 
     def test_intermediate_array_freed_once_caller_drops_it(self):
@@ -250,12 +258,103 @@ class TestBackwardReleasesTape:
         with Tape():
             ref_loss, ref_inner, _ = _composite(*retained)
         backward(loss)
-        _retaining_backward(ref_loss)
-        assert all(t.grad is not None for t in ref_inner)
+        ref_grads = _retaining_backward(ref_loss)
+        assert all(ref_grads[t._slot] is not None for t in ref_inner)
         assert loss.grad is None and unused.grad is None
         assert all(t.grad is None for t in inner)
         for mine, ref in zip(released, retained):
             np.testing.assert_array_equal(mine.grad, ref.grad)
+
+
+class TestTapeKeepsWhatRulesRead:
+    def test_unread_intermediate_freed_during_forward(self, monkeypatch):
+        # tanh's rule reads its output, not its input, and add's only the
+        # shapes: the pre-tanh sum is freed before backward; h, which later
+        # rules read, lives until the walk passes them
+        pre_tanh = []
+        real_tanh = ad.tanh
+
+        def tanh(t):
+            pre_tanh.append(weakref.ref(t.data))
+            return real_tanh(t)
+
+        monkeypatch.setattr(ad, "tanh", tanh)
+        rng = np.random.default_rng(5)
+        leaves = [tensor(rng.normal(size=shape)) for shape in ((3, 4), (4, 4), (4,))]
+        gc.disable()
+        try:
+            with Tape():
+                loss, (h, _, _), _ = _composite(*leaves)
+            h_ref = weakref.ref(h.data)
+            del h
+            assert len(pre_tanh) == 1 and pre_tanh[0]() is None
+            assert h_ref() is not None
+            backward(loss)
+            assert h_ref() is None
+        finally:
+            gc.enable()
+
+
+def _rule_cases():
+    """One call of every primitive and composite, taped inputs and leaves mixed."""
+    # a local stream, so the shared RNG's later draws stay as they were
+    rng = np.random.default_rng(7)
+    x, y, w = (tensor(rng.uniform(-1.0, 1.0, size=shape)) for shape in ((3, 4), (3, 4), (4, 3)))
+    pos = tensor(rng.uniform(0.5, 1.5, size=(3, 4)))
+    mask = np.array([[True, False, True, True]] * 3)
+    return {
+        "add": lambda: ad.add(x, y),
+        "sub": lambda: ad.sub(x, y),
+        "neg": lambda: ad.neg(x),
+        "mul": lambda: ad.mul(x, y),
+        "scale": lambda: ad.scale(x, 2.0),
+        "square": lambda: ad.square(x),
+        "matmul": lambda: matmul(x, w),
+        "einsum2": lambda: einsum2("ij,jk->ik", x, w),
+        "relu": lambda: relu(x),
+        "tanh": lambda: ad.tanh(x),
+        "exp": lambda: ad.exp(x),
+        "log": lambda: ad.log(pos),
+        "sqrt": lambda: ad.sqrt(pos),
+        "softmax_rows": lambda: softmax_rows(x, mask),
+        "log_softmax_rows": lambda: log_softmax_rows(x, mask),
+        "attention": lambda: ad.attention(x, y, y, matmul(x, w), 0.5, mask=mask[:, :3]),
+        "layer_norm_rows": lambda: layer_norm_rows(ad.add(x, y)),
+        "concat": lambda: concat([x, ad.neg(y)], axis=1),
+        "gather_rows": lambda: gather_rows(ad.neg(x), [0, 2, 0]),
+        "reshape": lambda: ad.reshape(ad.neg(x), (4, 3)),
+        "permute": lambda: ad.permute(x, (1, 0)),
+        "sum_all": lambda: sum_all(ad.neg(x)),
+        "mean_rows": lambda: mean_rows(ad.neg(x)),
+    }
+
+
+class TestRulesHoldNoTensors:
+    # a rule that captured a tensor would keep it, and through it every
+    # array it holds, alive until backward
+    NOT_PRIMITIVES = {"active_tape", "tensor", "backward", "finite_diff_check"}
+
+    def test_every_public_primitive_has_a_case(self):
+        public = {
+            name for name, f in vars(ad).items()
+            if callable(f) and getattr(f, "__module__", None) == ad.__name__
+            and not isinstance(f, type) and not name.startswith("_")
+        }
+        assert public - self.NOT_PRIMITIVES == set(_rule_cases())
+
+    def test_no_rule_closure_holds_a_tensor(self):
+        held = []
+        for name, call in _rule_cases().items():
+            with Tape() as tape:
+                call()
+            assert tape.nodes, name
+            for node in tape.nodes:
+                for cell in node.vjp.__closure__ or ():
+                    value = cell.cell_contents
+                    items = value if isinstance(value, (tuple, list)) else (value,)
+                    if any(isinstance(v, ad.DiffTensor) for v in items):
+                        held.append((name, node.vjp.__qualname__))
+        assert held == []
 
 
 def _check(f, x, tol=PRIMITIVE_TOL):

@@ -432,6 +432,22 @@ class TestSampleAction:
             assert sample_action(dist, rng, 1)[1] == 2
         assert seen == {0, 1}
 
+    def test_cached_draws_equal_fresh_inverse_cdf_draws(self):
+        # the per-state cumulative sums are kept after a state's first draw;
+        # every draw must equal one that recomputes them
+        probs = np.array([0.1, 0.2, 0.3, 0.4, 0.7, 0.3])
+        actions = [STOP] + [AddFragment(0, 0, k, 0) for k in range(4)] + [STOP]
+        dist = ActionDistribution(
+            actions=actions, log_probs=tensor(np.log(probs)[None, :]), probs=probs, offsets=np.array([0, 4, 6]),
+        )
+        mine, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for i in range(200):
+            b = i % 2
+            rows = dist.rows(b)
+            cum = np.cumsum(probs[rows])
+            expected = rows.start + min(int(np.searchsorted(cum, ref.random() * cum[-1], side="right")), len(cum) - 1)
+            assert sample_action(dist, mine, b)[1] == expected
+
     def test_sampling_matches_model_distribution(self):
         policy = make_policy()
         ctx = pocket_ctx(policy)

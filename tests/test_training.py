@@ -334,7 +334,12 @@ class TestTrain:
         real_backward = ad.backward
 
         def backward(loss):
-            refs.append(weakref.ref(loss._tape.nodes[len(loss._tape.nodes) // 2].output.data))
+            # the output of a layer norm in the middle of the tape, which
+            # its rule holds
+            norms = [n for n in loss._tape.nodes if n.vjp.__qualname__.startswith("layer_norm_rows.")]
+            vjp = norms[len(norms) // 2].vjp
+            cells = dict(zip(vjp.__code__.co_freevars, vjp.__closure__))
+            refs.append(weakref.ref(cells["out"].cell_contents))
             losses.append(loss)
             real_backward(loss)
 
