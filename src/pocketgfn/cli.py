@@ -143,6 +143,11 @@ class RunConfig:
         return resolve_bundled(self.library_file, BUNDLED_LIBRARIES, "library")
 
 
+# flags that replace a config field as given: (argparse dest, RunConfig field)
+_FLAG_FIELDS = (("seed", "seed"), ("steps", "steps"), ("mode", "mode"), ("pocket", "pocket_file"),
+                ("checkpoint", "checkpoint"), ("n", "n_molecules"), ("top_k", "top_k"))
+
+
 def load_run_config(path: str | None, overrides: argparse.Namespace | None = None) -> RunConfig:
     cfg = RunConfig()
     if path is not None:
@@ -160,25 +165,14 @@ def load_run_config(path: str | None, overrides: argparse.Namespace | None = Non
                 raise ConfigError(f"unknown config field {key!r}; choices: {sorted(known)}")
             setattr(cfg, key, value)
     if overrides is not None:
-        if getattr(overrides, "seed", None) is not None:
-            cfg.seed = overrides.seed
-        if getattr(overrides, "steps", None) is not None:
-            cfg.steps = overrides.steps
-        if getattr(overrides, "mode", None) is not None:
-            cfg.mode = overrides.mode
+        for flag, name in _FLAG_FIELDS:
+            if getattr(overrides, flag, None) is not None:
+                setattr(cfg, name, getattr(overrides, flag))
         if getattr(overrides, "weights", None) is not None:
             try:
                 cfg.weights = [float(w) for w in overrides.weights.split(",")]
             except ValueError:
                 raise ConfigError(f"--weights must be three comma-separated numbers, got {overrides.weights!r}") from None
-        if getattr(overrides, "pocket", None) is not None:
-            cfg.pocket_file = overrides.pocket
-        if getattr(overrides, "checkpoint", None) is not None:
-            cfg.checkpoint = overrides.checkpoint
-        if getattr(overrides, "n", None) is not None:
-            cfg.n_molecules = overrides.n
-        if getattr(overrides, "top_k", None) is not None:
-            cfg.top_k = overrides.top_k
     return cfg
 
 

@@ -254,10 +254,13 @@ def train(
 ) -> TrainResult:
     """Adam on the trajectory-balance objective.
 
-    Per step: roll the batch in lockstep under a tape (pockets round-robin,
-    one RNG stream per (seed, step, trajectory index)), so each depth costs
-    one policy pass per pocket; build the loss from the recorded action
-    log-probabilities and take one update. The tape is freed by
+    Per step: roll the batch in lockstep under a tape, so each depth costs
+    one policy pass per pocket the step draws; build the loss from the
+    recorded action log-probabilities and take one update. Pockets are dealt
+    round-robin across steps: trajectory ``idx`` of step ``step`` runs on
+    sorted pocket ``(step * batch_size + idx) % len(pockets)``, so every
+    pocket is trained whatever the batch size, and draws from its own RNG
+    stream (seed, step, idx). The tape is freed by
     ``backward``. Metrics rows go to ``metrics_path`` as JSON lines (a failed
     write raises ``OutputFileError`` naming it). A
     non-finite loss, a non-finite gradient of any parameter, or a parameter
@@ -283,12 +286,13 @@ def train(
     steps_run = 0
     with output_file(metrics_path) if metrics_path else nullcontext() as sink:
         for step in range(config.steps):
+            drawn = [pocket_ids[(step * config.batch_size + idx) % len(pocket_ids)]
+                     for idx in range(config.batch_size)]
             with Tape():
-                ctxs = {pid: policy.pocket_context(pockets[pid]) for pid in pocket_ids[:config.batch_size]}
+                ctxs = {pid: policy.pocket_context(pockets[pid]) for pid in sorted(set(drawn))}
                 log_z = {pid: policy.log_z(c) for pid, c in ctxs.items()}
                 batch = sample_trajectories(
-                    policy, ctxs,
-                    [pocket_ids[idx % len(pocket_ids)] for idx in range(config.batch_size)],
+                    policy, ctxs, drawn,
                     [np.random.default_rng([config.seed, step, idx]) for idx in range(config.batch_size)],
                     config.max_nodes, library,
                 )

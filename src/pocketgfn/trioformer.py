@@ -217,13 +217,6 @@ def pool_graph_embedding(h_ligand: DiffTensor) -> DiffTensor:
     return ad.einsum2("bnc,n->bc", h_ligand, tensor(np.full(n, 1.0 / n)))
 
 
-def edge_embedding(h_i: DiffTensor, h_j: DiffTensor) -> DiffTensor:
-    """Symmetric edge embedding: elementwise sum of the two node embeddings."""
-    if h_i.shape != h_j.shape:
-        raise DimensionError(f"edge embedding needs equal widths, got {h_i.shape} and {h_j.shape}")
-    return ad.add(h_i, h_j)
-
-
 # ---------------------------------------------------------------------------
 # Plain-numpy references for ablation checks
 # ---------------------------------------------------------------------------

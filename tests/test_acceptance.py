@@ -44,7 +44,7 @@ from pocketgfn.selfcheck import (
     tb_loss_gradient_error,
     worst_error,
 )
-from pocketgfn.trioformer import edge_embedding, pool_graph_embedding
+from pocketgfn.trioformer import pool_graph_embedding
 from pocketgfn.training import TrainerConfig, exact_terminal_distribution, total_variation, train
 
 
@@ -137,7 +137,7 @@ def test_zeroed_bias_reduces_to_plain_attention():
 # 5. conditioning is live: different pockets give different samplers
 # ---------------------------------------------------------------------------
 
-def test_pocket_conditioning_changes_sampling_distribution(tmp_path, capsys):
+def test_pocket_conditioning_changes_sampling_distribution():
     lib = toy_library()
     pockets = {
         "compact": load_pocket_jsonl(str(DATA_DIR / "pocket_compact.jsonl")),
@@ -177,65 +177,6 @@ def test_pocket_conditioning_changes_sampling_distribution(tmp_path, capsys):
         f"({result.steps_run} steps, geometry-aware mode)",
     )
     assert ok
-
-    # soft comparison, reported not asserted: mean docking score per mode, same
-    # seed and budget, tables emitted by the evaluate subcommand. A larger
-    # fragment space than the assertion above so the two modes' unique-molecule
-    # sets can actually differ.
-    run_cfg = {
-        "library_file": "bundled:desk",
-        "pocket_file": ["bundled:compact", "bundled:wide"],
-        "checkpoint": str(tmp_path / "ck.json"),
-        "steps": 800, "batch_size": 8, "learning_rate": 3e-3, "beta": 2.0,
-        "max_nodes": 3, "seed": 12, "n_molecules": 8, "retry_cap": 50,
-        "policy": {
-            "width": 16, "n_layers": 1, "n_heads": 2, "frag_emb_dim": 4,
-            "pocket_width": 8, "pocket_layers": 1, "trio_layers": 1,
-            "trio_heads": 2, "trio_head_dim": 4, "trio_c_pair": 8,
-        },
-    }
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(run_cfg))
-
-    mol_files = {}
-    for mode in ("baseline", "trioformer"):
-        ck = tmp_path / f"{mode}.json"
-        assert main(["train", "--config", str(cfg_path), "--mode", mode, "--out", str(ck)]) == 0
-        for pid in ("compact", "wide"):
-            mol = tmp_path / f"{mode}_{pid}.jsonl"
-            code = main([
-                "sample", "--config", str(cfg_path), "--mode", mode,
-                "--checkpoint", str(ck), "--pocket", f"bundled:{pid}",
-                "--n", "8", "--out", str(mol),
-            ])
-            assert code in (0, 1)  # partial sets still carry scores to compare
-            mol_files[(mode, pid)] = str(mol)
-
-    ds_by_mode = {"baseline": [], "trioformer": []}
-    capsys.readouterr()
-    for pid in ("compact", "wide"):
-        rep = tmp_path / f"report_{pid}.json"
-        assert main([
-            "evaluate", mol_files[("baseline", pid)], mol_files[("trioformer", pid)],
-            "--config", str(cfg_path), "--pocket", f"bundled:{pid}", "--out", str(rep),
-        ]) == 0
-        table = capsys.readouterr().out
-        RESULTS.append(f"  evaluate (pocket {pid}, sets: baseline, trioformer):")
-        RESULTS.extend(f"    {line}" for line in table.strip().splitlines()
-                       if not line.startswith("report written"))
-        report = json.loads(rep.read_text())
-        for row in report["per_set"]:
-            for mode in ds_by_mode:
-                if f"{mode}_{pid}" in row["file"]:
-                    ds_by_mode[mode].append(row["ds_mean"])
-    means = {mode: float(np.mean(v)) for mode, v in ds_by_mode.items()}
-    verdict = "<=" if means["trioformer"] <= means["baseline"] else ">"
-    _report(
-        "conditioning quality (reported, not asserted)",
-        True,
-        f"mean docking score, geometry-aware {means['trioformer']:.3f} {verdict} "
-        f"baseline {means['baseline']:.3f} (same seed, 800 steps each, both pockets)",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +280,7 @@ def test_cli_train_and_sample_are_deterministic(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# 8. embedding shape and symmetry contracts
+# 8. embedding width and pooling contracts
 # ---------------------------------------------------------------------------
 
 def test_embedding_contracts():
@@ -352,15 +293,8 @@ def test_embedding_contracts():
     s = apply_action(initial_state(), AddFragment(None, None, 0, 0), lib, 2)
     with Tape():
         _, graph_emb = policy._ligand_track([s], ctx)
-    assert graph_emb.shape == (1, 2 * width), graph_emb.shape
 
     rng = np.random.default_rng(11)
-    with Tape():
-        for _ in range(1000):
-            a = tensor(rng.normal(size=(1, 8)))
-            b = tensor(rng.normal(size=(1, 8)))
-            assert np.array_equal(edge_embedding(a, b).data, edge_embedding(b, a).data)
-
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 9))
@@ -369,12 +303,13 @@ def test_embedding_contracts():
             base = pool_graph_embedding(tensor(h)).data
             permuted = pool_graph_embedding(tensor(h[:, rng.permutation(n)])).data
         worst = max(worst, float(np.max(np.abs(base - permuted))))
-    assert worst <= 1e-12
 
+    ok = graph_emb.shape == (1, 2 * width) and worst <= 1e-12
     _report(
         "embedding contracts",
-        True,
-        f"pooled graph embedding is twice the node width ({2 * width}); edge embedding "
-        f"symmetric on 1000 random pairs; node pooling permutation-invariant on 100 "
-        f"random batches of two graphs (max drift {worst:.2e})",
+        ok,
+        f"pooled graph embedding {graph_emb.shape[1]} wide vs twice the node width "
+        f"({2 * width}); node pooling permutation-invariant on 100 random batches of "
+        f"two graphs (max drift {worst:.2e} vs limit 1e-12)",
     )
+    assert ok

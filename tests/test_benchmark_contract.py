@@ -7,7 +7,6 @@ tracer, runs one tiny training step and one policy pass under it, and
 restores everything afterwards.
 """
 
-import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +19,9 @@ from pocketgfn.policy import TRIOFORMER, PolicyNetwork
 from pocketgfn.selfcheck import small_policy
 from pocketgfn.training import TrainerConfig, train
 
+from conftest import load_file
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_worker_hooks_exist():
@@ -36,7 +30,7 @@ def test_worker_hooks_exist():
 
 
 def test_tracer_installs_and_traces_a_step():
-    spans = load_spans()
+    spans = load_file(SPANS, "perfbench_spans")
     lib = toy_library()
     pockets = {"p": build_knn_graph(synthetic_pocket(5, 2.0, seed=3), K=3)}
     cfg = TrainerConfig(steps=1, batch_size=2, max_nodes=2, seed=0, mode=TRIOFORMER, policy=small_policy(TRIOFORMER))

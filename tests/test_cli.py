@@ -97,6 +97,25 @@ class TestRunConfig:
     def test_defaults_pass_validation(self):
         RunConfig().validate()
 
+    @pytest.mark.parametrize("argv, name, value", [
+        pytest.param(argv, name, value, id=name) for argv, name, value in (
+            (["train", "--seed", "5"], "seed", 5),
+            (["train", "--steps", "2"], "steps", 2),
+            (["train", "--mode", "trioformer"], "mode", "trioformer"),
+            (["train", "--weights", "0.2,0.3,0.5"], "weights", [0.2, 0.3, 0.5]),
+            (["sample", "--pocket", "bundled:wide"], "pocket_file", "bundled:wide"),
+            (["sample", "--checkpoint", "other.json"], "checkpoint", "other.json"),
+            (["sample", "--n", "7"], "n_molecules", 7),
+            (["evaluate", "m.jsonl", "--top-k", "4"], "top_k", 4),
+        )
+    ])
+    def test_flag_lands_in_its_field(self, tmp_path, argv, name, value):
+        path = write_cfg(tmp_path, "c.json")
+        from_file = load_run_config(str(path))
+        cfg = load_run_config(str(path), cli.build_parser().parse_args(argv))
+        assert getattr(from_file, name) != value
+        assert dataclasses.replace(from_file, **{name: value}) == cfg
+
     def test_unknown_field_named(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"stepz": 5}))

@@ -424,6 +424,20 @@ class TestTrain:
         assert result.steps_run == 2
         assert calls == [0, 1]
 
+    def test_every_pocket_trained_when_pockets_exceed_batch(self):
+        # 3 pockets at batch 2: the deal carries over from step to step, so
+        # 3 steps give each pocket 2 trajectories
+        pockets = {f"p{i}": build_knn_graph(synthetic_pocket(5, 2.0 + i, i), K=3) for i in range(3)}
+        drawn = {pid: 0 for pid in pockets}
+        by_graph = {id(g): pid for pid, g in pockets.items()}
+
+        def reward_fn(pocket, s):
+            drawn[by_graph[id(pocket)]] += 1
+            return 1.0
+
+        train(small_config(3, max_nodes=2, batch_size=2), TOY, pockets, reward_fn=reward_fn)
+        assert drawn == {"p0": 2, "p1": 2, "p2": 2}
+
 
 @pytest.fixture
 def count_transitions(monkeypatch):

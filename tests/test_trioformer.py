@@ -10,7 +10,6 @@ from pocketgfn.nn import ParamStore
 from pocketgfn.trioformer import (
     adjacency_onehot,
     biased_cross_attention,
-    edge_embedding,
     init_pair_embeddings,
     pair_transition,
     pool_graph_embedding,
@@ -352,21 +351,3 @@ class TestPoolAndEdges:
     def test_pool_empty_rejected(self):
         with pytest.raises(DimensionError):
             pool_graph_embedding(tensor(np.zeros((B, 0, 4))))
-
-    def test_edge_embedding_symmetric(self):
-        a = tensor(RNG.normal(size=(1, 6)))
-        b = tensor(RNG.normal(size=(1, 6)))
-        with Tape():
-            e1 = edge_embedding(a, b)
-            e2 = edge_embedding(b, a)
-        np.testing.assert_array_equal(e1.data, e2.data)
-
-    def test_edge_embedding_zero_second(self):
-        a = tensor(RNG.normal(size=(1, 6)))
-        with Tape():
-            e = edge_embedding(a, tensor(np.zeros((1, 6))))
-        np.testing.assert_array_equal(e.data, a.data)
-
-    def test_edge_embedding_width_mismatch(self):
-        with pytest.raises(DimensionError):
-            edge_embedding(tensor(np.zeros((1, 6))), tensor(np.zeros((1, 5))))
