@@ -41,9 +41,9 @@ print("terminal:", term.terminal, " canonical key:", canonical_key(term))
 # every non-root state can be torn down leaf by leaf; the probabilities of
 # the uniform tear-down walk always sum to one
 print("\ntear-down transitions and their log probabilities:")
-for parent, action, log_p in backward_transitions(s, lib):
+for parent, action, log_p in backward_transitions(s):
     print(f"  remove -> {parent.nodes}  log_p {log_p:+.4f}")
-total = sum(math.exp(lp) for _, _, lp in backward_transitions(s, lib))
+total = sum(math.exp(lp) for _, _, lp in backward_transitions(s))
 print("tear-down probabilities sum to", total)
 
 # both nodes of a symmetric dimer see the same tree from where they stand

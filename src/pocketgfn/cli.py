@@ -408,23 +408,29 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON run config")
-    p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--steps", type=int, help="override training step count")
-    p.add_argument("--mode", choices=[BASELINE, TRIOFORMER], help="conditioning mode")
-    p.add_argument("--weights", help="reward weights w_ds,w_qed,w_sa")
     p.add_argument("--out", help="output path")
 
 
+def _add_seed_and_mode(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, help="override config seed")
+    p.add_argument("--mode", choices=[BASELINE, TRIOFORMER], help="conditioning mode")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes only the flags it reads."""
     parser = argparse.ArgumentParser(prog="pocketgfn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a sampler and write a checkpoint")
     _add_common(p_train)
+    _add_seed_and_mode(p_train)
+    p_train.add_argument("--steps", type=int, help="override training step count")
+    p_train.add_argument("--weights", help="reward weights w_ds,w_qed,w_sa")
     p_train.set_defaults(fn=cmd_train)
 
     p_sample = sub.add_parser("sample", help="sample unique molecules from a checkpoint")
     _add_common(p_sample)
+    _add_seed_and_mode(p_sample)
     p_sample.add_argument("--checkpoint", help="checkpoint path (defaults to config)")
     p_sample.add_argument("--pocket", help="pocket JSONL path (defaults to config)")
     p_sample.add_argument("--n", type=int, help="number of unique molecules")

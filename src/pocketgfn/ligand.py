@@ -200,11 +200,14 @@ def free_aps(s: LigandState, node: int, library: FragmentLibrary) -> list[int]:
 
 
 def legal_actions(s: LigandState, library: FragmentLibrary, max_nodes: int) -> list[LigandAction]:
-    """Stop first (iff nonempty), then AddFragment in (node, ap, fragment, ap) order."""
+    """Stop first (iff nonempty), then AddFragment in (node, ap, fragment, ap)
+    order. The empty state offers each fragment once, entering by attachment
+    point 0: a state records no entry point, so the others would only repeat
+    the same states."""
     if s.terminal:
         return []
     if s.n == 0:
-        return [AddFragment(None, None, f.id, ap) for f in library for ap in range(f.aps)]
+        return [AddFragment(None, None, f.id, 0) for f in library]
     actions: list[LigandAction] = [STOP]
     if s.n < max_nodes:
         for node in range(s.n):
@@ -304,11 +307,7 @@ def adjacency_matrix(s: LigandState) -> np.ndarray:
 
 def removable_leaves(s: LigandState) -> list[int]:
     """Node positions whose removal leaves a connected tree (degree <= 1)."""
-    if s.n == 0:
-        return []
-    if s.n == 1:
-        return [0]
-    return [v for v in range(s.n) if s.degree(v) == 1]
+    return [v for v in range(s.n) if s.degree(v) <= 1]
 
 
 def remove_leaf(s: LigandState, node: int) -> tuple[LigandState, AddFragment]:
@@ -341,35 +340,23 @@ def remove_leaf(s: LigandState, node: int) -> tuple[LigandState, AddFragment]:
     return parent, action
 
 
-def backward_transitions(s: LigandState, library: FragmentLibrary) -> list[tuple[LigandState, AddFragment, float]]:
+def backward_transitions(s: LigandState) -> list[tuple[LigandState, AddFragment, float]]:
     """All (parent, action, log_prob) backward moves of a nonempty, non-terminal graph.
 
-    One move per removable leaf, uniform; the single-node graph instead has one
-    move per attachment point of its fragment (the entry point is unrecorded),
-    again uniform. exp(log_prob) sums to exactly 1.
+    One move per removable leaf, each with ``step_backward_log_prob(s)``, so
+    exp(log_prob) sums to exactly 1. The single-node graph has one move, back
+    to the empty state by the fragment's root action, with log-prob 0.
     """
     if s.n == 0:
         return []
-    if s.n == 1:
-        frag = library.get(s.nodes[0])
-        lp = -float(np.log(frag.aps))
-        return [(initial_state(), AddFragment(None, None, s.nodes[0], ap), lp) for ap in range(frag.aps)]
-    leaves = removable_leaves(s)
-    lp = -float(np.log(len(leaves)))
-    return [(*remove_leaf(s, v), lp) for v in leaves]
+    lp = step_backward_log_prob(s)
+    return [(*remove_leaf(s, v), lp) for v in removable_leaves(s)]
 
 
-def step_backward_log_prob(child: LigandState, library: FragmentLibrary, is_root_step: bool) -> float:
-    """log-probability of the backward move that undoes one AddFragment.
-
-    Uniform over removable leaves of the child; the first growth step also
-    picks which attachment point the root fragment entered by (uniform over
-    its APs) since the single-node graph does not record it.
-    """
-    lp = -float(np.log(len(removable_leaves(child))))
-    if is_root_step:
-        lp -= float(np.log(library.get(child.nodes[0]).aps))
-    return lp
+def step_backward_log_prob(child: LigandState) -> float:
+    """log-probability of the backward move that undoes one AddFragment:
+    uniform over the removable leaves of the child."""
+    return -float(np.log(len(removable_leaves(child))))
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +448,11 @@ class EnumeratedSpace:
     when the row's child needs a pass of its own: those children, in row
     order, are ``depths[d + 1]``. A Stop row ends in its state's molecule,
     and so does a row whose child is a forced stop (``forced`` lists those
-    children once each, in walk order). The walk follows action sequences,
-    so a 1-fragment state, which does not record its entry attachment point,
-    appears once per entry point together with everything grown from it.
-    Molecules are numbered in sorted canonical-key order; ``first_seen``
-    lists them in the order the walk first reaches them. Every array is
-    read-only.
+    children in walk order). A raw state is reached by one action from one
+    parent (its last node and bond removed), so each appears once, and each
+    ending row ends in its own raw form. Molecules are numbered in sorted
+    canonical-key order; ``first_seen`` lists them in the order the walk
+    first reaches them. Every array is read-only.
     """
 
     depths: tuple[tuple[LigandState, ...], ...]
@@ -492,7 +478,6 @@ def _walk_space(fragments: tuple[tuple[int, int], ...], max_nodes: int) -> Enume
     library = FragmentLibrary([Fragment(fid, f"#{fid}", aps, 1, 0.0) for fid, aps in fragments])
     depths, row_mol, forced = [], [], []
     index: dict[str, int] = {}  # canonical key -> molecule number in walk order
-    of_raw: dict[tuple, int] = {}  # (nodes, edges) -> molecule number; copied subtrees repeat raw forms
     molecules = []
     frontier = [initial_state()]
     while frontier:
@@ -505,16 +490,13 @@ def _walk_space(fragments: tuple[tuple[int, int], ...], max_nodes: int) -> Enume
                     children.append(child)
                     mols.append(-1)
                     continue
-                raw = (child.nodes, child.edges)
-                if raw not in of_raw:
-                    if not child.terminal:
-                        forced.append(child)
-                    key = canonical_key(child)
-                    if key not in index:
-                        index[key] = len(molecules)
-                        molecules.append(LigandState(*canonical_form(child), terminal=True))
-                    of_raw[raw] = index[key]
-                mols.append(of_raw[raw])
+                if not child.terminal:
+                    forced.append(child)
+                key = canonical_key(child)
+                if key not in index:
+                    index[key] = len(molecules)
+                    molecules.append(LigandState(*canonical_form(child), terminal=True))
+                mols.append(index[key])
         row_mol.append(np.array(mols, dtype=np.intp))
         frontier = children
     keys = list(index)

@@ -221,14 +221,15 @@ class PolicyNetwork:
 
         Every free (node, attachment point) slot pairs with every (fragment,
         fragment ap) in library order, and legal_actions lists a state's add
-        rows slot by slot in that order. The add head's first layer is linear
-        in [target node, target ap, fragment, fragment ap], so it is applied
-        once per slot and once per pair, and each row adds one of each; no
-        (rows, features) input is built.
+        rows slot by slot in that order; the empty state's one slot pairs
+        with attachment point 0 of each fragment. The add head's first layer
+        is linear in [target node, target ap, fragment, fragment ap], so it is
+        applied once per slot and once per pair, and each row adds one of
+        each; no (rows, features) input is built.
         """
         cfg = self.config
         a_max = self.library.max_aps
-        pairs = [(k, f_ap) for k, f in enumerate(self.library) for f_ap in range(f.aps)]
+        pairs = [(k, f_ap) for k, f in enumerate(self.library) for f_ap in range(f.aps if n else 1)]
         slot_node, slot_ap = [], []
         for i, acts in enumerate(legal):
             adds = acts[1:] if n else acts  # Stop leads the rows of a non-empty state

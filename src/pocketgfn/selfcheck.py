@@ -291,11 +291,10 @@ def check_enumeration_oracle() -> tuple[bool, str]:
     space = enumerated_space(lib, 2)
     if len(space.molecules) != 5:
         return False, f"toy library should enumerate 5 molecules at cap 2, got {len(space.molecules)}"
-    # uniform backward policy must be a distribution at every nonempty partial
-    # state (a 1-fragment state and its subtree recur once per entry point)
-    partial = list(dict.fromkeys([s for states in space.depths[1:] for s in states] + list(space.forced)))
+    # uniform backward policy must be a distribution at every nonempty partial state
+    partial = [s for states in space.depths[1:] for s in states] + list(space.forced)
     for s in partial:
-        total = sum(math.exp(lp) for _, _, lp in backward_transitions(s, lib))
+        total = sum(math.exp(lp) for _, _, lp in backward_transitions(s))
         if abs(total - 1.0) > 1e-12:
             return False, f"backward probs sum to {total} at {s}"
     # symmetric dimer has two automorphisms

@@ -13,15 +13,15 @@ ids and attachment-point counts, node cap), all that legal actions and
 transitions read of a library. A repeated call makes its policy passes and
 reward calls and no transitions; the estimate draws with ``sample_action``.
 
-Backward policy and symmetry. The fixed backward policy is uniform over
-removable leaf fragments, plus a uniform choice of entry attachment point at
-the 1-node step (the state does not record which point the first fragment
-exposed, so all of them are equally consistent parents). Under that backward
-policy the total backward weight of a molecule m sums to 1/|Aut(m)| over its
-raw forms: reversed leaf-deletion orders biject with insertion orders, the
-deletion walk's probabilities sum to 1, and the walk lands on each raw form
-of an Aut-orbit equally often. Training therefore multiplies the reward by
-the automorphism count of the terminal raw state, which makes the optimum
+Backward policy and symmetry. The first action picks a fragment, which
+enters by its attachment point 0, so a 1-node state has one parent: the
+empty state. The fixed backward policy is uniform over removable leaf
+fragments (a 1-node state's one fragment included). Under it the total
+backward weight of a molecule m sums to 1/|Aut(m)| over its raw forms:
+reversed leaf-deletion orders biject with insertion orders, the deletion
+walk's probabilities sum to 1, and the walk lands on each raw form of an
+Aut-orbit equally often. Training therefore multiplies the reward by the
+automorphism count of the terminal raw state, which makes the optimum
 sample molecules proportionally to the undecorated reward q^beta.
 """
 
@@ -205,7 +205,7 @@ def sample_trajectory(
     return sample_trajectories(policy, {pocket_id: ctx}, [pocket_id], [rng], max_nodes, library)[0]
 
 
-def trajectory_backward_log_prob(states: list[LigandState], library: FragmentLibrary) -> float:
+def trajectory_backward_log_prob(states: list[LigandState]) -> float:
     """Sum of fixed-backward-policy log-probs along a trajectory.
 
     The stop transition has a unique parent and contributes zero; each growth
@@ -215,7 +215,7 @@ def trajectory_backward_log_prob(states: list[LigandState], library: FragmentLib
     for child in states[1:]:
         if child.terminal:
             continue
-        total += step_backward_log_prob(child, library, is_root_step=(child.n == 1))
+        total += step_backward_log_prob(child)
     return total
 
 
@@ -302,7 +302,7 @@ def train(
                     quality = reward_fn(pockets[traj.pocket_id], terminal)
                     traj.log_reward = shaped_log_reward(quality, terminal, config.beta)
                     log_pf_sum = ad.reshape(ad.sum_all(ad.concat(traj.log_pf, axis=0)), (1, 1))
-                    log_pb = trajectory_backward_log_prob(traj.states, library)
+                    log_pb = trajectory_backward_log_prob(traj.states)
                     losses.append(tb_loss_tensor(log_z[traj.pocket_id], log_pf_sum, traj.log_reward, log_pb))
                 total = ad.scale(ad.sum_all(ad.concat(losses, axis=0)), 1.0 / len(losses))
                 loss_value = total.data.item()
@@ -366,11 +366,11 @@ def exact_terminal_distribution(
     """Exact model distribution over molecules (canonical keys).
 
     Pushing each state's mass through its action probabilities, depth by
-    depth, follows every action sequence once; terminal mass is pooled by
-    molecule. The states come from the cached space, so a call makes one
-    policy pass per depth and no transitions. Each row's mass is the product
-    of its state's mass and its probability, and a molecule's total adds its
-    rows in walk order.
+    depth, reaches every raw state once, by its one action sequence;
+    terminal mass is pooled by molecule. The states come from the cached
+    space, so a call makes one policy pass per depth and no transitions.
+    Each row's mass is the product of its state's mass and its probability,
+    and a molecule's total adds its rows in walk order.
     """
     space, dists = _space_passes(policy, ctx, library, max_nodes)
     mass = np.ones(1)

@@ -4,7 +4,7 @@
 up, and ``perfbench/worker.py`` hooks two private ones. Renaming or deleting
 any of them breaks only the traced benchmark, so this test installs the
 tracer, runs one tiny training step and one policy pass under it, and
-restores everything afterwards.
+restores everything afterwards; the set-up hook is checked by counting calls.
 """
 
 from pathlib import Path
@@ -27,6 +27,22 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 def test_worker_hooks_exist():
     assert callable(training._materialize_params)
     assert callable(cli._rebuild_policy)
+
+
+def test_training_set_up_ends_in_one_materialize_call(monkeypatch):
+    # the benchmark times set-up up to the return of this module attribute,
+    # so train() must look it up there, once
+    calls = []
+    real = training._materialize_params
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(training, "_materialize_params", counted)
+    pockets = {"p": build_knn_graph(synthetic_pocket(5, 2.0, seed=3), K=3)}
+    train(TrainerConfig(steps=0, max_nodes=2, policy=small_policy()), toy_library(), pockets)
+    assert len(calls) == 1
 
 
 def test_tracer_installs_and_traces_a_step():

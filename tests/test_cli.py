@@ -116,6 +116,22 @@ class TestRunConfig:
         assert getattr(from_file, name) != value
         assert dataclasses.replace(from_file, **{name: value}) == cfg
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(argv, id=f"{argv[0]}{argv[-2]}") for argv in (
+            ["sample", "--steps", "2"],
+            ["sample", "--weights", "0.2,0.3,0.5"],
+            ["evaluate", "m.jsonl", "--seed", "5"],
+            ["evaluate", "m.jsonl", "--steps", "2"],
+            ["evaluate", "m.jsonl", "--mode", "trioformer"],
+            ["evaluate", "m.jsonl", "--weights", "0.2,0.3,0.5"],
+        )
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
     def test_unknown_field_named(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"stepz": 5}))
@@ -503,6 +519,13 @@ def _as_version_2(doc):
     doc["__checksum__"] = nn._checksum({k: v for k, v in doc.items() if not k.startswith("__")})
 
 
+def _as_version_3(doc):
+    """The checkpoint as format 3 wrote it: the same layout, with root actions
+    for every entry attachment point, so its root logits mean another lattice."""
+    doc["__format_version__"] = 3
+    _resign(doc)
+
+
 # (kind, payload, *texts the error line names): a library or pocket file's
 # text, which `train` loads, or an edit of the trained checkpoint's meta, of
 # one parameter entry or of the whole document, which `sample` loads;
@@ -529,8 +552,9 @@ MALFORMED_INPUTS = {
     "param-data-not-base64": ("param", lambda entry: {**entry, "data": entry["data"][:-4] + "*!*="}, "not base64"),
     "param-data-bytes-not-whole-floats": (
         "param", lambda entry: {**entry, "data": _base64(base64.b64decode(entry["data"])[:-3])}, "bytes"),
-    "format-version-1": ("document", _as_version_1, "version 1", "expected 3"),
-    "format-version-2": ("document", _as_version_2, "checkpoint format version 2 is not supported (expected 3)"),
+    "format-version-1": ("document", _as_version_1, "version 1", "expected 4"),
+    "format-version-2": ("document", _as_version_2, "checkpoint format version 2 is not supported (expected 4)"),
+    "format-version-3": ("document", _as_version_3, "checkpoint format version 3 is not supported (expected 4)"),
 }
 
 

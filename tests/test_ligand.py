@@ -33,6 +33,7 @@ from pocketgfn.ligand import (
     save_library,
     state_from_record,
     state_to_record,
+    step_backward_log_prob,
     stop_is_forced,
     toy_library,
     validate_state,
@@ -97,9 +98,10 @@ class TestInitialAndLegal:
     def test_empty_state_no_stop(self):
         assert STOP not in legal_actions(initial_state(), DESK, 8)
 
-    def test_empty_state_action_count_is_total_aps(self):
+    def test_empty_state_offers_one_action_per_fragment(self):
+        # a state records no entry attachment point, so the root action uses 0
         acts = legal_actions(initial_state(), DESK, 8)
-        assert len(acts) == sum(f.aps for f in DESK)
+        assert acts == [AddFragment(None, None, f.id, 0) for f in DESK]
 
     def test_saturated_node_offers_stop_only(self):
         s = grow([AddFragment(None, None, 0, 0), AddFragment(0, 0, 1, 0)])
@@ -211,6 +213,13 @@ class TestBackward:
         s = grow([AddFragment(None, None, 0, 0)])
         assert removable_leaves(s) == [0]
 
+    def test_single_node_has_one_backward_move(self):
+        for f in DESK:
+            root = AddFragment(None, None, f.id, 0)
+            s = grow([root], library=DESK)
+            assert backward_transitions(s) == [(initial_state(), root, 0.0)]
+            assert step_backward_log_prob(s) == 0.0
+
     def test_chain_leaves_are_ends(self):
         s = grow(
             [AddFragment(None, None, 0, 0), AddFragment(0, 0, 2, 0), AddFragment(1, 1, 3, 0)],
@@ -252,13 +261,13 @@ class TestBackward:
                         continue
                     seen.add(key)
                     frontier.append(child)
-                    moves = backward_transitions(child, lib)
+                    moves = backward_transitions(child)
                     total = sum(np.exp(lp) for _, _, lp in moves)
                     assert abs(total - 1.0) < 1e-12, (child, total)
 
     def test_backward_transitions_reach_real_parents(self):
         s = grow([AddFragment(None, None, 0, 0), AddFragment(0, 0, 0, 0)])
-        for parent, action, _ in backward_transitions(s, TOY):
+        for parent, action, _ in backward_transitions(s):
             rebuilt = apply_action(parent, action, TOY, 8)
             assert canonical_form(rebuilt) == canonical_form(s)
 
@@ -480,8 +489,6 @@ class TestEnumeratedSpace:
     def test_lists_every_partial_state(self, lib, cap):
         space = enumerated_space(lib, cap)
         passed = [s for states in space.depths for s in states]
-        # a 1-fragment state is reached once per entry attachment point, and
-        # so is everything grown from it; the raw walk counts each state once
         assert set(passed[1:] + list(space.forced)) == self.raw_partial_states(lib, cap)
         assert len(set(space.forced)) == len(space.forced)
         assert all(stop_is_forced(s, lib, cap) for s in space.forced)
@@ -495,6 +502,18 @@ class TestEnumeratedSpace:
             grown = [c for c, m in zip(children, mol) if m < 0]
             assert tuple(grown) == (space.depths[d + 1] if d + 1 < len(space.depths) else ())
             assert all(canonical_key(c) == space.keys[m] for c, m in zip(children, mol) if m >= 0)
+
+    @pytest.mark.parametrize("lib,cap", [(TOY, 2), (DESK, 2), (DESK, 3), (DESK, 4)])
+    def test_each_raw_state_appears_once(self, lib, cap):
+        space = enumerated_space(lib, cap)
+        listed = [s for states in space.depths for s in states] + list(space.forced)
+        assert len(set(listed)) == len(listed)
+
+    @pytest.mark.parametrize("cap,passed,rows", [(3, 68, 1415), (4, 1340, 34431)])
+    def test_desk_space_size(self, cap, passed, rows):
+        space = enumerated_space(DESK, cap)
+        assert sum(len(states) for states in space.depths) == passed
+        assert sum(len(mol) for mol in space.row_mol) == rows
 
     def test_arrays_are_read_only(self):
         space = enumerated_space(DESK, 3)

@@ -130,7 +130,7 @@ class TestActionLattice:
         dist = policy.action_distribution(initial_state(), pocket_ctx(policy), max_nodes=8)
         assert dist.actions == legal_actions(initial_state(), DESK, 8)
         assert STOP not in dist.actions
-        assert len(dist.actions) == sum(f.aps for f in DESK)
+        assert len(dist.actions) == len(DESK)  # one root action per fragment
 
     @pytest.mark.parametrize("library,max_nodes", [(TOY, 3), (DESK, 2)])
     def test_legal_subsequence_matches_everywhere(self, library, max_nodes):

@@ -16,14 +16,19 @@ from pocketgfn.autodiff import Tape, TapeError, finite_diff_check, tensor
 from pocketgfn.ligand import (
     AddFragment,
     LibraryError,
+    LigandState,
     STOP,
+    Stop,
     apply_action,
     automorphism_count,
     backward_transitions,
     canonical_key,
     desk_library,
     enumerate_terminal_states,
+    enumerated_space,
     initial_state,
+    legal_actions,
+    step_backward_log_prob,
     stop_is_forced,
     toy_library,
 )
@@ -140,18 +145,39 @@ class TestBackwardLogProb:
         s2 = apply_action(s1, AddFragment(0, 1, 3, 0), DESK, 8)
         s3 = apply_action(s2, AddFragment(1, 1, 1, 0), DESK, 8)
         s4 = apply_action(s3, STOP, DESK, 8)
-        # s1: sole leaf, root entry over 2 aps; s2: 2 leaves; s3: 2 leaves; stop: free
-        expected = (0.0 - math.log(2)) + (-math.log(2)) + (-math.log(2))
-        assert math.isclose(trajectory_backward_log_prob([s0, s1, s2, s3, s4], DESK), expected)
+        # s1: sole leaf, one parent; s2: 2 leaves; s3: 2 leaves; stop: free
+        expected = 0.0 + (-math.log(2)) + (-math.log(2))
+        assert math.isclose(trajectory_backward_log_prob([s0, s1, s2, s3, s4]), expected)
 
     def test_matches_per_parent_enumeration(self):
-        # each step's probability appears among the child's backward transitions
-        s0 = initial_state()
-        s1 = apply_action(s0, AddFragment(None, None, 0, 1), DESK, 8)
-        s2 = apply_action(s1, AddFragment(0, 0, 2, 0), DESK, 8)
-        for child in (s1, s2):
-            probs = [math.exp(lp) for _, _, lp in backward_transitions(child, DESK)]
-            assert math.isclose(sum(probs), 1.0)
+        # each step's probability appears among the child's backward transitions:
+        # every growth step of every raw trajectory at desk cap 3
+        frontier = [initial_state()]
+        while frontier:
+            s = frontier.pop()
+            for a in legal_actions(s, DESK, 3):
+                if isinstance(a, Stop):
+                    continue
+                child = apply_action(s, a, DESK, 3)
+                frontier.append(child)
+                moves = backward_transitions(child)
+                undo = [lp for parent, back, lp in moves if (parent, back) == (s, a)]
+                assert undo, (s, a, child)
+                assert all(lp == step_backward_log_prob(child) for lp in undo)
+                assert math.isclose(sum(math.exp(lp) for _, _, lp in moves), 1.0)
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_molecule_backward_weight_is_one_over_its_symmetries(self, cap):
+        # summed over a molecule's raw forms, the backward probability of each
+        # form's one trajectory is 1 / |Aut(m)|: what shaped_log_reward undoes
+        space = enumerated_space(DESK, cap)
+        weight = dict.fromkeys(space.keys, 0.0)
+        for s in [s for states in space.depths[1:] for s in states] + list(space.forced):
+            trajectory = [LigandState(s.nodes[:k], s.edges[:max(k - 1, 0)]) for k in range(s.n + 1)]
+            trajectory.append(LigandState(s.nodes, s.edges, terminal=True))
+            weight[canonical_key(s)] += math.exp(trajectory_backward_log_prob(trajectory))
+        for key, m in zip(space.keys, space.molecules):
+            assert abs(weight[key] * automorphism_count(m) - 1.0) <= 1e-12, key
 
 
 class TestTrajectoryBalanceLoss:
@@ -168,7 +194,7 @@ class TestTrajectoryBalanceLoss:
             s0 = initial_state()
             s1 = apply_action(s0, AddFragment(None, None, frag_id, 0), TOY, 1)
             s2 = apply_action(s1, STOP, TOY, 1)
-            log_pb = trajectory_backward_log_prob([s0, s1, s2], TOY)
+            log_pb = trajectory_backward_log_prob([s0, s1, s2])
             assert log_pb == 0.0  # single leaf, single attachment point
             # zero up to squared rounding of the log terms
             assert self.loss(log_z, math.log(p), math.log(reward), log_pb) < 1e-24
@@ -372,7 +398,7 @@ class TestTrain:
                 trajs = training.sample_trajectories(policy, {"p0": ctx}, ["p0"] * batch, rngs, 4, DESK)
                 losses = [
                     tb_loss_tensor(log_z, ad.reshape(ad.sum_all(ad.concat(t.log_pf, axis=0)), (1, 1)),
-                                   0.0, trajectory_backward_log_prob(t.states, DESK))
+                                   0.0, trajectory_backward_log_prob(t.states))
                     for t in trajs
                 ]
                 loss = ad.sum_all(ad.concat(losses, axis=0))
