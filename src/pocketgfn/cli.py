@@ -72,8 +72,9 @@ def resolve_bundled(spec: str, table: dict[str, str], kind: str) -> str:
 
 @dataclass
 class RunConfig:
-    """A run config file. The training fields default to, and are checked
-    by, ``TrainerConfig``; the rest are read only by the command line."""
+    """A run config file. ``validate`` checks what every command reads; the
+    training fields are checked by ``trainer_config``, which only the
+    commands that read them call (train, and sample for its seed and mode)."""
 
     pocket_file: object = "bundled:compact"  # str or list of str
     library_file: str = "bundled:desk"
@@ -93,10 +94,16 @@ class RunConfig:
     policy: dict = field(default_factory=dict)
 
     def trainer_config(self) -> TrainerConfig:
-        """The training fields as a ``TrainerConfig``, with the policy overrides applied."""
-        # the overrides go on after TrainerConfig has checked the mode they are built for
-        trainer = TrainerConfig(**{f.name: getattr(self, f.name) for f in fields(TrainerConfig) if f.name != "policy"})
-        trainer.policy = replace(trainer.policy, **self.policy)
+        """The training fields as a ``TrainerConfig``, with the policy overrides
+        applied; a bad field raises a ``ConfigError`` naming it."""
+        try:
+            # the overrides go on after TrainerConfig has checked the mode they are built for
+            trainer = TrainerConfig(**{f.name: getattr(self, f.name) for f in fields(TrainerConfig) if f.name != "policy"})
+            trainer.policy = replace(trainer.policy, **self.policy)
+        except TrainingError as e:
+            raise ConfigError(str(e)) from None
+        except ValueError as e:
+            raise ConfigError(f"config field 'policy': {e}") from None
         return trainer
 
     def validate(self) -> None:
@@ -123,12 +130,6 @@ class RunConfig:
         allowed = {f.name for f in fields(PolicyConfig)} - {"mode"}
         for key in self.policy:
             expect(key in allowed, "policy", f"unknown policy override {key!r}; choices: {sorted(allowed)}")
-        try:
-            self.trainer_config()
-        except TrainingError as e:
-            raise ConfigError(str(e)) from None
-        except ValueError as e:
-            raise ConfigError(f"config field 'policy': {e}") from None
         for path in self.pocket_paths():
             if not os.path.exists(path):
                 raise ConfigError(f"config field 'pocket_file': file not found: {path}")
@@ -192,6 +193,7 @@ def _load_pockets(cfg: RunConfig) -> dict[str, PocketGraph]:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
     cfg.validate()
+    trainer = cfg.trainer_config()
     out_path = args.out or cfg.checkpoint
     metrics_path = cfg.metrics or (os.path.splitext(out_path)[0] + ".metrics.jsonl")
     check_writable(out_path)
@@ -200,7 +202,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     pockets = _load_pockets(cfg)
     weights = RewardWeights(*[float(w) for w in cfg.weights])
     result = train(
-        cfg.trainer_config(), library, pockets,
+        trainer, library, pockets,
         reward_fn=default_reward_fn(library, weights),
         metrics_path=metrics_path, checkpoint_path=out_path,
         extra_meta={"weights": list(cfg.weights)},
@@ -261,6 +263,7 @@ def _rebuild_policy(checkpoint_path: str, library: FragmentLibrary, mode_flag: s
 def cmd_sample(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
     cfg.validate()
+    cfg.trainer_config()  # sample reads the seed and the mode
     if isinstance(cfg.pocket_file, list):
         raise ConfigError("config field 'pocket_file': sampling targets one pocket; pass a single path")
     checkpoint_path = cfg.checkpoint
@@ -284,7 +287,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         # count together stops at the same attempt as drawing one at a time
         k = min(n - len(unique), budget - attempts)
         rngs = [np.random.default_rng([cfg.seed, attempts + j]) for j in range(k)]
-        for traj in sample_trajectories(policy, {pid: ctx}, [pid] * k, rngs, max_nodes, library):
+        for traj in sample_trajectories(policy, {pid: ctx}, [pid] * k, rngs, max_nodes, library)[0]:
             terminal = traj.states[-1]
             key = canonical_key(terminal)
             if key not in unique:
@@ -355,26 +358,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     per_set = []
     for path in args.molecules:
         rows = _parse_molecule_file(path, library)
-        ds, qed, sa = [], [], []
+        scores = {"ds": [], "qed": [], "sa": []}
         for line_no, rec, s in rows:
-            d, q, a = docking_score(graph, s, library), qed_proxy(s), sa_proxy(s)
-            for name, stored, recomputed in (("ds", rec.get("ds"), d), ("qed", rec.get("qed"), q), ("sa", rec.get("sa"), a)):
-                if stored is not None and stored != recomputed:
-                    raise ConfigError(
-                        f"{path}:{line_no}: stored {name} {stored!r} disagrees with recomputation {recomputed!r}"
-                    )
-            ds.append(d)
-            qed.append(q)
-            sa.append(a)
+            for name, value in zip(scores, (docking_score(graph, s, library), qed_proxy(s), sa_proxy(s))):
+                if rec.get(name) is not None and rec[name] != value:
+                    raise ConfigError(f"{path}:{line_no}: stored {name} {rec[name]!r} disagrees with recomputation {value!r}")
+                scores[name].append(value)
         states = [s for _, _, s in rows]
         per_set.append({
             "file": path,
             "n": len(states),
             "diversity": diversity(states) if len(states) >= 2 else 0.0,
-            "ds_mean": float(np.mean(ds)),
-            "ds_top10_mean": top_k_mean(ds, cfg.top_k),
-            "qed_mean": float(np.mean(qed)),
-            "sa_mean": float(np.mean(sa)),
+            "ds_mean": float(np.mean(scores["ds"])),
+            "ds_top10_mean": top_k_mean(scores["ds"], cfg.top_k),
+            "qed_mean": float(np.mean(scores["qed"])),
+            "sa_mean": float(np.mean(scores["sa"])),
         })
     summary = {}
     print(f"{'metric':<16} {'mean':>10} {'se':>10}   (n_sets={len(per_set)})")

@@ -53,6 +53,9 @@ class FragmentLibrary:
             raise LibraryError(f"duplicate fragment ids: {sorted(ids)}")
         self.fragments = sorted(fragments, key=lambda f: f.id)
         self._by_id = {f.id: f for f in self.fragments}
+        # (fragment id, attachment points) per fragment, in id order: all that
+        # legal actions and transitions read of a library, and the key of their caches
+        self.attachment_counts = tuple((f.id, f.aps) for f in self.fragments)
 
     def __len__(self) -> int:
         return len(self.fragments)
@@ -73,12 +76,6 @@ class FragmentLibrary:
     @property
     def ids(self) -> list[int]:
         return [f.id for f in self.fragments]
-
-    @property
-    def attachment_counts(self) -> tuple[tuple[int, int], ...]:
-        """(fragment id, attachment points) per fragment, in id order: all
-        that legal actions and transitions read of a library."""
-        return tuple((f.id, f.aps) for f in self.fragments)
 
 
 def json_int(value, field: str) -> int:
@@ -159,18 +156,6 @@ class LigandState:
     def n(self) -> int:
         return len(self.nodes)
 
-    def used_aps(self, node: int) -> frozenset:
-        used = set()
-        for i, ap_i, j, ap_j in self.edges:
-            if i == node:
-                used.add(ap_i)
-            if j == node:
-                used.add(ap_j)
-        return frozenset(used)
-
-    def degree(self, node: int) -> int:
-        return sum(1 for i, _, j, _ in self.edges if i == node or j == node)
-
 
 @dataclass(frozen=True)
 class Stop:
@@ -194,36 +179,64 @@ def initial_state() -> LigandState:
     return LigandState(nodes=(), edges=())
 
 
-def free_aps(s: LigandState, node: int, library: FragmentLibrary) -> list[int]:
-    used = s.used_aps(node)
-    return [ap for ap in range(library.get(s.nodes[node]).aps) if ap not in used]
+def open_slots(s: LigandState, library: FragmentLibrary, max_nodes: int) -> list[tuple[int, int]]:
+    """The free (node, attachment point) slots of ``s``, in node then ap
+    order; none at the node cap or on a terminal state."""
+    if s.terminal or s.n >= max_nodes:
+        return []
+    used = {(e[k], e[k + 1]) for e in s.edges for k in (0, 2)}
+    return [(v, ap) for v, fid in enumerate(s.nodes) for ap in range(library.get(fid).aps) if (v, ap) not in used]
+
+
+class ActionLattice:
+    """The AddFragment rows of a library: ``slot_rows(node, ap)`` attaches
+    each (fragment index, fragment ap) of ``pairs`` at one slot; ``root``
+    holds the empty state's rows, one per fragment of ``root_pairs``, entering
+    by its ap 0 (a state records no entry point). A slot's rows are built
+    when a state first offers it, so the lattice does not grow with the cap."""
+
+    def __init__(self, fragments: tuple[tuple[int, int], ...]):
+        self.ids = tuple(fid for fid, _ in fragments)
+        self.pairs = tuple((k, f_ap) for k, (_, aps) in enumerate(fragments) for f_ap in range(aps))
+        self.root_pairs = tuple((k, 0) for k in range(len(fragments)))
+        self.root = tuple(AddFragment(None, None, fid, 0) for fid in self.ids)
+        self.slots: dict[tuple[int, int], tuple[AddFragment, ...]] = {}
+
+    def slot_rows(self, node: int, ap: int) -> tuple[AddFragment, ...]:
+        rows = self.slots.get((node, ap))
+        if rows is None:
+            rows = self.slots[node, ap] = tuple(AddFragment(node, ap, self.ids[k], f_ap) for k, f_ap in self.pairs)
+        return rows
+
+
+_lattice = lru_cache(maxsize=4)(ActionLattice)
+
+
+def action_lattice(library: FragmentLibrary) -> ActionLattice:
+    """The lattice of ``library``, cached on its attachment counts: libraries
+    that differ only in fragment sizes, names or polarities share one."""
+    return _lattice(library.attachment_counts)
 
 
 def legal_actions(s: LigandState, library: FragmentLibrary, max_nodes: int) -> list[LigandAction]:
-    """Stop first (iff nonempty), then AddFragment in (node, ap, fragment, ap)
-    order. The empty state offers each fragment once, entering by attachment
-    point 0: a state records no entry point, so the others would only repeat
-    the same states."""
+    """Stop first (iff nonempty), then the lattice rows of each open slot in
+    turn, so AddFragment rows come in (node, ap, fragment, ap) order. The
+    empty state offers the lattice's root rows, one per fragment."""
     if s.terminal:
         return []
+    lattice = action_lattice(library)
     if s.n == 0:
-        return [AddFragment(None, None, f.id, 0) for f in library]
+        return list(lattice.root)
     actions: list[LigandAction] = [STOP]
-    if s.n < max_nodes:
-        for node in range(s.n):
-            for ap in free_aps(s, node, library):
-                for f in library:
-                    for f_ap in range(f.aps):
-                        actions.append(AddFragment(node, ap, f.id, f_ap))
+    for node, ap in open_slots(s, library, max_nodes):
+        actions += lattice.slot_rows(node, ap)
     return actions
 
 
 def stop_is_forced(s: LigandState, library: FragmentLibrary, max_nodes: int) -> bool:
-    """True when Stop is the only legal action: the node cap is reached or no
-    attachment point is free (a tree of n - 1 bonds uses two points per bond)."""
-    if s.terminal or s.n == 0:
-        return False
-    return s.n >= max_nodes or 2 * len(s.edges) == sum(library.get(fid).aps for fid in s.nodes)
+    """True when Stop is the only legal action: a non-empty state with no
+    open slot (the node cap is reached or every attachment point is used)."""
+    return not s.terminal and s.n > 0 and not open_slots(s, library, max_nodes)
 
 
 def apply_action(s: LigandState, a: LigandAction, library: FragmentLibrary, max_nodes: int) -> LigandState:
@@ -254,8 +267,9 @@ def apply_action(s: LigandState, a: LigandAction, library: FragmentLibrary, max_
     target_frag = library.get(s.nodes[a.target_node])
     if not 0 <= a.target_ap < target_frag.aps:
         raise IllegalActionError(f"fragment {target_frag.name!r} has no attachment point {a.target_ap}")
-    if a.target_ap in s.used_aps(a.target_node):
-        raise IllegalActionError(f"attachment point {a.target_ap} on node {a.target_node} already used")
+    node, ap = a.target_node, a.target_ap
+    if any((i == node and ap_i == ap) or (j == node and ap_j == ap) for i, ap_i, j, ap_j in s.edges):
+        raise IllegalActionError(f"attachment point {ap} on node {node} already used")
 
     new_node = s.n
     edge = (a.target_node, a.target_ap, new_node, a.fragment_ap)
@@ -307,7 +321,8 @@ def adjacency_matrix(s: LigandState) -> np.ndarray:
 
 def removable_leaves(s: LigandState) -> list[int]:
     """Node positions whose removal leaves a connected tree (degree <= 1)."""
-    return [v for v in range(s.n) if s.degree(v) <= 1]
+    ends = [v for i, _, j, _ in s.edges for v in (i, j)]
+    return [v for v in range(s.n) if ends.count(v) <= 1]
 
 
 def remove_leaf(s: LigandState, node: int) -> tuple[LigandState, AddFragment]:
@@ -428,15 +443,6 @@ def automorphism_count(s: LigandState) -> int:
 # ---------------------------------------------------------------------------
 
 
-def check_enumeration_guard(library: FragmentLibrary, max_nodes: int) -> None:
-    """Refuse molecule spaces too large to enumerate exhaustively."""
-    if len(library) > ENUM_MAX_FRAGMENTS or max_nodes > ENUM_MAX_NODES:
-        raise LibraryError(
-            f"enumeration guard: need <= {ENUM_MAX_FRAGMENTS} fragments and max_nodes <= {ENUM_MAX_NODES}, "
-            f"got {len(library)} fragments, max_nodes {max_nodes}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class EnumeratedSpace:
     """Every raw state of a molecule space, from one walk of its raw state tree.
@@ -468,7 +474,11 @@ def enumerated_space(library: FragmentLibrary, max_nodes: int) -> EnumeratedSpac
     against blow-up. It is cached on the library's attachment counts and the
     cap: libraries that differ only in fragment sizes, names or polarities
     share one space."""
-    check_enumeration_guard(library, max_nodes)
+    if len(library) > ENUM_MAX_FRAGMENTS or max_nodes > ENUM_MAX_NODES:
+        raise LibraryError(
+            f"enumeration guard: need <= {ENUM_MAX_FRAGMENTS} fragments and max_nodes <= {ENUM_MAX_NODES}, "
+            f"got {len(library)} fragments, max_nodes {max_nodes}"
+        )
     return _walk_space(library.attachment_counts, max_nodes)
 
 

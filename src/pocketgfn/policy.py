@@ -26,8 +26,10 @@ from .ligand import (
     FragmentLibrary,
     LigandAction,
     LigandState,
+    action_lattice,
     adjacency_matrix,
     legal_actions,
+    open_slots,
 )
 from .pocket import PocketContext, PocketGraph, encode_pocket
 from .trioformer import batch_copies, pool_graph_embedding, project_heads, trioformer_stack
@@ -215,28 +217,21 @@ class PolicyNetwork:
 
     # -- heads -------------------------------------------------------------
 
-    def _add_logits(self, node_h: DiffTensor, legal: list[list[LigandAction]], n: int) -> DiffTensor | None:
+    def _add_logits(self, node_h: DiffTensor, slots: list[list[tuple[int, int]]], n: int) -> DiffTensor | None:
         """Logits (rows, 1) of the add rows of every state, state by state;
-        None when no state has one.
-
-        Every free (node, attachment point) slot pairs with every (fragment,
-        fragment ap) in library order, and legal_actions lists a state's add
-        rows slot by slot in that order; the empty state's one slot pairs
-        with attachment point 0 of each fragment. The add head's first layer
-        is linear in [target node, target ap, fragment, fragment ap], so it is
-        applied once per slot and once per pair, and each row adds one of
-        each; no (rows, features) input is built.
-        """
+        None when no state has one. ``slots[i]`` lists state i's open slots,
+        whose lattice rows its legal actions list in turn, one per (fragment,
+        fragment ap) pair; the empty state's one slot is its start token,
+        paired with the root pairs. The add head's first layer is linear in
+        [target node, target ap, fragment, fragment ap], so it is applied once
+        per slot and once per pair, and each row adds one of each; no (rows,
+        features) input is built."""
         cfg = self.config
         a_max = self.library.max_aps
-        pairs = [(k, f_ap) for k, f in enumerate(self.library) for f_ap in range(f.aps if n else 1)]
-        slot_node, slot_ap = [], []
-        for i, acts in enumerate(legal):
-            adds = acts[1:] if n else acts  # Stop leads the rows of a non-empty state
-            for a in adds[:: len(pairs)]:
-                # the empty state's one "node" is its start token
-                slot_node.append(i * max(n, 1) + (a.target_node or 0))
-                slot_ap.append(-1 if a.target_ap is None else a.target_ap)
+        lattice = action_lattice(self.library)
+        pairs = lattice.pairs if n else lattice.root_pairs
+        slot_node = [i * max(n, 1) + node for i, state_slots in enumerate(slots) for node, _ in state_slots]
+        slot_ap = [ap for state_slots in slots for _, ap in state_slots]
         if not slot_node:
             return None
         frag_table = self.store.param("frag_emb", (len(self.library), cfg.frag_emb_dim), fan_in=len(self.library))
@@ -279,7 +274,8 @@ class PolicyNetwork:
         node_h, graph_emb = self._ligand_track(states, ctx)
         graph_width = 2 * cfg.width if cfg.mode == BASELINE else cfg.width
         stop_logits = mlp_apply(graph_emb, mlp_params(self.store, "stop_head", [graph_width, cfg.width, 1]))
-        add_logits = self._add_logits(node_h, legal, n)
+        slots = [open_slots(s, self.library, max_nodes) if n else [(0, -1)] for s in states]
+        add_logits = self._add_logits(node_h, slots, n)
 
         # Row r of the logit column is Stop of state r for r < b, then the add
         # rows; state i's (B, m) row gathers its Stop (if n > 0) and add rows.

@@ -64,7 +64,6 @@ from .policy import (
     ActionDistribution,
     PolicyConfig,
     PolicyNetwork,
-    log_prob_at,
     sample_action,
 )
 from .rewards import DEFAULT_WEIGHTS, RewardWeights, state_quality
@@ -93,9 +92,6 @@ def blas_setting() -> dict:
 class Trajectory:
     states: list[LigandState]
     actions: list[LigandAction]
-    log_pf: list[DiffTensor]  # (1, 1) log-probability of each action taken; a forced Stop's is the constant 0
-    pocket_id: str
-    log_reward: float = 0.0  # shaped terminal log-reward used by the loss
 
 
 @dataclass
@@ -155,42 +151,43 @@ def sample_trajectories(
     rngs: Sequence[np.random.Generator],
     max_nodes: int,
     library: FragmentLibrary,
-) -> list[Trajectory]:
-    """Roll one trajectory per (pocket id, rng) pair, all in lockstep, from
-    the empty state until Stop (the node cap leaves Stop as the only legal
-    action, so termination is guaranteed).
+) -> tuple[list[Trajectory], DiffTensor, np.ndarray]:
+    """Roll one trajectory per (pocket id, rng) pair in lockstep, from the
+    empty state until Stop (the node cap forces it), each drawing only from
+    its own rng. Each round advances every live trajectory by one action;
+    all live states then have the round's node count, so those of one pocket
+    are scored in one policy pass, whose drawn rows are taken with one
+    gather. A forced Stop gets no pass and no entry (its log-probability is
+    exactly 0). Returns the trajectories, the drawn log-probabilities as one
+    (N, 1) column, recorded under an active tape, and the (N,) index of the
+    trajectory that owns each entry."""
+    trajs = [Trajectory(states=[initial_state()], actions=[]) for _ in pocket_ids]
 
-    Each round advances every live trajectory by one action. Every live state
-    then has as many nodes as the round's index, so the live states of one
-    pocket are scored in one policy pass. A state whose only legal action is
-    Stop gets no pass: its log-probability is exactly 0, kept as a constant
-    (1, 1) entry. Each trajectory draws only from its own rng, so it does not
-    depend on the rest of the batch. Under an active tape the action
-    log-probabilities are recorded, so the training loss is built from this
-    one pass."""
-    trajs = [Trajectory(states=[initial_state()], actions=[], log_pf=[], pocket_id=pid) for pid in pocket_ids]
-
-    def advance(traj: Trajectory, action: LigandAction, log_pf: DiffTensor) -> None:
+    def advance(traj: Trajectory, action: LigandAction) -> None:
         traj.states.append(apply_action(traj.states[-1], action, library, max_nodes))
         traj.actions.append(action)
-        traj.log_pf.append(log_pf)
 
+    columns, owners = [], []
     live = list(range(len(trajs)))
     while live:
         by_pocket: dict[str, list[int]] = defaultdict(list)
         for i in live:
             if stop_is_forced(trajs[i].states[-1], library, max_nodes):
-                advance(trajs[i], STOP, tensor(np.zeros((1, 1))))
+                advance(trajs[i], STOP)
             else:
-                by_pocket[trajs[i].pocket_id].append(i)
+                by_pocket[pocket_ids[i]].append(i)
         for pid in sorted(by_pocket):
             members = by_pocket[pid]
             dist = policy.action_distribution([trajs[i].states[-1] for i in members], ctxs[pid], max_nodes)
+            drawn = []
             for b, i in enumerate(members):
                 action, row = sample_action(dist, rngs[i], b)
-                advance(trajs[i], action, log_prob_at(dist, row))
+                advance(trajs[i], action)
+                drawn.append(row)
+            columns.append(ad.gather_rows(ad.reshape(dist.log_probs, (len(dist.actions), 1)), drawn))
+            owners += members
         live = [i for i in live if not trajs[i].states[-1].terminal]
-    return trajs
+    return trajs, ad.concat(columns, axis=0), np.array(owners, dtype=np.intp)
 
 
 def sample_trajectory(
@@ -202,7 +199,7 @@ def sample_trajectory(
     library: FragmentLibrary,
 ) -> Trajectory:
     """One trajectory: the batch of one of :func:`sample_trajectories`."""
-    return sample_trajectories(policy, {pocket_id: ctx}, [pocket_id], [rng], max_nodes, library)[0]
+    return sample_trajectories(policy, {pocket_id: ctx}, [pocket_id], [rng], max_nodes, library)[0][0]
 
 
 def trajectory_backward_log_prob(states: list[LigandState]) -> float:
@@ -225,9 +222,11 @@ def shaped_log_reward(quality: float, terminal: LigandState, beta: float) -> flo
     return beta * math.log(quality) + math.log(automorphism_count(terminal))
 
 
-def tb_loss_tensor(log_z: DiffTensor, log_pf_sum: DiffTensor, log_reward: float, log_pb_sum: float) -> DiffTensor:
-    """Squared balance gap (log Z + sum log_pf - log R - sum log_pb)^2, shape (1, 1)."""
-    shift = tensor(np.array([[-(log_reward + log_pb_sum)]]))
+def tb_loss_tensor(log_z: DiffTensor, log_pf_sum: DiffTensor, log_reward, log_pb_sum) -> DiffTensor:
+    """Squared balance gaps (log Z + sum log_pf - log R - sum log_pb)^2 of T
+    trajectories, (T, 1): ``log_z`` and ``log_pf_sum`` are (T, 1) columns, and
+    ``log_reward`` and ``log_pb_sum`` constant floats (T = 1) or length-T arrays."""
+    shift = tensor(-(np.asarray(log_reward, dtype=np.float64) + log_pb_sum).reshape(-1, 1))
     return ad.square(ad.add(ad.add(log_z, log_pf_sum), shift))
 
 
@@ -254,22 +253,22 @@ def train(
 ) -> TrainResult:
     """Adam on the trajectory-balance objective.
 
-    Per step: roll the batch in lockstep under a tape, so each depth costs
-    one policy pass per pocket the step draws; build the loss from the
-    recorded action log-probabilities and take one update. Pockets are dealt
-    round-robin across steps: trajectory ``idx`` of step ``step`` runs on
-    sorted pocket ``(step * batch_size + idx) % len(pockets)``, so every
-    pocket is trained whatever the batch size, and draws from its own RNG
-    stream (seed, step, idx). The tape is freed by
-    ``backward``. Metrics rows go to ``metrics_path`` as JSON lines (a failed
-    write raises ``OutputFileError`` naming it). A
-    non-finite loss, a non-finite gradient of any parameter, or a parameter
-    left non-finite by the update aborts with a ``TrainingError`` naming the
-    step (and the parameter). ``stop_fn(row)`` returning True ends training
-    early (used by callers that watch a convergence signal). The checkpoint meta records the policy config, so
-    the checkpoint can be rebuilt for sampling; where importing the package
-    could not pin the BLAS to one thread, it also records ``blas_setting()``,
-    the only setting under which the checkpoint bytes are reproducible.
+    Per step: roll the batch in lockstep under a tape, one policy pass per
+    depth and pocket drawn, and take one update on the batch mean of
+    ``tb_loss_tensor``, built as one column expression: a 0/1 (T, N) segment
+    matrix times the rollout's drawn column sums each trajectory's log P_F,
+    and its log Z is gathered from the per-pocket column. Trajectory ``idx``
+    of step ``step`` runs on sorted pocket ``(step * batch_size + idx) %
+    len(pockets)``, so every pocket is trained whatever the batch size, and
+    draws from its own RNG stream (seed, step, idx). Metrics rows go to
+    ``metrics_path`` as JSON lines (a failed write raises ``OutputFileError``
+    naming it). A non-finite loss, gradient or updated parameter aborts with
+    a ``TrainingError`` naming the step (and the parameter). ``stop_fn(row)``
+    returning True ends training early. The checkpoint meta records the
+    policy config, so the checkpoint can be rebuilt for sampling; where
+    importing the package could not pin the BLAS to one thread, it also
+    records ``blas_setting()``, the only setting under which the checkpoint
+    bytes are reproducible.
     """
     if not pockets:
         raise TrainingError("need at least one pocket")
@@ -291,20 +290,18 @@ def train(
             with Tape():
                 ctxs = {pid: policy.pocket_context(pockets[pid]) for pid in sorted(set(drawn))}
                 log_z = {pid: policy.log_z(c) for pid, c in ctxs.items()}
-                batch = sample_trajectories(
+                batch, log_pf, owner = sample_trajectories(
                     policy, ctxs, drawn,
                     [np.random.default_rng([config.seed, step, idx]) for idx in range(config.batch_size)],
                     config.max_nodes, library,
                 )
-                losses = []
-                for traj in batch:
-                    terminal = traj.states[-1]
-                    quality = reward_fn(pockets[traj.pocket_id], terminal)
-                    traj.log_reward = shaped_log_reward(quality, terminal, config.beta)
-                    log_pf_sum = ad.reshape(ad.sum_all(ad.concat(traj.log_pf, axis=0)), (1, 1))
-                    log_pb = trajectory_backward_log_prob(traj.states)
-                    losses.append(tb_loss_tensor(log_z[traj.pocket_id], log_pf_sum, traj.log_reward, log_pb))
-                total = ad.scale(ad.sum_all(ad.concat(losses, axis=0)), 1.0 / len(losses))
+                log_r = [shaped_log_reward(reward_fn(pockets[pid], t.states[-1]), t.states[-1], config.beta)
+                         for t, pid in zip(batch, drawn)]
+                segments = tensor(np.arange(len(batch))[:, None] == owner)
+                log_z_col = ad.gather_rows(ad.concat(list(log_z.values()), axis=0), [list(log_z).index(p) for p in drawn])
+                log_pb = [trajectory_backward_log_prob(t.states) for t in batch]
+                losses = tb_loss_tensor(log_z_col, ad.matmul(segments, log_pf), log_r, log_pb)
+                total = ad.scale(ad.sum_all(losses), 1.0 / len(batch))
                 loss_value = total.data.item()
                 if not math.isfinite(loss_value):
                     raise TrainingError(f"training diverged: loss {loss_value} at step {step}")
@@ -321,7 +318,7 @@ def train(
             row = {
                 "step": step,
                 "loss": loss_value,
-                "mean_reward": float(np.mean([math.exp(t.log_reward) for t in batch])),
+                "mean_reward": float(np.mean([math.exp(r) for r in log_r])),
                 "log_Z_mean": float(np.mean([v.data[0, 0] for v in log_z.values()])),
             }
             metrics.append(row)

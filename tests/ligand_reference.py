@@ -1,14 +1,15 @@
-"""Reference canonicalization by brute force, for checking ``pocketgfn.ligand``.
+"""Reference canonicalization by brute force, and reference legal actions
+by nested loops, for checking ``pocketgfn.ligand``.
 
-Tries every relabeling that keeps the sorted fragment-id sequence, so its
-cost is factorial in the largest block of one fragment type: usable up to
-about 8 nodes.
+The canonicalization tries every relabeling that keeps the sorted
+fragment-id sequence, so its cost is factorial in the largest block of one
+fragment type: usable up to about 8 nodes.
 """
 
 import itertools
 import json
 
-from pocketgfn.ligand import LigandState
+from pocketgfn.ligand import STOP, AddFragment, LigandState
 
 
 def normalize_edges(edges) -> tuple:
@@ -59,3 +60,24 @@ def reference_canonical(s: LigandState) -> tuple[str, int]:
     minimal edge list as one string."""
     edges, count = canonical_edges(s)
     return json.dumps([sorted(s.nodes), [list(e) for e in edges]], separators=(",", ":")), count
+
+
+def legal_actions(s: LigandState, library, max_nodes: int) -> list:
+    """Stop first (iff nonempty), then one AddFragment per (node, free ap,
+    fragment, fragment ap), built by four nested loops; the empty state
+    offers each fragment once, entering by attachment point 0."""
+    if s.terminal:
+        return []
+    if s.n == 0:
+        return [AddFragment(None, None, f.id, 0) for f in library]
+    actions = [STOP]
+    if s.n < max_nodes:
+        for node in range(s.n):
+            used = [ap_i for i, ap_i, _, _ in s.edges if i == node] + [ap_j for _, _, j, ap_j in s.edges if j == node]
+            for ap in range(library.get(s.nodes[node]).aps):
+                if ap in used:
+                    continue
+                for f in library:
+                    for f_ap in range(f.aps):
+                        actions.append(AddFragment(node, ap, f.id, f_ap))
+    return actions

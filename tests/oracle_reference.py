@@ -48,7 +48,6 @@ def exact_terminal_distribution(policy, ctx, library, max_nodes: int) -> dict[st
     multiplies action probabilities along every raw trajectory, one policy
     pass per depth; a forced-stop state passes its mass to its molecule."""
     out: dict[str, float] = defaultdict(float)
-    keys: dict[tuple, str] = {}  # canonical keys by raw form, only to save time: the key is a function of it
     frontier = [(initial_state(), 1.0)]
     while frontier:
         dist = policy.action_distribution([s for s, _ in frontier], ctx, max_nodes)
@@ -58,10 +57,7 @@ def exact_terminal_distribution(policy, ctx, library, max_nodes: int) -> dict[st
             for action, prob in zip(dist.actions[rows], dist.probs[rows]):
                 child = apply_action(s, action, library, max_nodes)
                 if child.terminal or stop_is_forced(child, library, max_nodes):
-                    raw = (child.nodes, child.edges)
-                    if raw not in keys:
-                        keys[raw] = canonical_key(child)
-                    out[keys[raw]] += p * prob
+                    out[canonical_key(child)] += p * prob
                 else:
                     children.append((child, p * prob))
         frontier = children

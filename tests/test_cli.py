@@ -142,7 +142,7 @@ class TestRunConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"steps": "many"}))
         with pytest.raises(ConfigError, match="'steps'"):
-            load_run_config(str(path)).validate()
+            load_run_config(str(path)).trainer_config()
 
     @pytest.mark.parametrize(
         "name, value",
@@ -166,6 +166,23 @@ class TestRunConfig:
         assert main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(name) in err
+
+    @pytest.mark.parametrize("command", ["train", "sample"])
+    @pytest.mark.parametrize("name, value", [("learning_rate", 0), ("batch_size", 0), ("mode", "geometric")])
+    def test_training_field_checked_by_train_and_sample(self, tmp_path, capsys, command, name, value):
+        cfg = write_cfg(tmp_path, "c.json", **{name: value})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(name) in err and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("name, value", [("learning_rate", 0), ("steps", -1), ("beta", "high"), ("seed", True)])
+    def test_evaluate_ignores_training_fields(self, tmp_path, capsys, name, value):
+        # evaluate reads the pocket, the library, top_k and the molecule files only
+        cfg = write_cfg(tmp_path, "c.json", library_file="bundled:desk", **{name: value})
+        mols = tmp_path / "mols.jsonl"
+        mols.write_text(_molecule([0], []))
+        assert main(["evaluate", str(mols), "--config", str(cfg), "--out", str(tmp_path / "report.json")]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())
 
     @pytest.mark.parametrize("command", ["train", "sample"])
     def test_negative_seed_flag_exit_2(self, tmp_path, capsys, command):

@@ -16,6 +16,7 @@ from pocketgfn.ligand import (
     LibraryError,
     LigandState,
     Stop,
+    action_lattice,
     adjacency_matrix,
     apply_action,
     automorphism_count,
@@ -40,6 +41,7 @@ from pocketgfn.ligand import (
 )
 
 import oracle_reference
+import ligand_reference
 from ligand_reference import permute_state, reference_canonical
 
 TOY = toy_library()
@@ -132,6 +134,51 @@ class TestInitialAndLegal:
             assert stop_is_forced(s, library, max_nodes) == (legal_actions(s, library, max_nodes) == [STOP])
             frontier += [apply_action(s, a, library, max_nodes) for a in legal_actions(s, library, max_nodes)]
         assert seen > 4
+
+
+class TestActionLattice:
+    @staticmethod
+    def raw_states(lib, cap) -> list:
+        """Every non-terminal raw state up to ``cap`` fragments, walked with
+        the reference legal actions."""
+        found, frontier = [], [initial_state()]
+        while frontier:
+            s = frontier.pop()
+            found.append(s)
+            for a in ligand_reference.legal_actions(s, lib, cap):
+                child = apply_action(s, a, lib, cap)
+                if not child.terminal:
+                    frontier.append(child)
+        return found
+
+    @pytest.mark.parametrize("lib,top", [(TOY, 3), (DESK, 4)], ids=["toy", "desk"])
+    def test_legal_actions_equal_the_reference(self, lib, top):
+        # every raw state, at every cap from its own size up to ``top``
+        states = self.raw_states(lib, top)
+        assert len(states) == {3: 7, 4: 33093}[top]
+        for s in states:
+            for cap in range(max(s.n, 1), top + 1):
+                acts = legal_actions(s, lib, cap)
+                assert acts == ligand_reference.legal_actions(s, lib, cap), (s, cap)
+                assert stop_is_forced(s, lib, cap) == (acts == [STOP]), (s, cap)
+            assert legal_actions(LigandState(s.nodes, s.edges, terminal=True), lib, top) == []
+
+    def test_cached_on_fragment_ids_and_attachment_counts(self):
+        renamed = FragmentLibrary([Fragment(f.id, f.name + "2", f.aps, f.size + 1, 1.0 - f.polarity) for f in DESK])
+        assert action_lattice(renamed) is action_lattice(DESK)
+        first = DESK.ids[0]
+        more_aps = FragmentLibrary([Fragment(f.id, f.name, f.aps + (f.id == first), f.size, f.polarity) for f in DESK])
+        lattice = action_lattice(more_aps)
+        assert lattice is not action_lattice(DESK)
+        assert len(lattice.pairs) == len(action_lattice(DESK).pairs) + 1
+        s = grow([AddFragment(None, None, first, 0)], library=more_aps)
+        assert legal_actions(s, more_aps, 8) == ligand_reference.legal_actions(s, more_aps, 8)
+
+    def test_slot_rows_are_built_once(self):
+        lattice = action_lattice(DESK)
+        assert lattice.slot_rows(5, 1) is lattice.slot_rows(5, 1)
+        assert [(a.fragment_id, a.fragment_ap) for a in lattice.slot_rows(5, 1)] == [
+            (DESK.ids[k], f_ap) for k, f_ap in lattice.pairs]
 
 
 class TestApplyAction:

@@ -35,7 +35,8 @@ from pocketgfn.ligand import (
 import pocketgfn.nn as nn
 from pocketgfn.nn import ParamStore, load_checkpoint
 from pocketgfn.pocket import build_knn_graph, synthetic_pocket
-from pocketgfn.policy import PolicyConfig, PolicyNetwork
+import pocketgfn.policy as policy_module
+from pocketgfn.policy import PolicyConfig, PolicyNetwork, log_prob_at, sample_action
 from pocketgfn.selfcheck import small_policy
 import pocketgfn.training as training
 from pocketgfn.training import (
@@ -125,16 +126,22 @@ class TestSampleTrajectory:
                 s = apply_action(s, a, DESK, 4)
                 assert s == expected
             assert s.terminal
-            assert len(traj.log_pf) == len(traj.actions) == len(traj.states) - 1
-            assert all(lp.shape == (1, 1) and lp.data.item() <= 0.0 for lp in traj.log_pf)
+            assert len(traj.actions) == len(traj.states) - 1
+            # the drawn column holds one entry per action that had a pass
+            (again,), log_pf, owner = training.sample_trajectories(
+                policy, {"p0": ctx}, ["p0"], [np.random.default_rng(seed)], 4, DESK)
+            assert again.actions == traj.actions
+            drawn = sum(not stop_is_forced(s, DESK, 4) for s in traj.states[:-1])
+            assert log_pf.shape == (drawn, 1) and owner.tolist() == [0] * drawn
+            assert np.all(log_pf.data <= 0.0)
 
     def test_fixed_seed_reproduces(self):
         policy = make_policy()
         ctx = policy.pocket_context(one_pocket()["p0"])
-        t1 = sample_trajectory(policy, ctx, "p0", np.random.default_rng(42), 3, TOY)
-        t2 = sample_trajectory(policy, ctx, "p0", np.random.default_rng(42), 3, TOY)
-        assert t1.actions == t2.actions
-        assert [lp.data.item() for lp in t1.log_pf] == [lp.data.item() for lp in t2.log_pf]
+        t1, lp1, _ = training.sample_trajectories(policy, {"p0": ctx}, ["p0"], [np.random.default_rng(42)], 3, TOY)
+        t2, lp2, _ = training.sample_trajectories(policy, {"p0": ctx}, ["p0"], [np.random.default_rng(42)], 3, TOY)
+        assert t1[0].actions == t2[0].actions
+        assert lp1.data.tolist() == lp2.data.tolist()
 
 
 class TestBackwardLogProb:
@@ -305,7 +312,7 @@ class TestTrain:
     def test_one_policy_pass_per_action(self, monkeypatch):
         # the batch advances in lockstep: one policy pass per (depth, pocket),
         # none for a state whose only legal action is Stop, and the loss is
-        # built from the passes' own taped log-probabilities
+        # built from the column of the passes' own taped drawn rows
         passes = []
         rolled = []
         real_dist = PolicyNetwork.action_distribution
@@ -313,13 +320,14 @@ class TestTrain:
         real_materialize = training._materialize_params
 
         def counting_dist(self, states, ctx, max_nodes):
-            passes.append((states, ctx.dist_matrix.shape[0]))
-            return real_dist(self, states, ctx, max_nodes)
+            dist = real_dist(self, states, ctx, max_nodes)
+            passes.append((states, ctx.dist_matrix.shape[0], dist))
+            return dist
 
         def recording_rollout(*args, **kwargs):
-            trajs = real_rollout(*args, **kwargs)
-            rolled.append((trajs, ad.active_tape()))
-            return trajs
+            out = real_rollout(*args, **kwargs)
+            rolled.append((*out, ad.active_tape()))
+            return out
 
         def materialize(*args):
             real_materialize(*args)
@@ -331,27 +339,137 @@ class TestTrain:
         pockets = {**one_pocket(), "p1": build_knn_graph(synthetic_pocket(9, 4.0, 5), K=4)}
         cfg = small_config(1, seed=3, max_nodes=3, batch_size=8)
         train(cfg, DESK, pockets)
-        (trajs, tape), = rolled
+        (trajs, log_pf, owner, tape), = rolled
         assert len(trajs) == cfg.batch_size and tape is not None
         sizes = {pid: g.n for pid, g in pockets.items()}
         expected = {}
-        for traj in trajs:
+        ids = sorted(pockets)
+        for idx, traj in enumerate(trajs):
             for s in traj.states[:-1]:
                 if not stop_is_forced(s, DESK, cfg.max_nodes):
-                    expected.setdefault((s.n, sizes[traj.pocket_id]), []).append(s)
-        assert sorted((states[0].n, n_p) for states, n_p in passes) == sorted(expected)
-        for states, n_p in passes:
+                    expected.setdefault((s.n, sizes[ids[idx % len(ids)]]), []).append(s)
+        assert sorted((states[0].n, n_p) for states, n_p, _ in passes) == sorted(expected)
+        for states, n_p, _ in passes:
             assert sorted(states, key=repr) == sorted(expected[states[0].n, n_p], key=repr)
-        forced = 0
-        for traj in trajs:
-            assert len(traj.log_pf) == len(traj.actions)
-            for s, action, lp in zip(traj.states, traj.actions, traj.log_pf):
-                if stop_is_forced(s, DESK, cfg.max_nodes):
-                    forced += 1
-                    assert action is STOP and lp._tape is None and lp.data.tolist() == [[0.0]]
-                else:
-                    assert lp._tape is tape
-        assert forced > 0
+        # the column lists each pass's drawn rows in turn, owned by the
+        # trajectories whose states the pass scored; a forced Stop adds none
+        assert log_pf._tape is tape and log_pf.shape == (len(owner), 1)
+        start = 0
+        for states, _, dist in passes:
+            block = owner[start:start + len(states)]
+            assert [trajs[i].states[states[0].n] for i in block] == list(states)
+            for b, i in enumerate(block):
+                rows = dist.rows(b)
+                row = rows.start + dist.actions[rows].index(trajs[i].actions[states[0].n])
+                assert log_pf.data[start + b, 0] == dist.log_probs.data[0, row]
+            start += len(states)
+        assert start == len(owner)
+        forced = sum(stop_is_forced(s, DESK, cfg.max_nodes) for traj in trajs for s in traj.states[:-1])
+        assert forced > 0 and len(owner) + forced == sum(len(traj.actions) for traj in trajs)
+
+    def test_step_gathers_drawn_rows_once_per_pass(self, monkeypatch):
+        # the rollout takes each pass's drawn rows with one gather from its
+        # log-probabilities, and no per-action log_prob_at
+        passes, drawn_gathers, per_action = [], [], []
+        real_dist = PolicyNetwork.action_distribution
+        real_gather = ad.gather_rows
+        real_materialize = training._materialize_params
+
+        def counting_dist(self, states, ctx, max_nodes):
+            dist = real_dist(self, states, ctx, max_nodes)
+            passes.append(dist)
+            return dist
+
+        def counting_gather(x, indices):
+            if any(np.shares_memory(x.data, d.log_probs.data) for d in passes):
+                drawn_gathers.append(len(indices))
+            return real_gather(x, indices)
+
+        def materialize(*args):
+            real_materialize(*args)
+            passes.clear()
+
+        def counting_log_prob_at(*args):
+            per_action.append(1)
+            return real_log_prob_at(*args)
+
+        real_log_prob_at = policy_module.log_prob_at
+        for name, module in list(sys.modules.items()):
+            if name.startswith("pocketgfn") and getattr(module, "log_prob_at", None) is real_log_prob_at:
+                monkeypatch.setattr(module, "log_prob_at", counting_log_prob_at)
+        monkeypatch.setattr(training, "_materialize_params", materialize)
+        monkeypatch.setattr(PolicyNetwork, "action_distribution", counting_dist)
+        monkeypatch.setattr(ad, "gather_rows", counting_gather)
+        train(small_config(1, seed=0, max_nodes=8, batch_size=16), DESK, one_pocket())
+        assert per_action == []
+        assert drawn_gathers == [len(d.offsets) - 1 for d in passes]
+
+    @pytest.mark.parametrize("mode", ["baseline", "trioformer"])
+    def test_column_loss_equals_per_trajectory_formula(self, mode, monkeypatch):
+        # train()'s one column expression gives the loss and every parameter
+        # gradient of the per-trajectory formula: one log_prob_at per drawn
+        # action, a constant 0 per forced Stop, one (1, 1) loss per trajectory
+        cfg = small_config(1, seed=4, max_nodes=4, batch_size=8, mode=mode)
+        pockets = {**one_pocket(), "p1": build_knn_graph(synthetic_pocket(7, 3.0, 2), K=4)}
+        reward_fn = default_reward_fn(DESK)
+        seen = {}
+        real_backward, real_step = ad.backward, nn.Adam.step
+
+        def backward(loss):
+            seen["loss"] = loss.data.item()
+            real_backward(loss)
+
+        def step(self):
+            seen["grads"] = {name: None if p.grad is None else p.grad.copy() for name, p in self.store.items()}
+            real_step(self)
+
+        monkeypatch.setattr(ad, "backward", backward)
+        monkeypatch.setattr(nn.Adam, "step", step)
+        train(cfg, DESK, pockets, reward_fn=reward_fn, store=ParamStore(np.random.default_rng([cfg.seed, 7])))
+        monkeypatch.undo()
+
+        store = ParamStore(np.random.default_rng([cfg.seed, 7]))
+        policy = PolicyNetwork(store, DESK, cfg.policy)
+        ids = sorted(pockets)
+        training._materialize_params(policy, policy.pocket_context(pockets[ids[0]]), DESK, cfg.max_nodes)
+        drawn = [ids[idx % len(ids)] for idx in range(cfg.batch_size)]
+        rngs = [np.random.default_rng([cfg.seed, 0, idx]) for idx in range(cfg.batch_size)]
+        with Tape():
+            ctxs = {pid: policy.pocket_context(pockets[pid]) for pid in sorted(set(drawn))}
+            log_z = {pid: policy.log_z(c) for pid, c in ctxs.items()}
+            states = [[initial_state()] for _ in drawn]
+            log_pf = [[] for _ in drawn]
+            live = list(range(len(drawn)))
+            while live:
+                by_pocket = {}
+                for i in live:
+                    if stop_is_forced(states[i][-1], DESK, cfg.max_nodes):
+                        states[i].append(apply_action(states[i][-1], STOP, DESK, cfg.max_nodes))
+                        log_pf[i].append(tensor(np.zeros((1, 1))))
+                    else:
+                        by_pocket.setdefault(drawn[i], []).append(i)
+                for pid in sorted(by_pocket):
+                    members = by_pocket[pid]
+                    dist = policy.action_distribution([states[i][-1] for i in members], ctxs[pid], cfg.max_nodes)
+                    for b, i in enumerate(members):
+                        action, row = sample_action(dist, rngs[i], b)
+                        states[i].append(apply_action(states[i][-1], action, DESK, cfg.max_nodes))
+                        log_pf[i].append(log_prob_at(dist, row))
+                live = [i for i in live if not states[i][-1].terminal]
+            losses = []
+            for i, pid in enumerate(drawn):
+                log_reward = shaped_log_reward(reward_fn(pockets[pid], states[i][-1]), states[i][-1], cfg.beta)
+                log_pf_sum = ad.reshape(ad.sum_all(ad.concat(log_pf[i], axis=0)), (1, 1))
+                losses.append(tb_loss_tensor(log_z[pid], log_pf_sum, log_reward, trajectory_backward_log_prob(states[i])))
+            total = ad.scale(ad.sum_all(ad.concat(losses, axis=0)), 1.0 / len(losses))
+            real_backward(total)
+        assert any(lp.data.item() == 0.0 and lp._tape is None for lps in log_pf for lp in lps)  # a forced Stop
+        assert abs(seen["loss"] - total.data.item()) <= 1e-12
+        for name, p in store.items():
+            got = seen["grads"][name]
+            assert (got is None) == (p.grad is None), name
+            if got is not None:
+                np.testing.assert_allclose(got, p.grad, rtol=0, atol=1e-12, err_msg=name)
 
     def test_step_frees_its_tape(self, monkeypatch):
         # backward drops the tape's nodes, so a step's intermediates are freed
@@ -395,13 +513,11 @@ class TestTrain:
                 ctx = policy.pocket_context(pocket)
                 log_z = policy.log_z(ctx)
                 rngs = [np.random.default_rng([1, i]) for i in range(batch)]
-                trajs = training.sample_trajectories(policy, {"p0": ctx}, ["p0"] * batch, rngs, 4, DESK)
-                losses = [
-                    tb_loss_tensor(log_z, ad.reshape(ad.sum_all(ad.concat(t.log_pf, axis=0)), (1, 1)),
-                                   0.0, trajectory_backward_log_prob(t.states))
-                    for t in trajs
-                ]
-                loss = ad.sum_all(ad.concat(losses, axis=0))
+                trajs, log_pf, owner = training.sample_trajectories(policy, {"p0": ctx}, ["p0"] * batch, rngs, 4, DESK)
+                segments = tensor(np.arange(batch)[:, None] == owner)
+                log_pb = np.array([trajectory_backward_log_prob(t.states) for t in trajs])
+                losses = tb_loss_tensor(ad.gather_rows(log_z, [0] * batch), ad.matmul(segments, log_pf), 0.0, log_pb)
+                loss = ad.sum_all(losses)
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             ad.backward(loss)
