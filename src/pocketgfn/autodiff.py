@@ -142,8 +142,9 @@ def backward(loss: DiffTensor) -> None:
     it, once its rule has run or been skipped because its output got no
     gradient: its slot is cleared and its inputs, shape and rule are dropped,
     so the arrays its rule saved are freed as soon as nothing later in the
-    walk needs them.  Nodes are hollowed in place, so a list of them that a
-    caller captured keeps its length.
+    walk needs them.  Nodes are hollowed in place and stay in ``tape.nodes``
+    until the tape is dropped, so the tape and a list of them that a caller
+    captured keep their length.
     Re-running backward on a tape that was already consumed is an error;
     rebuild the forward pass.  A gradient whose shape differs from its
     tensor's raises ``TapeError``.
@@ -181,8 +182,6 @@ def backward(loss: DiffTensor) -> None:
                     inp.grad = gi if inp.grad is None else inp.grad + gi
         # release the node, so what only it kept alive is freed now
         node.inputs = node.shape = node.vjp = None
-    # rebind rather than clear: a caller may still hold the recorded list
-    tape.nodes = []
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -234,7 +234,7 @@ def _check_attachment_counts(library: FragmentLibrary, trained, checkpoint_path:
         raise ConfigError(f"fragment library does not match the checkpoint: {problem}")
 
 
-def _rebuild_policy(checkpoint_path: str, library: FragmentLibrary, mode_flag: str | None,
+def _rebuild_policy(checkpoint_path: str, library: FragmentLibrary, mode: str | None,
                     pockets: dict[str, PocketGraph]):
     state, meta = load_checkpoint(checkpoint_path)
     for key in ("max_nodes", "attachment_counts", "policy"):
@@ -249,8 +249,8 @@ def _rebuild_policy(checkpoint_path: str, library: FragmentLibrary, mode_flag: s
         policy_cfg = PolicyConfig(**policy_meta)
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"checkpoint {checkpoint_path} meta field 'policy': {e}") from None
-    if mode_flag is not None and mode_flag != meta.get("mode"):
-        raise ConfigError(f"--mode {mode_flag!r} disagrees with checkpoint mode {meta.get('mode')!r}")
+    if mode is not None and mode != meta.get("mode"):
+        raise ConfigError(f"mode {mode!r} disagrees with checkpoint mode {meta.get('mode')!r}")
     _check_attachment_counts(library, meta["attachment_counts"], checkpoint_path)
     store = ParamStore(np.random.default_rng(0))
     policy = PolicyNetwork(store, library, policy_cfg)
@@ -273,7 +273,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
     check_writable(out_path)
     library = load_library(cfg.library_path())
     pockets = _load_pockets(cfg)
-    policy, meta = _rebuild_policy(checkpoint_path, library, args.mode, pockets)
+    # a mode named by --mode or the (loaded, so valid) config file must be the checkpoint's; naming none samples either kind
+    named = args.mode is not None or (args.config is not None and "mode" in json.loads(read_text(args.config)))
+    policy, meta = _rebuild_policy(checkpoint_path, library, cfg.mode if named else None, pockets)
     max_nodes = meta["max_nodes"]
     pid, graph = next(iter(pockets.items()))
     ctx = policy.pocket_context(graph)

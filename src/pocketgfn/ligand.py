@@ -218,19 +218,24 @@ def action_lattice(library: FragmentLibrary) -> ActionLattice:
     return _lattice(library.attachment_counts)
 
 
-def legal_actions(s: LigandState, library: FragmentLibrary, max_nodes: int) -> list[LigandAction]:
-    """Stop first (iff nonempty), then the lattice rows of each open slot in
-    turn, so AddFragment rows come in (node, ap, fragment, ap) order. The
-    empty state offers the lattice's root rows, one per fragment."""
+def slot_actions(s: LigandState, slots: list[tuple[int, int]], library: FragmentLibrary) -> list[LigandAction]:
+    """The legal actions of ``s`` from its open ``slots``: Stop first (iff
+    nonempty), then the lattice rows of each slot in turn, (node, ap, fragment,
+    ap) order. The empty state offers the root rows; a terminal state none."""
     if s.terminal:
         return []
     lattice = action_lattice(library)
     if s.n == 0:
         return list(lattice.root)
     actions: list[LigandAction] = [STOP]
-    for node, ap in open_slots(s, library, max_nodes):
+    for node, ap in slots:
         actions += lattice.slot_rows(node, ap)
     return actions
+
+
+def legal_actions(s: LigandState, library: FragmentLibrary, max_nodes: int) -> list[LigandAction]:
+    """The legal actions of ``s``, in the order of :func:`slot_actions`."""
+    return slot_actions(s, open_slots(s, library, max_nodes), library)
 
 
 def stop_is_forced(s: LigandState, library: FragmentLibrary, max_nodes: int) -> bool:

@@ -14,7 +14,7 @@ import numpy as np
 from .autodiff import DiffTensor, DimensionError, add, layer_norm_rows, matmul, mul, relu, tensor
 from .files import read_text, writing
 
-CHECKPOINT_FORMAT_VERSION = 4
+CHECKPOINT_FORMAT_VERSION = 5
 # Parameter data is stored as the base64 text of these bytes, in C order.
 CHECKPOINT_DTYPE = "<f8"
 

@@ -202,6 +202,7 @@ def encode_pocket(graph: PocketGraph, params: ParamStore, L_layers: int, c_pocke
     The vector track carries chain directions and stays equivariant; it feeds
     the scalar track only through norms and dots with edge directions, so
     node_embeddings are invariant under rigid motion of the input coordinates.
+    Nothing reads the vector track after the last layer's scalar update.
     """
     n = graph.n
     k = graph.neighbor_idx.shape[1]
@@ -237,6 +238,8 @@ def encode_pocket(graph: PocketGraph, params: ParamStore, L_layers: int, c_pocke
         msg = mlp_apply(msg_in, mlp_params(params, f"{name}.msg", [msg_in_dim, c_pocket, c_pocket]))
         agg = ad.einsum2("nkc,k->nc", ad.reshape(msg, (n, k, c_pocket)), mean_k)
         s = layer_norm_affine(params, f"{name}.ln", ad.add(s, agg), c_pocket)
+        if layer == L_layers - 1:
+            break
 
         # equivariant vector update: gated edge directions + channel remixing
         gate = ad.matmul(msg, params.param(f"{name}.gate.w", (c_pocket, nV)))

@@ -28,11 +28,11 @@ from .ligand import (
     LigandState,
     action_lattice,
     adjacency_matrix,
-    legal_actions,
     open_slots,
+    slot_actions,
 )
 from .pocket import PocketContext, PocketGraph, encode_pocket
-from .trioformer import batch_copies, pool_graph_embedding, project_heads, trioformer_stack
+from .trioformer import pool_graph_embedding, project_heads, trioformer_stack
 
 BASELINE = "baseline"
 TRIOFORMER = "trioformer"
@@ -141,7 +141,7 @@ class PolicyNetwork:
         b, n = len(states), states[0].n
         if n == 0:
             start = self.store.param("start_token", (1, cfg.width), fan_in=cfg.width)
-            x = ad.reshape(batch_copies(start, b), (b, cfg.width))
+            x = ad.gather_rows(start, np.zeros(b, dtype=np.intp))
             return x, np.zeros((b, 1, 1, 2 * self.library.max_aps)), np.zeros((b, 1, 1))
         feats = [featurize(s, self.library) for s in states]
         nodes_np = np.concatenate([f[0] for f in feats])
@@ -188,13 +188,13 @@ class PolicyNetwork:
         if cfg.mode == BASELINE:
             virt = ad.matmul(ctx.pooled, self.store.param("virt.w", (cfg.pocket_width, cfg.width)))
             virt = ad.add(virt, self.store.param("virt.b", (cfg.width,), fan_in=cfg.pocket_width))
-            # the virtual node is row n of each graph
-            x = ad.concat([ad.reshape(x, (b, n, cfg.width)), batch_copies(virt, b)], axis=1)
+            # the virtual node, the last of the b * n + 1 rows, becomes row n of each graph
+            x = ad.gather_rows(ad.concat([x, virt], axis=0), np.insert(np.arange(b * n), np.arange(1, b + 1) * n, b * n))
             att_mask = np.ones((b, n + 1, n + 1), dtype=bool)
             att_mask[:, :n, :n] = adj.astype(bool) | self_loops
             edges_aug = np.zeros((b, n + 1, n + 1, edges_np.shape[-1]))
             edges_aug[:, :n, :n] = edges_np
-            h = self._self_attention_layers(ad.reshape(x, (b * (n + 1), cfg.width)), edges_aug, att_mask)
+            h = self._self_attention_layers(x, edges_aug, att_mask)
             rows = np.arange(b * (n + 1)).reshape(b, n + 1)
             real = ad.gather_rows(h, rows[:, :n].reshape(-1))
             pooled = pool_graph_embedding(ad.reshape(real, (b, n, cfg.width)))
@@ -266,7 +266,8 @@ class PolicyNetwork:
         n = states[0].n
         if any(s.n != n for s in states):
             raise ValueError(f"states in one pass must have the same node count, got {sorted({s.n for s in states})}")
-        legal = [legal_actions(s, self.library, max_nodes) for s in states]
+        slots = [open_slots(s, self.library, max_nodes) for s in states]
+        legal = [slot_actions(s, state_slots, self.library) for s, state_slots in zip(states, slots)]
         if not all(legal):
             raise ValueError("no legal actions (terminal state)")
         cfg = self.config
@@ -274,8 +275,7 @@ class PolicyNetwork:
         node_h, graph_emb = self._ligand_track(states, ctx)
         graph_width = 2 * cfg.width if cfg.mode == BASELINE else cfg.width
         stop_logits = mlp_apply(graph_emb, mlp_params(self.store, "stop_head", [graph_width, cfg.width, 1]))
-        slots = [open_slots(s, self.library, max_nodes) if n else [(0, -1)] for s in states]
-        add_logits = self._add_logits(node_h, slots, n)
+        add_logits = self._add_logits(node_h, slots if n else [[(0, -1)]] * b, n)
 
         # Row r of the logit column is Stop of state r for r < b, then the add
         # rows; state i's (B, m) row gathers its Stop (if n > 0) and add rows.

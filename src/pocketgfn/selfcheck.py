@@ -174,8 +174,9 @@ def rigid_motion_drift(n_motions: int) -> float:
 
 def bias_ablation_deviation() -> float:
     """Max absolute deviation of the triangle updates (both axes) and the
-    cross attention on the two-ligand batch from their plain-attention
-    references, entry by entry, once the learned bias projections are zeroed."""
+    cross attention (both directions) on the two-ligand batch from their
+    plain-attention references, entry by entry, once the learned distance
+    bias projections are zeroed and the pair bias is zero."""
     rng = np.random.default_rng(7)
     d = np.abs(rng.normal(size=(4, 4)))  # a 4-residue pocket, so the two pair axes differ in length
     feats = {"pocket": rbf_basis((d + d.T) / 2)[None], "ligand": adjacency_onehot(TWO_LIGAND_ADJACENCY)}
@@ -193,17 +194,14 @@ def bias_ablation_deviation() -> float:
     store = ParamStore(np.random.default_rng(9))
     h_p = tensor(rng.normal(size=(2, 4, 8)))
     h_l = tensor(rng.normal(size=(2, 3, 8)))
-    pair = tensor(rng.normal(size=(2, 4, 3, 8)))
-    with Tape():
-        biased_cross_attention(h_p, h_l, pair, store, "x", n_heads=2, head_dim=4)
-    store["x.bias.w"].data[:] = 0.0
-    with Tape():
-        new_p, new_l = biased_cross_attention(h_p, h_l, pair, store, "x", n_heads=2, head_dim=4)
-    w_l = [store[f"x.lig.{k}.w"].data for k in "qkvo"]
-    w_p = [store[f"x.poc.{k}.w"].data for k in "qkvo"]
-    for b in range(2):
-        deviations.append(np.max(np.abs(new_l.data[b] - reference_cross_attention(h_l.data[b], h_p.data[b], *w_l, 2, 4))))
-        deviations.append(np.max(np.abs(new_p.data[b] - reference_cross_attention(h_p.data[b], h_l.data[b], *w_p, 2, 4))))
+    # both directions with a zero pair bias: ligand over pocket, pocket over ligand
+    for prefix, h_q, h_kv in (("x.lig", h_l, h_p), ("x.poc", h_p, h_l)):
+        zero_bias = tensor(np.zeros((2, 2, h_q.shape[1], h_kv.shape[1])))
+        with Tape():
+            out = biased_cross_attention(h_q, h_kv, zero_bias, store, prefix, n_heads=2, head_dim=4)
+        w = [store[f"{prefix}.{k}.w"].data for k in "qkvo"]
+        for b in range(2):
+            deviations.append(np.max(np.abs(out.data[b] - reference_cross_attention(h_q.data[b], h_kv.data[b], *w, 2, 4))))
     return float(np.max(deviations))
 
 

@@ -1,16 +1,17 @@
 """Pocket-ligand pair embeddings with distance-biased triangle attention.
 
 Every block takes one layout, batched: the pair tensor is
-(B, n_pocket, n_ligand, c_pair), the node tracks are (B, n, c) and distance
-features are (1 or B, n, n, f), so one pass conditions a batch of B ligands
-with the same node count on one pocket (a single ligand is the batch of one).
-One fold of the update attends along the pocket axis with real-distance
-biases, the other along the ligand axis with adjacency biases; a
-position-wise transition and biased cross-attention back into the node
-tracks complete a layer. Every attention is one ``autodiff.attention`` node
-over the last two axes, so each block permutes the attended axis last. All
-blocks are pre-norm residuals built on the tape engine, so the whole stack
-is differentiable and checkpointable.
+(B, n_pocket, n_ligand, c_pair), the node tracks are (1 or B, n, c) and
+distance features are (1 or B, n, n, f), so one pass conditions a batch of B
+ligands with the same node count on one pocket (a single ligand is the batch
+of one); a batch size of 1 is shared by the batch and broadcasts. One fold
+of the update attends along the pocket axis with real-distance biases, the
+other along the ligand axis with adjacency biases; a position-wise
+transition and biased cross-attention back into the node tracks complete a
+layer. Every attention is one ``autodiff.attention`` node over the last two
+axes, so each block permutes the attended axis last. All blocks are pre-norm
+residuals built on the tape engine, so the whole stack is differentiable and
+checkpointable.
 """
 
 from __future__ import annotations
@@ -39,23 +40,18 @@ def adjacency_onehot(adj: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - adj, adj], axis=-1)
 
 
-def batch_copies(x: DiffTensor, b: int) -> DiffTensor:
-    """(n, c) -> (b, n, c): one copy of a shared track per batch entry."""
-    n, c = x.shape
-    return ad.reshape(ad.gather_rows(ad.reshape(x, (1, n * c)), np.zeros(b, dtype=np.intp)), (b, n, c))
-
-
 def init_pair_embeddings(h_pocket: DiffTensor, h_ligand: DiffTensor, store: ParamStore, prefix: str, c_pair: int) -> DiffTensor:
-    """Outer sum of per-track linear projections: tracks (B, n_P, c_P) and
-    (B, n_L, c_L) -> pair (B, n_P, n_L, c_pair)."""
-    b, n_p, c_p = h_pocket.shape
-    n_l, c_l = h_ligand.shape[1:]
+    """Outer sum of per-track linear projections: tracks (1 or B, n_P, c_P)
+    and (1 or B, n_L, c_L) -> pair (B, n_P, n_L, c_pair). Each track is
+    projected at its own batch size, so a shared track is projected once."""
+    b_p, n_p, c_p = h_pocket.shape
+    b_l, n_l, c_l = h_ligand.shape
     if n_p == 0 or n_l == 0:
         raise DimensionError("pair embeddings need at least one node on each side")
-    proj_p = ad.matmul(ad.reshape(h_pocket, (b * n_p, c_p)), store.param(f"{prefix}.pair_p.w", (c_p, c_pair)))
+    proj_p = ad.matmul(ad.reshape(h_pocket, (b_p * n_p, c_p)), store.param(f"{prefix}.pair_p.w", (c_p, c_pair)))
     proj_p = ad.add(proj_p, store.param(f"{prefix}.pair_p.b", (c_pair,), fan_in=c_p))
-    proj_l = ad.matmul(ad.reshape(h_ligand, (b * n_l, c_l)), store.param(f"{prefix}.pair_l.w", (c_l, c_pair)))
-    return ad.add(ad.reshape(proj_p, (b, n_p, 1, c_pair)), ad.reshape(proj_l, (b, 1, n_l, c_pair)))
+    proj_l = ad.matmul(ad.reshape(h_ligand, (b_l * n_l, c_l)), store.param(f"{prefix}.pair_l.w", (c_l, c_pair)))
+    return ad.add(ad.reshape(proj_p, (b_p, n_p, 1, c_pair)), ad.reshape(proj_l, (b_l, 1, n_l, c_pair)))
 
 
 def project_heads(store, prefix, x_flat: DiffTensor, c_in: int, n_heads: int, head_dim: int, shape):
@@ -126,45 +122,31 @@ def pair_transition(pair: DiffTensor, store: ParamStore, prefix: str) -> DiffTen
 
 
 def biased_cross_attention(
-    h_pocket: DiffTensor,
-    h_ligand: DiffTensor,
-    pair: DiffTensor,
+    h_q: DiffTensor,
+    h_kv: DiffTensor,
+    bias: DiffTensor,
     store: ParamStore,
     prefix: str,
     n_heads: int,
     head_dim: int,
-) -> tuple[DiffTensor, DiffTensor]:
-    """Each track attends over the other, logits biased by a scalar head
-    projection of the pair embedding; residual on both tracks.
-
-    Tracks are (B, n_P, c_P) and (B, n_L, c_L) with pair (B, n_P, n_L, c_pair);
-    returns the new (pocket, ligand) tracks. Each track's attention is one
-    fused node over heads-first q, k and v, (B, heads, n, c), with the pair
-    bias permuted to (B, heads, n_q, n_kv)."""
-    b, n_p, c_p = h_pocket.shape
-    n_l, c_l = h_ligand.shape[1:]
-    pair_flat = ad.reshape(pair, (b * n_p * n_l, pair.shape[3]))
-    bias = ad.reshape(ad.matmul(pair_flat, store.param(f"{prefix}.bias.w", (pair.shape[3], n_heads))), (b, n_p, n_l, n_heads))
-
-    def one_track(h_q, h_kv, bias_qk, tag, c_q, c_kv):
-        n_q = h_q.shape[1]
-        n_kv = h_kv.shape[1]
-        nq = layer_norm_affine(store, f"{prefix}.{tag}.ln_q", ad.reshape(h_q, (b * n_q, c_q)), c_q)
-        nkv = layer_norm_affine(store, f"{prefix}.{tag}.ln_kv", ad.reshape(h_kv, (b * n_kv, c_kv)), c_kv)
-        q = project_heads(store, f"{prefix}.{tag}.q", nq, c_q, n_heads, head_dim, (b, n_q))
-        k = project_heads(store, f"{prefix}.{tag}.k", nkv, c_kv, n_heads, head_dim, (b, n_kv))
-        v = project_heads(store, f"{prefix}.{tag}.v", nkv, c_kv, n_heads, head_dim, (b, n_kv))
-        att = ad.attention(*(ad.permute(x, (0, 2, 1, 3)) for x in (q, k, v)), bias_qk, 1.0 / np.sqrt(head_dim))
-        gathered = ad.reshape(ad.permute(att, (0, 2, 1, 3)), (b * n_q, n_heads * head_dim))
-        out = ad.matmul(gathered, store.param(f"{prefix}.{tag}.o.w", (n_heads * head_dim, c_q)))
-        return ad.add(h_q, ad.reshape(out, (b, n_q, c_q)))
-
-    # ligand queries see pocket keys with bias[pocket k, ligand q, head]
-    bias_l = ad.permute(bias, (0, 3, 2, 1))  # (B, heads, n_l, n_p)
-    new_ligand = one_track(h_ligand, h_pocket, bias_l, "lig", c_l, c_p)
-    bias_p = ad.permute(bias, (0, 3, 1, 2))  # (B, heads, n_p, n_l)
-    new_pocket = one_track(h_pocket, h_ligand, bias_p, "poc", c_p, c_l)
-    return new_pocket, new_ligand
+) -> DiffTensor:
+    """Track ``h_q`` (1 or B, n_q, c_q) attends over ``h_kv`` (1 or B, n_kv,
+    c_kv), logits biased by ``bias`` (B, heads, n_q, n_kv); returns the
+    pre-norm residual update of the query track, (B, n_q, c_q). Each track
+    is projected at its own batch size; the attention is one fused node over
+    heads-first q, k and v."""
+    b_q, n_q, c_q = h_q.shape
+    b_kv, n_kv, c_kv = h_kv.shape
+    nq = layer_norm_affine(store, f"{prefix}.ln_q", ad.reshape(h_q, (b_q * n_q, c_q)), c_q)
+    nkv = layer_norm_affine(store, f"{prefix}.ln_kv", ad.reshape(h_kv, (b_kv * n_kv, c_kv)), c_kv)
+    q = project_heads(store, f"{prefix}.q", nq, c_q, n_heads, head_dim, (b_q, n_q))
+    k = project_heads(store, f"{prefix}.k", nkv, c_kv, n_heads, head_dim, (b_kv, n_kv))
+    v = project_heads(store, f"{prefix}.v", nkv, c_kv, n_heads, head_dim, (b_kv, n_kv))
+    att = ad.attention(*(ad.permute(x, (0, 2, 1, 3)) for x in (q, k, v)), bias, 1.0 / np.sqrt(head_dim))
+    b = att.shape[0]
+    gathered = ad.reshape(ad.permute(att, (0, 2, 1, 3)), (b * n_q, n_heads * head_dim))
+    out = ad.matmul(gathered, store.param(f"{prefix}.o.w", (n_heads * head_dim, c_q)))
+    return ad.add(h_q, ad.reshape(out, (b, n_q, c_q)))
 
 
 def trioformer_stack(
@@ -182,19 +164,20 @@ def trioformer_stack(
     """Full conditioning stack; returns the refined ligand node track.
 
     Layer order: pocket-axis triangle update, ligand-axis triangle update,
-    pair transition, biased cross-attention into both node tracks. Layers
-    after the first fold the refreshed tracks back into the pair tensor by an
-    additive re-projection.
+    pair transition, cross-attention into the node tracks, both directions
+    biased by one per-head projection of the pair. Layers after the first
+    fold the refreshed tracks back into the pair tensor by an additive
+    re-projection. The pocket track is updated only where a later layer
+    reads it, so not by the last layer.
 
     A batch of B ligands against one pocket: ``h_ligand`` is (B, n_L, c)
     and ``ligand_adjacency`` (B, n_L, n_L); the pocket track (n_P, c_P) and
-    ``pocket_dist`` (n_P, n_P) are shared, the pocket track is copied once
-    per batch entry, and the pair tensor is (B, n_P, n_L, c_pair). Returns
-    the (B, n_L, c) ligand track.
+    ``pocket_dist`` (n_P, n_P) are shared, and the pocket track broadcasts
+    as (1, n_P, c_P) until its first update. Returns the (B, n_L, c) track.
     """
     if n_layers == 0:
         return h_ligand
-    h_pocket = batch_copies(h_pocket, h_ligand.shape[0])
+    h_pocket = ad.reshape(h_pocket, (1, *h_pocket.shape))
     d_feats = rbf_basis(pocket_dist)[None]
     adj_feats = adjacency_onehot(ligand_adjacency)
     pair = init_pair_embeddings(h_pocket, h_ligand, store, f"{prefix}.init0", c_pair)
@@ -205,7 +188,15 @@ def trioformer_stack(
         pair = triangle_update(pair, d_feats, "pocket", store, f"{name}.tri_p", n_heads, head_dim)
         pair = triangle_update(pair, adj_feats, "ligand", store, f"{name}.tri_l", n_heads, head_dim)
         pair = pair_transition(pair, store, f"{name}.trans")
-        h_pocket, h_ligand = biased_cross_attention(h_pocket, h_ligand, pair, store, f"{name}.cross", n_heads, head_dim)
+        b, n_p, n_l, c = pair.shape
+        bias = ad.matmul(ad.reshape(pair, (b * n_p * n_l, c)), store.param(f"{name}.cross.bias.w", (c, n_heads)))
+        bias = ad.reshape(bias, (b, n_p, n_l, n_heads))  # [pocket node, ligand node, head]
+        h_prev = h_ligand
+        h_ligand = biased_cross_attention(
+            h_prev, h_pocket, ad.permute(bias, (0, 3, 2, 1)), store, f"{name}.cross.lig", n_heads, head_dim)
+        if layer + 1 < n_layers:
+            h_pocket = biased_cross_attention(
+                h_pocket, h_prev, ad.permute(bias, (0, 3, 1, 2)), store, f"{name}.cross.poc", n_heads, head_dim)
     return h_ligand
 
 

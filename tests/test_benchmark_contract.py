@@ -67,6 +67,10 @@ def test_tracer_installs_and_traces_a_step():
     assert report["trioformer.stack_nodes"] > 0
     # backward time comes from timing each tape node's rule in place
     assert report["autodiff.backward_s"] > 0 and report["trioformer.stack_bwd_s"] > 0
+    # a span's nodes and backward time are differences of tape sizes read at
+    # its ends, so none is negative, the backward span's own included
+    negative = {name: row for name, row in report["_layers"].items() if row["nodes"] < 0 or row["bwd"] < 0}
+    assert "autodiff.backward" in report["_layers"] and not negative, negative
     # restore put every original back
     for fn in (autodiff.add, training.shaped_log_reward, PolicyNetwork.action_distribution):
         assert not hasattr(fn, "__wrapped__"), fn

@@ -347,6 +347,25 @@ class TestSampleCommand:
         assert main(["sample", "--config", str(cfg_path), "--mode", "trioformer"]) == 2
         assert "mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trained, asked", [("baseline", "trioformer"), ("trioformer", "baseline")])
+    def test_config_mode_disagreeing_with_checkpoint_exit_2(self, tmp_path, capsys, trained, asked):
+        # the config file's mode is checked as --mode is, and both are named
+        assert main(["train", "--config", str(write_cfg(tmp_path, "train.json", mode=trained))]) == 0
+        capsys.readouterr()
+        cfg = write_cfg(tmp_path, "c.json", mode=asked)
+        assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "mols.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(asked) in err and repr(trained) in err, err
+        assert not (tmp_path / "mols.jsonl").exists()
+
+    @pytest.mark.parametrize("trained", ["baseline", "trioformer"])
+    def test_config_without_mode_samples_either_kind(self, tmp_path, trained):
+        assert main(["train", "--config", str(write_cfg(tmp_path, "train.json", mode=trained))]) == 0
+        for name, mode in (("unnamed.json", {}), ("named.json", {"mode": trained})):
+            out = tmp_path / f"{name}.mols.jsonl"
+            assert main(["sample", "--config", str(write_cfg(tmp_path, name, **mode)), "--out", str(out)]) == 0
+            assert len(out.read_text().splitlines()) == 3
+
     def test_missing_checkpoint_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", checkpoint=str(tmp_path / "absent.json"))
         assert main(["sample", "--config", str(cfg)]) == 2
@@ -543,6 +562,18 @@ def _as_version_3(doc):
     _resign(doc)
 
 
+def _as_version_4(doc):
+    """The checkpoint as format 4 wrote it: the same layout, plus the weights
+    of the last layers' track updates that nothing reads (a baseline
+    checkpoint: the last pocket-encoder layer's vector update)."""
+    doc["__format_version__"] = 4
+    policy = doc["__meta__"]["policy"]
+    name = f"pocket.layer{policy['pocket_layers'] - 1}"
+    for suffix, shape in (("gate.w", (policy["pocket_width"], 2)), ("vmix.w", (2, 2))):
+        doc[f"{name}.{suffix}"] = {"shape": list(shape), "data": _base64(np.zeros(shape).tobytes())}
+    _resign(doc)
+
+
 # (kind, payload, *texts the error line names): a library or pocket file's
 # text, which `train` loads, or an edit of the trained checkpoint's meta, of
 # one parameter entry or of the whole document, which `sample` loads;
@@ -569,9 +600,10 @@ MALFORMED_INPUTS = {
     "param-data-not-base64": ("param", lambda entry: {**entry, "data": entry["data"][:-4] + "*!*="}, "not base64"),
     "param-data-bytes-not-whole-floats": (
         "param", lambda entry: {**entry, "data": _base64(base64.b64decode(entry["data"])[:-3])}, "bytes"),
-    "format-version-1": ("document", _as_version_1, "version 1", "expected 4"),
-    "format-version-2": ("document", _as_version_2, "checkpoint format version 2 is not supported (expected 4)"),
-    "format-version-3": ("document", _as_version_3, "checkpoint format version 3 is not supported (expected 4)"),
+    "format-version-1": ("document", _as_version_1, "version 1", "expected 5"),
+    "format-version-2": ("document", _as_version_2, "checkpoint format version 2 is not supported (expected 5)"),
+    "format-version-3": ("document", _as_version_3, "checkpoint format version 3 is not supported (expected 5)"),
+    "format-version-4": ("document", _as_version_4, "checkpoint format version 4 is not supported (expected 5)"),
 }
 
 

@@ -161,7 +161,7 @@ class TestCheckpoints:
         path = tmp_path / "ck.json"
         save_checkpoint(str(path), store, meta={"mode": "demo"})
         doc = json.loads(path.read_text())
-        assert doc["__format_version__"] == 4
+        assert doc["__format_version__"] == 5
         for name, arr in values.items():
             assert doc[name]["shape"] == list(arr.shape)
             assert decode_data(doc[name]).tobytes() == arr.tobytes(), name

@@ -229,7 +229,8 @@ class TestActionDistribution:
     @pytest.mark.parametrize("mode", ["baseline", "trioformer"])
     def test_one_fused_node_per_attention_site(self, mode, monkeypatch):
         # sites: one per graph-transformer layer, and per trioformer layer the
-        # two triangle folds and the two cross-attention tracks
+        # two triangle folds and the two cross-attention tracks, but for the
+        # pocket track of the last layer, which nothing reads
         fused = ad.attention
         calls = []
         monkeypatch.setattr(ad, "attention", lambda *args, **kw: calls.append(1) or fused(*args, **kw))
@@ -243,7 +244,7 @@ class TestActionDistribution:
         with Tape():
             policy.action_distribution([s, s], pocket_ctx(policy), max_nodes=8)
         cfg = policy.config
-        assert len(calls) == cfg.n_layers + (4 * cfg.trio_layers if mode == "trioformer" else 0)
+        assert len(calls) == cfg.n_layers + (4 * cfg.trio_layers - 1 if mode == "trioformer" else 0)
 
     @pytest.mark.parametrize("mode", ["baseline", "trioformer"])
     def test_batch_padding_isolated_from_gradient(self, mode):

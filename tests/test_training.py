@@ -276,6 +276,25 @@ class TestTrain:
             np.testing.assert_array_equal(state[name], arr)
         assert meta["steps_trained"] == 0
 
+    @pytest.mark.parametrize("mode", ["baseline", "trioformer"])
+    @pytest.mark.parametrize("size", ["default", "small"])
+    def test_one_step_reaches_every_parameter(self, monkeypatch, mode, size):
+        # every parameter the store holds, and so every checkpointed tensor,
+        # gets a nonzero gradient from one step: none is created but unread
+        reached = {}
+        real_step = nn.Adam.step
+
+        def step(self):
+            reached.update({name: p.grad is not None and bool(np.any(p.grad)) for name, p in self.store.items()})
+            real_step(self)
+
+        monkeypatch.setattr(nn.Adam, "step", step)
+        policy = PolicyConfig(mode=mode) if size == "default" else small_policy(mode)
+        pocket = {"p0": build_knn_graph(synthetic_pocket(8, 3.0, 3), K=4)}
+        result = train(TrainerConfig(steps=1, batch_size=4, max_nodes=4, seed=2, mode=mode, policy=policy), DESK, pocket)
+        assert set(reached) == set(result.store.names())
+        assert [name for name, ok in reached.items() if not ok] == []
+
     def test_training_changes_parameters(self, tmp_path):
         cfg = small_config(2, seed=9, max_nodes=2)
         r0 = train(small_config(0, seed=9, max_nodes=2), TOY, one_pocket())

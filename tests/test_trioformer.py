@@ -192,45 +192,60 @@ class TestPairTransition:
 
 class TestCrossAttention:
     def test_zero_bias_matches_reference(self):
+        # both directions: ligand queries over pocket keys, and the reverse
         store = store_with_seed(13)
         h_p = tensor(RNG.normal(size=(B, 3, 8)))
         h_l = tensor(RNG.normal(size=(B, 2, 8)))
-        pair = rand_pair(3, 2)
-        with Tape():
-            biased_cross_attention(h_p, h_l, pair, store, "x", n_heads=H, head_dim=C)
-        store["x.bias.w"].data[:] = 0.0
-        with Tape():
-            new_p, new_l = biased_cross_attention(h_p, h_l, pair, store, "x", n_heads=H, head_dim=C)
-        w_l = [store[f"x.lig.{k}.w"].data for k in "qkvo"]
-        w_p = [store[f"x.poc.{k}.w"].data for k in "qkvo"]
-        for b in range(B):
-            np.testing.assert_allclose(new_l.data[b], reference_cross_attention(h_l.data[b], h_p.data[b], *w_l, H, C), atol=1e-10)
-            np.testing.assert_allclose(new_p.data[b], reference_cross_attention(h_p.data[b], h_l.data[b], *w_p, H, C), atol=1e-10)
+        for prefix, h_q, h_kv in (("x.lig", h_l, h_p), ("x.poc", h_p, h_l)):
+            zero_bias = tensor(np.zeros((B, H, h_q.shape[1], h_kv.shape[1])))
+            with Tape():
+                out = biased_cross_attention(h_q, h_kv, zero_bias, store, prefix, n_heads=H, head_dim=C)
+            w = [store[f"{prefix}.{k}.w"].data for k in "qkvo"]
+            for b in range(B):
+                np.testing.assert_allclose(out.data[b], reference_cross_attention(h_q.data[b], h_kv.data[b], *w, H, C), atol=1e-10)
 
     def test_single_pocket_node_full_weight(self):
         store = store_with_seed(17)
         h_p = tensor(RNG.normal(size=(B, 1, 8)))
         h_l = tensor(RNG.normal(size=(B, 3, 8)))
-        pair = rand_pair(1, 3)
+        bias = tensor(RNG.normal(size=(B, H, 3, 1)))
         with Tape():
-            _, new_l = biased_cross_attention(h_p, h_l, pair, store, "x", n_heads=H, head_dim=C)
-        # each ligand node takes the whole value of its entry's one pocket node
-        out = (ln(h_p.data) @ store["x.lig.v.w"].data) @ store["x.lig.o.w"].data
+            new_l = biased_cross_attention(h_l, h_p, bias, store, "x", n_heads=H, head_dim=C)
+        # each ligand node takes the whole value of its entry's one pocket node, whatever the bias
+        out = (ln(h_p.data) @ store["x.v.w"].data) @ store["x.o.w"].data
         np.testing.assert_allclose(new_l.data, h_l.data + out, atol=1e-12)
 
     def test_pocket_permutation_leaves_ligand_fixed(self):
         store = store_with_seed(19)
         h_p = RNG.normal(size=(B, 4, 8))
         h_l = tensor(RNG.normal(size=(B, 3, 8)))
-        pair = RNG.normal(size=(B, 4, 3, C_PAIR))
+        bias = RNG.normal(size=(B, H, 3, 4))
         with Tape():
-            _, base = biased_cross_attention(tensor(h_p), h_l, tensor(pair), store, "x", n_heads=H, head_dim=C)
+            base = biased_cross_attention(h_l, tensor(h_p), tensor(bias), store, "x", n_heads=H, head_dim=C)
         perm = [2, 0, 3, 1]
         with Tape():
-            _, moved = biased_cross_attention(
-                tensor(h_p[:, perm]), h_l, tensor(pair[:, perm]), store, "x", n_heads=H, head_dim=C
-            )
+            moved = biased_cross_attention(h_l, tensor(h_p[:, perm]), tensor(bias[..., perm]), store, "x", n_heads=H, head_dim=C)
         np.testing.assert_allclose(moved.data, base.data, atol=1e-9)
+
+    @pytest.mark.parametrize("shared", ["keys", "queries"])
+    def test_shared_track_acts_as_its_copies(self, shared):
+        # a track of batch size 1 broadcasts: the output, and the gradient it
+        # collects, are those of B copies of it, summed over the copies
+        store = store_with_seed(53)
+        one = RNG.normal(size=(1, 4, 8))
+        other = tensor(RNG.normal(size=(B, 3, 8)))
+        bias = tensor(RNG.normal(size=(B, H, 3, 4) if shared == "keys" else (B, H, 4, 3)))
+        coeffs = tensor(RNG.normal(size=(B, 3 if shared == "keys" else 4, 8)))
+        outs, grads = [], []
+        for track in (tensor(one), tensor(np.repeat(one, B, axis=0))):
+            h_q, h_kv = (other, track) if shared == "keys" else (track, other)
+            with Tape():
+                out = biased_cross_attention(h_q, h_kv, bias, store, "x", n_heads=H, head_dim=C)
+                ad.backward(ad.sum_all(ad.mul(out, coeffs)))
+            outs.append(out.data)
+            grads.append(track.grad.sum(axis=0, keepdims=True))
+        np.testing.assert_allclose(outs[0], outs[1], atol=1e-12)
+        np.testing.assert_allclose(grads[0], grads[1], atol=1e-12)
 
 
 class TestStack:
@@ -292,6 +307,30 @@ class TestStack:
 
         report = finite_diff_check(f, tensor(h_l), tol=1e-3)
         assert report.passed, str(report)
+
+    def test_full_stack_gradient_wrt_pocket_track(self):
+        # two layers: the shared pocket track is read by both, and made per
+        # ligand by the first layer's cross-attention
+        store = store_with_seed(59)
+        h_p, h_l, d_p, adj = self.inputs(n_p=2, n_l=3)
+
+        def f(x):
+            return trioformer_stack(x, tensor(h_l), d_p, adj, store, "trio", n_layers=2, n_heads=H, head_dim=C, c_pair=C_PAIR)
+
+        report = finite_diff_check(f, tensor(h_p), tol=1e-3)
+        assert report.passed, str(report)
+
+    def test_last_layer_leaves_the_pocket_track(self):
+        # only the ligand track leaves the stack, so only a layer with a
+        # successor updates the pocket track
+        store = store_with_seed(61)
+        h_p, h_l, d_p, adj = self.inputs()
+        with Tape():
+            self.stack(h_p, h_l, d_p, adj, store, n_layers=2)
+        names = store.names()
+        assert any(name.startswith("trio.layer0.cross.poc.") for name in names)
+        assert any(name.startswith("trio.layer1.cross.lig.") for name in names)
+        assert not any(name.startswith("trio.layer1.cross.poc.") for name in names)
 
     def test_full_stack_gradient_wrt_weights(self):
         store = store_with_seed(41)
