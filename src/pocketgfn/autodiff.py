@@ -4,11 +4,11 @@ Define-by-run: while a :class:`Tape` is active, every primitive records a
 node, and its output gets that node's index on the tape as its gradient
 slot.  A node keeps where its inputs' gradients go (a slot for an input
 recorded on the same tape, the tensor itself for a leaf: a parameter, a
-``tensor()`` input or an output of another tape), its output's shape and a
-local vector-Jacobian rule.  The rule captures only the arrays and shapes it
-reads, never a tensor, so an intermediate that no rule reads (a residual
-sum, a relu's input) is freed as soon as the forward drops it.  Rules read
-operand values as they were at record time.
+``tensor()`` or ``constant()`` input or an output of another tape), its
+output's shape and a local vector-Jacobian rule.  The rule captures only
+the arrays and shapes it reads, never a tensor, so an intermediate that no
+rule reads (a residual sum, a relu's input) is freed as soon as the forward
+drops it.  Rules read operand values as they were at record time.
 
 ``backward`` walks the recorded nodes in reverse creation order, which is a
 valid reverse topological order because an operation can only consume
@@ -117,6 +117,17 @@ def tensor(data) -> DiffTensor:
     return DiffTensor(np.array(data, dtype=np.float64))
 
 
+class _Constant(DiffTensor):
+    __slots__ = ()
+
+
+def constant(data) -> DiffTensor:
+    """Like :func:`tensor`, but ``backward`` never gives it a ``grad``: a
+    leaf for input data (features, fixed weights), not for a parameter or
+    for a point a gradient is taken at."""
+    return _Constant(np.array(data, dtype=np.float64))
+
+
 def _record(out_data: np.ndarray, inputs: tuple[DiffTensor, ...], vjp) -> DiffTensor:
     out = DiffTensor(out_data)
     if _TAPES:
@@ -136,11 +147,12 @@ def backward(loss: DiffTensor) -> None:
 
     ``loss`` must be a scalar (a single element).  Leaves are the tensors not
     recorded on this tape (parameters, ``tensor()`` inputs, outputs of another
-    tape); only they keep a gradient.  Gradients of recorded tensors are
-    summed in one list indexed by slot, local to the walk, so no recorded
-    tensor's ``grad`` is ever set.  Each node is released as the walk passes
-    it, once its rule has run or been skipped because its output got no
-    gradient: its slot is cleared and its inputs, shape and rule are dropped,
+    tape); only they keep a gradient, and ``constant()`` leaves get none.
+    Gradients of recorded tensors are summed in one list indexed by slot,
+    local to the walk, so no recorded tensor's ``grad`` is ever set.  Each
+    node is released as the walk passes it, once its rule has run or been
+    skipped because its output got no gradient: its slot is cleared and its
+    inputs, shape and rule are dropped,
     so the arrays its rule saved are freed as soon as nothing later in the
     walk needs them.  Nodes are hollowed in place and stay in ``tape.nodes``
     until the tape is dropped, so the tape and a list of them that a caller
@@ -178,7 +190,7 @@ def backward(loss: DiffTensor) -> None:
                 if recorded:
                     prev = grads[inp]
                     grads[inp] = gi if prev is None else prev + gi
-                else:
+                elif type(inp) is not _Constant:
                     inp.grad = gi if inp.grad is None else inp.grad + gi
         # release the node, so what only it kept alive is freed now
         node.inputs = node.shape = node.vjp = None
@@ -186,6 +198,8 @@ def backward(loss: DiffTensor) -> None:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` down to ``shape`` along axes that numpy broadcast."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, dim in enumerate(shape):
@@ -404,20 +418,96 @@ def log_softmax_rows(x: DiffTensor, mask: np.ndarray | None = None) -> DiffTenso
     return _record(out, (x,), vjp)
 
 
-def attention(
-    q: DiffTensor, k: DiffTensor, v: DiffTensor, bias: DiffTensor, scale: float, mask: np.ndarray | None = None
-) -> DiffTensor:
-    """``softmax(scale * (q @ kᵀ + bias)) @ v`` over the last two axes, one node.
+def _matmul_into(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``target[...] = a @ b``, summed over the batch axes that ``target``
+    broadcasts; written in place when nothing needs summing."""
+    if np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) == target.shape[:-2]:
+        np.matmul(a, b, out=target)
+    else:
+        target[...] = _unbroadcast(np.matmul(a, b), target.shape)
 
-    ``q`` is (..., n_q, d), ``k`` (..., n_k, d) and ``v`` (..., n_k, d_v);
-    ``bias`` and the boolean ``mask`` (True marks entries that participate)
-    broadcast against the (..., n_q, n_k) logits. Masked entries get weight
-    exactly 0 and gradient exactly 0; a fully masked row raises ``ValueError``.
-    The products run through ``np.matmul`` (batched BLAS) in both directions.
+
+def attention(
+    x_q: DiffTensor,
+    x_kv: DiffTensor,
+    w_q: DiffTensor,
+    w_k: DiffTensor,
+    w_v: DiffTensor,
+    w_o: DiffTensor,
+    bias: DiffTensor,
+    scale: float,
+    n_heads: int,
+    fold: Sequence[int],
+    mask: np.ndarray | None = None,
+) -> DiffTensor:
+    """A projected multi-head attention block, one node.
+
+    ``x_q`` (*lead_q, c_q) is projected by ``w_q`` (c_q, heads * d) into q,
+    and ``x_kv`` (*lead_kv, c_kv) by ``w_k`` and ``w_v`` (c_kv, heads * d)
+    into k and v. Each is split into heads, (*lead, heads, d), and permuted
+    by ``fold`` to (..., heads, n, d), the attended axis second to last. The
+    heads ``softmax(scale * (q @ kᵀ + bias)) @ v`` are unfolded, joined and
+    projected by ``w_o`` (heads * d, c_out). Returns the (*lead, c_out)
+    update in ``x_q``'s layout; the leading axes of ``x_q`` and ``x_kv``
+    broadcast, as do ``bias`` and the boolean ``mask`` (True marks entries
+    that participate) against the (..., heads, n_q, n_kv) logits. Masked
+    entries get weight exactly 0 and gradient exactly 0; a fully masked row
+    raises ``ValueError``.
+
+    One GEMM per distinct input projects it over the concatenated weights,
+    [q | k | v] when ``x_q`` is ``x_kv``, else [q] and [k | v], and one more
+    takes its gradient back. The rule keeps the inputs, the weights and the
+    softmax weights; it recomputes q, k, v and the head outputs in backward
+    rather than holding them from the forward.
     """
+    fold = tuple(fold)
     f = float(scale)
+    c_q, c_kv = x_q.shape[-1], x_kv.shape[-1]
+    hd = w_q.shape[1]
+    if (
+        x_q.data.ndim != x_kv.data.ndim
+        or sorted(fold) != list(range(x_q.data.ndim + 1))
+        or w_q.data.ndim != 2
+        or w_q.shape[0] != c_q
+        or w_k.shape != (c_kv, hd)
+        or w_v.shape != (c_kv, hd)
+        or w_o.data.ndim != 2
+        or w_o.shape[0] != hd
+        or hd % n_heads
+    ):
+        raise DimensionError(
+            f"attention rejects x_q {x_q.shape}, x_kv {x_kv.shape}, fold {fold}, {n_heads} heads and "
+            f"weights {w_q.shape}, {w_k.shape}, {w_v.shape}, {w_o.shape}"
+        )
+    d = hd // n_heads
+    unfold = tuple(np.argsort(fold))
+    x_q_shape, x_kv_shape, bias_shape = x_q.shape, x_kv.shape, bias.shape
+    wo = w_o.data
+    # (flat input, concatenated weights, leading shape, projections) per GEMM
+    xq = x_q.data.reshape(-1, c_q)
+    if x_q is x_kv:
+        groups = [(xq, np.concatenate([w_q.data, w_k.data, w_v.data], axis=1), x_q_shape[:-1], 3)]
+    else:
+        w_kv = np.concatenate([w_k.data, w_v.data], axis=1)
+        groups = [(xq, w_q.data, x_q_shape[:-1], 1), (x_kv.data.reshape(-1, c_kv), w_kv, x_kv_shape[:-1], 2)]
+
+    def folded(arrays):
+        # q, k and v: views of the groups' (*lead, projections, heads, d) arrays
+        return [a[..., i, :, :].transpose(fold) for a in arrays for i in range(a.shape[-3])]
+
+    def project():
+        return folded([(x @ w_cat).reshape(*x_lead, n, n_heads, d) for x, w_cat, x_lead, n in groups])
+
+    def attend(w, v):
+        # the head outputs w @ v, unfolded to (*lead, heads, d)
+        shape = (*w.shape[:-1], d)
+        heads = np.empty([shape[i] for i in unfold])
+        np.matmul(w, v, out=heads.transpose(fold))
+        return heads
+
+    q, k, v = project()
     try:
-        logits = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) + bias.data
+        logits = np.matmul(q, np.swapaxes(k, -1, -2)) + bias.data
     except ValueError:
         raise DimensionError(f"attention rejects q {q.shape}, k {k.shape} and bias {bias.shape}") from None
     logits *= f
@@ -428,29 +518,43 @@ def attention(
         if not mask.any(axis=-1).all():
             raise ValueError("attention row is fully masked")
         logits = np.where(mask, logits, -np.inf)
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    w = e / e.sum(axis=-1, keepdims=True)
-    try:
-        out = np.matmul(w, v.data)
-    except ValueError:
-        raise DimensionError(f"attention weights {w.shape} cannot gather v {v.shape}") from None
-    q_data, k_data, v_data, bias_shape = q.data, k.data, v.data, bias.shape
+    logits -= logits.max(axis=-1, keepdims=True)
+    w = np.exp(logits, out=logits)
+    w /= w.sum(axis=-1, keepdims=True)
+    heads = attend(w, v)
+    lead = heads.shape[:-2]
+    out = (heads.reshape(-1, hd) @ wo).reshape(*lead, wo.shape[1])
 
     def vjp(g):
-        gw = np.matmul(g, np.swapaxes(v_data, -1, -2))
-        gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+        q, k, v = project()
+        heads = attend(w, v)
+        g2 = g.reshape(-1, wo.shape[1])
+        g_wo = heads.reshape(-1, hd).T @ g2
+        gh = (g2 @ wo.T).reshape(*lead, n_heads, d).transpose(fold)
+        # softmax backward; the row sums of gh ∘ (w @ v) are those of (gh @ vᵀ) ∘ w
+        gl = np.matmul(gh, np.swapaxes(v, -1, -2))
+        gl -= (gh * heads.transpose(fold)).sum(axis=-1, keepdims=True)
+        gl *= w
         gl *= f
-        gq = np.matmul(gl, k_data)
-        gk = np.matmul(np.swapaxes(gl, -1, -2), q_data)
-        gv = np.matmul(np.swapaxes(w, -1, -2), g)
+        grads = [np.empty((*x_lead, n, n_heads, d)) for _, _, x_lead, n in groups]
+        gq, gk, gv = folded(grads)
+        _matmul_into(gq, gl, k)
+        _matmul_into(gk, np.swapaxes(gl, -1, -2), q)
+        _matmul_into(gv, np.swapaxes(w, -1, -2), gh)
+        g_x, g_w = [], []
+        for (x, w_cat, _, n), g_cat in zip(groups, grads):
+            g_cat = g_cat.reshape(len(x), -1)
+            g_x.append(g_cat @ w_cat.T)
+            g_w += np.split(x.T @ g_cat, n, axis=1)
         return (
-            _unbroadcast(gq, q_data.shape),
-            _unbroadcast(gk, k_data.shape),
-            _unbroadcast(gv, v_data.shape),
+            g_x[0].reshape(x_q_shape),
+            g_x[1].reshape(x_kv_shape) if len(g_x) > 1 else None,
+            *g_w,
+            g_wo,
             _unbroadcast(gl, bias_shape),
         )
 
-    return _record(out, (q, k, v, bias), vjp)
+    return _record(out, (x_q, x_kv, w_q, w_k, w_v, w_o, bias), vjp)
 
 
 def layer_norm_rows(x: DiffTensor) -> DiffTensor:
@@ -539,7 +643,7 @@ def mean_rows(x: DiffTensor) -> DiffTensor:
     if x.data.ndim != 2:
         raise DimensionError(f"mean_rows takes a 2-D tensor, got {x.shape}")
     n = x.shape[0]
-    weights = tensor(np.full(n, 1.0 / n))
+    weights = constant(np.full(n, 1.0 / n))
     return reshape(einsum2("nc,n->c", x, weights), (1, x.shape[1]))
 
 
@@ -582,7 +686,7 @@ def finite_diff_check(
 
     with Tape():
         y = f(x)
-        loss = sum_all(mul(y, tensor(coeffs)))
+        loss = sum_all(mul(y, constant(coeffs)))
         saved_grad = x.grad
         x.grad = None
         backward(loss)

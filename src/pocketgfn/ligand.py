@@ -240,8 +240,11 @@ def legal_actions(s: LigandState, library: FragmentLibrary, max_nodes: int) -> l
 
 def stop_is_forced(s: LigandState, library: FragmentLibrary, max_nodes: int) -> bool:
     """True when Stop is the only legal action: a non-empty state with no
-    open slot (the node cap is reached or every attachment point is used)."""
-    return not s.terminal and s.n > 0 and not open_slots(s, library, max_nodes)
+    open slot. Decided from counts: the node cap is reached, or the tree's
+    n - 1 bonds use all of its fragments' attachment points, two each."""
+    if s.terminal or s.n == 0:
+        return False
+    return s.n >= max_nodes or sum(library.get(fid).aps for fid in s.nodes) == 2 * (s.n - 1)
 
 
 def apply_action(s: LigandState, a: LigandAction, library: FragmentLibrary, max_nodes: int) -> LigandState:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DiffTensor, tensor
+from .autodiff import DiffTensor
 from .files import read_text
 from .ligand import json_float, json_int
 from .nn import ParamStore, layer_norm_affine, mlp_apply, mlp_params
@@ -193,7 +193,7 @@ def node_features(residues: list[Residue], graph: PocketGraph) -> tuple[np.ndarr
 def _vector_norms(v: DiffTensor) -> DiffTensor:
     # (n, V, 3) -> (n, V); epsilon keeps sqrt differentiable at zero vectors
     sq = ad.einsum2("nvc,nvc->nv", v, v)
-    return ad.sqrt(ad.add(sq, tensor(np.full(sq.shape, 1e-8))))
+    return ad.sqrt(ad.add(sq, ad.constant(np.full(sq.shape, 1e-8))))
 
 
 def encode_pocket(graph: PocketGraph, params: ParamStore, L_layers: int, c_pocket: int) -> PocketContext:
@@ -208,17 +208,17 @@ def encode_pocket(graph: PocketGraph, params: ParamStore, L_layers: int, c_pocke
     k = graph.neighbor_idx.shape[1]
     scalars_np, vectors_np = node_features(graph.residues, graph)
 
-    s = ad.matmul(tensor(scalars_np), params.param("pocket.embed.w", (N_SCALAR_FEATURES, c_pocket)))
+    s = ad.matmul(ad.constant(scalars_np), params.param("pocket.embed.w", (N_SCALAR_FEATURES, c_pocket)))
     s = ad.add(s, params.param("pocket.embed.b", (c_pocket,), fan_in=N_SCALAR_FEATURES))
-    v = tensor(vectors_np)
+    v = ad.constant(vectors_np)
 
     rows = np.repeat(np.arange(n), k)
     cols = graph.neighbor_idx.reshape(-1)
-    edge_scalars = tensor(
+    edge_scalars = ad.constant(
         np.stack([graph.edge_dist.reshape(-1) / 10.0, graph.edge_sep.reshape(-1) / MAX_BACKBONE_SEP], axis=1)
     )
-    edge_dir = tensor(graph.edge_dir.reshape(-1, 3))
-    mean_k = tensor(np.full(k, 1.0 / k))
+    edge_dir = ad.constant(graph.edge_dir.reshape(-1, 3))
+    mean_k = ad.constant(np.full(k, 1.0 / k))
 
     nV = N_VECTOR_CHANNELS
     msg_in_dim = 2 * c_pocket + 2 + 2 * nV + 2 * nV

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DiffTensor, tensor
+from .autodiff import DiffTensor
 from .nn import ParamStore, layer_norm_affine, mlp_apply, mlp_params
 from .ligand import (
     FragmentLibrary,
@@ -32,7 +32,7 @@ from .ligand import (
     slot_actions,
 )
 from .pocket import PocketContext, PocketGraph, encode_pocket
-from .trioformer import pool_graph_embedding, project_heads, trioformer_stack
+from .trioformer import pool_graph_embedding, trioformer_stack
 
 BASELINE = "baseline"
 TRIOFORMER = "trioformer"
@@ -147,33 +147,30 @@ class PolicyNetwork:
         nodes_np = np.concatenate([f[0] for f in feats])
         w = self.store.param("embed.w", (len(self.library), cfg.width), fan_in=len(self.library))
         bias = self.store.param("embed.b", (cfg.width,), fan_in=len(self.library))
-        x = ad.add(ad.matmul(tensor(nodes_np), w), bias)
+        x = ad.add(ad.matmul(ad.constant(nodes_np), w), bias)
         return x, np.stack([f[1] for f in feats]), np.stack([adjacency_matrix(s) for s in states])
 
     def _self_attention_layers(self, x: DiffTensor, edges_np: np.ndarray, att_mask: np.ndarray) -> DiffTensor:
         """Graph transformer over B graphs of n nodes each; x is (B * n, w).
 
-        Each layer attends with heads before nodes: q, k and v are
-        (B, heads, n, w / heads), the edge bias is (B, heads, n, n), and
-        ``att_mask`` (B, n, n) broadcasts over the heads.
+        Each layer's attention is one ``autodiff.attention`` node over the
+        (B, n, w) normalized track, heads before nodes: the edge bias is
+        (B, heads, n, n), and ``att_mask`` (B, n, n) broadcasts over the heads.
         """
         cfg = self.config
         b, n = att_mask.shape[:2]
         heads = cfg.n_heads
         hd = cfg.width // heads
-        edge_flat = tensor(edges_np.reshape(b * n * n, -1))
+        edge_flat = ad.constant(edges_np.reshape(b * n * n, -1))
         for layer in range(cfg.n_layers):
             name = f"lig.gt{layer}"
-            normed = layer_norm_affine(self.store, f"{name}.ln1", x, cfg.width)
-            q, k, v = (
-                ad.permute(project_heads(self.store, f"{name}.{t}", normed, cfg.width, heads, hd, (b, n)), (0, 2, 1, 3))
-                for t in "qkv"
-            )
+            normed = ad.reshape(layer_norm_affine(self.store, f"{name}.ln1", x, cfg.width), (b, n, cfg.width))
+            w_q, w_k, w_v = (self.store.param(f"{name}.{t}.w", (cfg.width, cfg.width)) for t in "qkv")
             bias = ad.reshape(ad.matmul(edge_flat, self.store.param(f"{name}.e.w", (edges_np.shape[-1], heads))), (b, n, n, heads))
-            att = ad.attention(q, k, v, ad.permute(bias, (0, 3, 1, 2)), 1.0 / np.sqrt(hd), mask=att_mask[:, None])
-            gathered = ad.reshape(ad.permute(att, (0, 2, 1, 3)), (b * n, cfg.width))
-            out = ad.matmul(gathered, self.store.param(f"{name}.o.w", (cfg.width, cfg.width)))
-            x = ad.add(x, out)
+            w_o = self.store.param(f"{name}.o.w", (cfg.width, cfg.width))
+            out = ad.attention(normed, normed, w_q, w_k, w_v, w_o, ad.permute(bias, (0, 3, 1, 2)), 1.0 / np.sqrt(hd),
+                               heads, (0, 2, 1, 3), mask=att_mask[:, None])
+            x = ad.add(x, ad.reshape(out, (b * n, cfg.width)))
             normed2 = layer_norm_affine(self.store, f"{name}.ln2", x, cfg.width)
             x = ad.add(x, mlp_apply(normed2, mlp_params(self.store, f"{name}.mlp", [cfg.width, 2 * cfg.width, cfg.width])))
         return x
@@ -241,11 +238,11 @@ class PolicyNetwork:
         w_node, w_ap, w_frag, w_fap = (ad.gather_rows(w1, np.arange(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
         slot_in = ad.add(
             ad.gather_rows(ad.matmul(node_h, w_node), slot_node),
-            ad.add(ad.matmul(tensor(np.array(slot_ap)[:, None] == np.arange(a_max)), w_ap), b1),
+            ad.add(ad.matmul(ad.constant(np.array(slot_ap)[:, None] == np.arange(a_max)), w_ap), b1),
         )
         pair_in = ad.add(
             ad.matmul(ad.gather_rows(frag_table, [k for k, _ in pairs]), w_frag),
-            ad.matmul(tensor(np.array([f_ap for _, f_ap in pairs])[:, None] == np.arange(a_max)), w_fap),
+            ad.matmul(ad.constant(np.array([f_ap for _, f_ap in pairs])[:, None] == np.arange(a_max)), w_fap),
         )
         pre = ad.add(ad.reshape(slot_in, (len(slot_node), 1, cfg.width)), ad.reshape(pair_in, (1, len(pairs), cfg.width)))
         hidden = ad.relu(ad.reshape(pre, (len(slot_node) * len(pairs), cfg.width)))

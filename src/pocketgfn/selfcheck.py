@@ -85,11 +85,29 @@ def primitive_gradient_errors() -> dict[str, float]:
     c23 = tensor(rng.normal(size=(2, 3)))
     c34 = tensor(rng.normal(size=(3, 4)))
     c32 = tensor(rng.normal(size=(3, 2)))
-    # one tensor as q, k, v and, through its first batch entry, a bias that
-    # broadcasts over the batch; the mask drops one key of two rows
-    x233 = lambda: tensor(rng.normal(size=(2, 3, 3)))
-    attend = lambda mask: lambda x: ad.attention(x, x, x, ad.gather_rows(x, [0]), 0.5, mask=mask)
-    key_mask = np.array([[True, False, True], [True, True, True], [False, True, True]])
+    # the attention block, 2 heads: 3 queries over 4 keys (cross form) or
+    # over themselves (self form, one track as x_q and x_kv, the first 3 keys
+    # of the bias and mask); the bias broadcasts over the batch, and the
+    # mask drops one key of two rows
+    att_ops = {
+        name: rng.normal(size=shape)
+        for name, shape in (("x_q", (2, 3, 4)), ("x_kv", (2, 4, 4)), ("w_q", (4, 6)), ("w_k", (4, 6)),
+                            ("w_v", (4, 6)), ("w_o", (6, 5)), ("bias", (1, 2, 3, 4)))
+    }
+    key_mask = np.array([[True, False, True, True], [True, True, True, True], [False, True, True, False]])
+
+    def attend(wrt, form, masked):
+        ops = {name: tensor(a if form == "cross" or name != "bias" else a[..., :3]) for name, a in att_ops.items()}
+        mask = (key_mask if form == "cross" else key_mask[:, :3]) if masked else None
+
+        def f(x):
+            args = dict(ops, **{wrt: x})
+            x_kv = args["x_kv"] if form == "cross" else args["x_q"]
+            return ad.attention(args["x_q"], x_kv, *(args[k] for k in ("w_q", "w_k", "w_v", "w_o", "bias")),
+                                0.5, 2, (0, 2, 1, 3), mask=mask)
+
+        return f"attention_{form}_{wrt}{'_masked' if masked else ''}", f, ops[wrt]
+
     checks = [
         ("add", lambda x: ad.add(x, c23), x23()),
         ("mul", lambda x: ad.mul(x, c23), x23()),
@@ -105,8 +123,11 @@ def primitive_gradient_errors() -> dict[str, float]:
         ("concat", lambda x: ad.concat([x, ad.mul(x, x)], axis=1), x23()),
         ("gather", lambda x: ad.gather_rows(x, np.array([1, 0, 1])), x23()),
         ("mean_rows", ad.mean_rows, x23()),
-        ("attention", attend(None), x233()),
-        ("attention_masked", attend(key_mask), x233()),
+    ]
+    checks += [
+        attend(wrt, form, masked)
+        for form in ("self", "cross") for masked in (False, True)
+        for wrt in att_ops if not (form == "self" and wrt == "x_kv")
     ]
     return {name: finite_diff_check(f, x).max_rel_err for name, f, x in checks}
 

@@ -41,7 +41,7 @@ import numpy as np
 import pocketgfn
 
 from . import autodiff as ad
-from .autodiff import DiffTensor, Tape, tensor
+from .autodiff import DiffTensor, Tape
 from .files import output_file
 from .ligand import (
     STOP,
@@ -226,7 +226,7 @@ def tb_loss_tensor(log_z: DiffTensor, log_pf_sum: DiffTensor, log_reward, log_pb
     """Squared balance gaps (log Z + sum log_pf - log R - sum log_pb)^2 of T
     trajectories, (T, 1): ``log_z`` and ``log_pf_sum`` are (T, 1) columns, and
     ``log_reward`` and ``log_pb_sum`` constant floats (T = 1) or length-T arrays."""
-    shift = tensor(-(np.asarray(log_reward, dtype=np.float64) + log_pb_sum).reshape(-1, 1))
+    shift = ad.constant(-(np.asarray(log_reward, dtype=np.float64) + log_pb_sum).reshape(-1, 1))
     return ad.square(ad.add(ad.add(log_z, log_pf_sum), shift))
 
 
@@ -297,7 +297,7 @@ def train(
                 )
                 log_r = [shaped_log_reward(reward_fn(pockets[pid], t.states[-1]), t.states[-1], config.beta)
                          for t, pid in zip(batch, drawn)]
-                segments = tensor(np.arange(len(batch))[:, None] == owner)
+                segments = ad.constant(np.arange(len(batch))[:, None] == owner)
                 log_z_col = ad.gather_rows(ad.concat(list(log_z.values()), axis=0), [list(log_z).index(p) for p in drawn])
                 log_pb = [trajectory_backward_log_prob(t.states) for t in batch]
                 losses = tb_loss_tensor(log_z_col, ad.matmul(segments, log_pf), log_r, log_pb)

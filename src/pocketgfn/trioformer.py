@@ -8,10 +8,10 @@ of one); a batch size of 1 is shared by the batch and broadcasts. One fold
 of the update attends along the pocket axis with real-distance biases, the
 other along the ligand axis with adjacency biases; a position-wise
 transition and biased cross-attention back into the node tracks complete a
-layer. Every attention is one ``autodiff.attention`` node over the last two
-axes, so each block permutes the attended axis last. All blocks are pre-norm
-residuals built on the tape engine, so the whole stack is differentiable and
-checkpointable.
+layer. Every attention block, projections included, is one
+``autodiff.attention`` node, which folds the attended axis second to last
+(before each head's width). All blocks are pre-norm residuals built on the
+tape engine, so the whole stack is differentiable and checkpointable.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DiffTensor, DimensionError, tensor
+from .autodiff import DiffTensor, DimensionError
 from .nn import ParamStore, layer_norm_affine, mlp_apply, mlp_params
 
 N_RBF = 16
@@ -54,12 +54,6 @@ def init_pair_embeddings(h_pocket: DiffTensor, h_ligand: DiffTensor, store: Para
     return ad.add(ad.reshape(proj_p, (b_p, n_p, 1, c_pair)), ad.reshape(proj_l, (b_l, 1, n_l, c_pair)))
 
 
-def project_heads(store, prefix, x_flat: DiffTensor, c_in: int, n_heads: int, head_dim: int, shape):
-    """``x_flat @ {prefix}.w`` split into heads: (prod(shape), c_in) -> (*shape, heads, head_dim)."""
-    w = store.param(f"{prefix}.w", (c_in, n_heads * head_dim))
-    return ad.reshape(ad.matmul(x_flat, w), (*shape, n_heads, head_dim))
-
-
 def triangle_update(
     pair: DiffTensor,
     dist_features: np.ndarray,
@@ -80,16 +74,16 @@ def triangle_update(
     (indices within one batch entry). ``pair`` is (B, n_P, n_L, c);
     ``dist_features`` is (1, n, n, f), shared by the batch, or (B, n, n, f).
 
-    The attention is one fused node with the attended axis last: q, k and v
-    are permuted to (B, n_L, heads, n_P, c) for the pocket fold and
-    (B, n_P, heads, n_L, c) for the ligand fold, and the distance bias
+    The block is one ``autodiff.attention`` node over the normalized pair:
+    its heads are folded to (B, n_L, heads, n_P, d) for the pocket fold and
+    (B, n_P, heads, n_L, d) for the ligand fold, and the distance bias
     (1 or B, 1, heads, n, n) broadcasts over the other node axis.
     """
     b, n_p, n_l, c_pair = pair.shape
     if axis == "pocket":
-        n_axis = n_p
+        n_axis, fold = n_p, (0, 2, 3, 1, 4)
     elif axis == "ligand":
-        n_axis = n_l
+        n_axis, fold = n_l, (0, 1, 3, 2, 4)
     else:
         raise ValueError(f"axis must be 'pocket' or 'ligand', got {axis!r}")
     feats = np.asarray(dist_features, dtype=np.float64)
@@ -97,19 +91,14 @@ def triangle_update(
         raise DimensionError(f"{axis} distance features must be (1 or {b}, {n_axis}, {n_axis}, f), got {feats.shape}")
     b_f = feats.shape[0]
 
-    normed = layer_norm_affine(store, f"{prefix}.ln", ad.reshape(pair, (b * n_p * n_l, c_pair)), c_pair)
-    q = project_heads(store, f"{prefix}.q", normed, c_pair, n_heads, head_dim, (b, n_p, n_l))
-    k = project_heads(store, f"{prefix}.k", normed, c_pair, n_heads, head_dim, (b, n_p, n_l))
-    v = project_heads(store, f"{prefix}.v", normed, c_pair, n_heads, head_dim, (b, n_p, n_l))
-    t = tensor(feats.reshape(b_f * n_axis * n_axis, feats.shape[3]))
+    normed = layer_norm_affine(store, f"{prefix}.ln", pair, c_pair)
+    w_q, w_k, w_v = (store.param(f"{prefix}.{t}.w", (c_pair, n_heads * head_dim)) for t in "qkv")
+    t = ad.constant(feats.reshape(b_f * n_axis * n_axis, feats.shape[3]))
     t = ad.reshape(ad.matmul(t, store.param(f"{prefix}.t.w", (feats.shape[3], n_heads))), (b_f, n_axis, n_axis, n_heads))
     bias = ad.reshape(ad.permute(t, (0, 3, 1, 2)), (b_f, 1, n_heads, n_axis, n_axis))
-
-    fold, unfold = ((0, 2, 3, 1, 4), (0, 3, 1, 2, 4)) if axis == "pocket" else ((0, 1, 3, 2, 4),) * 2
-    att = ad.attention(*(ad.permute(x, fold) for x in (q, k, v)), bias, 1.0 / np.sqrt(head_dim))
-    out_flat = ad.reshape(ad.permute(att, unfold), (b * n_p * n_l, n_heads * head_dim))
-    out = ad.matmul(out_flat, store.param(f"{prefix}.o.w", (n_heads * head_dim, c_pair)))
-    return ad.add(pair, ad.reshape(out, (b, n_p, n_l, c_pair)))
+    w_o = store.param(f"{prefix}.o.w", (n_heads * head_dim, c_pair))
+    update = ad.attention(normed, normed, w_q, w_k, w_v, w_o, bias, 1.0 / np.sqrt(head_dim), n_heads, fold)
+    return ad.add(pair, update)
 
 
 def pair_transition(pair: DiffTensor, store: ParamStore, prefix: str) -> DiffTensor:
@@ -133,20 +122,16 @@ def biased_cross_attention(
     """Track ``h_q`` (1 or B, n_q, c_q) attends over ``h_kv`` (1 or B, n_kv,
     c_kv), logits biased by ``bias`` (B, heads, n_q, n_kv); returns the
     pre-norm residual update of the query track, (B, n_q, c_q). Each track
-    is projected at its own batch size; the attention is one fused node over
-    heads-first q, k and v."""
-    b_q, n_q, c_q = h_q.shape
-    b_kv, n_kv, c_kv = h_kv.shape
-    nq = layer_norm_affine(store, f"{prefix}.ln_q", ad.reshape(h_q, (b_q * n_q, c_q)), c_q)
-    nkv = layer_norm_affine(store, f"{prefix}.ln_kv", ad.reshape(h_kv, (b_kv * n_kv, c_kv)), c_kv)
-    q = project_heads(store, f"{prefix}.q", nq, c_q, n_heads, head_dim, (b_q, n_q))
-    k = project_heads(store, f"{prefix}.k", nkv, c_kv, n_heads, head_dim, (b_kv, n_kv))
-    v = project_heads(store, f"{prefix}.v", nkv, c_kv, n_heads, head_dim, (b_kv, n_kv))
-    att = ad.attention(*(ad.permute(x, (0, 2, 1, 3)) for x in (q, k, v)), bias, 1.0 / np.sqrt(head_dim))
-    b = att.shape[0]
-    gathered = ad.reshape(ad.permute(att, (0, 2, 1, 3)), (b * n_q, n_heads * head_dim))
-    out = ad.matmul(gathered, store.param(f"{prefix}.o.w", (n_heads * head_dim, c_q)))
-    return ad.add(h_q, ad.reshape(out, (b, n_q, c_q)))
+    is normalized at its own batch size; the block is one
+    ``autodiff.attention`` node with heads before nodes."""
+    c_q, c_kv = h_q.shape[-1], h_kv.shape[-1]
+    nq = layer_norm_affine(store, f"{prefix}.ln_q", h_q, c_q)
+    nkv = layer_norm_affine(store, f"{prefix}.ln_kv", h_kv, c_kv)
+    w_q = store.param(f"{prefix}.q.w", (c_q, n_heads * head_dim))
+    w_k, w_v = (store.param(f"{prefix}.{t}.w", (c_kv, n_heads * head_dim)) for t in "kv")
+    w_o = store.param(f"{prefix}.o.w", (n_heads * head_dim, c_q))
+    update = ad.attention(nq, nkv, w_q, w_k, w_v, w_o, bias, 1.0 / np.sqrt(head_dim), n_heads, (0, 2, 1, 3))
+    return ad.add(h_q, update)
 
 
 def trioformer_stack(
@@ -205,7 +190,7 @@ def pool_graph_embedding(h_ligand: DiffTensor) -> DiffTensor:
     n = h_ligand.shape[1]
     if n == 0:
         raise DimensionError("cannot pool an empty node set")
-    return ad.einsum2("bnc,n->bc", h_ligand, tensor(np.full(n, 1.0 / n)))
+    return ad.einsum2("bnc,n->bc", h_ligand, ad.constant(np.full(n, 1.0 / n)))
 
 
 # ---------------------------------------------------------------------------

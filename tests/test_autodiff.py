@@ -25,6 +25,7 @@ from pocketgfn.autodiff import (
     sum_all,
     tensor,
 )
+from pocketgfn.trioformer import reference_cross_attention, reference_pair_attention
 
 RNG = np.random.default_rng(1234)
 
@@ -196,7 +197,7 @@ def _composite(x, w, b):
     """A graph with shared uses, views, a fused attention and a branch the
     loss never reads. Returns (loss, intermediates, unused branch)."""
     h = ad.tanh(ad.add(matmul(x, w), b))
-    a = ad.attention(h, h, h, matmul(h, ad.permute(h, (1, 0))), 0.5)
+    a = ad.attention(h, h, w, w, w, w, matmul(h, ad.permute(h, (1, 0))), 0.5, 2, (1, 0, 2))
     n = layer_norm_rows(ad.add(a, h))
     unused = ad.exp(x)
     loss = sum_all(ad.mul(log_softmax_rows(n), ad.reshape(n, (3, 4))))
@@ -319,7 +320,9 @@ def _rule_cases():
         "sqrt": lambda: ad.sqrt(pos),
         "softmax_rows": lambda: softmax_rows(x, mask),
         "log_softmax_rows": lambda: log_softmax_rows(x, mask),
-        "attention": lambda: ad.attention(x, y, y, matmul(x, w), 0.5, mask=mask[:, :3]),
+        "attention": lambda: ad.attention(
+            x, y, w, w, w, ad.permute(w, (1, 0)), matmul(x, w), 0.5, 1, (1, 0, 2), mask=mask[:, :3]
+        ),
         "layer_norm_rows": lambda: layer_norm_rows(ad.add(x, y)),
         "concat": lambda: concat([x, ad.neg(y)], axis=1),
         "gather_rows": lambda: gather_rows(ad.neg(x), [0, 2, 0]),
@@ -333,7 +336,7 @@ def _rule_cases():
 class TestRulesHoldNoTensors:
     # a rule that captured a tensor would keep it, and through it every
     # array it holds, alive until backward
-    NOT_PRIMITIVES = {"active_tape", "tensor", "backward", "finite_diff_check"}
+    NOT_PRIMITIVES = {"active_tape", "tensor", "constant", "backward", "finite_diff_check"}
 
     def test_every_public_primitive_has_a_case(self):
         public = {
@@ -473,19 +476,36 @@ class TestPrimitiveGradients:
         _check(ad.square, rand(3, 4))
 
 
-ATT_SCALE = 0.25
+HEAD_DIM = 3
+ATT_SCALE = 1.0 / np.sqrt(HEAD_DIM)
+N_HEADS = 2
+ATT_INPUTS = ("x_q", "x_kv", "w_q", "w_k", "w_v", "w_o", "bias")
 
 
-def _composed_attention(logits_spec, out_spec, q, k, v, bias, mask=None):
-    """The chain every attention site recorded before the fused node."""
-    logits = ad.scale(ad.add(einsum2(logits_spec, q, k), bias), ATT_SCALE)
-    att = softmax_rows(ad.reshape(logits, (-1, logits.shape[-1])), mask=mask)
-    return einsum2(out_spec, ad.reshape(att, logits.shape), v)
+def _fused_attention(x_q, x_kv, w_q, w_k, w_v, w_o, bias, fold, mask=None):
+    return ad.attention(x_q, x_kv, w_q, w_k, w_v, w_o, bias, ATT_SCALE, N_HEADS, fold, mask=mask)
 
 
-def _fused_attention(fold, unfold, q, k, v, bias, mask=None):
-    q, k, v = (ad.permute(x, fold) for x in (q, k, v))
-    return ad.permute(ad.attention(q, k, v, bias, ATT_SCALE, mask=mask), unfold)
+def _composed_attention(x_q, x_kv, w_q, w_k, w_v, w_o, bias, fold, mask=None):
+    """The same block as a chain of primitives, the way every attention site
+    recorded it before the fused node: one projection per weight, head
+    splits and permutes, logits, softmax, the head outputs and ``w_o``."""
+    lead = "abce"[: len(fold) - 2]  # the folded axes before the attended one
+
+    def heads(x, w):
+        flat = matmul(ad.reshape(x, (-1, x.shape[-1])), w)
+        return ad.permute(ad.reshape(flat, (*x.shape[:-1], N_HEADS, -1)), fold)
+
+    if x_kv.shape[0] != x_q.shape[0]:  # a track shared by the batch, copied per entry
+        x_kv = gather_rows(x_kv, [0] * x_q.shape[0])
+    q, k, v = heads(x_q, w_q), heads(x_kv, w_k), heads(x_kv, w_v)
+    logits = ad.scale(ad.add(einsum2(f"{lead}qd,{lead}kd->{lead}qk", q, k), bias), ATT_SCALE)
+    n_kv = logits.shape[-1]
+    rows_mask = None if mask is None else np.broadcast_to(mask, logits.shape).reshape(-1, n_kv)
+    att = ad.reshape(softmax_rows(ad.reshape(logits, (-1, n_kv)), mask=rows_mask), logits.shape)
+    out = ad.permute(einsum2(f"{lead}qk,{lead}kd->{lead}qd", att, v), np.argsort(fold))
+    joined = ad.reshape(out, (-1, out.shape[-2] * out.shape[-1]))
+    return ad.reshape(matmul(joined, w_o), (*out.shape[:-2], w_o.shape[1]))
 
 
 GRAPH_MASK = np.array(
@@ -493,122 +513,157 @@ GRAPH_MASK = np.array(
     dtype=bool,
 )
 
-# layout -> (q, k, v and bias shapes, composed chain, fused node). Each site
-# projects q, k and v in its own layout; the fused node folds the attended
-# axis last. b = 2, n_P = 3, n_L = 4, heads = 2, c = 5.
+# layout -> (x_q shape, x_kv shape (None: self-attention), bias shape, fold,
+# mask, numpy reference of one batch entry given (h_q, h_kv, weights)), as
+# each call site lays them out: b = 2, n_P = 3, n_L = 4, c = 5, 2 heads of 3
 ATTENTION_LAYOUTS = {
     "triangle-pocket": (
-        [(2, 3, 4, 2, 5)] * 3 + [(1, 3, 3, 2)],
-        lambda q, k, v, t: _composed_attention(
-            "bijhc,bkjhc->bijhk", "bijhk,bkjhc->bijhc", q, k, v, ad.reshape(ad.permute(t, (0, 1, 3, 2)), (1, 3, 1, 2, 3))
-        ),
-        lambda q, k, v, t: _fused_attention(
-            (0, 2, 3, 1, 4), (0, 3, 1, 2, 4), q, k, v, ad.reshape(ad.permute(t, (0, 3, 1, 2)), (1, 1, 2, 3, 3))
-        ),
+        (2, 3, 4, 5), None, (1, 1, 2, 3, 3), (0, 2, 3, 1, 4), None,
+        lambda h_q, h_kv, w: reference_pair_attention(h_q, "pocket", *w, N_HEADS, HEAD_DIM),
     ),
     "triangle-ligand": (
-        [(2, 3, 4, 2, 5)] * 3 + [(2, 4, 4, 2)],
-        lambda q, k, v, t: _composed_attention(
-            "bijhc,bikhc->bijhk", "bijhk,bikhc->bijhc", q, k, v, ad.reshape(ad.permute(t, (0, 1, 3, 2)), (2, 1, 4, 2, 4))
-        ),
-        lambda q, k, v, t: _fused_attention(
-            (0, 1, 3, 2, 4), (0, 1, 3, 2, 4), q, k, v, ad.reshape(ad.permute(t, (0, 3, 1, 2)), (2, 1, 2, 4, 4))
-        ),
+        (2, 3, 4, 5), None, (2, 1, 2, 4, 4), (0, 1, 3, 2, 4), None,
+        lambda h_q, h_kv, w: reference_pair_attention(h_q, "ligand", *w, N_HEADS, HEAD_DIM),
     ),
-    # ligand queries over pocket keys; the pair bias is (b, n_P, n_L, heads)
+    # ligand queries over a pocket track that the batch shares
     "cross": (
-        [(2, 4, 2, 5), (2, 3, 2, 5), (2, 3, 2, 5), (2, 3, 4, 2)],
-        lambda q, k, v, bias: _composed_attention(
-            "bqhc,bkhc->bqhk", "bqhk,bkhc->bqhc", q, k, v, ad.permute(bias, (0, 2, 3, 1))
-        ),
-        lambda q, k, v, bias: _fused_attention((0, 2, 1, 3), (0, 2, 1, 3), q, k, v, ad.permute(bias, (0, 3, 2, 1))),
+        (2, 4, 5), (1, 3, 5), (2, 2, 4, 3), (0, 2, 1, 3), None,
+        lambda h_q, h_kv, w: reference_cross_attention(h_q, h_kv, *w, N_HEADS, HEAD_DIM),
     ),
-    # the ligand graph transformer: edge bias (b, n, n, heads) and an adjacency mask
+    # the ligand graph transformer: an edge bias and an adjacency mask
     "graph": (
-        [(2, 4, 2, 5)] * 3 + [(2, 4, 4, 2)],
-        lambda q, k, v, bias: _composed_attention(
-            "bqhc,bkhc->bqhk", "bqhk,bkhc->bqhc", q, k, v, ad.permute(bias, (0, 1, 3, 2)),
-            mask=np.repeat(GRAPH_MASK[:, :, None, :], 2, axis=2).reshape(-1, 4),
-        ),
-        lambda q, k, v, bias: _fused_attention(
-            (0, 2, 1, 3), (0, 2, 1, 3), q, k, v, ad.permute(bias, (0, 3, 1, 2)), mask=GRAPH_MASK[:, None]
-        ),
+        (2, 4, 5), None, (2, 2, 4, 4), (0, 2, 1, 3), GRAPH_MASK[:, None],
+        lambda h_q, h_kv, w: reference_cross_attention(h_q, h_kv, *w, N_HEADS, HEAD_DIM),
     ),
 }
 
 
-def _attention_operands(rng, shapes=((2, 3, 4), (2, 5, 4), (2, 5, 3), (1, 3, 5))):
-    """q, k, v and a bias that broadcasts over the batch."""
+def _attention_operands(rng):
+    """x_q, x_kv, w_q, w_k, w_v, w_o and a bias that broadcasts over the
+    batch, for fold (0, 2, 1, 3): 3 queries over 5 keys, 2 heads of 2."""
+    shapes = ((2, 3, 4), (2, 5, 3), (4, 4), (3, 4), (3, 4), (4, 2), (1, 2, 3, 5))
     return [tensor(rng.uniform(-1.0, 1.0, size=s)) for s in shapes]
 
 
+def _attend(args, mask=None):
+    return ad.attention(*args[:6], args[6], 0.5, 2, (0, 2, 1, 3), mask=mask)
+
+
+KEY_MASK = np.array([[True, False, True, True, False], [False, True, True, True, True], [True] * 5])
+
+
 class TestAttention:
-    @pytest.mark.parametrize("operand", ["q", "k", "v", "bias"])
+    @pytest.mark.parametrize("operand", ATT_INPUTS)
     def test_gradient(self, operand):
         args = _attention_operands(np.random.default_rng(5))
-        i = ["q", "k", "v", "bias"].index(operand)
-        x = args[i]
+        i = ATT_INPUTS.index(operand)
+        _check(lambda t: _attend([*args[:i], t, *args[i + 1 :]]), args[i])
+
+    @pytest.mark.parametrize("operand", ["x", "w_q", "w_k", "w_v", "w_o", "bias"])
+    def test_self_attention_gradient(self, operand):
+        # one track as x_q and x_kv, masked: its gradient sums both uses
+        rng = np.random.default_rng(11)
+        shapes = {"x": (2, 3, 4), "w_q": (4, 4), "w_k": (4, 4), "w_v": (4, 4), "w_o": (4, 2), "bias": (1, 2, 3, 3)}
+        ops = {name: tensor(rng.uniform(-1.0, 1.0, size=s)) for name, s in shapes.items()}
 
         def f(t):
-            return ad.attention(*args[:i], t, *args[i + 1 :], 0.5)
+            a = dict(ops, **{operand: t})
+            return _attend([a["x"], *(a[k] for k in shapes)], mask=KEY_MASK[:, :3])
 
-        _check(f, x)
+        _check(f, ops[operand])
 
     def test_masked_gradient(self):
-        q, k, v, bias = _attention_operands(np.random.default_rng(6))
-        mask = np.array([[True, False, True, True, False], [False, True, True, True, True], [True] * 5])
-        _check(lambda t: ad.attention(q, k, v, t, 0.5, mask=mask), bias)
+        args = _attention_operands(np.random.default_rng(6))
+        for i in range(len(args)):
+            _check(lambda t: _attend([*args[:i], t, *args[i + 1 :]], mask=KEY_MASK), args[i])
 
     def test_mask_gives_exact_zero_weight_and_gradient(self):
-        q, k, _, bias = _attention_operands(np.random.default_rng(7))
-        v = tensor(np.broadcast_to(np.eye(5), (2, 5, 5)))  # the output is the weights
+        rng = np.random.default_rng(7)
+        # one-hot keys, one head, identity value and output weights: the
+        # output is the attention weights
+        x_q, w_q, w_k = (tensor(rng.uniform(-1.0, 1.0, size=s)) for s in ((2, 3, 4), (4, 5), (5, 5)))
+        x_kv, eye = tensor(np.broadcast_to(np.eye(5), (2, 5, 5))), tensor(np.eye(5))
+        bias = tensor(rng.uniform(-1.0, 1.0, size=(1, 1, 3, 5)))
         mask = np.array([[True, False, True, True, False], [False, True, True, True, False], [True, True, True, True, False]])
+
+        def attend():
+            return ad.attention(x_q, x_kv, w_q, w_k, eye, eye, bias, 0.5, 1, (0, 2, 1, 3), mask=mask)
+
         with Tape():
-            w = ad.attention(q, k, v, bias, 0.5, mask=mask)
+            w = attend()
             loss = sum_all(ad.mul(w, rand(2, 3, 5)))
         backward(loss)
         assert np.all(w.data[:, ~mask] == 0.0)
         np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-12)
-        assert np.all(bias.grad[:, ~mask] == 0.0)
-        # key 4 is masked for every query
-        assert np.all(k.grad[:, 4] == 0.0) and np.all(v.grad[:, 4] == 0.0)
+        assert np.all(bias.grad[..., ~mask] == 0.0)
+        # key 4 is masked for every query, so neither its key nor its value gets a gradient
+        assert np.all(x_kv.grad[:, 4] == 0.0)
         # what a masked entry's logit would be does not matter
-        bias.data[:, ~mask] = 1e6
-        np.testing.assert_array_equal(ad.attention(q, k, v, bias, 0.5, mask=mask).data, w.data)
+        bias.data[..., ~mask] = 1e6
+        np.testing.assert_array_equal(attend().data, w.data)
 
     def test_fully_masked_row_rejected(self):
-        q, k, v, bias = _attention_operands(np.random.default_rng(8))
+        args = _attention_operands(np.random.default_rng(8))
         mask = np.ones((3, 5), dtype=bool)
         mask[1] = False
         with pytest.raises(ValueError, match="fully masked"):
-            ad.attention(q, k, v, bias, 0.5, mask=mask)
+            _attend(args, mask=mask)
 
     def test_shape_errors(self):
-        q, k, v, bias = _attention_operands(np.random.default_rng(9))
+        x_q, x_kv, w_q, w_k, w_v, w_o, bias = _attention_operands(np.random.default_rng(9))
+        for bad in (
+            [x_q, x_kv, w_q, rand(3, 2), w_v, w_o, bias],  # keys narrower than queries
+            [x_q, x_kv, w_q, w_k, rand(3, 2), w_o, bias],  # values narrower than keys
+            [x_q, x_kv, w_q, w_k, w_v, rand(3, 2), bias],  # w_o does not take the heads
+            [x_q, rand(5, 3), w_q, w_k, w_v, w_o, bias],  # x_kv has no batch axis
+            [x_q, x_kv, w_q, w_k, w_v, w_o, rand(2, 3, 4)],  # bias for 4 keys, not 5
+        ):
+            with pytest.raises(DimensionError):
+                _attend(bad)
         with pytest.raises(DimensionError):
-            ad.attention(q, rand(2, 5, 3), v, bias, 0.5)
+            ad.attention(x_q, x_kv, w_q, w_k, w_v, w_o, bias, 0.5, 2, (0, 2, 1))
         with pytest.raises(DimensionError):
-            ad.attention(q, k, v, bias, 0.5, mask=np.ones((3, 4), dtype=bool))
+            ad.attention(x_q, x_kv, w_q, w_k, w_v, w_o, bias, 0.5, 3, (0, 2, 1, 3))
+        with pytest.raises(DimensionError):
+            _attend([x_q, x_kv, w_q, w_k, w_v, w_o, bias], mask=np.ones((3, 4), dtype=bool))
 
     @pytest.mark.parametrize("layout", list(ATTENTION_LAYOUTS))
     def test_fused_node_matches_composed_chain(self, layout):
-        shapes, composed, fused = ATTENTION_LAYOUTS[layout]
+        # each call site's layout: with its bias (and mask) the node matches
+        # the primitive chain in value and in every gradient, in fewer
+        # nodes; with no bias and no mask it matches the numpy reference of
+        # each batch entry
+        q_shape, kv_shape, bias_shape, fold, mask, reference = ATTENTION_LAYOUTS[layout]
         rng = np.random.default_rng(10)
-        operands = [rng.normal(size=s) for s in shapes]
-        results = []
-        for build in (composed, fused):
-            leaves = [tensor(x) for x in operands]
+        c = q_shape[-1]
+        h_q = rng.normal(size=q_shape)
+        h_kv = None if kv_shape is None else rng.normal(size=kv_shape)
+        weights = [rng.normal(size=s) for s in ((c, 6), (c, 6), (c, 6), (6, c))]
+        coeffs = np.linspace(-1.0, 1.0, h_q.size).reshape(q_shape)
+
+        def run(block, bias, mask):
+            tracks = [tensor(h_q)] + ([] if h_kv is None else [tensor(h_kv)])
+            params = [tensor(x) for x in (*weights, bias)]
             with Tape() as tape:
-                out = build(*leaves)
-                loss = sum_all(ad.mul(out, tensor(np.linspace(-1.0, 1.0, out.size).reshape(out.shape))))
+                x_q = layer_norm_rows(tracks[0])
+                x_kv = x_q if h_kv is None else layer_norm_rows(tracks[1])
+                out = ad.add(tracks[0], block(x_q, x_kv, *params, fold, mask))
+                loss = sum_all(ad.mul(out, tensor(coeffs)))
             n_nodes = len(tape.nodes)
             backward(loss)
-            results.append((out.data, [x.grad for x in leaves], n_nodes))
-        (out_c, grads_c, nodes_c), (out_f, grads_f, nodes_f) = results
+            return out.data, [x.grad for x in tracks + params], n_nodes
+
+        bias = rng.normal(size=bias_shape)
+        out_f, grads_f, nodes_f = run(_fused_attention, bias, mask)
+        out_c, grads_c, nodes_c = run(_composed_attention, bias, mask)
         np.testing.assert_allclose(out_f, out_c, rtol=0, atol=1e-12)
         for g_f, g_c in zip(grads_f, grads_c):
             np.testing.assert_allclose(g_f, g_c, rtol=0, atol=1e-12)
         assert nodes_f < nodes_c
+        plain, _, _ = run(_fused_attention, np.zeros(bias_shape), None)
+        for b in range(q_shape[0]):
+            expected = reference(h_q[b], h_q[b] if h_kv is None else h_kv[0], weights)
+            np.testing.assert_allclose(plain[b], expected, rtol=0, atol=1e-12)
 
 
 class TestCompositeGradients:

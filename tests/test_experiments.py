@@ -28,3 +28,12 @@ def test_conditioning_comparison_fails_with_the_cli(monkeypatch, capsys):
     monkeypatch.setattr(conditioning.cli, "main", lambda argv: 2)
     assert conditioning.main() == 1
     assert "pocketgfn train exited 2" in capsys.readouterr().err
+
+
+def test_pair_stack_scaling_runs(monkeypatch, capsys):
+    scaling = load_file(EXPERIMENTS / "pair_stack_scaling.py", "experiments_pair_stack_scaling")
+    monkeypatch.setattr(scaling, "STEPS", 1)
+    monkeypatch.setattr(scaling, "SIZES", (10,))
+    assert scaling.main() == 0
+    out = capsys.readouterr().out
+    assert "1 steps per pocket size" in out and "  10 residues: " in out and "MB peak RSS" in out

@@ -29,6 +29,7 @@ from pocketgfn.ligand import (
     initial_state,
     legal_actions,
     load_library,
+    open_slots,
     removable_leaves,
     remove_leaf,
     save_library,
@@ -134,6 +135,21 @@ class TestInitialAndLegal:
             assert stop_is_forced(s, library, max_nodes) == (legal_actions(s, library, max_nodes) == [STOP])
             frontier += [apply_action(s, a, library, max_nodes) for a in legal_actions(s, library, max_nodes)]
         assert seen > 4
+
+    def test_stop_is_forced_agrees_with_open_slots(self):
+        # stop_is_forced decides from counts; open_slots lists the slots
+        space = enumerated_space(DESK, 4)
+        states = [(s, 4) for depth in space.depths for s in depth] + [(s, 4) for s in space.forced]
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            s = initial_state()
+            while not s.terminal:
+                states.append((s, 8))
+                acts = legal_actions(s, DESK, 8)
+                s = apply_action(s, acts[rng.integers(len(acts))], DESK, 8)
+        assert len(states) > 1500
+        for s, cap in states:
+            assert stop_is_forced(s, DESK, cap) == (s.n > 0 and not open_slots(s, DESK, cap)), s
 
 
 class TestActionLattice:

@@ -516,6 +516,82 @@ class TestTrain:
         with pytest.raises(TapeError, match="already ran"):
             real_backward(losses[0])
 
+    def test_only_parameters_get_gradients(self, monkeypatch):
+        # data leaves (features, pooling weights, the segment matrix, the
+        # loss shift) are constant(): after a step no leaf but a parameter
+        # holds a gradient, and the parameters' gradients are bit for bit
+        # those of the same step with the data leaves built by tensor()
+        real_backward, real_step = ad.backward, nn.Adam.step
+
+        def one_step(make_leaf):
+            monkeypatch.setattr(ad, "constant", make_leaf)
+            leaves, grads = {}, {}
+
+            def backward(loss):
+                leaves.update({id(t): t for node in loss._tape.nodes for t in node.inputs if type(t) is not int})
+                real_backward(loss)
+
+            def step(self):
+                grads.update({name: p.grad for name, p in self.store.items()})
+                real_step(self)
+
+            monkeypatch.setattr(ad, "backward", backward)
+            monkeypatch.setattr(nn.Adam, "step", step)
+            store = ParamStore(np.random.default_rng(5))
+            train(small_config(1, mode="trioformer", seed=3, max_nodes=3), DESK, one_pocket(), store=store)
+            params = {id(p) for p in store.values()}
+            return [t for key, t in leaves.items() if key not in params], grads
+
+        data_leaves, grads = one_step(ad.constant)
+        assert data_leaves and all(t.grad is None for t in data_leaves)
+        as_tensors, tensor_grads = one_step(tensor)
+        assert any(t.grad is not None for t in as_tensors)
+        assert grads.keys() == tensor_grads.keys()
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, tensor_grads[name], err_msg=name)
+
+    def test_attention_rules_hold_no_heads(self, monkeypatch):
+        # an attention rule keeps its inputs, weights and softmax weights and
+        # recomputes q, k, v and the head outputs: on a trioformer step's
+        # tape, no array it holds ends in (heads, n, head_dim) or (heads,
+        # head_dim). Node counts here (1 to 3 ligand nodes, 6 residues) are
+        # no head width, so softmax weights (..., heads, n, n) do not match.
+        cfg = small_config(1, mode="trioformer", seed=3, max_nodes=3)
+        p = cfg.policy
+        heads = {(p.n_heads, p.width // p.n_heads), (p.trio_heads, p.trio_head_dim)}
+        assert not {d for _, d in heads} & {1, 2, 3, 6}
+
+        def held_arrays(fn, seen):
+            # the arrays a rule's closure reaches, through tuples, lists and nested functions
+            stack, arrays = [c.cell_contents for c in fn.__closure__ or ()], []
+            while stack:
+                value = stack.pop()
+                if id(value) in seen:
+                    continue
+                seen.add(id(value))
+                if isinstance(value, np.ndarray):
+                    arrays.append(value)
+                elif isinstance(value, (tuple, list)):
+                    stack += value
+                elif callable(value) and getattr(value, "__closure__", None):
+                    stack += [c.cell_contents for c in value.__closure__]
+            return arrays
+
+        rules, offending = [], []
+        real_backward = ad.backward
+
+        def backward(loss):
+            for node in loss._tape.nodes:
+                if node.vjp.__qualname__.startswith("attention."):
+                    rules.append(node.vjp)
+                    offending.extend(a.shape for a in held_arrays(node.vjp, set())
+                                     if any(a.shape[-2:] == hd or a.shape[-3::2] == hd for hd in heads))
+            real_backward(loss)
+
+        monkeypatch.setattr(ad, "backward", backward)
+        train(cfg, DESK, one_pocket())
+        assert rules and offending == []
+
     @pytest.mark.parametrize("mode", ["baseline", "trioformer"])
     def test_backward_peak_stays_near_forward_memory(self, mode):
         # backward releases each node as it passes it, so its peak is about
