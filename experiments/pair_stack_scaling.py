@@ -4,7 +4,8 @@ Trains the default trioformer policy for a few steps on synthetic pockets of
 10, 40 and 80 residues (CrossDocked pockets reach the upper end), each size
 in a Python process of its own, so that each peak resident set is that
 size's alone, and prints one row per size: seconds per step, set-up
-included, and the process's peak RSS (``ru_maxrss``).
+included, the process's peak RSS (``ru_maxrss``) and the tape nodes a step
+records.
 
 Run from the repository root:
 
@@ -33,6 +34,7 @@ SIZES = (10, 40, 80)
 
 def measure(n_pocket: int, steps: int) -> dict:
     """Train ``steps`` steps on an ``n_pocket``-residue pocket in this process."""
+    from pocketgfn import autodiff as ad
     from pocketgfn.ligand import desk_library
     from pocketgfn.pocket import build_knn_graph, synthetic_pocket
     from pocketgfn.policy import TRIOFORMER
@@ -40,11 +42,26 @@ def measure(n_pocket: int, steps: int) -> dict:
 
     pockets = {"p": build_knn_graph(synthetic_pocket(n_pocket, 6.0, seed=0))}
     config = TrainerConfig(steps=steps, batch_size=16, max_nodes=8, seed=0, mode=TRIOFORMER)
-    t0 = time.perf_counter()
-    train(config, desk_library(), pockets)
-    seconds = time.perf_counter() - t0
+    nodes, real_backward = [], ad.backward
+
+    def backward(loss):
+        # each step walks its tape once
+        nodes.append(len(loss._tape.nodes))
+        real_backward(loss)
+
+    ad.backward = backward
+    try:
+        t0 = time.perf_counter()
+        train(config, desk_library(), pockets)
+        seconds = time.perf_counter() - t0
+    finally:
+        ad.backward = real_backward
     # Linux reports ru_maxrss in KiB
-    return {"s_per_step": seconds / steps, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+    return {
+        "s_per_step": seconds / steps,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "tape_nodes_per_step": sum(nodes) / steps,
+    }
 
 
 def run_size(n_pocket: int, steps: int) -> dict:
@@ -67,7 +84,8 @@ def main() -> int:
         except RuntimeError as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
-        print(f"{n_pocket:>4} residues: {row['s_per_step']:.3f} s per step, {row['peak_rss_mb']:.0f} MB peak RSS")
+        print(f"{n_pocket:>4} residues: {row['s_per_step']:.3f} s per step, {row['peak_rss_mb']:.0f} MB peak RSS, "
+              f"{row['tape_nodes_per_step']:.0f} tape nodes per step")
     return 0
 
 

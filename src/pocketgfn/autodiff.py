@@ -319,8 +319,11 @@ def relu(a: DiffTensor) -> DiffTensor:
 
     def vjp(g):
         # out > 0 exactly where the input is; reading out leaves the input
-        # free, and the next layer's matmul holds out anyway
-        return (g * (out > 0.0),)
+        # free, and the next layer's matmul holds out anyway. Since out >= 0,
+        # sign(out) is the 0/1 mask, made in the gradient's own buffer.
+        gx = np.sign(out)
+        gx *= g
+        return (gx,)
 
     return _record(out, (a,), vjp)
 
@@ -427,9 +430,62 @@ def _matmul_into(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         target[...] = _unbroadcast(np.matmul(a, b), target.shape)
 
 
+def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``x`` at zero mean and unit variance over the last axis,
+    and each row's inverse standard deviation, (..., 1)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    return centered * inv, inv
+
+
+def _normalize_vjp(g: np.ndarray, x_hat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The input gradient of ``_normalize``, given the gradient ``g`` of its rows."""
+    gmean = g.mean(axis=-1, keepdims=True)
+    gy = (g * x_hat).mean(axis=-1, keepdims=True)
+    return inv * (g - gmean - x_hat * gy)
+
+
+def _check_norm(x: DiffTensor, norm: tuple[DiffTensor, DiffTensor], where: str) -> None:
+    gain, beta = norm
+    if gain.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
+        raise DimensionError(
+            f"{where}: a norm of {x.shape} needs gain and bias of shape ({x.shape[-1]},), "
+            f"got {gain.shape} and {beta.shape}"
+        )
+
+
+def _pre_norm(rows: np.ndarray, norm: tuple[DiffTensor, DiffTensor]):
+    """What a pre-norm rule keeps of the (n, c) ``rows`` of its input: the
+    normalized rows, their inverse std and the gain and bias arrays, by
+    reference; and the ``_scaled`` rows, which the rule drops."""
+    x_hat, inv = _normalize(rows)
+    kept = (x_hat, inv, norm[0].data, norm[1].data)
+    return kept, _scaled(kept)
+
+
+def _scaled(kept) -> np.ndarray:
+    """``x_hat * gain + bias`` of what ``_pre_norm`` keeps."""
+    x_hat, _, gain, beta = kept
+    return x_hat * gain + beta
+
+
+def _pre_norm_vjp(g: np.ndarray, kept, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of the input, in ``shape``, and of the gain and bias of a
+    ``_pre_norm`` input, given the gradient ``g`` of its scaled and shifted
+    rows. The gain and bias gradients are summed over the leading axes of
+    ``shape`` as ``add`` and ``mul`` sum a broadcast operand's."""
+    x_hat, inv, gain, beta = kept
+    g_gain = _unbroadcast((g * x_hat).reshape(shape), gain.shape)
+    return _normalize_vjp(g * gain, x_hat, inv).reshape(shape), g_gain, _unbroadcast(g.reshape(shape), beta.shape)
+
+
 def attention(
     x_q: DiffTensor,
     x_kv: DiffTensor,
+    norm_q: tuple[DiffTensor, DiffTensor],
+    norm_kv: tuple[DiffTensor, DiffTensor],
     w_q: DiffTensor,
     w_k: DiffTensor,
     w_v: DiffTensor,
@@ -440,25 +496,30 @@ def attention(
     fold: Sequence[int],
     mask: np.ndarray | None = None,
 ) -> DiffTensor:
-    """A projected multi-head attention block, one node.
+    """A pre-norm projected multi-head attention block, one node.
 
-    ``x_q`` (*lead_q, c_q) is projected by ``w_q`` (c_q, heads * d) into q,
-    and ``x_kv`` (*lead_kv, c_kv) by ``w_k`` and ``w_v`` (c_kv, heads * d)
-    into k and v. Each is split into heads, (*lead, heads, d), and permuted
-    by ``fold`` to (..., heads, n, d), the attended axis second to last. The
-    heads ``softmax(scale * (q @ kᵀ + bias)) @ v`` are unfolded, joined and
+    ``x_q`` (*lead_q, c_q) is layer-normalized over its last axis and scaled
+    and shifted by ``norm_q`` = (gain, bias), each (c_q,), then projected by
+    ``w_q`` (c_q, heads * d) into q; ``x_kv`` (*lead_kv, c_kv) likewise by
+    ``norm_kv`` and ``w_k`` and ``w_v`` (c_kv, heads * d) into k and v. Each
+    is split into heads, (*lead, heads, d), and permuted by ``fold`` to (...,
+    heads, n, d), the attended axis second to last. The heads
+    ``softmax(scale * (q @ kᵀ + bias)) @ v`` are unfolded, joined and
     projected by ``w_o`` (heads * d, c_out). Returns the (*lead, c_out)
     update in ``x_q``'s layout; the leading axes of ``x_q`` and ``x_kv``
     broadcast, as do ``bias`` and the boolean ``mask`` (True marks entries
     that participate) against the (..., heads, n_q, n_kv) logits. Masked
     entries get weight exactly 0 and gradient exactly 0; a fully masked row
-    raises ``ValueError``.
+    raises ``ValueError``. With ``x_kv`` and ``norm_kv`` the very tensors of
+    ``x_q`` and ``norm_q``, the block is self-attention over one normalized
+    input, and ``x_kv`` and ``norm_kv`` get no gradient of their own.
 
     One GEMM per distinct input projects it over the concatenated weights,
-    [q | k | v] when ``x_q`` is ``x_kv``, else [q] and [k | v], and one more
-    takes its gradient back. The rule keeps the inputs, the weights and the
-    softmax weights; it recomputes q, k, v and the head outputs in backward
-    rather than holding them from the forward.
+    [q | k | v] for self-attention, else [q] and [k | v], and one more takes
+    its gradient back. The rule keeps each distinct input's normalized rows
+    and their inverse std, the softmax weights, and the gain, bias and
+    weight arrays by reference. In backward it recomputes the scaled and
+    shifted input, the concatenated weights, q, k, v and the head outputs.
     """
     fold = tuple(fold)
     f = float(scale)
@@ -479,24 +540,34 @@ def attention(
             f"attention rejects x_q {x_q.shape}, x_kv {x_kv.shape}, fold {fold}, {n_heads} heads and "
             f"weights {w_q.shape}, {w_k.shape}, {w_v.shape}, {w_o.shape}"
         )
+    _check_norm(x_q, norm_q, "attention")
+    _check_norm(x_kv, norm_kv, "attention")
     d = hd // n_heads
     unfold = tuple(np.argsort(fold))
-    x_q_shape, x_kv_shape, bias_shape = x_q.shape, x_kv.shape, bias.shape
-    wo = w_o.data
-    # (flat input, concatenated weights, leading shape, projections) per GEMM
-    xq = x_q.data.reshape(-1, c_q)
-    if x_q is x_kv:
-        groups = [(xq, np.concatenate([w_q.data, w_k.data, w_v.data], axis=1), x_q_shape[:-1], 3)]
+    bias_shape = bias.shape
+    wq, wk, wv, wo = w_q.data, w_k.data, w_v.data, w_o.data
+    # (raw input, its norm, the weights it is projected by) per GEMM
+    if x_q is x_kv and norm_q[0] is norm_kv[0] and norm_q[1] is norm_kv[1]:
+        inputs = [(x_q, norm_q, (wq, wk, wv))]
     else:
-        w_kv = np.concatenate([w_k.data, w_v.data], axis=1)
-        groups = [(xq, w_q.data, x_q_shape[:-1], 1), (x_kv.data.reshape(-1, c_kv), w_kv, x_kv_shape[:-1], 2)]
+        inputs = [(x_q, norm_q, (wq,)), (x_kv, norm_kv, (wk, wv))]
+    groups, normed = [], []
+    for x, norm, weights in inputs:
+        kept, y = _pre_norm(x.data.reshape(-1, x.shape[-1]), norm)
+        groups.append((kept, weights, x.shape))
+        normed.append(y)
 
     def folded(arrays):
         # q, k and v: views of the groups' (*lead, projections, heads, d) arrays
         return [a[..., i, :, :].transpose(fold) for a in arrays for i in range(a.shape[-3])]
 
-    def project():
-        return folded([(x @ w_cat).reshape(*x_lead, n, n_heads, d) for x, w_cat, x_lead, n in groups])
+    def project(normed):
+        # the concatenated weights, and q, k, v from the scaled and shifted rows
+        w_cat = [ws[0] if len(ws) == 1 else np.concatenate(ws, axis=1) for _, ws, _ in groups]
+        proj = [
+            (y @ w).reshape(*shape[:-1], len(ws), n_heads, d) for y, w, (_, ws, shape) in zip(normed, w_cat, groups)
+        ]
+        return w_cat, folded(proj)
 
     def attend(w, v):
         # the head outputs w @ v, unfolded to (*lead, heads, d)
@@ -505,7 +576,7 @@ def attention(
         np.matmul(w, v, out=heads.transpose(fold))
         return heads
 
-    q, k, v = project()
+    _, (q, k, v) = project(normed)
     try:
         logits = np.matmul(q, np.swapaxes(k, -1, -2)) + bias.data
     except ValueError:
@@ -526,7 +597,8 @@ def attention(
     out = (heads.reshape(-1, hd) @ wo).reshape(*lead, wo.shape[1])
 
     def vjp(g):
-        q, k, v = project()
+        normed = [_scaled(kept) for kept, _, _ in groups]
+        w_cat, (q, k, v) = project(normed)
         heads = attend(w, v)
         g2 = g.reshape(-1, wo.shape[1])
         g_wo = heads.reshape(-1, hd).T @ g2
@@ -536,39 +608,89 @@ def attention(
         gl -= (gh * heads.transpose(fold)).sum(axis=-1, keepdims=True)
         gl *= w
         gl *= f
-        grads = [np.empty((*x_lead, n, n_heads, d)) for _, _, x_lead, n in groups]
+        grads = [np.empty((*shape[:-1], len(ws), n_heads, d)) for _, ws, shape in groups]
         gq, gk, gv = folded(grads)
         _matmul_into(gq, gl, k)
         _matmul_into(gk, np.swapaxes(gl, -1, -2), q)
         _matmul_into(gv, np.swapaxes(w, -1, -2), gh)
-        g_x, g_w = [], []
-        for (x, w_cat, _, n), g_cat in zip(groups, grads):
-            g_cat = g_cat.reshape(len(x), -1)
-            g_x.append(g_cat @ w_cat.T)
-            g_w += np.split(x.T @ g_cat, n, axis=1)
-        return (
-            g_x[0].reshape(x_q_shape),
-            g_x[1].reshape(x_kv_shape) if len(g_x) > 1 else None,
-            *g_w,
-            g_wo,
-            _unbroadcast(gl, bias_shape),
-        )
+        g_norms, g_w = [], []
+        for (kept, ws, shape), y, w_c, g_cat in zip(groups, normed, w_cat, grads):
+            g_cat = g_cat.reshape(len(y), -1)
+            g_norms.append(_pre_norm_vjp(g_cat @ w_c.T, kept, shape))
+            g_w += np.split(y.T @ g_cat, len(ws), axis=1)
+        g_kv = g_norms[1] if len(g_norms) > 1 else (None, None, None)
+        return (g_norms[0][0], g_kv[0], *g_norms[0][1:], *g_kv[1:], *g_w, g_wo, _unbroadcast(gl, bias_shape))
 
-    return _record(out, (x_q, x_kv, w_q, w_k, w_v, w_o, bias), vjp)
+    return _record(out, (x_q, x_kv, *norm_q, *norm_kv, w_q, w_k, w_v, w_o, bias), vjp)
+
+
+def mlp(
+    x: DiffTensor,
+    layers: Sequence[tuple[DiffTensor, DiffTensor]],
+    norm: tuple[DiffTensor, DiffTensor] | None = None,
+) -> DiffTensor:
+    """A ReLU MLP over the last axis of ``x``, one node.
+
+    ``layers`` lists (w, b) pairs, w (c_in, c_out) and b (c_out,), applied
+    as ``h @ w + b`` with a ReLU between layers and none after the last.
+    With ``norm`` = (gain, bias), each (c,), the rows of ``x`` (*lead, c)
+    are first layer-normalized, scaled and shifted. Returns (*lead, c_out).
+
+    The rule keeps the hidden ReLU outputs and the weight arrays by
+    reference, and, for the first layer's input, the normalized rows, their
+    inverse std and the gain and bias arrays (with ``norm``, recomputing the
+    scaled and shifted rows in backward) or ``x`` itself (without).
+    """
+    layers = list(layers)
+    if not layers:
+        raise DimensionError("mlp needs at least one layer")
+    width = x.shape[-1]
+    for w, b in layers:
+        if w.data.ndim != 2 or w.shape[0] != width or b.shape != (w.shape[1],):
+            raise DimensionError(f"mlp rejects a layer of weight {w.shape} and bias {b.shape} after width {width}")
+        width = w.shape[1]
+    x_shape = x.shape
+    params = [(w.data, b.data) for w, b in layers]
+    has_norm = norm is not None
+    h = x.data.reshape(-1, x_shape[-1])
+    if has_norm:
+        _check_norm(x, norm, "mlp")
+        kept, h = _pre_norm(h, norm)
+    else:
+        kept = h
+    hidden = []
+    for i, (w, b) in enumerate(params):
+        h = h @ w + b
+        if i < len(params) - 1:
+            h = np.maximum(h, 0.0)
+            hidden.append(h)
+    out = h.reshape(*x_shape[:-1], width)
+
+    def vjp(g):
+        g = g.reshape(-1, width)
+        # each layer's input, the first one rebuilt
+        inputs = [_scaled(kept) if has_norm else kept, *hidden]
+        g_params = []
+        for i in range(len(params) - 1, -1, -1):
+            w, b = params[i]
+            g_params[:0] = [inputs[i].T @ g, _unbroadcast(g, b.shape)]
+            g = g @ w.T
+            if i:
+                g *= hidden[i - 1] > 0.0
+        if not has_norm:
+            return (g.reshape(x_shape), *g_params)
+        g_x, g_gain, g_beta = _pre_norm_vjp(g, kept, g.shape)
+        return (g_x.reshape(x_shape), g_gain, g_beta, *g_params)
+
+    return _record(out, (x, *(norm or ()), *(t for layer in layers for t in layer)), vjp)
 
 
 def layer_norm_rows(x: DiffTensor) -> DiffTensor:
     """Zero-mean unit-variance normalization over the last axis (no affine)."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    out = centered * inv
+    out, inv = _normalize(x.data)
 
     def vjp(g):
-        gmean = g.mean(axis=-1, keepdims=True)
-        gy = (g * out).mean(axis=-1, keepdims=True)
-        return (inv * (g - gmean - out * gy),)
+        return (_normalize_vjp(g, out, inv),)
 
     return _record(out, (x,), vjp)
 

@@ -1,4 +1,4 @@
-"""Parameter management, MLP blocks, Adam, and checkpoint serialization."""
+"""Parameter management, MLP and layer-norm parameters, Adam, and checkpoint serialization."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .autodiff import DiffTensor, DimensionError, add, layer_norm_rows, matmul, mul, relu, tensor
+from .autodiff import DiffTensor, DimensionError, add, layer_norm_rows, mul, tensor
 from .files import read_text, writing
 
 CHECKPOINT_FORMAT_VERSION = 5
@@ -113,20 +113,17 @@ def mlp_params(store: ParamStore, name: str, dims: list[int]) -> list[tuple[Diff
     return layers
 
 
-def mlp_apply(x: DiffTensor, layers: list[tuple[DiffTensor, DiffTensor]]) -> DiffTensor:
-    """Affine layers with ReLU between them and none after the last."""
-    for i, (w, b) in enumerate(layers):
-        x = add(matmul(x, w), b)
-        if i < len(layers) - 1:
-            x = relu(x)
-    return x
+def layer_norm_params(store: ParamStore, name: str, dim: int) -> tuple[DiffTensor, DiffTensor]:
+    """The (gain, bias) of a layer norm over ``dim`` features."""
+    # Gain starts at 1 and bias at 0 so a fresh network begins as a plain
+    # normalization; uniform init here would randomly rescale activations.
+    return store.constant_param(f"{name}.gain", np.ones(dim)), store.constant_param(f"{name}.bias", np.zeros(dim))
 
 
 def layer_norm_affine(store: ParamStore, name: str, x: DiffTensor, dim: int) -> DiffTensor:
-    # Gain starts at 1 and bias at 0 so a fresh network begins as a plain
-    # normalization; uniform init here would randomly rescale activations.
-    gain = store.constant_param(f"{name}.gain", np.ones(dim))
-    bias = store.constant_param(f"{name}.bias", np.zeros(dim))
+    """A layer norm whose output is itself the track (a post-norm); a
+    pre-norm block passes ``layer_norm_params`` to its fused node instead."""
+    gain, bias = layer_norm_params(store, name, dim)
     return add(mul(layer_norm_rows(x), gain), bias)
 
 

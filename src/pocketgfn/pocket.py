@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .autodiff import DiffTensor
 from .files import read_text
 from .ligand import json_float, json_int
-from .nn import ParamStore, layer_norm_affine, mlp_apply, mlp_params
+from .nn import ParamStore, layer_norm_affine, mlp_params
 
 N_RESIDUE_TYPES = 20
 MAX_BACKBONE_SEP = 32
@@ -235,7 +235,7 @@ def encode_pocket(graph: PocketGraph, params: ParamStore, L_layers: int, c_pocke
         proj_i = ad.einsum2("evc,ec->ev", v_i, edge_dir)
         proj_j = ad.einsum2("evc,ec->ev", v_j, edge_dir)
         msg_in = ad.concat([s_i, s_j, edge_scalars, norms_i, norms_j, proj_i, proj_j], axis=1)
-        msg = mlp_apply(msg_in, mlp_params(params, f"{name}.msg", [msg_in_dim, c_pocket, c_pocket]))
+        msg = ad.mlp(msg_in, mlp_params(params, f"{name}.msg", [msg_in_dim, c_pocket, c_pocket]))
         agg = ad.einsum2("nkc,k->nc", ad.reshape(msg, (n, k, c_pocket)), mean_k)
         s = layer_norm_affine(params, f"{name}.ln", ad.add(s, agg), c_pocket)
         if layer == L_layers - 1:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffTensor
-from .nn import ParamStore, layer_norm_affine, mlp_apply, mlp_params
+from .nn import ParamStore, layer_norm_params, mlp_params
 from .ligand import (
     FragmentLibrary,
     LigandAction,
@@ -131,7 +131,7 @@ class PolicyNetwork:
     def log_z(self, ctx: PocketContext) -> DiffTensor:
         """Learned per-pocket partition estimate, shape (1, 1)."""
         layers = mlp_params(self.store, "logz", [self.config.pocket_width, 32, 1])
-        return mlp_apply(ctx.pooled, layers)
+        return ad.mlp(ctx.pooled, layers)
 
     # -- ligand side ------------------------------------------------------
 
@@ -153,27 +153,28 @@ class PolicyNetwork:
     def _self_attention_layers(self, x: DiffTensor, edges_np: np.ndarray, att_mask: np.ndarray) -> DiffTensor:
         """Graph transformer over B graphs of n nodes each; x is (B * n, w).
 
-        Each layer's attention is one ``autodiff.attention`` node over the
-        (B, n, w) normalized track, heads before nodes: the edge bias is
-        (B, heads, n, n), and ``att_mask`` (B, n, n) broadcasts over the heads.
+        Each layer is two pre-norm residual blocks on the (B, n, w) track,
+        each one node: an ``autodiff.attention`` node, heads before nodes,
+        whose edge bias is (B, heads, n, n) and over whose heads ``att_mask``
+        (B, n, n) broadcasts, and an ``autodiff.mlp`` node.
         """
         cfg = self.config
         b, n = att_mask.shape[:2]
         heads = cfg.n_heads
         hd = cfg.width // heads
         edge_flat = ad.constant(edges_np.reshape(b * n * n, -1))
+        x = ad.reshape(x, (b, n, cfg.width))
         for layer in range(cfg.n_layers):
             name = f"lig.gt{layer}"
-            normed = ad.reshape(layer_norm_affine(self.store, f"{name}.ln1", x, cfg.width), (b, n, cfg.width))
+            norm = layer_norm_params(self.store, f"{name}.ln1", cfg.width)
             w_q, w_k, w_v = (self.store.param(f"{name}.{t}.w", (cfg.width, cfg.width)) for t in "qkv")
             bias = ad.reshape(ad.matmul(edge_flat, self.store.param(f"{name}.e.w", (edges_np.shape[-1], heads))), (b, n, n, heads))
             w_o = self.store.param(f"{name}.o.w", (cfg.width, cfg.width))
-            out = ad.attention(normed, normed, w_q, w_k, w_v, w_o, ad.permute(bias, (0, 3, 1, 2)), 1.0 / np.sqrt(hd),
-                               heads, (0, 2, 1, 3), mask=att_mask[:, None])
-            x = ad.add(x, ad.reshape(out, (b * n, cfg.width)))
-            normed2 = layer_norm_affine(self.store, f"{name}.ln2", x, cfg.width)
-            x = ad.add(x, mlp_apply(normed2, mlp_params(self.store, f"{name}.mlp", [cfg.width, 2 * cfg.width, cfg.width])))
-        return x
+            x = ad.add(x, ad.attention(x, x, norm, norm, w_q, w_k, w_v, w_o, ad.permute(bias, (0, 3, 1, 2)),
+                                       1.0 / np.sqrt(hd), heads, (0, 2, 1, 3), mask=att_mask[:, None]))
+            norm = layer_norm_params(self.store, f"{name}.ln2", cfg.width)
+            x = ad.add(x, ad.mlp(x, mlp_params(self.store, f"{name}.mlp", [cfg.width, 2 * cfg.width, cfg.width]), norm))
+        return ad.reshape(x, (b * n, cfg.width))
 
     def _ligand_track(self, states: Sequence[LigandState], ctx: PocketContext) -> tuple[DiffTensor, DiffTensor]:
         """Per-node embeddings (B * n, w) for the action heads, in state order,
@@ -271,7 +272,7 @@ class PolicyNetwork:
         b = len(states)
         node_h, graph_emb = self._ligand_track(states, ctx)
         graph_width = 2 * cfg.width if cfg.mode == BASELINE else cfg.width
-        stop_logits = mlp_apply(graph_emb, mlp_params(self.store, "stop_head", [graph_width, cfg.width, 1]))
+        stop_logits = ad.mlp(graph_emb, mlp_params(self.store, "stop_head", [graph_width, cfg.width, 1]))
         add_logits = self._add_logits(node_h, slots if n else [[(0, -1)]] * b, n)
 
         # Row r of the logit column is Stop of state r for r < b, then the add

@@ -86,15 +86,17 @@ def primitive_gradient_errors() -> dict[str, float]:
     c34 = tensor(rng.normal(size=(3, 4)))
     c32 = tensor(rng.normal(size=(3, 2)))
     # the attention block, 2 heads: 3 queries over 4 keys (cross form) or
-    # over themselves (self form, one track as x_q and x_kv, the first 3 keys
-    # of the bias and mask); the bias broadcasts over the batch, and the
-    # mask drops one key of two rows
+    # over themselves (self form, one track and one norm as both inputs, the
+    # first 3 keys of the bias and mask); the bias broadcasts over the
+    # batch, and the mask drops one key of two rows
     att_ops = {
         name: rng.normal(size=shape)
-        for name, shape in (("x_q", (2, 3, 4)), ("x_kv", (2, 4, 4)), ("w_q", (4, 6)), ("w_k", (4, 6)),
+        for name, shape in (("x_q", (2, 3, 4)), ("x_kv", (2, 4, 4)), ("norm_q_gain", (4,)), ("norm_q_bias", (4,)),
+                            ("norm_kv_gain", (4,)), ("norm_kv_bias", (4,)), ("w_q", (4, 6)), ("w_k", (4, 6)),
                             ("w_v", (4, 6)), ("w_o", (6, 5)), ("bias", (1, 2, 3, 4)))
     }
     key_mask = np.array([[True, False, True, True], [True, True, True, True], [False, True, True, False]])
+    cross_only = ("x_kv", "norm_kv_gain", "norm_kv_bias")
 
     def attend(wrt, form, masked):
         ops = {name: tensor(a if form == "cross" or name != "bias" else a[..., :3]) for name, a in att_ops.items()}
@@ -102,11 +104,31 @@ def primitive_gradient_errors() -> dict[str, float]:
 
         def f(x):
             args = dict(ops, **{wrt: x})
-            x_kv = args["x_kv"] if form == "cross" else args["x_q"]
-            return ad.attention(args["x_q"], x_kv, *(args[k] for k in ("w_q", "w_k", "w_v", "w_o", "bias")),
+            x_q, norm_q = args["x_q"], (args["norm_q_gain"], args["norm_q_bias"])
+            x_kv, norm_kv = x_q, norm_q
+            if form == "cross":
+                x_kv, norm_kv = args["x_kv"], (args["norm_kv_gain"], args["norm_kv_bias"])
+            return ad.attention(x_q, x_kv, norm_q, norm_kv, *(args[k] for k in ("w_q", "w_k", "w_v", "w_o", "bias")),
                                 0.5, 2, (0, 2, 1, 3), mask=mask)
 
         return f"attention_{form}_{wrt}{'_masked' if masked else ''}", f, ops[wrt]
+
+    # a two-layer MLP over (2, 3, 4) rows, widths 4 -> 5 -> 3, with and without a norm
+    mlp_ops = {
+        name: rng.normal(size=shape)
+        for name, shape in (("x", (2, 3, 4)), ("norm_gain", (4,)), ("norm_bias", (4,)), ("w0", (4, 5)), ("b0", (5,)),
+                            ("w1", (5, 3)), ("b1", (3,)))
+    }
+
+    def mlp(wrt, normed):
+        ops = {name: tensor(a) for name, a in mlp_ops.items()}
+
+        def f(x):
+            args = dict(ops, **{wrt: x})
+            norm = (args["norm_gain"], args["norm_bias"]) if normed else None
+            return ad.mlp(args["x"], [(args["w0"], args["b0"]), (args["w1"], args["b1"])], norm=norm)
+
+        return f"mlp_{'norm' if normed else 'plain'}_{wrt}", f, ops[wrt]
 
     checks = [
         ("add", lambda x: ad.add(x, c23), x23()),
@@ -127,8 +149,9 @@ def primitive_gradient_errors() -> dict[str, float]:
     checks += [
         attend(wrt, form, masked)
         for form in ("self", "cross") for masked in (False, True)
-        for wrt in att_ops if not (form == "self" and wrt == "x_kv")
+        for wrt in att_ops if form == "cross" or wrt not in cross_only
     ]
+    checks += [mlp(wrt, normed) for normed in (False, True) for wrt in mlp_ops if normed or not wrt.startswith("norm")]
     return {name: finite_diff_check(f, x).max_rel_err for name, f, x in checks}
 
 

@@ -8,10 +8,11 @@ of one); a batch size of 1 is shared by the batch and broadcasts. One fold
 of the update attends along the pocket axis with real-distance biases, the
 other along the ligand axis with adjacency biases; a position-wise
 transition and biased cross-attention back into the node tracks complete a
-layer. Every attention block, projections included, is one
-``autodiff.attention`` node, which folds the attended axis second to last
-(before each head's width). All blocks are pre-norm residuals built on the
-tape engine, so the whole stack is differentiable and checkpointable.
+layer. Every attention block, its layer norms and projections included, is
+one ``autodiff.attention`` node, which folds the attended axis second to
+last (before each head's width), and the transition is one ``autodiff.mlp``
+node. All blocks are pre-norm residuals built on the tape engine, so the
+whole stack is differentiable and checkpointable.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffTensor, DimensionError
-from .nn import ParamStore, layer_norm_affine, mlp_apply, mlp_params
+from .nn import ParamStore, layer_norm_params, mlp_params
 
 N_RBF = 16
 RBF_MAX_DIST = 20.0
@@ -74,7 +75,7 @@ def triangle_update(
     (indices within one batch entry). ``pair`` is (B, n_P, n_L, c);
     ``dist_features`` is (1, n, n, f), shared by the batch, or (B, n, n, f).
 
-    The block is one ``autodiff.attention`` node over the normalized pair:
+    The block is one ``autodiff.attention`` node that normalizes the pair:
     its heads are folded to (B, n_L, heads, n_P, d) for the pocket fold and
     (B, n_P, heads, n_L, d) for the ligand fold, and the distance bias
     (1 or B, 1, heads, n, n) broadcasts over the other node axis.
@@ -91,23 +92,22 @@ def triangle_update(
         raise DimensionError(f"{axis} distance features must be (1 or {b}, {n_axis}, {n_axis}, f), got {feats.shape}")
     b_f = feats.shape[0]
 
-    normed = layer_norm_affine(store, f"{prefix}.ln", pair, c_pair)
+    norm = layer_norm_params(store, f"{prefix}.ln", c_pair)
     w_q, w_k, w_v = (store.param(f"{prefix}.{t}.w", (c_pair, n_heads * head_dim)) for t in "qkv")
     t = ad.constant(feats.reshape(b_f * n_axis * n_axis, feats.shape[3]))
     t = ad.reshape(ad.matmul(t, store.param(f"{prefix}.t.w", (feats.shape[3], n_heads))), (b_f, n_axis, n_axis, n_heads))
     bias = ad.reshape(ad.permute(t, (0, 3, 1, 2)), (b_f, 1, n_heads, n_axis, n_axis))
     w_o = store.param(f"{prefix}.o.w", (n_heads * head_dim, c_pair))
-    update = ad.attention(normed, normed, w_q, w_k, w_v, w_o, bias, 1.0 / np.sqrt(head_dim), n_heads, fold)
+    update = ad.attention(pair, pair, norm, norm, w_q, w_k, w_v, w_o, bias, 1.0 / np.sqrt(head_dim), n_heads, fold)
     return ad.add(pair, update)
 
 
 def pair_transition(pair: DiffTensor, store: ParamStore, prefix: str) -> DiffTensor:
-    """Position-wise pre-norm MLP with a residual; pair (B, n_P, n_L, c) in and out."""
+    """Position-wise pre-norm MLP with a residual, one ``autodiff.mlp`` node;
+    pair (B, n_P, n_L, c) in and out."""
     c_pair = pair.shape[-1]
-    flat = ad.reshape(pair, (-1, c_pair))
-    normed = layer_norm_affine(store, f"{prefix}.ln", flat, c_pair)
-    hidden = mlp_apply(normed, mlp_params(store, f"{prefix}.mlp", [c_pair, 2 * c_pair, c_pair]))
-    return ad.add(pair, ad.reshape(hidden, pair.shape))
+    norm = layer_norm_params(store, f"{prefix}.ln", c_pair)
+    return ad.add(pair, ad.mlp(pair, mlp_params(store, f"{prefix}.mlp", [c_pair, 2 * c_pair, c_pair]), norm))
 
 
 def biased_cross_attention(
@@ -121,16 +121,17 @@ def biased_cross_attention(
 ) -> DiffTensor:
     """Track ``h_q`` (1 or B, n_q, c_q) attends over ``h_kv`` (1 or B, n_kv,
     c_kv), logits biased by ``bias`` (B, heads, n_q, n_kv); returns the
-    pre-norm residual update of the query track, (B, n_q, c_q). Each track
-    is normalized at its own batch size; the block is one
-    ``autodiff.attention`` node with heads before nodes."""
+    pre-norm residual update of the query track, (B, n_q, c_q). The block
+    is one ``autodiff.attention`` node with heads before nodes, which
+    normalizes each track at its own batch size."""
     c_q, c_kv = h_q.shape[-1], h_kv.shape[-1]
-    nq = layer_norm_affine(store, f"{prefix}.ln_q", h_q, c_q)
-    nkv = layer_norm_affine(store, f"{prefix}.ln_kv", h_kv, c_kv)
+    norm_q = layer_norm_params(store, f"{prefix}.ln_q", c_q)
+    norm_kv = layer_norm_params(store, f"{prefix}.ln_kv", c_kv)
     w_q = store.param(f"{prefix}.q.w", (c_q, n_heads * head_dim))
     w_k, w_v = (store.param(f"{prefix}.{t}.w", (c_kv, n_heads * head_dim)) for t in "kv")
     w_o = store.param(f"{prefix}.o.w", (n_heads * head_dim, c_q))
-    update = ad.attention(nq, nkv, w_q, w_k, w_v, w_o, bias, 1.0 / np.sqrt(head_dim), n_heads, (0, 2, 1, 3))
+    update = ad.attention(h_q, h_kv, norm_q, norm_kv, w_q, w_k, w_v, w_o, bias, 1.0 / np.sqrt(head_dim), n_heads,
+                          (0, 2, 1, 3))
     return ad.add(h_q, update)
 
 

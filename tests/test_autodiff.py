@@ -27,6 +27,8 @@ from pocketgfn.autodiff import (
 )
 from pocketgfn.trioformer import reference_cross_attention, reference_pair_attention
 
+import autodiff_reference as reference
+
 RNG = np.random.default_rng(1234)
 
 PRIMITIVE_TOL = 1e-4
@@ -197,7 +199,7 @@ def _composite(x, w, b):
     """A graph with shared uses, views, a fused attention and a branch the
     loss never reads. Returns (loss, intermediates, unused branch)."""
     h = ad.tanh(ad.add(matmul(x, w), b))
-    a = ad.attention(h, h, w, w, w, w, matmul(h, ad.permute(h, (1, 0))), 0.5, 2, (1, 0, 2))
+    a = ad.attention(h, h, (b, b), (b, b), w, w, w, w, matmul(h, ad.permute(h, (1, 0))), 0.5, 2, (1, 0, 2))
     n = layer_norm_rows(ad.add(a, h))
     unused = ad.exp(x)
     loss = sum_all(ad.mul(log_softmax_rows(n), ad.reshape(n, (3, 4))))
@@ -302,6 +304,7 @@ def _rule_cases():
     # a local stream, so the shared RNG's later draws stay as they were
     rng = np.random.default_rng(7)
     x, y, w = (tensor(rng.uniform(-1.0, 1.0, size=shape)) for shape in ((3, 4), (3, 4), (4, 3)))
+    gain, shift, b3 = (tensor(rng.uniform(-1.0, 1.0, size=shape)) for shape in ((4,), (4,), (3,)))
     pos = tensor(rng.uniform(0.5, 1.5, size=(3, 4)))
     mask = np.array([[True, False, True, True]] * 3)
     return {
@@ -321,8 +324,10 @@ def _rule_cases():
         "softmax_rows": lambda: softmax_rows(x, mask),
         "log_softmax_rows": lambda: log_softmax_rows(x, mask),
         "attention": lambda: ad.attention(
-            x, y, w, w, w, ad.permute(w, (1, 0)), matmul(x, w), 0.5, 1, (1, 0, 2), mask=mask[:, :3]
+            x, y, (gain, shift), (shift, gain), w, w, w, ad.permute(w, (1, 0)), matmul(x, w), 0.5, 1, (1, 0, 2),
+            mask=mask[:, :3],
         ),
+        "mlp": lambda: ad.mlp(ad.neg(x), [(w, b3), (ad.permute(w, (1, 0)), shift)], norm=(gain, shift)),
         "layer_norm_rows": lambda: layer_norm_rows(ad.add(x, y)),
         "concat": lambda: concat([x, ad.neg(y)], axis=1),
         "gather_rows": lambda: gather_rows(ad.neg(x), [0, 2, 0]),
@@ -479,23 +484,33 @@ class TestPrimitiveGradients:
 HEAD_DIM = 3
 ATT_SCALE = 1.0 / np.sqrt(HEAD_DIM)
 N_HEADS = 2
-ATT_INPUTS = ("x_q", "x_kv", "w_q", "w_k", "w_v", "w_o", "bias")
+ATT_INPUTS = (
+    "x_q", "x_kv", "norm_q_gain", "norm_q_bias", "norm_kv_gain", "norm_kv_bias", "w_q", "w_k", "w_v", "w_o", "bias",
+)
 
 
-def _fused_attention(x_q, x_kv, w_q, w_k, w_v, w_o, bias, fold, mask=None):
-    return ad.attention(x_q, x_kv, w_q, w_k, w_v, w_o, bias, ATT_SCALE, N_HEADS, fold, mask=mask)
+def _fused_attention(x_q, x_kv, norm_q, norm_kv, w_q, w_k, w_v, w_o, bias, fold, mask=None):
+    return ad.attention(x_q, x_kv, norm_q, norm_kv, w_q, w_k, w_v, w_o, bias, ATT_SCALE, N_HEADS, fold, mask=mask)
 
 
-def _composed_attention(x_q, x_kv, w_q, w_k, w_v, w_o, bias, fold, mask=None):
+def _reference_attention(x_q, x_kv, norm_q, norm_kv, w_q, w_k, w_v, w_o, bias, fold, mask=None):
+    return reference.pre_norm_attention(
+        x_q, x_kv, norm_q, norm_kv, w_q, w_k, w_v, w_o, bias, ATT_SCALE, N_HEADS, fold, mask=mask
+    )
+
+
+def _composed_attention(x_q, x_kv, norm_q, norm_kv, w_q, w_k, w_v, w_o, bias, fold, mask=None):
     """The same block as a chain of primitives, the way every attention site
-    recorded it before the fused node: one projection per weight, head
-    splits and permutes, logits, softmax, the head outputs and ``w_o``."""
+    recorded it before any fused node: a layer norm per input, one
+    projection per weight, head splits and permutes, logits, softmax, the
+    head outputs and ``w_o``."""
     lead = "abce"[: len(fold) - 2]  # the folded axes before the attended one
 
     def heads(x, w):
         flat = matmul(ad.reshape(x, (-1, x.shape[-1])), w)
         return ad.permute(ad.reshape(flat, (*x.shape[:-1], N_HEADS, -1)), fold)
 
+    x_q, x_kv = reference.layer_norm_affine(x_q, norm_q), reference.layer_norm_affine(x_kv, norm_kv)
     if x_kv.shape[0] != x_q.shape[0]:  # a track shared by the batch, copied per entry
         x_kv = gather_rows(x_kv, [0] * x_q.shape[0])
     q, k, v = heads(x_q, w_q), heads(x_kv, w_k), heads(x_kv, w_v)
@@ -538,15 +553,44 @@ ATTENTION_LAYOUTS = {
 }
 
 
+def _run_layout(layout, block, unit_norms=False, zero_bias=False):
+    """One call of ``block`` at ``layout`` inside a residual, and a loss over
+    it: the output, the gradient of every input (tracks, norms, weights,
+    bias) and the number of tape nodes. Random gains and shifts unless
+    ``unit_norms``; no bias and no mask with ``zero_bias``."""
+    q_shape, kv_shape, bias_shape, fold, mask, _ = ATTENTION_LAYOUTS[layout]
+    rng = np.random.default_rng(10)
+    c = q_shape[-1]
+    tracks = [tensor(rng.normal(size=q_shape))] + ([] if kv_shape is None else [tensor(rng.normal(size=kv_shape))])
+    norms = [
+        (tensor(np.ones(c)), tensor(np.zeros(c))) if unit_norms
+        else (tensor(rng.uniform(0.5, 1.5, size=c)), tensor(rng.uniform(-0.5, 0.5, size=c)))
+        for _ in tracks
+    ]
+    weights = [tensor(rng.normal(size=s)) for s in ((c, 6), (c, 6), (c, 6), (6, c))]
+    bias = tensor(np.zeros(bias_shape) if zero_bias else rng.normal(size=bias_shape))
+    coeffs = tensor(np.linspace(-1.0, 1.0, tracks[0].size).reshape(q_shape))
+    with Tape() as tape:
+        out = ad.add(tracks[0], block(tracks[0], tracks[-1], norms[0], norms[-1], *weights, bias, fold,
+                                      None if zero_bias else mask))
+        loss = sum_all(ad.mul(out, coeffs))
+    n_nodes = len(tape.nodes)
+    backward(loss)
+    inputs = tracks + [t for norm in norms for t in norm] + weights + [bias]
+    return out.data, [t.grad for t in inputs], n_nodes
+
+
 def _attention_operands(rng):
-    """x_q, x_kv, w_q, w_k, w_v, w_o and a bias that broadcasts over the
-    batch, for fold (0, 2, 1, 3): 3 queries over 5 keys, 2 heads of 2."""
-    shapes = ((2, 3, 4), (2, 5, 3), (4, 4), (3, 4), (3, 4), (4, 2), (1, 2, 3, 5))
+    """The inputs in ``ATT_INPUTS`` order, for fold (0, 2, 1, 3): 3 queries
+    of width 4 over 5 keys of width 3, 2 heads of 2, and a bias that
+    broadcasts over the batch."""
+    shapes = ((2, 3, 4), (2, 5, 3), (4,), (4,), (3,), (3,), (4, 4), (3, 4), (3, 4), (4, 2), (1, 2, 3, 5))
     return [tensor(rng.uniform(-1.0, 1.0, size=s)) for s in shapes]
 
 
 def _attend(args, mask=None):
-    return ad.attention(*args[:6], args[6], 0.5, 2, (0, 2, 1, 3), mask=mask)
+    x_q, x_kv, g_q, b_q, g_kv, b_kv, *weights, bias = args
+    return ad.attention(x_q, x_kv, (g_q, b_q), (g_kv, b_kv), *weights, bias, 0.5, 2, (0, 2, 1, 3), mask=mask)
 
 
 KEY_MASK = np.array([[True, False, True, True, False], [False, True, True, True, True], [True] * 5])
@@ -559,18 +603,33 @@ class TestAttention:
         i = ATT_INPUTS.index(operand)
         _check(lambda t: _attend([*args[:i], t, *args[i + 1 :]]), args[i])
 
-    @pytest.mark.parametrize("operand", ["x", "w_q", "w_k", "w_v", "w_o", "bias"])
+    @pytest.mark.parametrize("operand", ["x", "norm_gain", "norm_bias", "w_q", "w_k", "w_v", "w_o", "bias"])
     def test_self_attention_gradient(self, operand):
-        # one track as x_q and x_kv, masked: its gradient sums both uses
+        # one track and one norm as both inputs, masked: its gradient sums both uses
         rng = np.random.default_rng(11)
-        shapes = {"x": (2, 3, 4), "w_q": (4, 4), "w_k": (4, 4), "w_v": (4, 4), "w_o": (4, 2), "bias": (1, 2, 3, 3)}
+        shapes = {"x": (2, 3, 4), "norm_gain": (4,), "norm_bias": (4,), "w_q": (4, 4), "w_k": (4, 4), "w_v": (4, 4),
+                  "w_o": (4, 2), "bias": (1, 2, 3, 3)}
         ops = {name: tensor(rng.uniform(-1.0, 1.0, size=s)) for name, s in shapes.items()}
 
         def f(t):
             a = dict(ops, **{operand: t})
-            return _attend([a["x"], *(a[k] for k in shapes)], mask=KEY_MASK[:, :3])
+            norm = (a["norm_gain"], a["norm_bias"])
+            weights = (a[k] for k in ("w_q", "w_k", "w_v", "w_o"))
+            return ad.attention(a["x"], a["x"], norm, norm, *weights, a["bias"], 0.5, 2, (0, 2, 1, 3),
+                                mask=KEY_MASK[:, :3])
 
         _check(f, ops[operand])
+
+    def test_self_attention_leaves_the_second_input_no_gradient(self):
+        rng = np.random.default_rng(12)
+        x, gain, shift = (tensor(rng.uniform(-1.0, 1.0, size=s)) for s in ((2, 3, 4), (4,), (4,)))
+        w = tensor(rng.uniform(-1.0, 1.0, size=(4, 4)))
+        with Tape() as tape:
+            out = ad.attention(x, x, (gain, shift), (gain, shift), w, w, w, w, tensor(np.zeros((1, 1, 3, 3))), 0.5, 2,
+                               (0, 2, 1, 3))
+        grads = tape.nodes[-1].vjp(np.ones(out.shape))
+        assert grads[1] is None and grads[4] is None and grads[5] is None
+        assert grads[0].shape == x.shape and grads[2].shape == grads[3].shape == (4,)
 
     def test_masked_gradient(self):
         args = _attention_operands(np.random.default_rng(6))
@@ -579,28 +638,21 @@ class TestAttention:
 
     def test_mask_gives_exact_zero_weight_and_gradient(self):
         rng = np.random.default_rng(7)
-        # one-hot keys, one head, identity value and output weights: the
-        # output is the attention weights
-        x_q, w_q, w_k = (tensor(rng.uniform(-1.0, 1.0, size=s)) for s in ((2, 3, 4), (4, 5), (5, 5)))
-        x_kv, eye = tensor(np.broadcast_to(np.eye(5), (2, 5, 5))), tensor(np.eye(5))
-        bias = tensor(rng.uniform(-1.0, 1.0, size=(1, 1, 3, 5)))
+        args = _attention_operands(rng)
+        x_kv, bias = args[1], args[10]
         mask = np.array([[True, False, True, True, False], [False, True, True, True, False], [True, True, True, True, False]])
-
-        def attend():
-            return ad.attention(x_q, x_kv, w_q, w_k, eye, eye, bias, 0.5, 1, (0, 2, 1, 3), mask=mask)
-
         with Tape():
-            w = attend()
-            loss = sum_all(ad.mul(w, rand(2, 3, 5)))
+            out = _attend(args, mask)
+            loss = sum_all(ad.mul(out, rand(2, 3, 2)))
         backward(loss)
-        assert np.all(w.data[:, ~mask] == 0.0)
-        np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(bias.grad[..., ~mask] == 0.0)
         # key 4 is masked for every query, so neither its key nor its value gets a gradient
         assert np.all(x_kv.grad[:, 4] == 0.0)
-        # what a masked entry's logit would be does not matter
+        # a masked entry weighs exactly 0: neither what its logit would be
+        # nor the input of key 4 changes a bit of the output
         bias.data[..., ~mask] = 1e6
-        np.testing.assert_array_equal(attend().data, w.data)
+        x_kv.data[:, 4] = rng.uniform(-5.0, 5.0, size=(2, 3))
+        np.testing.assert_array_equal(_attend(args, mask).data, out.data)
 
     def test_fully_masked_row_rejected(self):
         args = _attention_operands(np.random.default_rng(8))
@@ -610,60 +662,131 @@ class TestAttention:
             _attend(args, mask=mask)
 
     def test_shape_errors(self):
-        x_q, x_kv, w_q, w_k, w_v, w_o, bias = _attention_operands(np.random.default_rng(9))
-        for bad in (
-            [x_q, x_kv, w_q, rand(3, 2), w_v, w_o, bias],  # keys narrower than queries
-            [x_q, x_kv, w_q, w_k, rand(3, 2), w_o, bias],  # values narrower than keys
-            [x_q, x_kv, w_q, w_k, w_v, rand(3, 2), bias],  # w_o does not take the heads
-            [x_q, rand(5, 3), w_q, w_k, w_v, w_o, bias],  # x_kv has no batch axis
-            [x_q, x_kv, w_q, w_k, w_v, w_o, rand(2, 3, 4)],  # bias for 4 keys, not 5
+        args = _attention_operands(np.random.default_rng(9))
+        x_q, x_kv, g_q, b_q, g_kv, b_kv, w_q, w_k, w_v, w_o, bias = args
+        for i, bad in (
+            (7, rand(3, 2)),  # keys narrower than queries
+            (8, rand(3, 2)),  # values narrower than keys
+            (9, rand(3, 2)),  # w_o does not take the heads
+            (1, rand(5, 3)),  # x_kv has no batch axis
+            (10, rand(2, 3, 4)),  # bias for 4 keys, not 5
+            (2, rand(3)),  # a query gain for 3 features, not 4
+            (5, rand(4)),  # a key shift for 4 features, not 3
         ):
             with pytest.raises(DimensionError):
-                _attend(bad)
+                _attend([*args[:i], bad, *args[i + 1 :]])
         with pytest.raises(DimensionError):
-            ad.attention(x_q, x_kv, w_q, w_k, w_v, w_o, bias, 0.5, 2, (0, 2, 1))
+            ad.attention(x_q, x_kv, (g_q, b_q), (g_kv, b_kv), w_q, w_k, w_v, w_o, bias, 0.5, 2, (0, 2, 1))
         with pytest.raises(DimensionError):
-            ad.attention(x_q, x_kv, w_q, w_k, w_v, w_o, bias, 0.5, 3, (0, 2, 1, 3))
+            ad.attention(x_q, x_kv, (g_q, b_q), (g_kv, b_kv), w_q, w_k, w_v, w_o, bias, 0.5, 3, (0, 2, 1, 3))
         with pytest.raises(DimensionError):
-            _attend([x_q, x_kv, w_q, w_k, w_v, w_o, bias], mask=np.ones((3, 4), dtype=bool))
+            _attend(args, mask=np.ones((3, 4), dtype=bool))
 
     @pytest.mark.parametrize("layout", list(ATTENTION_LAYOUTS))
     def test_fused_node_matches_composed_chain(self, layout):
         # each call site's layout: with its bias (and mask) the node matches
-        # the primitive chain in value and in every gradient, in fewer
-        # nodes; with no bias and no mask it matches the numpy reference of
-        # each batch entry
-        q_shape, kv_shape, bias_shape, fold, mask, reference = ATTENTION_LAYOUTS[layout]
-        rng = np.random.default_rng(10)
-        c = q_shape[-1]
-        h_q = rng.normal(size=q_shape)
-        h_kv = None if kv_shape is None else rng.normal(size=kv_shape)
-        weights = [rng.normal(size=s) for s in ((c, 6), (c, 6), (c, 6), (6, c))]
-        coeffs = np.linspace(-1.0, 1.0, h_q.size).reshape(q_shape)
-
-        def run(block, bias, mask):
-            tracks = [tensor(h_q)] + ([] if h_kv is None else [tensor(h_kv)])
-            params = [tensor(x) for x in (*weights, bias)]
-            with Tape() as tape:
-                x_q = layer_norm_rows(tracks[0])
-                x_kv = x_q if h_kv is None else layer_norm_rows(tracks[1])
-                out = ad.add(tracks[0], block(x_q, x_kv, *params, fold, mask))
-                loss = sum_all(ad.mul(out, tensor(coeffs)))
-            n_nodes = len(tape.nodes)
-            backward(loss)
-            return out.data, [x.grad for x in tracks + params], n_nodes
-
-        bias = rng.normal(size=bias_shape)
-        out_f, grads_f, nodes_f = run(_fused_attention, bias, mask)
-        out_c, grads_c, nodes_c = run(_composed_attention, bias, mask)
+        # the primitive chain in value and in every gradient, norms
+        # included, in fewer nodes; with unit norms, no bias and no mask it
+        # matches the numpy reference of each batch entry
+        out_f, grads_f, nodes_f = _run_layout(layout, _fused_attention)
+        out_c, grads_c, nodes_c = _run_layout(layout, _composed_attention)
         np.testing.assert_allclose(out_f, out_c, rtol=0, atol=1e-12)
         for g_f, g_c in zip(grads_f, grads_c):
             np.testing.assert_allclose(g_f, g_c, rtol=0, atol=1e-12)
-        assert nodes_f < nodes_c
-        plain, _, _ = run(_fused_attention, np.zeros(bias_shape), None)
+        assert nodes_f == 4 < nodes_c  # the node, the residual, the loss's product and sum
+        q_shape, kv_shape, _, _, _, reference_entry = ATTENTION_LAYOUTS[layout]
+        rng = np.random.default_rng(10)
+        h_q = rng.normal(size=q_shape)
+        h_kv = h_q if kv_shape is None else rng.normal(size=kv_shape)
+        weights = [rng.normal(size=s) for s in ((q_shape[-1], 6),) * 3 + ((6, q_shape[-1]),)]
+        plain, _, _ = _run_layout(layout, _fused_attention, unit_norms=True, zero_bias=True)
         for b in range(q_shape[0]):
-            expected = reference(h_q[b], h_q[b] if h_kv is None else h_kv[0], weights)
+            expected = reference_entry(h_q[b], h_kv[b % len(h_kv)], weights)
             np.testing.assert_allclose(plain[b], expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("layout", list(ATTENTION_LAYOUTS))
+    def test_fused_node_is_the_unfused_pre_norm_block_bit_for_bit(self, layout):
+        # against layer_norm_affine on each input followed by one attention
+        # node over the normalized inputs: the same value and the same
+        # gradient of every input, track, gain, shift, weight and bias, to
+        # the last bit; the fused node only keeps less
+        out_f, grads_f, nodes_f = _run_layout(layout, _fused_attention)
+        out_r, grads_r, nodes_r = _run_layout(layout, _reference_attention)
+        np.testing.assert_array_equal(out_f, out_r)
+        assert len(grads_f) == len(grads_r)
+        for g_f, g_r in zip(grads_f, grads_r):
+            np.testing.assert_array_equal(g_f, g_r)
+        assert nodes_f == nodes_r - 3 * (2 if ATTENTION_LAYOUTS[layout][1] else 1)
+
+
+MLP_DIMS = {1: [5, 2], 2: [5, 7, 2], 3: [5, 7, 6, 2]}
+
+
+def _mlp_operands(rng, depth, x_shape=(4, 5)):
+    x = tensor(rng.uniform(-1.0, 1.0, size=x_shape))
+    norm = (tensor(rng.uniform(0.5, 1.5, size=5)), tensor(rng.uniform(-0.5, 0.5, size=5)))
+    dims = MLP_DIMS[depth]
+    layers = [
+        (tensor(rng.uniform(-1.0, 1.0, size=(i, o))), tensor(rng.uniform(-0.5, 0.5, size=o))) for i, o in zip(dims, dims[1:])
+    ]
+    return x, norm, layers
+
+
+class TestMLP:
+    @pytest.mark.parametrize("normed", [False, True], ids=["plain", "norm"])
+    def test_gradient(self, normed):
+        # with respect to x, the gain and shift, and each layer's w and b
+        x, norm, layers = _mlp_operands(np.random.default_rng(13), 2)
+        operands = [x, *(norm if normed else ()), *(t for layer in layers for t in layer)]
+
+        def call(ops):
+            rest = ops[3:] if normed else ops[1:]
+            return ad.mlp(ops[0], list(zip(rest[::2], rest[1::2])), norm=tuple(ops[1:3]) if normed else None)
+
+        for i in range(len(operands)):
+            _check(lambda t: call([*operands[:i], t, *operands[i + 1 :]]), operands[i])
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("normed", [False, True], ids=["plain", "norm"])
+    @pytest.mark.parametrize("x_shape", [(4, 5), (2, 3, 5)], ids=["rows", "pair"])
+    def test_is_the_unfused_chain_bit_for_bit(self, depth, normed, x_shape):
+        # against layer_norm_affine on the rows, then mlp_apply's matmul,
+        # add and relu nodes: the same value and the same gradient of x,
+        # the gain and shift and every weight and bias, to the last bit
+        def run(block):
+            x, norm, layers = _mlp_operands(np.random.default_rng(14), depth, x_shape)
+            norm = norm if normed else None
+            coeffs = tensor(np.linspace(-1.0, 1.0, 2 * x.size // 5).reshape(*x_shape[:-1], 2))
+            with Tape() as tape:
+                out = block(x, layers, norm)
+                loss = sum_all(ad.mul(out, coeffs))
+            n_nodes = len(tape.nodes)
+            backward(loss)
+            inputs = [x, *(norm or ()), *(t for layer in layers for t in layer)]
+            return out.data, [t.grad for t in inputs], n_nodes
+
+        out_f, grads_f, nodes_f = run(ad.mlp)
+        out_r, grads_r, nodes_r = run(reference.pre_norm_mlp)
+        np.testing.assert_array_equal(out_f, out_r)
+        for g_f, g_r in zip(grads_f, grads_r):
+            np.testing.assert_array_equal(g_f, g_r)
+        assert nodes_f == 3 < nodes_r
+
+    def test_relu_between_layers_only(self):
+        # identity weights make the network relu(x - 1) + 1 exactly: the
+        # hidden relu is observable, and no relu follows the last layer
+        x = tensor(np.array([[-5.0], [3.0]]))
+        one = tensor(np.ones((1, 1)))
+        out = ad.mlp(x, [(one, tensor([-1.0])), (one, tensor([-2.0]))])
+        np.testing.assert_array_equal(out.data, [[-2.0], [0.0]])
+
+    def test_shape_errors(self):
+        x, norm, layers = _mlp_operands(np.random.default_rng(15), 2)
+        for bad_layers in ([], [layers[1]], [layers[0], (layers[1][0], rand(3))]):
+            with pytest.raises(DimensionError):
+                ad.mlp(x, bad_layers)
+        with pytest.raises(DimensionError):
+            ad.mlp(x, layers, norm=(rand(4), norm[1]))
 
 
 class TestCompositeGradients:

@@ -37,3 +37,4 @@ def test_pair_stack_scaling_runs(monkeypatch, capsys):
     assert scaling.main() == 0
     out = capsys.readouterr().out
     assert "1 steps per pocket size" in out and "  10 residues: " in out and "MB peak RSS" in out
+    assert int(out.split("MB peak RSS, ")[1].split(" tape nodes per step")[0]) > 0

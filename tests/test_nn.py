@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 
 import pocketgfn.nn as nn
-from pocketgfn.autodiff import Tape, backward, square, sub, sum_all, tensor
+from pocketgfn.autodiff import Tape, backward, mlp, square, sub, sum_all, tensor
 from pocketgfn.nn import (
     Adam,
     CheckpointError,
     ParamStore,
     layer_norm_affine,
     load_checkpoint,
-    mlp_apply,
     mlp_params,
     save_checkpoint,
 )
@@ -80,7 +79,7 @@ class TestLayers:
         store["mlp.1.b"].data = np.array([-2.0])
         x = tensor(np.array([[-5.0], [3.0]]))
         with Tape():
-            y = mlp_apply(x, layers)
+            y = mlp(x, layers)
         np.testing.assert_allclose(y.data, [[-2.0], [1.0]])
 
     def test_layer_norm_affine_identity_at_init(self):
@@ -102,7 +101,7 @@ class TestLayers:
             store.zero_grads()
             x = tensor(xs)
             with Tape():
-                pred = mlp_apply(x, layers)
+                pred = mlp(x, layers)
                 err = square(sub(pred, tensor(ys)))
                 loss = sum_all(err)
             backward(loss)

@@ -623,7 +623,7 @@ class TestTrain:
 
     def test_non_finite_gradient_names_parameter(self, monkeypatch):
         # a NaN injected through one primitive's gradient leaves the loss finite
-        real_relu = nn.relu
+        real_relu = ad.relu
 
         def nan_grad_relu(a):
             out = real_relu(a)
@@ -632,7 +632,7 @@ class TestTrain:
                 tape.nodes[-1].vjp = lambda g: (np.full(a.shape, np.nan),)
             return out
 
-        monkeypatch.setattr(nn, "relu", nan_grad_relu)
+        monkeypatch.setattr(ad, "relu", nan_grad_relu)
         store = ParamStore(np.random.default_rng([0, 7]))
         with pytest.raises(TrainingError) as err:
             train(small_config(2, max_nodes=2), TOY, one_pocket(), store=store)
