@@ -257,15 +257,18 @@ def square(a: DiffTensor) -> DiffTensor:
 
 
 def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"matmul takes 2-D operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """``a`` (..., k) projected by ``b`` (k, m) to (..., m): one GEMM over the rows of ``a``."""
+    if a.data.ndim < 2 or b.data.ndim != 2:
+        raise DimensionError(f"matmul takes a (..., k) track and a (k, m) matrix, got {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    a_data, b_data = a.data, b.data
-    out = a_data @ b_data
+    a_shape = a.shape
+    rows, b_data = a.data.reshape(-1, a_shape[-1]), b.data
+    out = (rows @ b_data).reshape(*a_shape[:-1], b_data.shape[1])
 
     def vjp(g):
-        return g @ b_data.T, a_data.T @ g
+        g = g.reshape(-1, b_data.shape[1])
+        return (g @ b_data.T).reshape(a_shape), rows.T @ g
 
     return _record(out, (a, b), vjp)
 
@@ -606,20 +609,23 @@ def attention(
         # softmax backward; the row sums of gh ∘ (w @ v) are those of (gh @ vᵀ) ∘ w
         gl = np.matmul(gh, np.swapaxes(v, -1, -2))
         gl -= (gh * heads.transpose(fold)).sum(axis=-1, keepdims=True)
+        del heads
         gl *= w
         gl *= f
+        g_bias = _unbroadcast(gl, bias_shape)
         grads = [np.empty((*shape[:-1], len(ws), n_heads, d)) for _, ws, shape in groups]
         gq, gk, gv = folded(grads)
         _matmul_into(gq, gl, k)
         _matmul_into(gk, np.swapaxes(gl, -1, -2), q)
         _matmul_into(gv, np.swapaxes(w, -1, -2), gh)
+        del q, k, v, gh, gl  # freed before the norm backward allocates its own scratch
         g_norms, g_w = [], []
         for (kept, ws, shape), y, w_c, g_cat in zip(groups, normed, w_cat, grads):
             g_cat = g_cat.reshape(len(y), -1)
             g_norms.append(_pre_norm_vjp(g_cat @ w_c.T, kept, shape))
             g_w += np.split(y.T @ g_cat, len(ws), axis=1)
         g_kv = g_norms[1] if len(g_norms) > 1 else (None, None, None)
-        return (g_norms[0][0], g_kv[0], *g_norms[0][1:], *g_kv[1:], *g_w, g_wo, _unbroadcast(gl, bias_shape))
+        return (g_norms[0][0], g_kv[0], *g_norms[0][1:], *g_kv[1:], *g_w, g_wo, g_bias)
 
     return _record(out, (x_q, x_kv, *norm_q, *norm_kv, w_q, w_k, w_v, w_o, bias), vjp)
 

@@ -387,7 +387,7 @@ def step_backward_log_prob(child: LigandState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bonds_by_node(s: LigandState) -> list[list[tuple[int, int, int]]]:
+def bonds_by_node(s: LigandState) -> list[list[tuple[int, int, int]]]:
     """Per node, its bonds as (own_ap, neighbour_ap, neighbour), in own-AP order."""
     bonds = [[] for _ in range(s.n)]
     for i, ap_i, j, ap_j in s.edges:
@@ -404,7 +404,7 @@ def _serial(s: LigandState, bonds, v: int, parent: int) -> tuple:
 
 def _minimal_serial(s: LigandState) -> tuple[tuple, int]:
     """The smallest rooted serialization of ``s`` and how many nodes it is rooted at."""
-    bonds = _bonds_by_node(s)
+    bonds = bonds_by_node(s)
     low = min(s.nodes)  # a serialization starts with its root's fragment id
     serials = [_serial(s, bonds, v, -1) for v, fid in enumerate(s.nodes) if fid == low]
     best = min(serials)

@@ -208,8 +208,8 @@ def encode_pocket(graph: PocketGraph, params: ParamStore, L_layers: int, c_pocke
     k = graph.neighbor_idx.shape[1]
     scalars_np, vectors_np = node_features(graph.residues, graph)
 
-    s = ad.matmul(ad.constant(scalars_np), params.param("pocket.embed.w", (N_SCALAR_FEATURES, c_pocket)))
-    s = ad.add(s, params.param("pocket.embed.b", (c_pocket,), fan_in=N_SCALAR_FEATURES))
+    embed_w = params.param("pocket.embed.w", (N_SCALAR_FEATURES, c_pocket))
+    s = ad.mlp(ad.constant(scalars_np), [(embed_w, params.param("pocket.embed.b", (c_pocket,), fan_in=N_SCALAR_FEATURES))])
     v = ad.constant(vectors_np)
 
     rows = np.repeat(np.arange(n), k)

@@ -147,7 +147,7 @@ class PolicyNetwork:
         nodes_np = np.concatenate([f[0] for f in feats])
         w = self.store.param("embed.w", (len(self.library), cfg.width), fan_in=len(self.library))
         bias = self.store.param("embed.b", (cfg.width,), fan_in=len(self.library))
-        x = ad.add(ad.matmul(ad.constant(nodes_np), w), bias)
+        x = ad.mlp(ad.constant(nodes_np), [(w, bias)])
         return x, np.stack([f[1] for f in feats]), np.stack([adjacency_matrix(s) for s in states])
 
     def _self_attention_layers(self, x: DiffTensor, edges_np: np.ndarray, att_mask: np.ndarray) -> DiffTensor:
@@ -162,13 +162,13 @@ class PolicyNetwork:
         b, n = att_mask.shape[:2]
         heads = cfg.n_heads
         hd = cfg.width // heads
-        edge_flat = ad.constant(edges_np.reshape(b * n * n, -1))
+        edges = ad.constant(edges_np)
         x = ad.reshape(x, (b, n, cfg.width))
         for layer in range(cfg.n_layers):
             name = f"lig.gt{layer}"
             norm = layer_norm_params(self.store, f"{name}.ln1", cfg.width)
             w_q, w_k, w_v = (self.store.param(f"{name}.{t}.w", (cfg.width, cfg.width)) for t in "qkv")
-            bias = ad.reshape(ad.matmul(edge_flat, self.store.param(f"{name}.e.w", (edges_np.shape[-1], heads))), (b, n, n, heads))
+            bias = ad.matmul(edges, self.store.param(f"{name}.e.w", (edges_np.shape[-1], heads)))
             w_o = self.store.param(f"{name}.o.w", (cfg.width, cfg.width))
             x = ad.add(x, ad.attention(x, x, norm, norm, w_q, w_k, w_v, w_o, ad.permute(bias, (0, 3, 1, 2)),
                                        1.0 / np.sqrt(hd), heads, (0, 2, 1, 3), mask=att_mask[:, None]))
@@ -184,8 +184,8 @@ class PolicyNetwork:
         b, n = adj.shape[:2]
         self_loops = np.eye(n, dtype=bool)
         if cfg.mode == BASELINE:
-            virt = ad.matmul(ctx.pooled, self.store.param("virt.w", (cfg.pocket_width, cfg.width)))
-            virt = ad.add(virt, self.store.param("virt.b", (cfg.width,), fan_in=cfg.pocket_width))
+            virt_w = self.store.param("virt.w", (cfg.pocket_width, cfg.width))
+            virt = ad.mlp(ctx.pooled, [(virt_w, self.store.param("virt.b", (cfg.width,), fan_in=cfg.pocket_width))])
             # the virtual node, the last of the b * n + 1 rows, becomes row n of each graph
             x = ad.gather_rows(ad.concat([x, virt], axis=0), np.insert(np.arange(b * n), np.arange(1, b + 1) * n, b * n))
             att_mask = np.ones((b, n + 1, n + 1), dtype=bool)
@@ -247,7 +247,7 @@ class PolicyNetwork:
         )
         pre = ad.add(ad.reshape(slot_in, (len(slot_node), 1, cfg.width)), ad.reshape(pair_in, (1, len(pairs), cfg.width)))
         hidden = ad.relu(ad.reshape(pre, (len(slot_node) * len(pairs), cfg.width)))
-        return ad.add(ad.matmul(hidden, w2), b2)
+        return ad.mlp(hidden, [(w2, b2)])
 
     def action_distribution(
         self, states: LigandState | Sequence[LigandState], ctx: PocketContext, max_nodes: int

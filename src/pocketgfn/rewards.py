@@ -15,7 +15,7 @@ from hashlib import sha256
 
 import numpy as np
 
-from .ligand import LigandState
+from .ligand import LigandState, bonds_by_node
 from .pocket import PocketGraph
 
 # Surrogate constants: target ligand size is RHO heavy atoms per angstrom of
@@ -115,10 +115,7 @@ def _wl_labels(s: LigandState) -> list[list[str]]:
     label) sorted, so labels depend only on graph structure, never on node
     numbering.
     """
-    neigh: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(s.n)}
-    for i, ap_i, j, ap_j in s.edges:
-        neigh[i].append((ap_i, ap_j, j))
-        neigh[j].append((ap_j, ap_i, i))
+    neigh = bonds_by_node(s)
     labels = [str(fid) for fid in s.nodes]
     rounds = [list(labels)]
     for _ in range(FINGERPRINT_RADIUS):

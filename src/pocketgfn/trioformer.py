@@ -10,9 +10,10 @@ other along the ligand axis with adjacency biases; a position-wise
 transition and biased cross-attention back into the node tracks complete a
 layer. Every attention block, its layer norms and projections included, is
 one ``autodiff.attention`` node, which folds the attended axis second to
-last (before each head's width), and the transition is one ``autodiff.mlp``
-node. All blocks are pre-norm residuals built on the tape engine, so the
-whole stack is differentiable and checkpointable.
+last (before each head's width); the transition and the biased pocket
+projection are ``autodiff.mlp`` nodes and the other projections
+``autodiff.matmul`` nodes, each on the track it projects. All blocks are
+pre-norm residuals on the tape engine, differentiable and checkpointable.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ def init_pair_embeddings(h_pocket: DiffTensor, h_ligand: DiffTensor, store: Para
     b_l, n_l, c_l = h_ligand.shape
     if n_p == 0 or n_l == 0:
         raise DimensionError("pair embeddings need at least one node on each side")
-    proj_p = ad.matmul(ad.reshape(h_pocket, (b_p * n_p, c_p)), store.param(f"{prefix}.pair_p.w", (c_p, c_pair)))
-    proj_p = ad.add(proj_p, store.param(f"{prefix}.pair_p.b", (c_pair,), fan_in=c_p))
-    proj_l = ad.matmul(ad.reshape(h_ligand, (b_l * n_l, c_l)), store.param(f"{prefix}.pair_l.w", (c_l, c_pair)))
+    layer_p = store.param(f"{prefix}.pair_p.w", (c_p, c_pair)), store.param(f"{prefix}.pair_p.b", (c_pair,), fan_in=c_p)
+    proj_p = ad.mlp(h_pocket, [layer_p])
+    proj_l = ad.matmul(h_ligand, store.param(f"{prefix}.pair_l.w", (c_l, c_pair)))
     return ad.add(ad.reshape(proj_p, (b_p, n_p, 1, c_pair)), ad.reshape(proj_l, (b_l, 1, n_l, c_pair)))
 
 
@@ -77,8 +78,9 @@ def triangle_update(
 
     The block is one ``autodiff.attention`` node that normalizes the pair:
     its heads are folded to (B, n_L, heads, n_P, d) for the pocket fold and
-    (B, n_P, heads, n_L, d) for the ligand fold, and the distance bias
-    (1 or B, 1, heads, n, n) broadcasts over the other node axis.
+    (B, n_P, heads, n_L, d) for the ligand fold. The distance bias, one
+    ``autodiff.matmul`` of the features, is copied heads first to a
+    contiguous (1 or B, 1, heads, n, n) and broadcasts over the other node axis.
     """
     b, n_p, n_l, c_pair = pair.shape
     if axis == "pocket":
@@ -90,13 +92,11 @@ def triangle_update(
     feats = np.asarray(dist_features, dtype=np.float64)
     if feats.ndim != 4 or feats.shape[0] not in (1, b) or feats.shape[1:3] != (n_axis, n_axis):
         raise DimensionError(f"{axis} distance features must be (1 or {b}, {n_axis}, {n_axis}, f), got {feats.shape}")
-    b_f = feats.shape[0]
 
     norm = layer_norm_params(store, f"{prefix}.ln", c_pair)
     w_q, w_k, w_v = (store.param(f"{prefix}.{t}.w", (c_pair, n_heads * head_dim)) for t in "qkv")
-    t = ad.constant(feats.reshape(b_f * n_axis * n_axis, feats.shape[3]))
-    t = ad.reshape(ad.matmul(t, store.param(f"{prefix}.t.w", (feats.shape[3], n_heads))), (b_f, n_axis, n_axis, n_heads))
-    bias = ad.reshape(ad.permute(t, (0, 3, 1, 2)), (b_f, 1, n_heads, n_axis, n_axis))
+    t = ad.matmul(ad.constant(feats), store.param(f"{prefix}.t.w", (feats.shape[3], n_heads)))
+    bias = ad.reshape(ad.permute(t, (0, 3, 1, 2)), (-1, 1, n_heads, n_axis, n_axis))
     w_o = store.param(f"{prefix}.o.w", (n_heads * head_dim, c_pair))
     update = ad.attention(pair, pair, norm, norm, w_q, w_k, w_v, w_o, bias, 1.0 / np.sqrt(head_dim), n_heads, fold)
     return ad.add(pair, update)
@@ -174,9 +174,8 @@ def trioformer_stack(
         pair = triangle_update(pair, d_feats, "pocket", store, f"{name}.tri_p", n_heads, head_dim)
         pair = triangle_update(pair, adj_feats, "ligand", store, f"{name}.tri_l", n_heads, head_dim)
         pair = pair_transition(pair, store, f"{name}.trans")
-        b, n_p, n_l, c = pair.shape
-        bias = ad.matmul(ad.reshape(pair, (b * n_p * n_l, c)), store.param(f"{name}.cross.bias.w", (c, n_heads)))
-        bias = ad.reshape(bias, (b, n_p, n_l, n_heads))  # [pocket node, ligand node, head]
+        # [batch, pocket node, ligand node, head]
+        bias = ad.matmul(pair, store.param(f"{name}.cross.bias.w", (pair.shape[-1], n_heads)))
         h_prev = h_ligand
         h_ligand = biased_cross_attention(
             h_prev, h_pocket, ad.permute(bias, (0, 3, 2, 1)), store, f"{name}.cross.lig", n_heads, head_dim)
@@ -199,6 +198,12 @@ def pool_graph_embedding(h_ligand: DiffTensor) -> DiffTensor:
 # ---------------------------------------------------------------------------
 
 
+def _reference_norm(x: np.ndarray) -> np.ndarray:
+    """Zero-mean unit-variance rows over the last axis, straight numpy."""
+    mean = x.mean(axis=-1, keepdims=True)
+    return (x - mean) / np.sqrt(x.var(axis=-1, keepdims=True) + ad.LN_EPS)
+
+
 def reference_pair_attention(pair: np.ndarray, axis: str, wq, wk, wv, wo, n_heads: int, head_dim: int) -> np.ndarray:
     """Unbiased multi-head attention along one pair axis of one batch entry
     (n_P, n_L, c), straight numpy.
@@ -207,10 +212,7 @@ def reference_pair_attention(pair: np.ndarray, axis: str, wq, wk, wv, wo, n_head
     to ordinary attention.
     """
     n_p, n_l, c_pair = pair.shape
-    flat = pair.reshape(-1, c_pair)
-    mean = flat.mean(axis=1, keepdims=True)
-    var = flat.var(axis=1, keepdims=True)
-    normed = ((flat - mean) / np.sqrt(var + ad.LN_EPS)).reshape(n_p, n_l, c_pair)
+    normed = _reference_norm(pair)
     q = (normed.reshape(-1, c_pair) @ wq).reshape(n_p, n_l, n_heads, head_dim)
     k = (normed.reshape(-1, c_pair) @ wk).reshape(n_p, n_l, n_heads, head_dim)
     v = (normed.reshape(-1, c_pair) @ wv).reshape(n_p, n_l, n_heads, head_dim)
@@ -232,17 +234,11 @@ def reference_pair_attention(pair: np.ndarray, axis: str, wq, wk, wv, wo, n_head
 def reference_cross_attention(h_q: np.ndarray, h_kv: np.ndarray, wq, wk, wv, wo, n_heads: int, head_dim: int) -> np.ndarray:
     """Plain unbiased cross-attention for one track of one batch entry,
     (n_q, c) attending over (n_kv, c), straight numpy."""
-
-    def ln(x):
-        mean = x.mean(axis=1, keepdims=True)
-        var = x.var(axis=1, keepdims=True)
-        return (x - mean) / np.sqrt(var + ad.LN_EPS)
-
     n_q = h_q.shape[0]
     n_kv = h_kv.shape[0]
-    q = (ln(h_q) @ wq).reshape(n_q, n_heads, head_dim)
-    k = (ln(h_kv) @ wk).reshape(n_kv, n_heads, head_dim)
-    v = (ln(h_kv) @ wv).reshape(n_kv, n_heads, head_dim)
+    q = (_reference_norm(h_q) @ wq).reshape(n_q, n_heads, head_dim)
+    k = (_reference_norm(h_kv) @ wk).reshape(n_kv, n_heads, head_dim)
+    v = (_reference_norm(h_kv) @ wv).reshape(n_kv, n_heads, head_dim)
     logits = np.einsum("qhc,khc->qhk", q, k) / np.sqrt(head_dim)
     logits -= logits.max(axis=-1, keepdims=True)
     att = np.exp(logits)

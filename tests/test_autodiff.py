@@ -1,6 +1,7 @@
 """Gradient integrity and tape semantics for the reverse-mode engine."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -97,10 +98,11 @@ class TestForwardValues:
         np.testing.assert_allclose(y.data.var(axis=1), np.ones(4), atol=1e-4)
 
     def test_matmul_shape_error_names_shapes(self):
-        a = rand(2, 3)
-        b = rand(4, 5)
-        with pytest.raises(DimensionError, match=r"\(2, 3\)"):
-            matmul(a, b)
+        # inner dimensions that disagree, of rows and of a track; a 3-D
+        # right operand; a 1-D left one
+        for a_shape, b_shape in (((2, 3), (4, 5)), ((2, 3, 4), (3, 5)), ((2, 3, 4), (4, 5, 1)), ((4,), (4, 5))):
+            with pytest.raises(DimensionError, match=re.escape(f"{a_shape} x {b_shape}")):
+                matmul(rand(*a_shape), rand(*b_shape))
 
     def test_einsum2_rejects_repeated_index_within_operand(self):
         a = rand(3, 3)
@@ -403,6 +405,12 @@ class TestPrimitiveGradients:
 
     def test_matmul_right(self):
         a = rand(3, 4)
+        _check(lambda x: matmul(a, x), rand(4, 2))
+
+    def test_matmul_track(self):
+        b = rand(4, 2)
+        _check(lambda x: matmul(x, b), rand(2, 3, 4))
+        a = rand(2, 3, 4)
         _check(lambda x: matmul(a, x), rand(4, 2))
 
     def test_einsum2_pairwise_contraction(self):
@@ -730,6 +738,39 @@ def _mlp_operands(rng, depth, x_shape=(4, 5)):
         (tensor(rng.uniform(-1.0, 1.0, size=(i, o))), tensor(rng.uniform(-0.5, 0.5, size=o))) for i, o in zip(dims, dims[1:])
     ]
     return x, norm, layers
+
+
+class TestMatmulTrack:
+    @pytest.mark.parametrize("layout", ["track", "shared", "permuted"])
+    def test_is_the_reshape_chain_bit_for_bit(self, layout):
+        # a (..., k) track against reshaping it to rows, one 2-D matmul and
+        # reshaping back: a (2, 3, 4) track, a (1, 5, 4) track that a batch
+        # shares, and a (2, 3, 4) view permuted from other memory
+        def run(block):
+            rng = np.random.default_rng(16)
+            if layout == "permuted":
+                a = ad.DiffTensor(rng.normal(size=(4, 3, 2)).transpose(2, 1, 0))
+                assert not a.data.flags.c_contiguous
+            else:
+                a = tensor(rng.normal(size=(1, 5, 4) if layout == "shared" else (2, 3, 4)))
+            b = tensor(rng.normal(size=(4, 5)))
+            coeffs = tensor(rng.normal(size=(*a.shape[:-1], 5)))
+            with Tape() as tape:
+                out = block(a, b)
+                n_nodes = len(tape.nodes)
+                loss = sum_all(ad.mul(out, coeffs))
+            backward(loss)
+            return out.data, a.grad, b.grad, n_nodes
+
+        def chain(a, b):
+            return ad.reshape(matmul(ad.reshape(a, (-1, a.shape[-1])), b), (*a.shape[:-1], b.shape[1]))
+
+        *track, nodes_track = run(matmul)
+        *rows, nodes_rows = run(chain)
+        for got, want in zip(track, rows):
+            np.testing.assert_array_equal(got, want)
+        assert track[0].shape == (*track[1].shape[:-1], 5)
+        assert (nodes_track, nodes_rows) == (1, 3)
 
 
 class TestMLP:

@@ -232,13 +232,22 @@ class TestActionDistribution:
         # attention sites: one per graph-transformer layer, and per
         # trioformer layer the two triangle folds and the two cross-attention
         # tracks, but for the pocket track of the last layer, which nothing
-        # reads; each normalizes its own inputs. MLP sites: the pocket
-        # messages, the graph-transformer and pair transitions and the stop
-        # head. The only layer norm left is the pocket encoder's post-norm.
+        # reads; each normalizes its own inputs. MLP sites, each named by its
+        # first weight: the pocket and node embeddings, the pocket messages,
+        # the virtual node (baseline), the graph-transformer transitions, per
+        # trioformer layer the pocket's pair projection and the pair
+        # transition, the stop head and the add head's output layer, each a
+        # biased projection or an MLP in one node. The only layer norm left
+        # is the pocket encoder's post-norm.
         fused, fused_mlp, real_norm = ad.attention, ad.mlp, nn.layer_norm_rows
         calls, mlps, norms = [], [], []
         monkeypatch.setattr(ad, "attention", lambda *args, **kw: calls.append(1) or fused(*args, **kw))
-        monkeypatch.setattr(ad, "mlp", lambda *args, **kw: mlps.append(1) or fused_mlp(*args, **kw))
+
+        def mlp(x, layers, *args, **kw):
+            mlps.append(layers[0][0])
+            return fused_mlp(x, layers, *args, **kw)
+
+        monkeypatch.setattr(ad, "mlp", mlp)
         monkeypatch.setattr(nn, "layer_norm_rows", lambda x: norms.append(1) or real_norm(x))
 
         def no_softmax_chain(*args, **kw):
@@ -252,7 +261,19 @@ class TestActionDistribution:
         cfg = policy.config
         trio = mode == "trioformer"
         assert len(calls) == cfg.n_layers + (4 * cfg.trio_layers - 1 if trio else 0)
-        assert len(mlps) == cfg.pocket_layers + cfg.n_layers + 1 + (cfg.trio_layers if trio else 0)
+        names = {id(p): name for name, p in policy.store.items()}
+        sites = [
+            "pocket.embed.w",
+            *(f"pocket.layer{i}.msg.0.w" for i in range(cfg.pocket_layers)),
+            "embed.w",
+            *([] if trio else ["virt.w"]),
+            *(f"lig.gt{i}.mlp.0.w" for i in range(cfg.n_layers)),
+            *(f"trio.init{i}.pair_p.w" for i in range(cfg.trio_layers) if trio),
+            *(f"trio.layer{i}.trans.mlp.0.w" for i in range(cfg.trio_layers) if trio),
+            "stop_head.0.w",
+            "add_head.1.w",
+        ]
+        assert sorted(names[id(w)] for w in mlps) == sorted(sites)
         assert len(norms) == cfg.pocket_layers
 
     @pytest.mark.parametrize("mode", ["baseline", "trioformer"])
@@ -531,7 +552,9 @@ class TestTapeMemory:
         # next node, and references its weights rather than concatenating
         # them. Counted: the distinct buffers the rules hold, less the
         # parameter arrays, which the store holds anyway. Before the fused
-        # norms this pass recorded 293 nodes whose rules held 6,362,200 bytes.
+        # norms this pass recorded 293 nodes whose rules held 6,362,200 bytes;
+        # with them, 195 nodes, and 175 since a projection of a track is one
+        # node and a biased projection one one-layer mlp node.
         store = ParamStore(np.random.default_rng(0))
         policy = PolicyNetwork(store, DESK, PolicyConfig(mode="trioformer"))
         graph = build_knn_graph(synthetic_pocket(10, 2.0, 0))
@@ -544,5 +567,5 @@ class TestTapeMemory:
             held_buffers(node.vjp, found)
         params = {id(p.data) for p in store.values()}
         held = sum(a.nbytes for key, a in found.items() if key not in params)
-        assert len(tape.nodes) == 195
+        assert len(tape.nodes) == 175
         assert held <= 0.8 * 6_362_200, held

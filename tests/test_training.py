@@ -592,6 +592,23 @@ class TestTrain:
         train(cfg, DESK, one_pocket())
         assert rules and offending == []
 
+    @pytest.mark.parametrize("mode, nodes", [("baseline", 551), ("trioformer", 887)])
+    def test_desk_step_records_pinned_tape_nodes(self, mode, nodes, monkeypatch):
+        # one seeded desk step, batch 16, default policy: a projection of a
+        # track is one matmul node and a biased projection one one-layer mlp
+        # node, where reshaping to rows and back and a separate bias add
+        # recorded 599 (baseline) and 1,039 (trioformer) nodes
+        counts, real_backward = [], ad.backward
+
+        def backward(loss):
+            counts.append(len(loss._tape.nodes))
+            real_backward(loss)
+
+        monkeypatch.setattr(ad, "backward", backward)
+        pockets = {"p": build_knn_graph(synthetic_pocket(10, 6.0, 0))}
+        train(TrainerConfig(steps=1, batch_size=16, seed=0, mode=mode), DESK, pockets)
+        assert counts == [nodes]
+
     @pytest.mark.parametrize("mode", ["baseline", "trioformer"])
     def test_backward_peak_stays_near_forward_memory(self, mode):
         # backward releases each node as it passes it, so its peak is about
