@@ -718,7 +718,8 @@ def concat(parts: Sequence[DiffTensor], axis: int = 0) -> DiffTensor:
 
 
 def gather_rows(x: DiffTensor, indices) -> DiffTensor:
-    """Select rows along axis 0; duplicate indices accumulate gradient."""
+    """Select rows along axis 0 by an index array of any shape; the output is
+    ``indices.shape + x.shape[1:]``. Duplicate indices accumulate gradient."""
     idx = np.asarray(indices, dtype=np.intp)
     out = x.data[idx]
     x_shape = x.shape

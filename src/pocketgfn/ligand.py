@@ -118,16 +118,6 @@ def load_library(path: str) -> FragmentLibrary:
         raise LibraryError(f"{path}: bad fragment library: {e}") from None
 
 
-def save_library(path: str, library: FragmentLibrary) -> None:
-    doc = {
-        "fragments": [
-            {"id": f.id, "name": f.name, "aps": f.aps, "size": f.size, "polarity": f.polarity} for f in library
-        ]
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-
-
 def toy_library() -> FragmentLibrary:
     # the smallest enumeration-friendly library: 2 fragments, 1 AP each
     return load_library(str(DATA_DIR / "toy_library.json"))

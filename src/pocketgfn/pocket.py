@@ -191,8 +191,8 @@ def node_features(residues: list[Residue], graph: PocketGraph) -> tuple[np.ndarr
 
 
 def _vector_norms(v: DiffTensor) -> DiffTensor:
-    # (n, V, 3) -> (n, V); epsilon keeps sqrt differentiable at zero vectors
-    sq = ad.einsum2("nvc,nvc->nv", v, v)
+    # (n, k, V, 3) -> (n, k, V); epsilon keeps sqrt differentiable at zero vectors
+    sq = ad.einsum2("nkvc,nkvc->nkv", v, v)
     return ad.sqrt(ad.add(sq, ad.constant(np.full(sq.shape, 1e-8))))
 
 
@@ -203,6 +203,8 @@ def encode_pocket(graph: PocketGraph, params: ParamStore, L_layers: int, c_pocke
     the scalar track only through norms and dots with edge directions, so
     node_embeddings are invariant under rigid motion of the input coordinates.
     Nothing reads the vector track after the last layer's scalar update.
+    Edge tensors are (n, k, ...), node i's k outgoing edges in row i, so the
+    mean over each node's messages is one contraction of the k axis.
     """
     n = graph.n
     k = graph.neighbor_idx.shape[1]
@@ -212,12 +214,10 @@ def encode_pocket(graph: PocketGraph, params: ParamStore, L_layers: int, c_pocke
     s = ad.mlp(ad.constant(scalars_np), [(embed_w, params.param("pocket.embed.b", (c_pocket,), fan_in=N_SCALAR_FEATURES))])
     v = ad.constant(vectors_np)
 
-    rows = np.repeat(np.arange(n), k)
-    cols = graph.neighbor_idx.reshape(-1)
-    edge_scalars = ad.constant(
-        np.stack([graph.edge_dist.reshape(-1) / 10.0, graph.edge_sep.reshape(-1) / MAX_BACKBONE_SEP], axis=1)
-    )
-    edge_dir = ad.constant(graph.edge_dir.reshape(-1, 3))
+    rows = np.repeat(np.arange(n)[:, None], k, axis=1)
+    cols = graph.neighbor_idx
+    edge_scalars = ad.constant(np.stack([graph.edge_dist / 10.0, graph.edge_sep / MAX_BACKBONE_SEP], axis=-1))
+    edge_dir = ad.constant(graph.edge_dir)
     mean_k = ad.constant(np.full(k, 1.0 / k))
 
     nV = N_VECTOR_CHANNELS
@@ -232,21 +232,21 @@ def encode_pocket(graph: PocketGraph, params: ParamStore, L_layers: int, c_pocke
         # invariant vector readouts: channel norms and projections on the edge
         norms_i = _vector_norms(v_i)
         norms_j = _vector_norms(v_j)
-        proj_i = ad.einsum2("evc,ec->ev", v_i, edge_dir)
-        proj_j = ad.einsum2("evc,ec->ev", v_j, edge_dir)
-        msg_in = ad.concat([s_i, s_j, edge_scalars, norms_i, norms_j, proj_i, proj_j], axis=1)
+        proj_i = ad.einsum2("nkvc,nkc->nkv", v_i, edge_dir)
+        proj_j = ad.einsum2("nkvc,nkc->nkv", v_j, edge_dir)
+        msg_in = ad.concat([s_i, s_j, edge_scalars, norms_i, norms_j, proj_i, proj_j], axis=2)
         msg = ad.mlp(msg_in, mlp_params(params, f"{name}.msg", [msg_in_dim, c_pocket, c_pocket]))
-        agg = ad.einsum2("nkc,k->nc", ad.reshape(msg, (n, k, c_pocket)), mean_k)
+        agg = ad.einsum2("nkc,k->nc", msg, mean_k)
         s = layer_norm_affine(params, f"{name}.ln", ad.add(s, agg), c_pocket)
         if layer == L_layers - 1:
             break
 
         # equivariant vector update: gated edge directions + channel remixing
         gate = ad.matmul(msg, params.param(f"{name}.gate.w", (c_pocket, nV)))
-        dir_term = ad.einsum2("ev,ec->evc", gate, edge_dir)
-        mix = ad.einsum2("evc,vw->ewc", v_j, params.param(f"{name}.vmix.w", (nV, nV), fan_in=nV))
+        dir_term = ad.einsum2("nkv,nkc->nkvc", gate, edge_dir)
+        mix = ad.einsum2("nkvc,vw->nkwc", v_j, params.param(f"{name}.vmix.w", (nV, nV), fan_in=nV))
         v_msg = ad.add(dir_term, mix)
-        v_agg = ad.einsum2("nkvc,k->nvc", ad.reshape(v_msg, (n, k, nV, 3)), mean_k)
+        v_agg = ad.einsum2("nkvc,k->nvc", v_msg, mean_k)
         v = ad.add(v, v_agg)
 
     return PocketContext(node_embeddings=s, pooled=ad.mean_rows(s), dist_matrix=graph.dist_matrix)

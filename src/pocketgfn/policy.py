@@ -76,10 +76,12 @@ class ActionDistribution:
     Rows are flat over the batch: state b owns rows ``offsets[b]:offsets[b + 1]``,
     its legal actions in lattice order. With one state the offsets are
     ``[0, m]`` and the rows are simply that state's legal actions.
+    ``log_probs`` is one (R, 1) column, so a gather of drawn rows reads it
+    as it is.
     """
 
     actions: list[LigandAction]  # (R,)
-    log_probs: DiffTensor  # (1, R)
+    log_probs: DiffTensor  # (R, 1)
     probs: np.ndarray  # (R,)
     offsets: np.ndarray  # (B + 1,)
     # state b -> (first row, cumulative sums of its rows' probabilities),
@@ -136,34 +138,33 @@ class PolicyNetwork:
     # -- ligand side ------------------------------------------------------
 
     def _embed_nodes(self, states: Sequence[LigandState]) -> tuple[DiffTensor, np.ndarray, np.ndarray]:
-        """Node embeddings (B * n, w), edge features (B, n, n, f) and adjacency (B, n, n)."""
+        """Node track (B, n, w), edge features (B, n, n, f) and adjacency (B, n, n)."""
         cfg = self.config
         b, n = len(states), states[0].n
         if n == 0:
             start = self.store.param("start_token", (1, cfg.width), fan_in=cfg.width)
-            x = ad.gather_rows(start, np.zeros(b, dtype=np.intp))
+            x = ad.gather_rows(start, np.zeros((b, 1), dtype=np.intp))
             return x, np.zeros((b, 1, 1, 2 * self.library.max_aps)), np.zeros((b, 1, 1))
         feats = [featurize(s, self.library) for s in states]
-        nodes_np = np.concatenate([f[0] for f in feats])
+        nodes_np = np.stack([f[0] for f in feats])
         w = self.store.param("embed.w", (len(self.library), cfg.width), fan_in=len(self.library))
         bias = self.store.param("embed.b", (cfg.width,), fan_in=len(self.library))
         x = ad.mlp(ad.constant(nodes_np), [(w, bias)])
         return x, np.stack([f[1] for f in feats]), np.stack([adjacency_matrix(s) for s in states])
 
     def _self_attention_layers(self, x: DiffTensor, edges_np: np.ndarray, att_mask: np.ndarray) -> DiffTensor:
-        """Graph transformer over B graphs of n nodes each; x is (B * n, w).
+        """Graph transformer over B graphs of n nodes each: the (B, n, w) track
+        in and out.
 
-        Each layer is two pre-norm residual blocks on the (B, n, w) track,
-        each one node: an ``autodiff.attention`` node, heads before nodes,
-        whose edge bias is (B, heads, n, n) and over whose heads ``att_mask``
-        (B, n, n) broadcasts, and an ``autodiff.mlp`` node.
+        Each layer is two pre-norm residual blocks on the track, each one
+        node: an ``autodiff.attention`` node, heads before nodes, whose edge
+        bias is (B, heads, n, n) and over whose heads ``att_mask`` (B, n, n)
+        broadcasts, and an ``autodiff.mlp`` node.
         """
         cfg = self.config
-        b, n = att_mask.shape[:2]
         heads = cfg.n_heads
         hd = cfg.width // heads
         edges = ad.constant(edges_np)
-        x = ad.reshape(x, (b, n, cfg.width))
         for layer in range(cfg.n_layers):
             name = f"lig.gt{layer}"
             norm = layer_norm_params(self.store, f"{name}.ln1", cfg.width)
@@ -174,11 +175,11 @@ class PolicyNetwork:
                                        1.0 / np.sqrt(hd), heads, (0, 2, 1, 3), mask=att_mask[:, None]))
             norm = layer_norm_params(self.store, f"{name}.ln2", cfg.width)
             x = ad.add(x, ad.mlp(x, mlp_params(self.store, f"{name}.mlp", [cfg.width, 2 * cfg.width, cfg.width]), norm))
-        return ad.reshape(x, (b * n, cfg.width))
+        return x
 
     def _ligand_track(self, states: Sequence[LigandState], ctx: PocketContext) -> tuple[DiffTensor, DiffTensor]:
-        """Per-node embeddings (B * n, w) for the action heads, in state order,
-        and graph embeddings (B, 2w) in baseline mode or (B, w) in pair mode."""
+        """The node track (B, n, w) for the action heads and graph embeddings
+        (B, 2w) in baseline mode or (B, w) in pair mode."""
         cfg = self.config
         x, edges_np, adj = self._embed_nodes(states)
         b, n = adj.shape[:2]
@@ -186,22 +187,20 @@ class PolicyNetwork:
         if cfg.mode == BASELINE:
             virt_w = self.store.param("virt.w", (cfg.pocket_width, cfg.width))
             virt = ad.mlp(ctx.pooled, [(virt_w, self.store.param("virt.b", (cfg.width,), fan_in=cfg.pocket_width))])
-            # the virtual node, the last of the b * n + 1 rows, becomes row n of each graph
-            x = ad.gather_rows(ad.concat([x, virt], axis=0), np.insert(np.arange(b * n), np.arange(1, b + 1) * n, b * n))
+            # the virtual node becomes node n of each graph
+            x = ad.concat([x, ad.gather_rows(virt, np.zeros((b, 1), dtype=np.intp))], axis=1)
             att_mask = np.ones((b, n + 1, n + 1), dtype=bool)
             att_mask[:, :n, :n] = adj.astype(bool) | self_loops
             edges_aug = np.zeros((b, n + 1, n + 1, edges_np.shape[-1]))
             edges_aug[:, :n, :n] = edges_np
-            h = self._self_attention_layers(x, edges_aug, att_mask)
+            h = ad.reshape(self._self_attention_layers(x, edges_aug, att_mask), (b * (n + 1), cfg.width))
             rows = np.arange(b * (n + 1)).reshape(b, n + 1)
-            real = ad.gather_rows(h, rows[:, :n].reshape(-1))
-            pooled = pool_graph_embedding(ad.reshape(real, (b, n, cfg.width)))
-            virtual_row = ad.gather_rows(h, rows[:, n])
-            return real, ad.concat([pooled, virtual_row], axis=1)
+            real = ad.gather_rows(h, rows[:, :n])
+            return real, ad.concat([pool_graph_embedding(real), ad.gather_rows(h, rows[:, n])], axis=1)
         h = self._self_attention_layers(x, edges_np, adj.astype(bool) | self_loops)
         h = trioformer_stack(
             ctx.node_embeddings,
-            ad.reshape(h, (b, n, cfg.width)),
+            h,
             ctx.dist_matrix,
             adj,
             self.store,
@@ -211,19 +210,20 @@ class PolicyNetwork:
             head_dim=cfg.trio_head_dim,
             c_pair=cfg.trio_c_pair,
         )
-        return ad.reshape(h, (b * n, cfg.width)), pool_graph_embedding(h)
+        return h, pool_graph_embedding(h)
 
     # -- heads -------------------------------------------------------------
 
     def _add_logits(self, node_h: DiffTensor, slots: list[list[tuple[int, int]]], n: int) -> DiffTensor | None:
-        """Logits (rows, 1) of the add rows of every state, state by state;
-        None when no state has one. ``slots[i]`` lists state i's open slots,
-        whose lattice rows its legal actions list in turn, one per (fragment,
-        fragment ap) pair; the empty state's one slot is its start token,
-        paired with the root pairs. The add head's first layer is linear in
-        [target node, target ap, fragment, fragment ap], so it is applied once
-        per slot and once per pair, and each row adds one of each; no (rows,
-        features) input is built."""
+        """Logits (rows, 1) of the add rows of every state, state by state, from
+        the (B, n, w) node track; None when no state has one. ``slots[i]``
+        lists state i's open slots, whose lattice rows its legal actions list
+        in turn, one per (fragment, fragment ap) pair; the empty state's one
+        slot is its start token, paired with the root pairs. The add head's
+        first layer is linear in [target node, target ap, fragment, fragment
+        ap], so it is applied once per slot, as (slots, 1, w) rows, and once
+        per pair, as (pairs, w) rows, which broadcast to the (slots, pairs, w)
+        hidden layer; no (rows, features) input is built."""
         cfg = self.config
         a_max = self.library.max_aps
         lattice = action_lattice(self.library)
@@ -238,16 +238,15 @@ class PolicyNetwork:
         bounds = np.cumsum([0, cfg.width, a_max, cfg.frag_emb_dim, a_max])
         w_node, w_ap, w_frag, w_fap = (ad.gather_rows(w1, np.arange(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
         slot_in = ad.add(
-            ad.gather_rows(ad.matmul(node_h, w_node), slot_node),
-            ad.add(ad.matmul(ad.constant(np.array(slot_ap)[:, None] == np.arange(a_max)), w_ap), b1),
+            ad.gather_rows(ad.reshape(ad.matmul(node_h, w_node), (-1, cfg.width)), np.array(slot_node)[:, None]),
+            ad.add(ad.matmul(ad.constant(np.array(slot_ap)[:, None, None] == np.arange(a_max)), w_ap), b1),
         )
         pair_in = ad.add(
             ad.matmul(ad.gather_rows(frag_table, [k for k, _ in pairs]), w_frag),
             ad.matmul(ad.constant(np.array([f_ap for _, f_ap in pairs])[:, None] == np.arange(a_max)), w_fap),
         )
-        pre = ad.add(ad.reshape(slot_in, (len(slot_node), 1, cfg.width)), ad.reshape(pair_in, (1, len(pairs), cfg.width)))
-        hidden = ad.relu(ad.reshape(pre, (len(slot_node) * len(pairs), cfg.width)))
-        return ad.mlp(hidden, [(w2, b2)])
+        logits = ad.mlp(ad.relu(ad.add(slot_in, pair_in)), [(w2, b2)])
+        return ad.reshape(logits, (len(slot_node) * len(pairs), 1))
 
     def action_distribution(
         self, states: LigandState | Sequence[LigandState], ctx: PocketContext, max_nodes: int
@@ -286,13 +285,12 @@ class PolicyNetwork:
             cols[i, : width[i]] = np.concatenate([[i], adds]) if n else adds
         mask = np.arange(cols.shape[1]) < width[:, None]
         column = stop_logits if add_logits is None else ad.concat([stop_logits, add_logits], axis=0)
-        padded = ad.log_softmax_rows(ad.reshape(ad.gather_rows(column, cols.reshape(-1)), cols.shape), mask=mask)
-        flat = np.flatnonzero(mask.reshape(-1))
-        log_probs = ad.reshape(ad.gather_rows(ad.reshape(padded, (mask.size, 1)), flat), (1, flat.size))
+        padded = ad.log_softmax_rows(ad.reshape(ad.gather_rows(column, cols), cols.shape), mask=mask)
+        log_probs = ad.gather_rows(ad.reshape(padded, (mask.size, 1)), np.flatnonzero(mask))
         return ActionDistribution(
             actions=[a for acts in legal for a in acts],
             log_probs=log_probs,
-            probs=np.exp(log_probs.data[0]),
+            probs=np.exp(log_probs.data[:, 0]),
             offsets=np.concatenate([[0], np.cumsum(width)]),
         )
 
@@ -315,6 +313,5 @@ def sample_action(dist: ActionDistribution, rng: np.random.Generator, b: int = 0
 
 
 def log_prob_at(dist: ActionDistribution, idx: int) -> DiffTensor:
-    """Differentiable (1,1) log-probability of row idx."""
-    col = ad.reshape(dist.log_probs, (len(dist.actions), 1))
-    return ad.gather_rows(col, np.array([idx]))
+    """Differentiable (1, 1) log-probability of row idx of the (R, 1) column."""
+    return ad.gather_rows(dist.log_probs, np.array([idx]))

@@ -146,6 +146,7 @@ def primitive_gradient_errors() -> dict[str, float]:
         ("gather", lambda x: ad.gather_rows(x, np.array([1, 0, 1])), x23()),
         ("mean_rows", ad.mean_rows, x23()),
         ("matmul_track", lambda x: ad.matmul(x, c34), tensor(rng.normal(size=(2, 2, 3)))),
+        ("gather_grid", lambda x: ad.gather_rows(x, np.array([[1, 0], [1, 1]])), x23()),
     ]
     checks += [
         attend(wrt, form, masked)

@@ -156,11 +156,12 @@ def sample_trajectories(
     empty state until Stop (the node cap forces it), each drawing only from
     its own rng. Each round advances every live trajectory by one action;
     all live states then have the round's node count, so those of one pocket
-    are scored in one policy pass, whose drawn rows are taken with one
-    gather. A forced Stop gets no pass and no entry (its log-probability is
-    exactly 0). Returns the trajectories, the drawn log-probabilities as one
-    (N, 1) column, recorded under an active tape, and the (N,) index of the
-    trajectory that owns each entry."""
+    are scored in one policy pass, whose drawn rows are taken from its
+    (R, 1) log-probability column with one gather. A forced Stop gets no
+    pass and no entry (its log-probability is exactly 0). Returns the
+    trajectories, the drawn log-probabilities as one (N, 1) column, recorded
+    under an active tape, and the (N,) index of the trajectory that owns
+    each entry."""
     trajs = [Trajectory(states=[initial_state()], actions=[]) for _ in pocket_ids]
 
     def advance(traj: Trajectory, action: LigandAction) -> None:
@@ -184,7 +185,7 @@ def sample_trajectories(
                 action, row = sample_action(dist, rngs[i], b)
                 advance(trajs[i], action)
                 drawn.append(row)
-            columns.append(ad.gather_rows(ad.reshape(dist.log_probs, (len(dist.actions), 1)), drawn))
+            columns.append(ad.gather_rows(dist.log_probs, drawn))
             owners += members
         live = [i for i in live if not trajs[i].states[-1].terminal]
     return trajs, ad.concat(columns, axis=0), np.array(owners, dtype=np.intp)

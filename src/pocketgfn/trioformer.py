@@ -79,8 +79,9 @@ def triangle_update(
     The block is one ``autodiff.attention`` node that normalizes the pair:
     its heads are folded to (B, n_L, heads, n_P, d) for the pocket fold and
     (B, n_P, heads, n_L, d) for the ligand fold. The distance bias, one
-    ``autodiff.matmul`` of the features, is copied heads first to a
-    contiguous (1 or B, 1, heads, n, n) and broadcasts over the other node axis.
+    ``autodiff.matmul`` of the (1 or B, 1, n, n, f) features, is permuted
+    heads first to a (1 or B, 1, heads, n, n) view that broadcasts over the
+    other node axis.
     """
     b, n_p, n_l, c_pair = pair.shape
     if axis == "pocket":
@@ -95,8 +96,8 @@ def triangle_update(
 
     norm = layer_norm_params(store, f"{prefix}.ln", c_pair)
     w_q, w_k, w_v = (store.param(f"{prefix}.{t}.w", (c_pair, n_heads * head_dim)) for t in "qkv")
-    t = ad.matmul(ad.constant(feats), store.param(f"{prefix}.t.w", (feats.shape[3], n_heads)))
-    bias = ad.reshape(ad.permute(t, (0, 3, 1, 2)), (-1, 1, n_heads, n_axis, n_axis))
+    t = ad.matmul(ad.constant(feats[:, None]), store.param(f"{prefix}.t.w", (feats.shape[3], n_heads)))
+    bias = ad.permute(t, (0, 1, 4, 2, 3))
     w_o = store.param(f"{prefix}.o.w", (n_heads * head_dim, c_pair))
     update = ad.attention(pair, pair, norm, norm, w_q, w_k, w_v, w_o, bias, 1.0 / np.sqrt(head_dim), n_heads, fold)
     return ad.add(pair, update)

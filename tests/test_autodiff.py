@@ -121,7 +121,10 @@ class TestForwardValues:
         x = tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         with Tape():
             y = gather_rows(x, np.array([2, 0, 2]))
+            grid = gather_rows(x, np.array([[2, 0], [2, 2]]))
         np.testing.assert_allclose(y.data, [[5.0, 6.0], [1.0, 2.0], [5.0, 6.0]])
+        # the output is indices.shape + x.shape[1:]
+        np.testing.assert_allclose(grid.data, [[[5.0, 6.0], [1.0, 2.0]], [[5.0, 6.0], [5.0, 6.0]]])
 
 
 class TestTapeSemantics:
@@ -470,8 +473,8 @@ class TestPrimitiveGradients:
         _check(lambda x: concat([x, b], axis=1), rand(3, 4))
 
     def test_gather_rows_with_duplicates(self):
-        idx = np.array([0, 2, 2, 1])
-        _check(lambda x: gather_rows(x, idx), rand(3, 4))
+        for idx in (np.array([0, 2, 2, 1]), np.array([[0, 2], [2, 2]])):
+            _check(lambda x: gather_rows(x, idx), rand(3, 4))
 
     def test_reshape(self):
         _check(lambda x: ad.reshape(x, (2, 6)), rand(3, 4))

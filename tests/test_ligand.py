@@ -28,11 +28,9 @@ from pocketgfn.ligand import (
     enumerated_space,
     initial_state,
     legal_actions,
-    load_library,
     open_slots,
     removable_leaves,
     remove_leaf,
-    save_library,
     state_from_record,
     state_to_record,
     step_backward_log_prob,
@@ -76,13 +74,6 @@ class TestLibrary:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(LibraryError):
             FragmentLibrary([Fragment(0, "x", 1, 1, 0.5), Fragment(0, "y", 1, 1, 0.5)])
-
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "lib.json")
-        save_library(path, DESK)
-        loaded = load_library(path)
-        assert [f.id for f in loaded] == [f.id for f in DESK]
-        assert loaded.get(2).polarity == DESK.get(2).polarity
 
     def test_zero_ap_fragment_rejected(self):
         with pytest.raises(LibraryError):

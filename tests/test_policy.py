@@ -149,7 +149,7 @@ class TestActionLattice:
         dist = policy.action_distribution(s, pocket_ctx(policy), max_nodes=8)
         m = 1 + DESK.get(0).aps * sum(f.aps for f in DESK)  # every attachment point is free
         assert len(dist.actions) == m and dist.actions[0] is STOP
-        assert dist.log_probs.shape == (1, m) and dist.probs.shape == (m,)
+        assert dist.log_probs.shape == (m, 1) and dist.probs.shape == (m,)
         assert dist.mask.all() and len(dist.mask) == m
         assert dist.offsets.tolist() == [0, m]
 
@@ -162,7 +162,7 @@ class TestActionDistribution:
         dist = policy.action_distribution(s, ctx, max_nodes=8)
         assert np.isclose(dist.probs.sum(), 1.0, atol=1e-12)
         assert np.all(dist.probs > 0.0)
-        np.testing.assert_array_equal(dist.probs, np.exp(dist.log_probs.data[0]))
+        np.testing.assert_array_equal(dist.probs, np.exp(dist.log_probs.data[:, 0]))
 
     def test_nonzero_support_equals_legal_actions(self):
         policy = make_policy()
@@ -317,7 +317,6 @@ class TestHeadReference:
         for states in states_by_size(DESK, 2).values():
             dist = policy.action_distribution(states, ctx, max_nodes=2)
             node_h, graph_emb = (t.data for t in policy._ligand_track(states, ctx))
-            n = max(states[0].n, 1)
 
             def mlp(x, name):
                 hidden = np.maximum(x @ store[f"{name}.0.w"].data + store[f"{name}.0.b"].data, 0.0)
@@ -334,10 +333,10 @@ class TestHeadReference:
                         ap[a.target_ap] = 1.0
                     f_ap[a.fragment_ap] = 1.0
                     frag = store["frag_emb"].data[DESK.ids.index(a.fragment_id)]
-                    logits.append(mlp(np.concatenate([node_h[b * n + (a.target_node or 0)], ap, frag, f_ap]), "add_head"))
+                    logits.append(mlp(np.concatenate([node_h[b, a.target_node or 0], ap, frag, f_ap]), "add_head"))
                 logits = np.array(logits)
                 expected = logits - logits.max() - np.log(np.exp(logits - logits.max()).sum())
-                np.testing.assert_allclose(dist.log_probs.data[0, dist.rows(b)], expected, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(dist.log_probs.data[dist.rows(b), 0], expected, rtol=0, atol=1e-12)
 
 
 # one policy per (mode, library), each with two pockets of different size
@@ -384,14 +383,14 @@ class TestBatchedPass:
         library = policy.library
         ctx = POCKET_CTXS[mode, lib_name][pocket]
         batch = policy.action_distribution(states, ctx, max_nodes)
-        assert batch.offsets[-1] == len(batch.actions) == batch.probs.size == batch.log_probs.shape[1]
+        assert batch.offsets[-1] == len(batch.actions) == batch.probs.size == batch.log_probs.shape[0]
         for b, s in enumerate(states):
             single = policy.action_distribution(s, ctx, max_nodes)
             rows = batch.rows(b)
             assert batch.actions[rows] == single.actions == legal_actions(s, library, max_nodes)
-            np.testing.assert_allclose(batch.log_probs.data[0, rows], single.log_probs.data[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batch.log_probs.data[rows, 0], single.log_probs.data[:, 0], rtol=0, atol=1e-12)
             if stop_is_forced(s, library, max_nodes):
-                assert batch.log_probs.data[0, rows].tolist() == [0.0]
+                assert batch.log_probs.data[rows, 0].tolist() == [0.0]
 
 
 class TestGraphEmbedding:
@@ -400,7 +399,7 @@ class TestGraphEmbedding:
         ctx = pocket_ctx(policy)
         s = grow([AddFragment(None, None, 0, 0), AddFragment(0, 0, 1, 0)], DESK)
         node_h, graph_emb = policy._ligand_track([s], ctx)
-        assert node_h.shape == (2, 16)
+        assert node_h.shape == (1, 2, 16)
         assert graph_emb.shape == (1, 32)
 
     def test_trioformer_width_stays(self):
@@ -408,9 +407,9 @@ class TestGraphEmbedding:
         ctx = pocket_ctx(policy)
         s = grow([AddFragment(None, None, 0, 0), AddFragment(0, 0, 1, 0)], DESK)
         node_h, graph_emb = policy._ligand_track([s], ctx)
-        assert node_h.shape == (2, 16)
+        assert node_h.shape == (1, 2, 16)
         assert graph_emb.shape == (1, 16)
-        np.testing.assert_allclose(graph_emb.data, node_h.data.mean(axis=0, keepdims=True), atol=1e-12)
+        np.testing.assert_allclose(graph_emb.data, node_h.data.mean(axis=1), atol=1e-12)
 
 
 class TestConditioning:
@@ -553,8 +552,9 @@ class TestTapeMemory:
         # them. Counted: the distinct buffers the rules hold, less the
         # parameter arrays, which the store holds anyway. Before the fused
         # norms this pass recorded 293 nodes whose rules held 6,362,200 bytes;
-        # with them, 195 nodes, and 175 since a projection of a track is one
-        # node and a biased projection one one-layer mlp node.
+        # with them, 195 nodes, 175 since a projection of a track is one node
+        # and a biased projection one one-layer mlp node, and 160 since each
+        # track is made in the layout its reader takes.
         store = ParamStore(np.random.default_rng(0))
         policy = PolicyNetwork(store, DESK, PolicyConfig(mode="trioformer"))
         graph = build_knn_graph(synthetic_pocket(10, 2.0, 0))
@@ -567,5 +567,5 @@ class TestTapeMemory:
             held_buffers(node.vjp, found)
         params = {id(p.data) for p in store.values()}
         held = sum(a.nbytes for key, a in found.items() if key not in params)
-        assert len(tape.nodes) == 175
+        assert len(tape.nodes) == 160
         assert held <= 0.8 * 6_362_200, held
