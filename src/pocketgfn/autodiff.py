@@ -368,31 +368,22 @@ def sqrt(a: DiffTensor) -> DiffTensor:
     return _record(out, (a,), vjp)
 
 
-def _check_mask(x: DiffTensor, mask: np.ndarray | None) -> np.ndarray | None:
-    if mask is None:
-        return None
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != x.shape:
-        raise DimensionError(f"mask shape {mask.shape} does not match input shape {x.shape}")
-    if not mask.any(axis=-1).all():
-        raise ValueError("softmax row is fully masked")
-    return mask
-
-
 def softmax_rows(x: DiffTensor, mask: np.ndarray | None = None) -> DiffTensor:
     """Numerically stable softmax over the last axis.
 
     ``mask`` marks the entries that participate; masked entries come out as
     exactly 0 and receive exactly zero gradient.
     """
-    mask = _check_mask(x, mask)
-    data = x.data if mask is None else np.where(mask, x.data, -np.inf)
-    m = np.max(data, axis=-1, keepdims=True)
-    e = np.exp(data - m)
+    data = x.data
     if mask is not None:
-        e = np.where(mask, e, 0.0)
-    s = e.sum(axis=-1, keepdims=True)
-    out = e / s
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != x.shape:
+            raise DimensionError(f"mask shape {mask.shape} does not match input shape {x.shape}")
+        if not mask.any(axis=-1).all():
+            raise ValueError("softmax row is fully masked")
+        data = np.where(mask, data, -np.inf)
+    e = np.exp(data - np.max(data, axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         inner = (g * out).sum(axis=-1, keepdims=True)
@@ -401,25 +392,29 @@ def softmax_rows(x: DiffTensor, mask: np.ndarray | None = None) -> DiffTensor:
     return _record(out, (x,), vjp)
 
 
-def log_softmax_rows(x: DiffTensor, mask: np.ndarray | None = None) -> DiffTensor:
-    """Log of softmax over the last axis; masked entries are -inf."""
-    mask = _check_mask(x, mask)
-    data = x.data if mask is None else np.where(mask, x.data, -np.inf)
-    m = np.max(data, axis=-1, keepdims=True)
-    shifted = data - m
+def log_softmax_rows(x: DiffTensor, offsets) -> DiffTensor:
+    """Log of softmax over each row ``offsets[b]:offsets[b + 1]`` of the (R, 1)
+    column ``x``, computed on one (B, m) grid of the rows, m the longest,
+    padded with -inf; no row may be empty."""
+    offsets = np.asarray(offsets, dtype=np.intp)
+    if x.shape[1:] != (1,) or offsets.ndim != 1 or len(offsets) < 2 or offsets[0] or offsets[-1] != len(x.data):
+        raise DimensionError(f"offsets {offsets.tolist()} do not span the (R, 1) column {x.shape}")
+    width = np.diff(offsets)
+    if (width < 1).any():
+        raise ValueError("log-softmax row is empty")
+    grid = np.arange(width.max()) < width[:, None]
+    data = np.full(grid.shape, -np.inf)
+    data[grid] = x.data[:, 0]
+    shifted = data - np.max(data, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    if mask is not None:
-        e = np.where(mask, e, 0.0)
     s = e.sum(axis=-1, keepdims=True)
-    out = shifted - np.log(s)
+    out = (shifted - np.log(s))[grid][:, None]
     soft = e / s
 
     def vjp(g):
-        gsum = g.sum(axis=-1, keepdims=True)
-        dx = g - soft * gsum
-        if mask is not None:
-            dx = np.where(mask, dx, 0.0)
-        return (dx,)
+        g_grid = np.zeros(grid.shape)
+        g_grid[grid] = g[:, 0]
+        return ((g_grid - soft * g_grid.sum(axis=-1, keepdims=True))[grid][:, None],)
 
     return _record(out, (x,), vjp)
 
@@ -494,7 +489,6 @@ def attention(
     w_v: DiffTensor,
     w_o: DiffTensor,
     bias: DiffTensor,
-    scale: float,
     n_heads: int,
     fold: Sequence[int],
     mask: np.ndarray | None = None,
@@ -507,11 +501,13 @@ def attention(
     ``norm_kv`` and ``w_k`` and ``w_v`` (c_kv, heads * d) into k and v. Each
     is split into heads, (*lead, heads, d), and permuted by ``fold`` to (...,
     heads, n, d), the attended axis second to last. The heads
-    ``softmax(scale * (q @ kᵀ + bias)) @ v`` are unfolded, joined and
+    ``softmax((q @ kᵀ + bias) / sqrt(d)) @ v`` are unfolded, joined and
     projected by ``w_o`` (heads * d, c_out). Returns the (*lead, c_out)
     update in ``x_q``'s layout; the leading axes of ``x_q`` and ``x_kv``
-    broadcast, as do ``bias`` and the boolean ``mask`` (True marks entries
-    that participate) against the (..., heads, n_q, n_kv) logits. Masked
+    broadcast. ``bias`` is heads last, (..., n_q, n_kv, heads or 1), as a
+    ``matmul`` projects it; with its heads axis moved before the nodes, it
+    and the boolean ``mask`` (True marks entries that participate) broadcast
+    against the (..., heads, n_q, n_kv) logits. Masked
     entries get weight exactly 0 and gradient exactly 0; a fully masked row
     raises ``ValueError``. With ``x_kv`` and ``norm_kv`` the very tensors of
     ``x_q`` and ``norm_q``, the block is self-attention over one normalized
@@ -525,7 +521,6 @@ def attention(
     shifted input, the concatenated weights, q, k, v and the head outputs.
     """
     fold = tuple(fold)
-    f = float(scale)
     c_q, c_kv = x_q.shape[-1], x_kv.shape[-1]
     hd = w_q.shape[1]
     if (
@@ -538,16 +533,20 @@ def attention(
         or w_o.data.ndim != 2
         or w_o.shape[0] != hd
         or hd % n_heads
+        or bias.data.ndim < 3
+        or bias.shape[-1] not in (1, n_heads)
     ):
         raise DimensionError(
-            f"attention rejects x_q {x_q.shape}, x_kv {x_kv.shape}, fold {fold}, {n_heads} heads and "
-            f"weights {w_q.shape}, {w_k.shape}, {w_v.shape}, {w_o.shape}"
+            f"attention rejects x_q {x_q.shape}, x_kv {x_kv.shape}, fold {fold}, {n_heads} heads, "
+            f"weights {w_q.shape}, {w_k.shape}, {w_v.shape}, {w_o.shape} and bias {bias.shape}"
         )
     _check_norm(x_q, norm_q, "attention")
     _check_norm(x_kv, norm_kv, "attention")
     d = hd // n_heads
+    f = 1.0 / np.sqrt(d)
     unfold = tuple(np.argsort(fold))
-    bias_shape = bias.shape
+    bias_heads = np.moveaxis(bias.data, -1, -3)  # a view, in the logits' layout
+    bias_shape = bias_heads.shape
     wq, wk, wv, wo = w_q.data, w_k.data, w_v.data, w_o.data
     # (raw input, its norm, the weights it is projected by) per GEMM
     if x_q is x_kv and norm_q[0] is norm_kv[0] and norm_q[1] is norm_kv[1]:
@@ -581,7 +580,7 @@ def attention(
 
     _, (q, k, v) = project(normed)
     try:
-        logits = np.matmul(q, np.swapaxes(k, -1, -2)) + bias.data
+        logits = np.matmul(q, np.swapaxes(k, -1, -2)) + bias_heads
     except ValueError:
         raise DimensionError(f"attention rejects q {q.shape}, k {k.shape} and bias {bias.shape}") from None
     logits *= f
@@ -612,7 +611,7 @@ def attention(
         del heads
         gl *= w
         gl *= f
-        g_bias = _unbroadcast(gl, bias_shape)
+        g_bias = np.moveaxis(_unbroadcast(gl, bias_shape), -3, -1)
         grads = [np.empty((*shape[:-1], len(ws), n_heads, d)) for _, ws, shape in groups]
         gq, gk, gv = folded(grads)
         _matmul_into(gq, gl, k)

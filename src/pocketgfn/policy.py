@@ -8,8 +8,8 @@ reads the policy heads off the refined ligand track.
 One network pass scores a batch of states with the same node count against
 one pocket. Each state's rows are its legal actions in lattice order (Stop
 first, then (target node, target ap, fragment, fragment ap)), so every scored
-row is legal; the batch is normalized by one masked log-softmax over a
-(B, m) tensor, padded per state to the longest row count.
+row is legal; one gather lays them out state by state in one (R, 1) column,
+and one log-softmax normalizes each state's rows of it.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class ActionDistribution:
     Rows are flat over the batch: state b owns rows ``offsets[b]:offsets[b + 1]``,
     its legal actions in lattice order. With one state the offsets are
     ``[0, m]`` and the rows are simply that state's legal actions.
-    ``log_probs`` is one (R, 1) column, so a gather of drawn rows reads it
-    as it is.
+    ``log_probs`` is one (R, 1) column, normalized over these offsets by one
+    ``autodiff.log_softmax_rows`` node; a gather of drawn rows reads it as is.
     """
 
     actions: list[LigandAction]  # (R,)
@@ -158,12 +158,12 @@ class PolicyNetwork:
 
         Each layer is two pre-norm residual blocks on the track, each one
         node: an ``autodiff.attention`` node, heads before nodes, whose edge
-        bias is (B, heads, n, n) and over whose heads ``att_mask`` (B, n, n)
-        broadcasts, and an ``autodiff.mlp`` node.
+        bias is the (B, n, n, heads) projection of the edge features and
+        over whose heads ``att_mask`` (B, n, n) broadcasts, and an
+        ``autodiff.mlp`` node.
         """
         cfg = self.config
         heads = cfg.n_heads
-        hd = cfg.width // heads
         edges = ad.constant(edges_np)
         for layer in range(cfg.n_layers):
             name = f"lig.gt{layer}"
@@ -171,8 +171,8 @@ class PolicyNetwork:
             w_q, w_k, w_v = (self.store.param(f"{name}.{t}.w", (cfg.width, cfg.width)) for t in "qkv")
             bias = ad.matmul(edges, self.store.param(f"{name}.e.w", (edges_np.shape[-1], heads)))
             w_o = self.store.param(f"{name}.o.w", (cfg.width, cfg.width))
-            x = ad.add(x, ad.attention(x, x, norm, norm, w_q, w_k, w_v, w_o, ad.permute(bias, (0, 3, 1, 2)),
-                                       1.0 / np.sqrt(hd), heads, (0, 2, 1, 3), mask=att_mask[:, None]))
+            x = ad.add(x, ad.attention(x, x, norm, norm, w_q, w_k, w_v, w_o, bias, heads, (0, 2, 1, 3),
+                                       mask=att_mask[:, None]))
             norm = layer_norm_params(self.store, f"{name}.ln2", cfg.width)
             x = ad.add(x, ad.mlp(x, mlp_params(self.store, f"{name}.mlp", [cfg.width, 2 * cfg.width, cfg.width]), norm))
         return x
@@ -223,7 +223,8 @@ class PolicyNetwork:
         first layer is linear in [target node, target ap, fragment, fragment
         ap], so it is applied once per slot, as (slots, 1, w) rows, and once
         per pair, as (pairs, w) rows, which broadcast to the (slots, pairs, w)
-        hidden layer; no (rows, features) input is built."""
+        hidden layer, read by the output layer as (rows, w) rows; no (rows,
+        features) input is built."""
         cfg = self.config
         a_max = self.library.max_aps
         lattice = action_lattice(self.library)
@@ -245,8 +246,8 @@ class PolicyNetwork:
             ad.matmul(ad.gather_rows(frag_table, [k for k, _ in pairs]), w_frag),
             ad.matmul(ad.constant(np.array([f_ap for _, f_ap in pairs])[:, None] == np.arange(a_max)), w_fap),
         )
-        logits = ad.mlp(ad.relu(ad.add(slot_in, pair_in)), [(w2, b2)])
-        return ad.reshape(logits, (len(slot_node) * len(pairs), 1))
+        hidden = ad.relu(ad.add(slot_in, pair_in))
+        return ad.mlp(ad.reshape(hidden, (-1, cfg.width)), [(w2, b2)])
 
     def action_distribution(
         self, states: LigandState | Sequence[LigandState], ctx: PocketContext, max_nodes: int
@@ -271,27 +272,26 @@ class PolicyNetwork:
         b = len(states)
         node_h, graph_emb = self._ligand_track(states, ctx)
         graph_width = 2 * cfg.width if cfg.mode == BASELINE else cfg.width
+        # run on the empty state too, which has no Stop row, to keep the parameter order
         stop_logits = ad.mlp(graph_emb, mlp_params(self.store, "stop_head", [graph_width, cfg.width, 1]))
         add_logits = self._add_logits(node_h, slots if n else [[(0, -1)]] * b, n)
 
-        # Row r of the logit column is Stop of state r for r < b, then the add
-        # rows; state i's (B, m) row gathers its Stop (if n > 0) and add rows.
-        # Padding entries point at row 0; the mask gives them -inf and no gradient.
-        width = np.array([len(acts) for acts in legal])
-        first = b + np.concatenate([[0], np.cumsum(width - (n > 0))])
-        cols = np.zeros((b, width.max()), dtype=np.intp)
-        for i in range(b):
-            adds = np.arange(first[i], first[i + 1])
-            cols[i, : width[i]] = np.concatenate([[i], adds]) if n else adds
-        mask = np.arange(cols.shape[1]) < width[:, None]
-        column = stop_logits if add_logits is None else ad.concat([stop_logits, add_logits], axis=0)
-        padded = ad.log_softmax_rows(ad.reshape(ad.gather_rows(column, cols), cols.shape), mask=mask)
-        log_probs = ad.gather_rows(ad.reshape(padded, (mask.size, 1)), np.flatnonzero(mask))
+        offsets = np.concatenate([[0], np.cumsum([len(acts) for acts in legal])])
+        logits = add_logits  # the empty states' rows are their add rows, state by state
+        if n:
+            # The column holds the b Stops, then the add rows state by state:
+            # state i's first row reads its Stop, and its row p of the batch
+            # reads column row b + p - i - 1, as i + 1 of the rows before it are Stops.
+            order = b - 1 + np.arange(offsets[-1]) - np.repeat(np.arange(b), np.diff(offsets))
+            order[offsets[:-1]] = np.arange(b)
+            column = stop_logits if add_logits is None else ad.concat([stop_logits, add_logits], axis=0)
+            logits = ad.gather_rows(column, order)
+        log_probs = ad.log_softmax_rows(logits, offsets)
         return ActionDistribution(
             actions=[a for acts in legal for a in acts],
             log_probs=log_probs,
             probs=np.exp(log_probs.data[:, 0]),
-            offsets=np.concatenate([[0], np.cumsum(width)]),
+            offsets=offsets,
         )
 
 

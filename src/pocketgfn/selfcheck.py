@@ -87,19 +87,19 @@ def primitive_gradient_errors() -> dict[str, float]:
     c32 = tensor(rng.normal(size=(3, 2)))
     # the attention block, 2 heads: 3 queries over 4 keys (cross form) or
     # over themselves (self form, one track and one norm as both inputs, the
-    # first 3 keys of the bias and mask); the bias broadcasts over the
-    # batch, and the mask drops one key of two rows
+    # first 3 keys of the bias and mask); the bias is heads last and
+    # broadcasts over the batch, and the mask drops one key of two rows
     att_ops = {
         name: rng.normal(size=shape)
         for name, shape in (("x_q", (2, 3, 4)), ("x_kv", (2, 4, 4)), ("norm_q_gain", (4,)), ("norm_q_bias", (4,)),
                             ("norm_kv_gain", (4,)), ("norm_kv_bias", (4,)), ("w_q", (4, 6)), ("w_k", (4, 6)),
-                            ("w_v", (4, 6)), ("w_o", (6, 5)), ("bias", (1, 2, 3, 4)))
+                            ("w_v", (4, 6)), ("w_o", (6, 5)), ("bias", (1, 3, 4, 2)))
     }
     key_mask = np.array([[True, False, True, True], [True, True, True, True], [False, True, True, False]])
     cross_only = ("x_kv", "norm_kv_gain", "norm_kv_bias")
 
     def attend(wrt, form, masked):
-        ops = {name: tensor(a if form == "cross" or name != "bias" else a[..., :3]) for name, a in att_ops.items()}
+        ops = {name: tensor(a if form == "cross" or name != "bias" else a[:, :, :3]) for name, a in att_ops.items()}
         mask = (key_mask if form == "cross" else key_mask[:, :3]) if masked else None
 
         def f(x):
@@ -109,7 +109,7 @@ def primitive_gradient_errors() -> dict[str, float]:
             if form == "cross":
                 x_kv, norm_kv = args["x_kv"], (args["norm_kv_gain"], args["norm_kv_bias"])
             return ad.attention(x_q, x_kv, norm_q, norm_kv, *(args[k] for k in ("w_q", "w_k", "w_v", "w_o", "bias")),
-                                0.5, 2, (0, 2, 1, 3), mask=mask)
+                                2, (0, 2, 1, 3), mask=mask)
 
         return f"attention_{form}_{wrt}{'_masked' if masked else ''}", f, ops[wrt]
 
@@ -136,7 +136,8 @@ def primitive_gradient_errors() -> dict[str, float]:
         ("matmul", lambda x: ad.matmul(x, c34), x23()),
         ("einsum2", lambda x: ad.einsum2("ij,jk->ik", x, c32), x23()),
         ("softmax", ad.softmax_rows, x23()),
-        ("log_softmax", ad.log_softmax_rows, x23()),
+        # a ragged column of unequal rows, one of a single entry
+        ("log_softmax", lambda x: ad.log_softmax_rows(x, [0, 2, 3, 6]), tensor(rng.normal(size=(6, 1)))),
         ("layer_norm", ad.layer_norm_rows, x23()),
         ("exp", ad.exp, x23()),
         ("tanh", ad.tanh, x23()),
@@ -242,7 +243,7 @@ def bias_ablation_deviation() -> float:
     h_l = tensor(rng.normal(size=(2, 3, 8)))
     # both directions with a zero pair bias: ligand over pocket, pocket over ligand
     for prefix, h_q, h_kv in (("x.lig", h_l, h_p), ("x.poc", h_p, h_l)):
-        zero_bias = tensor(np.zeros((2, 2, h_q.shape[1], h_kv.shape[1])))
+        zero_bias = tensor(np.zeros((2, h_q.shape[1], h_kv.shape[1], 2)))
         with Tape():
             out = biased_cross_attention(h_q, h_kv, zero_bias, store, prefix, n_heads=2, head_dim=4)
         w = [store[f"{prefix}.{k}.w"].data for k in "qkvo"]

@@ -78,10 +78,10 @@ def triangle_update(
 
     The block is one ``autodiff.attention`` node that normalizes the pair:
     its heads are folded to (B, n_L, heads, n_P, d) for the pocket fold and
-    (B, n_P, heads, n_L, d) for the ligand fold. The distance bias, one
-    ``autodiff.matmul`` of the (1 or B, 1, n, n, f) features, is permuted
-    heads first to a (1 or B, 1, heads, n, n) view that broadcasts over the
-    other node axis.
+    (B, n_P, heads, n_L, d) for the ligand fold. The distance bias is one
+    ``autodiff.matmul`` of the (1 or B, 1, n, n, f) features, heads last,
+    (1 or B, 1, n, n, heads), as ``attention`` takes it; it broadcasts over
+    the other node axis.
     """
     b, n_p, n_l, c_pair = pair.shape
     if axis == "pocket":
@@ -96,10 +96,9 @@ def triangle_update(
 
     norm = layer_norm_params(store, f"{prefix}.ln", c_pair)
     w_q, w_k, w_v = (store.param(f"{prefix}.{t}.w", (c_pair, n_heads * head_dim)) for t in "qkv")
-    t = ad.matmul(ad.constant(feats[:, None]), store.param(f"{prefix}.t.w", (feats.shape[3], n_heads)))
-    bias = ad.permute(t, (0, 1, 4, 2, 3))
+    bias = ad.matmul(ad.constant(feats[:, None]), store.param(f"{prefix}.t.w", (feats.shape[3], n_heads)))
     w_o = store.param(f"{prefix}.o.w", (n_heads * head_dim, c_pair))
-    update = ad.attention(pair, pair, norm, norm, w_q, w_k, w_v, w_o, bias, 1.0 / np.sqrt(head_dim), n_heads, fold)
+    update = ad.attention(pair, pair, norm, norm, w_q, w_k, w_v, w_o, bias, n_heads, fold)
     return ad.add(pair, update)
 
 
@@ -121,18 +120,17 @@ def biased_cross_attention(
     head_dim: int,
 ) -> DiffTensor:
     """Track ``h_q`` (1 or B, n_q, c_q) attends over ``h_kv`` (1 or B, n_kv,
-    c_kv), logits biased by ``bias`` (B, heads, n_q, n_kv); returns the
-    pre-norm residual update of the query track, (B, n_q, c_q). The block
-    is one ``autodiff.attention`` node with heads before nodes, which
-    normalizes each track at its own batch size."""
+    c_kv), logits biased by ``bias`` (B, n_q, n_kv, heads), heads last as a
+    projection makes it; returns the pre-norm residual update of the query
+    track, (B, n_q, c_q). The block is one ``autodiff.attention`` node with
+    heads before nodes, which normalizes each track at its own batch size."""
     c_q, c_kv = h_q.shape[-1], h_kv.shape[-1]
     norm_q = layer_norm_params(store, f"{prefix}.ln_q", c_q)
     norm_kv = layer_norm_params(store, f"{prefix}.ln_kv", c_kv)
     w_q = store.param(f"{prefix}.q.w", (c_q, n_heads * head_dim))
     w_k, w_v = (store.param(f"{prefix}.{t}.w", (c_kv, n_heads * head_dim)) for t in "kv")
     w_o = store.param(f"{prefix}.o.w", (n_heads * head_dim, c_q))
-    update = ad.attention(h_q, h_kv, norm_q, norm_kv, w_q, w_k, w_v, w_o, bias, 1.0 / np.sqrt(head_dim), n_heads,
-                          (0, 2, 1, 3))
+    update = ad.attention(h_q, h_kv, norm_q, norm_kv, w_q, w_k, w_v, w_o, bias, n_heads, (0, 2, 1, 3))
     return ad.add(h_q, update)
 
 
@@ -175,14 +173,14 @@ def trioformer_stack(
         pair = triangle_update(pair, d_feats, "pocket", store, f"{name}.tri_p", n_heads, head_dim)
         pair = triangle_update(pair, adj_feats, "ligand", store, f"{name}.tri_l", n_heads, head_dim)
         pair = pair_transition(pair, store, f"{name}.trans")
-        # [batch, pocket node, ligand node, head]
+        # [batch, pocket node, ligand node, head]: the pocket track's bias as
+        # it is, the ligand track's with its two node axes swapped
         bias = ad.matmul(pair, store.param(f"{name}.cross.bias.w", (pair.shape[-1], n_heads)))
         h_prev = h_ligand
         h_ligand = biased_cross_attention(
-            h_prev, h_pocket, ad.permute(bias, (0, 3, 2, 1)), store, f"{name}.cross.lig", n_heads, head_dim)
+            h_prev, h_pocket, ad.permute(bias, (0, 2, 1, 3)), store, f"{name}.cross.lig", n_heads, head_dim)
         if layer + 1 < n_layers:
-            h_pocket = biased_cross_attention(
-                h_pocket, h_prev, ad.permute(bias, (0, 3, 1, 2)), store, f"{name}.cross.poc", n_heads, head_dim)
+            h_pocket = biased_cross_attention(h_pocket, h_prev, bias, store, f"{name}.cross.poc", n_heads, head_dim)
     return h_ligand
 
 

@@ -82,13 +82,36 @@ class TestForwardValues:
             with Tape():
                 softmax_rows(x, mask=mask)
 
-    def test_log_softmax_masked_is_neg_inf(self):
-        x = rand(2, 3)
-        mask = np.array([[True, False, True], [True, True, True]])
+    def test_log_softmax_ragged_rows_each_sum_to_one(self):
+        x = rand(7, 1)
         with Tape():
-            y = log_softmax_rows(x, mask=mask)
-        assert y.data[0, 1] == -np.inf
-        np.testing.assert_allclose(np.exp(y.data[1]).sum(), 1.0, atol=1e-12)
+            y = log_softmax_rows(x, [0, 3, 4, 7])
+        assert y.shape == (7, 1)
+        for lo, hi in ((0, 3), (3, 4), (4, 7)):
+            np.testing.assert_allclose(np.exp(y.data[lo:hi]).sum(), 1.0, atol=1e-12)
+        assert y.data[3, 0] == 0.0  # a row of one entry
+
+    def test_log_softmax_row_change_leaves_other_rows_bit_for_bit(self):
+        # rows of 2, 5, 1 and 3 entries; the longest row changes
+        offsets = [0, 2, 7, 8, 11]
+        x = RNG.uniform(-1.0, 1.0, size=(11, 1))
+        moved = x.copy()
+        moved[2:7] = RNG.uniform(-5.0, 5.0, size=(5, 1))
+        base, out = log_softmax_rows(tensor(x), offsets).data, log_softmax_rows(tensor(moved), offsets).data
+        others = np.r_[0:2, 7:11]
+        np.testing.assert_array_equal(out[others], base[others])
+        assert not np.array_equal(out[2:7], base[2:7])
+
+    def test_log_softmax_empty_row_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            log_softmax_rows(rand(4, 1), [0, 2, 2, 4])
+
+    def test_log_softmax_offsets_must_span_the_column(self):
+        for offsets in ([0, 2, 3], [1, 2, 4], [0, 4, 5], [4]):
+            with pytest.raises(DimensionError):
+                log_softmax_rows(rand(4, 1), offsets)
+        with pytest.raises(DimensionError):
+            log_softmax_rows(rand(2, 2), [0, 1, 2])  # not a column
 
     def test_layer_norm_rows_standardizes(self):
         x = rand(4, 9)
@@ -204,10 +227,11 @@ def _composite(x, w, b):
     """A graph with shared uses, views, a fused attention and a branch the
     loss never reads. Returns (loss, intermediates, unused branch)."""
     h = ad.tanh(ad.add(matmul(x, w), b))
-    a = ad.attention(h, h, (b, b), (b, b), w, w, w, w, matmul(h, ad.permute(h, (1, 0))), 0.5, 2, (1, 0, 2))
+    a = ad.attention(h, h, (b, b), (b, b), w, w, w, w, ad.reshape(matmul(h, ad.permute(h, (1, 0))), (3, 3, 1)), 2,
+                     (1, 0, 2))
     n = layer_norm_rows(ad.add(a, h))
     unused = ad.exp(x)
-    loss = sum_all(ad.mul(log_softmax_rows(n), ad.reshape(n, (3, 4))))
+    loss = sum_all(ad.mul(log_softmax_rows(ad.reshape(n, (12, 1)), [0, 5, 6, 12]), ad.reshape(n, (12, 1))))
     return loss, (h, a, n), unused
 
 
@@ -327,10 +351,10 @@ def _rule_cases():
         "log": lambda: ad.log(pos),
         "sqrt": lambda: ad.sqrt(pos),
         "softmax_rows": lambda: softmax_rows(x, mask),
-        "log_softmax_rows": lambda: log_softmax_rows(x, mask),
+        "log_softmax_rows": lambda: log_softmax_rows(ad.reshape(x, (12, 1)), [0, 5, 6, 12]),
         "attention": lambda: ad.attention(
-            x, y, (gain, shift), (shift, gain), w, w, w, ad.permute(w, (1, 0)), matmul(x, w), 0.5, 1, (1, 0, 2),
-            mask=mask[:, :3],
+            x, y, (gain, shift), (shift, gain), w, w, w, ad.permute(w, (1, 0)), ad.reshape(matmul(x, w), (3, 3, 1)), 1,
+            (1, 0, 2), mask=mask[:, :3],
         ),
         "mlp": lambda: ad.mlp(ad.neg(x), [(w, b3), (ad.permute(w, (1, 0)), shift)], norm=(gain, shift)),
         "layer_norm_rows": lambda: layer_norm_rows(ad.add(x, y)),
@@ -452,18 +476,19 @@ class TestPrimitiveGradients:
         _check(lambda x: softmax_rows(x, mask=mask), rand(4, 6))
 
     def test_log_softmax_rows(self):
-        _check(log_softmax_rows, rand(3, 5))
+        # unequal rows, one of a single entry
+        _check(lambda x: log_softmax_rows(x, [0, 2, 3, 7]), rand(7, 1))
 
-    def test_log_softmax_rows_masked_grad_zero_at_masked(self):
-        mask = np.array([[True, True, False], [True, True, True]])
-        x = rand(2, 3)
+    def test_log_softmax_rows_gradient_stays_in_its_row(self):
+        # a loss on the entries of the middle row gives the other rows'
+        # logits exactly zero gradient
+        x = rand(7, 1)
         with Tape():
-            y = log_softmax_rows(x, mask=mask)
-            # only sum unmasked entries; -inf at masked ones must not pollute
-            picked = gather_rows(ad.reshape(y, (6, 1)), np.array([0, 1, 3, 4, 5]))
-            loss = sum_all(picked)
+            y = log_softmax_rows(x, [0, 2, 5, 7])
+            loss = sum_all(ad.mul(gather_rows(y, np.array([2, 3, 4])), rand(3, 1)))
         backward(loss)
-        assert x.grad[0, 2] == 0.0
+        assert np.all(x.grad[np.r_[0:2, 5:7]] == 0.0)
+        assert np.all(x.grad[2:5] != 0.0)
 
     def test_layer_norm_rows(self):
         _check(layer_norm_rows, rand(4, 6))
@@ -493,6 +518,7 @@ class TestPrimitiveGradients:
 
 
 HEAD_DIM = 3
+# the logit scale attention derives from its head width; the reference blocks take it
 ATT_SCALE = 1.0 / np.sqrt(HEAD_DIM)
 N_HEADS = 2
 ATT_INPUTS = (
@@ -501,7 +527,10 @@ ATT_INPUTS = (
 
 
 def _fused_attention(x_q, x_kv, norm_q, norm_kv, w_q, w_k, w_v, w_o, bias, fold, mask=None):
-    return ad.attention(x_q, x_kv, norm_q, norm_kv, w_q, w_k, w_v, w_o, bias, ATT_SCALE, N_HEADS, fold, mask=mask)
+    return ad.attention(x_q, x_kv, norm_q, norm_kv, w_q, w_k, w_v, w_o, bias, N_HEADS, fold, mask=mask)
+
+
+# The reference blocks below take the bias heads first, (..., heads, n_q, n_kv).
 
 
 def _reference_attention(x_q, x_kv, norm_q, norm_kv, w_q, w_k, w_v, w_o, bias, fold, mask=None):
@@ -539,26 +568,27 @@ GRAPH_MASK = np.array(
     dtype=bool,
 )
 
-# layout -> (x_q shape, x_kv shape (None: self-attention), bias shape, fold,
-# mask, numpy reference of one batch entry given (h_q, h_kv, weights)), as
-# each call site lays them out: b = 2, n_P = 3, n_L = 4, c = 5, 2 heads of 3
+# layout -> (x_q shape, x_kv shape (None: self-attention), bias shape (heads
+# last), fold, mask, numpy reference of one batch entry given (h_q, h_kv,
+# weights)), as each call site lays them out: b = 2, n_P = 3, n_L = 4, c = 5,
+# 2 heads of 3
 ATTENTION_LAYOUTS = {
     "triangle-pocket": (
-        (2, 3, 4, 5), None, (1, 1, 2, 3, 3), (0, 2, 3, 1, 4), None,
+        (2, 3, 4, 5), None, (1, 1, 3, 3, 2), (0, 2, 3, 1, 4), None,
         lambda h_q, h_kv, w: reference_pair_attention(h_q, "pocket", *w, N_HEADS, HEAD_DIM),
     ),
     "triangle-ligand": (
-        (2, 3, 4, 5), None, (2, 1, 2, 4, 4), (0, 1, 3, 2, 4), None,
+        (2, 3, 4, 5), None, (2, 1, 4, 4, 2), (0, 1, 3, 2, 4), None,
         lambda h_q, h_kv, w: reference_pair_attention(h_q, "ligand", *w, N_HEADS, HEAD_DIM),
     ),
     # ligand queries over a pocket track that the batch shares
     "cross": (
-        (2, 4, 5), (1, 3, 5), (2, 2, 4, 3), (0, 2, 1, 3), None,
+        (2, 4, 5), (1, 3, 5), (2, 4, 3, 2), (0, 2, 1, 3), None,
         lambda h_q, h_kv, w: reference_cross_attention(h_q, h_kv, *w, N_HEADS, HEAD_DIM),
     ),
     # the ligand graph transformer: an edge bias and an adjacency mask
     "graph": (
-        (2, 4, 5), None, (2, 2, 4, 4), (0, 2, 1, 3), GRAPH_MASK[:, None],
+        (2, 4, 5), None, (2, 4, 4, 2), (0, 2, 1, 3), GRAPH_MASK[:, None],
         lambda h_q, h_kv, w: reference_cross_attention(h_q, h_kv, *w, N_HEADS, HEAD_DIM),
     ),
 }
@@ -567,8 +597,10 @@ ATTENTION_LAYOUTS = {
 def _run_layout(layout, block, unit_norms=False, zero_bias=False):
     """One call of ``block`` at ``layout`` inside a residual, and a loss over
     it: the output, the gradient of every input (tracks, norms, weights,
-    bias) and the number of tape nodes. Random gains and shifts unless
-    ``unit_norms``; no bias and no mask with ``zero_bias``."""
+    bias, heads last) and the number of tape nodes. Random gains and shifts
+    unless ``unit_norms``; no bias and no mask with ``zero_bias``. A block
+    other than ``_fused_attention`` is given a heads-first view of the bias,
+    and its gradient is moved back."""
     q_shape, kv_shape, bias_shape, fold, mask, _ = ATTENTION_LAYOUTS[layout]
     rng = np.random.default_rng(10)
     c = q_shape[-1]
@@ -580,6 +612,9 @@ def _run_layout(layout, block, unit_norms=False, zero_bias=False):
     ]
     weights = [tensor(rng.normal(size=s)) for s in ((c, 6), (c, 6), (c, 6), (6, c))]
     bias = tensor(np.zeros(bias_shape) if zero_bias else rng.normal(size=bias_shape))
+    heads_first = block is not _fused_attention
+    if heads_first:
+        bias = ad.DiffTensor(np.moveaxis(bias.data, -1, -3))
     coeffs = tensor(np.linspace(-1.0, 1.0, tracks[0].size).reshape(q_shape))
     with Tape() as tape:
         out = ad.add(tracks[0], block(tracks[0], tracks[-1], norms[0], norms[-1], *weights, bias, fold,
@@ -587,21 +622,22 @@ def _run_layout(layout, block, unit_norms=False, zero_bias=False):
         loss = sum_all(ad.mul(out, coeffs))
     n_nodes = len(tape.nodes)
     backward(loss)
-    inputs = tracks + [t for norm in norms for t in norm] + weights + [bias]
-    return out.data, [t.grad for t in inputs], n_nodes
+    inputs = tracks + [t for norm in norms for t in norm] + weights
+    g_bias = np.moveaxis(bias.grad, -3, -1) if heads_first else bias.grad
+    return out.data, [t.grad for t in inputs] + [g_bias], n_nodes
 
 
 def _attention_operands(rng):
     """The inputs in ``ATT_INPUTS`` order, for fold (0, 2, 1, 3): 3 queries
-    of width 4 over 5 keys of width 3, 2 heads of 2, and a bias that
-    broadcasts over the batch."""
-    shapes = ((2, 3, 4), (2, 5, 3), (4,), (4,), (3,), (3,), (4, 4), (3, 4), (3, 4), (4, 2), (1, 2, 3, 5))
+    of width 4 over 5 keys of width 3, 2 heads of 2, and a heads-last bias
+    that broadcasts over the batch."""
+    shapes = ((2, 3, 4), (2, 5, 3), (4,), (4,), (3,), (3,), (4, 4), (3, 4), (3, 4), (4, 2), (1, 3, 5, 2))
     return [tensor(rng.uniform(-1.0, 1.0, size=s)) for s in shapes]
 
 
 def _attend(args, mask=None):
     x_q, x_kv, g_q, b_q, g_kv, b_kv, *weights, bias = args
-    return ad.attention(x_q, x_kv, (g_q, b_q), (g_kv, b_kv), *weights, bias, 0.5, 2, (0, 2, 1, 3), mask=mask)
+    return ad.attention(x_q, x_kv, (g_q, b_q), (g_kv, b_kv), *weights, bias, 2, (0, 2, 1, 3), mask=mask)
 
 
 KEY_MASK = np.array([[True, False, True, True, False], [False, True, True, True, True], [True] * 5])
@@ -619,15 +655,14 @@ class TestAttention:
         # one track and one norm as both inputs, masked: its gradient sums both uses
         rng = np.random.default_rng(11)
         shapes = {"x": (2, 3, 4), "norm_gain": (4,), "norm_bias": (4,), "w_q": (4, 4), "w_k": (4, 4), "w_v": (4, 4),
-                  "w_o": (4, 2), "bias": (1, 2, 3, 3)}
+                  "w_o": (4, 2), "bias": (1, 3, 3, 2)}
         ops = {name: tensor(rng.uniform(-1.0, 1.0, size=s)) for name, s in shapes.items()}
 
         def f(t):
             a = dict(ops, **{operand: t})
             norm = (a["norm_gain"], a["norm_bias"])
             weights = (a[k] for k in ("w_q", "w_k", "w_v", "w_o"))
-            return ad.attention(a["x"], a["x"], norm, norm, *weights, a["bias"], 0.5, 2, (0, 2, 1, 3),
-                                mask=KEY_MASK[:, :3])
+            return ad.attention(a["x"], a["x"], norm, norm, *weights, a["bias"], 2, (0, 2, 1, 3), mask=KEY_MASK[:, :3])
 
         _check(f, ops[operand])
 
@@ -636,7 +671,7 @@ class TestAttention:
         x, gain, shift = (tensor(rng.uniform(-1.0, 1.0, size=s)) for s in ((2, 3, 4), (4,), (4,)))
         w = tensor(rng.uniform(-1.0, 1.0, size=(4, 4)))
         with Tape() as tape:
-            out = ad.attention(x, x, (gain, shift), (gain, shift), w, w, w, w, tensor(np.zeros((1, 1, 3, 3))), 0.5, 2,
+            out = ad.attention(x, x, (gain, shift), (gain, shift), w, w, w, w, tensor(np.zeros((1, 3, 3, 1))), 2,
                                (0, 2, 1, 3))
         grads = tape.nodes[-1].vjp(np.ones(out.shape))
         assert grads[1] is None and grads[4] is None and grads[5] is None
@@ -656,12 +691,12 @@ class TestAttention:
             out = _attend(args, mask)
             loss = sum_all(ad.mul(out, rand(2, 3, 2)))
         backward(loss)
-        assert np.all(bias.grad[..., ~mask] == 0.0)
+        assert np.all(bias.grad[:, ~mask] == 0.0)
         # key 4 is masked for every query, so neither its key nor its value gets a gradient
         assert np.all(x_kv.grad[:, 4] == 0.0)
         # a masked entry weighs exactly 0: neither what its logit would be
         # nor the input of key 4 changes a bit of the output
-        bias.data[..., ~mask] = 1e6
+        bias.data[:, ~mask] = 1e6
         x_kv.data[:, 4] = rng.uniform(-5.0, 5.0, size=(2, 3))
         np.testing.assert_array_equal(_attend(args, mask).data, out.data)
 
@@ -680,16 +715,18 @@ class TestAttention:
             (8, rand(3, 2)),  # values narrower than keys
             (9, rand(3, 2)),  # w_o does not take the heads
             (1, rand(5, 3)),  # x_kv has no batch axis
-            (10, rand(2, 3, 4)),  # bias for 4 keys, not 5
+            (10, rand(3, 4, 2)),  # bias for 4 keys, not 5
+            (10, rand(1, 3, 5, 3)),  # bias for 3 heads, not 2 or 1
+            (10, rand(5, 2)),  # bias with no query axis
             (2, rand(3)),  # a query gain for 3 features, not 4
             (5, rand(4)),  # a key shift for 4 features, not 3
         ):
             with pytest.raises(DimensionError):
                 _attend([*args[:i], bad, *args[i + 1 :]])
         with pytest.raises(DimensionError):
-            ad.attention(x_q, x_kv, (g_q, b_q), (g_kv, b_kv), w_q, w_k, w_v, w_o, bias, 0.5, 2, (0, 2, 1))
+            ad.attention(x_q, x_kv, (g_q, b_q), (g_kv, b_kv), w_q, w_k, w_v, w_o, bias, 2, (0, 2, 1))
         with pytest.raises(DimensionError):
-            ad.attention(x_q, x_kv, (g_q, b_q), (g_kv, b_kv), w_q, w_k, w_v, w_o, bias, 0.5, 3, (0, 2, 1, 3))
+            ad.attention(x_q, x_kv, (g_q, b_q), (g_kv, b_kv), w_q, w_k, w_v, w_o, bias, 3, (0, 2, 1, 3))
         with pytest.raises(DimensionError):
             _attend(args, mask=np.ones((3, 4), dtype=bool))
 

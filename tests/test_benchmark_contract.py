@@ -65,6 +65,8 @@ def test_tracer_installs_and_traces_a_step():
     assert np.isclose(np.exp(dist.log_probs.data).sum(), 1.0)
     assert report["policy.calls_taped"] >= 1 and report["autodiff.tape_nodes"] > 0
     assert report["trioformer.stack_nodes"] > 0
+    # the tracer still finds and times the log-softmax primitive the policy calls
+    assert report["autodiff.log_softmax_rows_s"] > 0
     # backward time comes from timing each tape node's rule in place
     assert report["autodiff.backward_s"] > 0 and report["trioformer.stack_bwd_s"] > 0
     # a span's nodes and backward time are differences of tape sizes read at

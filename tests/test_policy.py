@@ -27,6 +27,8 @@ from pocketgfn.policy import (
     sample_action,
 )
 
+from ligand_reference import permute_state
+
 TOY = toy_library()
 DESK = desk_library()
 
@@ -183,7 +185,7 @@ class TestActionDistribution:
             ad.backward(ad.sum_all(dist.log_probs))
         assert dist.actions == [STOP]
         assert dist.probs[0] == 1.0 and dist.log_probs.data[0, 0] == 0.0
-        # the masked log-softmax gives the lone row exactly zero gradient
+        # the log-softmax of a one-entry row gives it exactly zero gradient
         for name, p in policy.store.items():
             assert p.grad is None or not p.grad.any(), name
 
@@ -278,8 +280,9 @@ class TestActionDistribution:
 
     @pytest.mark.parametrize("mode", ["baseline", "trioformer"])
     def test_batch_padding_isolated_from_gradient(self, mode):
-        # states with different row counts are padded to one width; the
-        # padding must add nothing to the gradient of the legal rows
+        # states with different row counts share one log-softmax node, whose
+        # rule pads them to one width; the padding must add nothing to the
+        # gradient of the legal rows
         policy = make_policy(mode)
         graph = build_knn_graph(synthetic_pocket(6, 2.0, 3), K=4)
         states = [
@@ -391,6 +394,39 @@ class TestBatchedPass:
             np.testing.assert_allclose(batch.log_probs.data[rows, 0], single.log_probs.data[:, 0], rtol=0, atol=1e-12)
             if stop_is_forced(s, library, max_nodes):
                 assert batch.log_probs.data[rows, 0].tolist() == [0.0]
+
+
+@st.composite
+def relabeled_desk_states(draw):
+    """A random desk state of 2-5 nodes at cap 6, grown by random legal
+    additions, and a relabeling of its nodes (old -> new)."""
+    s = initial_state()
+    for _ in range(draw(st.integers(2, 5))):
+        adds = [a for a in legal_actions(s, DESK, 6) if a is not STOP]
+        if not adds:
+            break
+        s = apply_action(s, adds[draw(st.integers(0, len(adds) - 1))], DESK, 6)
+    return s, list(draw(st.permutations(range(s.n))))
+
+
+class TestPermutationEquivariance:
+    @settings(max_examples=30, deadline=None)
+    @given(case=relabeled_desk_states(), mode=st.sampled_from(["baseline", "trioformer"]))
+    def test_relabeling_nodes_permutes_legal_rows(self, case, mode):
+        # the state and its relabeling, bonds kept i < j, scored in one pass:
+        # the relabeled state's rows are the state's rows with their target
+        # nodes relabeled, each at the same log-probability
+        s, perm = case
+        policy = BATCH_POLICIES[mode, "desk"]
+        dist = policy.action_distribution([s, permute_state(s, perm)], POCKET_CTXS[mode, "desk"][1], 6)
+        rows = [dict(zip(dist.actions[dist.rows(b)], dist.log_probs.data[dist.rows(b), 0])) for b in (0, 1)]
+        moved = {
+            (a if a is STOP else AddFragment(perm[a.target_node], a.target_ap, a.fragment_id, a.fragment_ap)): lp
+            for a, lp in rows[0].items()
+        }
+        assert len(rows[1]) == dist.offsets[2] - dist.offsets[1] and rows[1].keys() == moved.keys()
+        worst = max(abs(lp - moved[a]) for a, lp in rows[1].items())
+        assert worst <= 1e-12, worst
 
 
 class TestGraphEmbedding:
@@ -553,8 +589,10 @@ class TestTapeMemory:
         # parameter arrays, which the store holds anyway. Before the fused
         # norms this pass recorded 293 nodes whose rules held 6,362,200 bytes;
         # with them, 195 nodes, 175 since a projection of a track is one node
-        # and a biased projection one one-layer mlp node, and 160 since each
-        # track is made in the layout its reader takes.
+        # and a biased projection one one-layer mlp node, 160 since each
+        # track is made in the layout its reader takes, and 149 since each
+        # attention bias is read heads last and one log-softmax node
+        # normalizes the ragged action column.
         store = ParamStore(np.random.default_rng(0))
         policy = PolicyNetwork(store, DESK, PolicyConfig(mode="trioformer"))
         graph = build_knn_graph(synthetic_pocket(10, 2.0, 0))
@@ -567,5 +605,5 @@ class TestTapeMemory:
             held_buffers(node.vjp, found)
         params = {id(p.data) for p in store.values()}
         held = sum(a.nbytes for key, a in found.items() if key not in params)
-        assert len(tape.nodes) == 160
+        assert len(tape.nodes) == 149
         assert held <= 0.8 * 6_362_200, held

@@ -592,36 +592,63 @@ class TestTrain:
         train(cfg, DESK, one_pocket())
         assert rules and offending == []
 
-    @pytest.mark.parametrize("mode, nodes", [("baseline", 506), ("trioformer", 794)])
-    def test_desk_step_records_pinned_tape_nodes(self, mode, nodes, monkeypatch):
+    @pytest.mark.parametrize("mode, nodes, permutes", [("baseline", 456, 0), ("trioformer", 704, 16)],
+                             ids=["baseline", "trioformer"])
+    def test_desk_step_records_pinned_tape_nodes(self, mode, nodes, permutes, monkeypatch):
         # one seeded desk step, batch 16, default policy: a projection of a
         # track is one matmul node and a biased projection one one-layer mlp
         # node, where reshaping to rows and back and a separate bias add
-        # recorded 599 (baseline) and 1,039 (trioformer) nodes; and each
-        # track is made in the layout its reader takes, where converting
-        # between layouts recorded 551 and 887 nodes, 8 and 16 of them a
-        # reshape of a reshape
-        counts, undone, real_backward = [], [], ad.backward
+        # recorded 599 (baseline) and 1,039 (trioformer) nodes; each track
+        # is made in the layout its reader takes, where converting between
+        # layouts recorded 551 and 887 nodes, 8 and 16 of them a reshape of a
+        # reshape; and attention reads its bias heads last and one
+        # log-softmax node normalizes the ragged action column, where
+        # permuting every bias heads first and padding the column to a grid
+        # between two reshapes recorded 506 and 794 nodes, 24 and 80 of them
+        # permutes. The one permute left swaps the node axes of the pair
+        # bias for the ligand track's cross-attention.
+        counts, found, real_backward = [], [], ad.backward
 
         def backward(loss):
             nodes = loss._tape.nodes
-            counts.append(len(nodes))
-            reshapes = {i for i, node in enumerate(nodes) if node.vjp.__qualname__.startswith("reshape.")}
-            undone.extend(i for i in reshapes if nodes[i].inputs[0] in reshapes)
+            kind = [node.vjp.__qualname__.partition(".")[0] for node in nodes]
+            counts.append((len(nodes), kind.count("permute")))
+
+            def made_by(inp, name):
+                return type(inp) is int and kind[inp] == name
+
+            for i, node in enumerate(nodes):
+                if kind[i] == "reshape" and made_by(node.inputs[0], "reshape"):
+                    found.append(f"reshape {i} of a reshape")
+                if kind[i] == "attention" and made_by(node.inputs[-1], "permute"):
+                    permute = nodes[node.inputs[-1]].vjp
+                    axes = permute.__closure__[permute.__code__.co_freevars.index("inverse")].cell_contents
+                    if axes != (0, 2, 1, 3):
+                        found.append(f"attention {i} of a bias permuted by {axes}")
+                if kind[i] == "log_softmax_rows" and made_by(node.inputs[0], "reshape"):
+                    found.append(f"log-softmax {i} of a reshape")
+                if kind[i] == "reshape" and made_by(node.inputs[0], "log_softmax_rows"):
+                    found.append(f"reshape {i} of a log-softmax")
             real_backward(loss)
 
         monkeypatch.setattr(ad, "backward", backward)
         pockets = {"p": build_knn_graph(synthetic_pocket(10, 6.0, 0))}
         train(TrainerConfig(steps=1, batch_size=16, seed=0, mode=mode), DESK, pockets)
-        assert counts == [nodes]
-        assert undone == []
+        assert counts == [(nodes, permutes)]
+        assert found == []
 
     @pytest.mark.parametrize("mode", ["baseline", "trioformer"])
     def test_backward_peak_stays_near_forward_memory(self, mode):
         # backward releases each node as it passes it, so its peak is about
         # what the forward left held; keeping every node and every
         # intermediate's gradient to the end gave 1.57x (baseline) and 1.64x
-        # (trioformer) here
+        # (trioformer) here. A tape that holds less raises the ratio, so the
+        # excess is bounded in bytes too, with about 0.5 KB to spare for the
+        # order tests run in: it reads 16,469 and 19,674 bytes in the full
+        # suite (19,818 trioformer alone). It counts the nodes the walk frees
+        # before its peak, so with the longer tape of padded log-softmax
+        # grids and permuted biases it read 14,901 and 17,503, at a peak
+        # about 10 KB higher.
         policy = PolicyNetwork(ParamStore(np.random.default_rng(4)), DESK, small_policy(mode))
         pocket, batch = one_pocket(n=10)["p0"], 4
         # parameters are created lazily; create them before measuring
@@ -644,6 +671,8 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * held, f"backward peak {peak} B against {held} B held after the forward"
+        excess = {"baseline": 17_000, "trioformer": 20_500}[mode]
+        assert peak - held <= excess, f"backward peak {peak} B is more than {excess} B over the {held} B held"
 
     def test_non_finite_gradient_names_parameter(self, monkeypatch):
         # a NaN injected through one primitive's gradient leaves the loss finite

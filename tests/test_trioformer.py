@@ -197,7 +197,7 @@ class TestCrossAttention:
         h_p = tensor(RNG.normal(size=(B, 3, 8)))
         h_l = tensor(RNG.normal(size=(B, 2, 8)))
         for prefix, h_q, h_kv in (("x.lig", h_l, h_p), ("x.poc", h_p, h_l)):
-            zero_bias = tensor(np.zeros((B, H, h_q.shape[1], h_kv.shape[1])))
+            zero_bias = tensor(np.zeros((B, h_q.shape[1], h_kv.shape[1], H)))
             with Tape():
                 out = biased_cross_attention(h_q, h_kv, zero_bias, store, prefix, n_heads=H, head_dim=C)
             w = [store[f"{prefix}.{k}.w"].data for k in "qkvo"]
@@ -208,7 +208,7 @@ class TestCrossAttention:
         store = store_with_seed(17)
         h_p = tensor(RNG.normal(size=(B, 1, 8)))
         h_l = tensor(RNG.normal(size=(B, 3, 8)))
-        bias = tensor(RNG.normal(size=(B, H, 3, 1)))
+        bias = tensor(RNG.normal(size=(B, 3, 1, H)))
         with Tape():
             new_l = biased_cross_attention(h_l, h_p, bias, store, "x", n_heads=H, head_dim=C)
         # each ligand node takes the whole value of its entry's one pocket node, whatever the bias
@@ -219,12 +219,12 @@ class TestCrossAttention:
         store = store_with_seed(19)
         h_p = RNG.normal(size=(B, 4, 8))
         h_l = tensor(RNG.normal(size=(B, 3, 8)))
-        bias = RNG.normal(size=(B, H, 3, 4))
+        bias = RNG.normal(size=(B, 3, 4, H))
         with Tape():
             base = biased_cross_attention(h_l, tensor(h_p), tensor(bias), store, "x", n_heads=H, head_dim=C)
         perm = [2, 0, 3, 1]
         with Tape():
-            moved = biased_cross_attention(h_l, tensor(h_p[:, perm]), tensor(bias[..., perm]), store, "x", n_heads=H, head_dim=C)
+            moved = biased_cross_attention(h_l, tensor(h_p[:, perm]), tensor(bias[:, :, perm]), store, "x", n_heads=H, head_dim=C)
         np.testing.assert_allclose(moved.data, base.data, atol=1e-9)
 
     @pytest.mark.parametrize("shared", ["keys", "queries"])
@@ -234,7 +234,7 @@ class TestCrossAttention:
         store = store_with_seed(53)
         one = RNG.normal(size=(1, 4, 8))
         other = tensor(RNG.normal(size=(B, 3, 8)))
-        bias = tensor(RNG.normal(size=(B, H, 3, 4) if shared == "keys" else (B, H, 4, 3)))
+        bias = tensor(RNG.normal(size=(B, 3, 4, H) if shared == "keys" else (B, 4, 3, H)))
         coeffs = tensor(RNG.normal(size=(B, 3 if shared == "keys" else 4, 8)))
         outs, grads = [], []
         for track in (tensor(one), tensor(np.repeat(one, B, axis=0))):
