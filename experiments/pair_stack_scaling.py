@@ -4,8 +4,9 @@ Trains the default trioformer policy for a few steps on synthetic pockets of
 10, 40 and 80 residues (CrossDocked pockets reach the upper end), each size
 in a Python process of its own, so that each peak resident set is that
 size's alone, and prints one row per size: seconds per step, set-up
-included, the process's peak RSS (``ru_maxrss``) and the tape nodes a step
-records.
+included, the process's peak RSS (``ru_maxrss``), the tape nodes a step
+records, and the bytes that the rules of the first step's tape hold when
+its forward is done, by rule kind (attention, mlp, matmul and the rest).
 
 Run from the repository root:
 
@@ -30,6 +31,39 @@ SRC = HERE.parent / "src"
 
 STEPS = 3
 SIZES = (10, 40, 80)
+RULE_KINDS = ("attention", "mlp", "matmul", "other")
+
+
+def rule_held_bytes(nodes) -> dict:
+    """The bytes that the rules of ``nodes`` hold, by ``RULE_KINDS``: the
+    arrays their closures reach through tuples, lists and nested functions,
+    each buffer counted once and a view as the array that owns its memory,
+    less the parameters (the leaves that get a gradient), which the store
+    holds anyway."""
+    import numpy as np
+
+    from pocketgfn import autodiff as ad
+
+    held = dict.fromkeys(RULE_KINDS, 0)
+    seen = {id(inp.data) for node in nodes for inp in node.inputs if type(inp) is ad.DiffTensor}
+    for node in nodes:
+        kind = node.vjp.__qualname__.partition(".")[0]
+        kind = kind if kind in held else "other"
+        stack = [c.cell_contents for c in node.vjp.__closure__ or ()]
+        while stack:
+            value = stack.pop()
+            while isinstance(value, np.ndarray) and isinstance(value.base, np.ndarray):
+                value = value.base
+            if id(value) in seen:
+                continue
+            seen.add(id(value))
+            if isinstance(value, np.ndarray):
+                held[kind] += value.nbytes
+            elif isinstance(value, (tuple, list)):
+                stack += value
+            elif callable(value) and getattr(value, "__closure__", None):
+                stack += [c.cell_contents for c in value.__closure__]
+    return held
 
 
 def measure(n_pocket: int, steps: int) -> dict:
@@ -42,11 +76,13 @@ def measure(n_pocket: int, steps: int) -> dict:
 
     pockets = {"p": build_knn_graph(synthetic_pocket(n_pocket, 6.0, seed=0))}
     config = TrainerConfig(steps=steps, batch_size=16, max_nodes=8, seed=0, mode=TRIOFORMER)
-    nodes, real_backward = [], ad.backward
+    nodes, held, real_backward = [], [], ad.backward
 
     def backward(loss):
         # each step walks its tape once
         nodes.append(len(loss._tape.nodes))
+        if not held:
+            held.append(rule_held_bytes(loss._tape.nodes))
         real_backward(loss)
 
     ad.backward = backward
@@ -61,6 +97,7 @@ def measure(n_pocket: int, steps: int) -> dict:
         "s_per_step": seconds / steps,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "tape_nodes_per_step": sum(nodes) / steps,
+        "rule_held_bytes": held[0],
     }
 
 
@@ -84,8 +121,9 @@ def main() -> int:
         except RuntimeError as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
+        held = ", ".join(f"{row['rule_held_bytes'][kind] / 2**20:.2f} {kind}" for kind in RULE_KINDS)
         print(f"{n_pocket:>4} residues: {row['s_per_step']:.3f} s per step, {row['peak_rss_mb']:.0f} MB peak RSS, "
-              f"{row['tape_nodes_per_step']:.0f} tape nodes per step")
+              f"{row['tape_nodes_per_step']:.0f} tape nodes per step; first forward's rules hold {held} MB")
     return 0
 
 

@@ -43,6 +43,10 @@ LN_EPS = 1e-5
 # Central-difference step of finite_diff_check.
 FD_STEP = 1e-5
 
+# Longest last axis whose max _row_max takes by slices; from about 16
+# entries on, numpy's reduction is the faster one.
+SLICED_MAX = 12
+
 
 def active_tape() -> "Tape | None":
     return _TAPES[-1] if _TAPES else None
@@ -428,6 +432,20 @@ def _matmul_into(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         target[...] = _unbroadcast(np.matmul(a, b), target.shape)
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)``. Over a last axis of at most
+    ``SLICED_MAX`` entries it is the elementwise maximum of the axis's
+    slices: numpy's reduction pays about 60 ns a row there, and a max is
+    exact, so both give the same bits."""
+    n = a.shape[-1]
+    if n > SLICED_MAX:
+        return a.max(axis=-1, keepdims=True)
+    m = a[..., :1].copy()
+    for j in range(1, n):
+        np.maximum(m, a[..., j : j + 1], out=m)
+    return m
+
+
 def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of ``x`` at zero mean and unit variance over the last axis,
     and each row's inverse standard deviation, (..., 1)."""
@@ -591,7 +609,7 @@ def attention(
         if not mask.any(axis=-1).all():
             raise ValueError("attention row is fully masked")
         logits = np.where(mask, logits, -np.inf)
-    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= _row_max(logits)
     w = np.exp(logits, out=logits)
     w /= w.sum(axis=-1, keepdims=True)
     heads = attend(w, v)
@@ -641,10 +659,14 @@ def mlp(
     With ``norm`` = (gain, bias), each (c,), the rows of ``x`` (*lead, c)
     are first layer-normalized, scaled and shifted. Returns (*lead, c_out).
 
-    The rule keeps the hidden ReLU outputs and the weight arrays by
-    reference, and, for the first layer's input, the normalized rows, their
-    inverse std and the gain and bias arrays (with ``norm``, recomputing the
-    scaled and shifted rows in backward) or ``x`` itself (without).
+    The rule keeps only the first layer's input and the weight arrays by
+    reference: the normalized rows, their inverse std and the gain and bias
+    arrays (with ``norm``) or ``x`` itself (without). In backward it
+    rebuilds the scaled and shifted rows and each hidden ReLU output with
+    the forward's own operations, so every value and gradient is the same
+    to the last bit, and writes each layer's input gradient into the
+    rebuilt buffer of that input once its weight gradient and ReLU mask are
+    taken.
     """
     layers = list(layers)
     if not layers:
@@ -657,31 +679,43 @@ def mlp(
     x_shape = x.shape
     params = [(w.data, b.data) for w, b in layers]
     has_norm = norm is not None
-    h = x.data.reshape(-1, x_shape[-1])
+    rows = x.data.reshape(-1, x_shape[-1])
     if has_norm:
         _check_norm(x, norm, "mlp")
-        kept, h = _pre_norm(h, norm)
+        kept, rows = _pre_norm(rows, norm)
     else:
-        kept = h
-    hidden = []
-    for i, (w, b) in enumerate(params):
-        h = h @ w + b
-        if i < len(params) - 1:
-            h = np.maximum(h, 0.0)
-            hidden.append(h)
-    out = h.reshape(*x_shape[:-1], width)
+        kept = rows
+
+    def layer_outputs(h, n):
+        # the outputs of the first n layers, each made in a buffer of its own
+        outs = []
+        for i, (w, b) in enumerate(params[:n]):
+            h = h @ w
+            h += b
+            if i < len(params) - 1:
+                np.maximum(h, 0.0, out=h)
+            outs.append(h)
+        return outs
+
+    out = layer_outputs(rows, len(params))[-1].reshape(*x_shape[:-1], width)
 
     def vjp(g):
         g = g.reshape(-1, width)
-        # each layer's input, the first one rebuilt
-        inputs = [_scaled(kept) if has_norm else kept, *hidden]
+        # each layer's input, rebuilt; without a norm the first is the
+        # caller's own rows, so its gradient gets a buffer of its own
+        inputs = [_scaled(kept) if has_norm else kept]
+        inputs += layer_outputs(inputs[0], len(params) - 1)
         g_params = []
         for i in range(len(params) - 1, -1, -1):
             w, b = params[i]
-            g_params[:0] = [inputs[i].T @ g, _unbroadcast(g, b.shape)]
-            g = g @ w.T
+            h = inputs.pop()
+            g_params[:0] = [h.T @ g, _unbroadcast(g, b.shape)]
             if i:
-                g *= hidden[i - 1] > 0.0
+                mask = h > 0.0
+                g = np.matmul(g, w.T, out=h)
+                g *= mask
+            else:
+                g = np.matmul(g, w.T, out=h) if has_norm else g @ w.T
         if not has_norm:
             return (g.reshape(x_shape), *g_params)
         g_x, g_gain, g_beta = _pre_norm_vjp(g, kept, g.shape)

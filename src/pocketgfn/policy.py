@@ -272,13 +272,14 @@ class PolicyNetwork:
         b = len(states)
         node_h, graph_emb = self._ligand_track(states, ctx)
         graph_width = 2 * cfg.width if cfg.mode == BASELINE else cfg.width
-        # run on the empty state too, which has no Stop row, to keep the parameter order
-        stop_logits = ad.mlp(graph_emb, mlp_params(self.store, "stop_head", [graph_width, cfg.width, 1]))
+        # created on the empty state too, which has no Stop row, to keep the parameter order
+        stop_head = mlp_params(self.store, "stop_head", [graph_width, cfg.width, 1])
         add_logits = self._add_logits(node_h, slots if n else [[(0, -1)]] * b, n)
 
         offsets = np.concatenate([[0], np.cumsum([len(acts) for acts in legal])])
         logits = add_logits  # the empty states' rows are their add rows, state by state
         if n:
+            stop_logits = ad.mlp(graph_emb, stop_head)
             # The column holds the b Stops, then the add rows state by state:
             # state i's first row reads its Stop, and its row p of the batch
             # reads column row b + p - i - 1, as i + 1 of the rows before it are Stops.

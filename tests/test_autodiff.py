@@ -2,6 +2,7 @@
 
 import gc
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -852,6 +853,41 @@ class TestMLP:
         for g_f, g_r in zip(grads_f, grads_r):
             np.testing.assert_array_equal(g_f, g_r)
         assert nodes_f == 3 < nodes_r
+
+    @pytest.mark.parametrize("normed", [False, True], ids=["plain", "norm"])
+    def test_rule_holds_no_hidden_layer(self, normed):
+        # a wide two-layer mlp: after the forward the tape holds less than
+        # its one hidden layer, which backward rebuilds, and the gradients
+        # of x, the norm and every weight and bias are still the unfused
+        # chain's to the last bit
+        rows, c, hidden = 2048, 16, 512
+        rng = np.random.default_rng(18)
+        x = tensor(rng.uniform(-1.0, 1.0, size=(rows, c)))
+        norm = (tensor(rng.uniform(0.5, 1.5, size=c)), tensor(rng.uniform(-0.5, 0.5, size=c))) if normed else None
+        layers = [(tensor(rng.uniform(-0.5, 0.5, size=(i, o))), tensor(rng.uniform(-0.5, 0.5, size=o)))
+                  for i, o in ((c, hidden), (hidden, c))]
+        coeffs = tensor(rng.uniform(-1.0, 1.0, size=(rows, c)))
+        inputs = [x, *(norm or ()), *(t for layer in layers for t in layer)]
+
+        def run(block):
+            for t in inputs:
+                t.grad = None
+            tracemalloc.start()
+            try:
+                with Tape():
+                    out = block(x, layers, norm)
+                    held = tracemalloc.get_traced_memory()[0]
+                    loss = sum_all(ad.mul(out, coeffs))
+            finally:
+                tracemalloc.stop()
+            backward(loss)
+            return held, [t.grad for t in inputs]
+
+        held, grads = run(ad.mlp)
+        _, grads_r = run(reference.pre_norm_mlp)
+        assert held < rows * hidden * 8, held
+        for g, g_r in zip(grads, grads_r):
+            np.testing.assert_array_equal(g, g_r)
 
     def test_relu_between_layers_only(self):
         # identity weights make the network relu(x - 1) + 1 exactly: the

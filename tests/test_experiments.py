@@ -38,3 +38,6 @@ def test_pair_stack_scaling_runs(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "1 steps per pocket size" in out and "  10 residues: " in out and "MB peak RSS" in out
     assert int(out.split("MB peak RSS, ")[1].split(" tape nodes per step")[0]) > 0
+    held = out.split("first forward's rules hold ")[1].split(" MB")[0].split(", ")
+    assert [h.split(" ")[1] for h in held] == ["attention", "mlp", "matmul", "other"]
+    assert all(float(h.split(" ")[0]) > 0 for h in held)
