@@ -587,6 +587,11 @@ ATTENTION_LAYOUTS = {
         (2, 4, 5), (1, 3, 5), (2, 4, 3, 2), (0, 2, 1, 3), None,
         lambda h_q, h_kv, w: reference_cross_attention(h_q, h_kv, *w, N_HEADS, HEAD_DIM),
     ),
+    # the same over more keys than the row max takes by slices
+    "cross-long": (
+        (2, 4, 5), (1, 16, 5), (2, 4, 16, 2), (0, 2, 1, 3), None,
+        lambda h_q, h_kv, w: reference_cross_attention(h_q, h_kv, *w, N_HEADS, HEAD_DIM),
+    ),
     # the ligand graph transformer: an edge bias and an adjacency mask
     "graph": (
         (2, 4, 5), None, (2, 4, 4, 2), (0, 2, 1, 3), GRAPH_MASK[:, None],
