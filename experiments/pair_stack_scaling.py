@@ -38,13 +38,15 @@ def rule_held_bytes(nodes) -> dict:
     """The bytes that the rules of ``nodes`` hold, by ``RULE_KINDS``: the
     arrays their closures reach through tuples, lists and nested functions,
     each buffer counted once and a view as the array that owns its memory,
-    less the parameters (the leaves that get a gradient), which the store
-    holds anyway."""
+    less the arrays of the tape's leaves that get a gradient (the
+    parameters, which the store holds anyway). Constant leaves, the input
+    features, count under the rule that keeps them."""
     import numpy as np
 
     from pocketgfn import autodiff as ad
 
     held = dict.fromkeys(RULE_KINDS, 0)
+    # a leaf made by ad.constant is a subclass of DiffTensor, so this skips only the parameters
     seen = {id(inp.data) for node in nodes for inp in node.inputs if type(inp) is ad.DiffTensor}
     for node in nodes:
         kind = node.vjp.__qualname__.partition(".")[0]
