@@ -489,27 +489,24 @@ def attention(
     w_v: DiffTensor,
     w_o: DiffTensor,
     bias: DiffTensor,
-    n_heads: int,
-    fold: Sequence[int],
+    axis: int,
     mask: np.ndarray | None = None,
 ) -> DiffTensor:
-    """A pre-norm projected multi-head attention block, one node.
+    """A pre-norm projected multi-head attention block along one axis, one node.
 
     ``x_q`` (*lead_q, c_q) is layer-normalized over its last axis and scaled
     and shifted by ``norm_q`` = (gain, bias), each (c_q,), then projected by
     ``w_q`` (c_q, heads * d) into q; ``x_kv`` (*lead_kv, c_kv) likewise by
-    ``norm_kv`` and ``w_k`` and ``w_v`` (c_kv, heads * d) into k and v. Each
-    is split into heads, (*lead, heads, d), and permuted by ``fold`` to (...,
-    heads, n, d), the attended axis second to last. The heads
-    ``softmax((q @ kᵀ + bias) / sqrt(d)) @ v`` are unfolded, joined and
-    projected by ``w_o`` (heads * d, c_out). Returns the (*lead, c_out)
-    update in ``x_q``'s layout; the leading axes of ``x_q`` and ``x_kv``
-    broadcast. ``bias`` is heads last, (..., n_q, n_kv, heads or 1), as a
-    ``matmul`` projects it; with its heads axis moved before the nodes, it
-    and the boolean ``mask`` (True marks entries that participate) broadcast
-    against the (..., heads, n_q, n_kv) logits. Masked
-    entries get weight exactly 0 and gradient exactly 0; a fully masked row
-    raises ``ValueError``. With ``x_kv`` and ``norm_kv`` the very tensors of
+    ``norm_kv`` and ``w_k`` and ``w_v`` (c_kv, heads * d) into k and v. Along
+    lead axis ``axis``, each query attends over the keys, the other lead axes
+    broadcasting: the heads ``softmax((q @ kᵀ + bias) / sqrt(d)) @ v`` are
+    joined and projected by ``w_o`` (heads * d, c_out) into the (*lead,
+    c_out) update in ``x_q``'s layout. ``bias`` (..., n_q, n_kv, heads), as
+    a ``matmul`` projects it, sets the head count; it and the boolean
+    ``mask`` (..., n_q, n_kv), True for entries that participate, broadcast
+    against the lead axes other than ``axis``. Masked entries get weight
+    exactly 0 and gradient exactly 0; a fully masked row raises
+    ``ValueError``. With ``x_kv`` and ``norm_kv`` the very tensors of
     ``x_q`` and ``norm_q``, the block is self-attention over one normalized
     input, and ``x_kv`` and ``norm_kv`` get no gradient of their own.
 
@@ -520,30 +517,33 @@ def attention(
     weight arrays by reference. In backward it recomputes the scaled and
     shifted input, the concatenated weights, q, k, v and the head outputs.
     """
-    fold = tuple(fold)
+    nd = x_q.data.ndim
     c_q, c_kv = x_q.shape[-1], x_kv.shape[-1]
     hd = w_q.shape[1]
     if (
-        x_q.data.ndim != x_kv.data.ndim
-        or sorted(fold) != list(range(x_q.data.ndim + 1))
+        x_kv.data.ndim != nd
+        or not 0 <= axis < nd - 1
         or w_q.data.ndim != 2
         or w_q.shape[0] != c_q
         or w_k.shape != (c_kv, hd)
         or w_v.shape != (c_kv, hd)
         or w_o.data.ndim != 2
         or w_o.shape[0] != hd
-        or hd % n_heads
         or bias.data.ndim < 3
-        or bias.shape[-1] not in (1, n_heads)
+        or not bias.shape[-1]
+        or hd % bias.shape[-1]
     ):
         raise DimensionError(
-            f"attention rejects x_q {x_q.shape}, x_kv {x_kv.shape}, fold {fold}, {n_heads} heads, "
+            f"attention along axis {axis} rejects x_q {x_q.shape}, x_kv {x_kv.shape}, "
             f"weights {w_q.shape}, {w_k.shape}, {w_v.shape}, {w_o.shape} and bias {bias.shape}"
         )
     _check_norm(x_q, norm_q, "attention")
     _check_norm(x_kv, norm_kv, "attention")
+    n_heads = bias.shape[-1]
     d = hd // n_heads
     f = 1.0 / np.sqrt(d)
+    # (*lead, heads, d) -> (*lead without axis, heads, axis, d)
+    fold = (*(i for i in range(nd - 1) if i != axis), nd - 1, axis, nd)
     unfold = tuple(np.argsort(fold))
     bias_heads = np.moveaxis(bias.data, -1, -3)  # a view, in the logits' layout
     bias_shape = bias_heads.shape
@@ -586,8 +586,10 @@ def attention(
     logits *= f
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.ndim > logits.ndim or any(m not in (1, n) for m, n in zip(mask.shape[::-1], logits.shape[::-1])):
+        shape = (*mask.shape[:-2], 1, *mask.shape[-2:])  # with the logits' heads axis
+        if mask.ndim < 2 or len(shape) > logits.ndim or any(m not in (1, n) for m, n in zip(shape[::-1], logits.shape[::-1])):
             raise DimensionError(f"attention mask {mask.shape} does not broadcast to the logits {logits.shape}")
+        mask = mask.reshape(shape)
         if not mask.any(axis=-1).all():
             raise ValueError("attention row is fully masked")
         logits = np.where(mask, logits, -np.inf)

@@ -157,29 +157,27 @@ class PolicyNetwork:
         in and out.
 
         Each layer is two pre-norm residual blocks on the track, each one
-        node: an ``autodiff.attention`` node, heads before nodes, whose edge
-        bias is the (B, n, n, heads) projection of the edge features and
-        over whose heads ``att_mask`` (B, n, n) broadcasts, and an
-        ``autodiff.mlp`` node.
+        node: an ``autodiff.attention`` node along the node axis, biased by
+        the (B, n, n, heads) projection of the edge features and masked by
+        ``att_mask`` (B, n, n), and an ``autodiff.mlp`` node.
         """
         cfg = self.config
-        heads = cfg.n_heads
         edges = ad.constant(edges_np)
         for layer in range(cfg.n_layers):
             name = f"lig.gt{layer}"
             norm = layer_norm_params(self.store, f"{name}.ln1", cfg.width)
             w_q, w_k, w_v = (self.store.param(f"{name}.{t}.w", (cfg.width, cfg.width)) for t in "qkv")
-            bias = ad.matmul(edges, self.store.param(f"{name}.e.w", (edges_np.shape[-1], heads)))
+            bias = ad.matmul(edges, self.store.param(f"{name}.e.w", (edges_np.shape[-1], cfg.n_heads)))
             w_o = self.store.param(f"{name}.o.w", (cfg.width, cfg.width))
-            x = ad.add(x, ad.attention(x, x, norm, norm, w_q, w_k, w_v, w_o, bias, heads, (0, 2, 1, 3),
-                                       mask=att_mask[:, None]))
+            x = ad.add(x, ad.attention(x, x, norm, norm, w_q, w_k, w_v, w_o, bias, 1, mask=att_mask))
             norm = layer_norm_params(self.store, f"{name}.ln2", cfg.width)
             x = ad.add(x, ad.mlp(x, mlp_params(self.store, f"{name}.mlp", [cfg.width, 2 * cfg.width, cfg.width]), norm))
         return x
 
-    def _ligand_track(self, states: Sequence[LigandState], ctx: PocketContext) -> tuple[DiffTensor, DiffTensor]:
+    def _ligand_track(self, states: Sequence[LigandState], ctx: PocketContext) -> tuple[DiffTensor, DiffTensor | None]:
         """The node track (B, n, w) for the action heads and graph embeddings
-        (B, 2w) in baseline mode or (B, w) in pair mode."""
+        (B, 2w) in baseline mode or (B, w) in pair mode, which only the stop
+        head reads: None for the empty states, which have no Stop row."""
         cfg = self.config
         x, edges_np, adj = self._embed_nodes(states)
         b, n = adj.shape[:2]
@@ -196,6 +194,8 @@ class PolicyNetwork:
             h = ad.reshape(self._self_attention_layers(x, edges_aug, att_mask), (b * (n + 1), cfg.width))
             rows = np.arange(b * (n + 1)).reshape(b, n + 1)
             real = ad.gather_rows(h, rows[:, :n])
+            if not states[0].n:
+                return real, None
             return real, ad.concat([pool_graph_embedding(real), ad.gather_rows(h, rows[:, n])], axis=1)
         h = self._self_attention_layers(x, edges_np, adj.astype(bool) | self_loops)
         h = trioformer_stack(
@@ -210,7 +210,7 @@ class PolicyNetwork:
             head_dim=cfg.trio_head_dim,
             c_pair=cfg.trio_c_pair,
         )
-        return h, pool_graph_embedding(h)
+        return h, pool_graph_embedding(h) if states[0].n else None
 
     # -- heads -------------------------------------------------------------
 

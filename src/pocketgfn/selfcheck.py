@@ -109,7 +109,7 @@ def primitive_gradient_errors() -> dict[str, float]:
             if form == "cross":
                 x_kv, norm_kv = args["x_kv"], (args["norm_kv_gain"], args["norm_kv_bias"])
             return ad.attention(x_q, x_kv, norm_q, norm_kv, *(args[k] for k in ("w_q", "w_k", "w_v", "w_o", "bias")),
-                                2, (0, 2, 1, 3), mask=mask)
+                                1, mask=mask)
 
         return f"attention_{form}_{wrt}{'_masked' if masked else ''}", f, ops[wrt]
 

@@ -9,11 +9,11 @@ of the update attends along the pocket axis with real-distance biases, the
 other along the ligand axis with adjacency biases; a position-wise
 transition and biased cross-attention back into the node tracks complete a
 layer. Every attention block, its layer norms and projections included, is
-one ``autodiff.attention`` node, which folds the attended axis second to
-last (before each head's width); the transition and the biased pocket
-projection are ``autodiff.mlp`` nodes and the other projections
-``autodiff.matmul`` nodes, each on the track it projects. All blocks are
-pre-norm residuals on the tape engine, differentiable and checkpointable.
+one ``autodiff.attention`` node, given the axis it attends along; the
+transition and the biased pocket projection are ``autodiff.mlp`` nodes and
+the other projections ``autodiff.matmul`` nodes, each on the track it
+projects. All blocks are pre-norm residuals on the tape engine,
+differentiable and checkpointable.
 """
 
 from __future__ import annotations
@@ -76,20 +76,17 @@ def triangle_update(
     (indices within one batch entry). ``pair`` is (B, n_P, n_L, c);
     ``dist_features`` is (1, n, n, f), shared by the batch, or (B, n, n, f).
 
-    The block is one ``autodiff.attention`` node that normalizes the pair:
-    its heads are folded to (B, n_L, heads, n_P, d) for the pocket fold and
-    (B, n_P, heads, n_L, d) for the ligand fold. The distance bias is one
-    ``autodiff.matmul`` of the (1 or B, 1, n, n, f) features, heads last,
-    (1 or B, 1, n, n, heads), as ``attention`` takes it; it broadcasts over
-    the other node axis.
+    The block is one ``autodiff.attention`` node that normalizes the pair
+    and attends along its axis 1 (pocket) or 2 (ligand). The distance bias
+    is one ``autodiff.matmul`` of the (1 or B, 1, n, n, f) features, heads
+    last, (1 or B, 1, n, n, heads), as ``attention`` takes it; it
+    broadcasts over the other node axis.
     """
-    b, n_p, n_l, c_pair = pair.shape
-    if axis == "pocket":
-        n_axis, fold = n_p, (0, 2, 3, 1, 4)
-    elif axis == "ligand":
-        n_axis, fold = n_l, (0, 1, 3, 2, 4)
-    else:
+    b, _, _, c_pair = pair.shape
+    dim = {"pocket": 1, "ligand": 2}.get(axis)
+    if dim is None:
         raise ValueError(f"axis must be 'pocket' or 'ligand', got {axis!r}")
+    n_axis = pair.shape[dim]
     feats = np.asarray(dist_features, dtype=np.float64)
     if feats.ndim != 4 or feats.shape[0] not in (1, b) or feats.shape[1:3] != (n_axis, n_axis):
         raise DimensionError(f"{axis} distance features must be (1 or {b}, {n_axis}, {n_axis}, f), got {feats.shape}")
@@ -98,7 +95,7 @@ def triangle_update(
     w_q, w_k, w_v = (store.param(f"{prefix}.{t}.w", (c_pair, n_heads * head_dim)) for t in "qkv")
     bias = ad.matmul(ad.constant(feats[:, None]), store.param(f"{prefix}.t.w", (feats.shape[3], n_heads)))
     w_o = store.param(f"{prefix}.o.w", (n_heads * head_dim, c_pair))
-    update = ad.attention(pair, pair, norm, norm, w_q, w_k, w_v, w_o, bias, n_heads, fold)
+    update = ad.attention(pair, pair, norm, norm, w_q, w_k, w_v, w_o, bias, dim)
     return ad.add(pair, update)
 
 
@@ -122,15 +119,15 @@ def biased_cross_attention(
     """Track ``h_q`` (1 or B, n_q, c_q) attends over ``h_kv`` (1 or B, n_kv,
     c_kv), logits biased by ``bias`` (B, n_q, n_kv, heads), heads last as a
     projection makes it; returns the pre-norm residual update of the query
-    track, (B, n_q, c_q). The block is one ``autodiff.attention`` node with
-    heads before nodes, which normalizes each track at its own batch size."""
+    track, (B, n_q, c_q). The block is one ``autodiff.attention`` node along
+    the node axis, which normalizes each track at its own batch size."""
     c_q, c_kv = h_q.shape[-1], h_kv.shape[-1]
     norm_q = layer_norm_params(store, f"{prefix}.ln_q", c_q)
     norm_kv = layer_norm_params(store, f"{prefix}.ln_kv", c_kv)
     w_q = store.param(f"{prefix}.q.w", (c_q, n_heads * head_dim))
     w_k, w_v = (store.param(f"{prefix}.{t}.w", (c_kv, n_heads * head_dim)) for t in "kv")
     w_o = store.param(f"{prefix}.o.w", (n_heads * head_dim, c_q))
-    update = ad.attention(h_q, h_kv, norm_q, norm_kv, w_q, w_k, w_v, w_o, bias, n_heads, (0, 2, 1, 3))
+    update = ad.attention(h_q, h_kv, norm_q, norm_kv, w_q, w_k, w_v, w_o, bias, 1)
     return ad.add(h_q, update)
 
 

@@ -228,8 +228,8 @@ def _composite(x, w, b):
     """A graph with shared uses, views, a fused attention and a branch the
     loss never reads. Returns (loss, intermediates, unused branch)."""
     h = ad.tanh(ad.add(matmul(x, w), b))
-    a = ad.attention(h, h, (b, b), (b, b), w, w, w, w, ad.reshape(matmul(h, ad.permute(h, (1, 0))), (3, 3, 1)), 2,
-                     (1, 0, 2))
+    bias = ad.reshape(matmul(h, ad.permute(concat([h, h], axis=0), (1, 0))), (3, 3, 2))  # 2 heads
+    a = ad.attention(h, h, (b, b), (b, b), w, w, w, w, bias, 0)
     n = layer_norm_rows(ad.add(a, h))
     unused = ad.exp(x)
     loss = sum_all(ad.mul(log_softmax_rows(ad.reshape(n, (12, 1)), [0, 5, 6, 12]), ad.reshape(n, (12, 1))))
@@ -354,8 +354,8 @@ def _rule_cases():
         "softmax_rows": lambda: softmax_rows(x, mask),
         "log_softmax_rows": lambda: log_softmax_rows(ad.reshape(x, (12, 1)), [0, 5, 6, 12]),
         "attention": lambda: ad.attention(
-            x, y, (gain, shift), (shift, gain), w, w, w, ad.permute(w, (1, 0)), ad.reshape(matmul(x, w), (3, 3, 1)), 1,
-            (1, 0, 2), mask=mask[:, :3],
+            x, y, (gain, shift), (shift, gain), w, w, w, ad.permute(w, (1, 0)), ad.reshape(matmul(x, w), (3, 3, 1)), 0,
+            mask=mask[:, :3],
         ),
         "mlp": lambda: ad.mlp(ad.neg(x), [(w, b3), (ad.permute(w, (1, 0)), shift)], norm=(gain, shift)),
         "layer_norm_rows": lambda: layer_norm_rows(ad.add(x, y)),
@@ -527,11 +527,10 @@ ATT_INPUTS = (
 )
 
 
-def _fused_attention(x_q, x_kv, norm_q, norm_kv, w_q, w_k, w_v, w_o, bias, fold, mask=None):
-    return ad.attention(x_q, x_kv, norm_q, norm_kv, w_q, w_k, w_v, w_o, bias, N_HEADS, fold, mask=mask)
-
-
-# The reference blocks below take the bias heads first, (..., heads, n_q, n_kv).
+# The reference blocks below take the bias heads first, (..., heads, n_q,
+# n_kv), the mask with a heads axis, and the fold of the heads to (...,
+# heads, n, d) written out, where ``autodiff.attention`` derives it from
+# the attended axis.
 
 
 def _reference_attention(x_q, x_kv, norm_q, norm_kv, w_q, w_k, w_v, w_o, bias, fold, mask=None):
@@ -570,39 +569,68 @@ GRAPH_MASK = np.array(
 )
 
 # layout -> (x_q shape, x_kv shape (None: self-attention), bias shape (heads
-# last), fold, mask, numpy reference of one batch entry given (h_q, h_kv,
-# weights)), as each call site lays them out: b = 2, n_P = 3, n_L = 4, c = 5,
-# 2 heads of 3
+# last), attended axis, its fold, mask, numpy reference of one batch entry
+# given (h_q, h_kv, weights)), as each call site lays them out: b = 2,
+# n_P = 3, n_L = 4, c = 5, 2 heads of 3
 ATTENTION_LAYOUTS = {
     "triangle-pocket": (
-        (2, 3, 4, 5), None, (1, 1, 3, 3, 2), (0, 2, 3, 1, 4), None,
+        (2, 3, 4, 5), None, (1, 1, 3, 3, 2), 1, (0, 2, 3, 1, 4), None,
         lambda h_q, h_kv, w: reference_pair_attention(h_q, "pocket", *w, N_HEADS, HEAD_DIM),
     ),
     "triangle-ligand": (
-        (2, 3, 4, 5), None, (2, 1, 4, 4, 2), (0, 1, 3, 2, 4), None,
+        (2, 3, 4, 5), None, (2, 1, 4, 4, 2), 2, (0, 1, 3, 2, 4), None,
         lambda h_q, h_kv, w: reference_pair_attention(h_q, "ligand", *w, N_HEADS, HEAD_DIM),
     ),
     # ligand queries over a pocket track that the batch shares
     "cross": (
-        (2, 4, 5), (1, 3, 5), (2, 4, 3, 2), (0, 2, 1, 3), None,
+        (2, 4, 5), (1, 3, 5), (2, 4, 3, 2), 1, (0, 2, 1, 3), None,
         lambda h_q, h_kv, w: reference_cross_attention(h_q, h_kv, *w, N_HEADS, HEAD_DIM),
     ),
     # the ligand graph transformer: an edge bias and an adjacency mask
     "graph": (
-        (2, 4, 5), None, (2, 4, 4, 2), (0, 2, 1, 3), GRAPH_MASK[:, None],
+        (2, 4, 5), None, (2, 4, 4, 2), 1, (0, 2, 1, 3), GRAPH_MASK,
         lambda h_q, h_kv, w: reference_cross_attention(h_q, h_kv, *w, N_HEADS, HEAD_DIM),
     ),
 }
 
+# attended axis of a (B, n, c) track and of a (B, n_P, n_L, c) pair ->
+# the fold of its (*lead, heads, d) heads, the attended axis before d
+AXIS_FOLDS = {
+    (3, 0): (1, 2, 0, 3),
+    (3, 1): (0, 2, 1, 3),
+    (4, 0): (1, 2, 3, 0, 4),
+    (4, 1): (0, 2, 3, 1, 4),
+    (4, 2): (0, 1, 3, 2, 4),
+}
+
+
+def _axis_layout(ndim, axis, cross, masked):
+    """A layout that attends along ``axis`` of a (2, 3, c) track or a
+    (2, 3, 4, c) pair: queries over themselves, or over a second input two
+    longer along ``axis``, with a random mask in which every query keeps its
+    first key."""
+    rng = np.random.default_rng(100 * ndim + 10 * axis + 2 * cross + masked)
+    q_lead = (2, 3, 4)[: ndim - 1]
+    kv_lead = tuple(n + 2 * (cross and i == axis) for i, n in enumerate(q_lead))
+    other = tuple(n for i, n in enumerate(q_lead) if i != axis)
+    scores = (*other, q_lead[axis], kv_lead[axis])
+    mask = None
+    if masked:
+        mask = rng.random(scores) < 0.6
+        mask[..., 0] = True
+    return (*q_lead, 5), (*kv_lead, 5) if cross else None, (*scores, 2), axis, AXIS_FOLDS[ndim, axis], mask, None
+
 
 def _run_layout(layout, block, unit_norms=False, zero_bias=False):
-    """One call of ``block`` at ``layout`` inside a residual, and a loss over
-    it: the output, the gradient of every input (tracks, norms, weights,
-    bias, heads last) and the number of tape nodes. Random gains and shifts
-    unless ``unit_norms``; no bias and no mask with ``zero_bias``. A block
-    other than ``_fused_attention`` is given a heads-first view of the bias,
-    and its gradient is moved back."""
-    q_shape, kv_shape, bias_shape, fold, mask, _ = ATTENTION_LAYOUTS[layout]
+    """One call of ``block`` at ``layout``, a tuple as in
+    ``ATTENTION_LAYOUTS``, inside a residual, and a loss over it: the output,
+    the gradient of every input (tracks, norms, weights, bias, heads last)
+    and the number of tape nodes. Random gains and shifts unless
+    ``unit_norms``; no bias and no mask with ``zero_bias``.
+    ``autodiff.attention`` is given the attended axis; any other block is
+    given the fold, a heads-first view of the bias and the mask with a
+    heads axis, and its bias gradient is moved back."""
+    q_shape, kv_shape, bias_shape, axis, fold, mask, _ = layout
     rng = np.random.default_rng(10)
     c = q_shape[-1]
     tracks = [tensor(rng.normal(size=q_shape))] + ([] if kv_shape is None else [tensor(rng.normal(size=kv_shape))])
@@ -613,13 +641,16 @@ def _run_layout(layout, block, unit_norms=False, zero_bias=False):
     ]
     weights = [tensor(rng.normal(size=s)) for s in ((c, 6), (c, 6), (c, 6), (6, c))]
     bias = tensor(np.zeros(bias_shape) if zero_bias else rng.normal(size=bias_shape))
-    heads_first = block is not _fused_attention
+    heads_first = block is not ad.attention
+    if zero_bias:
+        mask = None
     if heads_first:
         bias = ad.DiffTensor(np.moveaxis(bias.data, -1, -3))
+        mask = None if mask is None else np.expand_dims(mask, -3)
     coeffs = tensor(np.linspace(-1.0, 1.0, tracks[0].size).reshape(q_shape))
     with Tape() as tape:
-        out = ad.add(tracks[0], block(tracks[0], tracks[-1], norms[0], norms[-1], *weights, bias, fold,
-                                      None if zero_bias else mask))
+        out = ad.add(tracks[0], block(tracks[0], tracks[-1], norms[0], norms[-1], *weights, bias,
+                                      fold if heads_first else axis, mask))
         loss = sum_all(ad.mul(out, coeffs))
     n_nodes = len(tape.nodes)
     backward(loss)
@@ -638,7 +669,7 @@ def _attention_operands(rng):
 
 def _attend(args, mask=None):
     x_q, x_kv, g_q, b_q, g_kv, b_kv, *weights, bias = args
-    return ad.attention(x_q, x_kv, (g_q, b_q), (g_kv, b_kv), *weights, bias, 2, (0, 2, 1, 3), mask=mask)
+    return ad.attention(x_q, x_kv, (g_q, b_q), (g_kv, b_kv), *weights, bias, 1, mask=mask)
 
 
 KEY_MASK = np.array([[True, False, True, True, False], [False, True, True, True, True], [True] * 5])
@@ -663,7 +694,7 @@ class TestAttention:
             a = dict(ops, **{operand: t})
             norm = (a["norm_gain"], a["norm_bias"])
             weights = (a[k] for k in ("w_q", "w_k", "w_v", "w_o"))
-            return ad.attention(a["x"], a["x"], norm, norm, *weights, a["bias"], 2, (0, 2, 1, 3), mask=KEY_MASK[:, :3])
+            return ad.attention(a["x"], a["x"], norm, norm, *weights, a["bias"], 1, mask=KEY_MASK[:, :3])
 
         _check(f, ops[operand])
 
@@ -672,8 +703,7 @@ class TestAttention:
         x, gain, shift = (tensor(rng.uniform(-1.0, 1.0, size=s)) for s in ((2, 3, 4), (4,), (4,)))
         w = tensor(rng.uniform(-1.0, 1.0, size=(4, 4)))
         with Tape() as tape:
-            out = ad.attention(x, x, (gain, shift), (gain, shift), w, w, w, w, tensor(np.zeros((1, 3, 3, 1))), 2,
-                               (0, 2, 1, 3))
+            out = ad.attention(x, x, (gain, shift), (gain, shift), w, w, w, w, tensor(np.zeros((1, 3, 3, 2))), 1)
         grads = tape.nodes[-1].vjp(np.ones(out.shape))
         assert grads[1] is None and grads[4] is None and grads[5] is None
         assert grads[0].shape == x.shape and grads[2].shape == grads[3].shape == (4,)
@@ -717,19 +747,23 @@ class TestAttention:
             (9, rand(3, 2)),  # w_o does not take the heads
             (1, rand(5, 3)),  # x_kv has no batch axis
             (10, rand(3, 4, 2)),  # bias for 4 keys, not 5
-            (10, rand(1, 3, 5, 3)),  # bias for 3 heads, not 2 or 1
+            (10, rand(1, 3, 5, 3)),  # 3 heads, which do not divide the 4-wide projections
+            (10, rand(1, 3, 5, 0)),  # no heads
             (10, rand(5, 2)),  # bias with no query axis
             (2, rand(3)),  # a query gain for 3 features, not 4
             (5, rand(4)),  # a key shift for 4 features, not 3
         ):
             with pytest.raises(DimensionError):
                 _attend([*args[:i], bad, *args[i + 1 :]])
-        with pytest.raises(DimensionError):
-            ad.attention(x_q, x_kv, (g_q, b_q), (g_kv, b_kv), w_q, w_k, w_v, w_o, bias, 2, (0, 2, 1))
-        with pytest.raises(DimensionError):
-            ad.attention(x_q, x_kv, (g_q, b_q), (g_kv, b_kv), w_q, w_k, w_v, w_o, bias, 3, (0, 2, 1, 3))
-        with pytest.raises(DimensionError):
-            _attend(args, mask=np.ones((3, 4), dtype=bool))
+        # the (2, 3, 4) tracks have lead axes 0 and 1 only
+        for axis in (-1, 2, 3):
+            with pytest.raises(DimensionError):
+                ad.attention(x_q, x_kv, (g_q, b_q), (g_kv, b_kv), w_q, w_k, w_v, w_o, bias, axis)
+        # the logits are (2, heads, 3, 5): a mask for 4 keys, one with no
+        # query axis, and one with a heads axis of its own
+        for shape in ((3, 4), (5,), (2, 2, 3, 5)):
+            with pytest.raises(DimensionError):
+                _attend(args, mask=np.ones(shape, dtype=bool))
 
     @pytest.mark.parametrize("layout", list(ATTENTION_LAYOUTS))
     def test_fused_node_matches_composed_chain(self, layout):
@@ -737,18 +771,18 @@ class TestAttention:
         # the primitive chain in value and in every gradient, norms
         # included, in fewer nodes; with unit norms, no bias and no mask it
         # matches the numpy reference of each batch entry
-        out_f, grads_f, nodes_f = _run_layout(layout, _fused_attention)
-        out_c, grads_c, nodes_c = _run_layout(layout, _composed_attention)
+        out_f, grads_f, nodes_f = _run_layout(ATTENTION_LAYOUTS[layout], ad.attention)
+        out_c, grads_c, nodes_c = _run_layout(ATTENTION_LAYOUTS[layout], _composed_attention)
         np.testing.assert_allclose(out_f, out_c, rtol=0, atol=1e-12)
         for g_f, g_c in zip(grads_f, grads_c):
             np.testing.assert_allclose(g_f, g_c, rtol=0, atol=1e-12)
         assert nodes_f == 4 < nodes_c  # the node, the residual, the loss's product and sum
-        q_shape, kv_shape, _, _, _, reference_entry = ATTENTION_LAYOUTS[layout]
+        q_shape, kv_shape, *_, reference_entry = ATTENTION_LAYOUTS[layout]
         rng = np.random.default_rng(10)
         h_q = rng.normal(size=q_shape)
         h_kv = h_q if kv_shape is None else rng.normal(size=kv_shape)
         weights = [rng.normal(size=s) for s in ((q_shape[-1], 6),) * 3 + ((6, q_shape[-1]),)]
-        plain, _, _ = _run_layout(layout, _fused_attention, unit_norms=True, zero_bias=True)
+        plain, _, _ = _run_layout(ATTENTION_LAYOUTS[layout], ad.attention, unit_norms=True, zero_bias=True)
         for b in range(q_shape[0]):
             expected = reference_entry(h_q[b], h_kv[b % len(h_kv)], weights)
             np.testing.assert_allclose(plain[b], expected, rtol=0, atol=1e-12)
@@ -759,13 +793,25 @@ class TestAttention:
         # node over the normalized inputs: the same value and the same
         # gradient of every input, track, gain, shift, weight and bias, to
         # the last bit; the fused node only keeps less
-        out_f, grads_f, nodes_f = _run_layout(layout, _fused_attention)
-        out_r, grads_r, nodes_r = _run_layout(layout, _reference_attention)
-        np.testing.assert_array_equal(out_f, out_r)
-        assert len(grads_f) == len(grads_r)
-        for g_f, g_r in zip(grads_f, grads_r):
-            np.testing.assert_array_equal(g_f, g_r)
-        assert nodes_f == nodes_r - 3 * (2 if ATTENTION_LAYOUTS[layout][1] else 1)
+        _assert_fused_is_reference(ATTENTION_LAYOUTS[layout])
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+    @pytest.mark.parametrize("ndim, axis", list(AXIS_FOLDS), ids=[f"{n}d-axis{a}" for n, a in AXIS_FOLDS])
+    def test_every_attended_axis_is_the_reference_bit_for_bit(self, ndim, axis, cross, masked):
+        # the node derives the fold from the axis; the reference is given it
+        # written out, so a wrong derivation changes a value or a gradient
+        _assert_fused_is_reference(_axis_layout(ndim, axis, cross, masked))
+
+
+def _assert_fused_is_reference(layout):
+    out_f, grads_f, nodes_f = _run_layout(layout, ad.attention)
+    out_r, grads_r, nodes_r = _run_layout(layout, _reference_attention)
+    np.testing.assert_array_equal(out_f, out_r)
+    assert len(grads_f) == len(grads_r)
+    for g_f, g_r in zip(grads_f, grads_r):
+        np.testing.assert_array_equal(g_f, g_r)
+    assert nodes_f == nodes_r - 3 * (1 if layout[1] is None else 2)
 
 
 MLP_DIMS = {1: [5, 2], 2: [5, 7, 2], 3: [5, 7, 6, 2]}

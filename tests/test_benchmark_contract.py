@@ -65,6 +65,10 @@ def test_tracer_installs_and_traces_a_step():
     assert np.isclose(np.exp(dist.log_probs.data).sum(), 1.0)
     assert report["policy.calls_taped"] >= 1 and report["autodiff.tape_nodes"] > 0
     assert report["trioformer.stack_nodes"] > 0
+    # each block of the stack gets its own span; the triangle spans are named
+    # from triangle_update's third argument, the axis
+    for block in ("tri_pocket", "tri_ligand", "transition", "cross_attn"):
+        assert report[f"trioformer.{block}_nodes"] > 0, block
     # the tracer still finds and times the log-softmax primitive the policy calls
     assert report["autodiff.log_softmax_rows_s"] > 0
     # backward time comes from timing each tape node's rule in place

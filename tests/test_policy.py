@@ -319,7 +319,7 @@ class TestHeadReference:
         store, a_max = policy.store, DESK.max_aps
         for states in states_by_size(DESK, 2).values():
             dist = policy.action_distribution(states, ctx, max_nodes=2)
-            node_h, graph_emb = (t.data for t in policy._ligand_track(states, ctx))
+            node_h, graph_emb = (t and t.data for t in policy._ligand_track(states, ctx))
 
             def mlp(x, name):
                 hidden = np.maximum(x @ store[f"{name}.0.w"].data + store[f"{name}.0.b"].data, 0.0)

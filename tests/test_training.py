@@ -592,7 +592,7 @@ class TestTrain:
         train(cfg, DESK, one_pocket())
         assert rules and offending == []
 
-    @pytest.mark.parametrize("mode, nodes, permutes", [("baseline", 455, 0), ("trioformer", 703, 16)],
+    @pytest.mark.parametrize("mode, nodes, permutes", [("baseline", 452, 0), ("trioformer", 702, 16)],
                              ids=["baseline", "trioformer"])
     def test_desk_step_records_pinned_tape_nodes(self, mode, nodes, permutes, monkeypatch):
         # one seeded desk step, batch 16, default policy: a projection of a
@@ -606,9 +606,9 @@ class TestTrain:
         # permuting every bias heads first and padding the column to a grid
         # between two reshapes recorded 506 and 794 nodes, 24 and 80 of them
         # permutes. The one permute left swaps the node axes of the pair
-        # bias for the ligand track's cross-attention. The stop head records
-        # no node on the empty state, which has no Stop row to read it,
-        # where it recorded 456 and 704.
+        # bias for the ligand track's cross-attention. Neither the stop head
+        # nor the graph embedding it reads records a node on the empty
+        # state, which has no Stop row, where they recorded 456 and 704.
         counts, found, real_backward = [], [], ad.backward
 
         def backward(loss):
@@ -638,6 +638,29 @@ class TestTrain:
         train(TrainerConfig(steps=1, batch_size=16, seed=0, mode=mode), DESK, pockets)
         assert counts == [(nodes, permutes)]
         assert found == []
+
+    @pytest.mark.parametrize("mode", ["baseline", "trioformer"])
+    def test_desk_step_records_no_node_off_the_loss(self, mode, monkeypatch):
+        # every node a seeded desk step records is an input, directly or
+        # not, of the loss: a node the loss does not read is work done for
+        # nothing and memory held until backward
+        unreached, real_backward = [], ad.backward
+
+        def backward(loss):
+            nodes = loss._tape.nodes
+            reached, stack = {loss._slot}, [loss._slot]
+            while stack:
+                for inp in nodes[stack.pop()].inputs:
+                    if type(inp) is int and inp not in reached:
+                        reached.add(inp)
+                        stack.append(inp)
+            unreached.extend(f"{i} {nodes[i].vjp.__qualname__}" for i in range(len(nodes)) if i not in reached)
+            real_backward(loss)
+
+        monkeypatch.setattr(ad, "backward", backward)
+        pockets = {"p": build_knn_graph(synthetic_pocket(10, 6.0, 0))}
+        train(TrainerConfig(steps=1, batch_size=16, seed=0, mode=mode), DESK, pockets)
+        assert unreached == []
 
     @pytest.mark.parametrize("mode", ["baseline", "trioformer"])
     def test_backward_peak_stays_near_forward_memory(self, mode):
