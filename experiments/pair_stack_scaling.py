@@ -4,9 +4,11 @@ Trains the default trioformer policy for a few steps on synthetic pockets of
 10, 40 and 80 residues (CrossDocked pockets reach the upper end), each size
 in a Python process of its own, so that each peak resident set is that
 size's alone, and prints one row per size: seconds per step, set-up
-included, the process's peak RSS (``ru_maxrss``), the tape nodes a step
-records, and the bytes that the rules of the first step's tape hold when
-its forward is done, by rule kind (attention, mlp, matmul and the rest).
+included, the process's peak RSS (``ru_maxrss``), the minor page faults
+(``ru_minflt``) and system time per step, set-up included, the tape nodes a
+step records, and the bytes that the rules of the first step's tape hold
+when its forward is done, by rule kind (attention, mlp, matmul and the
+rest).
 
 Run from the repository root:
 
@@ -89,15 +91,19 @@ def measure(n_pocket: int, steps: int) -> dict:
 
     ad.backward = backward
     try:
+        before = resource.getrusage(resource.RUSAGE_SELF)
         t0 = time.perf_counter()
         train(config, desk_library(), pockets)
         seconds = time.perf_counter() - t0
+        after = resource.getrusage(resource.RUSAGE_SELF)
     finally:
         ad.backward = real_backward
     # Linux reports ru_maxrss in KiB
     return {
         "s_per_step": seconds / steps,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": after.ru_maxrss / 1024,
+        "minflt_per_step": (after.ru_minflt - before.ru_minflt) / steps,
+        "sys_s_per_step": (after.ru_stime - before.ru_stime) / steps,
         "tape_nodes_per_step": sum(nodes) / steps,
         "rule_held_bytes": held[0],
     }
@@ -125,6 +131,7 @@ def main() -> int:
             return 1
         held = ", ".join(f"{row['rule_held_bytes'][kind] / 2**20:.2f} {kind}" for kind in RULE_KINDS)
         print(f"{n_pocket:>4} residues: {row['s_per_step']:.3f} s per step, {row['peak_rss_mb']:.0f} MB peak RSS, "
+              f"{row['minflt_per_step']:.0f} minor faults and {row['sys_s_per_step'] * 1e3:.1f} ms system time per step, "
               f"{row['tape_nodes_per_step']:.0f} tape nodes per step; first forward's rules hold {held} MB")
     return 0
 

@@ -428,6 +428,25 @@ def _matmul_into(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         target[...] = _unbroadcast(np.matmul(a, b), target.shape)
 
 
+def _softmax_weights(
+    logits: np.ndarray, f: float, mask: np.ndarray | None, stats: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The softmax weights over the last axis of ``f * logits``, masked
+    entries at weight 0, made in the buffer of ``logits`` when there is no
+    mask, and each row's (max, sum after exp), (..., 1). Given ``stats``,
+    the rows are shifted and divided by those instead of their own, so the
+    weights that they were taken from come back to the last bit."""
+    logits *= f
+    if mask is not None:
+        logits = np.where(mask, logits, -np.inf)
+    row_max = logits.max(axis=-1, keepdims=True) if stats is None else stats[0]
+    logits -= row_max
+    w = np.exp(logits, out=logits)
+    row_sum = w.sum(axis=-1, keepdims=True) if stats is None else stats[1]
+    w /= row_sum
+    return w, (row_max, row_sum)
+
+
 def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of ``x`` at zero mean and unit variance over the last axis,
     and each row's inverse standard deviation, (..., 1)."""
@@ -513,9 +532,14 @@ def attention(
     One GEMM per distinct input projects it over the concatenated weights,
     [q | k | v] for self-attention, else [q] and [k | v], and one more takes
     its gradient back. The rule keeps each distinct input's normalized rows
-    and their inverse std, the softmax weights, and the gain, bias and
-    weight arrays by reference. In backward it recomputes the scaled and
-    shifted input, the concatenated weights, q, k, v and the head outputs.
+    and their inverse std, and the gain, bias and weight arrays by
+    reference. It keeps the smaller of the softmax weights and the bias:
+    where the bias broadcasts over lead axes, as the triangle folds' does,
+    it keeps the bias, the mask and each softmax row's max and sum after
+    ``exp`` in place of the weights. In backward it recomputes the scaled
+    and shifted input, the concatenated weights, q, k, v, the weights if it
+    did not keep them and the head outputs, with the forward's own
+    operations, so every value and gradient is the same to the last bit.
     """
     nd = x_q.data.ndim
     c_q, c_kv = x_q.shape[-1], x_kv.shape[-1]
@@ -583,7 +607,6 @@ def attention(
         logits = np.matmul(q, np.swapaxes(k, -1, -2)) + bias_heads
     except ValueError:
         raise DimensionError(f"attention rejects q {q.shape}, k {k.shape} and bias {bias.shape}") from None
-    logits *= f
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         shape = (*mask.shape[:-2], 1, *mask.shape[-2:])  # with the logits' heads axis
@@ -592,10 +615,9 @@ def attention(
         mask = mask.reshape(shape)
         if not mask.any(axis=-1).all():
             raise ValueError("attention row is fully masked")
-        logits = np.where(mask, logits, -np.inf)
-    logits -= logits.max(axis=-1, keepdims=True)
-    w = np.exp(logits, out=logits)
-    w /= w.sum(axis=-1, keepdims=True)
+    w, stats = _softmax_weights(logits, f, mask)
+    # the weights, or where the bias is the smaller what rebuilds them
+    kept_w = (stats, bias_heads, mask) if bias_heads.size < w.size else w
     heads = attend(w, v)
     lead = heads.shape[:-2]
     out = (heads.reshape(-1, hd) @ wo).reshape(*lead, wo.shape[1])
@@ -603,6 +625,10 @@ def attention(
     def vjp(g):
         normed = [_scaled(kept) for kept, _, _ in groups]
         w_cat, (q, k, v) = project(normed)
+        w = kept_w
+        if isinstance(w, tuple):
+            stats, bias_heads, mask = w
+            w, _ = _softmax_weights(np.matmul(q, np.swapaxes(k, -1, -2)) + bias_heads, f, mask, stats)
         heads = attend(w, v)
         g2 = g.reshape(-1, wo.shape[1])
         g_wo = heads.reshape(-1, hd).T @ g2
@@ -619,7 +645,7 @@ def attention(
         _matmul_into(gq, gl, k)
         _matmul_into(gk, np.swapaxes(gl, -1, -2), q)
         _matmul_into(gv, np.swapaxes(w, -1, -2), gh)
-        del q, k, v, gh, gl  # freed before the norm backward allocates its own scratch
+        del q, k, v, w, gh, gl  # freed before the norm backward allocates its own buffers
         g_norms, g_w = [], []
         for (kept, ws, shape), y, w_c, g_cat in zip(groups, normed, w_cat, grads):
             g_cat = g_cat.reshape(len(y), -1)

@@ -604,11 +604,12 @@ AXIS_FOLDS = {
 }
 
 
-def _axis_layout(ndim, axis, cross, masked):
+def _axis_layout(ndim, axis, cross, masked, broadcast_bias=False):
     """A layout that attends along ``axis`` of a (2, 3, c) track or a
     (2, 3, 4, c) pair: queries over themselves, or over a second input two
     longer along ``axis``, with a random mask in which every query keeps its
-    first key."""
+    first key. The bias is as large as the softmax weights, or with
+    ``broadcast_bias`` 1 along every lead axis but ``axis``."""
     rng = np.random.default_rng(100 * ndim + 10 * axis + 2 * cross + masked)
     q_lead = (2, 3, 4)[: ndim - 1]
     kv_lead = tuple(n + 2 * (cross and i == axis) for i, n in enumerate(q_lead))
@@ -618,7 +619,8 @@ def _axis_layout(ndim, axis, cross, masked):
     if masked:
         mask = rng.random(scores) < 0.6
         mask[..., 0] = True
-    return (*q_lead, 5), (*kv_lead, 5) if cross else None, (*scores, 2), axis, AXIS_FOLDS[ndim, axis], mask, None
+    bias = (*(1 if broadcast_bias else n for n in other), *scores[-2:], 2)
+    return (*q_lead, 5), (*kv_lead, 5) if cross else None, bias, axis, AXIS_FOLDS[ndim, axis], mask, None
 
 
 def _run_layout(layout, block, unit_norms=False, zero_bias=False):
@@ -802,6 +804,56 @@ class TestAttention:
         # the node derives the fold from the axis; the reference is given it
         # written out, so a wrong derivation changes a value or a gradient
         _assert_fused_is_reference(_axis_layout(ndim, axis, cross, masked))
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+    @pytest.mark.parametrize("ndim, axis", list(AXIS_FOLDS), ids=[f"{n}d-axis{a}" for n, a in AXIS_FOLDS])
+    def test_every_attended_axis_rebuilds_the_weights_bit_for_bit(self, ndim, axis, cross, masked):
+        # a bias that the lead axes other than the attended one broadcast,
+        # as the triangle folds' is, has fewer entries than the softmax
+        # weights, so the rule rebuilds them in backward from each row's max
+        # and sum, the mask included; the reference keeps them
+        layout = _axis_layout(ndim, axis, cross, masked, broadcast_bias=True)
+        q_shape, kv_shape, bias_shape = layout[:3]
+        n_kv = (kv_shape or q_shape)[axis]
+        assert np.prod(bias_shape) < np.prod(q_shape[:-1]) * n_kv * N_HEADS
+        _assert_fused_is_reference(layout)
+
+    def test_rule_keeps_the_smaller_of_weights_and_bias(self):
+        # traced bytes held after the forward under a tape, beyond the
+        # normalized rows and their inverse std. A pocket-axis triangle fold
+        # of a (2, 32, 8, 8) pair, its bias broadcast over the batch and the
+        # ligand axis, holds less than a quarter of its softmax weights: it
+        # keeps each row's max and sum (32,768 B), and backward rebuilds the
+        # weights bit for bit, as tested above; keeping them held about
+        # 529 KB. A graph-transformer block, its bias as large as the
+        # weights, keeps the weights and no row statistics beside them: 527
+        # KB here, the bytes it held when every rule kept its weights.
+        def held_after_forward(x_shape, bias_shape, axis, mask=None):
+            rng = np.random.default_rng(19)
+            c = x_shape[-1]
+            x = tensor(rng.normal(size=x_shape))
+            norm = (tensor(rng.uniform(0.5, 1.5, size=c)), tensor(rng.uniform(-0.5, 0.5, size=c)))
+            weights = [tensor(rng.normal(size=(c, c))) for _ in range(4)]
+            bias = tensor(rng.normal(size=bias_shape))
+            tracemalloc.start()
+            try:
+                with Tape():
+                    ad.attention(x, x, norm, norm, *weights, bias, axis, mask)
+                    held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            return held - x.size * 8 - x.size // c * 8
+
+        fold_weights = 2 * 8 * 4 * 32 * 32 * 8  # (batch, n_L, heads, n_P, n_P) float64
+        pocket_fold = held_after_forward((2, 32, 8, 8), (1, 1, 32, 32, 4), 1)
+        assert pocket_fold < fold_weights // 4, pocket_fold
+        b, n = 4, 64
+        mask = np.random.default_rng(20).random((b, n, n)) < 0.5
+        mask[:, np.arange(n), np.arange(n)] = True
+        graph_weights, graph_stats = b * 4 * n * n * 8, 2 * b * 4 * n * 8
+        graph = held_after_forward((b, n, 8), (b, n, n, 4), 1, mask)
+        assert graph_weights <= graph < graph_weights + graph_stats // 2, graph
 
 
 def _assert_fused_is_reference(layout):

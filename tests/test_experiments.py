@@ -6,7 +6,11 @@ exit code or a moved bundled file fails here rather than in a long run.
 
 from pathlib import Path
 
+import pocketgfn.autodiff as ad
 from conftest import load_file
+from pocketgfn.ligand import desk_library
+from pocketgfn.pocket import build_knn_graph, synthetic_pocket
+from pocketgfn.training import TrainerConfig, train
 
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
 
@@ -37,7 +41,33 @@ def test_pair_stack_scaling_runs(monkeypatch, capsys):
     assert scaling.main() == 0
     out = capsys.readouterr().out
     assert "1 steps per pocket size" in out and "  10 residues: " in out and "MB peak RSS" in out
-    assert int(out.split("MB peak RSS, ")[1].split(" tape nodes per step")[0]) > 0
+    assert int(out.split("MB peak RSS, ")[1].split(" minor faults and ")[0]) > 0
+    assert float(out.split(" minor faults and ")[1].split(" ms system time per step, ")[0]) >= 0
+    assert int(out.split(" ms system time per step, ")[1].split(" tape nodes per step")[0]) > 0
     held = out.split("first forward's rules hold ")[1].split(" MB")[0].split(", ")
     assert [h.split(" ")[1] for h in held] == ["attention", "mlp", "matmul", "other"]
     assert all(float(h.split(" ")[0]) > 0 for h in held)
+
+
+def test_desk_step_rule_held_bytes_are_pinned(monkeypatch):
+    # what the rules of a seeded desk step's tape hold after the forward
+    # (batch 16, default policy, seed 0): baseline mode, whose attention
+    # biases are as large as the softmax weights, keeps the weights and
+    # exactly the bytes it held when every rule kept them; the trioformer's
+    # triangle folds keep each softmax row's max and sum instead, so its
+    # attention rules hold 7,559,200 B, where keeping the weights held
+    # 9,993,440 B
+    scaling = load_file(EXPERIMENTS / "pair_stack_scaling.py", "experiments_pair_stack_scaling")
+    held, real_backward = [], ad.backward
+
+    def backward(loss):
+        held.append(scaling.rule_held_bytes(loss._tape.nodes))
+        real_backward(loss)
+
+    monkeypatch.setattr(ad, "backward", backward)
+    pockets = {"p": build_knn_graph(synthetic_pocket(10, 6.0, 0))}
+    for mode in ("baseline", "trioformer"):
+        train(TrainerConfig(steps=1, batch_size=16, seed=0, mode=mode), desk_library(), pockets)
+    baseline, trioformer = held
+    assert sum(baseline.values()) == 4_280_761, baseline
+    assert trioformer["attention"] <= 8_000_000, trioformer
