@@ -18,7 +18,7 @@ from pocketgfn.ligand import (
     backward_transitions,
     canonical_key,
     desk_library,
-    enumerate_terminal_states,
+    enumerated_space,
     initial_state,
     legal_actions,
 )
@@ -52,5 +52,5 @@ dimer = apply_action(initial_state(), AddFragment(None, None, 0, 0), lib, 2)
 dimer = apply_action(dimer, AddFragment(0, 0, 0, 0), lib, 2)
 print("\nsymmetric dimer automorphisms:", automorphism_count(dimer))
 
-states = enumerate_terminal_states(lib, 2)
+states = enumerated_space(lib, 2).molecules
 print(f"complete enumeration at 2 fragments: {len(states)} distinct molecules")

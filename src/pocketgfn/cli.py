@@ -392,7 +392,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_selfcheck(args: argparse.Namespace) -> int:
     from . import selfcheck
 
-    results = selfcheck.run_all(fast=args.fast)
+    results = selfcheck.run_all()
     failures = [name for name, ok, _ in results if not ok]
     for name, ok, detail in results:
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
@@ -444,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(fn=cmd_evaluate)
 
     p_check = sub.add_parser("selfcheck", help="run the verification suites")
-    p_check.add_argument("--fast", action="store_true", help="shrink the sampling suite for quick runs")
     p_check.set_defaults(fn=cmd_selfcheck)
     return parser
 

@@ -525,11 +525,6 @@ def _walk_space(fragments: tuple[tuple[int, int], ...], max_nodes: int) -> Enume
     )
 
 
-def enumerate_terminal_states(library: FragmentLibrary, max_nodes: int) -> list[LigandState]:
-    """All distinct molecules in canonical form, in sorted key order, guarded against blow-up."""
-    return list(enumerated_space(library, max_nodes).molecules)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

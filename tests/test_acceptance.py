@@ -2,23 +2,25 @@
 
 Every test ends by printing a single [PASS]/[FAIL] line (written to the real
 stdout so it survives pytest capture) with the measured value next to the
-pinned tolerance. Failures here mean the library is not fit to ship, not that
-a unit regressed; the per-module suites are the place to localize breakage.
+pinned tolerance. The first nine are the ``pocketgfn.selfcheck`` suites, whose
+sizes and tolerances are pinned there and only there; the rest are gate-only
+criteria. Failures here mean the library is not fit to ship, not that a unit
+regressed; the per-module suites are the place to localize breakage.
 """
 
 import json
-import time
 
 import numpy as np
 import pytest
 
+from pocketgfn import selfcheck
 from pocketgfn.autodiff import Tape, tensor
 from pocketgfn.cli import DATA_DIR, main
 from pocketgfn.ligand import (
     AddFragment,
     apply_action,
     desk_library,
-    enumerate_terminal_states,
+    enumerated_space,
     initial_state,
     toy_library,
 )
@@ -30,22 +32,14 @@ from pocketgfn.rewards import (
     combined_quality,
     diversity,
     docking_proxy,
-    fingerprint,
     tanimoto_distance,
     top_k_mean,
 )
-from pocketgfn.selfcheck import (
-    bias_ablation_deviation,
-    conditioning_gradient_errors,
-    primitive_gradient_errors,
-    proportional_sampling_tv,
-    rigid_motion_drift,
-    small_policy,
-    tb_loss_gradient_error,
-    worst_error,
-)
+from pocketgfn.selfcheck import small_policy
 from pocketgfn.trioformer import pool_graph_embedding
 from pocketgfn.training import TrainerConfig, exact_terminal_distribution, total_variation, train
+
+import rewards_reference
 
 
 RESULTS: list[str] = []
@@ -59,82 +53,18 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# 1. trained sampler draws molecules proportionally to reward
+# 1-9. the selfcheck suites, each at the sizes and tolerance pinned there
 # ---------------------------------------------------------------------------
 
-def test_trained_sampler_matches_reward_proportional_target():
-    t0 = time.time()
-    budget = 2_000
-    run = proportional_sampling_tv(budget, 0.03, 100_000)
-    elapsed = time.time() - t0
-
-    ok = run.tv < 0.05 and run.steps <= budget and elapsed < 900.0
-    _report(
-        "reward-proportional sampling",
-        ok,
-        f"TV {run.tv:.4f} vs limit 0.05 (100000 samples, {run.steps} steps of "
-        f"{budget} budget, {elapsed:.0f}s of 900s)",
-    )
-    assert ok
+@pytest.mark.parametrize("name, check", selfcheck.SUITES, ids=[name for name, _ in selfcheck.SUITES])
+def test_selfcheck_suite(name, check):
+    ok, detail = check()
+    _report(name, ok, detail)
+    assert ok, detail
 
 
 # ---------------------------------------------------------------------------
-# 2. every gradient matches finite differences
-# ---------------------------------------------------------------------------
-
-def test_gradients_match_finite_differences():
-    prim = primitive_gradient_errors()
-    layer = conditioning_gradient_errors()
-    tb = tb_loss_gradient_error()
-    _, worst_prim = worst_error(prim)
-    _, worst_layer = worst_error(layer)
-
-    ok = all(e < 1e-4 for e in prim.values()) and all(e < 1e-3 for e in layer.values()) and tb < 1e-3
-    _report(
-        "gradient integrity",
-        ok,
-        f"{len(prim)} primitives vs 1e-4 (worst {worst_prim:.2e}); conditioning layer "
-        f"wrt ligand and pocket tracks vs 1e-3 (worst {worst_layer:.2e}); balance loss "
-        f"wrt log_Z vs 1e-3 ({tb:.2e})",
-    )
-    assert ok, (prim, layer, tb)
-
-
-# ---------------------------------------------------------------------------
-# 3. pocket pipeline is invariant under rigid motion
-# ---------------------------------------------------------------------------
-
-def test_pocket_encoding_invariant_under_rigid_motion():
-    worst = rigid_motion_drift(20)
-    ok = worst < 1e-6
-    _report(
-        "rigid-motion invariance",
-        ok,
-        f"20 random rotations+translations of a 10-residue pocket: embeddings, "
-        f"distance matrix, docking proxy, conditioning output all within rel {worst:.2e} "
-        f"vs limit 1e-6",
-    )
-    assert ok
-
-
-# ---------------------------------------------------------------------------
-# 4. zeroing the learned biases reduces attention to the plain references
-# ---------------------------------------------------------------------------
-
-def test_zeroed_bias_reduces_to_plain_attention():
-    worst = bias_ablation_deviation()
-    ok = worst < 1e-10
-    _report(
-        "bias ablation",
-        ok,
-        f"triangle and cross attention with zeroed bias projections match plain "
-        f"references within abs {worst:.2e} vs limit 1e-10",
-    )
-    assert ok
-
-
-# ---------------------------------------------------------------------------
-# 5. conditioning is live: different pockets give different samplers
+# 10. conditioning is live: different pockets give different samplers
 # ---------------------------------------------------------------------------
 
 def test_pocket_conditioning_changes_sampling_distribution():
@@ -180,36 +110,25 @@ def test_pocket_conditioning_changes_sampling_distribution():
 
 
 # ---------------------------------------------------------------------------
-# 6. metrics agree with brute force on random inputs
+# 11. metrics agree with brute force on random inputs
 # ---------------------------------------------------------------------------
 
 def test_metrics_agree_with_brute_force():
     rng = np.random.default_rng(42)
     lib = desk_library()
-    pool = enumerate_terminal_states(lib, 2)
+    pool = enumerated_space(lib, 2).molecules
     assert len(pool) >= 10
 
     for _ in range(100):
         n = int(rng.integers(1, 257))
         a = rng.integers(0, 2, size=n)
         b = rng.integers(0, 2, size=n)
-        inter = sum(1 for i in range(n) if a[i] and b[i])
-        union = sum(1 for i in range(n) if a[i] or b[i])
-        expect = 1.0 - inter / union if union else 0.0
-        assert abs(tanimoto_distance(a, b) - expect) <= 1e-12
+        assert abs(tanimoto_distance(a, b) - rewards_reference.tanimoto_distance(a, b)) <= 1e-12
 
     for _ in range(100):
         m = int(rng.integers(2, 7))
         chosen = [pool[int(i)] for i in rng.integers(0, len(pool), size=m)]
-        fps = [fingerprint(s) for s in chosen]
-        acc, cnt = 0.0, 0
-        for i in range(m):
-            for j in range(i + 1, m):
-                inter = int(np.sum(fps[i] & fps[j]))
-                union = int(np.sum(fps[i] | fps[j]))
-                acc += 1.0 - inter / union if union else 0.0
-                cnt += 1
-        assert abs(diversity(chosen) - acc / cnt) <= 1e-12
+        assert abs(diversity(chosen) - rewards_reference.diversity(chosen)) <= 1e-12
 
     for _ in range(100):
         n = int(rng.integers(1, 51))
@@ -229,13 +148,13 @@ def test_metrics_agree_with_brute_force():
     _report(
         "metric brute-force agreement",
         True,
-        "tanimoto, diversity, top-k mean, weighted quality each match an "
-        "independent reference on 100 random inputs within 1e-12",
+        "tanimoto and diversity match tests/rewards_reference, top-k mean and "
+        "weighted quality an inline reference, on 100 random inputs each within 1e-12",
     )
 
 
 # ---------------------------------------------------------------------------
-# 7. the command line train/sample path is bit-for-bit deterministic
+# 12. the command line train/sample path is bit-for-bit deterministic
 # ---------------------------------------------------------------------------
 
 def test_cli_train_and_sample_are_deterministic(tmp_path):
@@ -280,7 +199,7 @@ def test_cli_train_and_sample_are_deterministic(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# 8. embedding width and pooling contracts
+# 13. embedding width and pooling contracts
 # ---------------------------------------------------------------------------
 
 def test_embedding_contracts():

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from pocketgfn import autodiff as ad
+from pocketgfn import autodiff as ad, selfcheck
 from pocketgfn.autodiff import (
     DimensionError,
     Tape,
@@ -368,18 +368,52 @@ def _rule_cases():
     }
 
 
+NOT_PRIMITIVES = {"active_tape", "tensor", "constant", "backward", "finite_diff_check"}
+
+# gradient cases of `selfcheck.primitive_gradient_errors` named by a shortening
+# of their primitive's name; the others are named by it, alone or with a suffix
+SHORT_CASE_NAMES = {
+    "softmax": "softmax_rows",
+    "log_softmax": "log_softmax_rows",
+    "layer_norm": "layer_norm_rows",
+    "gather": "gather_rows",
+}
+
+
+def public_primitives() -> set[str]:
+    return {
+        name for name, f in vars(ad).items()
+        if callable(f) and getattr(f, "__module__", None) == ad.__name__
+        and not isinstance(f, type) and not name.startswith("_")
+    } - NOT_PRIMITIVES
+
+
+def test_every_public_primitive_has_a_gradient_case():
+    public = public_primitives()
+
+    def primitive(case):
+        # the longest leading run of the case's words that names a primitive
+        words = case.split("_")
+        for n in range(len(words), 0, -1):
+            name = "_".join(words[:n])
+            name = SHORT_CASE_NAMES.get(name, name)
+            if name in public:
+                return name
+        return None
+
+    cases = {case: primitive(case) for case in selfcheck.primitive_gradient_errors()}
+    unnamed = [case for case, name in cases.items() if name is None]
+    assert not unnamed, f"cases named for no primitive: {unnamed}"
+    missing = sorted(public - set(cases.values()))
+    assert not missing, f"primitives with no gradient case: {missing}"
+
+
 class TestRulesHoldNoTensors:
     # a rule that captured a tensor would keep it, and through it every
     # array it holds, alive until backward
-    NOT_PRIMITIVES = {"active_tape", "tensor", "constant", "backward", "finite_diff_check"}
 
     def test_every_public_primitive_has_a_case(self):
-        public = {
-            name for name, f in vars(ad).items()
-            if callable(f) and getattr(f, "__module__", None) == ad.__name__
-            and not isinstance(f, type) and not name.startswith("_")
-        }
-        assert public - self.NOT_PRIMITIVES == set(_rule_cases())
+        assert public_primitives() == set(_rule_cases())
 
     def test_no_rule_closure_holds_a_tensor(self):
         held = []

@@ -964,9 +964,15 @@ class TestOutputPaths:
 
 
 class TestSelfcheckCommand:
-    def test_fast_selfcheck_passes(self, capsys):
-        assert main(["selfcheck", "--fast"]) == 0
+    def test_selfcheck_passes(self, capsys):
+        assert main(["selfcheck"]) == 0
         out = capsys.readouterr().out
         assert "all 9 suites passed" in out
         for name in ("gradient-primitives", "bias-ablation", "proportional-sampling", "checkpoint-integrity"):
             assert name in out
+
+    def test_fast_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["selfcheck", "--fast"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --fast" in capsys.readouterr().err

@@ -24,7 +24,6 @@ from pocketgfn.ligand import (
     canonical_form,
     canonical_key,
     desk_library,
-    enumerate_terminal_states,
     enumerated_space,
     initial_state,
     legal_actions,
@@ -483,7 +482,7 @@ class TestAgreesWithReference:
 
 class TestEnumeration:
     def test_toy_library_five_states(self):
-        states = enumerate_terminal_states(TOY, max_nodes=2)
+        states = enumerated_space(TOY, 2).molecules
         assert len(states) == 5
         keys = {canonical_key(s) for s in states}
         assert len(keys) == 5
@@ -491,11 +490,11 @@ class TestEnumeration:
 
     def test_single_fragment_single_node(self):
         lib = FragmentLibrary([Fragment(0, "only", 1, 2, 0.5)])
-        assert len(enumerate_terminal_states(lib, max_nodes=1)) == 1
+        assert len(enumerated_space(lib, 1).molecules) == 1
 
     def test_guard_rejects_blowup(self):
         with pytest.raises(ValueError, match="guard"):
-            enumerate_terminal_states(DESK, max_nodes=5)
+            enumerated_space(DESK, 5)
 
     def test_matches_dfs_oracle(self):
         # independent oracle: exhaustive action-sequence search with explicit stops
@@ -513,7 +512,7 @@ class TestEnumeration:
             return found
 
         for lib, cap in ((TOY, 2), (TOY, 3), (DESK, 2)):
-            enum_keys = {canonical_key(s) for s in enumerate_terminal_states(lib, cap)}
+            enum_keys = {canonical_key(s) for s in enumerated_space(lib, cap).molecules}
             assert enum_keys == dfs(lib, cap)
 
 
@@ -536,8 +535,9 @@ class TestEnumeratedSpace:
     @pytest.mark.parametrize("lib,cap", [(TOY, 2), (TOY, 3), (DESK, 2), (DESK, 3)])
     def test_molecules_are_the_reference_molecules_in_canonical_form(self, lib, cap):
         reference = oracle_reference.enumerate_terminal_states(lib, cap)
-        assert enumerate_terminal_states(lib, cap) == [LigandState(*canonical_form(s), terminal=True) for s in reference]
-        assert list(enumerated_space(lib, cap).keys) == [canonical_key(s) for s in reference]
+        space = enumerated_space(lib, cap)
+        assert space.molecules == tuple(LigandState(*canonical_form(s), terminal=True) for s in reference)
+        assert list(space.keys) == [canonical_key(s) for s in reference]
 
     @pytest.mark.parametrize("lib,cap", [(TOY, 2), (DESK, 3)])
     def test_lists_every_partial_state(self, lib, cap):

@@ -13,7 +13,7 @@ from pocketgfn.ligand import (
     apply_action,
     canonical_key,
     desk_library,
-    enumerate_terminal_states,
+    enumerated_space,
     initial_state,
     legal_actions,
     toy_library,
@@ -157,7 +157,7 @@ class TestDockingProxy:
 
     def test_in_unit_interval(self):
         pocket = square_pocket(5.0)
-        for s in enumerate_terminal_states(DESK, 3):
+        for s in enumerated_space(DESK, 3).molecules:
             q = docking_proxy(pocket, s, DESK)
             assert 0.0 <= q <= 1.0
 
@@ -243,7 +243,7 @@ class TestFingerprint:
         np.testing.assert_array_equal(fingerprint(s), fingerprint(perm))
 
     def test_distinct_states_get_distinct_prints(self):
-        states = enumerate_terminal_states(DESK, 3)
+        states = enumerated_space(DESK, 3).molecules
         seen = {}
         for s in states:
             key = fingerprint(s).tobytes()
@@ -312,7 +312,7 @@ class TestDiversity:
         assert math.isclose(diversity([a, b]), d)
 
     def test_shuffle_invariance(self):
-        states = enumerate_terminal_states(TOY, 2)
+        states = enumerated_space(TOY, 2).molecules
         assert math.isclose(diversity(states), diversity(list(reversed(states))))
 
     def test_too_few(self):

@@ -1,4 +1,5 @@
-"""A NaN measurement fails its release check wherever it appears."""
+"""A NaN measurement fails its release check wherever it appears, and the
+release gate asserts every selfcheck suite."""
 
 import math
 
@@ -39,9 +40,17 @@ def test_release_gate_fails_on_nan_after_first(monkeypatch):
     import test_acceptance as gate
 
     monkeypatch.setattr(gate, "RESULTS", [])  # keep the forced verdicts out of the gate summary
-    monkeypatch.setattr(gate, "tb_loss_gradient_error", lambda: 1e-9)
-    for prim, layer in ((NAN_LAST, {"ligand": 1e-9}), ({"add": 1e-9}, {"ligand": 1e-9, "pocket": math.nan})):
-        monkeypatch.setattr(gate, "primitive_gradient_errors", lambda: prim)
-        monkeypatch.setattr(gate, "conditioning_gradient_errors", lambda: layer)
-        with pytest.raises(AssertionError):
-            gate.test_gradients_match_finite_differences()
+    monkeypatch.setattr(sc, "primitive_gradient_errors", lambda: NAN_LAST)
+    with pytest.raises(AssertionError, match="exp"):
+        gate.test_selfcheck_suite("gradient-primitives", sc.check_gradient_primitives)
+    monkeypatch.setattr(sc, "conditioning_gradient_errors", lambda: {"ligand": 1e-9, "pocket": math.nan})
+    with pytest.raises(AssertionError):
+        gate.test_selfcheck_suite("gradient-trioformer", sc.check_gradient_trioformer)
+
+
+def test_release_gate_asserts_every_suite():
+    import test_acceptance as gate
+
+    (mark,) = [m for m in gate.test_selfcheck_suite.pytestmark if m.name == "parametrize"]
+    assert mark.args[1] is sc.SUITES
+    assert mark.kwargs["ids"] == [name for name, _ in sc.SUITES]

@@ -24,7 +24,6 @@ from pocketgfn.ligand import (
     backward_transitions,
     canonical_key,
     desk_library,
-    enumerate_terminal_states,
     enumerated_space,
     initial_state,
     legal_actions,
@@ -826,7 +825,7 @@ class TestOracles:
         ctx = policy.pocket_context(one_pocket()["p0"])
         dist = exact_terminal_distribution(policy, ctx, TOY, 2)
         assert math.isclose(sum(dist.values()), 1.0, abs_tol=1e-12)
-        assert set(dist) == {canonical_key(s) for s in enumerate_terminal_states(TOY, 2)}
+        assert set(dist) == {canonical_key(s) for s in enumerated_space(TOY, 2).molecules}
 
     @pytest.mark.parametrize("mode", ["baseline", "trioformer"])
     def test_exact_distribution_sums_to_one_over_target_keys(self, mode):
@@ -835,7 +834,7 @@ class TestOracles:
         ctx = policy.pocket_context(one_pocket()["p0"])
         dist = exact_terminal_distribution(policy, ctx, DESK, 3)
         assert abs(math.fsum(dist.values()) - 1.0) <= 1e-9
-        assert set(dist) == {canonical_key(s) for s in enumerate_terminal_states(DESK, 3)}
+        assert set(dist) == {canonical_key(s) for s in enumerated_space(DESK, 3).molecules}
         assert all(p > 0.0 for p in dist.values())
 
     def test_exact_distribution_one_pass_per_depth(self, monkeypatch):
