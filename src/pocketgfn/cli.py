@@ -370,7 +370,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         per_set.append({
             "file": path,
             "n": len(states),
-            "diversity": diversity(states) if len(states) >= 2 else 0.0,
+            "diversity": diversity(states) if len(states) >= 2 else None,
             "ds_mean": float(np.mean(scores["ds"])),
             "ds_top10_mean": top_k_mean(scores["ds"], cfg.top_k),
             "qed_mean": float(np.mean(scores["qed"])),
@@ -379,9 +379,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     summary = {}
     print(f"{'metric':<16} {'mean':>10} {'se':>10}   (n_sets={len(per_set)})")
     for name in METRIC_NAMES:
-        mean, se = mean_and_se([row[name] for row in per_set])
+        # a one-molecule set has no pairs, so no diversity, and is left out of its mean
+        values = [row[name] for row in per_set if row[name] is not None]
+        if values:
+            mean, se = mean_and_se(values)
+            print(f"{name:<16} {mean:>10.4f} {se:>10.4f}")
+        else:
+            mean = se = None
+            print(f"{name:<16} {'n/a':>10} {'n/a':>10}")
         summary[name] = {"mean": mean, "se": se}
-        print(f"{name:<16} {mean:>10.4f} {se:>10.4f}")
     if args.out:
         with output_file(args.out) as fh:
             json.dump({"n_sets": len(per_set), "metrics": summary, "per_set": per_set}, fh, indent=1)

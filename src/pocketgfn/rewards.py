@@ -108,36 +108,49 @@ def state_quality(pocket: PocketGraph, s: LigandState, library, weights: RewardW
 # -- fingerprints and diversity ---------------------------------------------
 
 
-def _wl_labels(s: LigandState) -> list[list[str]]:
-    """Refinement labels per node for radii 0..FINGERPRINT_RADIUS.
+def _bit(key: str) -> int:
+    """The fingerprint bit that one radius-prefixed label sets."""
+    return int.from_bytes(sha256(key.encode()).digest()[:8], "big") % FINGERPRINT_BITS
 
-    A node's neighborhood descriptor lists (own ap, neighbor ap, neighbor
-    label) sorted, so labels depend only on graph structure, never on node
-    numbering.
+
+def _fingerprint_rows(states) -> np.ndarray:
+    """Fingerprints of ``states`` as the float rows of one (n, FINGERPRINT_BITS) matrix.
+
+    Each node gets one label per radius 0..FINGERPRINT_RADIUS. Radius 0 is
+    its fragment id; each further radius appends the node's neighbourhood as
+    (own ap, neighbour ap, neighbour label) entries, sorted, so labels
+    depend only on graph structure, never on node numbering. The row sets
+    the bit of each ``f"{r}|{label}"``. Labels below the last radius repeat
+    across a set, so each distinct one is hashed once per call; last-radius
+    labels are mostly distinct and are hashed directly.
     """
-    neigh = bonds_by_node(s)
-    labels = [str(fid) for fid in s.nodes]
-    rounds = [list(labels)]
-    for _ in range(FINGERPRINT_RADIUS):
-        labels = [
-            labels[v] + "|" + ",".join(
-                f"{a}:{b}:{labels[u]}" for a, b, u in sorted(neigh[v], key=lambda t: (t[0], t[1], labels[t[2]]))
-            )
-            for v in range(s.n)
-        ]
-        rounds.append(list(labels))
-    return rounds
+    memos = [{} for _ in range(FINGERPRINT_RADIUS)]
+    hit_rows, hit_bits = [], []
+    for i, s in enumerate(states):
+        _require_terminal(s, "fingerprint")
+        neigh = bonds_by_node(s)
+        labels = [str(fid) for fid in s.nodes]
+        for r, memo in enumerate(memos):
+            for label in labels:
+                bit = memo.get(label)
+                if bit is None:
+                    bit = memo[label] = _bit(f"{r}|{label}")
+                hit_bits.append(bit)
+            labels = [
+                labels[v] + "|" + ",".join([f"{a}:{b}:{x}" for a, b, x in sorted([(a, b, labels[u]) for a, b, u in bonds])])
+                for v, bonds in enumerate(neigh)
+            ]
+        hit_bits.extend(_bit(f"{FINGERPRINT_RADIUS}|{label}") for label in labels)
+        hit_rows.extend([i] * (s.n * (FINGERPRINT_RADIUS + 1)))
+    rows = np.zeros((len(states), FINGERPRINT_BITS))
+    rows[hit_rows, hit_bits] = 1.0
+    return rows
 
 
 def fingerprint(s: LigandState) -> np.ndarray:
-    """Binary vector hashed from rooted subgraph labels up to FINGERPRINT_RADIUS."""
-    _require_terminal(s, "fingerprint")
-    bits = np.zeros(FINGERPRINT_BITS, dtype=np.uint8)
-    for r, labels in enumerate(_wl_labels(s)):
-        for label in labels:
-            digest = sha256(f"{r}|{label}".encode()).digest()
-            bits[int.from_bytes(digest[:8], "big") % FINGERPRINT_BITS] = 1
-    return bits
+    """Binary vector hashed from rooted subgraph labels up to FINGERPRINT_RADIUS:
+    the one-state row of ``_fingerprint_rows``."""
+    return _fingerprint_rows([s])[0].astype(np.uint8)
 
 
 def _bit_rows(prints) -> np.ndarray:
@@ -148,7 +161,8 @@ def _bit_rows(prints) -> np.ndarray:
 def _tanimoto(shared, c_i, c_j):
     """1 - shared / union from shared and per-print bit counts; two empty prints are 0 apart."""
     union = c_i + c_j - shared
-    return 1.0 - np.divide(shared, union, out=np.ones_like(union), where=union > 0)
+    ratio = np.divide(shared, union, out=np.ones_like(union), where=union > 0)
+    return np.subtract(1.0, ratio, out=ratio)
 
 
 def tanimoto_distance(f1: np.ndarray, f2: np.ndarray) -> float:
@@ -158,24 +172,32 @@ def tanimoto_distance(f1: np.ndarray, f2: np.ndarray) -> float:
     return float(_tanimoto(a @ b, a.sum(), b.sum()))
 
 
+# Rows of the fingerprint matrix that diversity meets the later rows with in one product.
+DIVERSITY_BLOCK_ROWS = 32
+
+
 def diversity(states: list[LigandState]) -> float:
     """Mean pairwise Tanimoto distance between state fingerprints.
 
-    Row i of the fingerprint matrix meets rows i+1.. in one matrix-vector
-    product, so memory stays O(n) rows. Each row's distances are added to
-    the running total in pair order (cumsum is sequential), which gives the
-    same float as adding the pairs one at a time.
+    A block of DIVERSITY_BLOCK_ROWS rows of the fingerprint matrix meets
+    the rows after its first in one matrix product, so temporaries stay
+    O(block * n). The block's pairs (i, j > i) are taken in row-major order
+    and added to the running total by cumsum, which is sequential, so the
+    result is the same float as adding the pairs one at a time.
     """
     if len(states) < 2:
         raise MetricError(f"diversity needs at least 2 states, got {len(states)}")
-    rows = _bit_rows([fingerprint(s) for s in states])
+    rows = _fingerprint_rows(states)
     counts = rows.sum(axis=1)
     n = len(rows)
     total = 0.0
-    for i in range(n - 1):
-        d = _tanimoto(rows[i + 1:] @ rows[i], counts[i], counts[i + 1:])
-        d[0] += total
-        total = np.cumsum(d)[-1]
+    for lo in range(0, n - 1, DIVERSITY_BLOCK_ROWS):
+        hi = min(lo + DIVERSITY_BLOCK_ROWS, n - 1)
+        # column c of the block holds row lo + 1 + c, so row lo + k pairs with columns c >= k
+        later = np.arange(n - lo - 1) >= np.arange(hi - lo)[:, None]
+        pairs = _tanimoto(rows[lo:hi] @ rows[lo + 1:].T, counts[lo:hi, None], counts[lo + 1:])[later]
+        pairs[0] += total
+        total = np.cumsum(pairs, out=pairs)[-1]
     return float(total / (n * (n - 1) // 2))
 
 

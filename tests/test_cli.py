@@ -494,6 +494,26 @@ class TestEvaluateCommand:
         report = json.loads(report_path.read_text())
         assert report["metrics"]["diversity"]["mean"] == 0.0
 
+    def test_one_molecule_set_has_no_diversity(self, workdir, capsys):
+        tmp_path, cfg_path, _ = workdir
+        recs = [{"nodes": [0], "edges": []}, {"nodes": [1], "edges": []}, {"nodes": [0, 1], "edges": [[0, 0, 1, 0]]}]
+        one, three = tmp_path / "one.jsonl", tmp_path / "three.jsonl"
+        one.write_text(json.dumps(recs[2]) + "\n")
+        three.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        report_path = tmp_path / "r.json"
+        assert main(["evaluate", str(one), str(three), "--config", str(cfg_path), "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert [row["diversity"] for row in report["per_set"]] == [
+            None, diversity([state_from_record(r) for r in recs])]
+        assert report["metrics"]["diversity"] == {"mean": report["per_set"][1]["diversity"], "se": 0.0}
+        assert report["metrics"]["qed_mean"]["se"] > 0.0  # the other metrics still span both sets
+        assert "n/a" not in capsys.readouterr().out
+
+        assert main(["evaluate", str(one), "--config", str(cfg_path), "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["metrics"]["diversity"] == {"mean": None, "se": None}
+        assert re.search(r"^diversity +n/a +n/a$", capsys.readouterr().out, re.M)
+
     def test_malformed_record_names_line(self, workdir, capsys):
         tmp_path, cfg_path, _ = workdir
         mols = tmp_path / "bad.jsonl"

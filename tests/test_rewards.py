@@ -11,6 +11,7 @@ from pocketgfn.ligand import (
     AddFragment,
     STOP,
     apply_action,
+    bonds_by_node,
     canonical_key,
     desk_library,
     enumerated_space,
@@ -251,6 +252,29 @@ class TestFingerprint:
             seen[key] = s
         assert len(seen) == len(states)
 
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_on_random_molecules_and_relabelings(self, seed, cap):
+        s = random_desk_set(seed, 1, cap=cap)[0]
+        perm = [int(v) for v in np.random.default_rng(seed).permutation(s.n)]
+        for state in (s, permute_state(s, perm)):
+            f = fingerprint(state)
+            assert f.dtype == np.uint8
+            np.testing.assert_array_equal(f, rewards_reference.fingerprint(state))
+
+    def test_matches_reference_on_every_desk_cap_3_molecule(self):
+        states = enumerated_space(DESK, 3).molecules
+        assert len(states) == 360
+        for s in states:
+            np.testing.assert_array_equal(fingerprint(s), rewards_reference.fingerprint(s))
+
+    def test_non_terminal_rejected(self):
+        s = grow([AddFragment(None, None, 0, 0)], stop=False)
+        with pytest.raises(MetricError, match="fingerprint needs a terminal"):
+            fingerprint(s)
+        with pytest.raises(MetricError, match="fingerprint needs a terminal"):
+            diversity([grow([AddFragment(None, None, 0, 0)]), s])
+
     def test_ap_choice_changes_print(self):
         a = grow([AddFragment(None, None, 3, 0), AddFragment(0, 0, 2, 0)])
         b = grow([AddFragment(None, None, 3, 0), AddFragment(0, 1, 2, 0)])
@@ -330,6 +354,13 @@ class TestDiversityAgreesWithReference:
         states = random_desk_set(seed, n, min(n, n_distinct))
         assert diversity(states) == rewards_reference.diversity(states)
 
+    @pytest.mark.parametrize("n", [2, 31, 32, 33, 65, 300])
+    def test_block_boundaries_with_duplicates(self, n):
+        assert rewards.DIVERSITY_BLOCK_ROWS == 32
+        states = random_desk_set(n, n, max(1, n // 3))
+        assert len({canonical_key(s) for s in states}) < n
+        assert diversity(states) == rewards_reference.diversity(states)
+
     def test_fixed_set_of_300(self):
         states = random_desk_set(0, 300)
         assert diversity(states) == rewards_reference.diversity(states)
@@ -339,9 +370,9 @@ class TestDiversityAgreesWithReference:
 
         def counting(s):
             calls.append(s)
-            return fingerprint(s)
+            return bonds_by_node(s)
 
-        monkeypatch.setattr(rewards, "fingerprint", counting)
+        monkeypatch.setattr(rewards, "bonds_by_node", counting)
         states = random_desk_set(1, 25)
         diversity(states)
         assert calls == states
@@ -349,7 +380,10 @@ class TestDiversityAgreesWithReference:
     def test_memory_far_below_an_n_by_n_array(self, monkeypatch):
         n = 2000
         rng = np.random.default_rng(0)
-        monkeypatch.setattr(rewards, "fingerprint", lambda s: rng.integers(0, 2, rewards.FINGERPRINT_BITS, dtype=np.uint8))
+        monkeypatch.setattr(
+            rewards, "_fingerprint_rows",
+            lambda states: rng.integers(0, 2, (len(states), rewards.FINGERPRINT_BITS), dtype=np.uint8).astype(np.float64),
+        )
         tracemalloc.start()
         try:
             diversity([None] * n)
