@@ -9,10 +9,7 @@ the total-variation distance to that target fall, then draws samples and
 compares frequencies.
 """
 
-import numpy as np
-
 from pocketgfn.ligand import toy_library
-from pocketgfn.nn import ParamStore
 from pocketgfn.pocket import build_knn_graph, synthetic_pocket
 from pocketgfn.policy import PolicyConfig, PolicyNetwork
 from pocketgfn.rewards import docking_proxy
@@ -23,6 +20,7 @@ from pocketgfn.training import (
     target_distribution,
     total_variation,
     train,
+    training_store,
 )
 
 lib = toy_library()
@@ -42,7 +40,7 @@ cfg = TrainerConfig(steps=600, batch_size=8, learning_rate=3e-3, beta=1.0,
                     max_nodes=2, seed=12, mode="baseline", policy=policy_cfg)
 
 # a probe network on the same parameter store watches convergence live
-store = ParamStore(np.random.default_rng([cfg.seed, 7]))
+store = training_store(cfg)
 probe = PolicyNetwork(store, lib, policy_cfg)
 
 def stop_fn(row):

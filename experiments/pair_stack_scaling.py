@@ -8,7 +8,8 @@ included, the process's peak RSS (``ru_maxrss``), the minor page faults
 (``ru_minflt``) and system time per step, set-up included, the tape nodes a
 step records, and the bytes that the rules of the first step's tape hold
 when its forward is done, by rule kind (attention, mlp, matmul and the
-rest).
+rest), as ``rule_held_bytes`` counts them over the engine's own walk of
+what a rule reaches, ``autodiff.held_by``.
 
 Run from the repository root:
 
@@ -38,11 +39,11 @@ RULE_KINDS = ("attention", "mlp", "matmul", "other")
 
 def rule_held_bytes(nodes) -> dict:
     """The bytes that the rules of ``nodes`` hold, by ``RULE_KINDS``: the
-    arrays their closures reach through tuples, lists and nested functions,
-    each buffer counted once and a view as the array that owns its memory,
-    less the arrays of the tape's leaves that get a gradient (the
-    parameters, which the store holds anyway). Constant leaves, the input
-    features, count under the rule that keeps them."""
+    arrays that ``autodiff.held_by`` finds each rule reaching, each buffer
+    counted once, under the first rule that reaches it, and a view as the
+    array that owns its memory, less the arrays of the tape's leaves that
+    get a gradient (the parameters, which the store holds anyway). Constant
+    leaves, the input features, count under the rule that keeps them."""
     import numpy as np
 
     from pocketgfn import autodiff as ad
@@ -53,20 +54,13 @@ def rule_held_bytes(nodes) -> dict:
     for node in nodes:
         kind = node.vjp.__qualname__.partition(".")[0]
         kind = kind if kind in held else "other"
-        stack = [c.cell_contents for c in node.vjp.__closure__ or ()]
-        while stack:
-            value = stack.pop()
-            while isinstance(value, np.ndarray) and isinstance(value.base, np.ndarray):
-                value = value.base
-            if id(value) in seen:
-                continue
-            seen.add(id(value))
+        for value in ad.held_by(node.vjp):
             if isinstance(value, np.ndarray):
-                held[kind] += value.nbytes
-            elif isinstance(value, (tuple, list)):
-                stack += value
-            elif callable(value) and getattr(value, "__closure__", None):
-                stack += [c.cell_contents for c in value.__closure__]
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                if id(value) not in seen:
+                    seen.add(id(value))
+                    held[kind] += value.nbytes
     return held
 
 

@@ -21,7 +21,7 @@ record nothing, so inference-only code pays no bookkeeping cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -194,6 +194,21 @@ def backward(loss: DiffTensor) -> None:
                     inp.grad = gi if inp.grad is None else inp.grad + gi
         # release the node, so what only it kept alive is freed now
         node.inputs = node.shape = node.vjp = None
+
+
+def held_by(rule: Callable) -> Iterator[object]:
+    """Every object a node's rule reaches, each once, through tuples, lists
+    and nested closures from its closure's cells; a view comes as a view."""
+    stack, seen = [c.cell_contents for c in rule.__closure__ or ()], set()
+    while stack:
+        value = stack.pop()
+        if id(value) not in seen:
+            seen.add(id(value))
+            yield value
+            if isinstance(value, (tuple, list)):
+                stack += value
+            elif callable(value) and getattr(value, "__closure__", None):
+                stack += [c.cell_contents for c in value.__closure__]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

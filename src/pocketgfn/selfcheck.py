@@ -20,7 +20,7 @@ import math
 import os
 import tempfile
 import time
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .training import (
     tb_loss_tensor,
     total_variation,
     train,
+    training_store,
 )
 
 
@@ -78,8 +79,9 @@ TWO_LIGAND_ADJACENCY = np.array(
 )
 
 
-def primitive_gradient_errors() -> dict[str, float]:
-    """Max relative finite-difference error of each tape primitive, by name."""
+def primitive_cases() -> list[tuple[str, Callable, ad.DiffTensor]]:
+    """(name, f, x) per gradient case, checked by finite differences of ``f``
+    at ``x``; each is named for its primitive, alone or with a suffix."""
     rng = np.random.default_rng(0)
     x23 = lambda: tensor(rng.normal(size=(2, 3)))
     # operands must be fixed ahead of time: finite differencing requires f deterministic
@@ -99,8 +101,8 @@ def primitive_gradient_errors() -> dict[str, float]:
     key_mask = np.array([[True, False, True, True], [True, True, True, True], [False, True, True, False]])
     cross_only = ("x_kv", "norm_kv_gain", "norm_kv_bias")
 
-    def attend(wrt, form, masked):
-        ops = {name: tensor(a if form == "cross" or name != "bias" else a[:, :, :3]) for name, a in att_ops.items()}
+    def attend(wrt, form, masked, arrays=att_ops, tag=""):
+        ops = {name: tensor(a if form == "cross" or name != "bias" else a[:, :, :3]) for name, a in arrays.items()}
         mask = (key_mask if form == "cross" else key_mask[:, :3]) if masked else None
 
         def f(x):
@@ -112,7 +114,7 @@ def primitive_gradient_errors() -> dict[str, float]:
             return ad.attention(x_q, x_kv, norm_q, norm_kv, *(args[k] for k in ("w_q", "w_k", "w_v", "w_o", "bias")),
                                 1, mask=mask)
 
-        return f"attention_{form}_{wrt}{'_masked' if masked else ''}", f, ops[wrt]
+        return f"attention_{form}{tag}_{wrt}{'_masked' if masked else ''}", f, ops[wrt]
 
     # a two-layer MLP over (2, 3, 4) rows, widths 4 -> 5 -> 3, with and without a norm
     mlp_ops = {
@@ -136,19 +138,19 @@ def primitive_gradient_errors() -> dict[str, float]:
         ("mul", lambda x: ad.mul(x, c23), x23()),
         ("matmul", lambda x: ad.matmul(x, c34), x23()),
         ("einsum2", lambda x: ad.einsum2("ij,jk->ik", x, c32), x23()),
-        ("softmax", ad.softmax_rows, x23()),
+        ("softmax_rows", ad.softmax_rows, x23()),
         # a ragged column of unequal rows, one of a single entry
-        ("log_softmax", lambda x: ad.log_softmax_rows(x, [0, 2, 3, 6]), tensor(rng.normal(size=(6, 1)))),
-        ("layer_norm", ad.layer_norm_rows, x23()),
+        ("log_softmax_rows", lambda x: ad.log_softmax_rows(x, [0, 2, 3, 6]), tensor(rng.normal(size=(6, 1)))),
+        ("layer_norm_rows", ad.layer_norm_rows, x23()),
         ("exp", ad.exp, x23()),
         ("tanh", ad.tanh, x23()),
         ("log", lambda x: ad.log(ad.add(ad.mul(x, x), tensor(np.full((2, 3), 1.5)))), x23()),
         ("sqrt", lambda x: ad.sqrt(ad.add(ad.mul(x, x), tensor(np.full((2, 3), 1.5)))), x23()),
         ("concat", lambda x: ad.concat([x, ad.mul(x, x)], axis=1), x23()),
-        ("gather", lambda x: ad.gather_rows(x, np.array([1, 0, 1])), x23()),
+        ("gather_rows", lambda x: ad.gather_rows(x, np.array([1, 0, 1])), x23()),
         ("mean_rows", ad.mean_rows, x23()),
         ("matmul_track", lambda x: ad.matmul(x, c34), tensor(rng.normal(size=(2, 2, 3)))),
-        ("gather_grid", lambda x: ad.gather_rows(x, np.array([[1, 0], [1, 1]])), x23()),
+        ("gather_rows_grid", lambda x: ad.gather_rows(x, np.array([[1, 0], [1, 1]])), x23()),
         ("sub", lambda x: ad.sub(x, c23), x23()),
         ("neg", ad.neg, x23()),
         ("scale", lambda x: ad.scale(x, 2.5), x23()),
@@ -164,7 +166,25 @@ def primitive_gradient_errors() -> dict[str, float]:
         for wrt in att_ops if form == "cross" or wrt not in cross_only
     ]
     checks += [mlp(wrt, normed) for normed in (False, True) for wrt in mlp_ops if normed or not wrt.startswith("norm")]
-    return {name: finite_diff_check(f, x).max_rel_err for name, f, x in checks}
+    # drawn after the cases above, which keep their inputs; einsum2 takes x
+    # twice, so a wrong rule for either operand shows; the keys are cut to 3 wide
+    c223 = tensor(rng.normal(size=(2, 2, 3)))
+    checks += [
+        ("add_broadcast", lambda x: ad.add(c23, x), tensor(rng.normal(size=(3,)))),
+        ("sub_subtrahend", lambda x: ad.sub(c23, x), x23()),
+        ("matmul_matrix", lambda x: ad.matmul(c23, x), tensor(rng.normal(size=(3, 4)))),
+        ("matmul_track_matrix", lambda x: ad.matmul(c223, x), tensor(rng.normal(size=(3, 4)))),
+        ("einsum2_batched", lambda x: ad.einsum2("hij,hjc->hic", x, x), tensor(rng.normal(size=(2, 3, 3)))),
+        ("softmax_rows_masked", lambda x: ad.softmax_rows(x, mask=key_mask), tensor(rng.normal(size=(3, 4)))),
+    ]
+    narrow = {k: a[..., :3] if k in cross_only else a[:3] if k in ("w_k", "w_v") else a for k, a in att_ops.items()}
+    checks.append(attend("x_kv", "cross", True, narrow, "_narrow_kv"))
+    return checks
+
+
+def primitive_gradient_errors() -> dict[str, float]:
+    """Max relative finite-difference error of each case of ``primitive_cases``, by name."""
+    return {name: finite_diff_check(f, x).max_rel_err for name, f, x in primitive_cases()}
 
 
 def conditioning_gradient_errors() -> dict[str, float]:
@@ -284,7 +304,7 @@ def proportional_sampling_tv(steps: int, stop_tv: float, n_samples: int) -> Samp
         max_nodes=2, seed=12, mode=BASELINE, policy=small_policy(),
     )
     # share the parameter store so the probe policy tracks training live
-    store = ParamStore(np.random.default_rng([cfg.seed, 7]))
+    store = training_store(cfg)
     probe = PolicyNetwork(store, lib, cfg.policy)
     exact_tvs = [math.nan]
 
@@ -312,7 +332,7 @@ def worst_error(errors: dict[str, float]) -> tuple[str, float]:
 def check_gradient_primitives() -> tuple[bool, str]:
     errors = primitive_gradient_errors()
     name, worst = worst_error(errors)
-    return all(e < 1e-4 for e in errors.values()), f"{len(errors)} primitives vs 1e-4 (worst {name}: {worst:.2e})"
+    return all(e < 1e-4 for e in errors.values()), f"{len(errors)} primitive cases vs 1e-4 (worst {name}: {worst:.2e})"
 
 
 def check_gradient_trioformer() -> tuple[bool, str]:

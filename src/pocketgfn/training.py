@@ -241,6 +241,11 @@ def _materialize_params(policy: PolicyNetwork, ctx: PocketContext, library: Frag
     policy.log_z(ctx)
 
 
+def training_store(config: TrainerConfig) -> ParamStore:
+    """The store ``train`` makes when given none; a caller probing it live makes it here."""
+    return ParamStore(np.random.default_rng([config.seed, 7]))
+
+
 def train(
     config: TrainerConfig,
     library: FragmentLibrary,
@@ -276,7 +281,7 @@ def train(
     if reward_fn is None:
         reward_fn = default_reward_fn(library)
     if store is None:
-        store = ParamStore(np.random.default_rng([config.seed, 7]))
+        store = training_store(config)
     policy = PolicyNetwork(store, library, config.policy)
     pocket_ids = sorted(pockets)
     _materialize_params(policy, policy.pocket_context(pockets[pocket_ids[0]]), library, config.max_nodes)

@@ -37,7 +37,7 @@ from pocketgfn.rewards import (
 )
 from pocketgfn.selfcheck import small_policy
 from pocketgfn.trioformer import pool_graph_embedding
-from pocketgfn.training import TrainerConfig, exact_terminal_distribution, total_variation, train
+from pocketgfn.training import TrainerConfig, exact_terminal_distribution, total_variation, train, training_store
 
 import rewards_reference
 
@@ -84,7 +84,7 @@ def test_pocket_conditioning_changes_sampling_distribution():
         steps=2_000, batch_size=8, learning_rate=3e-3, beta=1.0,
         max_nodes=2, seed=12, mode="trioformer", policy=small_policy("trioformer"),
     )
-    store = ParamStore(np.random.default_rng([cfg.seed, 7]))
+    store = training_store(cfg)
     probe = PolicyNetwork(store, lib, cfg.policy)
 
     def separation() -> float:

@@ -6,6 +6,8 @@ exit code or a moved bundled file fails here rather than in a long run.
 
 from pathlib import Path
 
+import numpy as np
+
 import pocketgfn.autodiff as ad
 from conftest import load_file
 from pocketgfn.ligand import desk_library
@@ -47,6 +49,21 @@ def test_pair_stack_scaling_runs(monkeypatch, capsys):
     held = out.split("first forward's rules hold ")[1].split(" MB")[0].split(", ")
     assert [h.split(" ")[1] for h in held] == ["attention", "mlp", "matmul", "other"]
     assert all(float(h.split(" ")[0]) > 0 for h in held)
+
+
+def test_rule_held_bytes_counts_each_buffer_once_and_no_parameter():
+    # the definition the desk-step pin below rests on: a view and the array
+    # that owns its memory count once, under the first rule that reaches
+    # them; a leaf that gets a gradient (a parameter) is left out; a
+    # constant() leaf counts under the rule that keeps it
+    scaling = load_file(EXPERIMENTS / "pair_stack_scaling.py", "experiments_pair_stack_scaling")
+    c = ad.constant(np.arange(6.0).reshape(2, 3))
+    p = ad.tensor(np.ones((3, 4)))
+    with ad.Tape() as tape:
+        h = ad.mul(c, ad.reshape(c, (2, 3)))  # keeps c's array and a view of it: 48 B
+        ad.matmul(h, p)  # keeps a view of h's array, 48 B, and p's
+        ad.matmul(c, p)  # keeps a view of c's array, which mul counted
+    assert scaling.rule_held_bytes(tape.nodes) == {"attention": 0, "mlp": 0, "matmul": 48, "other": 48}
 
 
 def test_desk_step_rule_held_bytes_are_pinned(monkeypatch):

@@ -558,26 +558,6 @@ def four_node_states(count, seed):
     return states
 
 
-def held_buffers(rule, found):
-    """Add to ``found`` (id -> array) the buffers of the arrays a rule's
-    closure reaches, through tuples, lists and nested functions; a view
-    counts as the array that owns its memory."""
-    stack, seen = [c.cell_contents for c in rule.__closure__ or ()], set()
-    while stack:
-        value = stack.pop()
-        if id(value) in seen:
-            continue
-        seen.add(id(value))
-        if isinstance(value, np.ndarray):
-            while isinstance(value.base, np.ndarray):
-                value = value.base
-            found[id(value)] = value
-        elif isinstance(value, (tuple, list)):
-            stack += value
-        elif callable(value) and getattr(value, "__closure__", None):
-            stack += [c.cell_contents for c in value.__closure__]
-
-
 class TestTapeMemory:
     def test_pre_norm_rules_hold_a_fifth_less(self):
         # one taped trioformer pass, the pocket encoder and the action
@@ -600,9 +580,13 @@ class TestTapeMemory:
         policy.action_distribution(states, policy.pocket_context(graph), 8)  # create the parameters
         with Tape() as tape:
             policy.action_distribution(states, policy.pocket_context(graph), 8)
-        found = {}
+        found = {}  # the distinct buffers, a view as the array that owns its memory
         for node in tape.nodes:
-            held_buffers(node.vjp, found)
+            for a in ad.held_by(node.vjp):
+                if isinstance(a, np.ndarray):
+                    while isinstance(a.base, np.ndarray):
+                        a = a.base
+                    found[id(a)] = a
         params = {id(p.data) for p in store.values()}
         held = sum(a.nbytes for key, a in found.items() if key not in params)
         assert len(tape.nodes) == 149

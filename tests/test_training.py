@@ -443,10 +443,10 @@ class TestTrain:
 
         monkeypatch.setattr(ad, "backward", backward)
         monkeypatch.setattr(nn.Adam, "step", step)
-        train(cfg, DESK, pockets, reward_fn=reward_fn, store=ParamStore(np.random.default_rng([cfg.seed, 7])))
+        train(cfg, DESK, pockets, reward_fn=reward_fn)
         monkeypatch.undo()
 
-        store = ParamStore(np.random.default_rng([cfg.seed, 7]))
+        store = training.training_store(cfg)
         policy = PolicyNetwork(store, DESK, cfg.policy)
         ids = sorted(pockets)
         training._materialize_params(policy, policy.pocket_context(pockets[ids[0]]), DESK, cfg.max_nodes)
@@ -561,22 +561,6 @@ class TestTrain:
         heads = {(p.n_heads, p.width // p.n_heads), (p.trio_heads, p.trio_head_dim)}
         assert not {d for _, d in heads} & {1, 2, 3, 6}
 
-        def held_arrays(fn, seen):
-            # the arrays a rule's closure reaches, through tuples, lists and nested functions
-            stack, arrays = [c.cell_contents for c in fn.__closure__ or ()], []
-            while stack:
-                value = stack.pop()
-                if id(value) in seen:
-                    continue
-                seen.add(id(value))
-                if isinstance(value, np.ndarray):
-                    arrays.append(value)
-                elif isinstance(value, (tuple, list)):
-                    stack += value
-                elif callable(value) and getattr(value, "__closure__", None):
-                    stack += [c.cell_contents for c in value.__closure__]
-            return arrays
-
         rules, offending = [], []
         real_backward = ad.backward
 
@@ -584,8 +568,8 @@ class TestTrain:
             for node in loss._tape.nodes:
                 if node.vjp.__qualname__.startswith("attention."):
                     rules.append(node.vjp)
-                    offending.extend(a.shape for a in held_arrays(node.vjp, set())
-                                     if any(a.shape[-2:] == hd or a.shape[-3::2] == hd for hd in heads))
+                    offending.extend(a.shape for a in ad.held_by(node.vjp) if isinstance(a, np.ndarray)
+                                     and any(a.shape[-2:] == hd or a.shape[-3::2] == hd for hd in heads))
             real_backward(loss)
 
         monkeypatch.setattr(ad, "backward", backward)
