@@ -18,13 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .files import InputFileError, OutputFileError, check_writable, output_file, read_text
+from .files import InputFileError, OutputFileError, check_writable, json_float, output_file, read_json, read_json_lines
 from .ligand import (
     DATA_DIR,
     FragmentLibrary,
     LibraryError,
     canonical_key,
-    json_float,
     load_library,
     state_from_record,
     state_to_record,
@@ -130,11 +129,8 @@ class RunConfig:
         allowed = {f.name for f in fields(PolicyConfig)} - {"mode"}
         for key in self.policy:
             expect(key in allowed, "policy", f"unknown policy override {key!r}; choices: {sorted(allowed)}")
-        for path in self.pocket_paths():
-            if not os.path.exists(path):
-                raise ConfigError(f"config field 'pocket_file': file not found: {path}")
-        if not os.path.exists(self.library_path()):
-            raise ConfigError(f"config field 'library_file': file not found: {self.library_path()}")
+        self.pocket_paths()  # an unknown bundled name raises here, before any work
+        self.library_path()
 
     def pocket_paths(self) -> list[str]:
         specs = self.pocket_file if isinstance(self.pocket_file, list) else [self.pocket_file]
@@ -152,16 +148,8 @@ _FLAG_FIELDS = (("seed", "seed"), ("steps", "steps"), ("mode", "mode"), ("pocket
 def load_run_config(path: str | None, overrides: argparse.Namespace | None = None) -> RunConfig:
     cfg = RunConfig()
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            doc = json.loads(read_text(path))
-        except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
-            raise ConfigError(f"{path}: not valid JSON: {e}") from None
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
         known = {f.name for f in fields(RunConfig)}
-        for key, value in doc.items():
+        for key, value in read_json(path, ConfigError).items():
             if key not in known:
                 raise ConfigError(f"unknown config field {key!r}; choices: {sorted(known)}")
             setattr(cfg, key, value)
@@ -266,16 +254,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
     cfg.trainer_config()  # sample reads the seed and the mode
     if isinstance(cfg.pocket_file, list):
         raise ConfigError("config field 'pocket_file': sampling targets one pocket; pass a single path")
-    checkpoint_path = cfg.checkpoint
-    if not os.path.exists(checkpoint_path):
-        raise ConfigError(f"checkpoint not found: {checkpoint_path}")
     out_path = args.out or "molecules.jsonl"
     check_writable(out_path)
     library = load_library(cfg.library_path())
     pockets = _load_pockets(cfg)
     # a mode named by --mode or the (loaded, so valid) config file must be the checkpoint's; naming none samples either kind
-    named = args.mode is not None or (args.config is not None and "mode" in json.loads(read_text(args.config)))
-    policy, meta = _rebuild_policy(checkpoint_path, library, cfg.mode if named else None, pockets)
+    named = args.mode is not None or (args.config is not None and "mode" in read_json(args.config, ConfigError))
+    policy, meta = _rebuild_policy(cfg.checkpoint, library, cfg.mode if named else None, pockets)
     max_nodes = meta["max_nodes"]
     pid, graph = next(iter(pockets.items()))
     ctx = policy.pocket_context(graph)
@@ -318,30 +303,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _parse_molecule_file(path: str, library: FragmentLibrary):
-    if not os.path.exists(path):
-        raise ConfigError(f"molecule file not found: {path}")
-    states = []
-    for line_no, line in enumerate(read_text(path).split("\n"), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
-            raise ConfigError(f"{path}:{line_no}: not valid JSON: {e}") from None
-        if not isinstance(rec, dict) or "nodes" not in rec or "edges" not in rec:
-            raise ConfigError(f"{path}:{line_no}: record needs 'nodes' and 'edges'")
-        try:
-            s = state_from_record(rec)
-            validate_state(s, library)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"{path}:{line_no}: bad record: {e}") from None
+    def molecule(rec: dict):
+        s = state_from_record(rec)
+        validate_state(s, library)
         if s.n == 0:
-            raise ConfigError(f"{path}:{line_no}: empty molecule")
-        states.append((line_no, rec, s))
-    if not states:
-        raise ConfigError(f"{path}: no molecule records")
-    return states
+            raise ValueError("empty molecule")
+        return s
+
+    return read_json_lines(path, ConfigError, "molecule", molecule)
 
 
 METRIC_NAMES = ("diversity", "ds_mean", "ds_top10_mean", "qed_mean", "sa_mean")

@@ -1,8 +1,9 @@
-"""Reading the text files the command line takes as input, and naming the
-path of an output that cannot be written."""
+"""Reading the files the command line takes as input, as text and as
+checked JSON, and naming the path of an output that cannot be written."""
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 
@@ -21,6 +22,67 @@ def read_text(path: str) -> str:
         raise InputFileError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     except OSError as e:
         raise InputFileError(f"{path}: cannot read: {e.strerror}") from None
+
+
+def _parse(text: str, where: str, error: type[ValueError]):
+    try:
+        return json.loads(text)
+    except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
+        raise error(f"{where}: not valid JSON: {e}") from None
+
+
+def read_json(path: str, error: type[ValueError]) -> dict:
+    """The JSON object that is the whole text of ``path``. Text that is not
+    JSON, or JSON that is not an object, raises ``error`` naming the path."""
+    doc = _parse(read_text(path), path, error)
+    if not isinstance(doc, dict):
+        raise error(f"{path}: must be a JSON object, got a JSON {type(doc).__name__}")
+    return doc
+
+
+def read_json_lines(path: str, error: type[ValueError], what: str, convert) -> list[tuple[int, dict, object]]:
+    """``(line number, record, convert(record))`` for each nonblank line of
+    ``path``, each line one JSON object. Invalid JSON, a line that is not an
+    object, a missing key, or a ``TypeError`` or ``ValueError`` from
+    ``convert`` raises ``error`` naming ``path:line``; a file with no records
+    raises ``error`` naming the path."""
+    rows = []
+    for line_no, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{line_no}"
+        rec = _parse(line, where, error)
+        if not isinstance(rec, dict):
+            raise error(f"{where}: a {what} record must be a JSON object")
+        try:
+            rows.append((line_no, rec, convert(rec)))
+        except KeyError as e:
+            raise error(f"{where}: missing field {e}") from None
+        except (TypeError, ValueError) as e:
+            raise error(f"{where}: bad {what} record: {e}") from None
+    if not rows:
+        raise error(f"{path}: no {what} records")
+    return rows
+
+
+def json_int(value, field: str) -> int:
+    """An integer read from an input file. Floats and booleans are rejected,
+    not truncated (``int(1.9)`` and ``int(True)`` are both 1)."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def json_float(value, field: str) -> float:
+    """A number read from an input file. Booleans and strings are rejected,
+    not converted (``float(True)`` is 1.0 and ``float("0.5")`` is 0.5)."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the largest float
+        raise ValueError(f"{field} must be a number within the float range") from None
 
 
 class OutputFileError(OSError):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .files import read_text
+from .files import json_float, json_int, read_json
 
 DATA_DIR = Path(__file__).parent / "data"
 ENUM_MAX_FRAGMENTS = 4
@@ -78,30 +78,8 @@ class FragmentLibrary:
         return [f.id for f in self.fragments]
 
 
-def json_int(value, field: str) -> int:
-    """An integer read from an input file. Floats and booleans are rejected,
-    not truncated (``int(1.9)`` and ``int(True)`` are both 1)."""
-    if type(value) is not int:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
-def json_float(value, field: str) -> float:
-    """A number read from an input file. Booleans and strings are rejected,
-    not converted (``float(True)`` is 1.0 and ``float("0.5")`` is 0.5)."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{field} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # a JSON integer beyond the largest float
-        raise ValueError(f"{field} must be a number within the float range") from None
-
-
 def load_library(path: str) -> FragmentLibrary:
-    try:
-        doc = json.loads(read_text(path))
-    except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
-        raise LibraryError(f"{path}: not valid JSON: {e}") from None
+    doc = read_json(path, LibraryError)
     try:
         frags = [
             Fragment(

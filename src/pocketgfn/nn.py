@@ -12,7 +12,7 @@ from typing import Iterable
 import numpy as np
 
 from .autodiff import DiffTensor, DimensionError, add, layer_norm_rows, mul, tensor
-from .files import read_text, writing
+from .files import read_json, writing
 
 CHECKPOINT_FORMAT_VERSION = 5
 # Parameter data is stored as the base64 text of these bytes, in C order.
@@ -235,12 +235,7 @@ def save_checkpoint(path: str, store: ParamStore, meta: dict | None = None) -> N
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint, verifying format version, checksum (over the meta
     and the parameters) and each parameter's shape against its byte count."""
-    try:
-        doc = json.loads(read_text(path))
-    except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
-        raise CheckpointError(f"checkpoint {path} is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise CheckpointError(f"checkpoint {path} must be a JSON object, got {type(doc).__name__}")
+    doc = read_json(path, CheckpointError)
     version = doc.get("__format_version__")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"checkpoint format version {version!r} is not supported (expected {CHECKPOINT_FORMAT_VERSION})")

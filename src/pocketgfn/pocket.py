@@ -15,8 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffTensor
-from .files import read_text
-from .ligand import json_float, json_int
+from .files import json_float, json_int, read_json_lines
 from .nn import ParamStore, layer_norm_affine, mlp_params
 
 N_RESIDUE_TYPES = 20
@@ -257,32 +256,17 @@ def encode_pocket(graph: PocketGraph, params: ParamStore, L_layers: int, c_pocke
 # ---------------------------------------------------------------------------
 
 
+def _residue(rec: dict) -> Residue:
+    return Residue(index=json_int(rec["index"], "'index'"), residue_type=json_int(rec["res"], "'res'"),
+                   ca=np.asarray([json_float(x, "'ca' entry") for x in rec["ca"]]))
+
+
 def load_pocket_jsonl(path: str) -> list[Residue]:
     """One residue per line: {"index": int, "res": int, "ca": [x, y, z]}.
 
     Indices must form a contiguous run (sorted order is not required on disk).
     """
-    residues = []
-    for line_no, line in enumerate(read_text(path).split("\n"), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
-            raise PocketError(f"{path}:{line_no}: invalid JSON: {e}") from None
-        if not isinstance(rec, dict):
-            raise PocketError(f"{path}:{line_no}: a residue record must be a JSON object")
-        try:
-            index, res = json_int(rec["index"], "'index'"), json_int(rec["res"], "'res'")
-            ca = [json_float(x, "'ca' entry") for x in rec["ca"]]
-            residues.append(Residue(index=index, residue_type=res, ca=np.asarray(ca)))
-        except KeyError as e:
-            raise PocketError(f"{path}:{line_no}: missing field {e}") from None
-        except (TypeError, ValueError) as e:
-            raise PocketError(f"{path}:{line_no}: bad residue record: {e}") from None
-    if not residues:
-        raise PocketError(f"{path}: no residues")
+    residues = [r for _, _, r in read_json_lines(path, PocketError, "residue", _residue)]
     residues.sort(key=lambda r: r.index)
     idx = [r.index for r in residues]
     if len(set(idx)) != len(idx):

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffTensor
+from .files import json_int
 from .nn import ParamStore, layer_norm_params, mlp_params
 from .ligand import (
     FragmentLibrary,
@@ -58,10 +59,7 @@ class PolicyConfig:
         for f in fields(self):
             if f.name == "mode":
                 continue
-            value = getattr(self, f.name)
-            # type(), not isinstance: True is an int and would pass as 1
-            if type(value) is not int:
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            value = json_int(getattr(self, f.name), f.name)
             low = 0 if f.name.endswith("layers") else 1
             if value < low:
                 raise ValueError(f"{f.name} must be >= {low}, got {value}")

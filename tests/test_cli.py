@@ -197,12 +197,6 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="'weights'"):
             load_run_config(str(path)).validate()
 
-    def test_missing_pocket_file_named(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"pocket_file": str(tmp_path / "nope.jsonl")}))
-        with pytest.raises(ConfigError, match="nope.jsonl"):
-            load_run_config(str(path)).validate()
-
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{not json")
@@ -871,7 +865,7 @@ class TestMalformedInputs:
         line = err.getvalue()
         assert line.startswith("error:") and "Traceback" not in line and repr(field) in line, line
 
-    @pytest.mark.parametrize("fault", ["not-utf8", "directory", "integer-past-digit-limit"])
+    @pytest.mark.parametrize("fault", ["missing", "not-utf8", "directory", "integer-past-digit-limit"])
     @pytest.mark.parametrize("kind", ["config", "library", "pocket", "checkpoint", "molecule"])
     def test_unreadable_file_exit_2_naming_it(self, tmp_path, capsys, kind, fault):
         bad = tmp_path / f"bad_{kind}"
@@ -879,7 +873,7 @@ class TestMalformedInputs:
             bad.mkdir()
         elif fault == "not-utf8":
             bad.write_bytes(b'{"fragments": "\xff\xfe"}\n')
-        else:
+        elif fault == "integer-past-digit-limit":
             # json.loads raises a plain ValueError for an integer of more than
             # 4,300 digits; json.dumps refuses to write one, so the text is built here
             bad.write_text('{"steps": ' + "1" * 5000 + "}\n")

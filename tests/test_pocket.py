@@ -230,7 +230,7 @@ class TestPocketIO:
         path = str(tmp_path / "garbage.jsonl")
         with open(path, "w") as fh:
             fh.write("nope\n")
-        with pytest.raises(PocketError, match="invalid JSON"):
+        with pytest.raises(PocketError, match="not valid JSON"):
             load_pocket_jsonl(path)
 
     def test_synthetic_pocket_hits_target_spread(self):
