@@ -171,7 +171,11 @@ def _load_pockets(cfg: RunConfig) -> dict[str, PocketGraph]:
         pid = Path(path).stem
         if pid in pockets:
             raise ConfigError(f"duplicate pocket id {pid!r} from {path}")
-        pockets[pid] = build_knn_graph(load_pocket_jsonl(path))
+        residues = load_pocket_jsonl(path)
+        try:
+            pockets[pid] = build_knn_graph(residues)
+        except PocketError as e:
+            raise PocketError(f"{path}: {e}") from None
     return pockets
 
 

@@ -19,6 +19,9 @@ from .files import json_float, json_int, read_json
 DATA_DIR = Path(__file__).parent / "data"
 ENUM_MAX_FRAGMENTS = 4
 ENUM_MAX_NODES = 4
+# Largest heavy-atom count of one fragment: far above any real fragment, and
+# low enough that the docking proxy's float arithmetic on ligand sizes cannot overflow.
+MAX_FRAGMENT_SIZE = 10_000
 
 
 class IllegalActionError(ValueError):
@@ -40,6 +43,8 @@ class Fragment:
     def __post_init__(self):
         if self.aps < 1:
             raise LibraryError(f"fragment {self.name!r} needs at least one attachment point")
+        if not 1 <= self.size <= MAX_FRAGMENT_SIZE:
+            raise LibraryError(f"fragment {self.name!r} size must be in [1, {MAX_FRAGMENT_SIZE}], got {self.size}")
         if not 0.0 <= self.polarity <= 1.0:
             raise LibraryError(f"fragment {self.name!r} polarity {self.polarity} outside [0, 1]")
 

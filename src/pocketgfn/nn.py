@@ -187,8 +187,9 @@ def encode_param(values: np.ndarray) -> dict:
 
 
 def decode_param(entry, where: str) -> np.ndarray:
-    """The array of one checkpoint entry, read-only. A malformed entry raises
-    a ``CheckpointError`` that begins with ``where``."""
+    """The array of one checkpoint entry, read-only. A malformed entry, or one
+    holding a NaN or an infinity, raises a ``CheckpointError`` that begins
+    with ``where``."""
     if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
         raise CheckpointError(f"{where} must be an object with keys 'shape' and 'data'")
     shape, data = entry["shape"], entry["data"]
@@ -203,7 +204,10 @@ def decode_param(entry, where: str) -> np.ndarray:
     expected = np.dtype(CHECKPOINT_DTYPE).itemsize * math.prod(shape)
     if len(raw) != expected:
         raise CheckpointError(f"{where} data holds {len(raw)} bytes; shape {shape} needs {expected}")
-    return np.frombuffer(raw, dtype=CHECKPOINT_DTYPE).reshape(shape)
+    values = np.frombuffer(raw, dtype=CHECKPOINT_DTYPE).reshape(shape)
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"{where} holds a value that is not finite (NaN or infinity)")
+    return values
 
 
 def save_checkpoint(path: str, store: ParamStore, meta: dict | None = None) -> None:

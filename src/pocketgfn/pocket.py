@@ -106,8 +106,14 @@ def build_knn_graph(residues: list[Residue], K: int = DEFAULT_K) -> PocketGraph:
     if K < 1:
         raise PocketError(f"K must be >= 1, got {K}")
     coords = np.stack([r.ca for r in residues])
-    dist = pairwise_distance_matrix(coords)
-    indices = np.array([r.index for r in residues])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = pairwise_distance_matrix(coords)
+        gyration_radius = radius_of_gyration(coords)
+    if not (np.isfinite(dist).all() and np.isfinite(gyration_radius)):
+        raise PocketError("residue coordinates too far apart: distances overflow the float range")
+    # offsets from the lowest index are exact integers however large the indices are
+    lowest = min(r.index for r in residues)
+    indices = np.array([r.index - lowest for r in residues])
     k_eff = min(K, n - 1)
 
     neighbor_idx = np.zeros((n, k_eff), dtype=np.intp)
@@ -131,7 +137,7 @@ def build_knn_graph(residues: list[Residue], K: int = DEFAULT_K) -> PocketGraph:
         edge_sep=edge_sep,
         edge_dir=edge_dir,
         dist_matrix=dist,
-        gyration_radius=radius_of_gyration(coords),
+        gyration_radius=gyration_radius,
         polarity=float(np.mean([POLARITY_TABLE[r.residue_type] for r in residues])),
     )
 

@@ -555,6 +555,14 @@ def _fragment_library(**fragment):
 
 _RESIDUE = json.dumps({"index": 0, "res": 0, "ca": [0.0, 0.0, 0.0]}) + "\n"
 
+
+def _with_first_value(entry, value):
+    """A checkpoint parameter entry with its first float replaced."""
+    values = _floats(entry).copy()
+    values[0] = value
+    return {**entry, "data": _base64(values.tobytes())}
+
+
 def _as_version_1(doc):
     """The checkpoint laid out as format 1 wrote it: data as a list of floats."""
     doc["__format_version__"] = 1
@@ -596,9 +604,15 @@ MALFORMED_INPUTS = {
     "library-invalid-json": ("library", "{not json"),
     "library-aps-not-integer": ("library", _fragment_library(aps="x")),
     "library-no-fragments": ("library", json.dumps({"fragments": []})),
+    "library-size-negative": ("library", _fragment_library(size=-5), "fragment 'a' size"),
+    "library-size-beyond-float": ("library", _fragment_library(size=10**400), "fragment 'a' size"),
     "pocket-array-line": ("pocket", _RESIDUE + "[1, 2, 3]\n"),
     "pocket-index-not-integer": ("pocket", _RESIDUE + json.dumps({"index": "x", "res": 0, "ca": [1.0, 0.0, 0.0]}) + "\n"),
     "pocket-ca-not-numbers": ("pocket", _RESIDUE + json.dumps({"index": 1, "res": 0, "ca": "abc"}) + "\n"),
+    "pocket-one-residue": ("pocket", _RESIDUE, "bad_pocket.json: need at least 2 residues"),
+    "pocket-geometry-overflows": (
+        "pocket", "".join(json.dumps({"index": i, "res": 0, "ca": [x, 0.0, 0.0]}) + "\n" for i, x in enumerate([1e308, -1e308])),
+        "bad_pocket.json: residue coordinates too far apart"),
     "meta-not-object": ("meta", lambda doc: doc.update(__meta__=5)),
     "meta-policy-not-object": ("meta", lambda doc: doc["__meta__"].update(policy=5)),
     "meta-policy-unknown-key": ("meta", lambda doc: doc["__meta__"]["policy"].update(bogus=1)),
@@ -612,6 +626,8 @@ MALFORMED_INPUTS = {
         "param", lambda entry: {"shape": entry["shape"], "data": _base64(_floats(entry)[:-1].tobytes())}, "bytes"),
     "param-data-json-list": ("param", lambda entry: {**entry, "data": _floats(entry).tolist()}, "base64 text"),
     "param-data-not-base64": ("param", lambda entry: {**entry, "data": entry["data"][:-4] + "*!*="}, "not base64"),
+    "param-nan": ("param", lambda entry: _with_first_value(entry, math.nan), "not finite"),
+    "param-inf": ("param", lambda entry: _with_first_value(entry, -math.inf), "not finite"),
     "param-data-bytes-not-whole-floats": (
         "param", lambda entry: {**entry, "data": _base64(base64.b64decode(entry["data"])[:-3])}, "bytes"),
     "format-version-1": ("document", _as_version_1, "version 1", "expected 5"),

@@ -50,6 +50,15 @@ class TestKnnGraph:
         np.testing.assert_array_equal(g1.neighbor_idx, g2.neighbor_idx)
         np.testing.assert_allclose(g1.dist_matrix, g2.dist_matrix, atol=1e-9)
 
+    @pytest.mark.parametrize("offset", [2**62, 2**63 - 3, 2**63, 2**64, 10**30])
+    def test_graph_same_at_any_index_offset(self, offset):
+        # coordinates on a small grid, so distance ties are broken by index
+        res = chain(np.random.default_rng(5).integers(0, 3, size=(12, 3)))
+        base = build_knn_graph(res)
+        shifted = build_knn_graph([Residue(r.index + offset, r.residue_type, r.ca) for r in res])
+        for name in ("neighbor_idx", "edge_dist", "edge_sep", "edge_dir"):
+            np.testing.assert_array_equal(getattr(shifted, name), getattr(base, name), err_msg=name)
+
     def test_tie_broken_by_lower_index(self):
         # residues 1 and 2 are equidistant from residue 0
         res = chain([[0, 0, 0], [1, 0, 0], [-1, 0, 0]])
