@@ -18,16 +18,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .files import InputFileError, OutputFileError, check_writable, json_float, output_file, read_json, read_json_lines
+from .files import InputFileError, OutputFileError, check_writable, json_float, output_file, read_json, read_json_set
 from .ligand import (
     DATA_DIR,
     FragmentLibrary,
     LibraryError,
+    LigandState,
+    MoleculeSet,
+    canonical_form,
     canonical_key,
     load_library,
-    state_from_record,
-    state_to_record,
-    validate_state,
+    molecule_from_record,
+    molecule_set,
 )
 from .nn import CheckpointError, ParamStore, load_checkpoint
 from .pocket import PocketError, PocketGraph, build_knn_graph, load_pocket_jsonl
@@ -37,10 +39,8 @@ from .rewards import (
     MetricError,
     RewardWeights,
     diversity,
-    docking_score,
     mean_and_se,
-    qed_proxy,
-    sa_proxy,
+    set_scores,
     top_k_mean,
 )
 from .training import (
@@ -270,7 +270,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     ctx = policy.pocket_context(graph)
 
     n = cfg.n_molecules
-    unique: dict[str, dict] = {}
+    unique: dict[str, LigandState] = {}
     attempts = 0
     budget = n * cfg.retry_cap
     while len(unique) < n and attempts < budget:
@@ -282,18 +282,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
             terminal = traj.states[-1]
             key = canonical_key(terminal)
             if key not in unique:
-                rec = state_to_record(terminal)
-                canon = state_from_record(rec)
-                unique[key] = {
-                    "nodes": rec["nodes"],
-                    "edges": rec["edges"],
-                    "ds": docking_score(graph, canon, library),
-                    "qed": qed_proxy(canon),
-                    "sa": sa_proxy(canon),
-                }
+                unique[key] = LigandState(*canonical_form(terminal), terminal=True)
             attempts += 1
+    scores = zip(*(column.tolist() for column in set_scores(graph, MoleculeSet.from_states(list(unique.values())), library)))
     with output_file(out_path) as fh:
-        for rec in unique.values():
+        for s, (ds, qed, sa) in zip(unique.values(), scores):
+            rec = {"nodes": list(s.nodes), "edges": [list(e) for e in s.edges], "ds": ds, "qed": qed, "sa": sa}
             fh.write(json.dumps(rec) + "\n")
     if len(unique) < n:
         print(
@@ -306,15 +300,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_molecule_file(path: str, library: FragmentLibrary):
-    def molecule(rec: dict):
-        s = state_from_record(rec)
-        validate_state(s, library)
-        if s.n == 0:
-            raise ValueError("empty molecule")
-        return s
-
-    return read_json_lines(path, ConfigError, "molecule", molecule)
+def _parse_molecule_file(path: str, library: FragmentLibrary) -> tuple[list[int], list[dict], MoleculeSet]:
+    """The line numbers, records and molecule set of a molecule file, each
+    record checked as ``molecule_from_record`` checks it."""
+    return read_json_set(path, ConfigError, "molecule", lambda records: molecule_set(records, library),
+                         lambda rec: molecule_from_record(rec, library))
 
 
 METRIC_NAMES = ("diversity", "ds_mean", "ds_top10_mean", "qed_mean", "sa_mean")
@@ -332,18 +322,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _, graph = next(iter(pockets.items()))
     per_set = []
     for path in args.molecules:
-        rows = _parse_molecule_file(path, library)
-        scores = {"ds": [], "qed": [], "sa": []}
-        for line_no, rec, s in rows:
-            for name, value in zip(scores, (docking_score(graph, s, library), qed_proxy(s), sa_proxy(s))):
+        lines, records, mset = _parse_molecule_file(path, library)
+        scores = dict(zip(("ds", "qed", "sa"), (column.tolist() for column in set_scores(graph, mset, library))))
+        for line_no, rec, *values in zip(lines, records, *scores.values()):
+            for name, value in zip(scores, values):
                 if rec.get(name) is not None and rec[name] != value:
                     raise ConfigError(f"{path}:{line_no}: stored {name} {rec[name]!r} disagrees with recomputation {value!r}")
-                scores[name].append(value)
-        states = [s for _, _, s in rows]
         per_set.append({
             "file": path,
-            "n": len(states),
-            "diversity": diversity(states) if len(states) >= 2 else None,
+            "n": len(mset),
+            "diversity": diversity(mset) if len(mset) >= 2 else None,
             "ds_mean": float(np.mean(scores["ds"])),
             "ds_top10_mean": top_k_mean(scores["ds"], cfg.top_k),
             "qed_mean": float(np.mean(scores["qed"])),

@@ -40,13 +40,9 @@ def read_json(path: str, error: type[ValueError]) -> dict:
     return doc
 
 
-def read_json_lines(path: str, error: type[ValueError], what: str, convert) -> list[tuple[int, dict, object]]:
-    """``(line number, record, convert(record))`` for each nonblank line of
-    ``path``, each line one JSON object. Invalid JSON, a line that is not an
-    object, a missing key, or a ``TypeError`` or ``ValueError`` from
-    ``convert`` raises ``error`` naming ``path:line``; a file with no records
-    raises ``error`` naming the path."""
-    rows = []
+def _json_lines(path: str, error: type[ValueError], what: str):
+    """``(line number, record)`` for each nonblank line of ``path``; a line
+    that is not a JSON object raises ``error`` naming ``path:line``."""
     for line_no, line in enumerate(read_text(path).split("\n"), 1):
         line = line.strip()
         if not line:
@@ -55,15 +51,54 @@ def read_json_lines(path: str, error: type[ValueError], what: str, convert) -> l
         rec = _parse(line, where, error)
         if not isinstance(rec, dict):
             raise error(f"{where}: a {what} record must be a JSON object")
-        try:
-            rows.append((line_no, rec, convert(rec)))
-        except KeyError as e:
-            raise error(f"{where}: missing field {e}") from None
-        except (TypeError, ValueError) as e:
-            raise error(f"{where}: bad {what} record: {e}") from None
+        yield line_no, rec
+
+
+def _convert(rec: dict, convert, where: str, error: type[ValueError], what: str):
+    try:
+        return convert(rec)
+    except KeyError as e:
+        raise error(f"{where}: missing field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise error(f"{where}: bad {what} record: {e}") from None
+
+
+def read_json_lines(path: str, error: type[ValueError], what: str, convert) -> list[tuple[int, dict, object]]:
+    """``(line number, record, convert(record))`` for each nonblank line of
+    ``path``, each line one JSON object. Invalid JSON, a line that is not an
+    object, a missing key, or a ``TypeError`` or ``ValueError`` from
+    ``convert`` raises ``error`` naming ``path:line``; a file with no records
+    raises ``error`` naming the path."""
+    rows = [(line_no, rec, _convert(rec, convert, f"{path}:{line_no}", error, what))
+            for line_no, rec in _json_lines(path, error, what)]
     if not rows:
         raise error(f"{path}: no {what} records")
     return rows
+
+
+def read_json_set(path: str, error: type[ValueError], what: str, screen, convert) -> tuple[list[int], list[dict], object]:
+    """``(line numbers, records, result)`` for the records of ``path``, read
+    as ``read_json_lines`` reads them but converted together.
+    ``screen(records)`` returns the result and the indices, ascending, of
+    the records it could not show to be good; ``convert`` checks those one
+    at a time. The error is the one ``read_json_lines`` would raise with
+    ``convert``: it names the first bad line, whether that line is not a
+    JSON object or its record fails ``convert``."""
+    lines, records, fault = [], [], None
+    try:
+        for line_no, rec in _json_lines(path, error, what):
+            lines.append(line_no)
+            records.append(rec)
+    except error as e:  # a record before the bad line may fail first
+        fault = e
+    result, suspects = screen(records)
+    for k in suspects:
+        _convert(records[k], convert, f"{path}:{lines[k]}", error, what)
+    if fault is not None:
+        raise fault
+    if not records:
+        raise error(f"{path}: no {what} records")
+    return lines, records, result
 
 
 def json_int(value, field: str) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -524,3 +525,128 @@ def state_from_record(rec: dict) -> LigandState:
         edges=tuple(tuple(json_int(v, "'edges' entry") for v in e) for e in rec["edges"]),
         terminal=True,
     )
+
+
+def molecule_from_record(rec: dict, library: FragmentLibrary) -> LigandState:
+    """The terminal molecule of one record, checked bond by bond: what
+    ``molecule_set`` screens for, and the wording of a record's error."""
+    s = state_from_record(rec)
+    validate_state(s, library)
+    if s.n == 0:
+        raise ValueError("empty molecule")
+    return s
+
+
+# ---------------------------------------------------------------------------
+# Molecule sets
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class MoleculeSet:
+    """Terminal molecules as columns. Molecule m has the nodes
+    ``frags[node_start[m]:node_start[m + 1]]`` and the bonds
+    ``bonds[bond_start[m]:bond_start[m + 1]]``, rows (i, ap_i, j, ap_j)
+    numbered within the molecule. A node holds the index of its fragment id
+    in ``ids`` (ascending), so the columns are small integers whatever the
+    ids; -1 marks an id outside ``ids``, which only a set being screened holds."""
+
+    ids: tuple[int, ...]
+    frags: np.ndarray  # (nodes,)
+    node_start: np.ndarray  # (molecules + 1,)
+    bonds: np.ndarray  # (bonds, 4)
+    bond_start: np.ndarray  # (molecules + 1,)
+
+    def __len__(self) -> int:
+        return len(self.node_start) - 1
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.node_start)
+
+    def node_molecules(self) -> np.ndarray:
+        """The molecule of each node."""
+        return np.repeat(np.arange(len(self)), self.sizes)
+
+    def bond_molecules(self) -> np.ndarray:
+        """The molecule of each bond."""
+        return np.repeat(np.arange(len(self)), np.diff(self.bond_start))
+
+    @classmethod
+    def from_states(cls, states) -> MoleculeSet:
+        """The set of ``states``, in order, over the fragment ids they use."""
+        return _columns(tuple(sorted({fid for s in states for fid in s.nodes})),
+                        [s.nodes for s in states], [s.edges for s in states])
+
+
+def _columns(ids: tuple[int, ...], nodes: list, edges: list) -> MoleculeSet:
+    """The set of molecules with fragment ids ``nodes[m]`` and 4-entry bonds
+    ``edges[m]``; a bond entry beyond int64 raises ``OverflowError``."""
+    index = {fid: k for k, fid in enumerate(ids)}
+    flat_nodes = list(chain.from_iterable(nodes))
+    return MoleculeSet(
+        ids=ids,
+        frags=np.fromiter(map(index.get, flat_nodes, repeat(-1)), dtype=np.intp, count=len(flat_nodes)),
+        node_start=np.cumsum([0, *map(len, nodes)], dtype=np.intp),
+        bonds=np.array(list(chain.from_iterable(chain.from_iterable(edges))), dtype=np.int64).reshape(-1, 4),
+        bond_start=np.cumsum([0, *map(len, edges)], dtype=np.intp),
+    )
+
+
+def _integer_lists(nodes: list, edges: list) -> bool:
+    """Whether every ``nodes`` entry is a list of integers and every ``edges``
+    entry a list of 4-integer lists."""
+    if not set(map(type, chain(nodes, edges))) <= {list}:
+        return False
+    rows = list(chain.from_iterable(edges))
+    return (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {4}
+            and set(map(type, chain(chain.from_iterable(nodes), chain.from_iterable(rows)))) <= {int})
+
+
+def molecule_set(records: list[dict], library: FragmentLibrary) -> tuple[MoleculeSet, list[int]]:
+    """The molecules of ``records`` as one set, and the ascending indices of
+    the records it could not show to be valid. ``molecule_from_record``
+    decides each of those alone; when it finds all of them valid, the set
+    holds every record's molecule, in order.
+
+    The columns show a molecule valid when its fields are lists of integers,
+    its fragments are in ``library``, it has n > 0 nodes and n - 1 bonds
+    (i, ap_i, j, ap_j) with 0 <= i < j < n and attachment points in range and
+    used once, and its larger ends j are distinct. Then every node j > 0 has
+    exactly one bond to a smaller node, so the molecule is a tree; a tree
+    whose bonds do not have that form is left to ``molecule_from_record``.
+    """
+    nodes = [rec.get("nodes") for rec in records]
+    edges = [rec.get("edges") for rec in records]
+    try:
+        mset = _columns(library.ids, nodes, edges) if _integer_lists(nodes, edges) else None
+    except OverflowError:  # an entry no molecule can have
+        mset = None
+    if mset is None:
+        # some record holds other values: check each one alone; the set is
+        # read only when every record is valid
+        states, failed = [], []
+        for k, rec in enumerate(records):
+            try:
+                states.append(molecule_from_record(rec, library))
+            except (KeyError, TypeError, ValueError):
+                failed.append(k)
+        return MoleculeSet.from_states(states), failed
+    n_nodes, sizes = len(mset.frags), mset.sizes
+    of_node, of_bond = mset.node_molecules(), mset.bond_molecules()
+    bad = (sizes == 0) | (np.diff(mset.bond_start) != sizes - 1)
+    bad[of_node[mset.frags < 0]] = True
+    i, ap_i, j, ap_j = mset.bonds.T
+    ok = (0 <= i) & (i < j) & (j < sizes[of_bond])
+    # node n_nodes stands for every out-of-range end: it has no attachment points
+    start = mset.node_start[of_bond]
+    gi, gj = np.where(ok, start + i, n_nodes), np.where(ok, start + j, n_nodes)
+    node_aps = np.append(np.array([f.aps for f in library] + [0])[mset.frags], 0)
+    ok &= (0 <= ap_i) & (ap_i < node_aps[gi]) & (0 <= ap_j) & (ap_j < node_aps[gj])
+    bad[of_bond[~ok]] = True
+    width = library.max_aps
+    slots = np.sort(np.concatenate([(gi * width + ap_i)[ok], (gj * width + ap_j)[ok]]))
+    bad[of_node[slots[1:][slots[1:] == slots[:-1]] // width]] = True
+    larger_ends = np.bincount(gj[ok], minlength=n_nodes + 1)
+    bad[of_bond[ok & (larger_ends[gj] > 1)]] = True
+    return mset, np.flatnonzero(bad).tolist()

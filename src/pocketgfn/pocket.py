@@ -270,7 +270,8 @@ def _residue(rec: dict) -> Residue:
 def load_pocket_jsonl(path: str) -> list[Residue]:
     """One residue per line: {"index": int, "res": int, "ca": [x, y, z]}.
 
-    Indices must form a contiguous run (sorted order is not required on disk).
+    Indices must form a contiguous run (sorted order is not required on disk),
+    and no two residues may share a position.
     """
     residues = [r for _, _, r in read_json_lines(path, PocketError, "residue", _residue)]
     residues.sort(key=lambda r: r.index)
@@ -279,6 +280,11 @@ def load_pocket_jsonl(path: str) -> list[Residue]:
         raise PocketError(f"{path}: duplicate residue indices")
     if idx != list(range(idx[0], idx[0] + len(idx))):
         raise PocketError(f"{path}: residue indices not contiguous: {idx}")
+    at = {}
+    for r in residues:
+        first = at.setdefault(tuple(r.ca.tolist()), r.index)
+        if first != r.index:
+            raise PocketError(f"{path}: residues {first} and {r.index} are at the same position {r.ca.tolist()}")
     return residues
 
 

@@ -15,7 +15,7 @@ from hashlib import sha256
 
 import numpy as np
 
-from .ligand import LigandState, bonds_by_node
+from .ligand import LigandState, MoleculeSet
 from .pocket import PocketGraph
 
 # Surrogate constants: target ligand size is RHO heavy atoms per angstrom of
@@ -48,13 +48,17 @@ def ligand_polarity(s: LigandState, library) -> float:
     return float(np.mean([library.get(fid).polarity for fid in s.nodes]))
 
 
+def _docking_quality(pocket: PocketGraph, size, polarity: float) -> float:
+    target_size = RHO * pocket.gyration_radius
+    size_term = math.exp(-((size - target_size) ** 2) / (2 * SIGMA_SIZE**2))
+    pol_term = math.exp(-((polarity - pocket.polarity) ** 2) / (2 * SIGMA_POLARITY**2))
+    return size_term * pol_term
+
+
 def docking_proxy(pocket: PocketGraph, s: LigandState, library) -> float:
     """Quality in [0, 1]; peaks when size and polarity both hit the pocket's targets."""
     _require_terminal(s, "docking_proxy")
-    target_size = RHO * pocket.gyration_radius
-    size_term = math.exp(-((ligand_size(s, library) - target_size) ** 2) / (2 * SIGMA_SIZE**2))
-    pol_term = math.exp(-((ligand_polarity(s, library) - pocket.polarity) ** 2) / (2 * SIGMA_POLARITY**2))
-    return size_term * pol_term
+    return _docking_quality(pocket, ligand_size(s, library), ligand_polarity(s, library))
 
 
 def docking_score(pocket: PocketGraph, s: LigandState, library) -> float:
@@ -62,15 +66,46 @@ def docking_score(pocket: PocketGraph, s: LigandState, library) -> float:
     return DS_SCALE * docking_proxy(pocket, s, library)
 
 
+def _qed_of_count(n: int) -> float:
+    return math.exp(-((n - 4) ** 2) / 2)
+
+
 def qed_proxy(s: LigandState) -> float:
     _require_terminal(s, "qed_proxy")
-    return math.exp(-((s.n - 4) ** 2) / 2)
+    return _qed_of_count(s.n)
 
 
 def sa_proxy(s: LigandState) -> float:
     _require_terminal(s, "sa_proxy")
     most_common = Counter(s.nodes).most_common(1)[0][1]
     return most_common / s.n
+
+
+def set_scores(pocket: PocketGraph, mset: MoleculeSet, library) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``docking_score``, ``qed_proxy`` and ``sa_proxy`` columns of a
+    set of terminal molecules, each equal to the one-state value bit for bit.
+
+    Sizes and most-common counts are integer sums and counts, so exact.
+    Polarity is ``np.mean`` over the rows of one (molecules, n) array per node
+    count n, which adds each row in the order ``np.mean`` adds one molecule's
+    list: pairwise from 9 entries, so a flat running sum would differ in the
+    last bit. The Gaussians are ``math.exp`` of the same Python floats, as
+    ``np.exp`` differs from it in the last bit on some inputs.
+    """
+    fragments = [library.get(fid) for fid in mset.ids]
+    of_node, counts = mset.node_molecules(), mset.sizes
+    sizes = np.bincount(of_node, weights=np.array([f.size for f in fragments], dtype=float)[mset.frags], minlength=len(mset))
+    node_polarity = np.array([f.polarity for f in fragments])[mset.frags]
+    polarity = np.empty(len(mset))
+    for n in set(counts.tolist()):
+        rows = np.flatnonzero(counts == n)
+        polarity[rows] = np.mean(node_polarity[mset.node_start[rows, None] + np.arange(n)], axis=1)
+    # runs of one fragment within a molecule, molecule by molecule
+    runs, run_len = np.unique(of_node * len(fragments) + mset.frags, return_counts=True)
+    most_common = np.zeros(len(mset), dtype=np.intp)
+    np.maximum.at(most_common, runs // len(fragments), run_len)
+    ds = [DS_SCALE * _docking_quality(pocket, z, p) for z, p in zip(sizes.tolist(), polarity.tolist())]
+    return np.array(ds), np.array([_qed_of_count(n) for n in counts.tolist()]), most_common / counts
 
 
 @dataclass(frozen=True)
@@ -109,41 +144,48 @@ def state_quality(pocket: PocketGraph, s: LigandState, library, weights: RewardW
 
 
 def _bit(key: str) -> int:
-    """The fingerprint bit that one radius-prefixed label sets."""
-    return int.from_bytes(sha256(key.encode()).digest()[:8], "big") % FINGERPRINT_BITS
+    """The fingerprint bit that one radius-prefixed label sets: the first 8
+    bytes of its sha256 as a big-endian integer, modulo FINGERPRINT_BITS.
+    FINGERPRINT_BITS divides 256, so that is the eighth byte modulo it."""
+    return sha256(key.encode()).digest()[7] % FINGERPRINT_BITS
 
 
-def _fingerprint_rows(states) -> np.ndarray:
-    """Fingerprints of ``states`` as the float rows of one (n, FINGERPRINT_BITS) matrix.
+def _fingerprint_rows(molecules) -> np.ndarray:
+    """Fingerprints of ``molecules``, a ``MoleculeSet`` or a list of terminal
+    states, as the float rows of one (n, FINGERPRINT_BITS) matrix.
 
     Each node gets one label per radius 0..FINGERPRINT_RADIUS. Radius 0 is
     its fragment id; each further radius appends the node's neighbourhood as
     (own ap, neighbour ap, neighbour label) entries, sorted, so labels
-    depend only on graph structure, never on node numbering. The row sets
+    depend only on graph structure, never on node numbering. An attachment
+    point carries one bond, so the entries sort by own ap. The row sets
     the bit of each ``f"{r}|{label}"``. Labels below the last radius repeat
     across a set, so each distinct one is hashed once per call; last-radius
     labels are mostly distinct and are hashed directly.
     """
-    memos = [{} for _ in range(FINGERPRINT_RADIUS)]
-    hit_rows, hit_bits = [], []
-    for i, s in enumerate(states):
-        _require_terminal(s, "fingerprint")
-        neigh = bonds_by_node(s)
-        labels = [str(fid) for fid in s.nodes]
-        for r, memo in enumerate(memos):
-            for label in labels:
-                bit = memo.get(label)
-                if bit is None:
-                    bit = memo[label] = _bit(f"{r}|{label}")
-                hit_bits.append(bit)
-            labels = [
-                labels[v] + "|" + ",".join([f"{a}:{b}:{x}" for a, b, x in sorted([(a, b, labels[u]) for a, b, u in bonds])])
-                for v, bonds in enumerate(neigh)
-            ]
-        hit_bits.extend(_bit(f"{FINGERPRINT_RADIUS}|{label}") for label in labels)
-        hit_rows.extend([i] * (s.n * (FINGERPRINT_RADIUS + 1)))
-    rows = np.zeros((len(states), FINGERPRINT_BITS))
-    rows[hit_rows, hit_bits] = 1.0
+    if not isinstance(molecules, MoleculeSet):
+        for s in molecules:
+            _require_terminal(s, "fingerprint")
+        molecules = MoleculeSet.from_states(molecules)
+    # both ends of every bond, in the set's node numbering, ordered by node then own ap
+    i, ap_i, j, ap_j = molecules.bonds.T
+    start = molecules.node_start[molecules.bond_molecules()]
+    own, own_ap, other_ap, other = (np.concatenate(pair) for pair in ((start + i, start + j), (ap_i, ap_j),
+                                                                      (ap_j, ap_i), (start + j, start + i)))
+    order = np.lexsort((own_ap, own))
+    first = np.searchsorted(own[order], np.arange(len(molecules.frags) + 1)).tolist()
+    entries = [f"{a}:{b}:" for a, b in zip(own_ap[order].tolist(), other_ap[order].tolist())]
+    other = other[order].tolist()
+    labels = [str(molecules.ids[k]) for k in molecules.frags.tolist()]
+    hit_bits = []
+    for r in range(FINGERPRINT_RADIUS):
+        memo = {label: _bit(f"{r}|{label}") for label in set(labels)}
+        hit_bits.extend(map(memo.__getitem__, labels))
+        neighbours = [entry + labels[u] for entry, u in zip(entries, other)]
+        labels = [label + "|" + ",".join(neighbours[lo:hi]) for label, lo, hi in zip(labels, first, first[1:])]
+    hit_bits.extend(_bit(f"{FINGERPRINT_RADIUS}|{label}") for label in labels)
+    rows = np.zeros((len(molecules), FINGERPRINT_BITS))
+    rows[np.tile(molecules.node_molecules(), FINGERPRINT_RADIUS + 1), hit_bits] = 1.0
     return rows
 
 
@@ -176,8 +218,9 @@ def tanimoto_distance(f1: np.ndarray, f2: np.ndarray) -> float:
 DIVERSITY_BLOCK_ROWS = 32
 
 
-def diversity(states: list[LigandState]) -> float:
-    """Mean pairwise Tanimoto distance between state fingerprints.
+def diversity(states) -> float:
+    """Mean pairwise Tanimoto distance between the fingerprints of
+    ``states``, a ``MoleculeSet`` or a list of terminal states.
 
     A block of DIVERSITY_BLOCK_ROWS rows of the fingerprint matrix meets
     the rows after its first in one matrix product, so temporaries stay

@@ -613,6 +613,13 @@ MALFORMED_INPUTS = {
     "pocket-geometry-overflows": (
         "pocket", "".join(json.dumps({"index": i, "res": 0, "ca": [x, 0.0, 0.0]}) + "\n" for i, x in enumerate([1e308, -1e308])),
         "bad_pocket.json: residue coordinates too far apart"),
+    "pocket-coincident-residues": (
+        "pocket", "".join(json.dumps({"index": i, "res": 0, "ca": ca}) + "\n"
+                          for i, ca in enumerate([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])),
+        "bad_pocket.json: residues 1 and 2 are at the same position [1.0, 2.0, 3.0]"),
+    "pocket-all-residues-at-one-point": (
+        "pocket", "".join(json.dumps({"index": i, "res": 0, "ca": [0.5, -0.0 if i else 0.0, 2.0]}) + "\n" for i in range(4)),
+        "bad_pocket.json: residues 0 and 1 are at the same position"),
     "meta-not-object": ("meta", lambda doc: doc.update(__meta__=5)),
     "meta-policy-not-object": ("meta", lambda doc: doc["__meta__"].update(policy=5)),
     "meta-policy-unknown-key": ("meta", lambda doc: doc["__meta__"]["policy"].update(bogus=1)),
@@ -947,6 +954,36 @@ class TestMalformedInputs:
         assert err.getvalue().startswith("error:") and ":2:" in err.getvalue(), (record, err.getvalue())
 
 
+    @pytest.mark.parametrize("line_5", [
+        pytest.param(_molecule([0.0, 1], [[0, 0, 1, 0]]), id="float-node-id"),
+        pytest.param("{oops\n", id="invalid-json"),
+        pytest.param("[1, 2]\n", id="not-an-object"),
+        pytest.param(json.dumps({"nodes": [0]}) + "\n", id="missing-field"),
+    ])
+    def test_first_bad_line_wins(self, desk_evaluate, capsys, line_5):
+        # amides (two attachment points each) whose third bond closes a ring on line 3
+        cfg_path, mols = desk_evaluate
+        ring = _molecule([2, 2, 2], [[0, 1, 1, 0], [1, 1, 2, 0], [0, 0, 2, 1]])
+        mols.write_text(_molecule([0], []) + _molecule([1], []) + ring + _molecule([3], []) + line_5)
+        assert main(["evaluate", str(mols), "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {mols}:3: bad molecule record: bond [0, 0, 2, 1] closes a cycle\n", err
+
+    def test_stored_score_disagreement_names_its_line(self, desk_evaluate, capsys):
+        cfg_path, mols = desk_evaluate
+        nodes, edges = [2, 0], [[0, 0, 1, 0]]
+        graph = build_knn_graph(load_pocket_jsonl(_COMPACT_POCKET))
+        ds = docking_score(graph, state_from_record({"nodes": nodes, "edges": edges}), DESK)
+        stored = {"nodes": nodes, "edges": edges, "ds": ds + 1e-9}
+        mols.write_text(_molecule([0], []) + json.dumps(stored) + "\n" + _molecule([1], []))
+        assert main(["evaluate", str(mols), "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {mols}:2: stored ds {ds + 1e-9!r} disagrees with recomputation {ds!r}\n", err
+        stored["ds"] = ds  # the recomputed value itself is accepted
+        mols.write_text(_molecule([0], []) + json.dumps(stored) + "\n" + _molecule([1], []))
+        assert main(["evaluate", str(mols), "--config", str(cfg_path)]) == 0
+
+
 class TestOutputPaths:
     @staticmethod
     def run_blocked(tmp_path, monkeypatch, checkpoint_text, output, blocked) -> int:
@@ -956,7 +993,7 @@ class TestOutputPaths:
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the output path was checked")
 
-        for name in ("train", "sample_trajectories", "docking_score"):
+        for name in ("train", "sample_trajectories", "set_scores"):
             monkeypatch.setattr(cli, name, no_work)
         cfg = str(write_cfg(tmp_path, "c.json"))
         if output == "train-out":

@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from pocketgfn import rewards
 from pocketgfn.ligand import (
     AddFragment,
+    MoleculeSet,
     STOP,
     apply_action,
-    bonds_by_node,
     canonical_key,
     desk_library,
     enumerated_space,
     initial_state,
     legal_actions,
+    molecule_from_record,
+    molecule_set,
     toy_library,
 )
 from pocketgfn.pocket import (
@@ -42,6 +44,7 @@ from pocketgfn.rewards import (
     mean_and_se,
     qed_proxy,
     sa_proxy,
+    set_scores,
     tanimoto_distance,
     top_k_mean,
 )
@@ -366,16 +369,18 @@ class TestDiversityAgreesWithReference:
         assert diversity(states) == rewards_reference.diversity(states)
 
     def test_fingerprints_each_state_once(self, monkeypatch):
+        # the states become one set once, however many pairs they make
         calls = []
+        real = MoleculeSet.from_states
 
-        def counting(s):
-            calls.append(s)
-            return bonds_by_node(s)
+        def counting(states):
+            calls.append(list(states))
+            return real(states)
 
-        monkeypatch.setattr(rewards, "bonds_by_node", counting)
+        monkeypatch.setattr(MoleculeSet, "from_states", counting)
         states = random_desk_set(1, 25)
         diversity(states)
-        assert calls == states
+        assert calls == [states]
 
     def test_memory_far_below_an_n_by_n_array(self, monkeypatch):
         n = 2000
@@ -391,6 +396,63 @@ class TestDiversityAgreesWithReference:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4, f"peak {peak / 1e6:.1f} MB"
+
+
+@st.composite
+def desk_molecules(draw, max_nodes=12):
+    """A terminal desk molecule grown by random additions to a drawn size of
+    1 to ``max_nodes`` nodes (fewer when no attachment point is left), with
+    its nodes relabeled in a random order half the time."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    target = draw(st.integers(1, max_nodes))
+    s = initial_state()
+    while s.n < target:
+        adds = [a for a in legal_actions(s, DESK, max_nodes) if isinstance(a, AddFragment)]
+        if not adds:
+            break
+        s = apply_action(s, adds[rng.integers(len(adds))], DESK, max_nodes)
+    s = apply_action(s, STOP, DESK, max_nodes)
+    if draw(st.booleans()):
+        s = permute_state(s, [int(v) for v in rng.permutation(s.n)])
+    return s
+
+
+class TestSetPath:
+    """The set columns against the one-state functions, bit for bit: evaluate
+    refuses a stored score that differs from its recomputation. Node counts
+    from 1 to 12 take ``np.mean`` past its 8-entry pairwise blocks and past
+    the sampling cap of 8."""
+
+    @given(st.lists(desk_molecules(), min_size=1, max_size=30), st.floats(1.0, 6.0), st.floats(0.0, 1.0), st.integers(0, 99))
+    @settings(max_examples=80, deadline=None)
+    def test_set_scores_equal_one_state_scores(self, states, spread, polar, seed):
+        pocket = build_knn_graph(synthetic_pocket(10, spread, seed, polar))
+        ds, qed, sa = set_scores(pocket, MoleculeSet.from_states(states), DESK)
+        assert ds.tolist() == [docking_score(pocket, s, DESK) for s in states]
+        assert qed.tolist() == [qed_proxy(s) for s in states]
+        assert sa.tolist() == [sa_proxy(s) for s in states]
+
+    @given(st.lists(desk_molecules(), min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_fingerprint_rows_equal_reference(self, states):
+        rows = rewards._fingerprint_rows(MoleculeSet.from_states(states))
+        for row, s in zip(rows, states, strict=True):
+            np.testing.assert_array_equal(row, rewards_reference.fingerprint(s))
+
+    @given(st.lists(desk_molecules(), min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_records_read_as_their_states(self, states):
+        records = [{"nodes": list(s.nodes), "edges": [list(e) for e in s.edges]} for s in states]
+        mset, suspects = molecule_set(records, DESK)
+        for k in suspects:
+            assert molecule_from_record(records[k], DESK) == states[k]
+        ref = MoleculeSet.from_states(states)
+        for name in ("node_start", "bonds", "bond_start"):
+            np.testing.assert_array_equal(getattr(mset, name), getattr(ref, name))
+        np.testing.assert_array_equal(np.array(mset.ids)[mset.frags], np.array(ref.ids)[ref.frags])
+        # a molecule whose bonds have the growth form is shown valid by the columns alone
+        growth = [k for k, s in enumerate(states) if sorted(e[2] for e in s.edges) == list(range(1, s.n))]
+        assert not set(suspects) & set(growth)
 
 
 class TestTopK:
