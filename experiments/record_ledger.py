@@ -10,12 +10,17 @@ Python version, machine); this replaces the row of the running environment
 and keeps the others. Each row holds the sha256 of:
 
 - per mode, the checkpoint, metrics and molecules of a default-config
-  ``pocketgfn train --mode M --steps 3`` followed by ``pocketgfn sample --n 24``;
+  ``pocketgfn train --mode M --steps 3`` followed by ``pocketgfn sample --n 24``,
+  and the exact terminal distribution of that checkpoint at desk cap 3 for
+  the bundled compact pocket;
+- the reward-proportional target at desk cap 3 for the bundled compact
+  pocket, with the default weights and beta;
 - the molecules and the evaluate report of one seed-0 infer-baseline
   benchmark cycle: ``perfbench/worker.py``'s inputs, ``sample``, then
   ``evaluate`` of the sample and the two random sets. Every path is relative
   to the cycle's working directory, so the report names no absolute path.
 
+A distribution is hashed as its float64 probabilities in sorted-key order.
 A change that rewrites a row says why in ``CHANGES.md`` and quotes the old
 and new hashes.
 """
@@ -36,11 +41,13 @@ from pathlib import Path
 import numpy as np
 
 from pocketgfn import cli, training
+from pocketgfn.ligand import load_library
 
 ROOT = Path(__file__).resolve().parents[1]
 LEDGER = ROOT / "tests" / "artifact_ledger.json"
 WORKER = ROOT / "perfbench" / "worker.py"
 MODES = ("baseline", "trioformer")
+ORACLE_CAP = 3  # desk cap 3: 360 molecules
 
 
 def environment() -> dict:
@@ -56,6 +63,10 @@ def environment() -> dict:
 def _sha256(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _distribution_sha256(dist: dict[str, float]) -> str:
+    return hashlib.sha256(np.array([dist[k] for k in sorted(dist)], dtype=np.float64).tobytes()).hexdigest()
 
 
 def _run(argv: list[str]) -> None:
@@ -85,6 +96,11 @@ def _benchmark_worker():
 def artifacts() -> dict[str, str]:
     """The sha256 of every ledger artifact, computed in a temporary directory."""
     hashes = {}
+    cfg = cli.load_run_config(None)
+    library, pockets = load_library(cfg.library_path()), cli._load_pockets(cfg)
+    (compact,) = pockets.values()
+    target = training.target_distribution(compact, library, ORACLE_CAP, training.default_reward_fn(library), cfg.beta)
+    hashes[f"compact/target-cap{ORACLE_CAP}"] = _distribution_sha256(target)
     with tempfile.TemporaryDirectory() as tmp:
         for mode in MODES:
             os.mkdir(os.path.join(tmp, mode))
@@ -94,6 +110,9 @@ def artifacts() -> dict[str, str]:
                 for name, path in (("checkpoint", "checkpoint.json"), ("metrics", "checkpoint.metrics.jsonl"),
                                    ("molecules", "molecules.jsonl")):
                     hashes[f"{mode}/{name}"] = _sha256(path)
+                policy, _ = cli._rebuild_policy("checkpoint.json", library, mode, pockets)
+                exact = training.exact_terminal_distribution(policy, policy.pocket_context(compact), library, ORACLE_CAP)
+                hashes[f"{mode}/exact-cap{ORACLE_CAP}"] = _distribution_sha256(exact)
         worker = _benchmark_worker()
         os.mkdir(os.path.join(tmp, "infer"))
         with _working_directory(os.path.join(tmp, "infer")):

@@ -1,8 +1,9 @@
 """The artifact bytes still match the committed ledger.
 
 ``experiments/record_ledger.py`` computes the sha256 of the default-config
-train and sample artifacts in both modes and of one seed-0 infer-baseline
-sample and evaluate report. ``tests/artifact_ledger.json`` holds them per
+train and sample artifacts in both modes, of each mode's exact terminal
+distribution and the reward-proportional target at desk cap 3, and of one
+seed-0 infer-baseline sample and evaluate report. ``tests/artifact_ledger.json`` holds them per
 environment: in an environment with a row, any difference fails and names
 the artifact; in one without, the test skips and names the fields that
 differ.
