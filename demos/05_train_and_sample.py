@@ -12,9 +12,10 @@ compares frequencies.
 from pocketgfn.ligand import toy_library
 from pocketgfn.pocket import build_knn_graph, synthetic_pocket
 from pocketgfn.policy import PolicyConfig, PolicyNetwork
-from pocketgfn.rewards import docking_proxy
+from pocketgfn.rewards import RewardWeights
 from pocketgfn.training import (
     TrainerConfig,
+    default_reward_fn,
     empirical_terminal_distribution,
     exact_terminal_distribution,
     target_distribution,
@@ -26,9 +27,9 @@ from pocketgfn.training import (
 lib = toy_library()
 pocket = build_knn_graph(synthetic_pocket(6, 2.0, seed=3), K=4)
 
-def reward_fn(p, s):
-    return docking_proxy(p, s, lib)
-
+# a reward function scores a list of molecules for one pocket; this one
+# weighs the docking quality alone
+reward_fn = default_reward_fn(lib, RewardWeights(1.0, 0.0, 0.0))
 target = target_distribution(pocket, lib, max_nodes=2, reward_fn=reward_fn, beta=1.0)
 print("reward-proportional target over the enumerable molecule space:")
 for key, prob in sorted(target.items(), key=lambda kv: -kv[1]):

@@ -4,22 +4,21 @@ Scoring molecule sets: docking proxy, drug-likeness, synthesizability
 
 Every generated molecule is scored on three axes, and whole sample sets are
 summarized by their score means, a best-k mean, and internal diversity
-measured through fingerprint distances. The same numbers drive both the
-training reward and the evaluate subcommand's report.
+measured through fingerprint distances. A set is scored as columns, one
+entry per molecule; the same numbers drive both the training reward and the
+evaluate subcommand's report.
 """
 
 import numpy as np
 
-from pocketgfn.ligand import AddFragment, STOP, apply_action, desk_library, initial_state
+from pocketgfn.ligand import AddFragment, STOP, MoleculeSet, apply_action, desk_library, initial_state
 from pocketgfn.pocket import build_knn_graph, synthetic_pocket
 from pocketgfn.rewards import (
     DEFAULT_WEIGHTS,
-    combined_quality,
     diversity,
-    docking_score,
     fingerprint,
-    qed_proxy,
-    sa_proxy,
+    set_scores,
+    state_quality,
     tanimoto_distance,
     top_k_mean,
 )
@@ -44,22 +43,19 @@ molecules = {
                           AddFragment(0, 1, 1, 0)]),
 }
 
-print(f"\n{'molecule':18s} {'dock':>8s} {'qed':>7s} {'sa':>7s} {'combined':>9s}")
-weights = DEFAULT_WEIGHTS  # the blend training uses unless a run config sets another
-scores = []
-for name, s in molecules.items():
-    ds = docking_score(pocket, s, lib)
-    q = qed_proxy(s)
-    a = sa_proxy(s)
-    blended = combined_quality(ds / -12.0, q, a, weights)
-    scores.append(ds)
-    print(f"{name:18s} {ds:8.3f} {q:7.3f} {a:7.3f} {blended:9.3f}")
-
-print(f"\nbest-2 docking mean: {top_k_mean(scores, 2):.3f}")
-
-# fingerprints give a bond-pattern distance between molecules
+# the docking score, QED and SA columns of the set, and the blended training
+# reward (DEFAULT_WEIGHTS, unless a run config sets another blend)
 states = list(molecules.values())
 names = list(molecules)
+ds, qed, sa = set_scores(pocket, MoleculeSet.from_states(states), lib)
+blended = state_quality(pocket, states, lib, DEFAULT_WEIGHTS)
+print(f"\n{'molecule':18s} {'dock':>8s} {'qed':>7s} {'sa':>7s} {'combined':>9s}")
+for row in zip(names, ds, qed, sa, blended):
+    print("{:18s} {:8.3f} {:7.3f} {:7.3f} {:9.3f}".format(*row))
+
+print(f"\nbest-2 docking mean: {top_k_mean(ds.tolist(), 2):.3f}")
+
+# fingerprints give a bond-pattern distance between molecules
 fp = {n: fingerprint(s) for n, s in molecules.items()}
 print(f"\nfingerprints carry {fp['lone amide'].size} bits each; pairwise distances:")
 for i in range(len(names)):

@@ -4,7 +4,7 @@ Trains both modes through the command line with the same seed and step
 budget on both bundled pockets, samples 8 unique molecules per mode and
 pocket, and prints the ``evaluate`` table of each pocket followed by the
 mean docking score per mode. The comparison is reported, not asserted:
-``rewards.docking_proxy`` sees a pocket only through its radius of gyration
+the docking quality of ``rewards`` sees a pocket only through its radius of gyration
 and mean polarity, both of which a pooled embedding can carry, so this
 reward cannot show either way whether pair-tensor conditioning binds better.
 

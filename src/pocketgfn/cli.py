@@ -326,7 +326,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         scores = dict(zip(("ds", "qed", "sa"), (column.tolist() for column in set_scores(graph, mset, library))))
         for line_no, rec, *values in zip(lines, records, *scores.values()):
             for name, value in zip(scores, values):
-                if rec.get(name) is not None and rec[name] != value:
+                if rec.get(name) is None:
+                    continue
+                try:
+                    stored = json_float(rec[name], f"stored {name!r}")
+                except ValueError as e:
+                    raise ConfigError(f"{path}:{line_no}: bad molecule record: {e}") from None
+                if stored != value:
                     raise ConfigError(f"{path}:{line_no}: stored {name} {rec[name]!r} disagrees with recomputation {value!r}")
         per_set.append({
             "file": path,

@@ -23,6 +23,10 @@ ENUM_MAX_NODES = 4
 # Largest heavy-atom count of one fragment: far above any real fragment, and
 # low enough that the docking proxy's float arithmetic on ligand sizes cannot overflow.
 MAX_FRAGMENT_SIZE = 10_000
+# Most attachment points of one fragment: far above the 1 to 3 of the bundled
+# libraries and a benzene's six ring positions, and low enough that the action
+# rows (one per fragment ap at each open slot) and (n, n, 2 * max_aps) bond features stay small.
+MAX_ATTACHMENT_POINTS = 16
 
 
 class IllegalActionError(ValueError):
@@ -42,8 +46,8 @@ class Fragment:
     polarity: float
 
     def __post_init__(self):
-        if self.aps < 1:
-            raise LibraryError(f"fragment {self.name!r} needs at least one attachment point")
+        if not 1 <= self.aps <= MAX_ATTACHMENT_POINTS:
+            raise LibraryError(f"fragment {self.name!r} attachment points must be in [1, {MAX_ATTACHMENT_POINTS}], got {self.aps}")
         if not 1 <= self.size <= MAX_FRAGMENT_SIZE:
             raise LibraryError(f"fragment {self.name!r} size must be in [1, {MAX_FRAGMENT_SIZE}], got {self.size}")
         if not 0.0 <= self.polarity <= 1.0:
@@ -520,6 +524,14 @@ def state_to_record(s: LigandState) -> dict:
 
 
 def state_from_record(rec: dict) -> LigandState:
+    """The terminal state of a record whose ``nodes`` is a list of fragment ids
+    and ``edges`` a list of 4-integer bonds; else a ``ValueError`` naming the field."""
+    for name in ("nodes", "edges"):
+        if type(rec[name]) is not list:
+            raise ValueError(f"'{name}' must be a list, got {rec[name]!r}")
+    for e in rec["edges"]:
+        if type(e) is not list or len(e) != 4:
+            raise ValueError(f"'edges' entry must be a list of 4 integers, got {e!r}")
     return LigandState(
         nodes=tuple(json_int(x, "'nodes' entry") for x in rec["nodes"]),
         edges=tuple(tuple(json_int(v, "'edges' entry") for v in e) for e in rec["edges"]),
@@ -603,11 +615,13 @@ def _integer_lists(nodes: list, edges: list) -> bool:
             and set(map(type, chain(chain.from_iterable(nodes), chain.from_iterable(rows)))) <= {int})
 
 
-def molecule_set(records: list[dict], library: FragmentLibrary) -> tuple[MoleculeSet, list[int]]:
+def molecule_set(records: list[dict], library: FragmentLibrary) -> tuple[MoleculeSet | None, list[int]]:
     """The molecules of ``records`` as one set, and the ascending indices of
     the records it could not show to be valid. ``molecule_from_record``
     decides each of those alone; when it finds all of them valid, the set
-    holds every record's molecule, in order.
+    holds every record's molecule, in order. Records that are not all lists
+    of integers within int64 give no set and every index: one of them holds a
+    value that ``molecule_from_record`` refuses.
 
     The columns show a molecule valid when its fields are lists of integers,
     its fragments are in ``library``, it has n > 0 nodes and n - 1 bonds
@@ -623,15 +637,7 @@ def molecule_set(records: list[dict], library: FragmentLibrary) -> tuple[Molecul
     except OverflowError:  # an entry no molecule can have
         mset = None
     if mset is None:
-        # some record holds other values: check each one alone; the set is
-        # read only when every record is valid
-        states, failed = [], []
-        for k, rec in enumerate(records):
-            try:
-                states.append(molecule_from_record(rec, library))
-            except (KeyError, TypeError, ValueError):
-                failed.append(k)
-        return MoleculeSet.from_states(states), failed
+        return None, list(range(len(records)))
     n_nodes, sizes = len(mset.frags), mset.sizes
     of_node, of_bond = mset.node_molecules(), mset.bond_molecules()
     bad = (sizes == 0) | (np.diff(mset.bond_start) != sizes - 1)

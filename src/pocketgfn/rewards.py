@@ -9,7 +9,6 @@ what the sampling oracles need.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from hashlib import sha256
 
@@ -33,64 +32,29 @@ class MetricError(ValueError):
     pass
 
 
-def _require_terminal(s: LigandState, op: str) -> None:
-    if not s.terminal:
-        raise MetricError(f"{op} needs a terminal state, got a partial one with {s.n} nodes")
-    if s.n == 0:
-        raise MetricError(f"{op} needs a nonempty state")
+def _molecules(states, op: str) -> MoleculeSet:
+    """``states``, a ``MoleculeSet`` or a list of terminal states, as one
+    set; a partial or empty state raises a ``MetricError`` naming ``op``."""
+    if isinstance(states, MoleculeSet):
+        return states
+    for s in states:
+        if not s.terminal:
+            raise MetricError(f"{op} needs a terminal state, got a partial one with {s.n} nodes")
+        if s.n == 0:
+            raise MetricError(f"{op} needs a nonempty state")
+    return MoleculeSet.from_states(states)
 
 
-def ligand_size(s: LigandState, library) -> int:
-    return sum(library.get(fid).size for fid in s.nodes)
-
-
-def ligand_polarity(s: LigandState, library) -> float:
-    return float(np.mean([library.get(fid).polarity for fid in s.nodes]))
-
-
-def _docking_quality(pocket: PocketGraph, size, polarity: float) -> float:
-    target_size = RHO * pocket.gyration_radius
-    size_term = math.exp(-((size - target_size) ** 2) / (2 * SIGMA_SIZE**2))
-    pol_term = math.exp(-((polarity - pocket.polarity) ** 2) / (2 * SIGMA_POLARITY**2))
-    return size_term * pol_term
-
-
-def docking_proxy(pocket: PocketGraph, s: LigandState, library) -> float:
-    """Quality in [0, 1]; peaks when size and polarity both hit the pocket's targets."""
-    _require_terminal(s, "docking_proxy")
-    return _docking_quality(pocket, ligand_size(s, library), ligand_polarity(s, library))
-
-
-def docking_score(pocket: PocketGraph, s: LigandState, library) -> float:
-    """Negative presentation scale: best possible is DS_SCALE, worst approaches 0."""
-    return DS_SCALE * docking_proxy(pocket, s, library)
-
-
-def _qed_of_count(n: int) -> float:
-    return math.exp(-((n - 4) ** 2) / 2)
-
-
-def qed_proxy(s: LigandState) -> float:
-    _require_terminal(s, "qed_proxy")
-    return _qed_of_count(s.n)
-
-
-def sa_proxy(s: LigandState) -> float:
-    _require_terminal(s, "sa_proxy")
-    most_common = Counter(s.nodes).most_common(1)[0][1]
-    return most_common / s.n
-
-
-def set_scores(pocket: PocketGraph, mset: MoleculeSet, library) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``docking_score``, ``qed_proxy`` and ``sa_proxy`` columns of a
-    set of terminal molecules, each equal to the one-state value bit for bit.
+def _qualities(pocket: PocketGraph, mset: MoleculeSet, library) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The docking, QED and SA qualities in [0, 1] of each molecule of
+    ``mset``. Docking peaks when size and mean polarity hit the pocket's
+    targets, QED at four fragments; SA is the most common fragment's share.
 
     Sizes and most-common counts are integer sums and counts, so exact.
-    Polarity is ``np.mean`` over the rows of one (molecules, n) array per node
-    count n, which adds each row in the order ``np.mean`` adds one molecule's
-    list: pairwise from 9 entries, so a flat running sum would differ in the
-    last bit. The Gaussians are ``math.exp`` of the same Python floats, as
-    ``np.exp`` differs from it in the last bit on some inputs.
+    Polarity is one ``np.mean`` over the (molecules, n) rows of each node
+    count n, which adds each row as ``np.mean`` adds one molecule's list. The
+    Gaussians are ``math.exp`` of Python floats (``np.exp`` differs from it
+    in the last bit on some inputs).
     """
     fragments = [library.get(fid) for fid in mset.ids]
     of_node, counts = mset.node_molecules(), mset.sizes
@@ -104,8 +68,25 @@ def set_scores(pocket: PocketGraph, mset: MoleculeSet, library) -> tuple[np.ndar
     runs, run_len = np.unique(of_node * len(fragments) + mset.frags, return_counts=True)
     most_common = np.zeros(len(mset), dtype=np.intp)
     np.maximum.at(most_common, runs // len(fragments), run_len)
-    ds = [DS_SCALE * _docking_quality(pocket, z, p) for z, p in zip(sizes.tolist(), polarity.tolist())]
-    return np.array(ds), np.array([_qed_of_count(n) for n in counts.tolist()]), most_common / counts
+    target_size = RHO * pocket.gyration_radius
+    q_ds = [math.exp(-((z - target_size) ** 2) / (2 * SIGMA_SIZE**2))
+            * math.exp(-((p - pocket.polarity) ** 2) / (2 * SIGMA_POLARITY**2))
+            for z, p in zip(sizes.tolist(), polarity.tolist())]
+    q_qed = [math.exp(-((n - 4) ** 2) / 2) for n in counts.tolist()]
+    return np.array(q_ds), np.array(q_qed), most_common / counts
+
+
+def set_scores(pocket: PocketGraph, mset: MoleculeSet, library) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The docking score, QED and SA columns of a set of terminal molecules:
+    the docking score is the docking quality on the negative presentation
+    scale, best possible DS_SCALE, worst approaching 0."""
+    q_ds, q_qed, q_sa = _qualities(pocket, mset, library)
+    return DS_SCALE * q_ds, q_qed, q_sa
+
+
+def docking_score(pocket: PocketGraph, s: LigandState, library) -> float:
+    """The docking score of one terminal molecule."""
+    return float(set_scores(pocket, _molecules([s], "docking_score"), library)[0][0])
 
 
 @dataclass(frozen=True)
@@ -127,17 +108,19 @@ class RewardWeights:
 DEFAULT_WEIGHTS = RewardWeights(0.5, 0.25, 0.25)
 
 
-def combined_quality(q_ds: float, q_qed: float, q_sa: float, weights: RewardWeights) -> float:
+def combined_quality(q_ds, q_qed, q_sa, weights: RewardWeights):
+    """The weighted blend of three qualities in [0, 1], each a float or a column."""
     for name, q in (("q_ds", q_ds), ("q_qed", q_qed), ("q_sa", q_sa)):
-        if not 0.0 <= q <= 1.0:
-            raise MetricError(f"{name} must lie in [0, 1], got {q}")
+        outside = [v for v in np.ravel(q).tolist() if not 0.0 <= v <= 1.0]
+        if outside:
+            raise MetricError(f"{name} must lie in [0, 1], got {outside[0]}")
     return weights.w_ds * q_ds + weights.w_qed * q_qed + weights.w_sa * q_sa
 
 
-def state_quality(pocket: PocketGraph, s: LigandState, library, weights: RewardWeights) -> float:
-    return combined_quality(
-        docking_proxy(pocket, s, library), qed_proxy(s), sa_proxy(s), weights
-    )
+def state_quality(pocket: PocketGraph, states, library, weights: RewardWeights) -> np.ndarray:
+    """The blended quality of each of ``states``, a list of terminal states
+    or a ``MoleculeSet``, as one column."""
+    return combined_quality(*_qualities(pocket, _molecules(states, "state_quality"), library), weights)
 
 
 # -- fingerprints and diversity ---------------------------------------------
@@ -150,9 +133,9 @@ def _bit(key: str) -> int:
     return sha256(key.encode()).digest()[7] % FINGERPRINT_BITS
 
 
-def _fingerprint_rows(molecules) -> np.ndarray:
-    """Fingerprints of ``molecules``, a ``MoleculeSet`` or a list of terminal
-    states, as the float rows of one (n, FINGERPRINT_BITS) matrix.
+def _fingerprint_rows(molecules: MoleculeSet) -> np.ndarray:
+    """Fingerprints of the set ``molecules`` as the float rows of one
+    (n, FINGERPRINT_BITS) matrix.
 
     Each node gets one label per radius 0..FINGERPRINT_RADIUS. Radius 0 is
     its fragment id; each further radius appends the node's neighbourhood as
@@ -163,10 +146,6 @@ def _fingerprint_rows(molecules) -> np.ndarray:
     across a set, so each distinct one is hashed once per call; last-radius
     labels are mostly distinct and are hashed directly.
     """
-    if not isinstance(molecules, MoleculeSet):
-        for s in molecules:
-            _require_terminal(s, "fingerprint")
-        molecules = MoleculeSet.from_states(molecules)
     # both ends of every bond, in the set's node numbering, ordered by node then own ap
     i, ap_i, j, ap_j = molecules.bonds.T
     start = molecules.node_start[molecules.bond_molecules()]
@@ -192,7 +171,7 @@ def _fingerprint_rows(molecules) -> np.ndarray:
 def fingerprint(s: LigandState) -> np.ndarray:
     """Binary vector hashed from rooted subgraph labels up to FINGERPRINT_RADIUS:
     the one-state row of ``_fingerprint_rows``."""
-    return _fingerprint_rows([s])[0].astype(np.uint8)
+    return _fingerprint_rows(_molecules([s], "fingerprint"))[0].astype(np.uint8)
 
 
 def _bit_rows(prints) -> np.ndarray:
@@ -230,7 +209,7 @@ def diversity(states) -> float:
     """
     if len(states) < 2:
         raise MetricError(f"diversity needs at least 2 states, got {len(states)}")
-    rows = _fingerprint_rows(states)
+    rows = _fingerprint_rows(_molecules(states, "diversity"))
     counts = rows.sum(axis=1)
     n = len(rows)
     total = 0.0

@@ -40,7 +40,7 @@ from .ligand import (
 from .nn import CheckpointError, ParamStore, decode_param, encode_param, load_checkpoint, save_checkpoint
 from .pocket import build_knn_graph, encode_pocket, random_rotation, synthetic_pocket, transform_residues
 from .policy import BASELINE, PolicyConfig, PolicyNetwork
-from .rewards import docking_proxy
+from .rewards import RewardWeights, state_quality
 from .trioformer import (
     biased_cross_attention,
     reference_cross_attention,
@@ -52,6 +52,7 @@ from .trioformer import (
 )
 from .training import (
     TrainerConfig,
+    default_reward_fn,
     exact_terminal_distribution,
     proportional_sampling_check,
     target_distribution,
@@ -71,6 +72,8 @@ def small_policy(mode: str = BASELINE) -> PolicyConfig:
 
 
 # -- shared measurements -------------------------------------------------------
+
+DOCKING_ONLY = RewardWeights(1.0, 0.0, 0.0)  # the reward the rigid-motion and sampling measurements score
 
 # The trioformer measurements run the layout the policy runs: a batch of two
 # 3-fragment ligands with different bond graphs, bonds 0-1, 1-2 and 0-1, 0-2.
@@ -237,7 +240,7 @@ def rigid_motion_drift(n_motions: int) -> float:
                 tensor(emb), h_l, graph.dist_matrix, TWO_LIGAND_ADJACENCY,
                 store, prefix="inv", n_layers=1, n_heads=2, head_dim=4, c_pair=8,
             ).data
-        return emb, graph.dist_matrix, docking_proxy(graph, term, lib), out
+        return emb, graph.dist_matrix, state_quality(graph, [term], lib, DOCKING_ONLY), out
 
     base = measure(build_knn_graph(residues))
     drifts = []
@@ -295,9 +298,7 @@ def proportional_sampling_tv(steps: int, stop_tv: float, n_samples: int) -> Samp
     lib = toy_library()
     pocket = build_knn_graph(synthetic_pocket(6, 2.0, seed=3), K=4)
 
-    def reward_fn(p, s):
-        return docking_proxy(p, s, lib)
-
+    reward_fn = default_reward_fn(lib, DOCKING_ONLY)
     target = target_distribution(pocket, lib, 2, reward_fn, beta=1.0)
     cfg = TrainerConfig(
         steps=steps, batch_size=8, learning_rate=3e-3, beta=1.0,

@@ -138,8 +138,10 @@ class TrainResult:
 
 
 def default_reward_fn(library: FragmentLibrary, weights: RewardWeights = DEFAULT_WEIGHTS):
-    def fn(pocket: PocketGraph, s: LigandState) -> float:
-        return state_quality(pocket, s, library, weights)
+    """A reward function: the blended quality of a list of terminal states in
+    one pocket, as one column; ``train`` calls it once per pocket per step."""
+    def fn(pocket: PocketGraph, states: list[LigandState]) -> np.ndarray:
+        return state_quality(pocket, states, library, weights)
 
     return fn
 
@@ -260,7 +262,9 @@ def train(
     """Adam on the trajectory-balance objective.
 
     Per step: roll the batch in lockstep under a tape, one policy pass per
-    depth and pocket drawn, and take one update on the batch mean of
+    depth and pocket drawn, score each pocket's terminal states with one
+    ``reward_fn(pocket, states)`` call (``default_reward_fn`` when none is
+    given), and take one update on the batch mean of
     ``tb_loss_tensor``, built as one column expression: a 0/1 (T, N) segment
     matrix times the rollout's drawn column sums each trajectory's log P_F,
     and its log Z is gathered from the per-pocket column. Trajectory ``idx``
@@ -301,8 +305,12 @@ def train(
                     [np.random.default_rng([config.seed, step, idx]) for idx in range(config.batch_size)],
                     config.max_nodes, library,
                 )
-                log_r = [shaped_log_reward(reward_fn(pockets[pid], t.states[-1]), t.states[-1], config.beta)
-                         for t, pid in zip(batch, drawn)]
+                terminals = [t.states[-1] for t in batch]
+                quality = np.empty(len(batch))
+                for pid in ctxs:
+                    rows = [idx for idx, p in enumerate(drawn) if p == pid]
+                    quality[rows] = reward_fn(pockets[pid], [terminals[idx] for idx in rows])
+                log_r = [shaped_log_reward(q, s, config.beta) for q, s in zip(quality.tolist(), terminals)]
                 segments = ad.constant(np.arange(len(batch))[:, None] == owner)
                 log_z_col = ad.gather_rows(ad.concat(list(log_z.values()), axis=0), [list(log_z).index(p) for p in drawn])
                 log_pb = [trajectory_backward_log_prob(t.states) for t in batch]
@@ -395,8 +403,7 @@ def target_distribution(
     scored once in its canonical form, in sorted key order."""
     space = enumerated_space(library, max_nodes)
     raw = {}
-    for key, s in zip(space.keys, space.molecules):
-        q = reward_fn(pocket, s)
+    for key, q in zip(space.keys, np.asarray(reward_fn(pocket, list(space.molecules))).tolist()):
         if not q > 0:
             raise TrainingError(f"reward must be positive, got {q}")
         raw[key] = q**beta

@@ -66,6 +66,6 @@ def exact_terminal_distribution(policy, ctx, library, max_nodes: int) -> dict[st
 
 def target_distribution(pocket, library, max_nodes: int, reward_fn, beta: float) -> dict[str, float]:
     """q^beta / Z over the molecules of :func:`enumerate_terminal_states`."""
-    raw = {canonical_key(s): reward_fn(pocket, s) ** beta for s in enumerate_terminal_states(library, max_nodes)}
+    raw = {canonical_key(s): float(reward_fn(pocket, [s])[0]) ** beta for s in enumerate_terminal_states(library, max_nodes)}
     z = sum(raw.values())
     return {k: v / z for k, v in raw.items()}

@@ -1,4 +1,9 @@
-"""Reference fingerprints and set diversity, for checking ``pocketgfn.rewards``.
+"""Reference scores, fingerprints and set diversity, for checking ``pocketgfn.rewards``.
+
+The scores are the original one-molecule formulas: the docking quality from
+the molecule's size (a sum) and mean polarity (``np.mean`` of its node list)
+through ``math.exp``, the QED quality from its fragment count, and the SA
+quality from the count of its most common fragment (``Counter``).
 
 The fingerprint is the original one-state form: every node's label at every
 radius is built and hashed with sha256 on its own, with no sharing across
@@ -7,12 +12,59 @@ are added in row-major (i, j) order, so diversity runs in Python time
 quadratic in the set size: usable up to a few hundred states.
 """
 
+import math
+from collections import Counter
 from hashlib import sha256
 
 import numpy as np
 
 from pocketgfn.ligand import bonds_by_node
-from pocketgfn.rewards import FINGERPRINT_BITS, FINGERPRINT_RADIUS, MetricError, _require_terminal
+from pocketgfn.rewards import (
+    DS_SCALE,
+    FINGERPRINT_BITS,
+    FINGERPRINT_RADIUS,
+    RHO,
+    SIGMA_POLARITY,
+    SIGMA_SIZE,
+    MetricError,
+)
+
+
+def _require_terminal(s, op: str) -> None:
+    if not s.terminal:
+        raise MetricError(f"{op} needs a terminal state, got a partial one with {s.n} nodes")
+    if s.n == 0:
+        raise MetricError(f"{op} needs a nonempty state")
+
+
+def docking_quality(pocket, s, library) -> float:
+    """In [0, 1]; peaks when size and polarity both hit the pocket's targets."""
+    _require_terminal(s, "docking_quality")
+    size = sum(library.get(fid).size for fid in s.nodes)
+    polarity = float(np.mean([library.get(fid).polarity for fid in s.nodes]))
+    size_term = math.exp(-((size - RHO * pocket.gyration_radius) ** 2) / (2 * SIGMA_SIZE**2))
+    pol_term = math.exp(-((polarity - pocket.polarity) ** 2) / (2 * SIGMA_POLARITY**2))
+    return size_term * pol_term
+
+
+def docking_score(pocket, s, library) -> float:
+    return DS_SCALE * docking_quality(pocket, s, library)
+
+
+def qed_quality(s) -> float:
+    _require_terminal(s, "qed_quality")
+    return math.exp(-((s.n - 4) ** 2) / 2)
+
+
+def sa_quality(s) -> float:
+    _require_terminal(s, "sa_quality")
+    return Counter(s.nodes).most_common(1)[0][1] / s.n
+
+
+def state_quality(pocket, s, library, weights) -> float:
+    """The weighted blend of the three qualities of one molecule."""
+    return (weights.w_ds * docking_quality(pocket, s, library) + weights.w_qed * qed_quality(s)
+            + weights.w_sa * sa_quality(s))
 
 
 def _wl_labels(s) -> list[list[str]]:

@@ -31,13 +31,19 @@ from pocketgfn.rewards import (
     RewardWeights,
     combined_quality,
     diversity,
-    docking_proxy,
     tanimoto_distance,
     top_k_mean,
 )
 from pocketgfn.selfcheck import small_policy
 from pocketgfn.trioformer import pool_graph_embedding
-from pocketgfn.training import TrainerConfig, exact_terminal_distribution, total_variation, train, training_store
+from pocketgfn.training import (
+    TrainerConfig,
+    default_reward_fn,
+    exact_terminal_distribution,
+    total_variation,
+    train,
+    training_store,
+)
 
 import rewards_reference
 
@@ -77,9 +83,7 @@ def test_pocket_conditioning_changes_sampling_distribution():
     assert max(rgs.values()) >= 2.0 * min(rgs.values()), f"pockets too similar: {rgs}"
     graphs = {pid: build_knn_graph(res) for pid, res in pockets.items()}
 
-    def reward_fn(p, s):
-        return docking_proxy(p, s, lib)
-
+    reward_fn = default_reward_fn(lib, RewardWeights(1.0, 0.0, 0.0))
     cfg = TrainerConfig(
         steps=2_000, batch_size=8, learning_rate=3e-3, beta=1.0,
         max_nodes=2, seed=12, mode="trioformer", policy=small_policy("trioformer"),

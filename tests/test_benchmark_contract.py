@@ -64,6 +64,8 @@ def test_tracer_installs_and_traces_a_step():
     assert result.steps_run == 1
     assert np.isclose(np.exp(dist.log_probs.data).sum(), 1.0)
     assert report["policy.calls_taped"] >= 1 and report["autodiff.tape_nodes"] > 0
+    # training scores its rewards through the traced state_quality
+    assert report["rewards.state_quality_s"] > 0
     assert report["trioformer.stack_nodes"] > 0
     # each block of the stack gets its own span; the triangle spans are named
     # from triangle_update's third argument, the axis

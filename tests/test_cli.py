@@ -24,6 +24,7 @@ from pocketgfn.cli import (
     resolve_bundled,
 )
 from pocketgfn.ligand import (
+    MAX_ATTACHMENT_POINTS,
     AddFragment,
     apply_action,
     canonical_key,
@@ -35,8 +36,10 @@ from pocketgfn.ligand import (
 )
 from pocketgfn.pocket import build_knn_graph, load_pocket_jsonl, save_pocket_jsonl, synthetic_pocket
 from pocketgfn.policy import PolicyConfig
-from pocketgfn.rewards import diversity, docking_score, qed_proxy, sa_proxy, top_k_mean
+from pocketgfn.rewards import diversity, docking_score, top_k_mean
 from pocketgfn.training import TrainerConfig, sample_trajectory, train
+
+import rewards_reference
 
 SMALL_POLICY = {
     "width": 16, "n_layers": 1, "n_heads": 2, "frag_emb_dim": 4,
@@ -459,8 +462,8 @@ class TestEvaluateCommand:
         assert report["metrics"]["ds_mean"]["mean"] == pytest.approx(np.mean(ds), abs=0)
         assert report["metrics"]["ds_top10_mean"]["mean"] == pytest.approx(top_k_mean(ds, 10), abs=0)
         assert report["metrics"]["diversity"]["mean"] == pytest.approx(diversity(states), abs=0)
-        assert report["metrics"]["qed_mean"]["mean"] == pytest.approx(np.mean([qed_proxy(s) for s in states]), abs=0)
-        assert report["metrics"]["sa_mean"]["mean"] == pytest.approx(np.mean([sa_proxy(s) for s in states]), abs=0)
+        assert report["metrics"]["qed_mean"]["mean"] == pytest.approx(np.mean([rewards_reference.qed_quality(s) for s in states]), abs=0)
+        assert report["metrics"]["sa_mean"]["mean"] == pytest.approx(np.mean([rewards_reference.sa_quality(s) for s in states]), abs=0)
         assert report["metrics"]["ds_mean"]["se"] == 0.0  # single set
 
     def test_identical_sets_zero_se(self, workdir):
@@ -606,6 +609,10 @@ MALFORMED_INPUTS = {
     "library-no-fragments": ("library", json.dumps({"fragments": []})),
     "library-size-negative": ("library", _fragment_library(size=-5), "fragment 'a' size"),
     "library-size-beyond-float": ("library", _fragment_library(size=10**400), "fragment 'a' size"),
+    "library-aps-above-bound": (
+        "library", _fragment_library(aps=MAX_ATTACHMENT_POINTS + 1), f"fragment 'a' attachment points must be in [1, {MAX_ATTACHMENT_POINTS}]"),
+    "library-aps-2**63": ("library", _fragment_library(aps=2**63), "fragment 'a' attachment points"),
+    "library-aps-10**30": ("library", _fragment_library(aps=10**30), "fragment 'a' attachment points"),
     "pocket-array-line": ("pocket", _RESIDUE + "[1, 2, 3]\n"),
     "pocket-index-not-integer": ("pocket", _RESIDUE + json.dumps({"index": "x", "res": 0, "ca": [1.0, 0.0, 0.0]}) + "\n"),
     "pocket-ca-not-numbers": ("pocket", _RESIDUE + json.dumps({"index": 1, "res": 0, "ca": "abc"}) + "\n"),
@@ -968,6 +975,40 @@ class TestMalformedInputs:
         assert main(["evaluate", str(mols), "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {mols}:3: bad molecule record: bond [0, 0, 2, 1] closes a cycle\n", err
+
+    @pytest.mark.parametrize("aps", [2**63, 10**30])
+    def test_evaluate_refuses_attachment_points_beyond_bound(self, tmp_path, capsys, aps):
+        library, mols = tmp_path / "lib.json", tmp_path / "mols.jsonl"
+        library.write_text(_fragment_library(aps=aps))
+        mols.write_text(_molecule([0], []))
+        assert main(["evaluate", str(mols), "--config", str(write_cfg(tmp_path, "c.json", library_file=str(library)))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, err
+        assert f"fragment 'a' attachment points must be in [1, {MAX_ATTACHMENT_POINTS}], got {aps}" in err, err
+
+    @pytest.mark.parametrize("record, problem", [
+        ({"nodes": [1], "edges": ""}, "'edges' must be a list, got ''"),
+        ({"nodes": [1], "edges": {}}, "'edges' must be a list, got {}"),
+        ({"nodes": [0, 1], "edges": [[0, 0, 1]]}, "'edges' entry must be a list of 4 integers, got [0, 0, 1]"),
+        ({"nodes": [0, 1], "edges": ["0010"]}, "'edges' entry must be a list of 4 integers, got '0010'"),
+    ])
+    def test_record_field_that_is_not_a_list_names_its_line(self, desk_evaluate, capsys, record, problem):
+        cfg_path, mols = desk_evaluate
+        mols.write_text(_molecule([0], []) + json.dumps(record) + "\n")
+        assert main(["evaluate", str(mols), "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {mols}:2: bad molecule record: {problem}\n"
+
+    @pytest.mark.parametrize("value", [True, "1.0", [1.0]])
+    @pytest.mark.parametrize("name", ["ds", "qed", "sa"])
+    def test_stored_score_that_is_not_a_number_names_its_line(self, desk_evaluate, capsys, name, value):
+        # four amides in a chain: qed and sa are both 1.0, which True equals
+        cfg_path, mols = desk_evaluate
+        chain = {"nodes": [2, 2, 2, 2], "edges": [[0, 1, 1, 0], [1, 1, 2, 0], [2, 1, 3, 0]], "qed": 1.0, "sa": 1.0}
+        mols.write_text(_molecule([0], []) + json.dumps({**chain, name: value}) + "\n")
+        assert main(["evaluate", str(mols), "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {mols}:2: bad molecule record: stored '{name}' must be a number, got {value!r}\n"
+        mols.write_text(_molecule([0], []) + json.dumps(chain) + "\n")  # the numbers themselves are accepted
+        assert main(["evaluate", str(mols), "--config", str(cfg_path)]) == 0
 
     def test_stored_score_disagreement_names_its_line(self, desk_evaluate, capsys):
         cfg_path, mols = desk_evaluate

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pocketgfn import rewards
 from pocketgfn.ligand import (
     AddFragment,
+    LigandState,
     MoleculeSet,
     STOP,
     apply_action,
@@ -36,15 +37,11 @@ from pocketgfn.rewards import (
     RewardWeights,
     combined_quality,
     diversity,
-    docking_proxy,
     docking_score,
     fingerprint,
-    ligand_polarity,
-    ligand_size,
     mean_and_se,
-    qed_proxy,
-    sa_proxy,
     set_scores,
+    state_quality,
     tanimoto_distance,
     top_k_mean,
 )
@@ -54,6 +51,18 @@ from ligand_reference import permute_state
 
 DESK = desk_library()
 TOY = toy_library()
+DOCKING_ONLY = RewardWeights(1.0, 0.0, 0.0)
+
+
+def docking_quality(pocket, s):
+    """The docking quality of one desk molecule, as state_quality weighs it alone."""
+    return state_quality(pocket, [s], DESK, DOCKING_ONLY)[0]
+
+
+def qed_and_sa(s):
+    """The QED and SA qualities of one desk molecule, from its set columns."""
+    _, qed, sa = set_scores(square_pocket(), MoleculeSet.from_states([s]), DESK)
+    return qed[0], sa[0]
 
 
 def grow(actions, library=DESK, max_nodes=8, stop=True):
@@ -99,19 +108,17 @@ class TestDockingProxy:
         s = grow([AddFragment(None, None, 2, 0)])
         size_term = math.exp(-((3 - 1.5 * pocket.gyration_radius) ** 2) / (2 * 4.0**2))
         pol_term = math.exp(-((0.75 - pocket.polarity) ** 2) / (2 * 0.2**2))
-        assert docking_proxy(pocket, s, DESK) == size_term * pol_term
+        assert docking_quality(pocket, s) == size_term * pol_term
 
     def test_peak_when_both_targets_hit(self):
         # Rg = 2 -> target size 3; amide has size 3, polarity 0.75
         pocket = square_pocket(2.0, types=(13, 15, 14, 15))  # mean polarity (13+15+14+15)/4/19
         target_pol = (13 + 15 + 14 + 15) / 4 / 19
         s = grow([AddFragment(None, None, 2, 0)])
-        assert ligand_size(s, DESK) == 3
-        assert math.isclose(ligand_polarity(s, DESK), 0.75)
         assert math.isclose(pocket.polarity, target_pol)
         # not exactly 0.75, so not exactly 1; build an exact hit instead
         pocket_exact = square_pocket(2.0, types=(19, 19, 19, 0))  # polarity 0.75 exactly
-        q = docking_proxy(pocket_exact, s, DESK)
+        q = docking_quality(pocket_exact, s)
         assert math.isclose(q, 1.0, abs_tol=1e-12)
         assert math.isclose(docking_score(pocket_exact, s, DESK), DS_SCALE)
 
@@ -119,51 +126,44 @@ class TestDockingProxy:
         # Rg = 2 -> target size 3; benzene+hydroxyl = 7, deviation 4 = sigma_s
         pocket = square_pocket(2.0, types=(19, 0, 0, 19))  # polarity 0.5
         s = grow([AddFragment(None, None, 0, 0), AddFragment(0, 0, 1, 0)])
-        assert ligand_size(s, DESK) == 7
-        assert math.isclose(ligand_polarity(s, DESK), 0.5)
-        assert math.isclose(docking_proxy(pocket, s, DESK), math.exp(-0.5), rel_tol=1e-12)
+        assert math.isclose(docking_quality(pocket, s), math.exp(-0.5), rel_tol=1e-12)
 
     def test_monotone_in_size_deviation(self):
         pocket = square_pocket(2.0, types=(19, 0, 0, 19))
         # chains of hydroxyl-free polarity 0.5? use pairs (benzene, amide...) sizes grow
-        sizes = []
-        qs = []
         s = grow([AddFragment(None, None, 3, 0)], stop=False)  # cyclohexane, size 6
-        term = apply_action(s, STOP, DESK, 8)
-        sizes.append(ligand_size(term, DESK))
-        qs.append(math.exp(-((ligand_size(term, DESK) - 3.0) ** 2) / 32.0))
+        chains = [apply_action(s, STOP, DESK, 8)]
         for k in range(3):
             s = apply_action(s, AddFragment(k, 1, 3, 0), DESK, 8)
-            term = apply_action(s, STOP, DESK, 8)
-            sizes.append(ligand_size(term, DESK))
-            qs.append(math.exp(-((ligand_size(term, DESK) - 3.0) ** 2) / 32.0))
-        assert sizes == [6, 12, 18, 24]
+            chains.append(apply_action(s, STOP, DESK, 8))
+        # sizes 6, 12, 18 and 24 against a target of 3, at one polarity
+        qs = state_quality(pocket, chains, DESK, DOCKING_ONLY)
         assert all(a > b for a, b in zip(qs, qs[1:]))
-        # and the proxy matches its size factor times a constant polarity factor
+        # and the proxy is its size factor times a constant polarity factor
         pol_factor = math.exp(-((0.1 - 0.5) ** 2) / (2 * 0.2**2))
-        s = grow([AddFragment(None, None, 3, 0)])
-        assert math.isclose(docking_proxy(pocket, s, DESK), qs[0] * pol_factor, rel_tol=1e-12)
+        for q, size in zip(qs, [6, 12, 18, 24]):
+            assert math.isclose(q, math.exp(-((size - 3.0) ** 2) / 32.0) * pol_factor, rel_tol=1e-12)
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(4)
         residues = synthetic_pocket(8, 3.0, seed=2)
         s = grow([AddFragment(None, None, 2, 0), AddFragment(0, 1, 1, 0)])
-        base = docking_proxy(build_knn_graph(residues), s, DESK)
+        base = docking_quality(build_knn_graph(residues), s)
         for _ in range(5):
             moved = transform_residues(residues, random_rotation(rng), rng.normal(size=3) * 10)
-            assert math.isclose(docking_proxy(build_knn_graph(moved), s, DESK), base, rel_tol=1e-9)
+            assert math.isclose(docking_quality(build_knn_graph(moved), s), base, rel_tol=1e-9)
 
     def test_non_terminal_rejected(self):
         pocket = square_pocket()
         s = grow([AddFragment(None, None, 0, 0)], stop=False)
-        with pytest.raises(MetricError, match="terminal"):
-            docking_proxy(pocket, s, DESK)
+        with pytest.raises(MetricError, match="state_quality needs a terminal"):
+            state_quality(pocket, [grow([AddFragment(None, None, 1, 0)]), s], DESK, DOCKING_ONLY)
+        with pytest.raises(MetricError, match="docking_score needs a terminal"):
+            docking_score(pocket, s, DESK)
 
     def test_in_unit_interval(self):
-        pocket = square_pocket(5.0)
-        for s in enumerated_space(DESK, 3).molecules:
-            q = docking_proxy(pocket, s, DESK)
-            assert 0.0 <= q <= 1.0
+        qs = state_quality(square_pocket(5.0), enumerated_space(DESK, 3).molecules, DESK, DOCKING_ONLY)
+        assert qs.shape == (360,) and ((0.0 <= qs) & (qs <= 1.0)).all()
 
 
 class TestQedSa:
@@ -175,26 +175,24 @@ class TestQedSa:
             AddFragment(1, 1, 3, 0),
         ])
         assert s.n == 4
-        assert qed_proxy(s) == 1.0
+        assert qed_and_sa(s)[0] == 1.0
 
     def test_qed_formula(self):
         s = grow([AddFragment(None, None, 0, 0), AddFragment(0, 0, 2, 0)])
-        assert math.isclose(qed_proxy(s), math.exp(-2.0))
+        assert math.isclose(qed_and_sa(s)[0], math.exp(-2.0))
 
     def test_sa_identical_fragments(self):
         s = grow([AddFragment(None, None, 3, 0), AddFragment(0, 1, 3, 0)])
-        assert sa_proxy(s) == 1.0
+        assert qed_and_sa(s)[1] == 1.0
 
     def test_sa_two_distinct(self):
         s = grow([AddFragment(None, None, 0, 0), AddFragment(0, 0, 1, 0)])
-        assert sa_proxy(s) == 0.5
+        assert qed_and_sa(s)[1] == 0.5
 
-    def test_non_terminal_rejected(self):
-        s = grow([AddFragment(None, None, 0, 0)], stop=False)
-        with pytest.raises(MetricError):
-            qed_proxy(s)
-        with pytest.raises(MetricError):
-            sa_proxy(s)
+    def test_empty_rejected(self):
+        empty = LigandState(nodes=(), edges=(), terminal=True)
+        with pytest.raises(MetricError, match="state_quality needs a nonempty state"):
+            state_quality(square_pocket(), [empty], DESK, DOCKING_ONLY)
 
 
 class TestCombinedQuality:
@@ -226,6 +224,13 @@ class TestCombinedQuality:
     def test_out_of_range_quality(self):
         with pytest.raises(MetricError, match="q_ds"):
             combined_quality(1.2, 0.5, 0.5, RewardWeights(0.5, 0.25, 0.25))
+        with pytest.raises(MetricError, match=r"q_sa must lie in \[0, 1\], got nan"):
+            combined_quality(np.ones(3), np.ones(3), np.array([0.5, np.nan, 2.0]), RewardWeights(0.5, 0.25, 0.25))
+
+    def test_columns_blend_as_floats(self):
+        w = RewardWeights(0.5, 0.25, 0.25)
+        q = np.random.default_rng(0).random((3, 50))
+        assert combined_quality(*q, w).tolist() == [combined_quality(*row, w) for row in q.T.tolist()]
 
 
 class TestFingerprint:
@@ -275,7 +280,7 @@ class TestFingerprint:
         s = grow([AddFragment(None, None, 0, 0)], stop=False)
         with pytest.raises(MetricError, match="fingerprint needs a terminal"):
             fingerprint(s)
-        with pytest.raises(MetricError, match="fingerprint needs a terminal"):
+        with pytest.raises(MetricError, match="diversity needs a terminal"):
             diversity([grow([AddFragment(None, None, 0, 0)]), s])
 
     def test_ap_choice_changes_print(self):
@@ -387,11 +392,12 @@ class TestDiversityAgreesWithReference:
         rng = np.random.default_rng(0)
         monkeypatch.setattr(
             rewards, "_fingerprint_rows",
-            lambda states: rng.integers(0, 2, (len(states), rewards.FINGERPRINT_BITS), dtype=np.uint8).astype(np.float64),
+            lambda mset: rng.integers(0, 2, (len(mset), rewards.FINGERPRINT_BITS), dtype=np.uint8).astype(np.float64),
         )
+        molecules = MoleculeSet.from_states([grow([AddFragment(None, None, 0, 0)])] * n)
         tracemalloc.start()
         try:
-            diversity([None] * n)
+            diversity(molecules)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -418,19 +424,35 @@ def desk_molecules(draw, max_nodes=12):
 
 
 class TestSetPath:
-    """The set columns against the one-state functions, bit for bit: evaluate
-    refuses a stored score that differs from its recomputation. Node counts
-    from 1 to 12 take ``np.mean`` past its 8-entry pairwise blocks and past
-    the sampling cap of 8."""
+    """The set columns against the one-molecule formulas of
+    ``tests/rewards_reference.py``, bit for bit: evaluate refuses a stored
+    score that differs from its recomputation, and the exact target must not
+    move. Node counts from 1 to 12 take ``np.mean`` past its 8-entry
+    pairwise blocks and past the sampling cap of 8."""
 
     @given(st.lists(desk_molecules(), min_size=1, max_size=30), st.floats(1.0, 6.0), st.floats(0.0, 1.0), st.integers(0, 99))
     @settings(max_examples=80, deadline=None)
-    def test_set_scores_equal_one_state_scores(self, states, spread, polar, seed):
+    def test_set_scores_equal_reference_scores(self, states, spread, polar, seed):
         pocket = build_knn_graph(synthetic_pocket(10, spread, seed, polar))
         ds, qed, sa = set_scores(pocket, MoleculeSet.from_states(states), DESK)
-        assert ds.tolist() == [docking_score(pocket, s, DESK) for s in states]
-        assert qed.tolist() == [qed_proxy(s) for s in states]
-        assert sa.tolist() == [sa_proxy(s) for s in states]
+        assert ds.tolist() == [rewards_reference.docking_score(pocket, s, DESK) for s in states]
+        assert qed.tolist() == [rewards_reference.qed_quality(s) for s in states]
+        assert sa.tolist() == [rewards_reference.sa_quality(s) for s in states]
+        assert docking_score(pocket, states[0], DESK) == ds[0]
+
+    @given(st.lists(desk_molecules(), min_size=1, max_size=30), st.floats(1.0, 6.0), st.integers(0, 99),
+           st.sampled_from([(0.5, 0.25, 0.25), (1.0, 0.0, 0.0), (0.2, 0.5, 0.3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_state_quality_equals_reference_blend(self, states, spread, seed, weights):
+        pocket, weights = build_knn_graph(synthetic_pocket(10, spread, seed)), RewardWeights(*weights)
+        expected = [rewards_reference.state_quality(pocket, s, DESK, weights) for s in states]
+        assert state_quality(pocket, states, DESK, weights).tolist() == expected
+
+    def test_state_quality_equals_reference_blend_on_every_desk_cap_3_molecule(self):
+        pocket = build_knn_graph(synthetic_pocket(10, 2.5, 0))
+        states = enumerated_space(DESK, 3).molecules
+        expected = [rewards_reference.state_quality(pocket, s, DESK, rewards.DEFAULT_WEIGHTS) for s in states]
+        assert state_quality(pocket, states, DESK, rewards.DEFAULT_WEIGHTS).tolist() == expected
 
     @given(st.lists(desk_molecules(), min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None)

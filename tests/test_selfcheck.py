@@ -27,7 +27,7 @@ def test_trioformer_suite_fails_on_nan_pocket_track(monkeypatch):
 
 
 def test_rigid_motion_drift_keeps_nan(monkeypatch):
-    monkeypatch.setattr(sc, "docking_proxy", lambda *args: math.nan)
+    monkeypatch.setattr(sc, "state_quality", lambda *args: math.nan)
     assert math.isnan(sc.rigid_motion_drift(1))
 
 

@@ -321,8 +321,8 @@ class TestTrain:
         assert (tmp_path / "a.jsonl").read_bytes() != (tmp_path / "b.jsonl").read_bytes()
 
     def test_divergence_guard(self):
-        def bad_reward(pocket, s):
-            return math.inf
+        def bad_reward(pocket, states):
+            return [math.inf] * len(states)
 
         with pytest.raises(TrainingError, match="diverged"):
             train(small_config(2, max_nodes=2), TOY, one_pocket(), reward_fn=bad_reward)
@@ -476,7 +476,7 @@ class TestTrain:
                 live = [i for i in live if not states[i][-1].terminal]
             losses = []
             for i, pid in enumerate(drawn):
-                log_reward = shaped_log_reward(reward_fn(pockets[pid], states[i][-1]), states[i][-1], cfg.beta)
+                log_reward = shaped_log_reward(reward_fn(pockets[pid], [states[i][-1]])[0], states[i][-1], cfg.beta)
                 log_pf_sum = ad.reshape(ad.sum_all(ad.concat(log_pf[i], axis=0)), (1, 1))
                 losses.append(tb_loss_tensor(log_z[pid], log_pf_sum, log_reward, trajectory_backward_log_prob(states[i])))
             total = ad.scale(ad.sum_all(ad.concat(losses, axis=0)), 1.0 / len(losses))
@@ -771,12 +771,30 @@ class TestTrain:
         drawn = {pid: 0 for pid in pockets}
         by_graph = {id(g): pid for pid, g in pockets.items()}
 
-        def reward_fn(pocket, s):
-            drawn[by_graph[id(pocket)]] += 1
-            return 1.0
+        def reward_fn(pocket, states):
+            drawn[by_graph[id(pocket)]] += len(states)
+            return [1.0] * len(states)
 
         train(small_config(3, max_nodes=2, batch_size=2), TOY, pockets, reward_fn=reward_fn)
         assert drawn == {"p0": 2, "p1": 2, "p2": 2}
+
+    def test_one_reward_call_per_pocket_per_step(self):
+        # batch 5 over 2 pockets deals 3 and 2 trajectories, then 2 and 3:
+        # each step scores each pocket's terminal states in one call, and the
+        # rewards reach the metrics
+        pockets = {f"p{i}": build_knn_graph(synthetic_pocket(5, 2.0 + i, i), K=3) for i in range(2)}
+        by_graph = {id(g): pid for pid, g in pockets.items()}
+        reward_fn, calls = default_reward_fn(TOY), []
+
+        def counting(pocket, states):
+            assert all(s.terminal for s in states)
+            calls.append((by_graph[id(pocket)], len(states)))
+            return reward_fn(pocket, states)
+
+        cfg = small_config(3, max_nodes=2, batch_size=5)
+        counted = train(cfg, TOY, pockets, reward_fn=counting)
+        assert calls == [("p0", 3), ("p1", 2), ("p0", 2), ("p1", 3), ("p0", 3), ("p1", 2)]
+        assert counted.metrics == train(cfg, TOY, pockets).metrics
 
 
 @pytest.fixture
@@ -943,7 +961,7 @@ class TestOracles:
             )
 
     def test_constant_reward_target_is_uniform(self):
-        target = target_distribution(one_pocket()["p0"], TOY, 2, lambda p, s: 0.5, beta=3.0)
+        target = target_distribution(one_pocket()["p0"], TOY, 2, lambda p, states: [0.5] * len(states), beta=3.0)
         assert len(target) == 5
         for v in target.values():
             assert math.isclose(v, 0.2)
@@ -951,7 +969,7 @@ class TestOracles:
     def test_untrained_tv_is_a_valid_distance(self):
         policy = make_policy()
         tv = proportional_sampling_check(
-            policy, TOY, one_pocket()["p0"], lambda p, s: 1.0 + 0.5 * s.n, 2000, max_nodes=2, beta=2.0,
+            policy, TOY, one_pocket()["p0"], lambda p, states: [1.0 + 0.5 * s.n for s in states], 2000, max_nodes=2, beta=2.0,
         )
         assert 0.0 <= tv <= 1.0
 
