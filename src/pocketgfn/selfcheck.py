@@ -28,7 +28,6 @@ from . import autodiff as ad
 from .autodiff import Tape, finite_diff_check, tensor
 from .ligand import (
     AddFragment,
-    STOP,
     apply_action,
     automorphism_count,
     backward_transitions,
@@ -224,13 +223,14 @@ def tb_loss_gradient_error() -> float:
 
 def rigid_motion_drift(n_motions: int) -> float:
     """Worst relative drift, over random rotations and translations of a
-    10-residue pocket, of its node embeddings, distance matrix, docking proxy
-    and the trioformer output of the two-ligand batch conditioned on it."""
+    10-residue pocket, of its node embeddings, distance matrix, the docking
+    qualities of the desk molecules of up to 2 fragments, and the trioformer
+    output of the two-ligand batch conditioned on it."""
     rng = np.random.default_rng(3)
     residues = synthetic_pocket(10, 3.0, seed=5)
     store = ParamStore(np.random.default_rng(6))
     lib = desk_library()
-    term = apply_action(apply_action(initial_state(), AddFragment(None, None, 2, 0), lib, 4), STOP, lib, 4)
+    molecules = enumerated_space(lib, 2).molecules
     h_l = tensor(rng.normal(size=(2, 3, 8)))
 
     def measure(graph):
@@ -240,7 +240,7 @@ def rigid_motion_drift(n_motions: int) -> float:
                 tensor(emb), h_l, graph.dist_matrix, TWO_LIGAND_ADJACENCY,
                 store, prefix="inv", n_layers=1, n_heads=2, head_dim=4, c_pair=8,
             ).data
-        return emb, graph.dist_matrix, state_quality(graph, [term], lib, DOCKING_ONLY), out
+        return emb, graph.dist_matrix, state_quality(graph, molecules, lib, DOCKING_ONLY), out
 
     base = measure(build_knn_graph(residues))
     drifts = []

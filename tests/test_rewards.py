@@ -139,7 +139,7 @@ class TestDockingProxy:
         # sizes 6, 12, 18 and 24 against a target of 3, at one polarity
         qs = state_quality(pocket, chains, DESK, DOCKING_ONLY)
         assert all(a > b for a, b in zip(qs, qs[1:]))
-        # and the proxy is its size factor times a constant polarity factor
+        # and each quality is its size factor times a constant polarity factor
         pol_factor = math.exp(-((0.1 - 0.5) ** 2) / (2 * 0.2**2))
         for q, size in zip(qs, [6, 12, 18, 24]):
             assert math.isclose(q, math.exp(-((size - 3.0) ** 2) / 32.0) * pol_factor, rel_tol=1e-12)
